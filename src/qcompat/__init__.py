@@ -37,6 +37,7 @@ from .compat import (
     WeakWitness,
     classify,
     kraus_witness,
+    weakly_compatible,
 )
 from .dilation import (
     StinespringDilation,
@@ -86,6 +87,7 @@ __all__ = [
     "WeakWitness",
     "classify",
     "kraus_witness",
+    "weakly_compatible",
     "StinespringDilation",
     "minimal_stinespring",
     "radon_nikodym_effect",

@@ -270,17 +270,9 @@ def cmd_validate(args) -> int:
 
 
 def _type_name(device) -> str:
-    if isinstance(device, dv.Effect):
-        return "effect"
-    if isinstance(device, dv.Observable):
-        return "observable"
-    if isinstance(device, dv.Instrument):
-        return "instrument"
     if isinstance(device, mm.MeasurementModel):
         return "model"
-    if isinstance(device, dv.CPMap):
-        return device.kind
-    return type(device).__name__
+    return cp._kind(device)
 
 
 def _resolve(devices: dict, name: str):

@@ -1,16 +1,17 @@
-"""Pairwise compatibility deciders with constructive witnesses.
+"""Compatibility of device pairs, decided with re-validated witnesses.
 
-Every decider classifies its device pair as compatible, weakly
-compatible only, or strongly incompatible, and ships a witness that is
-re-validated before being returned: a joint instrument containing both
-devices, or a pair of instruments sharing one total channel. Cheap
-analytic fast paths run before the feasibility engine and tag the
-verdict; a flag disables them so the engine can be cross-checked
+Every device is read as an instrument through a table of parts, one per
+outcome: a fixed target (an effect for classical devices, a Choi matrix
+otherwise) or free. Two devices are compatible when both are parts of
+one joint instrument (``joint_problem``), and weakly compatible when two
+instruments containing them share one total channel (``weak_problem``).
+
+``classify`` runs the pair's analytic fast paths, then the joint
+question, then the weak one, and returns compatible,
+weakly_compatible_only, strongly_incompatible, or undecided. Positive
+verdicts carry a witness that is re-validated before it is returned. A
+flag disables the optional fast paths so the engine can be cross-checked
 against independent oracles.
-
-The deciders answering only the weak question (``weakly_compatible_*``)
-use ``weakly_compatible_only`` for a positive answer; whether the pair
-is in fact fully compatible is outside their scope.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ from .devices import (
     CPMap,
     Effect,
     Instrument,
-    KrausSet,
     Observable,
     PointerMap,
-    apply_h,
-    instrument_part_effect,
     kraus_from_choi,
     total_channel,
 )
@@ -44,6 +42,7 @@ from .matkit import (
 from .order import (
     commutes_with_range,
     cp_leq,
+    is_contraction_channel,
     is_pure,
     is_trivial_effect,
     pure_pair_compatible,
@@ -53,7 +52,7 @@ from .order import (
 
 
 class UnsupportedPairError(ValueError):
-    """The device pair kind has no decider."""
+    """An input is not one of the five device kinds."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +60,7 @@ class CompatWitness:
     """Joint instrument carrying both devices as parts.
 
     Subsets (for effects, operations, channels) or pointer maps (for
-    observables) record how each device arises.
+    observables and instruments) record how each device arises.
     """
 
     instrument: Instrument
@@ -97,6 +96,10 @@ class Verdict:
             raise ValueError(f"unknown relation {self.relation!r}")
 
 
+class WitnessValidationError(AssertionError):
+    """A constructed witness failed its re-validation; internal error."""
+
+
 def witness_tolerances(tol: Tolerances) -> Tolerances:
     """Relaxed thresholds for devices assembled from solver output.
 
@@ -111,1039 +114,22 @@ def witness_tolerances(tol: Tolerances) -> Tolerances:
     )
 
 
+def _prep_choi(effect_matrix: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Choi matrix of ``rho -> tr[E rho] eta``."""
+    return np.kron(hermitian_part(np.asarray(effect_matrix, dtype=complex)).T, eta)
+
+
 def state_prep_map(effect_matrix: np.ndarray, eta: np.ndarray, tol: Tolerances) -> CPMap:
     """The operation ``rho -> tr[E rho] eta``."""
-    e = hermitian_part(np.asarray(effect_matrix, dtype=complex))
-    return CPMap(e.shape[0], eta.shape[0], np.kron(e.T, eta), tol=tol)
-
-
-def effect_as_binary_observable(e: Effect, tol: Tolerances = DEFAULT_TOL) -> Observable:
-    return Observable(
-        ("1", "0"),
-        {"1": e, "0": Effect(np.eye(e.dim) - e.matrix, tol=tol)},
-        tol=tol,
-    )
+    return CPMap(np.shape(effect_matrix)[0], eta.shape[0], _prep_choi(effect_matrix, eta), tol=tol)
 
 
 # ---------------------------------------------------------------------------
-# witness assembly and re-validation
+# devices as instruments
 # ---------------------------------------------------------------------------
 
-
-class WitnessValidationError(AssertionError):
-    """A constructed witness failed its re-validation; internal error."""
-
-
-def _check_effect_part(ins: Instrument, subset, e: Effect, wtol: Tolerances) -> None:
-    got = instrument_part_effect(ins, subset, wtol)
-    if not close(e.matrix, got.matrix, wtol):
-        raise WitnessValidationError("effect is not reproduced by the witness subset")
-
-
-def _check_op_part(ins: Instrument, subset, f: CPMap, wtol: Tolerances) -> None:
-    got = ins.branch_sum(subset, wtol)
-    if not close(f.choi, got.choi, wtol):
-        raise WitnessValidationError("operation is not reproduced by the witness subset")
-
-
-def _check_obs_part(ins: Instrument, pointer: PointerMap, a: Observable, wtol: Tolerances) -> None:
-    pointer.check_total(ins.outcomes)
-    for x in a.outcomes:
-        got = instrument_part_effect(ins, pointer.preimage(x), wtol)
-        if not close(a.effects[x].matrix, got.matrix, wtol):
-            raise WitnessValidationError("observable is not reproduced by the witness pointer")
-
-
-def _check_ins_part(ins: Instrument, pointer: PointerMap, dev: Instrument, wtol: Tolerances) -> None:
-    pointer.check_total(ins.outcomes)
-    for x in dev.outcomes:
-        got = ins.branch_sum(pointer.preimage(x), wtol)
-        if not close(dev.branches[x].choi, got.choi, wtol):
-            raise WitnessValidationError("instrument is not reproduced by the witness pointer")
-
-
-def _check_device_part(ins: Instrument, device, subset, pointer, wtol: Tolerances) -> None:
-    if isinstance(device, Effect):
-        _check_effect_part(ins, subset, device, wtol)
-    elif isinstance(device, Observable):
-        _check_obs_part(ins, pointer, device, wtol)
-    elif isinstance(device, Instrument):
-        _check_ins_part(ins, pointer, device, wtol)
-    elif isinstance(device, CPMap):
-        _check_op_part(ins, subset, device, wtol)
-    else:
-        raise TypeError(f"unsupported witness device {type(device).__name__}")
-
-
-def _compatible(
-    dev1,
-    dev2,
-    instrument: Instrument,
-    notes: str,
-    wtol: Tolerances,
-    part_1=None,
-    part_2=None,
-    pointer_1=None,
-    pointer_2=None,
-    joint_observable=None,
-) -> Verdict:
-    _check_device_part(instrument, dev1, part_1, pointer_1, wtol)
-    _check_device_part(instrument, dev2, part_2, pointer_2, wtol)
-    w = CompatWitness(instrument, part_1, part_2, pointer_1, pointer_2, joint_observable)
-    return Verdict("compatible", w, notes)
-
-
-def _weakly(
-    dev1,
-    dev2,
-    i1: Instrument,
-    i2: Instrument,
-    notes: str,
-    wtol: Tolerances,
-    part_1=None,
-    part_2=None,
-    pointer_1=None,
-    pointer_2=None,
-) -> Verdict:
-    lam1, lam2 = total_channel(i1, wtol), total_channel(i2, wtol)
-    if not close(lam1.choi, lam2.choi, wtol):
-        raise WitnessValidationError("witness instruments do not share their total channel")
-    _check_device_part(i1, dev1, part_1, pointer_1, wtol)
-    _check_device_part(i2, dev2, part_2, pointer_2, wtol)
-    w = WeakWitness(i1, i2, lam1, part_1, part_2, pointer_1, pointer_2)
-    return Verdict("weakly_compatible_only", w, notes)
-
-
-def _contraction_weak_witness(
-    obs1: Observable, obs2: Observable, dev1, dev2, notes: str, tol: Tolerances
-) -> Verdict:
-    """Always-available weak witness for classical-output devices.
-
-    Both instruments measure-and-prepare into one fixed state, so their
-    totals coincide with the contraction channel to that state.
-    """
-    d = obs1.dim
-    eta = np.eye(d) / d
-    i1 = Instrument(
-        obs1.outcomes,
-        {x: state_prep_map(obs1.effects[x].matrix, eta, tol) for x in obs1.outcomes},
-        tol=tol,
-    )
-    i2 = Instrument(
-        obs2.outcomes,
-        {x: state_prep_map(obs2.effects[x].matrix, eta, tol) for x in obs2.outcomes},
-        tol=tol,
-    )
-    kwargs = {}
-    for side, dev, obs in (("1", dev1, obs1), ("2", dev2, obs2)):
-        if isinstance(dev, Effect):
-            kwargs[f"part_{side}"] = ("1",)
-        else:
-            kwargs[f"pointer_{side}"] = PointerMap({x: x for x in obs.outcomes})
-    return _weakly(dev1, dev2, i1, i2, notes, tol, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# effect-effect
-# ---------------------------------------------------------------------------
-
-
-def _is_projection(e: Effect, tol: Tolerances) -> bool:
-    return close(e.matrix @ e.matrix, e.matrix, tol)
-
-
-def _commute(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> bool:
-    return close(a @ b, b @ a, tol)
-
-
-def _coexistence_instrument(g: dict[str, Effect], dim: int, tol: Tolerances) -> Instrument:
-    eta = np.eye(dim) / dim
-    return Instrument(
-        tuple(g), {x: state_prep_map(g[x].matrix, eta, tol) for x in g}, tol=tol
-    )
-
-
-def coexistence_problem(e1: Effect, e2: Effect) -> fs.FeasibilityProblem:
-    """Four-outcome feasibility normal form for effect coexistence."""
-    d = e1.dim
-    blocks = tuple((n, d) for n in ("g11", "g10", "g01", "g00"))
-    cons = (
-        fs.encode_sum_constraint(("g11", "g10"), e1.matrix, label="margin-1"),
-        fs.encode_sum_constraint(("g11", "g01"), e2.matrix, label="margin-2"),
-        fs.encode_sum_constraint(("g11", "g10", "g01", "g00"), np.eye(d), label="total"),
-    )
-    return fs.FeasibilityProblem(blocks, cons)
-
-
-def coexistent_effects(
-    e1: Effect,
-    e2: Effect,
-    tol: Tolerances = DEFAULT_TOL,
-    fast_paths: bool = True,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Classify an effect pair; incompatible effect pairs are always weak.
-
-    Compatibility is coexistence: a four-outcome joint observable with
-    the two effects as margins. Fast paths: commuting effects, summed
-    effects below the identity, and the exact projection-commutation
-    criterion.
-    """
-    if e1.dim != e2.dim:
-        raise MatrixShapeError("effects live on different spaces")
-    d = e1.dim
-    wtol = witness_tolerances(tol)
-
-    def verdict_from_g11(g11: np.ndarray, notes: str, vtol: Tolerances) -> Verdict:
-        g = {
-            "11": Effect(g11, tol=vtol),
-            "10": Effect(e1.matrix - g11, tol=vtol),
-            "01": Effect(e2.matrix - g11, tol=vtol),
-            "00": Effect(np.eye(d) - e1.matrix - e2.matrix + g11, tol=vtol),
-        }
-        obs = Observable(tuple(g), g, tol=vtol)
-        ins = _coexistence_instrument(g, d, vtol)
-        return _compatible(
-            e1, e2, ins, notes, vtol,
-            part_1=("11", "10"), part_2=("11", "01"), joint_observable=obs,
-        )
-
-    if fast_paths:
-        if _commute(e1.matrix, e2.matrix, tol):
-            g11 = hermitian_part(e1.matrix @ e2.matrix)
-            return verdict_from_g11(g11, "fast-path: commuting-effects", wtol)
-        top = float(np.linalg.eigvalsh(hermitian_part(e1.matrix + e2.matrix))[-1])
-        if top <= 1.0 + tol.psd_tol:
-            return verdict_from_g11(np.zeros((d, d)), "fast-path: sum-below-identity", wtol)
-        if _is_projection(e1, tol) or _is_projection(e2, tol):
-            # projection vs effect: compatible iff commuting, and they do not
-            return _contraction_weak_witness(
-                effect_as_binary_observable(e1, tol),
-                effect_as_binary_observable(e2, tol),
-                e1, e2, "fast-path: projection-commutation", tol,
-            )
-
-    out = fs.solve(coexistence_problem(e1, e2), tol, max_iter, trace=trace)
-    if out.verdict == "feasible":
-        return verdict_from_g11(out.witness["g11"], "sdp", wtol)
-    if out.verdict == "infeasible":
-        return _contraction_weak_witness(
-            effect_as_binary_observable(e1, tol),
-            effect_as_binary_observable(e2, tol),
-            e1, e2, f"sdp margin={out.margin:.3e}", tol,
-        )
-    return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-
-
-def weakly_compatible_ef_ef(e1: Effect, e2: Effect, tol: Tolerances = DEFAULT_TOL) -> Verdict:
-    """All effect pairs are weakly compatible; returns the construction."""
-    if e1.dim != e2.dim:
-        raise MatrixShapeError("effects live on different spaces")
-    return _contraction_weak_witness(
-        effect_as_binary_observable(e1, tol),
-        effect_as_binary_observable(e2, tol),
-        e1, e2, "always weakly compatible", tol,
-    )
-
-
-# ---------------------------------------------------------------------------
-# observable-observable
-# ---------------------------------------------------------------------------
-
-
-def joint_measurability_problem(a1: Observable, a2: Observable) -> fs.FeasibilityProblem:
-    d = a1.dim
-    blocks = []
-    cons = []
-    for i, x in enumerate(a1.outcomes):
-        for j, y in enumerate(a2.outcomes):
-            blocks.append((f"g{i}_{j}", d))
-    for i, x in enumerate(a1.outcomes):
-        names = [f"g{i}_{j}" for j in range(len(a2.outcomes))]
-        cons.append(fs.encode_sum_constraint(names, a1.effects[x].matrix, label=f"row-{x}"))
-    for j, y in enumerate(a2.outcomes):
-        names = [f"g{i}_{j}" for i in range(len(a1.outcomes))]
-        cons.append(fs.encode_sum_constraint(names, a2.effects[y].matrix, label=f"col-{y}"))
-    return fs.FeasibilityProblem(tuple(blocks), tuple(cons))
-
-
-def _joint_label(x: str, y: str) -> str:
-    return f"{x}&{y}"
-
-
-def _joint_verdict(
-    a1: Observable,
-    a2: Observable,
-    dev1,
-    dev2,
-    g: dict[tuple[str, str], np.ndarray],
-    notes: str,
-    vtol: Tolerances,
-) -> Verdict:
-    d = a1.dim
-    effects = {_joint_label(x, y): Effect(m, tol=vtol) for (x, y), m in g.items()}
-    obs = Observable(tuple(effects), effects, tol=vtol)
-    ins = _coexistence_instrument(effects, d, vtol)
-    p1 = PointerMap({_joint_label(x, y): x for x in a1.outcomes for y in a2.outcomes},
-                    codomain=a1.outcomes)
-    p2 = PointerMap({_joint_label(x, y): y for x in a1.outcomes for y in a2.outcomes},
-                    codomain=a2.outcomes)
-    kwargs = {}
-    for side, dev, pointer in (("1", dev1, p1), ("2", dev2, p2)):
-        if isinstance(dev, Effect):
-            # the effect arises from the rows where its binary promotion fired "1"
-            kwargs[f"part_{side}"] = tuple(
-                lab for lab, tgt in pointer.mapping.items() if tgt == "1"
-            )
-        else:
-            kwargs[f"pointer_{side}"] = pointer
-    return _compatible(dev1, dev2, ins, notes, vtol, joint_observable=obs, **kwargs)
-
-
-def jointly_measurable(
-    a1: Observable,
-    a2: Observable,
-    tol: Tolerances = DEFAULT_TOL,
-    fast_paths: bool = True,
-    max_iter: int = 50_000,
-    dev1=None,
-    dev2=None,
-    trace=None,
-) -> Verdict:
-    """Classify an observable pair; incompatible observables remain weak.
-
-    ``dev1``/``dev2`` override the devices recorded in the witness (used
-    when an effect was promoted to its binary observable).
-    """
-    if a1.dim != a2.dim:
-        raise MatrixShapeError("observables live on different spaces")
-    dev1 = a1 if dev1 is None else dev1
-    dev2 = a2 if dev2 is None else dev2
-    wtol = witness_tolerances(tol)
-
-    if fast_paths:
-        trivial_1 = all(is_trivial_effect(a1.effects[x], tol) for x in a1.outcomes)
-        trivial_2 = all(is_trivial_effect(a2.effects[x], tol) for x in a2.outcomes)
-        if trivial_1 or trivial_2:
-            if trivial_1:
-                weights = {x: float(np.trace(a1.effects[x].matrix).real) / a1.dim
-                           for x in a1.outcomes}
-                g = {(x, y): weights[x] * a2.effects[y].matrix
-                     for x in a1.outcomes for y in a2.outcomes}
-            else:
-                weights = {y: float(np.trace(a2.effects[y].matrix).real) / a2.dim
-                           for y in a2.outcomes}
-                g = {(x, y): weights[y] * a1.effects[x].matrix
-                     for x in a1.outcomes for y in a2.outcomes}
-            return _joint_verdict(a1, a2, dev1, dev2, g, "fast-path: trivial-observable", wtol)
-        if all(
-            _commute(a1.effects[x].matrix, a2.effects[y].matrix, tol)
-            for x in a1.outcomes
-            for y in a2.outcomes
-        ):
-            g = {
-                (x, y): hermitian_part(a1.effects[x].matrix @ a2.effects[y].matrix)
-                for x in a1.outcomes
-                for y in a2.outcomes
-            }
-            return _joint_verdict(a1, a2, dev1, dev2, g, "fast-path: commuting-observables", wtol)
-
-    out = fs.solve(joint_measurability_problem(a1, a2), tol, max_iter, trace=trace)
-    if out.verdict == "feasible":
-        g = {
-            (x, y): out.witness[f"g{i}_{j}"]
-            for i, x in enumerate(a1.outcomes)
-            for j, y in enumerate(a2.outcomes)
-        }
-        return _joint_verdict(a1, a2, dev1, dev2, g, "sdp", wtol)
-    if out.verdict == "infeasible":
-        return _contraction_weak_witness(
-            a1, a2, dev1, dev2, f"sdp margin={out.margin:.3e}", tol
-        )
-    return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-
-
-def weakly_compatible_obs_obs(a1: Observable, a2: Observable, tol: Tolerances = DEFAULT_TOL) -> Verdict:
-    """All observable pairs are weakly compatible; returns the construction."""
-    if a1.dim != a2.dim:
-        raise MatrixShapeError("observables live on different spaces")
-    return _contraction_weak_witness(a1, a2, a1, a2, "always weakly compatible", tol)
-
-
-# ---------------------------------------------------------------------------
-# operation-operation
-# ---------------------------------------------------------------------------
-
-
-def _completion_branch(deficit: np.ndarray, dout: int, tol: Tolerances) -> CPMap:
-    """Measure the leftover effect and prepare the maximally mixed state."""
-    return state_prep_map(deficit, np.eye(dout) / dout, tol)
-
-
-def _sum_split_instrument(f1: CPMap, f2: CPMap, tol: Tolerances) -> Verdict | None:
-    """Ternary witness when the trace deficits leave room for both maps."""
-    gram = f1.heisenberg_unit() + f2.heisenberg_unit()
-    if float(np.linalg.eigvalsh(hermitian_part(gram))[-1]) > 1.0 + tol.psd_tol:
-        return None
-    leftover = hermitian_part(np.eye(f1.dim_in) - gram)
-    ins = Instrument(
-        ("1", "2", "3"),
-        {
-            "1": f1,
-            "2": f2,
-            "3": _completion_branch(leftover, f1.dim_out, tol),
-        },
-        tol=tol,
-    )
-    return _compatible(
-        f1, f2, ins, "fast-path: sum-below-identity", tol, part_1=("1",), part_2=("2",)
-    )
-
-
-def _comparable_instrument(lo: CPMap, hi: CPMap, tol: Tolerances):
-    diff = CPMap(lo.dim_in, lo.dim_out, hermitian_part(hi.choi - lo.choi), tol=tol)
-    leftover = hermitian_part(np.eye(lo.dim_in) - hi.heisenberg_unit())
-    return Instrument(
-        ("1", "2", "3"),
-        {"1": lo, "2": diff, "3": _completion_branch(leftover, lo.dim_out, tol)},
-        tol=tol,
-    )
-
-
-def op_op_problem(f1: CPMap, f2: CPMap) -> fs.FeasibilityProblem:
-    """Four-block compatibility normal form for two operations."""
-    side = f1.dim_in * f1.dim_out
-    dims = (f1.dim_in, f1.dim_out)
-    blocks = tuple((n, side) for n in ("p11", "p10", "p01", "p00"))
-    pt = fs.encode_partial_trace_constraint("p11", dims, 0, np.eye(f1.dim_in))
-    total_terms = tuple(
-        (n, pt.terms[0][1]) for n in ("p11", "p10", "p01", "p00")
-    )
-    cons = (
-        fs.encode_sum_constraint(("p11", "p10"), f1.choi, label="device-1"),
-        fs.encode_sum_constraint(("p11", "p01"), f2.choi, label="device-2"),
-        fs.AffineConstraint(total_terms, pt.rhs, label="total-channel"),
-    )
-    return fs.FeasibilityProblem(blocks, cons)
-
-
-def _four_block_instrument(out: fs.FeasibilityOutcome, dims, vtol: Tolerances) -> Instrument:
-    din, dout = dims
-    branches = {
-        lab: CPMap(din, dout, out.witness[f"p{lab}"], tol=vtol)
-        for lab in ("11", "10", "01", "00")
-    }
-    return Instrument(("11", "10", "01", "00"), branches, tol=vtol)
-
-
-def op_op_compatible(
-    f1: CPMap,
-    f2: CPMap,
-    tol: Tolerances = DEFAULT_TOL,
-    fast_paths: bool = True,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Full three-way classification of an operation pair.
-
-    Fast paths decide comparable pairs, pairs whose deficits leave room
-    for both, and pure pairs (analytic oracle); otherwise the four-block
-    feasibility problem decides compatibility and the weak decider
-    refines the incompatible case.
-    """
-    if (f1.dim_in, f1.dim_out) != (f2.dim_in, f2.dim_out):
-        raise MatrixShapeError("operations must share input and output spaces")
-    wtol = witness_tolerances(tol)
-    compatible = None  # None = unknown, True/False decided
-    notes = ""
-
-    if fast_paths:
-        if cp_leq(f1, f2, tol):
-            ins = _comparable_instrument(f1, f2, tol)
-            return _compatible(f1, f2, ins, "fast-path: comparable", tol,
-                               part_1=("1",), part_2=("1", "2"))
-        if cp_leq(f2, f1, tol):
-            ins = _comparable_instrument(f2, f1, tol)
-            return _compatible(f1, f2, ins, "fast-path: comparable", tol,
-                               part_1=("1", "2"), part_2=("1",))
-        v = _sum_split_instrument(f1, f2, tol)
-        if v is not None:
-            return v
-        if is_pure(f1, tol) and is_pure(f2, tol):
-            # comparability and the sum condition were just excluded
-            compatible = pure_pair_compatible(f1, f2, tol)
-            notes = "fast-path: pure-oracle"
-            if compatible:
-                raise WitnessValidationError(
-                    "pure oracle claims compatibility outside its construction cases"
-                )
-
-    if compatible is None:
-        out = fs.solve(op_op_problem(f1, f2), tol, max_iter, trace=trace)
-        if out.verdict == "feasible":
-            ins = _four_block_instrument(out, (f1.dim_in, f1.dim_out), wtol)
-            return _compatible(f1, f2, ins, "sdp", wtol,
-                               part_1=("11", "10"), part_2=("11", "01"))
-        if out.verdict == "undecided":
-            return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-        compatible = False
-        notes = f"sdp margin={out.margin:.3e}"
-
-    weak = weakly_compatible_ops(f1, f2, tol, fast_paths=fast_paths, max_iter=max_iter, trace=trace)
-    if weak.relation == "weakly_compatible_only":
-        return Verdict("weakly_compatible_only", weak.witness, f"{notes}; {weak.notes}")
-    if weak.relation == "strongly_incompatible":
-        return Verdict("strongly_incompatible", None, f"{notes}; {weak.notes}")
-    return Verdict("undecided", None, f"not compatible; weak undecided; {notes}")
-
-
-def weak_ops_problem(f1: CPMap, f2: CPMap) -> fs.FeasibilityProblem:
-    """Common-upper-channel feasibility form for the weak question."""
-    side = f1.dim_in * f1.dim_out
-    dims = (f1.dim_in, f1.dim_out)
-    blocks = (("lam", side), ("d1", side), ("d2", side))
-    cons = (
-        fs.encode_sum_constraint((("lam", 1.0), ("d1", -1.0)), f1.choi, label="above-1"),
-        fs.encode_sum_constraint((("lam", 1.0), ("d2", -1.0)), f2.choi, label="above-2"),
-        fs.encode_partial_trace_constraint("lam", dims, 0, np.eye(f1.dim_in), label="channel"),
-    )
-    return fs.FeasibilityProblem(blocks, cons)
-
-
-def _weak_ops_witness(f1: CPMap, f2: CPMap, lam: CPMap, notes: str, vtol: Tolerances) -> Verdict:
-    i1 = Instrument(
-        ("0", "1"),
-        {"0": f1, "1": CPMap(f1.dim_in, f1.dim_out,
-                             hermitian_part(lam.choi - f1.choi), tol=vtol)},
-        tol=vtol,
-    )
-    i2 = Instrument(
-        ("0", "1"),
-        {"0": f2, "1": CPMap(f2.dim_in, f2.dim_out,
-                             hermitian_part(lam.choi - f2.choi), tol=vtol)},
-        tol=vtol,
-    )
-    return _weakly(f1, f2, i1, i2, notes, vtol, part_1=("0",), part_2=("0",))
-
-
-def weakly_compatible_ops(
-    f1: CPMap,
-    f2: CPMap,
-    tol: Tolerances = DEFAULT_TOL,
-    fast_paths: bool = True,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Decide the weak question for two operations.
-
-    Positive answers come back as ``weakly_compatible_only`` with a
-    common upper channel and the two completion instruments; whether
-    the pair is additionally compatible is not examined here.
-    """
-    if (f1.dim_in, f1.dim_out) != (f2.dim_in, f2.dim_out):
-        raise MatrixShapeError("operations must share input and output spaces")
-    wtol = witness_tolerances(tol)
-
-    if fast_paths:
-        tp1, tp2 = f1.is_trace_preserving(tol), f2.is_trace_preserving(tol)
-        if tp1 or tp2:
-            # a channel in the pair forces the common upper channel to equal it
-            if tp1 and tp2:
-                ok = close(f1.choi, f2.choi, tol)
-            elif tp1:
-                ok = cp_leq(f2, f1, tol)
-            else:
-                ok = cp_leq(f1, f2, tol)
-            if not ok:
-                return Verdict("strongly_incompatible", None, "fast-path: cp-order")
-            lam = CPMap(f1.dim_in, f1.dim_out, (f1 if tp1 else f2).choi, kind="channel", tol=tol)
-            return _weak_ops_witness(f1, f2, lam, "fast-path: cp-order", tol)
-        r1 = int(np.sum(np.linalg.eigvalsh(trace_deficit(f1)) > tol.psd_tol))
-        r2 = int(np.sum(np.linalg.eigvalsh(trace_deficit(f2)) > tol.psd_tol))
-        if r1 <= 1 and r2 <= 1:
-            overlap = rank1_upper_channels_equal(f1, f2, tol)
-            if overlap.equal:
-                return _weak_ops_witness(
-                    f1, f2, overlap.channel, "fast-path: rank1-family", tol
-                )
-            sep = "separating state found" if overlap.separating_state is not None else overlap.reason
-            return Verdict("strongly_incompatible", None, f"fast-path: rank1-family ({sep})")
-
-    out = fs.solve(weak_ops_problem(f1, f2), tol, max_iter, trace=trace)
-    if out.verdict == "feasible":
-        lam = CPMap(f1.dim_in, f1.dim_out, out.witness["lam"], kind="channel", tol=wtol)
-        return _weak_ops_witness(f1, f2, lam, "sdp", wtol)
-    if out.verdict == "infeasible":
-        return Verdict("strongly_incompatible", None, f"sdp margin={out.margin:.3e}")
-    return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# operation-effect
-# ---------------------------------------------------------------------------
-
-
-def op_ef_problem(f: CPMap, e: Effect) -> fs.FeasibilityProblem:
-    side = f.dim_in * f.dim_out
-    dims = (f.dim_in, f.dim_out)
-    blocks = tuple((n, side) for n in ("p11", "p10", "p01", "p00"))
-    hu = fs.encode_heisenberg_unit_constraint("p11", dims, e.matrix)
-    effect_terms = (("p11", hu.terms[0][1]), ("p01", hu.terms[0][1]))
-    pt = fs.encode_partial_trace_constraint("p11", dims, 0, np.eye(f.dim_in))
-    total_terms = tuple((n, pt.terms[0][1]) for n in ("p11", "p10", "p01", "p00"))
-    cons = (
-        fs.encode_sum_constraint(("p11", "p10"), f.choi, label="operation"),
-        fs.AffineConstraint(effect_terms, hu.rhs, label="effect"),
-        fs.AffineConstraint(total_terms, pt.rhs, label="total-channel"),
-    )
-    return fs.FeasibilityProblem(blocks, cons)
-
-
-def _commuting_range_instrument(f: CPMap, e: Effect, tol: Tolerances) -> Instrument:
-    """Four-branch split of f along an effect commuting with its range."""
-    root = mat_sqrt(e.matrix, tol)
-    comp_root = mat_sqrt(np.eye(e.dim) - e.matrix, tol)
-    ks = kraus_from_choi(f, tol)
-    inside = KrausSet(tuple(k @ root for k in ks.ops), tol=tol)
-    outside = KrausSet(tuple(k @ comp_root for k in ks.ops), tol=tol)
-    from .devices import choi_from_kraus
-
-    deficit = hermitian_part(np.eye(f.dim_in) - f.heisenberg_unit())
-    left_in = hermitian_part(e.matrix @ deficit)
-    left_out = hermitian_part((np.eye(e.dim) - e.matrix) @ deficit)
-    return Instrument(
-        ("a", "b", "c", "d"),
-        {
-            "a": choi_from_kraus(inside, tol),
-            "b": choi_from_kraus(outside, tol),
-            "c": _completion_branch(left_in, f.dim_out, tol),
-            "d": _completion_branch(left_out, f.dim_out, tol),
-        },
-        tol=tol,
-    )
-
-
-def op_ef_compatible(
-    f: CPMap,
-    e: Effect,
-    tol: Tolerances = DEFAULT_TOL,
-    fast_paths: bool = True,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Full three-way classification of an operation-effect pair."""
-    if e.dim != f.dim_in:
-        raise MatrixShapeError("effect must live on the operation input space")
-    wtol = witness_tolerances(tol)
-    compatible = None
-    notes = ""
-
-    if fast_paths:
-        if commutes_with_range(f, e, tol):
-            ins = _commuting_range_instrument(f, e, tol)
-            return _compatible(f, e, ins, "fast-path: range-commutation", tol,
-                               part_1=("a", "b"), part_2=("a", "c"))
-        if _is_projection(e, tol):
-            compatible = False
-            notes = "fast-path: projection-commutation"
-        else:
-            gram = f.heisenberg_unit() + e.matrix
-            if float(np.linalg.eigvalsh(hermitian_part(gram))[-1]) <= 1.0 + tol.psd_tol:
-                eta = np.eye(f.dim_out) / f.dim_out
-                leftover = hermitian_part(np.eye(f.dim_in) - gram)
-                ins = Instrument(
-                    ("1", "2", "3"),
-                    {
-                        "1": f,
-                        "2": state_prep_map(e.matrix, eta, tol),
-                        "3": _completion_branch(leftover, f.dim_out, tol),
-                    },
-                    tol=tol,
-                )
-                return _compatible(f, e, ins, "fast-path: sum-below-identity", tol,
-                                   part_1=("1",), part_2=("2",))
-
-    if compatible is None:
-        out = fs.solve(op_ef_problem(f, e), tol, max_iter, trace=trace)
-        if out.verdict == "feasible":
-            ins = _four_block_instrument(out, (f.dim_in, f.dim_out), wtol)
-            return _compatible(f, e, ins, "sdp", wtol,
-                               part_1=("11", "10"), part_2=("11", "01"))
-        if out.verdict == "undecided":
-            return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-        compatible = False
-        notes = f"sdp margin={out.margin:.3e}"
-
-    weak = weakly_compatible_op_ef(f, e, tol, max_iter=max_iter, trace=trace)
-    if weak.relation == "weakly_compatible_only":
-        return Verdict("weakly_compatible_only", weak.witness, f"{notes}; {weak.notes}")
-    if weak.relation == "strongly_incompatible":
-        return Verdict("strongly_incompatible", None, f"{notes}; {weak.notes}")
-    return Verdict("undecided", None, f"not compatible; weak undecided; {notes}")
-
-
-def weak_op_ef_problem(f: CPMap, e: Effect) -> fs.FeasibilityProblem:
-    side = f.dim_in * f.dim_out
-    dims = (f.dim_in, f.dim_out)
-    blocks = (("lam", side), ("d1", side), ("jp", side), ("d2", side))
-    cons = (
-        fs.encode_sum_constraint((("lam", 1.0), ("d1", -1.0)), f.choi, label="above-op"),
-        fs.encode_sum_constraint(
-            (("lam", 1.0), ("jp", -1.0), ("d2", -1.0)),
-            np.zeros((side, side)),
-            label="above-effect-op",
-        ),
-        fs.encode_partial_trace_constraint("lam", dims, 0, np.eye(f.dim_in), label="channel"),
-        fs.encode_heisenberg_unit_constraint("jp", dims, e.matrix, label="effect"),
-    )
-    return fs.FeasibilityProblem(blocks, cons)
-
-
-def weakly_compatible_op_ef(
-    f: CPMap,
-    e: Effect,
-    tol: Tolerances = DEFAULT_TOL,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Decide the weak question for an operation-effect pair."""
-    if e.dim != f.dim_in:
-        raise MatrixShapeError("effect must live on the operation input space")
-    wtol = witness_tolerances(tol)
-    out = fs.solve(weak_op_ef_problem(f, e), tol, max_iter, trace=trace)
-    if out.verdict == "feasible":
-        lam = CPMap(f.dim_in, f.dim_out, out.witness["lam"], kind="channel", tol=wtol)
-        jp = CPMap(f.dim_in, f.dim_out, out.witness["jp"], tol=wtol)
-        i1 = Instrument(
-            ("0", "1"),
-            {"0": f, "1": CPMap(f.dim_in, f.dim_out,
-                                hermitian_part(lam.choi - f.choi), tol=wtol)},
-            tol=wtol,
-        )
-        i2 = Instrument(
-            ("0", "1"),
-            {"0": jp, "1": CPMap(f.dim_in, f.dim_out,
-                                 hermitian_part(lam.choi - jp.choi), tol=wtol)},
-            tol=wtol,
-        )
-        return _weakly(f, e, i1, i2, "sdp", wtol, part_1=("0",), part_2=("0",))
-    if out.verdict == "infeasible":
-        return Verdict("strongly_incompatible", None, f"sdp margin={out.margin:.3e}")
-    return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# channel pairs
-# ---------------------------------------------------------------------------
-
-
-def ch_op_compatible(lam: CPMap, f: CPMap, tol: Tolerances = DEFAULT_TOL) -> Verdict:
-    """Channel vs operation: compatible exactly when f sits below lam.
-
-    For channels, weak and plain compatibility coincide, so the negative
-    verdict is immediately strong.
-    """
-    if (lam.dim_in, lam.dim_out) != (f.dim_in, f.dim_out):
-        raise MatrixShapeError("maps must share input and output spaces")
-    if not lam.is_trace_preserving(tol):
-        raise ValueError("first argument must be a channel")
-    if not cp_leq(f, lam, tol):
-        return Verdict("strongly_incompatible", None, "fast-path: cp-order")
-    rest = CPMap(f.dim_in, f.dim_out, hermitian_part(lam.choi - f.choi), tol=tol)
-    ins = Instrument(("0", "1"), {"0": f, "1": rest}, tol=tol)
-    return _compatible(lam, f, ins, "fast-path: cp-order", tol,
-                       part_1=("0", "1"), part_2=("0",))
-
-
-def ch_ch_compatible(l1: CPMap, l2: CPMap, tol: Tolerances = DEFAULT_TOL) -> Verdict:
-    """Two channels are compatible exactly when they are the same channel."""
-    if (l1.dim_in, l1.dim_out) != (l2.dim_in, l2.dim_out):
-        raise MatrixShapeError("channels must share input and output spaces")
-    if close(l1.choi, l2.choi, tol):
-        ins = Instrument(("0",), {"0": l1}, tol=tol)
-        return _compatible(l1, l2, ins, "fast-path: equal-channels", tol,
-                           part_1=("0",), part_2=("0",))
-    return Verdict("strongly_incompatible", None, "fast-path: distinct-channels")
-
-
-def ch_ef_problem(lam: CPMap, e: Effect) -> fs.FeasibilityProblem:
-    side = lam.dim_in * lam.dim_out
-    dims = (lam.dim_in, lam.dim_out)
-    blocks = (("psi", side), ("rest", side))
-    cons = (
-        fs.encode_sum_constraint(("psi", "rest"), lam.choi, label="total"),
-        fs.encode_heisenberg_unit_constraint("psi", dims, e.matrix, label="effect"),
-    )
-    return fs.FeasibilityProblem(blocks, cons)
-
-
-def ch_ef_compatible(
-    lam: CPMap,
-    e: Effect,
-    tol: Tolerances = DEFAULT_TOL,
-    fast_paths: bool = True,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Channel vs effect; weak and plain compatibility coincide."""
-    if e.dim != lam.dim_in:
-        raise MatrixShapeError("effect must live on the channel input space")
-    if not lam.is_trace_preserving(tol):
-        raise ValueError("first argument must be a channel")
-    wtol = witness_tolerances(tol)
-    if fast_paths:
-        if commutes_with_range(lam, e, tol):
-            ins = _commuting_range_instrument(lam, e, tol)
-            return _compatible(lam, e, ins, "fast-path: range-commutation", tol,
-                               part_1=("a", "b", "c", "d"), part_2=("a", "c"))
-        if _is_projection(e, tol):
-            return Verdict("strongly_incompatible", None, "fast-path: projection-commutation")
-    out = fs.solve(ch_ef_problem(lam, e), tol, max_iter, trace=trace)
-    if out.verdict == "feasible":
-        branches = {
-            "1": CPMap(lam.dim_in, lam.dim_out, out.witness["psi"], tol=wtol),
-            "0": CPMap(lam.dim_in, lam.dim_out, out.witness["rest"], tol=wtol),
-        }
-        ins = Instrument(("1", "0"), branches, tol=wtol)
-        return _compatible(lam, e, ins, "sdp", wtol, part_1=("1", "0"), part_2=("1",))
-    if out.verdict == "infeasible":
-        return Verdict("strongly_incompatible", None, f"sdp margin={out.margin:.3e}")
-    return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-
-
-def ch_obs_problem(lam: CPMap, a: Observable) -> fs.FeasibilityProblem:
-    side = lam.dim_in * lam.dim_out
-    dims = (lam.dim_in, lam.dim_out)
-    blocks = tuple((f"gam{i}", side) for i in range(len(a.outcomes)))
-    cons = [fs.encode_sum_constraint(tuple(n for n, _ in blocks), lam.choi, label="total")]
-    for i, x in enumerate(a.outcomes):
-        cons.append(
-            fs.encode_heisenberg_unit_constraint(
-                f"gam{i}", dims, a.effects[x].matrix, label=f"effect-{x}"
-            )
-        )
-    return fs.FeasibilityProblem(blocks, tuple(cons))
-
-
-def ch_obs_compatible(
-    lam: CPMap,
-    a: Observable,
-    tol: Tolerances = DEFAULT_TOL,
-    fast_paths: bool = True,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Channel vs observable; weak and plain compatibility coincide."""
-    if a.dim != lam.dim_in:
-        raise MatrixShapeError("observable must live on the channel input space")
-    if not lam.is_trace_preserving(tol):
-        raise ValueError("first argument must be a channel")
-    wtol = witness_tolerances(tol)
-    if fast_paths:
-        from .order import is_contraction_channel
-
-        eta = is_contraction_channel(lam, tol)
-        if eta is not None:
-            branches = {
-                x: state_prep_map(a.effects[x].matrix, eta, tol) for x in a.outcomes
-            }
-            ins = Instrument(a.outcomes, branches, tol=tol)
-            return _compatible(
-                lam, a, ins, "fast-path: contraction-channel", tol,
-                part_1=tuple(a.outcomes),
-                pointer_2=PointerMap({x: x for x in a.outcomes}),
-            )
-        if all(is_trivial_effect(a.effects[x], tol) for x in a.outcomes):
-            branches = {
-                x: CPMap(
-                    lam.dim_in, lam.dim_out,
-                    (float(np.trace(a.effects[x].matrix).real) / a.dim) * lam.choi,
-                    tol=tol,
-                )
-                for x in a.outcomes
-            }
-            ins = Instrument(a.outcomes, branches, tol=tol)
-            return _compatible(
-                lam, a, ins, "fast-path: trivial-observable", tol,
-                part_1=tuple(a.outcomes),
-                pointer_2=PointerMap({x: x for x in a.outcomes}),
-            )
-    out = fs.solve(ch_obs_problem(lam, a), tol, max_iter, trace=trace)
-    if out.verdict == "feasible":
-        branches = {
-            x: CPMap(lam.dim_in, lam.dim_out, out.witness[f"gam{i}"], tol=wtol)
-            for i, x in enumerate(a.outcomes)
-        }
-        ins = Instrument(a.outcomes, branches, tol=wtol)
-        return _compatible(
-            lam, a, ins, "sdp", wtol,
-            part_1=tuple(a.outcomes),
-            pointer_2=PointerMap({x: x for x in a.outcomes}),
-        )
-    if out.verdict == "infeasible":
-        return Verdict("strongly_incompatible", None, f"sdp margin={out.margin:.3e}")
-    return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# operation-observable
-# ---------------------------------------------------------------------------
-
-
-def op_obs_problem(f: CPMap, a: Observable) -> fs.FeasibilityProblem:
-    side = f.dim_in * f.dim_out
-    dims = (f.dim_in, f.dim_out)
-    blocks = []
-    for i in range(len(a.outcomes)):
-        blocks.append((f"in{i}", side))
-        blocks.append((f"out{i}", side))
-    cons = [
-        fs.encode_sum_constraint(
-            tuple(f"in{i}" for i in range(len(a.outcomes))), f.choi, label="operation"
-        )
-    ]
-    hu_shape = fs.encode_heisenberg_unit_constraint("in0", dims, a.effects[a.outcomes[0]].matrix)
-    pt_mat = hu_shape.terms[0][1]
-    for i, x in enumerate(a.outcomes):
-        target = fs.encode_heisenberg_unit_constraint(f"in{i}", dims, a.effects[x].matrix)
-        cons.append(
-            fs.AffineConstraint(
-                ((f"in{i}", pt_mat), (f"out{i}", pt_mat)), target.rhs, label=f"effect-{x}"
-            )
-        )
-    return fs.FeasibilityProblem(tuple(blocks), tuple(cons))
-
-
-def op_obs_compatible(
-    f: CPMap,
-    a: Observable,
-    tol: Tolerances = DEFAULT_TOL,
-    fast_paths: bool = True,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Full three-way classification of an operation-observable pair."""
-    if a.dim != f.dim_in:
-        raise MatrixShapeError("observable must live on the operation input space")
-    wtol = witness_tolerances(tol)
-    compatible = None
-    notes = ""
-
-    out = fs.solve(op_obs_problem(f, a), tol, max_iter, trace=trace)
-    if out.verdict == "feasible":
-        branches = {}
-        for i, x in enumerate(a.outcomes):
-            branches[f"{x}&in"] = CPMap(f.dim_in, f.dim_out, out.witness[f"in{i}"], tol=wtol)
-            branches[f"{x}&out"] = CPMap(f.dim_in, f.dim_out, out.witness[f"out{i}"], tol=wtol)
-        ins = Instrument(tuple(branches), branches, tol=wtol)
-        pointer = PointerMap(
-            {f"{x}&in": x for x in a.outcomes} | {f"{x}&out": x for x in a.outcomes},
-            codomain=a.outcomes,
-        )
-        return _compatible(
-            f, a, ins, "sdp", wtol,
-            part_1=tuple(f"{x}&in" for x in a.outcomes),
-            pointer_2=pointer,
-        )
-    if out.verdict == "undecided":
-        return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-    notes = f"sdp margin={out.margin:.3e}"
-
-    weak = weakly_compatible_op_obs(f, a, tol, max_iter=max_iter, trace=trace)
-    if weak.relation == "weakly_compatible_only":
-        return Verdict("weakly_compatible_only", weak.witness, f"{notes}; {weak.notes}")
-    if weak.relation == "strongly_incompatible":
-        return Verdict("strongly_incompatible", None, f"{notes}; {weak.notes}")
-    return Verdict("undecided", None, f"not compatible; weak undecided; {notes}")
-
-
-def weak_op_obs_problem(f: CPMap, a: Observable) -> fs.FeasibilityProblem:
-    side = f.dim_in * f.dim_out
-    dims = (f.dim_in, f.dim_out)
-    names = tuple(f"gam{i}" for i in range(len(a.outcomes)))
-    blocks = tuple((n, side) for n in names) + (("d", side),)
-    cons = [
-        fs.encode_sum_constraint(
-            tuple((n, 1.0) for n in names) + (("d", -1.0),), f.choi, label="above-op"
-        )
-    ]
-    for i, x in enumerate(a.outcomes):
-        cons.append(
-            fs.encode_heisenberg_unit_constraint(
-                f"gam{i}", dims, a.effects[x].matrix, label=f"effect-{x}"
-            )
-        )
-    return fs.FeasibilityProblem(blocks, tuple(cons))
-
-
-def weakly_compatible_op_obs(
-    f: CPMap,
-    a: Observable,
-    tol: Tolerances = DEFAULT_TOL,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Decide the weak question for an operation-observable pair."""
-    if a.dim != f.dim_in:
-        raise MatrixShapeError("observable must live on the operation input space")
-    wtol = witness_tolerances(tol)
-    out = fs.solve(weak_op_obs_problem(f, a), tol, max_iter, trace=trace)
-    if out.verdict == "feasible":
-        branches = {
-            x: CPMap(f.dim_in, f.dim_out, out.witness[f"gam{i}"], tol=wtol)
-            for i, x in enumerate(a.outcomes)
-        }
-        i1 = Instrument(a.outcomes, branches, tol=wtol)
-        lam = total_channel(i1, wtol)
-        i2 = Instrument(
-            ("0", "1"),
-            {"0": f, "1": CPMap(f.dim_in, f.dim_out,
-                                hermitian_part(lam.choi - f.choi), tol=wtol)},
-            tol=wtol,
-        )
-        return _weakly(
-            f, a, i2, i1, "sdp", wtol,
-            part_1=("0",), pointer_2=PointerMap({x: x for x in a.outcomes}),
-        )
-    if out.verdict == "infeasible":
-        return Verdict("strongly_incompatible", None, f"sdp margin={out.margin:.3e}")
-    return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# instrument pairs and dispatch
-# ---------------------------------------------------------------------------
-
-
-def ins_ch_compatible(ins: Instrument, lam: CPMap, tol: Tolerances = DEFAULT_TOL) -> Verdict:
-    """Instrument vs channel: compatible exactly when the total matches."""
-    if (ins.dim_in, ins.dim_out) != (lam.dim_in, lam.dim_out):
-        raise MatrixShapeError("devices must share input and output spaces")
-    if close(total_channel(ins, tol).choi, lam.choi, tol):
-        pointer = PointerMap({x: x for x in ins.outcomes})
-        return _compatible(
-            ins, lam, ins, "fast-path: total-channel", tol,
-            pointer_1=pointer, part_2=tuple(ins.outcomes),
-        )
-    return Verdict("strongly_incompatible", None, "fast-path: total-channel")
-
-
-def ins_ins_verdict(i1: Instrument, i2: Instrument, tol: Tolerances = DEFAULT_TOL) -> Verdict:
-    """Instrument pair: only the shared-total-channel level is decided.
-
-    Distinct totals are strongly incompatible. Matching totals imply
-    weak compatibility, but whether a single instrument contains both
-    is not searched, so the three-way relation stays undecided.
-    """
-    if (i1.dim_in, i1.dim_out) != (i2.dim_in, i2.dim_out):
-        raise MatrixShapeError("instruments must share input and output spaces")
-    if not close(total_channel(i1, tol).choi, total_channel(i2, tol).choi, tol):
-        return Verdict("strongly_incompatible", None, "fast-path: distinct-totals")
-    return Verdict(
-        "undecided", None,
-        "totals agree: weakly compatible; joint-instrument search not supported",
-    )
+# canonical argument order of a pair; verdicts are swapped back afterwards
+_ORDER = ("instrument", "channel", "operation", "effect", "observable")
 
 
 def _kind(device) -> str:
@@ -1158,6 +144,258 @@ def _kind(device) -> str:
     raise UnsupportedPairError(f"unsupported device type {type(device).__name__}")
 
 
+def _classical(device) -> bool:
+    return isinstance(device, (Effect, Observable))
+
+
+def _parts(device) -> dict[str, np.ndarray | None]:
+    """The device as an instrument: outcome -> target, None for the free outcome."""
+    kind = _kind(device)
+    if kind == "effect":
+        return {"1": device.matrix, "0": None}
+    if kind == "observable":
+        return {x: device.effects[x].matrix for x in device.outcomes}
+    if kind == "instrument":
+        return {x: device.branches[x].choi for x in device.outcomes}
+    if kind == "channel":
+        return {"1": device.choi}
+    return {"1": device.choi, "0": None}
+
+
+def _free(parts) -> bool:
+    return any(t is None for t in parts.values())
+
+
+def _views(d1, d2, tol: Tolerances = DEFAULT_TOL):
+    """The devices as the joint question sees them.
+
+    An effect facing an observable is read as its binary observable.
+    """
+
+    def binary(e: Effect) -> Observable:
+        rest = Effect(np.eye(e.dim) - e.matrix, tol=tol)
+        return Observable(("1", "0"), {"1": e, "0": rest}, tol=tol)
+
+    if isinstance(d1, Effect) and isinstance(d2, Observable):
+        return binary(d1), d2
+    if isinstance(d1, Observable) and isinstance(d2, Effect):
+        return d1, binary(d2)
+    return d1, d2
+
+
+def _dims(d1, d2) -> tuple[int, int | None]:
+    """Shared input side, and output side (None when both are classical)."""
+    sides_in = {d.dim if _classical(d) else d.dim_in for d in (d1, d2)}
+    sides_out = {d.dim_out for d in (d1, d2) if not _classical(d)}
+    if len(sides_in) != 1 or len(sides_out) > 1:
+        raise MatrixShapeError("devices live on different spaces")
+    return sides_in.pop(), (sides_out.pop() if sides_out else None)
+
+
+def _sum(mats, side: int) -> np.ndarray:
+    """Sum of matrices; the empty sum is the zero matrix."""
+    return sum(mats[1:], mats[0]) if mats else np.zeros((side, side))
+
+
+# ---------------------------------------------------------------------------
+# the two feasibility problems
+# ---------------------------------------------------------------------------
+
+
+def _row(names, target: np.ndarray, heisenberg: bool, dims) -> fs.AffineConstraint:
+    """``sum of blocks = target``, or ``Tr_out(sum of blocks) = target^T``."""
+    if not heisenberg:
+        return fs.encode_sum_constraint(names, target)
+    hu = fs.encode_heisenberg_unit_constraint(names[0], dims, target)
+    return fs.AffineConstraint(tuple((n, hu.terms[0][1]) for n in names), hu.rhs)
+
+
+def _joint_pairs(t1, t2) -> list[tuple[str, str]]:
+    """Outcome pairs in block order.
+
+    A device without a free outcome is the outer index when the other
+    device has one; otherwise device 1 is.
+    """
+    if _free(t1) and not _free(t2):
+        return [(x, y) for y in t2 for x in t1]
+    return [(x, y) for x in t1 for y in t2]
+
+
+def joint_problem(d1, d2) -> fs.FeasibilityProblem:
+    """Both devices as parts of one instrument, one block per outcome pair.
+
+    Each fixed target of device 1, then of device 2, is the sum of its
+    blocks; the blocks sum to a channel when both devices have a free
+    outcome. Classical pairs use effect blocks; otherwise blocks are
+    Choi matrices and effect targets constrain ``Tr_out``.
+    """
+    a1, a2 = _views(d1, d2)
+    t1, t2 = _parts(a1), _parts(a2)
+    din, dout = _dims(a1, a2)
+    quantum = dout is not None
+    pairs = _joint_pairs(t1, t2)
+    names = [f"g{n}" for n in range(len(pairs))]
+    cons = []
+    for i, (a, targets) in enumerate(((a1, t1), (a2, t2))):
+        for x, target in targets.items():
+            if target is not None:
+                own = [n for n, xy in zip(names, pairs) if xy[i] == x]
+                cons.append(_row(own, target, quantum and _classical(a), (din, dout)))
+    if _free(t1) and _free(t2):
+        cons.append(_row(names, np.eye(din), quantum, (din, dout)))
+    side = din * dout if quantum else din
+    return fs.FeasibilityProblem(tuple((n, side) for n in names), tuple(cons))
+
+
+def _weak_name(i: int, x: str) -> str:
+    return f"{i}:{x}"
+
+
+def weak_problem(d1, d2) -> fs.FeasibilityProblem:
+    """Two instruments, one containing each device, with one total channel.
+
+    A device without a free outcome stands for the common channel: its
+    blocks sum to it, and a channel or instrument makes it a constant.
+    Otherwise a block ``lam`` with ``Tr_out lam = 1`` is the channel.
+    Rows: the parts of every other device sum to the channel (fixed
+    Choi parts on the right-hand side), then trace preservation of
+    ``lam``, then the effect targets.
+    """
+    devices = (d1, d2)
+    targets = (_parts(d1), _parts(d2))
+    din, dout = _dims(d1, d2)
+    quantum = dout is not None
+    side = din * dout if quantum else din
+    chan = next((i for i in (0, 1) if not _free(targets[i])), None)
+    const = None
+    if chan is None:
+        blocks = ["lam"]
+    elif _classical(devices[chan]):
+        blocks = [_weak_name(chan, x) for x in targets[chan]]
+    else:
+        blocks, const = [], _sum(list(targets[chan].values()), side)
+    lam_terms, cons = [(n, 1.0) for n in blocks], []
+    for i in (0, 1):
+        if i == chan:
+            continue
+        quantum_i = not _classical(devices[i])
+        fixed = [t for t in targets[i].values() if t is not None and quantum_i]
+        own = [_weak_name(i, x) for x, t in targets[i].items() if t is None or not quantum_i]
+        blocks += own
+        if const is None:
+            terms = lam_terms + [(n, -1.0) for n in own]
+            cons.append(fs.encode_sum_constraint(terms, _sum(fixed, side)))
+        else:
+            cons.append(fs.encode_sum_constraint(own, const - _sum(fixed, side)))
+    if chan is None:
+        cons.append(_row(["lam"], np.eye(din), quantum, (din, dout)))
+    cons += [_row([_weak_name(i, x)], t, quantum, (din, dout))
+             for i in (0, 1) if _classical(devices[i])
+             for x, t in targets[i].items() if t is not None]
+    return fs.FeasibilityProblem(tuple((n, side) for n in blocks), tuple(cons))
+
+
+# ---------------------------------------------------------------------------
+# witness assembly and re-validation
+# ---------------------------------------------------------------------------
+
+
+class _Pair:
+    """A device pair in canonical order, as fast paths and assemblers see it."""
+
+    def __init__(self, d1, d2, tol: Tolerances):
+        self.d1, self.d2, self.tol = d1, d2, tol
+        self.wtol = witness_tolerances(tol)
+        self.kinds = (_kind(d1), _kind(d2))
+        self.classical = _classical(d1) and _classical(d2)
+        self.din, self.dout = _dims(d1, d2)
+        self.a1, self.a2 = _views(d1, d2, tol)
+
+
+def _carve(ins: Instrument, device, owner: dict[str, str], wtol: Tolerances):
+    """(subset, pointer) carving the device out of the instrument, re-validated.
+
+    ``owner`` maps each instrument label to a device outcome; every fixed
+    target of the device must come back from its labels.
+    """
+    if isinstance(device, (Observable, Instrument)):
+        subset, pointer = None, PointerMap(owner, codomain=device.outcomes)
+    else:
+        subset, pointer = tuple(lab for lab, x in owner.items() if x == "1"), None
+    for x, target in _parts(device).items():
+        if target is None:
+            continue
+        got = ins.branch_sum(pointer.preimage(x) if pointer is not None else subset, wtol)
+        got = Effect(got.heisenberg_unit(), tol=wtol).matrix if _classical(device) else got.choi
+        if not close(target, got, wtol):
+            raise WitnessValidationError(f"{_kind(device)} is not reproduced by the witness")
+    return subset, pointer
+
+
+def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verdict:
+    """Joint instrument from one block per outcome pair, re-validated.
+
+    Classical pairs give effects, measured and then prepared into the
+    maximally mixed state; other pairs give Choi matrices.
+    """
+    labels = {xy: f"{xy[0]}&{xy[1]}" for xy in blocks}
+    joint = None
+    if p.classical:
+        effects = {labels[xy]: Effect(m, tol=vtol) for xy, m in blocks.items()}
+        joint = Observable(tuple(effects), effects, tol=vtol)
+        eta = np.eye(p.din) / p.din
+        branches = {lab: state_prep_map(e.matrix, eta, vtol) for lab, e in effects.items()}
+    else:
+        branches = {labels[xy]: CPMap(p.din, p.dout, m, tol=vtol) for xy, m in blocks.items()}
+    ins = Instrument(tuple(branches), branches, tol=vtol)
+    (s1, q1), (s2, q2) = (_carve(ins, d, {labels[xy]: xy[i] for xy in blocks}, vtol)
+                          for i, d in enumerate((p.d1, p.d2)))
+    return Verdict("compatible", CompatWitness(ins, s1, s2, q1, q2, joint), notes)
+
+
+def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> Verdict:
+    """Two instruments sharing a total channel, re-validated.
+
+    Device i keeps its own outcomes: each is its block ``blocks[i, x]``,
+    its fixed Choi part, or, for the free outcome, what the channel
+    ``lam`` leaves over.
+    """
+    dout = p.dout or p.din
+    instruments = []
+    for i, device in enumerate((p.d1, p.d2)):
+        parts = _parts(device)
+        choi = {}
+        for x, target in parts.items():
+            if (i, x) in blocks:
+                choi[x] = blocks[i, x]
+            elif target is not None and not _classical(device):
+                choi[x] = target
+        free = [x for x in parts if x not in choi]
+        if free:
+            choi[free[0]] = lam - _sum(list(choi.values()), lam.shape[0])
+        branches = {x: CPMap(p.din, dout, choi[x], tol=vtol) for x in parts}
+        instruments.append(Instrument(tuple(parts), branches, tol=vtol))
+    i1, i2 = instruments
+    lam1, lam2 = total_channel(i1, vtol), total_channel(i2, vtol)
+    if not close(lam1.choi, lam2.choi, vtol):
+        raise WitnessValidationError("witness instruments do not share their total channel")
+    (s1, q1), (s2, q2) = (_carve(ins, d, {x: x for x in ins.outcomes}, vtol)
+                          for d, ins in ((p.d1, i1), (p.d2, i2)))
+    return Verdict("weakly_compatible_only", WeakWitness(i1, i2, lam1, s1, s2, q1, q2), notes)
+
+
+def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
+    """Classical devices are always weakly compatible.
+
+    Both instruments measure and then prepare one fixed state, so both
+    totals are the contraction channel to that state.
+    """
+    eta = np.eye(p.din) / p.din
+    blocks = {(i, x): _prep_choi(t, eta) for i, d in enumerate((p.d1, p.d2))
+              for x, t in _parts(d).items() if t is not None}
+    return _weak_verdict(p, blocks, np.kron(np.eye(p.din), eta), notes, p.tol)
+
+
 def _swap_verdict(v: Verdict) -> Verdict:
     w = v.witness
     if isinstance(w, CompatWitness):
@@ -1169,55 +407,307 @@ def _swap_verdict(v: Verdict) -> Verdict:
     return Verdict(v.relation, w, v.notes)
 
 
-_RANK = {"effect": 0, "observable": 1, "operation": 2, "channel": 3, "instrument": 4}
+# ---------------------------------------------------------------------------
+# fast paths: each returns a verdict, the notes of a "not compatible" fact,
+# or None
+# ---------------------------------------------------------------------------
 
 
-def classify(
-    d1,
-    d2,
-    tol: Tolerances = DEFAULT_TOL,
-    fast_paths: bool = True,
-    max_iter: int = 50_000,
-    trace=None,
-) -> Verdict:
-    """Three-way classification of any supported device pair.
+def _commute(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> bool:
+    return close(a @ b, b @ a, tol)
 
-    Dispatches to the pair-specific decider and returns compatible,
-    weakly_compatible_only, strongly_incompatible, or undecided. The
-    witness orientation always matches the argument order.
-    """
-    k1, k2 = _kind(d1), _kind(d2)
-    if _RANK[k1] > _RANK[k2]:
-        return _swap_verdict(classify(d2, d1, tol, fast_paths, max_iter, trace=trace))
-    pair = (k1, k2)
-    if pair == ("effect", "effect"):
-        return coexistent_effects(d1, d2, tol, fast_paths, max_iter, trace=trace)
-    if pair == ("effect", "observable"):
-        return jointly_measurable(
-            effect_as_binary_observable(d1, tol), d2, tol, fast_paths, max_iter,
-            dev1=d1, dev2=d2, trace=trace,
+
+def _measure(p: _Pair, e: np.ndarray) -> np.ndarray:
+    """Block measuring E: E itself, or E then the maximally mixed output."""
+    return e if p.classical else _prep_choi(e, np.eye(p.dout) / p.dout)
+
+
+def _commuting_effects(p: _Pair):
+    e1, e2 = p.d1.matrix, p.d2.matrix
+    if not _commute(e1, e2, p.tol):
+        return None
+    g11 = hermitian_part(e1 @ e2)
+    blocks = {("1", "1"): g11, ("1", "0"): e1 - g11, ("0", "1"): e2 - g11,
+              ("0", "0"): np.eye(p.din) - e1 - e2 + g11}
+    return _joint_verdict(p, blocks, "fast-path: commuting-effects", p.wtol)
+
+
+def _sum_below_identity(p: _Pair):
+    """Effects or operations that fit side by side below the identity."""
+    gram = sum(d.matrix if isinstance(d, Effect) else d.heisenberg_unit() for d in (p.d1, p.d2))
+    if float(np.linalg.eigvalsh(hermitian_part(gram))[-1]) > 1.0 + p.tol.psd_tol:
+        return None
+    own = [_measure(p, d.matrix) if isinstance(d, Effect) else d.choi for d in (p.d1, p.d2)]
+    leftover = hermitian_part(np.eye(p.din) - gram)
+    blocks = {("1", "0"): own[0], ("0", "1"): own[1], ("0", "0"): _measure(p, leftover)}
+    vtol = p.wtol if p.classical else p.tol
+    return _joint_verdict(p, blocks, "fast-path: sum-below-identity", vtol)
+
+
+def _projection(p: _Pair):
+    # a projection is compatible only with what commutes with it, checked before
+    for d in (p.d1, p.d2):
+        if isinstance(d, Effect) and close(d.matrix @ d.matrix, d.matrix, p.tol):
+            return "fast-path: projection-commutation"
+    return None
+
+
+def _trivial_observable(p: _Pair):
+    """A multiple-of-identity observable is a coin flip next to the other device."""
+    for i, (a, other) in enumerate(((p.a1, p.a2), (p.a2, p.a1))):
+        if isinstance(a, Observable) and all(
+            is_trivial_effect(a.effects[x], p.tol) for x in a.outcomes
+        ):
+            w = {x: float(np.trace(a.effects[x].matrix).real) / a.dim for x in a.outcomes}
+            blocks = {((x, y) if i == 0 else (y, x)): w[x] * t
+                      for x in w for y, t in _parts(other).items()}
+            vtol = p.wtol if p.classical else p.tol
+            return _joint_verdict(p, blocks, "fast-path: trivial-observable", vtol)
+    return None
+
+
+def _commuting_observables(p: _Pair):
+    a1, a2 = p.a1.effects, p.a2.effects
+    if not all(_commute(a1[x].matrix, a2[y].matrix, p.tol) for x in a1 for y in a2):
+        return None
+    blocks = {(x, y): hermitian_part(a1[x].matrix @ a2[y].matrix) for x in a1 for y in a2}
+    return _joint_verdict(p, blocks, "fast-path: commuting-observables", p.wtol)
+
+
+def _comparable(p: _Pair):
+    """Comparable operations: the smaller one, the difference, a completion."""
+    for lo, hi, split in ((p.d1, p.d2, ("0", "1")), (p.d2, p.d1, ("1", "0"))):
+        if cp_leq(lo, hi, p.tol):
+            leftover = hermitian_part(np.eye(p.din) - hi.heisenberg_unit())
+            blocks = {("1", "1"): lo.choi, split: hermitian_part(hi.choi - lo.choi),
+                      ("0", "0"): _measure(p, leftover)}
+            return _joint_verdict(p, blocks, "fast-path: comparable", p.tol)
+    return None
+
+
+def _pure_oracle(p: _Pair):
+    if not (is_pure(p.d1, p.tol) and is_pure(p.d2, p.tol)):
+        return None
+    # comparability and the sum condition were just excluded
+    if pure_pair_compatible(p.d1, p.d2, p.tol):
+        raise WitnessValidationError(
+            "pure oracle claims compatibility outside its construction cases"
         )
-    if pair == ("observable", "observable"):
-        return jointly_measurable(d1, d2, tol, fast_paths, max_iter, trace=trace)
-    if pair == ("effect", "operation"):
-        return _swap_verdict(op_ef_compatible(d2, d1, tol, fast_paths, max_iter, trace=trace))
-    if pair == ("effect", "channel"):
-        return _swap_verdict(ch_ef_compatible(d2, d1, tol, fast_paths, max_iter, trace=trace))
-    if pair == ("observable", "operation"):
-        return _swap_verdict(op_obs_compatible(d2, d1, tol, fast_paths, max_iter, trace=trace))
-    if pair == ("observable", "channel"):
-        return _swap_verdict(ch_obs_compatible(d2, d1, tol, fast_paths, max_iter, trace=trace))
-    if pair == ("operation", "operation"):
-        return op_op_compatible(d1, d2, tol, fast_paths, max_iter, trace=trace)
-    if pair == ("operation", "channel"):
-        return _swap_verdict(ch_op_compatible(d2, d1, tol))
-    if pair == ("channel", "channel"):
-        return ch_ch_compatible(d1, d2, tol)
-    if pair == ("channel", "instrument"):
-        return _swap_verdict(ins_ch_compatible(d2, d1, tol))
-    if pair == ("instrument", "instrument"):
-        return ins_ins_verdict(d1, d2, tol)
-    raise UnsupportedPairError(f"no decider for pair ({k1}, {k2})")
+    return "fast-path: pure-oracle"
+
+
+def _choi_of(ops, side: int) -> np.ndarray:
+    """Choi matrix of ``rho -> sum_k K_k rho K_k^*``."""
+    j = np.zeros((side, side), dtype=complex)
+    for k in ops:
+        v = k.T.reshape(-1)
+        j += np.outer(v, v.conj())
+    return j
+
+
+def _range_commutation(p: _Pair):
+    """Split the map along an effect that commutes with its range."""
+    f, e = p.d1, p.d2
+    if not commutes_with_range(f, e, p.tol):
+        return None
+    side = f.dim_in * f.dim_out
+    root = mat_sqrt(e.matrix, p.tol)
+    comp_root = mat_sqrt(np.eye(e.dim) - e.matrix, p.tol)
+    ks = kraus_from_choi(f, p.tol).ops
+    blocks = {("1", "1"): _choi_of([k @ root for k in ks], side),
+              ("1", "0"): _choi_of([k @ comp_root for k in ks], side)}
+    if p.kinds[0] == "operation":
+        deficit = hermitian_part(np.eye(f.dim_in) - f.heisenberg_unit())
+        blocks[("0", "1")] = _measure(p, hermitian_part(e.matrix @ deficit))
+        blocks[("0", "0")] = _measure(p, hermitian_part((np.eye(e.dim) - e.matrix) @ deficit))
+    return _joint_verdict(p, blocks, "fast-path: range-commutation", p.tol)
+
+
+def _contraction_channel(p: _Pair):
+    eta = is_contraction_channel(p.d1, p.tol)
+    if eta is None:
+        return None
+    blocks = {("1", x): _prep_choi(p.d2.effects[x].matrix, eta) for x in p.d2.outcomes}
+    return _joint_verdict(p, blocks, "fast-path: contraction-channel", p.tol)
+
+
+def _cp_order(p: _Pair):
+    """Channel vs operation: compatible exactly when the operation sits below."""
+    lam, f = p.d1, p.d2
+    if not cp_leq(f, lam, p.tol):
+        return Verdict("strongly_incompatible", None, "fast-path: cp-order")
+    blocks = {("1", "1"): f.choi, ("1", "0"): hermitian_part(lam.choi - f.choi)}
+    return _joint_verdict(p, blocks, "fast-path: cp-order", p.tol)
+
+
+def _totals_agree(p: _Pair) -> bool:
+    side = p.din * p.dout
+    t1, t2 = (_sum(list(_parts(d).values()), side) for d in (p.d1, p.d2))
+    return close(t1, t2, p.tol)
+
+
+# kind pair -> (notes when the totals agree, notes when they differ)
+_TOTAL_NOTES = {
+    ("channel", "channel"): ("fast-path: equal-channels", "fast-path: distinct-channels"),
+    ("instrument", "channel"): ("fast-path: total-channel", "fast-path: total-channel"),
+    ("instrument", "instrument"): (None, "fast-path: distinct-totals"),
+}
+
+
+def _totals(p: _Pair):
+    """Devices without free outcome: distinct totals rule out even weak compatibility.
+
+    Against a channel, agreeing totals make the first device itself the
+    joint instrument.
+    """
+    agree, differ = _TOTAL_NOTES[p.kinds]
+    if not _totals_agree(p):
+        return Verdict("strongly_incompatible", None, differ)
+    if agree is not None:
+        return _joint_verdict(p, {(x, "1"): t for x, t in _parts(p.d1).items()}, agree, p.tol)
+    return None
+
+
+def _shared_total(p: _Pair):
+    """Devices without free outcome share a total channel exactly when the totals agree."""
+    if not _totals_agree(p):
+        return Verdict("strongly_incompatible", None, "fast-path: distinct-totals")
+    return _weak_verdict(p, {}, None, "fast-path: shared-total", p.tol)
+
+
+def _weak_cp_order(p: _Pair):
+    """A channel in the pair forces the common upper channel to equal it."""
+    tp = [f.is_trace_preserving(p.tol) for f in (p.d1, p.d2)]
+    if not any(tp):
+        return None
+    lam, other = (p.d1, p.d2) if tp[0] else (p.d2, p.d1)
+    ok = close(p.d1.choi, p.d2.choi, p.tol) if all(tp) else cp_leq(other, lam, p.tol)
+    if not ok:
+        return Verdict("strongly_incompatible", None, "fast-path: cp-order")
+    return _weak_verdict(p, {}, lam.choi, "fast-path: cp-order", p.tol)
+
+
+def _rank1_family(p: _Pair):
+    """Rank-1 trace deficits: intersect the two one-parameter channel families."""
+    ranks = [int(np.sum(np.linalg.eigvalsh(trace_deficit(f)) > p.tol.psd_tol))
+             for f in (p.d1, p.d2)]
+    if max(ranks) > 1:
+        return None
+    overlap = rank1_upper_channels_equal(p.d1, p.d2, p.tol)
+    if overlap.equal:
+        return _weak_verdict(p, {}, overlap.channel.choi, "fast-path: rank1-family", p.tol)
+    sep = "separating state found" if overlap.separating_state is not None else overlap.reason
+    return Verdict("strongly_incompatible", None, f"fast-path: rank1-family ({sep})")
+
+
+# Fast paths per canonical kind pair, in the order they run. Structural
+# ones decide their pairs outright and run even with fast paths off.
+_JOINT_PATHS = {
+    ("effect", "effect"): (_commuting_effects, _sum_below_identity, _projection),
+    ("effect", "observable"): (_trivial_observable, _commuting_observables),
+    ("observable", "observable"): (_trivial_observable, _commuting_observables),
+    ("operation", "operation"): (_comparable, _sum_below_identity, _pure_oracle),
+    ("operation", "effect"): (_range_commutation, _projection, _sum_below_identity),
+    ("channel", "effect"): (_range_commutation, _projection),
+    ("channel", "observable"): (_contraction_channel, _trivial_observable),
+    ("channel", "operation"): (_cp_order,),
+    ("channel", "channel"): (_totals,),
+    ("instrument", "channel"): (_totals,),
+    ("instrument", "instrument"): (_totals,),
+}
+_WEAK_PATHS = {
+    ("effect", "effect"): (_contraction,),
+    ("effect", "observable"): (_contraction,),
+    ("observable", "observable"): (_contraction,),
+    ("operation", "operation"): (_weak_cp_order, _rank1_family),
+    ("channel", "channel"): (_shared_total,),
+    ("instrument", "channel"): (_shared_total,),
+    ("instrument", "instrument"): (_shared_total,),
+}
+_STRUCTURAL = {_cp_order, _totals, _shared_total, _contraction}
+
+
+def _first_decision(paths: dict, p: _Pair, fast_paths: bool):
+    for path in paths.get(p.kinds, ()):
+        if fast_paths or path in _STRUCTURAL:
+            decision = path(p)
+            if decision is not None:
+                return decision
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the pipeline
+# ---------------------------------------------------------------------------
+
+
+def _oriented(stage, d1, d2, tol: Tolerances, *args) -> Verdict:
+    """Run a stage on the pair in canonical order; orient the verdict as given."""
+    swap = _ORDER.index(_kind(d1)) > _ORDER.index(_kind(d2))
+    v = stage(_Pair(d2, d1, tol) if swap else _Pair(d1, d2, tol), *args)
+    return _swap_verdict(v) if swap else v
+
+
+def _decide(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
+    notes = _first_decision(_JOINT_PATHS, p, fast_paths)
+    if isinstance(notes, Verdict):
+        return notes
+    if notes is None:
+        out = fs.solve(joint_problem(p.a1, p.a2), p.tol, max_iter, trace=trace)
+        if out.verdict == "feasible":
+            pairs = _joint_pairs(_parts(p.a1), _parts(p.a2))
+            blocks = {xy: out.witness[f"g{n}"] for n, xy in enumerate(pairs)}
+            return _joint_verdict(p, blocks, "sdp", p.wtol)
+        if out.verdict == "undecided":
+            return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
+        notes = f"sdp margin={out.margin:.3e}"
+    if p.classical:
+        return _contraction(p, notes)
+    if "channel" in p.kinds:
+        # the common channel of a weak witness would have to be this channel
+        return Verdict("strongly_incompatible", None, notes)
+    weak = _decide_weak(p, fast_paths, max_iter, trace)
+    if weak.relation == "undecided":
+        return Verdict("undecided", None, f"not compatible; weak undecided; {notes}")
+    return Verdict(weak.relation, weak.witness, f"{notes}; {weak.notes}")
+
+
+def _decide_weak(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
+    decision = _first_decision(_WEAK_PATHS, p, fast_paths)
+    if decision is not None:
+        return decision
+    out = fs.solve(weak_problem(p.d1, p.d2), p.tol, max_iter, trace=trace)
+    if out.verdict == "feasible":
+        names = {(i, x): _weak_name(i, x) for i, d in enumerate((p.d1, p.d2)) for x in _parts(d)}
+        blocks = {ix: out.witness[n] for ix, n in names.items() if n in out.witness}
+        return _weak_verdict(p, blocks, None, "sdp", p.wtol)
+    if out.verdict == "infeasible":
+        return Verdict("strongly_incompatible", None, f"sdp margin={out.margin:.3e}")
+    return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
+
+
+def classify(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
+             max_iter: int = 50_000, trace=None) -> Verdict:
+    """Three-way classification of any pair of devices.
+
+    Returns compatible, weakly_compatible_only, strongly_incompatible,
+    or undecided. Pairs of classical devices are always weakly
+    compatible, and a pair with a channel that is not compatible is
+    strongly incompatible; other pairs that are not compatible go on to
+    the weak question. The witness orientation matches the argument
+    order.
+    """
+    return _oriented(_decide, d1, d2, tol, fast_paths, max_iter, trace)
+
+
+def weakly_compatible(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
+                      max_iter: int = 50_000, trace=None) -> Verdict:
+    """Decide whether two instruments containing the devices share a total channel.
+
+    Positive answers come back as ``weakly_compatible_only`` with both
+    instruments; whether the pair is also compatible is not examined.
+    """
+    return _oriented(_decide_weak, d1, d2, tol, fast_paths, max_iter, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -1242,18 +732,11 @@ class KrausCertificate:
 
 
 def _instrument_kraus(ins: Instrument, subset, tol: Tolerances):
-    """Kraus operators per outcome plus the index set covering a subset."""
-    ops: list[np.ndarray] = []
-    owners: list[str] = []
-    for x in ins.outcomes:
-        branch = ins.branches[x]
-        if frob_norm(branch.choi) <= tol.eq_tol:
-            continue
-        for k in kraus_from_choi(branch, tol).ops:
-            ops.append(k)
-            owners.append(x)
-    chosen = tuple(i for i, x in enumerate(owners) if subset is not None and x in subset)
-    return ops, owners, chosen
+    """Kraus operators of the nonzero branches, their owners, and a subset's indices."""
+    owned = [(k, x) for x in ins.outcomes if frob_norm(ins.branches[x].choi) > tol.eq_tol
+             for k in kraus_from_choi(ins.branches[x], tol).ops]
+    owners = [x for _, x in owned]
+    return [k for k, _ in owned], owners, tuple(i for i, x in enumerate(owners) if x in subset)
 
 
 def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate:
@@ -1266,56 +749,52 @@ def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate
     wtol = witness_tolerances(tol)
     if v.witness is None:
         raise ValueError("verdict carries no witness")
-    if isinstance(v.witness, CompatWitness):
-        w = v.witness
-        sub1 = _subset_of(w.part_1)
-        sub2 = _subset_of(w.part_2)
-        ops, owners, j1 = _instrument_kraus(w.instrument, sub1, wtol)
-        j2 = tuple(i for i, x in enumerate(owners) if x in sub2)
-        cert = KrausCertificate("joint", tuple(ops), None, j1, j2)
-        _validate_joint_certificate(cert, w.instrument, wtol)
-        return cert
     w = v.witness
-    sub1 = _subset_of(w.part_1)
-    sub2 = _subset_of(w.part_2)
-    k_ops, _, j1 = _instrument_kraus(w.instrument_1, sub1, wtol)
-    l_ops, _, j2 = _instrument_kraus(w.instrument_2, sub2, wtol)
-    n = max(len(k_ops), len(l_ops), 1)
-    shape = (w.instrument_1.dim_out, w.instrument_1.dim_in)
-    k_ops = tuple(k_ops + [np.zeros(shape, dtype=complex)] * (n - len(k_ops)))
-    l_ops = tuple(l_ops + [np.zeros(shape, dtype=complex)] * (n - len(l_ops)))
-    cert = KrausCertificate("paired", k_ops, l_ops, j1, j2)
-    _validate_paired_certificate(cert, wtol)
-    return cert
-
-
-def _subset_of(part):
-    if part is None:
+    if w.part_1 is None or w.part_2 is None:
         raise ValueError(
             "Kraus index subsets exist only for subset-realized parts "
             "(effects, operations, channels)"
         )
-    return tuple(part)
+    if isinstance(w, CompatWitness):
+        ops, owners, j1 = _instrument_kraus(w.instrument, w.part_1, wtol)
+        j2 = tuple(i for i, x in enumerate(owners) if x in w.part_2)
+        cert = KrausCertificate("joint", tuple(ops), None, j1, j2)
+    else:
+        k_ops, _, j1 = _instrument_kraus(w.instrument_1, w.part_1, wtol)
+        l_ops, _, j2 = _instrument_kraus(w.instrument_2, w.part_2, wtol)
+        n = max(len(k_ops), len(l_ops), 1)
+        shape = (w.instrument_1.dim_out, w.instrument_1.dim_in)
+        k_ops = tuple(k_ops + [np.zeros(shape, dtype=complex)] * (n - len(k_ops)))
+        l_ops = tuple(l_ops + [np.zeros(shape, dtype=complex)] * (n - len(l_ops)))
+        cert = KrausCertificate("paired", k_ops, l_ops, j1, j2)
+    _validate_certificate(cert, w, wtol)
+    return cert
 
 
-def _gram(ops) -> np.ndarray:
-    return sum(k.conj().T @ k for k in ops)
+def _validate_certificate(cert: KrausCertificate, w, wtol: Tolerances) -> None:
+    """Check a certificate against the witness it was exported from.
 
-
-def _validate_joint_certificate(cert: KrausCertificate, ins: Instrument, wtol: Tolerances) -> None:
-    if cert.k_ops:
-        total = _gram(cert.k_ops)
-        if not close(total, np.eye(cert.k_ops[0].shape[1]), wtol):
-            raise WitnessValidationError("joint Kraus list is not normalized")
-
-
-def _validate_paired_certificate(cert: KrausCertificate, wtol: Tolerances) -> None:
-    din = cert.k_ops[0].shape[1]
-    if not close(_gram(cert.k_ops), np.eye(din), wtol):
-        raise WitnessValidationError("first Kraus list is not normalized")
-    if not close(_gram(cert.l_ops), np.eye(din), wtol):
-        raise WitnessValidationError("second Kraus list is not normalized")
-    jk = sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in cert.k_ops)
-    jl = sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in cert.l_ops)
-    if not close(jk, jl, wtol):
+    Every Kraus list is normalized, paired lists share their total
+    channel, and the Choi sum over each index subset equals the summed
+    branches of the witness part it stands for.
+    """
+    if isinstance(w, CompatWitness):
+        sides = ((cert.k_ops, cert.j1, w.instrument, w.part_1),
+                 (cert.k_ops, cert.j2, w.instrument, w.part_2))
+    else:
+        sides = ((cert.k_ops, cert.j1, w.instrument_1, w.part_1),
+                 (cert.l_ops, cert.j2, w.instrument_2, w.part_2))
+    ins = sides[0][2]
+    side = ins.dim_in * ins.dim_out
+    lists = (cert.k_ops,) if cert.l_ops is None else (cert.k_ops, cert.l_ops)
+    for ops in lists:
+        if not close(sum(k.conj().T @ k for k in ops), np.eye(ins.dim_in), wtol):
+            raise WitnessValidationError("Kraus list is not normalized")
+    if cert.l_ops is not None and not close(
+        _choi_of(cert.k_ops, side), _choi_of(cert.l_ops, side), wtol
+    ):
         raise WitnessValidationError("paired Kraus lists have different total channels")
+    for ops, idx, ins, part in sides:
+        want = _sum([ins.branches[x].choi for x in part], side)
+        if not close(want, _choi_of([ops[i] for i in idx], side), wtol):
+            raise WitnessValidationError("Kraus subset does not reproduce its witness part")

@@ -19,6 +19,7 @@ from .matkit import (
     MatrixShapeError,
     Tolerances,
     close,
+    coord_matrix,
     frob_norm,
     herm_coords,
     herm_from_coords,
@@ -144,16 +145,11 @@ def radon_nikodym_effect(
     if not cp_leq(f, dil.source, tol):
         raise NotDominatedError("map is not below the dilated map in the CP order")
     da = dil.ancilla_dim
-    basis_out = hermitian_basis(dil.dim_out)
-    unit_cols = []
-    for k in range(da * da):
-        unit = np.zeros(da * da)
-        unit[k] = 1.0
-        unit_cols.append(herm_from_coords(unit, da))
     rows, rhs = [], []
-    for t in basis_out:
-        lifted = [dil.v.conj().T @ kron(t, bk) @ dil.v for bk in unit_cols]
-        rows.append(np.column_stack([herm_coords(hermitian_part(m)) for m in lifted]))
+    for t in hermitian_basis(dil.dim_out):
+        rows.append(coord_matrix(
+            lambda b: hermitian_part(dil.v.conj().T @ kron(t, b) @ dil.v), da
+        ))
         rhs.append(herm_coords(hermitian_part(apply_h(f, t))))
     a = np.vstack(rows)
     b = np.concatenate(rhs)
@@ -235,7 +231,7 @@ def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_T
     weakly compatible pair: extract both effects from the common channel
     and report them (their coexistence is not required).
     """
-    from .compat import CompatWitness, WeakWitness, coexistent_effects, witness_tolerances
+    from .compat import CompatWitness, WeakWitness, classify, witness_tolerances
 
     if verdict.witness is None:
         raise ValueError("verdict carries no witness to verify")
@@ -250,7 +246,7 @@ def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_T
         op2 = w.instrument.branch_sum(w.part_2, wtol)
         e1 = radon_nikodym_effect(dil, op1, wtol)
         e2 = radon_nikodym_effect(dil, op2, wtol)
-        coex = coexistent_effects(e1, e2, tol=wtol)
+        coex = classify(e1, e2, tol=wtol)
         if coex.relation != "compatible":
             raise AssertionError("ancilla effects of a compatible pair must coexist")
         relation = coex.relation

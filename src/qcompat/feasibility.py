@@ -1,7 +1,7 @@
 """Deterministic PSD-feasibility engine over stacked Hermitian blocks.
 
 A problem asks for Hermitian PSD blocks satisfying affine constraints.
-Every compatibility decider reduces to this question. The solver runs
+Both compatibility questions reduce to this one. The solver runs
 Dykstra's alternating projections between the affine set and the
 product-PSD cone; when that fails it estimates the best achievable
 minimum eigenvalue over the affine set (the margin) by bisecting on a
@@ -24,6 +24,7 @@ from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
+    coord_matrix,
     herm_coords,
     herm_from_coords,
     herm_stack_coords,
@@ -92,16 +93,6 @@ class FeasibilityOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _coord_map_of(linear, d_in: int, d_out: int) -> np.ndarray:
-    """Real matrix of a Hermitian-to-Hermitian linear map in coordinates."""
-    out = np.zeros((d_out * d_out, d_in * d_in))
-    for k in range(d_in * d_in):
-        unit = np.zeros(d_in * d_in)
-        unit[k] = 1.0
-        out[:, k] = herm_coords(linear(herm_from_coords(unit, d_in)))
-    return out
-
-
 def encode_sum_constraint(blocks, target: np.ndarray, label: str = "") -> AffineConstraint:
     """Encode ``sum_i c_i X_i = target`` for same-side blocks.
 
@@ -126,7 +117,7 @@ def encode_partial_trace_constraint(
     d = dims[0] * dims[1]
     if target.shape[0] != dims[keep]:
         raise MatrixShapeError("target side does not match the kept slot")
-    mat = _coord_map_of(lambda x: partial_trace(x, dims, keep), d, dims[keep])
+    mat = coord_matrix(lambda x: partial_trace(x, dims, keep), d)
     return AffineConstraint(((block, mat),), herm_coords(target), label=label)
 
 
@@ -173,9 +164,6 @@ class _Layout:
         return [
             herm_from_coords(x[o : o + d * d], d) for o, d in zip(self.offsets, self.sides)
         ]
-
-    def join(self, mats) -> np.ndarray:
-        return np.concatenate([herm_coords(m) for m in mats])
 
 
 def _assemble(problem: FeasibilityProblem, layout: _Layout):
@@ -224,7 +212,7 @@ def _restricted_solve(z, profile, layout, a, b, shift):
 
     Returns the clamped candidate point and its residual.
     """
-    cols = []
+    pieces = []
     bases = []
     base = np.zeros(layout.total)
     for o, d, r in zip(layout.offsets, layout.sides, profile):
@@ -233,14 +221,10 @@ def _restricted_solve(z, profile, layout, a, b, shift):
         basis = evecs[:, np.argsort(evals)[::-1][:r]]
         bases.append(basis)
         base[o : o + d * d] = herm_coords(shift * np.eye(d))
-        for k in range(r * r):
-            unit = np.zeros(r * r)
-            unit[k] = 1.0
-            zz = herm_from_coords(unit, r)
-            col = np.zeros(layout.total)
-            col[o : o + d * d] = herm_coords(basis @ zz @ basis.conj().T)
-            cols.append(col)
-    t_mat = np.column_stack(cols)
+        piece = np.zeros((layout.total, r * r))
+        piece[o : o + d * d] = _embedding_matrix(basis)
+        pieces.append(piece)
+    t_mat = np.hstack(pieces)
     z_sol, _, _, _ = np.linalg.lstsq(a @ t_mat, b - a @ base, rcond=None)
     x = base.copy()
     pos = 0
@@ -359,14 +343,7 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
 
 def _embedding_matrix(basis: np.ndarray) -> np.ndarray:
     """Real coordinate map of Z -> U Z U* for a support basis U."""
-    d, r = basis.shape
-    out = np.zeros((d * d, r * r))
-    for k in range(r * r):
-        unit = np.zeros(r * r)
-        unit[k] = 1.0
-        z = herm_from_coords(unit, r)
-        out[:, k] = herm_coords(basis @ z @ basis.conj().T)
-    return out
+    return coord_matrix(lambda z: basis @ z @ basis.conj().T, basis.shape[1])
 
 
 def _reduce_problem(problem: FeasibilityProblem, tol: Tolerances):
@@ -586,14 +563,3 @@ def _solve_full(
     verdict = "infeasible" if hi < -tol.feas_tol else "undecided"
     return FeasibilityOutcome(verdict, None, margin, residual, iterations)
 
-
-def constraint_violation(
-    problem: FeasibilityProblem, witness: dict[str, np.ndarray]
-) -> float:
-    """Largest affine-constraint residual of a block assignment."""
-    layout = _Layout.of(problem)
-    a, b = _assemble(problem, layout)
-    x = layout.join([witness[n] for n in layout.names])
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.norm(a @ x - b))

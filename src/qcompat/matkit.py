@@ -119,10 +119,6 @@ def herm_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, 
     return evals, evecs
 
 
-def min_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    return float(herm_eig(h, tol)[0][0])
-
-
 def is_psd(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """PSD within psd_tol; requires Hermiticity within eq_tol."""
     if not is_hermitian(h, tol):
@@ -228,6 +224,20 @@ def herm_from_coords(x: np.ndarray, d: int) -> np.ndarray:
     h = h + h.conj().T
     h[np.arange(d), np.arange(d)] = diag
     return h
+
+
+def coord_matrix(linear, d: int) -> np.ndarray:
+    """Real matrix of a linear map on d x d Hermitian matrices.
+
+    Coordinates are those of :func:`herm_coords`; column k is the image
+    of the k-th unit coordinate vector.
+    """
+    cols = []
+    for k in range(d * d):
+        unit = np.zeros(d * d)
+        unit[k] = 1.0
+        cols.append(herm_coords(linear(herm_from_coords(unit, d))))
+    return np.column_stack(cols)
 
 
 def herm_stack_coords(stack: np.ndarray) -> np.ndarray:

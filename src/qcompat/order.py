@@ -18,6 +18,7 @@ from .matkit import (
     MatrixShapeError,
     Tolerances,
     close,
+    coord_matrix,
     frob_norm,
     herm_coords,
     herm_from_coords,
@@ -68,7 +69,7 @@ def pure_pair_compatible(a: CPMap, b: CPMap, tol: Tolerances = DEFAULT_TOL) -> b
 
     Two pure operations are compatible exactly when they are comparable
     or their sum is still an operation. Serves as an independent oracle
-    for the feasibility-based decider.
+    for the feasibility engine.
     """
     _same_dims(a, b)
     if not is_pure(a, tol) or not is_pure(b, tol):
@@ -130,17 +131,7 @@ class FamilyOverlap:
 
 def _kron_coord_map(e_t: np.ndarray, dk: int) -> np.ndarray:
     """Real matrix of xi -> kron(e_t, xi) in Hermitian coordinates."""
-    side = e_t.shape[0] * dk
-    cols = []
-    for k in range(dk * dk):
-        unit = np.zeros(dk * dk)
-        unit[k] = 1.0
-        basis_mat = herm_from_coords(unit, dk)
-        cols.append(herm_coords(np.kron(e_t, basis_mat)))
-    out = np.zeros((side * side, dk * dk))
-    for k, c in enumerate(cols):
-        out[:, k] = c
-    return out
+    return coord_matrix(lambda xi: np.kron(e_t, xi), dk)
 
 
 def _state_pair_exists(d: np.ndarray, a1: float, a2: float, tol: Tolerances) -> bool:

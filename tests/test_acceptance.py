@@ -80,7 +80,7 @@ def test_criterion_02_op_op_strong_pair_dual_path():
     assert verdict.relation == "strongly_incompatible"
 
     # route 1: feasibility engine on the weak problem, fast paths not involved
-    out = fs.solve(cp.weak_ops_problem(DEV["luders_px"], DEV["luders_pz"]))
+    out = fs.solve(cp.weak_problem(DEV["luders_px"], DEV["luders_pz"]))
     assert out.verdict == "infeasible"
     assert out.margin < -1e-7
 
@@ -181,7 +181,7 @@ def test_criterion_07_oracle_equivalence_200_pure_pairs():
         f1 = choi_from_kraus(rand_kraus(rng, 2, 2, 1, scale=s1))
         f2 = choi_from_kraus(rand_kraus(rng, 2, 2, 1, scale=s2))
         oracle = od.pure_pair_compatible(f1, f2)
-        out = fs.solve(cp.op_op_problem(f1, f2))
+        out = fs.solve(cp.joint_problem(f1, f2))
         if out.verdict == "undecided":
             undecided += 1
             continue

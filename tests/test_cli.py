@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcompat
 from qcompat import cli
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ
 
@@ -70,6 +73,16 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_module(args):
+    """``python -m qcompat.cli`` in a fresh process that imports this qcompat."""
+    src = str(Path(qcompat.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "qcompat.cli", *args],
+        capture_output=True, text=True, check=False, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 def test_validate_ok(device_file, capsys):
     code, out, _ = run_cli(["validate", device_file], capsys)
     assert code == 0
@@ -109,8 +122,9 @@ def test_classify_unknown_name(device_file, capsys):
 
 
 def test_classify_unsupported_pair(device_file, capsys):
-    code, _, err = run_cli(["classify", device_file, "px", "luders_x_instrument"], capsys)
+    code, _, err = run_cli(["classify", device_file, "px", "swap_readout"], capsys)
     assert code == 4
+    assert "MeasurementModel" in err
 
 
 def test_witness_compatible_pair(device_file, capsys):
@@ -206,19 +220,15 @@ def test_table1_json(capsys):
 
 
 def test_stdout_deterministic(device_file):
-    cmd = [sys.executable, "-m", "qcompat.cli", "classify", device_file, "px", "pz"]
     outs = set()
     for _ in range(2):
-        res = subprocess.run(cmd, capture_output=True, text=True, check=False)
+        res = run_module(["classify", device_file, "px", "pz"])
         assert res.returncode == 0
         outs.add(res.stdout)
     assert len(outs) == 1
 
 
 def test_console_entry_point(device_file):
-    res = subprocess.run(
-        [sys.executable, "-m", "qcompat.cli", "--format", "json", "validate", device_file],
-        capture_output=True, text=True, check=False,
-    )
+    res = run_module(["--format", "json", "validate", device_file])
     assert res.returncode == 0
     json.loads(res.stdout)

@@ -40,7 +40,7 @@ DEV = builtin_devices()
 
 
 def test_noncommuting_projections_incompatible_but_weak():
-    v = cp.coexistent_effects(effect(PX), effect(PZ))
+    v = cp.classify(effect(PX), effect(PZ))
     assert v.relation == "weakly_compatible_only"
     assert isinstance(v.witness, cp.WeakWitness)
     # totals agree and each instrument contains its effect
@@ -55,7 +55,7 @@ def test_trivial_effect_compatible_with_anything():
     rng = np.random.default_rng(71)
     for _ in range(5):
         e = rand_effect(rng, 2)
-        v = cp.coexistent_effects(effect(I2 / 2), e)
+        v = cp.classify(effect(I2 / 2), e)
         assert v.relation == "compatible"
 
 
@@ -64,7 +64,7 @@ def test_commuting_effects_compatible_with_product_witness():
     basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     e1 = Effect(basis @ np.diag([0.9, 0.4, 0.1]) @ basis.conj().T)
     e2 = Effect(basis @ np.diag([0.2, 0.8, 0.5]) @ basis.conj().T)
-    v = cp.coexistent_effects(e1, e2)
+    v = cp.classify(e1, e2)
     assert v.relation == "compatible"
     assert "commuting" in v.notes
     assert dv.is_part_of(e1, v.witness.instrument)
@@ -77,20 +77,20 @@ def test_noisy_pair_threshold():
 
     SZ_ = np.array([[1, 0], [0, -1]], dtype=complex)
     e1, e2 = Effect((I2 + 0.5 * SX) / 2), Effect((I2 + 0.5 * SZ_) / 2)
-    assert cp.coexistent_effects(e1, e2, fast_paths=False).relation == "compatible"
+    assert cp.classify(e1, e2, fast_paths=False).relation == "compatible"
     e1, e2 = Effect((I2 + 0.9 * SX) / 2), Effect((I2 + 0.9 * SZ_) / 2)
-    v = cp.coexistent_effects(e1, e2, fast_paths=False)
+    v = cp.classify(e1, e2, fast_paths=False)
     assert v.relation == "weakly_compatible_only"
 
 
 def test_coexistence_witness_margins():
     rng = np.random.default_rng(75)
     e1, e2 = rand_effect(rng, 2), rand_effect(rng, 2)
-    v = cp.coexistent_effects(e1, e2)
+    v = cp.classify(e1, e2)
     if v.relation == "compatible":
         g = v.witness.joint_observable
-        m1 = g.effect_of(["11", "10"]).matrix
-        m2 = g.effect_of(["11", "01"]).matrix
+        m1 = g.effect_of(v.witness.part_1).matrix
+        m2 = g.effect_of(v.witness.part_2).matrix
         assert np.allclose(m1, e1.matrix, atol=1e-5)
         assert np.allclose(m2, e2.matrix, atol=1e-5)
 
@@ -109,18 +109,18 @@ def test_ef_ef_never_strongly_incompatible():
 
 def test_same_observable_jointly_measurable():
     a = sharp_observable(PX, PMX)
-    v = cp.jointly_measurable(a, a)
+    v = cp.classify(a, a)
     assert v.relation == "compatible"
 
 
 def test_sharp_x_vs_sharp_z_incompatible():
-    v = cp.jointly_measurable(sharp_observable(PX, PMX), sharp_observable(PZ, PMZ))
+    v = cp.classify(sharp_observable(PX, PMX), sharp_observable(PZ, PMZ))
     assert v.relation == "weakly_compatible_only"
 
 
 def test_trivial_observable_compatible_with_any():
     p = dv.trivial_observable({"h": 0.3, "t": 0.7}, dim=2)
-    v = cp.jointly_measurable(p, sharp_observable(PZ, PMZ))
+    v = cp.classify(p, sharp_observable(PZ, PMZ))
     assert v.relation == "compatible"
     assert "trivial" in v.notes
 
@@ -138,7 +138,7 @@ def test_effect_vs_observable_promotion():
 
 
 def test_luders_px_vs_half_sigma_x_weakly_compatible_only():
-    v = cp.op_op_compatible(DEV["luders_px"], DEV["half_sigma_x"])
+    v = cp.classify(DEV["luders_px"], DEV["half_sigma_x"])
     assert v.relation == "weakly_compatible_only"
     lam = v.witness.common_channel
     assert od.cp_leq(DEV["luders_px"], lam, cp.witness_tolerances(cp.DEFAULT_TOL))
@@ -156,14 +156,14 @@ def test_luders_px_vs_half_sigma_x_weakly_compatible_only():
 
 
 def test_luders_px_vs_luders_pz_strongly_incompatible():
-    v = cp.op_op_compatible(DEV["luders_px"], DEV["luders_pz"])
+    v = cp.classify(DEV["luders_px"], DEV["luders_pz"])
     assert v.relation == "strongly_incompatible"
 
 
 def test_comparable_pair_compatible():
     phi = DEV["luders_px"]
     half = CPMap(2, 2, phi.choi / 2)
-    v = cp.op_op_compatible(phi, half)
+    v = cp.classify(phi, half)
     assert v.relation == "compatible"
     assert "comparable" in v.notes
     assert dv.is_part_of(phi, v.witness.instrument)
@@ -175,7 +175,7 @@ def test_op_op_sdp_path_agrees_on_named_pairs():
         ("luders_px", "half_sigma_x", "infeasible"),
         ("luders_px", "luders_pz", "infeasible"),
     ):
-        out = fs.solve(cp.op_op_problem(DEV[d1], DEV[d2]))
+        out = fs.solve(cp.joint_problem(DEV[d1], DEV[d2]))
         assert out.verdict == expect
 
 
@@ -184,9 +184,9 @@ def test_op_op_sdp_feasible_for_constructed_pair():
     ins = rand_instrument(rng, n_out=4)
     op1 = ins.branch_sum(("0", "1"))
     op2 = ins.branch_sum(("1", "2"))
-    out = fs.solve(cp.op_op_problem(op1, op2))
+    out = fs.solve(cp.joint_problem(op1, op2))
     assert out.verdict == "feasible"
-    v = cp.op_op_compatible(op1, op2, fast_paths=False)
+    v = cp.classify(op1, op2, fast_paths=False)
     assert v.relation == "compatible"
     assert dv.is_part_of(op1, v.witness.instrument, cp.witness_tolerances(cp.DEFAULT_TOL))
     assert dv.is_part_of(op2, v.witness.instrument, cp.witness_tolerances(cp.DEFAULT_TOL))
@@ -201,7 +201,7 @@ def test_pure_oracle_matches_sdp_sample():
         f1 = choi_from_kraus(rand_kraus(rng, 2, 2, 1, scale=scale1))
         f2 = choi_from_kraus(rand_kraus(rng, 2, 2, 1, scale=scale2))
         oracle = od.pure_pair_compatible(f1, f2)
-        out = fs.solve(cp.op_op_problem(f1, f2))
+        out = fs.solve(cp.joint_problem(f1, f2))
         assert out.verdict in ("feasible", "infeasible")
         assert (out.verdict == "feasible") == oracle
         agree += 1
@@ -214,7 +214,7 @@ def test_pure_oracle_matches_sdp_sample():
 
 
 def test_px_vs_luders_pz_weakly_compatible_only():
-    v = cp.op_ef_compatible(DEV["luders_pz"], effect(PX))
+    v = cp.classify(DEV["luders_pz"], effect(PX))
     assert v.relation == "weakly_compatible_only"
     w = v.witness
     assert np.allclose(
@@ -228,7 +228,7 @@ def test_px_vs_luders_pz_weakly_compatible_only():
 
 
 def test_pz_vs_luders_pz_compatible_by_commutation():
-    v = cp.op_ef_compatible(DEV["luders_pz"], effect(PZ))
+    v = cp.classify(DEV["luders_pz"], effect(PZ))
     assert v.relation == "compatible"
     assert "commutation" in v.notes
     assert dv.is_part_of(effect(PZ), v.witness.instrument)
@@ -237,12 +237,12 @@ def test_pz_vs_luders_pz_compatible_by_commutation():
 
 def test_half_identity_vs_small_operation_sufficient_condition():
     f = CPMap(2, 2, DEV["luders_px"].choi / 2)  # f_H(1) = Px/2 <= I/2
-    v = cp.op_ef_compatible(f, effect(I2 / 2))
+    v = cp.classify(f, effect(I2 / 2))
     assert v.relation == "compatible"
 
 
 def test_px_vs_biased_luders_strongly_incompatible():
-    v = cp.op_ef_compatible(DEV["luders_biased_z"], effect(PX))
+    v = cp.classify(DEV["luders_biased_z"], effect(PX))
     assert v.relation == "strongly_incompatible"
 
 
@@ -253,19 +253,19 @@ def test_px_vs_biased_luders_strongly_incompatible():
 
 def test_identity_channel_vs_luders_incompatible():
     ident = choi_from_kraus(KrausSet((I2,)))
-    v = cp.ch_op_compatible(ident, DEV["luders_px"])
+    v = cp.classify(ident, DEV["luders_px"])
     assert v.relation == "strongly_incompatible"
 
 
 def test_channel_vs_half_of_itself():
     rng = np.random.default_rng(83)
     lam = rand_cpmap(rng, channel=True)
-    v = cp.ch_op_compatible(lam, CPMap(2, 2, lam.choi / 2))
+    v = cp.classify(lam, CPMap(2, 2, lam.choi / 2))
     assert v.relation == "compatible"
 
 
 def test_dephasing_channel_vs_half_sigma_x_compatible():
-    v = cp.ch_op_compatible(DEV["px_dephasing"], DEV["half_sigma_x"])
+    v = cp.classify(DEV["px_dephasing"], DEV["half_sigma_x"])
     assert v.relation == "compatible"
     assert dv.is_part_of(DEV["half_sigma_x"], v.witness.instrument)
 
@@ -274,20 +274,20 @@ def test_channel_channel():
     rng = np.random.default_rng(85)
     lam = rand_cpmap(rng, channel=True)
     other = rand_cpmap(rng, channel=True)
-    assert cp.ch_ch_compatible(lam, lam).relation == "compatible"
-    assert cp.ch_ch_compatible(lam, other).relation == "strongly_incompatible"
+    assert cp.classify(lam, lam).relation == "compatible"
+    assert cp.classify(lam, other).relation == "strongly_incompatible"
 
 
 def test_channel_vs_effect():
     # a projection is compatible with the matching dephasing channel
-    v = cp.ch_ef_compatible(DEV["px_dephasing"], effect(PX))
+    v = cp.classify(DEV["px_dephasing"], effect(PX))
     assert v.relation == "compatible"
     # but not with the identity channel
     ident = choi_from_kraus(KrausSet((I2,)))
-    v = cp.ch_ef_compatible(ident, effect(PX))
+    v = cp.classify(ident, effect(PX))
     assert v.relation == "strongly_incompatible"
     # trivial effects pass everything
-    v = cp.ch_ef_compatible(ident, effect(I2 / 2))
+    v = cp.classify(ident, effect(I2 / 2))
     assert v.relation == "compatible"
 
 
@@ -295,14 +295,14 @@ def test_channel_vs_observable():
     rng = np.random.default_rng(87)
     eta = rand_state(rng, 2)
     contraction = dv.contraction_channel(eta)
-    v = cp.ch_obs_compatible(contraction, sharp_observable(PZ, PMZ))
+    v = cp.classify(contraction, sharp_observable(PZ, PMZ))
     assert v.relation == "compatible"
     assert "contraction" in v.notes
     ident = choi_from_kraus(KrausSet((I2,)))
-    v = cp.ch_obs_compatible(ident, sharp_observable(PZ, PMZ))
+    v = cp.classify(ident, sharp_observable(PZ, PMZ))
     assert v.relation == "strongly_incompatible"
     trivial = dv.trivial_observable({"a": 0.5, "b": 0.5}, dim=2)
-    v = cp.ch_obs_compatible(ident, trivial)
+    v = cp.classify(ident, trivial)
     assert v.relation == "compatible"
 
 
@@ -313,10 +313,10 @@ def test_channel_vs_observable():
 
 def test_op_vs_observable():
     # the Lueders-x operation is compatible with the sharp x observable
-    v = cp.op_obs_compatible(DEV["luders_px"], sharp_observable(PX, PMX))
+    v = cp.classify(DEV["luders_px"], sharp_observable(PX, PMX))
     assert v.relation == "compatible"
     # and strongly incompatible situations surface too
-    v2 = cp.op_obs_compatible(DEV["luders_biased_z"], sharp_observable(PX, PMX))
+    v2 = cp.classify(DEV["luders_biased_z"], sharp_observable(PX, PMX))
     assert v2.relation in ("weakly_compatible_only", "strongly_incompatible")
 
 
@@ -327,21 +327,21 @@ def test_op_vs_observable():
 
 def test_weakly_compatible_ops_self():
     phi = DEV["luders_px"]
-    v = cp.weakly_compatible_ops(phi, phi)
+    v = cp.weakly_compatible(phi, phi)
     assert v.relation == "weakly_compatible_only"
 
 
 def test_weakly_compatible_ops_strong_pair():
-    v = cp.weakly_compatible_ops(DEV["luders_px"], DEV["luders_pz"])
+    v = cp.weakly_compatible(DEV["luders_px"], DEV["luders_pz"])
     assert v.relation == "strongly_incompatible"
-    v = cp.weakly_compatible_ops(DEV["luders_px"], DEV["luders_pz"], fast_paths=False)
+    v = cp.weakly_compatible(DEV["luders_px"], DEV["luders_pz"], fast_paths=False)
     assert v.relation == "strongly_incompatible"
     assert "margin" in v.notes
 
 
 def test_weak_completion_branch_has_rank1_structure():
     # any engine-found upper channel of a rank-1-deficit map is in the family
-    v = cp.weakly_compatible_ops(DEV["luders_px"], DEV["half_sigma_x"], fast_paths=False)
+    v = cp.weakly_compatible(DEV["luders_px"], DEV["half_sigma_x"], fast_paths=False)
     assert v.relation == "weakly_compatible_only"
     lam = v.witness.common_channel
     diff = lam.choi - DEV["luders_px"].choi
@@ -368,8 +368,8 @@ def test_rank1_oracle_agrees_with_engine():
     for _ in range(8):
         f1 = rand_rank1_deficit_op(rng)
         f2 = rand_rank1_deficit_op(rng)
-        fast = cp.weakly_compatible_ops(f1, f2)
-        slow = cp.weakly_compatible_ops(f1, f2, fast_paths=False)
+        fast = cp.weakly_compatible(f1, f2)
+        slow = cp.weakly_compatible(f1, f2, fast_paths=False)
         assert "rank1-family" in fast.notes
         assert fast.relation == slow.relation
         seen.add(fast.relation)
@@ -378,12 +378,12 @@ def test_rank1_oracle_agrees_with_engine():
 
 def test_weak_ef_ef_always():
     rng = np.random.default_rng(89)
-    v = cp.weakly_compatible_ef_ef(rand_effect(rng, 2), rand_effect(rng, 2))
+    v = cp.weakly_compatible(rand_effect(rng, 2), rand_effect(rng, 2))
     assert v.relation == "weakly_compatible_only"
 
 
 def test_weak_obs_obs_always():
-    v = cp.weakly_compatible_obs_obs(sharp_observable(PX, PMX), sharp_observable(PZ, PMZ))
+    v = cp.weakly_compatible(sharp_observable(PX, PMX), sharp_observable(PZ, PMZ))
     assert v.relation == "weakly_compatible_only"
 
 
@@ -426,8 +426,7 @@ def test_classify_instrument_instrument():
     ins = DEV["luders_x_instrument"]
     flipped = Instrument(("-", "+"), {"-": ins.branches["-"], "+": ins.branches["+"]})
     v = cp.classify(ins, flipped)
-    assert v.relation == "undecided"
-    assert "weakly compatible" in v.notes
+    assert v.relation == "compatible"
     rng = np.random.default_rng(91)
     other = rand_instrument(rng, n_out=2)
     assert cp.classify(ins, other).relation == "strongly_incompatible"
@@ -435,7 +434,57 @@ def test_classify_instrument_instrument():
 
 def test_classify_unsupported_pair():
     with pytest.raises(cp.UnsupportedPairError):
-        cp.classify(DEV["px"], DEV["luders_x_instrument"])
+        cp.classify(DEV["px"], PX)
+    with pytest.raises(cp.UnsupportedPairError):
+        cp.weakly_compatible(PX, DEV["luders_x_instrument"])
+
+
+def test_parts_of_an_instrument_are_compatible_with_it():
+    rng = np.random.default_rng(92)
+    coarse = dv.PointerMap({"0": "a", "1": "a", "2": "b"})
+    for k in range(2):
+        ins = rand_instrument(rng, n_out=3, ops_per_branch=1 + k)
+        parts = (
+            dv.instrument_part_effect(ins, ("1",)),
+            dv.induced_observable(dv.relabel(ins, coarse)),
+            ins.branch_sum(("0", "1")),
+            dv.total_channel(ins),
+            dv.relabel(ins, coarse),
+        )
+        for part in parts:
+            for v in (cp.classify(part, ins), cp.classify(ins, part)):
+                assert v.relation == "compatible"
+                assert isinstance(v.witness, cp.CompatWitness)
+
+
+def test_instrument_strong_exactly_when_its_total_channel_is():
+    # weak compatibility with an instrument is compatibility with its total
+    rng = np.random.default_rng(94)
+    ins = DEV["luders_x_instrument"]
+    lam = dv.total_channel(ins)
+    devices = [
+        effect(PX), effect(PZ),
+        sharp_observable(PX, PMX), sharp_observable(PZ, PMZ),
+        DEV["luders_px"], DEV["luders_pz"], DEV["half_sigma_x"],
+    ] + [rand_cpmap(rng) for _ in range(3)]
+    strong = set()
+    for x in devices:
+        with_ins = cp.classify(x, ins).relation == "strongly_incompatible"
+        with_total = cp.classify(x, lam).relation == "strongly_incompatible"
+        assert with_ins == with_total
+        strong.add(with_ins)
+    assert strong == {True, False}
+
+
+def test_weakly_compatible_instrument_pairs():
+    ins = DEV["luders_x_instrument"]
+    v = cp.weakly_compatible(ins, dv.total_channel(ins))
+    assert v.relation == "weakly_compatible_only"
+    v = cp.weakly_compatible(effect(PZ), ins)
+    assert v.relation == "strongly_incompatible"
+    v = cp.weakly_compatible(effect(PX), ins)
+    assert v.relation == "weakly_compatible_only"
+    assert np.allclose(v.witness.common_channel.choi, dv.total_channel(ins).choi, atol=1e-5)
 
 
 def test_hierarchy_never_downgrades():
@@ -445,7 +494,7 @@ def test_hierarchy_never_downgrades():
         ins = rand_instrument(rng, n_out=3)
         op1 = ins.branch_sum(("0",))
         op2 = ins.branch_sum(("0", "1"))
-        v = cp.op_op_compatible(op1, op2)
+        v = cp.classify(op1, op2)
         assert v.relation == "compatible"
 
 
@@ -455,11 +504,11 @@ def test_monotonicity_effect_of_compatible_operation():
         ins = rand_instrument(rng, n_out=3)
         op1 = ins.branch_sum(("0",))
         op2 = ins.branch_sum(("1",))
-        assert cp.op_op_compatible(op1, op2).relation == "compatible"
+        assert cp.classify(op1, op2).relation == "compatible"
         e1 = Effect(op1.heisenberg_unit())
         e2 = Effect(op2.heisenberg_unit())
-        assert cp.op_ef_compatible(op2, e1).relation == "compatible"
-        assert cp.coexistent_effects(e1, e2).relation == "compatible"
+        assert cp.classify(op2, e1).relation == "compatible"
+        assert cp.classify(e1, e2).relation == "compatible"
 
 
 def test_projection_commutation_iff_for_operations():
@@ -471,11 +520,11 @@ def test_projection_commutation_iff_for_operations():
         p = Effect(q @ np.diag([1.0, 0.0]) @ q.conj().T)
         phi = luders_of(p.matrix)
         assert od.commutes_with_range(phi, p)
-        assert cp.op_ef_compatible(phi, p).relation == "compatible"
+        assert cp.classify(phi, p).relation == "compatible"
         # the same operation against a non-commuting projection is incompatible
         if np.linalg.norm(p.matrix @ PX - PX @ p.matrix) > 1e-2:
             assert not od.commutes_with_range(phi, effect(PX))
-            assert cp.op_ef_compatible(phi, effect(PX)).relation != "compatible"
+            assert cp.classify(phi, effect(PX)).relation != "compatible"
 
 
 def test_noncommuting_projection_pairs_never_compatible():
@@ -486,7 +535,7 @@ def test_noncommuting_projection_pairs_never_compatible():
         p = Effect(np.outer(v, v.conj()))
         if np.linalg.norm(p.matrix @ PX - PX @ p.matrix) < 1e-3:
             continue
-        assert cp.coexistent_effects(p, effect(PX)).relation != "compatible"
+        assert cp.classify(p, effect(PX)).relation != "compatible"
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +558,7 @@ def test_engine_agrees_with_construction_on_compatible_pairs():
         ins = rand_instrument(rng, n_out=3, ops_per_branch=1 + k % 2)
         op1 = ins.branch_sum(("0",))
         op2 = ins.branch_sum(("1",)) if k % 2 else ins.branch_sum(("0", "1"))
-        v = cp.op_op_compatible(op1, op2, fast_paths=False)
+        v = cp.classify(op1, op2, fast_paths=False)
         assert v.relation == "compatible"
 
 
@@ -519,16 +568,16 @@ def test_mixed_dimension_pairs():
     ins = rand_instrument(rng, 2, 3, n_out=3)
     op1 = ins.branch_sum(("0",))
     op2 = ins.branch_sum(("1",))
-    v = cp.op_op_compatible(op1, op2)
+    v = cp.classify(op1, op2)
     assert v.relation == "compatible"
     wtol = cp.witness_tolerances(cp.DEFAULT_TOL)
     assert dv.is_part_of(op1, v.witness.instrument, wtol)
     # effect against the same rectangular operation
     e1 = Effect(op1.heisenberg_unit())
-    assert cp.op_ef_compatible(op2, e1).relation == "compatible"
+    assert cp.classify(op2, e1).relation == "compatible"
     # channel vs operation with rectangular dims
     lam = dv.total_channel(ins)
-    assert cp.ch_op_compatible(lam, op1).relation == "compatible"
+    assert cp.classify(lam, op1).relation == "compatible"
 
 
 def test_decider_dimension_mismatches():
@@ -536,19 +585,19 @@ def test_decider_dimension_mismatches():
 
     qutrit_effect = Effect(np.eye(3) / 3)
     with pytest.raises(MatrixShapeError):
-        cp.coexistent_effects(effect(PX), qutrit_effect)
+        cp.classify(effect(PX), qutrit_effect)
     with pytest.raises(MatrixShapeError):
-        cp.op_ef_compatible(DEV["luders_px"], qutrit_effect)
+        cp.classify(DEV["luders_px"], qutrit_effect)
     rng = np.random.default_rng(104)
     other = rand_cpmap(rng, 3, 3)
     with pytest.raises(MatrixShapeError):
-        cp.op_op_compatible(DEV["luders_px"], other)
+        cp.classify(DEV["luders_px"], other)
     with pytest.raises(MatrixShapeError):
-        cp.weakly_compatible_ops(DEV["luders_px"], other)
+        cp.weakly_compatible(DEV["luders_px"], other)
 
 
 def test_kraus_witness_joint():
-    v = cp.op_op_compatible(DEV["luders_px"], CPMap(2, 2, DEV["luders_px"].choi / 2))
+    v = cp.classify(DEV["luders_px"], CPMap(2, 2, DEV["luders_px"].choi / 2))
     cert = cp.kraus_witness(v)
     assert cert.kind == "joint"
     from qcompat.matkit import hermitian_basis
@@ -563,7 +612,7 @@ def test_kraus_witness_joint():
 
 
 def test_kraus_witness_paired_weak():
-    v = cp.op_op_compatible(DEV["luders_px"], DEV["half_sigma_x"])
+    v = cp.classify(DEV["luders_px"], DEV["half_sigma_x"])
     cert = cp.kraus_witness(v)
     assert cert.kind == "paired"
     assert len(cert.k_ops) == len(cert.l_ops)
@@ -581,10 +630,27 @@ def test_kraus_witness_paired_weak():
 
 def test_kraus_witness_null_operation():
     null = CPMap(2, 2, np.zeros((4, 4)))
-    v = cp.op_op_compatible(null, DEV["luders_px"])
+    v = cp.classify(null, DEV["luders_px"])
     assert v.relation == "compatible"
     cert = cp.kraus_witness(v)
     assert cert.j1 == ()
+
+
+def test_kraus_witness_rejects_wrong_subset():
+    # a certificate whose index subset realizes the other device is refused
+    import dataclasses
+
+    v = cp.classify(DEV["luders_px"], CPMap(2, 2, DEV["luders_px"].choi / 2))
+    cert = cp.kraus_witness(v)
+    bad = dataclasses.replace(cert, j1=cert.j2)
+    wtol = cp.witness_tolerances(cp.DEFAULT_TOL)
+    with pytest.raises(cp.WitnessValidationError):
+        cp._validate_certificate(bad, v.witness, wtol)
+    weak = cp.classify(DEV["luders_px"], DEV["half_sigma_x"])
+    cert = cp.kraus_witness(weak)
+    bad = dataclasses.replace(cert, j1=())
+    with pytest.raises(cp.WitnessValidationError):
+        cp._validate_certificate(bad, weak.witness, wtol)
 
 
 def test_kraus_witness_requires_witness():
@@ -599,7 +665,7 @@ def test_kraus_witness_requires_witness():
 
 
 def test_classify_fuzz_never_crashes():
-    # random mixed-type pairs: classification must always produce a
+    # random pairs of all five kinds: classification must always produce a
     # verdict, never an internal error, and stay order-symmetric
     rng = np.random.default_rng(424242)
     from conftest import rand_observable
@@ -611,9 +677,11 @@ def test_classify_fuzz_never_crashes():
             return rand_observable(rng, 2, int(rng.integers(2, 4)))
         if kind == "operation":
             return rand_cpmap(rng, 2, 2, n_ops=int(rng.integers(1, 3)))
-        return rand_cpmap(rng, 2, 2, n_ops=2, channel=True)
+        if kind == "channel":
+            return rand_cpmap(rng, 2, 2, n_ops=2, channel=True)
+        return rand_instrument(rng, n_out=int(rng.integers(2, 4)))
 
-    kinds = ("effect", "observable", "operation", "channel")
+    kinds = ("effect", "observable", "operation", "channel", "instrument")
     for trial in range(24):
         k1, k2 = rng.choice(kinds), rng.choice(kinds)
         d1, d2 = rand_device(k1), rand_device(k2)
@@ -629,7 +697,7 @@ def test_classify_fuzz_never_crashes():
 def test_ancilla_verification_compatible_pair():
     from qcompat import dilation as dl
 
-    v = cp.op_ef_compatible(DEV["luders_pz"], effect(PZ))
+    v = cp.classify(DEV["luders_pz"], effect(PZ))
     report = dl.verify_ancilla_characterization(DEV["luders_pz"], effect(PZ), v)
     assert report.coexistence_relation == "compatible"
 
@@ -637,7 +705,7 @@ def test_ancilla_verification_compatible_pair():
 def test_ancilla_verification_weak_pair():
     from qcompat import dilation as dl
 
-    v = cp.op_op_compatible(DEV["luders_px"], DEV["half_sigma_x"])
+    v = cp.classify(DEV["luders_px"], DEV["half_sigma_x"])
     report = dl.verify_ancilla_characterization(DEV["luders_px"], DEV["half_sigma_x"], v)
     assert report.coexistence_relation is None
     assert report.effect_1.dim == report.dilation.ancilla_dim
@@ -648,7 +716,7 @@ def test_ancilla_verification_comparable_pair():
 
     phi = DEV["luders_px"]
     half = CPMap(2, 2, phi.choi / 2)
-    v = cp.op_op_compatible(phi, half)
+    v = cp.classify(phi, half)
     report = dl.verify_ancilla_characterization(phi, half, v)
     # on the ancilla, the half map shows up as half the effect of the full map
     assert np.allclose(report.effect_2.matrix, report.effect_1.matrix / 2, atol=1e-6)
@@ -658,6 +726,6 @@ def test_ancilla_verification_equal_maps():
     from qcompat import dilation as dl
 
     phi = DEV["luders_px"]
-    v = cp.op_op_compatible(phi, phi)
+    v = cp.classify(phi, phi)
     report = dl.verify_ancilla_characterization(phi, phi, v)
     assert np.allclose(report.effect_1.matrix, report.effect_2.matrix, atol=1e-6)
