@@ -144,7 +144,9 @@ class _Layout:
     sides: list[int]
     offsets: list[int]
     total: int
-    groups: list[tuple[int, list[int]]]  # (side, block indices), for batched eigh
+    # (side, gather) in ascending side order; gather is the (n_blocks, side**2)
+    # array of the coordinate indices of that side's blocks
+    groups: list[tuple[int, np.ndarray]]
 
     @classmethod
     def of(cls, problem: FeasibilityProblem) -> "_Layout":
@@ -155,9 +157,12 @@ class _Layout:
             offsets.append(run)
             run += d * d
         by_side: dict[int, list[int]] = {}
-        for i, d in enumerate(sides):
-            by_side.setdefault(d, []).append(i)
-        groups = sorted(by_side.items())
+        for o, d in zip(offsets, sides):
+            by_side.setdefault(d, []).append(o)
+        groups = [
+            (d, np.array(starts)[:, None] + np.arange(d * d))
+            for d, starts in sorted(by_side.items())
+        ]
         return cls(names, sides, offsets, run, groups)
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
@@ -186,21 +191,25 @@ def _assemble(problem: FeasibilityProblem, layout: _Layout):
 def _project_cone(x: np.ndarray, layout: _Layout, shift: float):
     """Project onto the product of shifted cones {X >= shift*I}.
 
-    Blocks of equal side are stacked for one batched eigendecomposition.
+    Blocks of equal side are read and written through their group's
+    gather; each group of side > 1 takes one batched eigendecomposition,
+    and 1x1 blocks, being their own eigenvalue, are clamped directly.
     Returns the projected coordinates and the Frobenius distance moved.
     """
     out = np.empty_like(x)
     dist_sq = 0.0
-    for d, idxs in layout.groups:
-        rows = np.stack([x[layout.offsets[i] : layout.offsets[i] + d * d] for i in idxs])
-        stack = herm_stack_from_coords(rows, d)
-        evals, evecs = np.linalg.eigh(stack)
+    for d, gather in layout.groups:
+        rows = x[gather]
+        if d == 1:
+            clamped = np.maximum(rows, shift)
+            dist_sq += float(np.sum((clamped - rows) ** 2))
+            out[gather] = clamped
+            continue
+        evals, evecs = np.linalg.eigh(herm_stack_from_coords(rows, d))
         clamped = np.maximum(evals, shift)
         dist_sq += float(np.sum((clamped - evals) ** 2))
         rebuilt = (evecs * clamped[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-        coords = herm_stack_coords(rebuilt)
-        for t, i in enumerate(idxs):
-            out[layout.offsets[i] : layout.offsets[i] + d * d] = coords[t]
+        out[gather] = herm_stack_coords(rebuilt)
     return out, np.sqrt(dist_sq)
 
 
@@ -488,8 +497,9 @@ def _solve_full(
         last_res = float("inf")
         for it in range(1, budget + 1):
             iterations += 1
-            y, _ = _project_cone(x + p, layout, shift)
-            p = x + p - y
+            z = x + p
+            y, _ = _project_cone(z, layout, shift)
+            p = z - y
             x = proj_affine(y)
             if it % check_every == 0 or it == budget:
                 res_y = float(np.linalg.norm(a @ y - b))

@@ -240,25 +240,45 @@ def coord_matrix(linear, d: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+_PACK_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _pack_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables that pack side-d Hermitian stacks, cached per d.
+
+    ``unpack`` maps each row-major matrix entry to its position in
+    ``[diag, upper, conj(upper)]``; ``pack`` maps each coordinate to its
+    position in the float view of the flattened matrix; ``scale`` weights
+    the coordinates (1 on the diagonal, sqrt(2) off it).
+    """
+    if d not in _PACK_CACHE:
+        iu, ju = _triu(d)
+        n_off = len(iu)
+        unpack = np.empty((d, d), dtype=np.intp)
+        unpack[np.arange(d), np.arange(d)] = np.arange(d)
+        unpack[iu, ju] = d + np.arange(n_off)
+        unpack[ju, iu] = d + n_off + np.arange(n_off)
+        diag = np.arange(d) * (d + 1)
+        upper = iu * d + ju
+        pack = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+        scale = np.concatenate([np.ones(d), np.full(2 * n_off, np.sqrt(2.0))])
+        _PACK_CACHE[d] = (unpack.ravel(), pack, scale)
+    return _PACK_CACHE[d]
+
+
 def herm_stack_coords(stack: np.ndarray) -> np.ndarray:
     """Row-wise :func:`herm_coords` of a (n, d, d) Hermitian stack."""
     n, d, _ = stack.shape
-    iu = _triu(d)
-    r2 = np.sqrt(2.0)
-    diag = np.einsum("nii->ni", stack).real
-    off = stack[:, iu[0], iu[1]]
-    return np.concatenate([diag, r2 * off.real, r2 * off.imag], axis=1)
+    _, pack, scale = _pack_tables(d)
+    flat = np.ascontiguousarray(stack, dtype=complex).reshape(n, d * d).view(float)
+    return flat[:, pack] * scale
 
 
 def herm_stack_from_coords(x: np.ndarray, d: int) -> np.ndarray:
     """Row-wise :func:`herm_from_coords` of (n, d*d) coordinate rows."""
     n = x.shape[0]
     n_off = d * (d - 1) // 2
-    iu = _triu(d)
-    r2 = np.sqrt(2.0)
-    h = np.zeros((n, d, d), dtype=complex)
-    h[:, iu[0], iu[1]] = (x[:, d : d + n_off] + 1j * x[:, d + n_off :]) / r2
-    h = h + h.conj().swapaxes(-1, -2)
-    idx = np.arange(d)
-    h[:, idx, idx] = x[:, :d]
-    return h
+    unpack, _, _ = _pack_tables(d)
+    upper = (x[:, d : d + n_off] + 1j * x[:, d + n_off :]) / np.sqrt(2.0)
+    vals = np.concatenate([x[:, :d], upper, upper.conj()], axis=1)
+    return vals[:, unpack].reshape(n, d, d)

@@ -213,6 +213,27 @@ def test_herm_coords_roundtrip_isometry(d, seed):
     assert np.linalg.norm(back - h) <= 1e-12 * (1 + np.linalg.norm(h))
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_herm_stack_packers_equal_rowwise(d, seed):
+    # the stack packers give the same bits as the one-matrix reference
+    rng = np.random.default_rng([d, seed])
+    n = 5
+    rows = rng.standard_normal((n, d * d))
+    stack = mk.herm_stack_from_coords(rows, d)
+    assert stack.shape == (n, d, d)
+    for row, h in zip(rows, stack):
+        assert np.array_equal(h, mk.herm_from_coords(row, d))
+    herms = np.stack([rand_herm(rng, d) for _ in range(n)])
+    coords = mk.herm_stack_coords(herms)
+    assert coords.shape == (n, d * d)
+    for h, x in zip(herms, coords):
+        assert np.array_equal(x, mk.herm_coords(h))
+    back = mk.herm_stack_coords(stack)
+    assert np.array_equal(back, np.stack([mk.herm_coords(h) for h in stack]))
+    assert np.linalg.norm(back - rows) <= 1e-12 * (1 + np.linalg.norm(rows))
+
+
 def test_tolerances_defaults_and_validation():
     tol = mk.Tolerances()
     assert tol.eq_tol == 1e-9 and tol.psd_tol == 1e-9 and tol.feas_tol == 1e-7
