@@ -39,7 +39,7 @@ class NonMinimalDilationError(ValueError):
 
 
 class TotalMismatchError(ValueError):
-    """Instrument total differs from the dilated channel."""
+    """Instruments, or an instrument and a channel, differ in their total channel."""
 
 
 @dataclass(frozen=True, eq=False)

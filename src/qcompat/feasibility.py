@@ -1,12 +1,13 @@
 """Deterministic PSD-feasibility engine over stacked Hermitian blocks.
 
 A problem asks for Hermitian PSD blocks satisfying affine constraints.
-Both compatibility questions reduce to this one. The solver runs
-Dykstra's alternating projections between the affine set and the
-product-PSD cone; when that fails it estimates the best achievable
-minimum eigenvalue over the affine set (the margin) by bisecting on a
-cone shift, and only then declares infeasibility. Honest "undecided"
-is a first-class verdict.
+Both compatibility questions reduce to this one. The solver runs one
+Dykstra alternating projection between the affine set and the
+product-PSD cone. A feasible verdict carries a witness; an infeasible
+one carries a checked Farkas certificate, read off the iterate gap,
+whose value bounds the best achievable minimum eigenvalue over the
+affine set (the margin) from above. Without either, the verdict is an
+honest "undecided".
 
 Blocks are parametrized by their real degrees of freedom (diagonal plus
 weighted upper triangle) so the affine projection is a real
@@ -72,10 +73,11 @@ class FeasibilityProblem:
 
 @dataclass(frozen=True)
 class FeasibilityOutcome:
-    """Solver verdict with either a witness or a margin estimate.
+    """Solver verdict with either a witness or a margin bound.
 
-    ``margin`` estimates the supremum over the affine set of the minimum
-    block eigenvalue; it is present exactly when no witness was found.
+    ``margin`` is a certified upper bound on the supremum over the affine
+    set of the minimum block eigenvalue (``inf`` when no certificate was
+    found); it is present exactly when no witness was found.
     ``affine_inconsistent`` marks problems whose affine part alone has
     no solution.
     """
@@ -188,54 +190,77 @@ def _assemble(problem: FeasibilityProblem, layout: _Layout):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def _project_cone(x: np.ndarray, layout: _Layout, shift: float):
-    """Project onto the product of shifted cones {X >= shift*I}.
+def _project_cone(x: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Project onto the product of PSD cones.
 
     Blocks of equal side are read and written through their group's
     gather; each group of side > 1 takes one batched eigendecomposition,
     and 1x1 blocks, being their own eigenvalue, are clamped directly.
-    Returns the projected coordinates and the Frobenius distance moved.
     """
     out = np.empty_like(x)
-    dist_sq = 0.0
     for d, gather in layout.groups:
         rows = x[gather]
         if d == 1:
-            clamped = np.maximum(rows, shift)
-            dist_sq += float(np.sum((clamped - rows) ** 2))
-            out[gather] = clamped
+            out[gather] = np.maximum(rows, 0.0)
             continue
         evals, evecs = np.linalg.eigh(herm_stack_from_coords(rows, d))
-        clamped = np.maximum(evals, shift)
-        dist_sq += float(np.sum((clamped - evals) ** 2))
+        clamped = np.maximum(evals, 0.0)
         rebuilt = (evecs * clamped[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
         out[gather] = herm_stack_coords(rebuilt)
-    return out, np.sqrt(dist_sq)
+    return out
+
+
+def _certificate_bound(v: np.ndarray, layout: _Layout, gram: np.ndarray, x0: np.ndarray):
+    """Upper bound on the minimum block eigenvalue over the affine set, or None.
+
+    ``z = gram @ v`` lies in the row space of the constraints, so
+    <X, z> = <x0, z> for every affine X. When z is PSD blockwise,
+    <X, z> >= min eig(X) * <e, z> with e the all-blocks identity, hence
+    min eig(X) <= <x0, z> / <e, z>. A z with a negative eigenvalue mu is
+    shifted to z - mu*e, which stays in the row space exactly when the
+    total trace is fixed on the affine set (gram @ e = e). A bound below
+    zero is a Farkas certificate of infeasibility.
+    """
+    z = gram @ v
+    mu = float("inf")
+    for d, gather in layout.groups:
+        rows = z[gather]
+        evals = rows if d == 1 else np.linalg.eigvalsh(herm_stack_from_coords(rows, d))
+        mu = min(mu, float(evals.min()))
+    e = np.zeros(layout.total)
+    for o, d in zip(layout.offsets, layout.sides):
+        e[o : o + d] = 1.0  # the diagonal coordinates come first
+    if mu < 0:
+        if np.linalg.norm(gram @ e - e) > 1e-9 * np.linalg.norm(e):
+            return None
+        z = z - mu * e
+    weight = float(e @ z)
+    if weight <= 0:
+        return None
+    return float(x0 @ z) / weight
 
 
 _POLISH_THRESHOLDS = (0.5, 0.2, 0.1, 0.05, 0.02, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
-def _restricted_solve(z, profile, layout, a, b, shift):
+def _restricted_solve(z, profile, layout, a, b):
     """One face-restricted least-squares step from the face suggested by z.
 
     Returns the clamped candidate point and its residual.
     """
     pieces = []
     bases = []
-    base = np.zeros(layout.total)
     for o, d, r in zip(layout.offsets, layout.sides, profile):
         h = herm_from_coords(z[o : o + d * d], d)
         evals, evecs = np.linalg.eigh(h)
         basis = evecs[:, np.argsort(evals)[::-1][:r]]
         bases.append(basis)
-        base[o : o + d * d] = herm_coords(shift * np.eye(d))
         piece = np.zeros((layout.total, r * r))
         piece[o : o + d * d] = _embedding_matrix(basis)
         pieces.append(piece)
     t_mat = np.hstack(pieces)
-    z_sol, _, _, _ = np.linalg.lstsq(a @ t_mat, b - a @ base, rcond=None)
-    x = base.copy()
+    z_sol, _, _, _ = np.linalg.lstsq(a @ t_mat, b, rcond=None)
+    x = np.zeros(layout.total)
     pos = 0
     for o, d, basis, r in zip(layout.offsets, layout.sides, bases, profile):
         zb = herm_from_coords(z_sol[pos : pos + r * r], r)
@@ -252,7 +277,6 @@ def _face_polish(
     a: np.ndarray,
     b: np.ndarray,
     proj_affine,
-    shift: float,
     tol: Tolerances,
     max_rounds: int = 50,
 ):
@@ -273,7 +297,7 @@ def _face_polish(
     seen: set[tuple[int, ...]] = set()
     for tau in _POLISH_THRESHOLDS:
         profile = tuple(
-            max(int(np.sum(evals > shift + tau)), 1) for evals in spectra
+            max(int(np.sum(evals > tau)), 1) for evals in spectra
         )
         if profile in seen or all(r == d for r, d in zip(profile, layout.sides)):
             continue
@@ -284,7 +308,7 @@ def _face_polish(
         prev = float("inf")
         stagnant = 0
         for _ in range(max_rounds):
-            x, residual = _restricted_solve(z, profile, layout, a, b, shift)
+            x, residual = _restricted_solve(z, profile, layout, a, b)
             if residual <= tol.feas_tol:
                 return x, residual
             if residual > 0.9 * prev:
@@ -402,22 +426,21 @@ def solve(
     tol: Tolerances = DEFAULT_TOL,
     max_iter: int = 50_000,
     *,
-    probe_iter: int = 800,
-    margin_steps: int = 40,
-    margin_resolution: float = 5e-3,
     trace: Callable[[str], None] | None = None,
 ) -> FeasibilityOutcome:
     """Decide feasibility of a stacked-PSD problem.
 
     A facial-reduction pass first shrinks each block to the support
     allowed by positive sum constraints. Then, from the affine
-    projection of zero, Dykstra's alternating projections run until the
-    residual certifies a witness or the iterate gap stalls; failing
-    that, the margin is bracketed by bisection on the cone shift.
-    ``margin_steps`` bounds the bisection; it stops early once the
-    verdict is settled and the bracket is narrower than
-    ``margin_resolution`` times the initial window. All schedules are
-    fixed and deterministic.
+    projection of zero, one Dykstra run of at most ``max_iter``
+    iterations alternates between the affine set and the cone. Every 25
+    iterations it checks for a witness (the cone iterate, the cone
+    projection of the affine iterate, or, every 200, a face polish) and,
+    while the iterate gap stays open, for a Farkas certificate read off
+    that gap (see ``_certificate_bound``). A certified margin below
+    ``-feas_tol`` is an infeasible verdict; a spent budget is undecided,
+    with the best certified margin. The schedule is fixed and
+    deterministic.
     """
     reduction = _reduce_problem(problem, tol)
     if reduction == "inconsistent":
@@ -426,11 +449,7 @@ def solve(
         )
     if reduction is not None:
         reduced, bases, sides = reduction
-        out = _solve_full(
-            reduced, tol, max_iter,
-            probe_iter=probe_iter, margin_steps=margin_steps,
-            margin_resolution=margin_resolution, trace=trace,
-        )
+        out = _solve_full(reduced, tol, max_iter, trace=trace)
         if out.witness is None:
             return out
         witness = {}
@@ -447,11 +466,7 @@ def solve(
         return FeasibilityOutcome(
             out.verdict, witness, out.margin, out.residual, out.iterations
         )
-    return _solve_full(
-        problem, tol, max_iter,
-        probe_iter=probe_iter, margin_steps=margin_steps,
-        margin_resolution=margin_resolution, trace=trace,
-    )
+    return _solve_full(problem, tol, max_iter, trace=trace)
 
 
 def _solve_full(
@@ -459,14 +474,10 @@ def _solve_full(
     tol: Tolerances = DEFAULT_TOL,
     max_iter: int = 50_000,
     *,
-    probe_iter: int = 800,
-    margin_steps: int = 40,
-    margin_resolution: float = 5e-3,
     trace: Callable[[str], None] | None = None,
 ) -> FeasibilityOutcome:
     layout = _Layout.of(problem)
     a, b = _assemble(problem, layout)
-    iterations = 0
 
     if a.shape[0] == 0:
         # no constraints: zero blocks are a witness
@@ -487,89 +498,47 @@ def _solve_full(
     def proj_affine(x: np.ndarray) -> np.ndarray:
         return x - gram @ x + x0
 
-    def run_dykstra(shift: float, budget: int):
-        """Returns (witness | None, last residual, iterations used)."""
-        nonlocal iterations
-        x = x0.copy()
-        p = np.zeros_like(x)
-        gap_prev, flat = None, 0
-        check_every = 25
-        last_res = float("inf")
-        for it in range(1, budget + 1):
-            iterations += 1
-            z = x + p
-            y, _ = _project_cone(z, layout, shift)
-            p = z - y
-            x = proj_affine(y)
-            if it % check_every == 0 or it == budget:
-                res_y = float(np.linalg.norm(a @ y - b))
-                cone_x, _ = _project_cone(x, layout, shift)
-                res_cx = float(np.linalg.norm(a @ cone_x - b))
-                last_res = min(res_y, res_cx)
-                gap = float(np.linalg.norm(y - x))
+    def feasible(point: np.ndarray, residual: float, it: int) -> FeasibilityOutcome:
+        witness = {n: hermitian_part(m) for n, m in zip(layout.names, layout.split(point))}
+        return FeasibilityOutcome("feasible", witness, None, residual, it)
+
+    x = x0.copy()
+    p = np.zeros_like(x)
+    margin = float("inf")
+    residual = float("inf")
+    for it in range(1, max_iter + 1):
+        z = x + p
+        y = _project_cone(z, layout)
+        p = z - y
+        x = proj_affine(y)
+        if it % 25 and it != max_iter:
+            continue
+        res_y = float(np.linalg.norm(a @ y - b))
+        cone_x = _project_cone(x, layout)
+        res_cx = float(np.linalg.norm(a @ cone_x - b))
+        residual = min(res_y, res_cx)
+        gap = float(np.linalg.norm(y - x))
+        if trace:
+            trace(f"iter={it} shift=+0.000e+00 residual={residual:.3e} gap={gap:.3e}")
+        if res_y <= tol.feas_tol:
+            return feasible(y, res_y, it)
+        if res_cx <= tol.feas_tol:
+            return feasible(cone_x, res_cx, it)
+        if it % 200 == 0 or it == max_iter:
+            polished = _face_polish(y, layout, a, b, proj_affine, tol)
+            if polished is not None:
                 if trace:
                     trace(
-                        f"iter={it} shift={shift:+.3e} residual={last_res:.3e} gap={gap:.3e}"
+                        f"iter={it} shift=+0.000e+00 "
+                        f"face-polish residual={polished[1]:.3e}"
                     )
-                if res_y <= tol.feas_tol:
-                    return layout.split(y), res_y, it
-                if res_cx <= tol.feas_tol:
-                    return layout.split(cone_x), res_cx, it
-                if it % 200 == 0 or it == budget:
-                    polished = _face_polish(y, layout, a, b, proj_affine, shift, tol)
-                    if polished is not None:
-                        if trace:
-                            trace(
-                                f"iter={it} shift={shift:+.3e} "
-                                f"face-polish residual={polished[1]:.3e}"
-                            )
-                        return layout.split(polished[0]), polished[1], it
-                # infeasible-set gaps approach a positive limit geometrically;
-                # a persistently flat gap well above feas_tol means stall
-                if gap_prev is not None and gap > max(10 * tol.feas_tol, 1e-6):
-                    if abs(gap - gap_prev) <= 1e-3 * gap:
-                        flat += 1
-                        if flat >= 4:
-                            return None, last_res, it
-                    else:
-                        flat = 0
-                gap_prev = gap
-        return None, last_res, budget
-
-    witness_blocks, residual, _ = run_dykstra(0.0, max_iter)
-    if witness_blocks is not None:
-        witness = {
-            n: hermitian_part(m) for n, m in zip(layout.names, witness_blocks)
-        }
-        return FeasibilityOutcome("feasible", witness, None, residual, iterations)
-
-    # margin estimation: bisection on the cone shift
-    max_rhs = 0.0
-    for c in problem.constraints:
-        max_rhs = max(max_rhs, float(np.linalg.norm(c.rhs)))
-    lo, hi = -1.0 - max_rhs, 1.0
-    width0 = hi - lo
-
-    ok, res_lo, _ = run_dykstra(lo, probe_iter)
-    if ok is None:
-        if trace:
-            trace(f"bisect: infeasible at window floor {lo:.6f}")
-        return FeasibilityOutcome("infeasible", None, lo, res_lo, iterations)
-
-    for step in range(margin_steps):
-        decided = hi < -tol.feas_tol or lo >= -tol.feas_tol
-        if decided and (hi - lo) <= margin_resolution * width0:
-            break
-        mid = 0.5 * (lo + hi)
-        ok, _, _ = run_dykstra(mid, probe_iter)
-        if ok is not None:
-            lo = mid
-        else:
-            hi = mid
-        if trace:
-            trace(f"bisect step={step} lo={lo:.9f} hi={hi:.9f}")
-
-    margin = 0.5 * (lo + hi)
-    verdict = "infeasible" if hi < -tol.feas_tol else "undecided"
-    return FeasibilityOutcome(verdict, None, margin, residual, iterations)
-
+                return feasible(polished[0], polished[1], it)
+        # the gap of disjoint sets tends to their minimal displacement,
+        # the direction a Farkas certificate needs
+        if gap > max(10 * tol.feas_tol, 1e-6):
+            bound = _certificate_bound(y - x, layout, gram, x0)
+            if bound is not None and bound < margin:
+                margin = bound
+                if margin < -tol.feas_tol:
+                    return FeasibilityOutcome("infeasible", None, margin, residual, it)
+    return FeasibilityOutcome("undecided", None, margin, residual, max_iter)

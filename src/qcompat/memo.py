@@ -25,7 +25,7 @@ from .devices import (
     is_part_of,
     total_channel,
 )
-from .dilation import minimal_stinespring, rn_observable
+from .dilation import TotalMismatchError, minimal_stinespring, rn_observable
 from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
@@ -40,10 +40,6 @@ from .matkit import (
 
 class ModelSynthesisError(AssertionError):
     """A synthesized model failed to reproduce its instrument."""
-
-
-class TotalMismatchError(ValueError):
-    """Instruments do not share a total channel."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -206,6 +206,17 @@ def test_shared_model_pair_rejects_different_totals():
         mm.shared_model_pair(i1, i2)
 
 
+def test_shared_model_pair_mismatch_is_the_dilation_error():
+    # one error class: catching dilation's also catches shared_model_pair's
+    from qcompat import dilation as dl
+
+    rng = np.random.default_rng(121)
+    i1 = rand_instrument(rng, n_out=2)
+    i2 = rand_instrument(rng, n_out=2)
+    with pytest.raises(dl.TotalMismatchError):
+        mm.shared_model_pair(i1, i2)
+
+
 def test_model_validation_errors():
     rng = np.random.default_rng(123)
     eta = rand_state(rng, 2)
