@@ -40,6 +40,7 @@ from .matkit import (
     mat_sqrt,
 )
 from .order import (
+    RankConditionError,
     commutes_with_range,
     cp_leq,
     is_contraction_channel,
@@ -47,7 +48,6 @@ from .order import (
     is_trivial_effect,
     pure_pair_compatible,
     rank1_upper_channels_equal,
-    trace_deficit,
 )
 
 
@@ -589,11 +589,10 @@ def _weak_cp_order(p: _Pair):
 
 def _rank1_family(p: _Pair):
     """Rank-1 trace deficits: intersect the two one-parameter channel families."""
-    ranks = [int(np.sum(np.linalg.eigvalsh(trace_deficit(f)) > p.tol.psd_tol))
-             for f in (p.d1, p.d2)]
-    if max(ranks) > 1:
+    try:
+        overlap = rank1_upper_channels_equal(p.d1, p.d2, p.tol)
+    except RankConditionError:
         return None
-    overlap = rank1_upper_channels_equal(p.d1, p.d2, p.tol)
     if overlap.equal:
         return _weak_verdict(p, {}, overlap.channel.choi, "fast-path: rank1-family", p.tol)
     sep = "separating state found" if overlap.separating_state is not None else overlap.reason

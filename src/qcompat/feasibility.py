@@ -9,6 +9,11 @@ whose value bounds the best achievable minimum eigenvalue over the
 affine set (the margin) from above. Without either, the verdict is an
 honest "undecided".
 
+Facial reduction and the face polish share one face map: each block is
+restricted to a face {U Z U*} of its cone by one isometric embedding of
+coordinates, the constraints are composed with it, and points found on
+the faces are lifted back through it.
+
 Blocks are parametrized by their real degrees of freedom (diagonal plus
 weighted upper triangle) so the affine projection is a real
 least-squares problem.
@@ -151,9 +156,10 @@ class _Layout:
     groups: list[tuple[int, np.ndarray]]
 
     @classmethod
-    def of(cls, problem: FeasibilityProblem) -> "_Layout":
-        names = [n for n, _ in problem.blocks]
-        sides = [d for _, d in problem.blocks]
+    def of(cls, blocks) -> "_Layout":
+        """Layout of (name, side) blocks, stacked in the given order."""
+        names = [n for n, _ in blocks]
+        sides = [d for _, d in blocks]
         offsets, run = [], 0
         for d in sides:
             offsets.append(run)
@@ -171,6 +177,29 @@ class _Layout:
         return [
             herm_from_coords(x[o : o + d * d], d) for o, d in zip(self.offsets, self.sides)
         ]
+
+
+def _face_map(layout: _Layout, bases) -> tuple[np.ndarray, _Layout]:
+    """Embedding of the face {U Z U*} of each block, and the face's layout.
+
+    ``bases`` holds one support basis U per block of ``layout``: None
+    keeps the block whole, and a basis with no columns pins the block to
+    zero (it gets no face coordinates). The returned real matrix maps
+    face coordinates to ``layout`` coordinates; it is an isometry, since
+    Z -> U Z U* preserves the Frobenius norm for orthonormal columns.
+    """
+    kept = [
+        (n, o, d, u)
+        for n, o, d, u in zip(layout.names, layout.offsets, layout.sides, bases)
+        if u is None or u.shape[1]
+    ]
+    face = _Layout.of([(n, d if u is None else u.shape[1]) for n, _, d, u in kept])
+    embed = np.zeros((layout.total, face.total))
+    for (_, o, d, u), fo, r in zip(kept, face.offsets, face.sides):
+        embed[o : o + d * d, fo : fo + r * r] = (
+            np.eye(d * d) if u is None else coord_matrix(lambda z: u @ z @ u.conj().T, r)
+        )
+    return embed, face
 
 
 def _assemble(problem: FeasibilityProblem, layout: _Layout):
@@ -248,26 +277,13 @@ def _restricted_solve(z, profile, layout, a, b):
 
     Returns the clamped candidate point and its residual.
     """
-    pieces = []
     bases = []
-    for o, d, r in zip(layout.offsets, layout.sides, profile):
-        h = herm_from_coords(z[o : o + d * d], d)
-        evals, evecs = np.linalg.eigh(h)
-        basis = evecs[:, np.argsort(evals)[::-1][:r]]
-        bases.append(basis)
-        piece = np.zeros((layout.total, r * r))
-        piece[o : o + d * d] = _embedding_matrix(basis)
-        pieces.append(piece)
-    t_mat = np.hstack(pieces)
-    z_sol, _, _, _ = np.linalg.lstsq(a @ t_mat, b, rcond=None)
-    x = np.zeros(layout.total)
-    pos = 0
-    for o, d, basis, r in zip(layout.offsets, layout.sides, bases, profile):
-        zb = herm_from_coords(z_sol[pos : pos + r * r], r)
-        pos += r * r
-        evals, evecs = np.linalg.eigh(zb)
-        zb = (evecs * np.maximum(evals, 0.0)) @ evecs.conj().T
-        x[o : o + d * d] += herm_coords(basis @ zb @ basis.conj().T)
+    for block, r in zip(layout.split(z), profile):
+        evals, evecs = np.linalg.eigh(block)
+        bases.append(evecs[:, np.argsort(evals)[::-1][:r]])
+    embed, face = _face_map(layout, bases)
+    z_sol, _, _, _ = np.linalg.lstsq(a @ embed, b, rcond=None)
+    x = embed @ _project_cone(z_sol, face)
     return x, float(np.linalg.norm(a @ x - b))
 
 
@@ -290,10 +306,7 @@ def _face_polish(
     right profile the residual collapses at a linear rate. Candidates
     are gated on their true residual, so wrong profiles are no-ops.
     """
-    spectra = []
-    for o, d in zip(layout.offsets, layout.sides):
-        h = herm_from_coords(y[o : o + d * d], d)
-        spectra.append(np.linalg.eigvalsh(h))
+    spectra = [np.linalg.eigvalsh(h) for h in layout.split(y)]
     seen: set[tuple[int, ...]] = set()
     for tau in _POLISH_THRESHOLDS:
         profile = tuple(
@@ -374,53 +387,6 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
     }
 
 
-def _embedding_matrix(basis: np.ndarray) -> np.ndarray:
-    """Real coordinate map of Z -> U Z U* for a support basis U."""
-    return coord_matrix(lambda z: basis @ z @ basis.conj().T, basis.shape[1])
-
-
-def _reduce_problem(problem: FeasibilityProblem, tol: Tolerances):
-    """Rewrite the problem on support-reduced blocks, if any bound bites.
-
-    Returns (reduced problem, per-block bases) or None. Blocks whose
-    support collapses entirely are pinned to zero and dropped.
-    """
-    bounds = _support_bounds(problem, tol)
-    if not bounds:
-        return None
-    sides = dict(problem.blocks)
-    bases = {name: bounds.get(name) for name, _ in problem.blocks}
-    new_blocks = []
-    embeddings: dict[str, np.ndarray] = {}
-    for name, d in problem.blocks:
-        basis = bases[name]
-        if basis is None:
-            new_blocks.append((name, d))
-        elif basis.shape[1] == 0:
-            continue  # block pinned to zero
-        else:
-            new_blocks.append((name, basis.shape[1]))
-            embeddings[name] = _embedding_matrix(basis)
-    alive = {n for n, _ in new_blocks}
-    new_constraints = []
-    for c in problem.constraints:
-        terms = []
-        for name, mat in c.terms:
-            if name not in alive:
-                continue
-            if name in embeddings:
-                terms.append((name, mat @ embeddings[name]))
-            else:
-                terms.append((name, mat))
-        if not terms:
-            if float(np.linalg.norm(c.rhs)) > tol.feas_tol:
-                return "inconsistent"
-            continue
-        new_constraints.append(AffineConstraint(tuple(terms), c.rhs, c.label))
-    reduced = FeasibilityProblem(tuple(new_blocks), tuple(new_constraints))
-    return reduced, bases, sides
-
-
 def solve(
     problem: FeasibilityProblem,
     tol: Tolerances = DEFAULT_TOL,
@@ -430,59 +396,27 @@ def solve(
 ) -> FeasibilityOutcome:
     """Decide feasibility of a stacked-PSD problem.
 
-    A facial-reduction pass first shrinks each block to the support
-    allowed by positive sum constraints. Then, from the affine
-    projection of zero, one Dykstra run of at most ``max_iter``
-    iterations alternates between the affine set and the cone. Every 25
-    iterations it checks for a witness (the cone iterate, the cone
-    projection of the affine iterate, or, every 200, a face polish) and,
-    while the iterate gap stays open, for a Farkas certificate read off
-    that gap (see ``_certificate_bound``). A certified margin below
+    Facial reduction first restricts each block to the support allowed
+    by positive sum constraints: the constraints are composed with the
+    face map of ``_face_map`` and the search runs in face coordinates.
+    Then, from the affine projection of zero, one Dykstra run of at most
+    ``max_iter`` iterations alternates between the affine set and the
+    cone. Every 25 iterations it checks for a witness (the cone iterate,
+    the cone projection of the affine iterate, or, every 200, a face
+    polish, which restricts to faces through the same map) and, while
+    the iterate gap stays open, for a Farkas certificate read off that
+    gap (see ``_certificate_bound``). A certified margin below
     ``-feas_tol`` is an infeasible verdict; a spent budget is undecided,
     with the best certified margin. The schedule is fixed and
     deterministic.
     """
-    reduction = _reduce_problem(problem, tol)
-    if reduction == "inconsistent":
-        return FeasibilityOutcome(
-            "infeasible", None, float("-inf"), float("inf"), 0, affine_inconsistent=True
-        )
-    if reduction is not None:
-        reduced, bases, sides = reduction
-        out = _solve_full(reduced, tol, max_iter, trace=trace)
-        if out.witness is None:
-            return out
-        witness = {}
-        for name, d in problem.blocks:
-            basis = bases[name]
-            if basis is None:
-                witness[name] = out.witness[name]
-            elif basis.shape[1] == 0:
-                witness[name] = np.zeros((d, d), dtype=complex)
-            else:
-                witness[name] = hermitian_part(
-                    basis @ out.witness[name] @ basis.conj().T
-                )
-        return FeasibilityOutcome(
-            out.verdict, witness, out.margin, out.residual, out.iterations
-        )
-    return _solve_full(problem, tol, max_iter, trace=trace)
-
-
-def _solve_full(
-    problem: FeasibilityProblem,
-    tol: Tolerances = DEFAULT_TOL,
-    max_iter: int = 50_000,
-    *,
-    trace: Callable[[str], None] | None = None,
-) -> FeasibilityOutcome:
-    layout = _Layout.of(problem)
-    a, b = _assemble(problem, layout)
-
-    if a.shape[0] == 0:
-        # no constraints: zero blocks are a witness
-        witness = {n: np.zeros((d, d), dtype=complex) for n, d in problem.blocks}
-        return FeasibilityOutcome("feasible", witness, None, 0.0, 0)
+    full = _Layout.of(problem.blocks)
+    a, b = _assemble(problem, full)
+    bounds = _support_bounds(problem, tol)
+    embed, layout = None, full
+    if bounds:
+        embed, layout = _face_map(full, [bounds.get(n) for n in full.names])
+        a = a @ embed
 
     a_pinv = np.linalg.pinv(a, rcond=1e-12)
     x0 = a_pinv @ b
@@ -499,8 +433,14 @@ def _solve_full(
         return x - gram @ x + x0
 
     def feasible(point: np.ndarray, residual: float, it: int) -> FeasibilityOutcome:
-        witness = {n: hermitian_part(m) for n, m in zip(layout.names, layout.split(point))}
+        if embed is not None:
+            point = embed @ point
+        witness = {n: hermitian_part(m) for n, m in zip(full.names, full.split(point))}
         return FeasibilityOutcome("feasible", witness, None, residual, it)
+
+    if not a.size:
+        # no constraints, or every block pinned: the zero point is the witness
+        return feasible(x0, affine_res, 0)
 
     x = x0.copy()
     p = np.zeros_like(x)

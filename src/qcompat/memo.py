@@ -224,6 +224,14 @@ def _pointer_from_ancilla(obs: Observable, dm: int) -> Observable:
     return Observable(obs.outcomes, effects)
 
 
+def _check_realizes(m: MeasurementModel, ins: Instrument, tol: Tolerances) -> None:
+    """Raise ModelSynthesisError unless the model induces every branch of ins."""
+    induced = model_instrument(m, tol=tol)
+    for x in ins.outcomes:
+        if not close(induced.branches[x].choi, ins.branches[x].choi, tol):
+            raise ModelSynthesisError(f"synthesized model misses branch {x!r}")
+
+
 def synthesize_model(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> MeasurementModel:
     """Build a measurement model realizing an instrument exactly.
 
@@ -238,10 +246,7 @@ def synthesize_model(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> Measurem
     dv1, dv2, eta, u = _base_parts(dil, tol)
     pointer = _pointer_from_ancilla(anc, ins.dim_in)
     model = MeasurementModel(ins.dim_in, ins.dim_out, dv1, dv2, eta, u, pointer, tol=tol)
-    induced = model_instrument(model, tol=tol)
-    for x in ins.outcomes:
-        if not close(induced.branches[x].choi, ins.branches[x].choi, tol):
-            raise ModelSynthesisError(f"synthesized model misses branch {x!r}")
+    _check_realizes(model, ins, tol)
     return model
 
 
@@ -259,23 +264,14 @@ def shared_model_pair(
     if not close(lam1.choi, lam2.choi, tol):
         raise TotalMismatchError("instruments do not share their total channel")
     dil = minimal_stinespring(lam1, tol)
-    anc1 = rn_observable(dil, i1, tol)
-    anc2 = rn_observable(dil, i2, tol)
     dv1, dv2, eta, u = _base_parts(dil, tol)
-    m1 = MeasurementModel(
-        i1.dim_in, i1.dim_out, dv1, dv2, eta, u,
-        _pointer_from_ancilla(anc1, i1.dim_in), tol=tol,
-    )
-    m2 = MeasurementModel(
-        i2.dim_in, i2.dim_out, dv1, dv2, eta, u,
-        _pointer_from_ancilla(anc2, i2.dim_in), tol=tol,
-    )
-    for m, ins in ((m1, i1), (m2, i2)):
-        induced = model_instrument(m, tol=tol)
-        for x in ins.outcomes:
-            if not close(induced.branches[x].choi, ins.branches[x].choi, tol):
-                raise ModelSynthesisError("shared model misses a branch")
-    return m1, m2
+    models = []
+    for ins in (i1, i2):
+        pointer = _pointer_from_ancilla(rn_observable(dil, ins, tol), ins.dim_in)
+        m = MeasurementModel(ins.dim_in, ins.dim_out, dv1, dv2, eta, u, pointer, tol=tol)
+        _check_realizes(m, ins, tol)
+        models.append(m)
+    return models[0], models[1]
 
 
 def swap_model(eta: np.ndarray, pointer: Observable, tol: Tolerances = DEFAULT_TOL) -> MeasurementModel:

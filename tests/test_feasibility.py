@@ -40,7 +40,7 @@ def test_negative_trace_infeasible():
 
 def affine_data(problem):
     """Layout, row-space projector and affine base point, as the solver builds them."""
-    layout = fs._Layout.of(problem)
+    layout = fs._Layout.of(problem.blocks)
     a, b = fs._assemble(problem, layout)
     a_pinv = np.linalg.pinv(a, rcond=1e-12)
     return layout, a_pinv @ a, a_pinv @ b
@@ -49,7 +49,7 @@ def affine_data(problem):
 def test_certificate_bound_of_negative_trace():
     # Tr X = -1 on one 2x2 block; with the exact projector onto the trace
     # row, z = I certifies min eig(X) <= -1/2, which X = -I/2 attains
-    layout = fs._Layout.of(one_block_trace_problem(-1.0))
+    layout = fs._Layout.of(one_block_trace_problem(-1.0).blocks)
     row = np.array([1.0, 1.0, 0.0, 0.0])
     gram = np.outer(row, row) / 2
     x0 = -row / 2
@@ -103,6 +103,41 @@ def test_affine_inconsistency_reported_distinctly():
     c1 = fs.AffineConstraint((("x", row),), np.array([1.0]))
     c2 = fs.AffineConstraint((("x", row),), np.array([2.0]))
     out = fs.solve(fs.FeasibilityProblem((("x", 2),), (c1, c2)))
+    assert out.verdict == "infeasible"
+    assert out.affine_inconsistent
+    assert out.margin == float("-inf")
+
+
+def pinned_sum_problem(target, trace_x=None):
+    """``x + y = target`` on two qubit blocks, optionally with ``tr x`` fixed."""
+    cons = [fs.encode_sum_constraint(("x", "y"), target)]
+    if trace_x is not None:
+        row = np.zeros((1, 4))
+        row[0, :2] = 1.0
+        cons.append(fs.AffineConstraint((("x", row),), np.array([trace_x])))
+    return fs.FeasibilityProblem((("x", 2), ("y", 2)), tuple(cons))
+
+
+def test_support_bound_restricts_blocks_to_the_target_range():
+    out = fs.solve(pinned_sum_problem(np.diag([1.0, 0.0]), trace_x=0.25))
+    assert out.verdict == "feasible"
+    for name, weight in (("x", 0.25), ("y", 0.75)):
+        w = out.witness[name]
+        assert w[0, 0].real == pytest.approx(weight, abs=1e-7)
+        # supported on |0><0|: nothing outside the range of the target
+        assert np.abs(w - np.diag([w[0, 0], 0.0])).max() <= 1e-12
+
+
+def test_all_blocks_pinned_to_zero_is_decided_without_iterating():
+    out = fs.solve(pinned_sum_problem(np.zeros((2, 2))))
+    assert out.verdict == "feasible"
+    assert out.iterations == 0
+    for name in ("x", "y"):
+        assert np.array_equal(out.witness[name], np.zeros((2, 2)))
+
+
+def test_constraint_on_pinned_blocks_is_affine_inconsistent():
+    out = fs.solve(pinned_sum_problem(np.zeros((2, 2)), trace_x=1.0))
     assert out.verdict == "infeasible"
     assert out.affine_inconsistent
     assert out.margin == float("-inf")
@@ -260,7 +295,7 @@ def test_project_cone_matches_blockwise_reference():
     # interleaved sides with 1x1 blocks, against one eigh per block
     sides = (2, 1, 4, 1, 2, 3)
     problem = fs.FeasibilityProblem(tuple((f"b{i}", d) for i, d in enumerate(sides)), ())
-    layout = fs._Layout.of(problem)
+    layout = fs._Layout.of(problem.blocks)
     rng = np.random.default_rng(19)
     x = rng.standard_normal(layout.total)
     # the two 1x1 blocks lie below and above 0
@@ -335,11 +370,14 @@ def test_engine_never_refutes_weak_problem_below_common_channel(seed):
 
 
 @pytest.mark.xfail(
-    strict=True, reason="Dykstra plus bisection misses this boundary-hugging weak problem"
+    strict=True,
+    reason="Dykstra with face polish finds no witness for this boundary-hugging "
+    "weak problem within the budget",
 )
 def test_engine_decides_weak_problem_below_common_channel():
     # classify is right here only because its rank-1-family fast path
-    # decides the pair; the engine alone returns infeasible (margin -0.016)
+    # decides the pair; the engine alone spends its budget and returns
+    # undecided
     from qcompat import compat as cp
 
     f1, f2 = below_common_channel(np.random.default_rng(100))
@@ -356,7 +394,7 @@ def test_trace_log_lines():
     lines = []
     fs.solve(one_block_trace_problem(1.0), trace=lines.append)
     assert lines
-    assert all("residual=" in ln or "bisect" in ln or "affine" in ln for ln in lines)
+    assert all("residual=" in ln or "affine" in ln for ln in lines)
 
 
 def test_hermitian_basis_coherence():

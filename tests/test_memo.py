@@ -167,6 +167,14 @@ def test_shared_model_pair_identical_apart_from_pointer():
         assert np.linalg.norm(ind2.branches[x].choi - i2.branches[x].choi) <= 1e-8
 
 
+def test_model_check_names_the_missing_branch():
+    # the Lueders x model does not realize the Lueders z instrument
+    model = mm.synthesize_model(luders_x_instrument())
+    luders_z = Instrument(("+", "-"), {"+": luders_of(PZ), "-": luders_of(PMZ)})
+    with pytest.raises(mm.ModelSynthesisError, match="branch '\\+'"):
+        mm._check_realizes(model, luders_z, mm.DEFAULT_TOL)
+
+
 def test_shared_model_pair_same_instrument():
     ins = luders_x_instrument()
     m1, m2 = mm.shared_model_pair(ins, ins)
