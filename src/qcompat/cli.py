@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-eq", type=float, default=1e-9, help="matrix equality threshold")
     parser.add_argument("--tol-psd", type=float, default=1e-9, help="eigenvalue floor")
     parser.add_argument("--tol-feas", type=float, default=1e-7, help="feasibility residual")
-    parser.add_argument("--max-iter", type=int, default=50_000, help="projection iteration cap")
+    parser.add_argument("--max-iter", type=int, default=100, help="interior-point step cap")
     parser.add_argument("--no-fast-paths", action="store_true",
                         help="disable analytic fast paths (forces the feasibility engine)")
     parser.add_argument("--trace", action="store_true", help="solver trace on stderr")

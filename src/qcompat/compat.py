@@ -686,7 +686,7 @@ def _decide_weak(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
 
 
 def classify(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
-             max_iter: int = 50_000, trace=None) -> Verdict:
+             max_iter: int = 100, trace=None) -> Verdict:
     """Three-way classification of any pair of devices.
 
     Returns compatible, weakly_compatible_only, strongly_incompatible,
@@ -700,7 +700,7 @@ def classify(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
 
 
 def weakly_compatible(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
-                      max_iter: int = 50_000, trace=None) -> Verdict:
+                      max_iter: int = 100, trace=None) -> Verdict:
     """Decide whether two instruments containing the devices share a total channel.
 
     Positive answers come back as ``weakly_compatible_only`` with both

@@ -1,12 +1,13 @@
 """Deterministic PSD-feasibility engine over stacked Hermitian blocks.
 
 A problem asks for Hermitian PSD blocks satisfying affine constraints.
-Both compatibility questions reduce to this one. The solver runs one
-Dykstra alternating projection between the affine set and the
-product-PSD cone. A feasible verdict carries a witness; an infeasible
-one carries a checked Farkas certificate, read off the iterate gap,
-whose value bounds the best achievable minimum eigenvalue over the
-affine set (the margin) from above. Without either, the verdict is an
+Both compatibility questions reduce to this one: is the margin, the best
+achievable minimum block eigenvalue over the affine set, nonnegative?
+The margin is the value of a small SDP, and one primal-dual
+interior-point run on it decides the question. A feasible verdict
+carries a witness, a PSD point of the affine set. An infeasible one
+carries a checked Farkas certificate: a dual iterate whose value bounds
+the margin from above, below zero. Without either, the verdict is an
 honest "undecided".
 
 Facial reduction and the face polish share one face map: each block is
@@ -15,12 +16,12 @@ coordinates, the constraints are composed with it, and points found on
 the faces are lifted back through it.
 
 Blocks are parametrized by their real degrees of freedom (diagonal plus
-weighted upper triangle) so the affine projection is a real
-least-squares problem.
+weighted upper triangle), so the constraints form a real linear system.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,11 +122,18 @@ def encode_partial_trace_constraint(
 ) -> AffineConstraint:
     """Encode ``Tr_slot(X) = target`` for a block on a bipartite space."""
     target = hermitian_part(np.asarray(target, dtype=complex))
-    d = dims[0] * dims[1]
     if target.shape[0] != dims[keep]:
         raise MatrixShapeError("target side does not match the kept slot")
-    mat = coord_matrix(lambda x: partial_trace(x, dims, keep), d)
+    mat = _partial_trace_matrix(int(dims[0]), int(dims[1]), keep)
     return AffineConstraint(((block, mat),), herm_coords(target), label=label)
+
+
+@functools.cache
+def _partial_trace_matrix(d0: int, d1: int, keep: int) -> np.ndarray:
+    """Read-only coordinate matrix of the partial trace, cached per slot layout."""
+    mat = coord_matrix(lambda x: partial_trace(x, (d0, d1), keep), d0 * d1)
+    mat.flags.writeable = False
+    return mat
 
 
 def encode_heisenberg_unit_constraint(
@@ -239,6 +247,24 @@ def _project_cone(x: np.ndarray, layout: _Layout) -> np.ndarray:
     return out
 
 
+def _identity_coords(layout: _Layout) -> np.ndarray:
+    """Coordinates of the all-blocks identity (the diagonal coordinates come first)."""
+    e = np.zeros(layout.total)
+    for o, d in zip(layout.offsets, layout.sides):
+        e[o : o + d] = 1.0
+    return e
+
+
+def _min_eig(v: np.ndarray, layout: _Layout) -> float:
+    """Least eigenvalue over all blocks of a coordinate vector."""
+    mu = float("inf")
+    for d, gather in layout.groups:
+        rows = v[gather]
+        evals = rows if d == 1 else np.linalg.eigvalsh(herm_stack_from_coords(rows, d))
+        mu = min(mu, float(evals.min()))
+    return mu
+
+
 def _certificate_bound(v: np.ndarray, layout: _Layout, gram: np.ndarray, x0: np.ndarray):
     """Upper bound on the minimum block eigenvalue over the affine set, or None.
 
@@ -251,14 +277,8 @@ def _certificate_bound(v: np.ndarray, layout: _Layout, gram: np.ndarray, x0: np.
     zero is a Farkas certificate of infeasibility.
     """
     z = gram @ v
-    mu = float("inf")
-    for d, gather in layout.groups:
-        rows = z[gather]
-        evals = rows if d == 1 else np.linalg.eigvalsh(herm_stack_from_coords(rows, d))
-        mu = min(mu, float(evals.min()))
-    e = np.zeros(layout.total)
-    for o, d in zip(layout.offsets, layout.sides):
-        e[o : o + d] = 1.0  # the diagonal coordinates come first
+    mu = _min_eig(z, layout)
+    e = _identity_coords(layout)
     if mu < 0:
         if np.linalg.norm(gram @ e - e) > 1e-9 * np.linalg.norm(e):
             return None
@@ -267,6 +287,15 @@ def _certificate_bound(v: np.ndarray, layout: _Layout, gram: np.ndarray, x0: np.
     if weight <= 0:
         return None
     return float(x0 @ z) / weight
+
+
+def _affine_frame(a: np.ndarray, b: np.ndarray):
+    """The min-norm solution x0 of a x = b, the projector onto the row
+    space of a, and an orthonormal basis of its null space, from one SVD."""
+    u, sv, vt = np.linalg.svd(a)
+    rank = int(np.sum(sv > 1e-12 * sv[0]))
+    row = vt[:rank]
+    return row.T @ ((u[:, :rank].T @ b) / sv[:rank]), row.T @ row, vt[rank:].T
 
 
 _POLISH_THRESHOLDS = (0.5, 0.2, 0.1, 0.05, 0.02, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -296,15 +325,16 @@ def _face_polish(
     tol: Tolerances,
     max_rounds: int = 50,
 ):
-    """Drive the iterate onto an exactly feasible cone face, if one fits.
+    """Round a near-boundary affine point onto an exactly feasible cone face.
 
-    Feasible sets here typically touch the cone boundary, where
-    alternating projections crawl. For each candidate face profile
-    (block ranks read off the iterate's spectra at a ladder of
-    thresholds) this alternates a face-restricted least-squares solve
-    with re-detection of the face from the affine projection; with the
-    right profile the residual collapses at a linear rate. Candidates
-    are gated on their true residual, so wrong profiles are no-ops.
+    Feasible sets here typically touch the cone boundary, where a
+    projected point of the path still sits about the square root of its
+    residual away from the face. For each candidate face profile (block
+    ranks read off the point's spectra at a ladder of thresholds) this
+    alternates a face-restricted least-squares solve with re-detection
+    of the face from the affine projection; with the right profile the
+    residual collapses at a linear rate. Candidates are gated on their
+    true residual, so wrong profiles are no-ops.
     """
     spectra = [np.linalg.eigvalsh(h) for h in layout.split(y)]
     seen: set[tuple[int, ...]] = set()
@@ -359,8 +389,8 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
     In ``sum_i c_i X_i = R`` with all ``c_i > 0`` and PSD ``R``, every
     PSD solution block is supported inside the range of R. Intersecting
     these bounds is a facial reduction: degenerate problems become
-    strictly feasible on the reduced blocks, which is where projection
-    methods converge fast.
+    strictly feasible on the reduced blocks, where the interior-point run
+    finds an interior witness instead of crawling towards the boundary.
     """
     sides = dict(problem.blocks)
     bounds: dict[str, np.ndarray] = {}
@@ -387,10 +417,96 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
     }
 
 
+@functools.cache
+def _coord_basis(d: int) -> np.ndarray:
+    """Read-only (d*d, d*d) complex matrix whose column k is the row-major
+    vec of the k-th coordinate matrix of side d, cached per d."""
+    basis = herm_stack_from_coords(np.eye(d * d), d).reshape(d * d, d * d).T.copy()
+    basis.flags.writeable = False
+    return basis
+
+
+def _step_lengths(halves, dz: np.ndarray, ds: np.ndarray, layout: _Layout):
+    """Steps along dZ and dS: 0.95 of the way to the cone boundary, capped at 1.
+
+    ``halves`` holds, per side group, Z^(-1/2) stacked over S^(-1/2). The
+    largest step keeping X + a dX PD is -1 over the least eigenvalue of
+    X^(-1/2) dX X^(-1/2), when that is negative; both directions of a
+    group take one batched eigenvalue call.
+    """
+    lo_z = lo_s = 0.0
+    for (d, gather), h in zip(layout.groups, halves):
+        rows = np.concatenate([dz[gather], ds[gather]])
+        least = np.linalg.eigvalsh(h @ herm_stack_from_coords(rows, d) @ h)[:, 0]
+        lo_z = min(lo_z, float(least[: len(gather)].min()))
+        lo_s = min(lo_s, float(least[len(gather) :].min()))
+    return tuple(1.0 if lo >= -0.95 else -0.95 / lo for lo in (lo_z, lo_s))
+
+
+def _newton_step(z, y, s, spec_s, layout: _Layout, f, f_groups):
+    """One HKM predictor-corrector step from (Z, y), with S = x0 - f^T y.
+
+    The Schur complement is f K f^T with K block-diagonal: for a block
+    pair (Z, S), K = Re(T^H (Z kron S^-T) T) maps the coordinates of H
+    to those of sym(Z H S^-1), T being the coordinate basis. Each side
+    group adds its blocks with one batched product.
+    """
+    nu = float(f[-1] @ f[-1])
+    unit_t = np.zeros(len(f))
+    unit_t[-1] = 1.0
+    m = np.zeros((len(f), len(f)))
+    kmats, sinv, halves, sinv_c = [], [], [], np.empty_like(z)
+    for (d, gather), (ls, vs), fg in zip(layout.groups, spec_s, f_groups):
+        lz, vz = np.linalg.eigh(herm_stack_from_coords(z[gather], d))
+        if not lz[:, 0].min() > 0:
+            raise np.linalg.LinAlgError("the dual iterate left the cone interior")
+        vs_h, vz_h = vs.conj().swapaxes(-1, -2), vz.conj().swapaxes(-1, -2)
+        inv = (vs / ls[:, None, :]) @ vs_h
+        sinv.append(inv)
+        sinv_c[gather] = herm_stack_coords(inv)
+        halves.append(np.concatenate([
+            (vz / np.sqrt(lz)[:, None, :]) @ vz_h, (vs / np.sqrt(ls)[:, None, :]) @ vs_h
+        ]))
+        n_b, dd = gather.shape
+        basis = _coord_basis(d)
+        kron = np.einsum("bij,bkl->biljk", (vz * lz[:, None, :]) @ vz_h, inv)
+        k = (basis.conj().T @ kron.reshape(n_b, dd, dd) @ basis).real
+        k = (k + k.swapaxes(-1, -2)) / 2
+        kmats.append(k)
+        fk = fg.reshape(-1, n_b, dd).swapaxes(0, 1) @ k
+        m += fk.swapaxes(0, 1).reshape(len(f), -1) @ fg.T
+
+    def apply_k(v):
+        out = np.empty_like(v)
+        for (_, gather), k in zip(layout.groups, kmats):
+            out[gather] = (k @ v[gather][..., None])[..., 0]
+        return out
+
+    # predictor (sigma = 0) and its complementarity after the step
+    dy = np.linalg.solve(m, unit_t)
+    ds = -f.T @ dy
+    dz = apply_k(-ds) - z
+    a_z, a_s = _step_lengths(halves, dz, ds, layout)
+    mu = float(z @ s) / nu
+    mu_aff = float((z + a_z * dz) @ (s + a_s * ds)) / nu
+    sigma_mu = min(1.0, max(mu_aff, 0.0) / mu) ** 3 * mu
+    # corrector: centring plus the second-order term sym(dZ dS S^-1)
+    corr = np.empty_like(z)
+    for (d, gather), inv in zip(layout.groups, sinv):
+        dz_m, ds_m = herm_stack_from_coords(dz[gather], d), herm_stack_from_coords(ds[gather], d)
+        prod = dz_m @ ds_m @ inv
+        corr[gather] = herm_stack_coords((prod + prod.conj().swapaxes(-1, -2)) / 2)
+    dy = np.linalg.solve(m, unit_t - sigma_mu * (f @ sinv_c) + f @ corr)
+    ds = -f.T @ dy
+    dz = sigma_mu * sinv_c - z + apply_k(-ds) - corr
+    a_z, a_s = _step_lengths(halves, dz, ds, layout)
+    return z + a_z * dz, y + a_s * dy
+
+
 def solve(
     problem: FeasibilityProblem,
     tol: Tolerances = DEFAULT_TOL,
-    max_iter: int = 50_000,
+    max_iter: int = 100,
     *,
     trace: Callable[[str], None] | None = None,
 ) -> FeasibilityOutcome:
@@ -399,16 +515,23 @@ def solve(
     Facial reduction first restricts each block to the support allowed
     by positive sum constraints: the constraints are composed with the
     face map of ``_face_map`` and the search runs in face coordinates.
-    Then, from the affine projection of zero, one Dykstra run of at most
-    ``max_iter`` iterations alternates between the affine set and the
-    cone. Every 25 iterations it checks for a witness (the cone iterate,
-    the cone projection of the affine iterate, or, every 200, a face
-    polish, which restricts to faces through the same map) and, while
-    the iterate gap stays open, for a Farkas certificate read off that
-    gap (see ``_certificate_bound``). A certified margin below
-    ``-feas_tol`` is an infeasible verdict; a spent budget is undecided,
-    with the best certified margin. The schedule is fixed and
-    deterministic.
+    One SVD of the constraint matrix gives the min-norm affine point x0,
+    the row-space projector and an orthonormal null-space basis N. Then
+    one infeasible-start primal-dual interior-point run of at most
+    ``max_iter`` steps (HKM direction, Mehrotra predictor-corrector)
+    works on the margin SDP
+
+        maximize t  s.t.  x0 - N w - t e is PSD blockwise,
+
+    with e the all-blocks identity. Its dual, minimize <x0, Z> over PSD
+    Z with N^T Z = 0 and <e, Z> = 1, is a Farkas certificate. Every step
+    checks the affine point Y = x0 - N w: Y is the witness when PSD; when
+    its cone projection meets the constraints within ``feas_tol`` the
+    point is a boundary one, and one face polish rounds it onto its face
+    (the projection is the witness if the polish fails). A certificate
+    bound (``_certificate_bound`` of Z) below ``-feas_tol`` is an
+    infeasible verdict. A spent budget or a broken-down Newton system is
+    undecided, with the best certified margin. The run is deterministic.
     """
     full = _Layout.of(problem.blocks)
     a, b = _assemble(problem, full)
@@ -418,8 +541,9 @@ def solve(
         embed, layout = _face_map(full, [bounds.get(n) for n in full.names])
         a = a @ embed
 
-    a_pinv = np.linalg.pinv(a, rcond=1e-12)
-    x0 = a_pinv @ b
+    x0 = np.zeros(layout.total)
+    if a.size:
+        x0, gram, null = _affine_frame(a, b)
     affine_res = float(np.linalg.norm(a @ x0 - b))
     if affine_res > tol.feas_tol * (1.0 + float(np.linalg.norm(b))):
         if trace:
@@ -427,10 +551,6 @@ def solve(
         return FeasibilityOutcome(
             "infeasible", None, float("-inf"), affine_res, 0, affine_inconsistent=True
         )
-    gram = a_pinv @ a
-
-    def proj_affine(x: np.ndarray) -> np.ndarray:
-        return x - gram @ x + x0
 
     def feasible(point: np.ndarray, residual: float, it: int) -> FeasibilityOutcome:
         if embed is not None:
@@ -442,43 +562,53 @@ def solve(
         # no constraints, or every block pinned: the zero point is the witness
         return feasible(x0, affine_res, 0)
 
-    x = x0.copy()
-    p = np.zeros_like(x)
-    margin = float("inf")
-    residual = float("inf")
-    for it in range(1, max_iter + 1):
-        z = x + p
-        y = _project_cone(z, layout)
-        p = z - y
-        x = proj_affine(y)
-        if it % 25 and it != max_iter:
-            continue
-        res_y = float(np.linalg.norm(a @ y - b))
-        cone_x = _project_cone(x, layout)
-        res_cx = float(np.linalg.norm(a @ cone_x - b))
-        residual = min(res_y, res_cx)
-        gap = float(np.linalg.norm(y - x))
-        if trace:
-            trace(f"iter={it} shift=+0.000e+00 residual={residual:.3e} gap={gap:.3e}")
-        if res_y <= tol.feas_tol:
-            return feasible(y, res_y, it)
-        if res_cx <= tol.feas_tol:
-            return feasible(cone_x, res_cx, it)
-        if it % 200 == 0 or it == max_iter:
-            polished = _face_polish(y, layout, a, b, proj_affine, tol)
-            if polished is not None:
+    e = _identity_coords(layout)
+    if np.linalg.norm(gram @ e) <= 1e-9 * np.linalg.norm(e):
+        # the constraints never see e, so the affine set holds every shift
+        # of x0 along it, and the least PSD one is the witness
+        point = x0 - min(_min_eig(x0, layout), 0.0) * e
+        return feasible(point, float(np.linalg.norm(a @ point - b)), 0)
+    f = np.vstack([null.T, e])  # the slack is S = x0 - f^T y, with y = (w, t)
+    f_groups = [f[:, gather.ravel()] for _, gather in layout.groups]
+
+    def proj_affine(x: np.ndarray) -> np.ndarray:
+        return x - gram @ x + x0
+
+    z = e / float(e @ e)
+    y = np.zeros(len(f))
+    y[-1] = _min_eig(x0, layout) - 1.0
+    margin = residual = float("inf")
+    done = 0
+    try:
+        for it in range(max_iter + 1):
+            s = x0 - f.T @ y
+            spec_s = [np.linalg.eigh(herm_stack_from_coords(s[g], d)) for d, g in layout.groups]
+            least = min(float(evals[:, 0].min()) for evals, _ in spec_s)
+            if not least > 0:
+                raise np.linalg.LinAlgError("the slack left the cone interior")
+            point = x0 - null @ y[:-1]
+            psd = least + y[-1] >= 0  # Y = S + t e: the slack's spectrum shifted by t
+            cone = point if psd else _project_cone(point, layout)
+            residual = float(np.linalg.norm(a @ cone - b))
+            if trace:
+                trace(f"iter={it} shift=+0.000e+00 residual={residual:.3e} gap={z @ s:.3e}")
+            done = it
+            if psd:
+                return feasible(point, residual, it)
+            if residual <= tol.feas_tol:
+                polished = _face_polish(point, layout, a, b, proj_affine, tol)
+                if polished is None:
+                    return feasible(cone, residual, it)
                 if trace:
-                    trace(
-                        f"iter={it} shift=+0.000e+00 "
-                        f"face-polish residual={polished[1]:.3e}"
-                    )
+                    trace(f"iter={it} shift=+0.000e+00 face-polish residual={polished[1]:.3e}")
                 return feasible(polished[0], polished[1], it)
-        # the gap of disjoint sets tends to their minimal displacement,
-        # the direction a Farkas certificate needs
-        if gap > max(10 * tol.feas_tol, 1e-6):
-            bound = _certificate_bound(y - x, layout, gram, x0)
+            bound = _certificate_bound(z, layout, gram, x0)
             if bound is not None and bound < margin:
                 margin = bound
                 if margin < -tol.feas_tol:
                     return FeasibilityOutcome("infeasible", None, margin, residual, it)
-    return FeasibilityOutcome("undecided", None, margin, residual, max_iter)
+            if it < max_iter:
+                z, y = _newton_step(z, y, s, spec_s, layout, f, f_groups)
+    except np.linalg.LinAlgError:
+        pass
+    return FeasibilityOutcome("undecided", None, margin, residual, done)

@@ -41,9 +41,8 @@ def test_negative_trace_infeasible():
 def affine_data(problem):
     """Layout, row-space projector and affine base point, as the solver builds them."""
     layout = fs._Layout.of(problem.blocks)
-    a, b = fs._assemble(problem, layout)
-    a_pinv = np.linalg.pinv(a, rcond=1e-12)
-    return layout, a_pinv @ a, a_pinv @ b
+    x0, gram, _ = fs._affine_frame(*fs._assemble(problem, layout))
+    return layout, gram, x0
 
 
 def test_certificate_bound_of_negative_trace():
@@ -95,6 +94,48 @@ def test_certificate_bound_is_sound(seed, sides, n_rows, fixed_trace):
     for _ in range(20):
         bound = fs._certificate_bound(rng.standard_normal(point.size), layout, gram, x0)
         assert bound is None or bound >= -1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sides=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    n_rows=st.integers(0, 10),
+    fixed_trace=st.booleans(),
+    deficit=st.sampled_from([None, 1e-4, 1e-2, 1.0]),
+)
+def test_solve_is_sound(seed, sides, n_rows, fixed_trace, deficit):
+    # problems built around a known point: around a PSD point (deficit
+    # None) no verdict is infeasible; with the total trace fixed at
+    # -deficit times the total side, no PSD point exists, so no verdict
+    # is feasible. A certified margin lies between the point's least
+    # eigenvalue and -feas_tol.
+    rng = np.random.default_rng(seed)
+    blocks = tuple((f"b{i}", d) for i, d in enumerate(sides))
+    point = []
+    for d in sides:
+        k = rand_complex(rng, d, int(rng.integers(0, d + 1)))
+        point.append(herm_coords(k @ k.conj().T))
+    point = np.concatenate(point)
+    e = np.concatenate([herm_coords(np.eye(d)) for d in sides])
+    if deficit is not None:
+        point -= (point @ e / sum(sides) + deficit) * e
+    rows = rng.standard_normal((n_rows + 1, point.size))
+    if fixed_trace or deficit is not None:
+        rows[0] = e
+    terms, col = [], 0
+    for name, d in blocks:
+        terms.append((name, rows[:, col : col + d * d]))
+        col += d * d
+    problem = fs.FeasibilityProblem(blocks, (fs.AffineConstraint(tuple(terms), rows @ point),))
+    out = fs.solve(problem)
+    assert out.verdict != ("infeasible" if deficit is None else "feasible")
+    if out.verdict == "infeasible":
+        least = min(
+            np.linalg.eigvalsh(herm_from_coords(point[o : o + d * d], d))[0]
+            for o, d in zip(fs._Layout.of(blocks).offsets, sides)
+        )
+        assert least - 1e-9 <= out.margin < -fs.DEFAULT_TOL.feas_tol
 
 
 def test_affine_inconsistency_reported_distinctly():
@@ -369,19 +410,38 @@ def test_engine_never_refutes_weak_problem_below_common_channel(seed):
     assert fs.solve(cp.weak_problem(f1, f2), max_iter=5000).verdict != "infeasible"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Dykstra with face polish finds no witness for this boundary-hugging "
-    "weak problem within the budget",
-)
-def test_engine_decides_weak_problem_below_common_channel():
-    # classify is right here only because its rank-1-family fast path
-    # decides the pair; the engine alone spends its budget and returns
-    # undecided
+@pytest.mark.parametrize("seed", [100, 51, 86, 37, 1, 12, 20])
+def test_engine_decides_weak_problem_below_common_channel(seed):
+    # classify also has the rank-1-family fast path for these pairs; the
+    # engine alone must reach the boundary witness
     from qcompat import compat as cp
 
-    f1, f2 = below_common_channel(np.random.default_rng(100))
+    f1, f2 = below_common_channel(np.random.default_rng(seed))
     assert fs.solve(cp.weak_problem(f1, f2)).verdict == "feasible"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_near_boundary_qutrit_coexistence_is_decided(seed):
+    # the qutrit draws that follow two qubit draws; both pairs coexist,
+    # close enough to the boundary that projection methods stall
+    from qcompat import compat as cp
+
+    rng = np.random.default_rng(seed)
+    rand_effect(rng, 2), rand_effect(rng, 2)
+    e1, e2 = rand_effect(rng, 3), rand_effect(rng, 3)
+    assert fs.solve(coexistence_problem(e1.matrix, e2.matrix)).verdict == "feasible"
+    assert cp.classify(e1, e2, fast_paths=False).relation == "compatible"
+
+
+def test_constraints_blind_to_the_trace_direction():
+    # x - y = diag(1, -2) holds for every shift of both blocks by c*I, so
+    # the margin is unbounded and a shifted point is the witness
+    c = fs.encode_sum_constraint((("x", 1.0), ("y", -1.0)), np.diag([1.0, -2.0]))
+    out = fs.solve(fs.FeasibilityProblem((("x", 2), ("y", 2)), (c,)))
+    assert out.verdict == "feasible"
+    x, y = out.witness["x"], out.witness["y"]
+    assert is_psd(x) and is_psd(y)
+    assert np.linalg.norm(x - y - np.diag([1.0, -2.0])) <= fs.DEFAULT_TOL.feas_tol
 
 
 def test_constraint_validation():
@@ -408,14 +468,23 @@ def test_hermitian_basis_coherence():
 def test_trace_lines_count_every_iteration():
     # every line of a run is an iteration line, and the iteration counter
     # differences over the lines add up to the outcome's iteration count;
-    # seed 3 ends in a face polish after 2400 iterations, seed 6 in a
-    # certificate after 250
+    # seed 3 ends at a PSD affine point after 3 steps, seed 6 in a
+    # certificate after 5, and the weak problem in a face polish after 8
+    from qcompat import compat as cp
+
+    problems = []
     for seed, verdict in ((3, "feasible"), (6, "infeasible")):
         rng = np.random.default_rng(seed)
         e1, e2 = rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix
+        problems.append((coexistence_problem(e1, e2), verdict))
+    f1, f2 = below_common_channel(np.random.default_rng(100))
+    problems.append((cp.weak_problem(f1, f2), "feasible"))
+    polished = 0
+    for problem, verdict in problems:
         lines = []
-        out = fs.solve(coexistence_problem(e1, e2), trace=lines.append)
+        out = fs.solve(problem, trace=lines.append)
         assert out.verdict == verdict
+        polished += sum("face-polish" in line for line in lines)
         counted, last = 0, 0
         for line in lines:
             m = re.match(r"iter=(\d+) shift=(\S+)", line)
@@ -426,3 +495,4 @@ def test_trace_lines_count_every_iteration():
             counted += it if it <= last else it - last
             last = it
         assert counted == out.iterations
+    assert polished == 1
