@@ -27,7 +27,9 @@ from .devices import (
     Instrument,
     Observable,
     PointerMap,
+    kraus_choi,
     kraus_from_choi,
+    kraus_lists,
     total_channel,
 )
 from .matkit import (
@@ -37,6 +39,7 @@ from .matkit import (
     close,
     frob_norm,
     hermitian_part,
+    kron,
     mat_sqrt,
 )
 from .order import (
@@ -116,7 +119,7 @@ def witness_tolerances(tol: Tolerances) -> Tolerances:
 
 def _prep_choi(effect_matrix: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Choi matrix of ``rho -> tr[E rho] eta``."""
-    return np.kron(hermitian_part(np.asarray(effect_matrix, dtype=complex)).T, eta)
+    return kron(hermitian_part(np.asarray(effect_matrix, dtype=complex)).T, eta)
 
 
 def state_prep_map(effect_matrix: np.ndarray, eta: np.ndarray, tol: Tolerances) -> CPMap:
@@ -393,7 +396,7 @@ def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
     eta = np.eye(p.din) / p.din
     blocks = {(i, x): _prep_choi(t, eta) for i, d in enumerate((p.d1, p.d2))
               for x, t in _parts(d).items() if t is not None}
-    return _weak_verdict(p, blocks, np.kron(np.eye(p.din), eta), notes, p.tol)
+    return _weak_verdict(p, blocks, kron(np.eye(p.din), eta), notes, p.tol)
 
 
 def _swap_verdict(v: Verdict) -> Verdict:
@@ -496,26 +499,16 @@ def _pure_oracle(p: _Pair):
     return "fast-path: pure-oracle"
 
 
-def _choi_of(ops, side: int) -> np.ndarray:
-    """Choi matrix of ``rho -> sum_k K_k rho K_k^*``."""
-    j = np.zeros((side, side), dtype=complex)
-    for k in ops:
-        v = k.T.reshape(-1)
-        j += np.outer(v, v.conj())
-    return j
-
-
 def _range_commutation(p: _Pair):
     """Split the map along an effect that commutes with its range."""
     f, e = p.d1, p.d2
     if not commutes_with_range(f, e, p.tol):
         return None
-    side = f.dim_in * f.dim_out
     root = mat_sqrt(e.matrix, p.tol)
     comp_root = mat_sqrt(np.eye(e.dim) - e.matrix, p.tol)
     ks = kraus_from_choi(f, p.tol).ops
-    blocks = {("1", "1"): _choi_of([k @ root for k in ks], side),
-              ("1", "0"): _choi_of([k @ comp_root for k in ks], side)}
+    blocks = {("1", "1"): kraus_choi([k @ root for k in ks]),
+              ("1", "0"): kraus_choi([k @ comp_root for k in ks])}
     if p.kinds[0] == "operation":
         deficit = hermitian_part(np.eye(f.dim_in) - f.heisenberg_unit())
         blocks[("0", "1")] = _measure(p, hermitian_part(e.matrix @ deficit))
@@ -731,9 +724,13 @@ class KrausCertificate:
 
 
 def _instrument_kraus(ins: Instrument, subset, tol: Tolerances):
-    """Kraus operators of the nonzero branches, their owners, and a subset's indices."""
-    owned = [(k, x) for x in ins.outcomes if frob_norm(ins.branches[x].choi) > tol.eq_tol
-             for k in kraus_from_choi(ins.branches[x], tol).ops]
+    """Kraus operators of the nonzero branches, their owners, and a subset's indices.
+
+    All branches share one batched eigendecomposition.
+    """
+    nonzero = [x for x in ins.outcomes if frob_norm(ins.branches[x].choi) > tol.eq_tol]
+    lists = kraus_lists([ins.branches[x] for x in nonzero], tol)
+    owned = [(k, x) for x, ops in zip(nonzero, lists) for k in ops]
     owners = [x for _, x in owned]
     return [k for k, _ in owned], owners, tuple(i for i, x in enumerate(owners) if x in subset)
 
@@ -775,25 +772,25 @@ def _validate_certificate(cert: KrausCertificate, w, wtol: Tolerances) -> None:
 
     Every Kraus list is normalized, paired lists share their total
     channel, and the Choi sum over each index subset equals the summed
-    branches of the witness part it stands for.
+    branches of the witness part it stands for. Each list is checked as
+    one (n, dim_out, dim_in) stack.
     """
+    k_ops = np.array(cert.k_ops)
+    l_ops = None if cert.l_ops is None else np.array(cert.l_ops)
     if isinstance(w, CompatWitness):
-        sides = ((cert.k_ops, cert.j1, w.instrument, w.part_1),
-                 (cert.k_ops, cert.j2, w.instrument, w.part_2))
+        sides = ((k_ops, cert.j1, w.instrument, w.part_1),
+                 (k_ops, cert.j2, w.instrument, w.part_2))
     else:
-        sides = ((cert.k_ops, cert.j1, w.instrument_1, w.part_1),
-                 (cert.l_ops, cert.j2, w.instrument_2, w.part_2))
+        sides = ((k_ops, cert.j1, w.instrument_1, w.part_1),
+                 (l_ops, cert.j2, w.instrument_2, w.part_2))
     ins = sides[0][2]
     side = ins.dim_in * ins.dim_out
-    lists = (cert.k_ops,) if cert.l_ops is None else (cert.k_ops, cert.l_ops)
-    for ops in lists:
-        if not close(sum(k.conj().T @ k for k in ops), np.eye(ins.dim_in), wtol):
+    for ops in (k_ops,) if l_ops is None else (k_ops, l_ops):
+        if not close(np.einsum("kai,kaj->ij", ops.conj(), ops), np.eye(ins.dim_in), wtol):
             raise WitnessValidationError("Kraus list is not normalized")
-    if cert.l_ops is not None and not close(
-        _choi_of(cert.k_ops, side), _choi_of(cert.l_ops, side), wtol
-    ):
+    if l_ops is not None and not close(kraus_choi(k_ops), kraus_choi(l_ops), wtol):
         raise WitnessValidationError("paired Kraus lists have different total channels")
     for ops, idx, ins, part in sides:
         want = _sum([ins.branches[x].choi for x in part], side)
-        if not close(want, _choi_of([ops[i] for i in idx], side), wtol):
+        if not close(want, kraus_choi(ops[list(idx)]), wtol):
             raise WitnessValidationError("Kraus subset does not reproduce its witness part")

@@ -25,16 +25,15 @@ import numpy as np
 
 from .matkit import (
     DEFAULT_TOL,
-    HermiticityError,
     MatrixShapeError,
     PositivityError,
     Tolerances,
     as_matrix,
+    checked_hermitian_part,
     close,
     frob_norm,
     hermitian_part,
-    herm_eig,
-    is_hermitian,
+    kron,
     mat_sqrt,
 )
 
@@ -82,14 +81,14 @@ class Effect:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise MatrixShapeError("effect matrix must be square")
-        if not is_hermitian(m, tol):
-            raise HermiticityError("effect matrix is not Hermitian")
-        evals = np.linalg.eigvalsh(hermitian_part(m))
+        h = checked_hermitian_part(m, tol, "effect matrix")
+        evals = np.linalg.eigvalsh(h)
         if evals[0] < -tol.psd_tol or evals[-1] > 1.0 + tol.psd_tol:
             raise EffectBoundsError(
                 f"effect eigenvalues [{evals[0]:.3e}, {evals[-1]:.3e}] outside [0, 1]"
             )
-        object.__setattr__(self, "matrix", _freeze(hermitian_part(m)))
+        h.flags.writeable = False
+        object.__setattr__(self, "matrix", h)
 
     @property
     def dim(self) -> int:
@@ -144,7 +143,8 @@ class CPMap:
     """Completely positive trace-non-increasing map in canonical Choi form.
 
     ``kind`` is "operation" or "channel"; channels are additionally
-    trace-preserving.
+    trace-preserving. Validation computes the Heisenberg unit once and
+    keeps it, read-only.
     """
 
     dim_in: int
@@ -161,14 +161,16 @@ class CPMap:
         side = self.dim_in * self.dim_out
         if j.shape != (side, side):
             raise MatrixShapeError(f"Choi side {j.shape[0]} != dim_in*dim_out = {side}")
-        if not is_hermitian(j, tol):
-            raise HermiticityError("Choi matrix is not Hermitian")
-        j = hermitian_part(j)
+        j = checked_hermitian_part(j, tol, "Choi matrix")
         evals = np.linalg.eigvalsh(j)
         if evals[0] < -tol.psd_tol:
             raise PositivityError(f"Choi matrix has eigenvalue {evals[0]:.3e} < 0")
-        object.__setattr__(self, "choi", _freeze(j))
-        hu = self.heisenberg_unit()
+        j.flags.writeable = False
+        object.__setattr__(self, "choi", j)
+        t = j.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
+        hu = np.ascontiguousarray(np.einsum("jmim->ij", t))
+        hu.flags.writeable = False
+        object.__setattr__(self, "_unit", hu)
         top = float(np.linalg.eigvalsh(hermitian_part(hu))[-1])
         if top > 1.0 + tol.psd_tol:
             raise TraceConditionError(f"map increases trace: ||F_H(1)|| = {top:.6f} > 1")
@@ -180,8 +182,8 @@ class CPMap:
         return self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
 
     def heisenberg_unit(self) -> np.ndarray:
-        """The effect F_H(1) that the map assigns to the unit."""
-        return apply_h(self, np.eye(self.dim_out))
+        """The effect F_H(1) that the map assigns to the unit (read-only)."""
+        return self._unit
 
     def is_trace_preserving(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return close(self.heisenberg_unit(), np.eye(self.dim_in), tol)
@@ -189,7 +191,10 @@ class CPMap:
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
-    """Outcome-labelled family of operations whose sum is a channel."""
+    """Outcome-labelled family of operations whose sum is a channel.
+
+    The validated total channel is kept for :func:`total_channel`.
+    """
 
     outcomes: tuple[str, ...]
     branches: dict[str, CPMap]
@@ -207,12 +212,13 @@ class Instrument:
         dims = {(b.dim_in, b.dim_out) for b in self.branches.values()}
         if len(dims) != 1:
             raise MatrixShapeError("all branches must share input/output dimensions")
-        total = sum(b.choi for b in self.branches.values())
+        total = sum(self.branches[x].choi for x in self.outcomes)
         din, dout = next(iter(dims))
         try:
-            CPMap(din, dout, total, kind="channel", tol=tol)
+            channel = CPMap(din, dout, total, kind="channel", tol=tol)
         except (TraceConditionError, PositivityError) as exc:
             raise NormalizationError(f"branch sum is not a channel: {exc}") from exc
+        object.__setattr__(self, "_total", (tol, channel))
 
     @property
     def dim_in(self) -> int:
@@ -232,12 +238,7 @@ class Instrument:
         j = np.zeros((side, side), dtype=complex)
         for x in labels:
             j = j + self.branches[x].choi
-        kind = "channel" if close(
-            _heisenberg_unit_of_choi(j, self.dim_in, self.dim_out),
-            np.eye(self.dim_in),
-            tol,
-        ) else "operation"
-        return CPMap(self.dim_in, self.dim_out, j, kind=kind, tol=tol)
+        return _validated_map(self.dim_in, self.dim_out, j, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,10 +256,7 @@ class KrausSet:
         shape = ops[0].shape
         if any(k.shape != shape for k in ops):
             raise MatrixShapeError("Kraus operators must share one shape")
-        gram = sum(k.conj().T @ k for k in ops)
-        top = float(np.linalg.eigvalsh(hermitian_part(gram))[-1])
-        if top > 1.0 + tol.psd_tol:
-            raise TraceConditionError(f"sum K^*K has eigenvalue {top:.6f} > 1")
+        _check_trace_condition(sum(k.conj().T @ k for k in ops), tol)
         object.__setattr__(self, "ops", tuple(_freeze(k) for k in ops))
 
     @property
@@ -305,9 +303,28 @@ class PointerMap:
 # ---------------------------------------------------------------------------
 
 
-def _heisenberg_unit_of_choi(j: np.ndarray, din: int, dout: int) -> np.ndarray:
-    t = j.reshape(din, dout, din, dout)
-    return np.einsum("jmim->ij", t)
+def _check_trace_condition(grams: np.ndarray, tol: Tolerances) -> None:
+    """Raise TraceConditionError unless every sum K^*K (one matrix, or a stack) is <= 1."""
+    top = float(np.linalg.eigvalsh(hermitian_part(grams))[..., -1].max())
+    if top > 1.0 + tol.psd_tol:
+        raise TraceConditionError(f"sum K^*K has eigenvalue {top:.6f} > 1")
+
+
+def kraus_choi(ops) -> np.ndarray:
+    """Choi matrix of ``rho -> sum_k K_k rho K_k^*`` for a (n, dim_out, dim_in) stack;
+    the outer products of vec(K_k^T) are summed in stack order, as one by one."""
+    ops = np.asarray(ops)
+    n, dout, din = ops.shape
+    v = ops.swapaxes(-1, -2).reshape(n, din * dout)
+    return (v[:, :, None] * v.conj()[:, None, :]).sum(axis=0)
+
+
+def _validated_map(din: int, dout: int, j: np.ndarray, tol: Tolerances) -> CPMap:
+    """The map with Choi matrix j, validated once; a channel when it is trace-preserving."""
+    m = CPMap(din, dout, j, tol=tol)
+    if m.is_trace_preserving(tol):
+        object.__setattr__(m, "kind", "channel")
+    return m
 
 
 def choi_from_kraus(k: KrausSet | list, tol: Tolerances = DEFAULT_TOL) -> CPMap:
@@ -317,31 +334,38 @@ def choi_from_kraus(k: KrausSet | list, tol: Tolerances = DEFAULT_TOL) -> CPMap:
     """
     if not isinstance(k, KrausSet):
         k = KrausSet(tuple(k), tol=tol)
-    din, dout = k.dim_in, k.dim_out
-    side = din * dout
-    j = np.zeros((side, side), dtype=complex)
-    for op in k.ops:
-        v = op.T.reshape(side)
-        j += np.outer(v, v.conj())
-    gram = sum(op.conj().T @ op for op in k.ops)
-    kind = "channel" if close(gram, np.eye(din), tol) else "operation"
-    return CPMap(din, dout, j, kind=kind, tol=tol)
+    return _validated_map(k.dim_in, k.dim_out, kraus_choi(k.ops), tol)
+
+
+def kraus_lists(maps: list[CPMap], tol: Tolerances = DEFAULT_TOL, check: bool = True) -> list:
+    """Kraus operators of several same-shape maps, from one batched Choi eigh.
+
+    Eigenvalues at or below psd_tol are dropped; a map left with none
+    yields the single zero operator. ``check`` applies KrausSet's trace
+    condition to every list, on one stack of sums K^*K.
+    """
+    if not maps:
+        return []
+    din, dout = maps[0].dim_in, maps[0].dim_out
+    # CPMap validation left every Choi matrix exactly Hermitian
+    evals, evecs = np.linalg.eigh(np.array([m.choi for m in maps]))
+    keep = evals > tol.psd_tol
+    vecs = evecs.swapaxes(-1, -2).reshape(*evals.shape, din, dout).swapaxes(-1, -2)
+    ops = np.sqrt(np.where(keep, evals, 0.0))[..., None, None] * vecs
+    if check:
+        v = ops.reshape(len(maps), -1, din)
+        _check_trace_condition(v.conj().swapaxes(-1, -2) @ v, tol)
+    kept = ops[keep]
+    kept.flags.writeable = False
+    flat, ends = list(kept), np.cumsum(keep.sum(axis=1)).tolist()
+    return [tuple(flat[a:b]) if b > a else (_freeze(np.zeros((dout, din), dtype=complex)),)
+            for a, b in zip([0] + ends, ends)]
 
 
 def kraus_from_choi(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
-    """Kraus operators from the Choi eigendecomposition.
-
-    Eigenvalues at or below psd_tol are dropped; the null map yields the
-    single zero operator.
-    """
-    evals, evecs = herm_eig(m.choi, tol)
-    ops = []
-    for lam, vec in zip(evals, evecs.T):
-        if lam > tol.psd_tol:
-            ops.append(np.sqrt(lam) * vec.reshape(m.dim_in, m.dim_out).T)
-    if not ops:
-        ops = [np.zeros((m.dim_out, m.dim_in), dtype=complex)]
-    return KrausSet(tuple(ops), tol=tol)
+    """Kraus operators from the Choi eigendecomposition: :func:`kraus_lists` of one
+    map, whose trace condition KrausSet checks."""
+    return KrausSet(kraus_lists([m], tol, check=False)[0], tol=tol)
 
 
 def apply_s(m: CPMap, rho: np.ndarray) -> np.ndarray:
@@ -441,9 +465,11 @@ def induced_observable(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> Observ
 
 
 def total_channel(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> CPMap:
-    """The channel I(Omega, .)."""
-    total = sum(ins.branches[x].choi for x in ins.outcomes)
-    return CPMap(ins.dim_in, ins.dim_out, total, kind="channel", tol=tol)
+    """The channel I(Omega, .): the instrument's own, when tol is the one it was validated with."""
+    own_tol, total = ins._total
+    if tol == own_tol:
+        return total
+    return CPMap(ins.dim_in, ins.dim_out, total.choi, kind="channel", tol=tol)
 
 
 def relabel(ins: Instrument, f: PointerMap, tol: Tolerances = DEFAULT_TOL) -> Instrument:
@@ -563,19 +589,18 @@ def _check_state(rho: np.ndarray, tol: Tolerances) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise MatrixShapeError("state must be square")
-    if not is_hermitian(rho, tol):
-        raise HermiticityError("state is not Hermitian")
-    evals = np.linalg.eigvalsh(hermitian_part(rho))
+    h = checked_hermitian_part(rho, tol, "state")
+    evals = np.linalg.eigvalsh(h)
     if evals[0] < -tol.psd_tol:
         raise PositivityError(f"state has negative eigenvalue {evals[0]:.3e}")
     if abs(float(np.trace(rho).real) - 1.0) > 1e-8:
         raise ValueError("state trace differs from 1")
-    return hermitian_part(rho)
+    return h
 
 
 def _state_prep_choi(effect_matrix: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     """Choi of ``rho -> tr[E rho] rho0``."""
-    return np.kron(effect_matrix.T, rho0)
+    return kron(effect_matrix.T, rho0)
 
 
 def canonical_instrument(
@@ -644,7 +669,7 @@ def contraction_channel(eta: np.ndarray, dim_in: int | None = None, tol: Toleran
     """The channel ``rho -> tr(rho) eta`` for a fixed output state eta."""
     eta = _check_state(eta, tol)
     din = dim_in if dim_in is not None else eta.shape[0]
-    return CPMap(din, eta.shape[0], np.kron(np.eye(din), eta), kind="channel")
+    return CPMap(din, eta.shape[0], kron(np.eye(din), eta), kind="channel")
 
 
 def trivial_observable(p: dict[str, float], dim: int, tol: Tolerances = DEFAULT_TOL) -> Observable:

@@ -530,8 +530,11 @@ def solve(
     point is a boundary one, and one face polish rounds it onto its face
     (the projection is the witness if the polish fails). A certificate
     bound (``_certificate_bound`` of Z) below ``-feas_tol`` is an
-    infeasible verdict. A spent budget or a broken-down Newton system is
-    undecided, with the best certified margin. The run is deterministic.
+    infeasible verdict. When the budget is spent or the Newton system
+    breaks down, one face polish from the last affine point may still
+    round it onto a face within ``feas_tol`` (a boundary witness whose
+    margin sits in (-feas_tol, 0)); otherwise the verdict is undecided,
+    with the best certified margin. The run is deterministic.
     """
     full = _Layout.of(problem.blocks)
     a, b = _assemble(problem, full)
@@ -579,6 +582,7 @@ def solve(
     y[-1] = _min_eig(x0, layout) - 1.0
     margin = residual = float("inf")
     done = 0
+    point = None
     try:
         for it in range(max_iter + 1):
             s = x0 - f.T @ y
@@ -611,4 +615,9 @@ def solve(
                 z, y = _newton_step(z, y, s, spec_s, layout, f, f_groups)
     except np.linalg.LinAlgError:
         pass
+    polished = None if point is None else _face_polish(point, layout, a, b, proj_affine, tol)
+    if polished is not None:
+        if trace:
+            trace(f"iter={done} shift=+0.000e+00 face-polish residual={polished[1]:.3e}")
+        return feasible(polished[0], polished[1], done)
     return FeasibilityOutcome("undecided", None, margin, residual, done)

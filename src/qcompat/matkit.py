@@ -8,6 +8,7 @@ All functions are pure; all matrices are plain complex ndarrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,16 +49,23 @@ DEFAULT_TOL = Tolerances()
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a C-ordered complex matrix and reject non-finite entries."""
-    m = np.ascontiguousarray(np.asarray(a, dtype=complex))
+    m = np.ascontiguousarray(a, dtype=complex)
     if m.ndim != 2:
         raise MatrixShapeError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
 
 def frob_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm, with ``np.linalg.norm``'s arithmetic and without its dispatch."""
+    x = np.asarray(a).ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    return math.sqrt(x.dot(x))
 
 
 def frob_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -80,12 +88,24 @@ def is_hermitian(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    """(a + a*) / 2, of a matrix or of each matrix in a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
+def checked_hermitian_part(h: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
+    """:func:`hermitian_part` of a square h that passes :func:`is_hermitian`
+    (one conjugate transpose serves both); else HermiticityError naming ``what``."""
+    ht = h.conj().T
+    if not frob_norm(h - ht) <= tol.eq_tol * (1.0 + frob_norm(h)):
+        raise HermiticityError(f"{what} is not Hermitian")
+    return (h + ht) / 2.0
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor on the slow index."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product with the first factor on the slow index (np.kron's products)."""
+    a, b = as_matrix(a), as_matrix(b)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:

@@ -653,6 +653,64 @@ def test_kraus_witness_rejects_wrong_subset():
         cp._validate_certificate(bad, weak.witness, wtol)
 
 
+def test_kraus_certificate_tampering_is_caught():
+    import dataclasses
+
+    wtol = cp.witness_tolerances(cp.DEFAULT_TOL)
+    v = cp.classify(DEV["luders_px"], CPMap(2, 2, DEV["luders_px"].choi / 2))
+    cert = cp.kraus_witness(v)
+    scaled = dataclasses.replace(cert, k_ops=(1.01 * cert.k_ops[0],) + cert.k_ops[1:])
+    with pytest.raises(cp.WitnessValidationError, match="not normalized"):
+        cp._validate_certificate(scaled, v.witness, wtol)
+    assert cert.j1
+    dropped = dataclasses.replace(cert, j1=cert.j1[1:])
+    with pytest.raises(cp.WitnessValidationError, match="does not reproduce"):
+        cp._validate_certificate(dropped, v.witness, wtol)
+
+    weak = cp.classify(DEV["luders_px"], DEV["half_sigma_x"])
+    cert = cp.kraus_witness(weak)
+    assert cert.kind == "paired"
+    # a unitary in front of one operator keeps the list normalized and
+    # changes its total channel
+    u = np.array([[0, 1], [1, 0]], dtype=complex)
+    i = max(range(len(cert.l_ops)), key=lambda i: np.linalg.norm(cert.l_ops[i]))
+    l_ops = cert.l_ops[:i] + (u @ cert.l_ops[i] @ np.diag([1, 1j]),) + cert.l_ops[i + 1:]
+    perturbed = dataclasses.replace(cert, l_ops=l_ops)
+    with pytest.raises(cp.WitnessValidationError, match="different total channels"):
+        cp._validate_certificate(perturbed, weak.witness, wtol)
+
+
+def test_kraus_witness_takes_one_eigh_per_instrument_and_few_maps(monkeypatch):
+    # Upper bounds on the work of classify + kraus_witness, as counted when
+    # the Kraus export took one batched eigh per instrument. Before that, the
+    # export took one eigh per nonzero branch: 4 and 3 here. The CPMap counts
+    # (4 state preparations, the total and 2 carved parts; 3 branches, the
+    # total and 2 carved parts) did not change.
+    calls = {"cpmap": 0, "eigh": 0}
+    post, eigh = CPMap.__post_init__, np.linalg.eigh
+
+    def counted_post(self, tol):
+        calls["cpmap"] += 1
+        return post(self, tol)
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(CPMap, "__post_init__", counted_post)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    effects = Effect(np.diag([0.3, 0.8])), Effect(np.diag([0.6, 0.1]))
+    ops = DEV["luders_px"], CPMap(2, 2, DEV["luders_px"].choi / 2)
+    pairs = {"fast-path: commuting-effects": (*effects, 7, 1), "fast-path: comparable": (*ops, 6, 1)}
+    for notes, (d1, d2, max_maps, max_eigh) in pairs.items():
+        calls.update(cpmap=0, eigh=0)
+        v = cp.classify(d1, d2)
+        cp.kraus_witness(v)
+        assert (v.relation, v.notes) == ("compatible", notes)
+        assert calls["cpmap"] <= max_maps
+        assert calls["eigh"] <= max_eigh
+
+
 def test_kraus_witness_requires_witness():
     v = cp.Verdict("strongly_incompatible", None, "")
     with pytest.raises(ValueError):

@@ -65,11 +65,40 @@ def test_instrument_total_must_be_channel():
     quarter = dv.choi_from_kraus(dv.KrausSet((I2 / 2,)))
     with pytest.raises(dv.NormalizationError):
         dv.Instrument(("0", "1"), {"0": quarter, "1": quarter})
+    # a branch next to a whole channel: the sum increases the trace
+    ident = dv.choi_from_kraus(dv.KrausSet((I2,)))
+    with pytest.raises(dv.NormalizationError):
+        dv.Instrument(("0", "1"), {"0": quarter, "1": ident})
 
 
 def test_kraus_set_rejects_unnormalizable():
     with pytest.raises(dv.TraceConditionError):
         dv.KrausSet((2.0 * I2,))
+
+
+def test_heisenberg_unit_is_kept_read_only():
+    rng = np.random.default_rng(11)
+    for din, dout in ((2, 2), (2, 3), (3, 1)):
+        m = rand_cpmap(rng, din, dout, n_ops=2)
+        hu = m.heisenberg_unit()
+        assert hu is m.heisenberg_unit()
+        assert np.array_equal(hu, dv.apply_h(m, np.eye(dout)))
+        with pytest.raises(ValueError):
+            hu[0, 0] = 0.0
+
+
+def test_total_channel_is_the_branch_sum_at_any_tolerance():
+    rng = np.random.default_rng(12)
+    ins = rand_instrument(rng, n_out=3)
+    want = sum(ins.branches[x].choi for x in ins.outcomes)
+    own = dv.total_channel(ins)
+    assert own is dv.total_channel(ins, mk.Tolerances())
+    loose = mk.Tolerances(eq_tol=1e-6, psd_tol=1e-6, feas_tol=1e-5)
+    other = dv.total_channel(ins, loose)
+    assert other is not own
+    for lam in (own, other):
+        assert lam.kind == "channel"
+        assert np.array_equal(lam.choi, want)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +162,38 @@ def test_kraus_of_luders_pz_single_operator():
     phase = ks.ops[0][0, 0]
     assert np.allclose(ks.ops[0], phase * PZ)
     assert abs(abs(phase) - 1.0) < 1e-12
+
+
+def test_kraus_lists_match_kraus_from_choi_bit_for_bit():
+    rng = np.random.default_rng(14)
+    maps = [rand_cpmap(rng, 2, 3, n_ops=k) for k in (1, 2, 3)]
+    maps.append(dv.CPMap(2, 3, np.zeros((6, 6))))
+    lists = dv.kraus_lists(maps)
+    for m, ops in zip(maps, lists):
+        single = dv.kraus_from_choi(m).ops
+        assert len(ops) == len(single)
+        assert all(np.array_equal(a, b) for a, b in zip(ops, single))
+
+
+def test_kraus_lists_check_the_trace_condition():
+    # valid at a loose tolerance, a trace increase of 1e-7 at the default one
+    loose = mk.Tolerances(eq_tol=1e-6, psd_tol=1e-6)
+    ident = dv.choi_from_kraus(dv.KrausSet((I2,))).choi
+    big = dv.CPMap(2, 2, (1 + 1e-7) * ident, tol=loose)
+    assert len(dv.kraus_lists([luders_of(PZ), big], loose)) == 2
+    with pytest.raises(dv.TraceConditionError):
+        dv.kraus_lists([luders_of(PZ), big])
+
+
+def test_kraus_choi_adds_outer_products_in_order():
+    rng = np.random.default_rng(15)
+    ops = np.array([rand_complex(rng, 3, 2) for _ in range(4)])
+    want = np.zeros((6, 6), dtype=complex)
+    for k in ops:
+        v = k.T.reshape(-1)
+        want += np.outer(v, v.conj())
+    assert np.array_equal(dv.kraus_choi(ops), want)
+    assert np.array_equal(dv.kraus_choi(ops[:0]), np.zeros((6, 6)))
 
 
 # ---------------------------------------------------------------------------

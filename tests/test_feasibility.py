@@ -239,6 +239,32 @@ def test_coexistence_noisy_pair_against_grid_oracle():
     assert out.margin < -1e-7
 
 
+def test_busch_boundary_is_rounded_onto_its_face():
+    # Just past t = 1/sqrt(2) the margin is negative but above -feas_tol.
+    # The path cannot certify either way; a final face polish finds a point
+    # within feas_tol for delta = 1e-7, not for 2e-7, and from 3e-7 on the
+    # certificate refutes.
+    tol = fs.DEFAULT_TOL
+    e1, e2 = noisy_pair(1 / np.sqrt(2) + 1e-7)
+    out = fs.solve(coexistence_problem(e1, e2))
+    assert out.verdict == "feasible"
+    w = out.witness
+    assert all(is_psd(w[n]) for n in w)
+    rows = (w["g11"] + w["g10"] - e1, w["g11"] + w["g01"] - e2, sum(w.values()) - I2)
+    residual = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rows)))
+    assert residual <= tol.feas_tol
+    assert out.residual <= tol.feas_tol
+
+    out = fs.solve(coexistence_problem(*noisy_pair(1 / np.sqrt(2) + 2e-7)))
+    assert out.verdict == "undecided"
+    assert -tol.feas_tol < out.margin < 0
+
+    for delta in (3e-7, 1e-6):
+        out = fs.solve(coexistence_problem(*noisy_pair(1 / np.sqrt(2) + delta)))
+        assert out.verdict == "infeasible"
+        assert out.margin < -tol.feas_tol
+
+
 def test_sum_constraint_witness_resums():
     rng = np.random.default_rng(45)
     from qcompat.devices import choi_from_kraus
