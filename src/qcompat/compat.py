@@ -30,6 +30,7 @@ from .devices import (
     kraus_choi,
     kraus_from_choi,
     kraus_lists,
+    state_prep_choi,
     total_channel,
 )
 from .matkit import (
@@ -117,14 +118,10 @@ def witness_tolerances(tol: Tolerances) -> Tolerances:
     )
 
 
-def _prep_choi(effect_matrix: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Choi matrix of ``rho -> tr[E rho] eta``."""
-    return kron(hermitian_part(np.asarray(effect_matrix, dtype=complex)).T, eta)
-
-
 def state_prep_map(effect_matrix: np.ndarray, eta: np.ndarray, tol: Tolerances) -> CPMap:
     """The operation ``rho -> tr[E rho] eta``."""
-    return CPMap(np.shape(effect_matrix)[0], eta.shape[0], _prep_choi(effect_matrix, eta), tol=tol)
+    choi = state_prep_choi(effect_matrix, eta)
+    return CPMap(np.shape(effect_matrix)[0], eta.shape[0], choi, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +391,7 @@ def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
     totals are the contraction channel to that state.
     """
     eta = np.eye(p.din) / p.din
-    blocks = {(i, x): _prep_choi(t, eta) for i, d in enumerate((p.d1, p.d2))
+    blocks = {(i, x): state_prep_choi(t, eta) for i, d in enumerate((p.d1, p.d2))
               for x, t in _parts(d).items() if t is not None}
     return _weak_verdict(p, blocks, kron(np.eye(p.din), eta), notes, p.tol)
 
@@ -422,7 +419,7 @@ def _commute(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> bool:
 
 def _measure(p: _Pair, e: np.ndarray) -> np.ndarray:
     """Block measuring E: E itself, or E then the maximally mixed output."""
-    return e if p.classical else _prep_choi(e, np.eye(p.dout) / p.dout)
+    return e if p.classical else state_prep_choi(e, np.eye(p.dout) / p.dout)
 
 
 def _commuting_effects(p: _Pair):
@@ -520,7 +517,7 @@ def _contraction_channel(p: _Pair):
     eta = is_contraction_channel(p.d1, p.tol)
     if eta is None:
         return None
-    blocks = {("1", x): _prep_choi(p.d2.effects[x].matrix, eta) for x in p.d2.outcomes}
+    blocks = {("1", x): state_prep_choi(p.d2.effects[x].matrix, eta) for x in p.d2.outcomes}
     return _joint_verdict(p, blocks, "fast-path: contraction-channel", p.tol)
 
 
@@ -586,10 +583,11 @@ def _rank1_family(p: _Pair):
         overlap = rank1_upper_channels_equal(p.d1, p.d2, p.tol)
     except RankConditionError:
         return None
+    if overlap.equal is None:
+        return None
     if overlap.equal:
         return _weak_verdict(p, {}, overlap.channel.choi, "fast-path: rank1-family", p.tol)
-    sep = "separating state found" if overlap.separating_state is not None else overlap.reason
-    return Verdict("strongly_incompatible", None, f"fast-path: rank1-family ({sep})")
+    return Verdict("strongly_incompatible", None, f"fast-path: rank1-family ({overlap.reason})")
 
 
 # Fast paths per canonical kind pair, in the order they run. Structural

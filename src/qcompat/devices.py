@@ -598,9 +598,9 @@ def _check_state(rho: np.ndarray, tol: Tolerances) -> np.ndarray:
     return h
 
 
-def _state_prep_choi(effect_matrix: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+def state_prep_choi(effect_matrix: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     """Choi of ``rho -> tr[E rho] rho0``."""
-    return kron(effect_matrix.T, rho0)
+    return kron(np.asarray(effect_matrix).T, rho0)
 
 
 def canonical_instrument(
@@ -621,15 +621,15 @@ def canonical_instrument(
         d = device.dim
         rho0 = _check_state(anchor_state if anchor_state is not None else np.eye(d) / d, tol)
         branches = {
-            "0": CPMap(d, rho0.shape[0], _state_prep_choi(device.matrix, rho0)),
-            "1": CPMap(d, rho0.shape[0], _state_prep_choi(np.eye(d) - device.matrix, rho0)),
+            "0": CPMap(d, rho0.shape[0], state_prep_choi(device.matrix, rho0)),
+            "1": CPMap(d, rho0.shape[0], state_prep_choi(np.eye(d) - device.matrix, rho0)),
         }
         return Instrument(("0", "1"), branches)
     if isinstance(device, Observable):
         d = device.dim
         rho0 = _check_state(anchor_state if anchor_state is not None else np.eye(d) / d, tol)
         branches = {
-            x: CPMap(d, rho0.shape[0], _state_prep_choi(device.effects[x].matrix, rho0))
+            x: CPMap(d, rho0.shape[0], state_prep_choi(device.effects[x].matrix, rho0))
             for x in device.outcomes
         }
         return Instrument(device.outcomes, branches)
@@ -653,7 +653,7 @@ def canonical_instrument(
         deficit = np.eye(device.dim_in) - device.heisenberg_unit()
         branches = {
             "0": device,
-            "1": CPMap(device.dim_in, dk, _state_prep_choi(deficit, rho0)),
+            "1": CPMap(device.dim_in, dk, state_prep_choi(deficit, rho0)),
         }
         return Instrument(("0", "1"), branches)
     raise TypeError(f"unsupported device type {type(device).__name__}")

@@ -271,18 +271,13 @@ def _certificate_bound(v: np.ndarray, layout: _Layout, gram: np.ndarray, x0: np.
     ``z = gram @ v`` lies in the row space of the constraints, so
     <X, z> = <x0, z> for every affine X. When z is PSD blockwise,
     <X, z> >= min eig(X) * <e, z> with e the all-blocks identity, hence
-    min eig(X) <= <x0, z> / <e, z>. A z with a negative eigenvalue mu is
-    shifted to z - mu*e, which stays in the row space exactly when the
-    total trace is fixed on the affine set (gram @ e = e). A bound below
-    zero is a Farkas certificate of infeasibility.
+    min eig(X) <= <x0, z> / <e, z>. A z with a negative eigenvalue gives
+    no bound. A bound below zero is a Farkas certificate of infeasibility.
     """
     z = gram @ v
-    mu = _min_eig(z, layout)
+    if _min_eig(z, layout) < 0:
+        return None
     e = _identity_coords(layout)
-    if mu < 0:
-        if np.linalg.norm(gram @ e - e) > 1e-9 * np.linalg.norm(e):
-            return None
-        z = z - mu * e
     weight = float(e @ z)
     if weight <= 0:
         return None

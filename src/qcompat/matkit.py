@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernel.
 
 Deterministic building blocks used by every other module: Kronecker
-products, partial traces, Hermitian eigendecomposition, PSD projection,
+products, partial traces, Hermitian eigendecomposition, square roots,
 orthonormal Hermitian operator bases, and tolerance-aware predicates.
 All functions are pure; all matrices are plain complex ndarrays.
 """
@@ -145,14 +145,6 @@ def is_psd(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
         return False
     evals = np.linalg.eigvalsh(hermitian_part(as_matrix(h)))
     return bool(evals[0] >= -tol.psd_tol)
-
-
-def project_psd(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clamp negative eigenvalues to zero."""
-    evals, evecs = herm_eig(h, tol)
-    clamped = np.maximum(evals, 0.0)
-    out = (evecs * clamped) @ evecs.conj().T
-    return hermitian_part(out)
 
 
 def mat_sqrt(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Contains the CP order on operations, purity and comparability tests,
 the one-parameter channel family above an operation with rank-1 trace
-deficit, detectors for trivial devices, and the commutation criterion
-between an operation's range and an effect.
+deficit and a closed-form test of whether two such families meet,
+detectors for trivial devices, and the commutation criterion between an
+operation's range and an effect.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ from .matkit import (
     MatrixShapeError,
     Tolerances,
     close,
-    coord_matrix,
     frob_norm,
-    herm_coords,
-    herm_from_coords,
     hermitian_basis,
     hermitian_part,
-    project_psd,
+    kron,
 )
 
 
 class RankConditionError(ValueError):
-    """The trace deficit of the operation is not rank 1 (or 0)."""
+    """The trace deficit of the operation has rank above 1."""
 
 
 class PurityError(ValueError):
@@ -115,57 +113,34 @@ def rank1_channel_family(phi: CPMap, xi: np.ndarray, tol: Tolerances = DEFAULT_T
 class FamilyOverlap:
     """Outcome of intersecting two rank-1 completion channel families.
 
-    When the families meet, ``channel`` is a common member together with
-    the completion states realizing it. When they do not, ``separating_state``
-    (if found) is a single input state whose reachable output sets are
-    disjoint across the two families.
+    ``equal`` is True when the families meet: ``channel`` is a common
+    member and ``xi1``/``xi2`` are the completion states realizing it
+    (None on a channel side). It is False when a forced quantity rules
+    every common member out, and None when the candidates come within
+    tolerance of a common member that they do not certify. ``reason``
+    names the deciding quantity.
     """
 
-    equal: bool
+    equal: bool | None
     xi1: np.ndarray | None = None
     xi2: np.ndarray | None = None
     channel: CPMap | None = None
-    separating_state: np.ndarray | None = None
     reason: str = ""
 
 
-def _kron_coord_map(e_t: np.ndarray, dk: int) -> np.ndarray:
-    """Real matrix of xi -> kron(e_t, xi) in Hermitian coordinates."""
-    return coord_matrix(lambda xi: np.kron(e_t, xi), dk)
+def _deficit_vector(phi: CPMap, tol: Tolerances) -> np.ndarray | None:
+    """The vector u with ``E^T = u u*`` for a rank-1 deficit; None for rank 0."""
+    evals, vecs = np.linalg.eigh(trace_deficit(phi).T)
+    r = int(np.sum(evals > tol.psd_tol))
+    if r > 1:
+        raise RankConditionError(f"trace deficit has rank {r} > 1")
+    return np.sqrt(evals[-1]) * vecs[:, -1] if r else None
 
 
-def _state_pair_exists(d: np.ndarray, a1: float, a2: float, tol: Tolerances) -> bool:
-    """Whether ``a1 x1 - a2 x2 = d`` is solvable with states x1, x2."""
-    slack = 100 * tol.feas_tol
-    if abs(float(np.trace(d).real) - (a1 - a2)) > slack:
-        return False
-    evals = np.linalg.eigvalsh(hermitian_part(d))
-    pos = float(np.sum(evals[evals > 0]))
-    neg = float(-np.sum(evals[evals < 0]))
-    return pos <= a1 + slack and neg <= a2 + slack
-
-
-def _separating_state_search(
-    phi1: CPMap, phi2: CPMap, e1: np.ndarray, e2: np.ndarray, tol: Tolerances
-) -> np.ndarray | None:
-    d = phi1.dim_in
-    candidates: list[np.ndarray] = [np.eye(d) / d]
-    for e in (e1, e2):
-        _, vecs = np.linalg.eigh(e)
-        for v in vecs.T:
-            candidates.append(np.outer(v, v.conj()))
-    rng = np.random.default_rng(1234)
-    for _ in range(32):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        p = g @ g.conj().T
-        candidates.append(p / np.trace(p).real)
-    for rho in candidates:
-        a1 = float(np.trace(rho @ e1).real)
-        a2 = float(np.trace(rho @ e2).real)
-        diff = hermitian_part(apply_s(phi2, rho) - apply_s(phi1, rho))
-        if not _state_pair_exists(diff, a1, a2, tol):
-            return rho
-    return None
+def _compress(delta: np.ndarray, f: np.ndarray, dk: int) -> np.ndarray:
+    """``(f* x 1) delta (f x 1)``: the output block of delta along input vector f."""
+    t = delta.reshape(f.size, dk, f.size, dk)
+    return hermitian_part(np.einsum("a,ambn,b->mn", f.conj(), t, f))
 
 
 def rank1_upper_channels_equal(
@@ -173,99 +148,63 @@ def rank1_upper_channels_equal(
 ) -> FamilyOverlap:
     """Decide whether the completion-channel families of two maps intersect.
 
-    Both maps must have trace deficit of rank at most 1. Solves the
-    linear system over the two completion states directly and checks the
-    candidate states for positivity; on failure it looks for an explicit
-    separating input state.
+    Both maps must have trace deficit of rank at most 1, ``E_i^T = u_i u_i*``.
+    A common member solves ``kron(u1 u1*, xi1) - kron(u2 u2*, xi2) = J2 - J1``
+    in states xi_i (a channel side has no term). For independent u's the
+    biorthogonal duals f_i force ``xi1 = C_f1(J2 - J1)`` and
+    ``xi2 = -C_f2(J2 - J1)``, with ``C_f(X) = (f* x 1) X (f x 1)``. For
+    parallel ones, ``u2 = c u1``, only ``D = xi1 - |c|^2 xi2`` is forced,
+    and states with that difference exist exactly when ``tr D+ <= 1``.
+    One span residual then checks the candidates against the equation.
+    Candidates that come within tolerance without certifying a common
+    member, and deficit directions too close to parallel for the duals,
+    give ``equal=None``.
     """
     _same_dims(phi1, phi2)
     dk = phi1.dim_out
-    e1, e2 = trace_deficit(phi1), trace_deficit(phi2)
-    r1, r2 = _deficit_rank(e1, tol), _deficit_rank(e2, tol)
-    if r1 > 1 or r2 > 1:
-        raise RankConditionError(f"trace deficits have ranks ({r1}, {r2}); need <= 1")
+    us = (_deficit_vector(phi1, tol), _deficit_vector(phi2, tol))
+    live = [i for i in (0, 1) if us[i] is not None]
+    weight = {i: float(np.vdot(us[i], us[i]).real) for i in live}  # the deficit eigenvalue
+    delta = phi2.choi - phi1.choi
+    xis: list[np.ndarray | None] = [None, None]
+    split = ""
+    if live:
+        basis = np.stack([us[i] for i in live], axis=1)
+        sv = np.linalg.svd(basis, compute_uv=False)
+        # the duals amplify rounding in J2 - J1 by cond([u1 u2])^2
+        if np.finfo(float).eps * sv[0] ** 2 <= tol.psd_tol * sv[-1] ** 2:
+            duals = basis @ np.linalg.inv(basis.conj().T @ basis)
+            for i, f in zip(live, duals.T):
+                xis[i] = (1 - 2 * i) * _compress(delta, f, dk)
+        elif sv[-1] > tol.eq_tol * sv[0]:
+            ratio = sv[-1] / sv[0]
+            return FamilyOverlap(None, reason=f"deficit directions nearly parallel: {ratio:.3e}")
+        else:
+            mu = weight[1] / weight[0]
+            d = _compress(delta, us[0] / weight[0], dk)
+            evals, vecs = np.linalg.eigh(d)
+            pos = hermitian_part((vecs * np.maximum(evals, 0.0)) @ vecs.conj().T)
+            s = 1.0 - float(np.trace(pos).real)
+            split = f"tr D+ = {1.0 - s:.6g}, "
+            xis = [pos + (s / dk) * np.eye(dk), (pos - d + (s / dk) * np.eye(dk)) / mu]
 
-    delta = hermitian_part(phi2.choi - phi1.choi)
-    if r1 == 0 and r2 == 0:
-        if close(phi1.choi, phi2.choi, tol):
-            ch = CPMap(phi1.dim_in, dk, phi1.choi, kind="channel", tol=tol)
-            return FamilyOverlap(True, None, None, ch, reason="equal channels")
-        sep = _separating_state_search(phi1, phi2, e1, e2, tol)
-        return FamilyOverlap(False, separating_state=sep, reason="distinct channels")
+    lifts = {i: kron(np.outer(us[i], us[i].conj()), xis[i]) for i in live}
+    residual = frob_norm(lifts.get(0, 0.0) - lifts.get(1, 0.0) - delta)
+    if residual > tol.feas_tol * (1.0 + frob_norm(delta)):
+        return FamilyOverlap(False, reason=f"span residual {residual:.3e}")
+    floors = {i: float(np.linalg.eigvalsh(xis[i])[0]) for i in live}
+    for i, lam in floors.items():
+        if lam < -100 * tol.psd_tol:
+            return FamilyOverlap(False, reason=f"{split}xi{i + 1} has eigenvalue {lam:.3e}")
 
-    # Linear system over the unknown completion states (rank-0 side has none).
-    blocks: list[np.ndarray] = []
-    if r1 == 1:
-        blocks.append(_kron_coord_map(e1.T, dk))
-    if r2 == 1:
-        blocks.append(-_kron_coord_map(e2.T, dk))
-    a = np.hstack(blocks)
-    rows = [a]
-    rhs = [herm_coords(delta)]
-    # trace-one rows for each unknown state
-    n_unknown = a.shape[1] // (dk * dk)
-    for i in range(n_unknown):
-        row = np.zeros(a.shape[1])
-        row[i * dk * dk : i * dk * dk + dk] = 1.0
-        rows.append(row[None, :])
-        rhs.append(np.array([1.0]))
-    a_full = np.vstack(rows)
-    b_full = np.concatenate(rhs)
-
-    sol, _, rank, svals = np.linalg.lstsq(a_full, b_full, rcond=None)
-    residual = float(np.linalg.norm(a_full @ sol - b_full))
-    if residual > tol.feas_tol * (1.0 + float(np.linalg.norm(b_full))):
-        sep = _separating_state_search(phi1, phi2, e1, e2, tol)
-        return FamilyOverlap(False, separating_state=sep, reason="linear system inconsistent")
-
-    null_dim = a_full.shape[1] - rank
-    xis = [herm_from_coords(sol[i * dk * dk : (i + 1) * dk * dk], dk) for i in range(n_unknown)]
-
-    if null_dim == 0:
-        psd_ok = all(np.linalg.eigvalsh(x)[0] >= -100 * tol.psd_tol for x in xis)
-        if not psd_ok:
-            sep = _separating_state_search(phi1, phi2, e1, e2, tol)
-            return FamilyOverlap(
-                False, separating_state=sep, reason="unique solution is not positive"
-            )
-    else:
-        # search the affine solution set for a PSD point by cyclic projection
-        vt = np.linalg.svd(a_full, full_matrices=True)[2]
-        null_basis = vt[rank:, :]
-        x = sol.copy()
-        for _ in range(2000):
-            stacked = []
-            for i in range(n_unknown):
-                xi = herm_from_coords(x[i * dk * dk : (i + 1) * dk * dk], dk)
-                stacked.append(herm_coords(project_psd(xi, tol)))
-            y = np.concatenate(stacked)
-            x = sol + null_basis.T @ (null_basis @ (y - sol))
-            if np.linalg.norm(y - x) <= tol.feas_tol / 10:
-                x = y
-                break
-        xis = [herm_from_coords(x[i * dk * dk : (i + 1) * dk * dk], dk) for i in range(n_unknown)]
-        feas = float(np.linalg.norm(a_full @ x - b_full)) <= 10 * tol.feas_tol
-        psd_ok = all(np.linalg.eigvalsh(hermitian_part(xx))[0] >= -100 * tol.psd_tol for xx in xis)
-        if not (feas and psd_ok):
-            sep = _separating_state_search(phi1, phi2, e1, e2, tol)
-            return FamilyOverlap(
-                False, separating_state=sep, reason="no positive point in solution set"
-            )
-
-    it = iter(xis)
-    xi1 = project_psd(next(it), tol) if r1 == 1 else None
-    xi2 = project_psd(next(it), tol) if r2 == 1 else None
-    if xi1 is not None:
-        xi1 = xi1 / np.trace(xi1).real
-        ch = rank1_channel_family(phi1, xi1, tol)
-    else:
-        ch = CPMap(phi1.dim_in, dk, phi1.choi, kind="channel", tol=tol)
-    if xi2 is not None:
-        xi2 = xi2 / np.trace(xi2).real
-    if not (cp_leq(phi1, ch, tol) and cp_leq(phi2, ch, tol)):
-        sep = _separating_state_search(phi1, phi2, e1, e2, tol)
-        return FamilyOverlap(False, separating_state=sep, reason="candidate fails CP-order check")
-    return FamilyOverlap(True, xi1, xi2, ch, reason="families intersect")
+    # The witness branches are kron(u_i u_i*, xi_i), side 2's off by the
+    # residual; the common channel preserves trace when tr xi1 = 1.
+    slack = residual + max([0.0] + [-weight[i] * lam for i, lam in floors.items()])
+    drift = weight[0] * abs(float(np.trace(xis[0]).real) - 1.0) if 0 in live else 0.0
+    if slack > tol.psd_tol or drift > tol.eq_tol:
+        return FamilyOverlap(None, reason=f"uncertified: slack {slack:.3e}, drift {drift:.3e}")
+    ch = CPMap(phi1.dim_in, dk, phi1.choi + lifts.get(0, 0.0), kind="channel", tol=tol)
+    return FamilyOverlap(True, xis[0], xis[1], ch, reason="families intersect")
 
 
 # ---------------------------------------------------------------------------

@@ -67,3 +67,34 @@ def rand_instrument(rng, din=2, dout=2, n_out=2, ops_per_branch=1):
         chunk = ks.ops[i * ops_per_branch : (i + 1) * ops_per_branch]
         branches[lab] = choi_from_kraus(KrausSet(chunk))
     return Instrument(labels, branches)
+
+
+def rand_rank1_deficit_op(rng):
+    """Random operation whose trace deficit 1 - K*K has rank exactly 1."""
+    s = rng.uniform(0.2, 0.9)
+    u = np.linalg.qr(rand_complex(rng, 2))[0]
+    v = np.linalg.qr(rand_complex(rng, 2))[0]
+    k = u @ np.diag([1.0, np.sqrt(s)]) @ v.conj().T
+    return choi_from_kraus(KrausSet((k,)))
+
+
+def below_common_channel(rng):
+    """Two pure qubit maps with rank-1 deficits below one channel.
+
+    The channel has Kraus operators {K1, R1} with R1 of rank 1; mixing
+    them by a unitary chosen so that det(R2) = 0 gives a second pair
+    {K2, R2}, so both {K1} and {K2} sit below the channel.
+    """
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    r1 = rng.uniform(0.3, 0.9) * np.outer(a / np.linalg.norm(a), (b / np.linalg.norm(b)).conj())
+    evals, evecs = np.linalg.eigh(np.eye(2) - r1.conj().T @ r1)
+    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    haar = q * (np.diag(r) / np.abs(np.diag(r)))
+    k1 = haar @ (evecs * np.sqrt(evals)) @ evecs.conj().T
+    adj = np.array([[r1[1, 1], -r1[0, 1]], [-r1[1, 0], r1[0, 0]]])
+    ratio = -np.linalg.det(k1) / np.trace(adj @ k1)  # u / v with det(u R1 + v K1) = 0
+    v = 1.0 / np.sqrt(1.0 + abs(ratio) ** 2)
+    k2 = -np.conj(v) * r1 + np.conj(ratio * v) * k1
+    return choi_from_kraus(KrausSet((k1,))), choi_from_kraus(KrausSet((k2,)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcompat import compat as cp
 from qcompat import devices as dv
@@ -22,11 +24,12 @@ from qcompat.fixtures import (
 )
 
 from conftest import (
-    rand_complex,
+    below_common_channel,
     rand_cpmap,
     rand_effect,
     rand_instrument,
     rand_kraus,
+    rand_rank1_deficit_op,
     rand_state,
 )
 
@@ -352,15 +355,6 @@ def test_weak_completion_branch_has_rank1_structure():
     assert np.linalg.norm(diff - np.kron(e1.T, xi)) <= 1e-5
 
 
-def rand_rank1_deficit_op(rng):
-    """Random operation whose trace deficit 1 - K*K has rank exactly 1."""
-    s = rng.uniform(0.2, 0.9)
-    u = np.linalg.qr(rand_complex(rng, 2))[0]
-    v = np.linalg.qr(rand_complex(rng, 2))[0]
-    k = u @ np.diag([1.0, np.sqrt(s)]) @ v.conj().T
-    return choi_from_kraus(KrausSet((k,)))
-
-
 def test_rank1_oracle_agrees_with_engine():
     # the analytic completion-family oracle and the weak SDP must agree
     rng = np.random.default_rng(106)
@@ -374,6 +368,42 @@ def test_rank1_oracle_agrees_with_engine():
         assert fast.relation == slow.relation
         seen.add(fast.relation)
     assert seen  # at least one decided either way
+
+
+def test_rank1_family_never_reaches_the_engine(monkeypatch):
+    # the closed-form family test decides rank-1 pairs without the engine
+    def no_engine(*args, **kwargs):
+        raise AssertionError("feasibility.solve called")
+
+    monkeypatch.setattr(fs, "solve", no_engine)
+    rng = np.random.default_rng(107)
+    pairs = [(DEV["luders_px"], DEV["luders_pz"])]
+    pairs += [(rand_rank1_deficit_op(rng), rand_rank1_deficit_op(rng)) for _ in range(6)]
+    pairs += [below_common_channel(np.random.default_rng(seed)) for seed in (100, 51, 86)]
+    relations = set()
+    for f1, f2 in pairs:
+        v = cp.classify(f1, f2)
+        assert "rank1-family" in v.notes
+        relations.add(v.relation)
+    assert relations == {"weakly_compatible_only", "strongly_incompatible"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), constructed=st.booleans())
+def test_rank1_family_agrees_with_engine_property(seed, constructed):
+    # whenever both routes decide, they agree; a positive's channel sits above both maps
+    rng = np.random.default_rng(seed)
+    if constructed:
+        f1, f2 = below_common_channel(rng)
+    else:
+        f1, f2 = rand_rank1_deficit_op(rng), rand_rank1_deficit_op(rng)
+    fast = cp.weakly_compatible(f1, f2)
+    slow = cp.weakly_compatible(f1, f2, fast_paths=False)
+    if "undecided" not in (fast.relation, slow.relation):
+        assert fast.relation == slow.relation
+    if fast.relation == "weakly_compatible_only":
+        lam = fast.witness.common_channel
+        assert od.cp_leq(f1, lam) and od.cp_leq(f2, lam)
 
 
 def test_weak_ef_ef_always():

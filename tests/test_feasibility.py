@@ -9,7 +9,7 @@ from qcompat import feasibility as fs
 from qcompat.fixtures import I2, SX, SZ
 from qcompat.matkit import herm_coords, herm_from_coords, hermitian_basis, is_psd
 
-from conftest import rand_complex, rand_effect, rand_herm
+from conftest import below_common_channel, rand_complex, rand_effect, rand_herm
 
 
 def one_block_trace_problem(value, side=2):
@@ -56,13 +56,24 @@ def test_certificate_bound_of_negative_trace():
 
 
 def test_certificate_needs_psd_direction_without_fixed_trace():
-    # X[0, 0] = -1 leaves the trace free, so a non-PSD z cannot be shifted
+    # X[0, 0] = -1 leaves the trace free, so a non-PSD z gives no bound
     row = np.zeros((1, 4))
     row[0, 0] = 1.0
     c = fs.AffineConstraint((("x", row),), np.array([-1.0]))
     layout, gram, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
     assert fs._certificate_bound(herm_coords(np.diag([-1.0, 0.0])), layout, gram, x0) is None
     assert fs._certificate_bound(herm_coords(np.diag([1.0, 0.0])), layout, gram, x0) == -1.0
+    # with the trace fixed as well (Tr X = -1, one off-diagonal coordinate 0),
+    # a non-PSD z in the row space still gives no bound: z is not shifted
+    rows = np.zeros((2, 4))
+    rows[0, :2] = 1.0
+    rows[1, 2] = 1.0
+    c = fs.AffineConstraint((("x", rows),), np.array([-1.0, 0.0]))
+    layout, gram, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
+    z = np.array([1.0, 1.0, 3.0, 0.0])
+    assert fs._min_eig(gram @ z, layout) < 0
+    assert fs._certificate_bound(z, layout, gram, x0) is None
+    assert fs._certificate_bound(herm_coords(np.eye(2)), layout, gram, x0) == pytest.approx(-0.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,30 +402,6 @@ def test_solver_packs_through_module_names(monkeypatch):
     out = fs.solve(one_block_trace_problem(1.0, side=4))
     assert out.verdict == "feasible"
     assert calls and set(calls) == {4}
-
-
-def below_common_channel(rng):
-    """Two pure qubit maps with rank-1 deficits below one channel.
-
-    The channel has Kraus operators {K1, R1} with R1 of rank 1; mixing
-    them by a unitary chosen so that det(R2) = 0 gives a second pair
-    {K2, R2}, so both {K1} and {K2} sit below the channel.
-    """
-    from qcompat.devices import KrausSet, choi_from_kraus
-
-    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    r1 = rng.uniform(0.3, 0.9) * np.outer(a / np.linalg.norm(a), (b / np.linalg.norm(b)).conj())
-    evals, evecs = np.linalg.eigh(np.eye(2) - r1.conj().T @ r1)
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    haar = q * (np.diag(r) / np.abs(np.diag(r)))
-    k1 = haar @ (evecs * np.sqrt(evals)) @ evecs.conj().T
-    adj = np.array([[r1[1, 1], -r1[0, 1]], [-r1[1, 0], r1[0, 0]]])
-    ratio = -np.linalg.det(k1) / np.trace(adj @ k1)  # u / v with det(u R1 + v K1) = 0
-    v = 1.0 / np.sqrt(1.0 + abs(ratio) ** 2)
-    k2 = -np.conj(v) * r1 + np.conj(ratio * v) * k1
-    return choi_from_kraus(KrausSet((k1,))), choi_from_kraus(KrausSet((k2,)))
 
 
 def test_weak_problem_below_common_channel():

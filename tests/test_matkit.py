@@ -108,34 +108,6 @@ def test_herm_eig_rejects_non_hermitian():
         mk.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_project_psd_clamps_sigma_z():
-    assert np.allclose(mk.project_psd(SZ), PZ)
-
-
-def test_project_psd_fixed_point_and_idempotent():
-    rng = np.random.default_rng(17)
-    for p in (PX, PZ, np.eye(3)):
-        assert np.allclose(mk.project_psd(p), p)
-    h = rand_herm(rng, 4)
-    once = mk.project_psd(h)
-    assert np.allclose(mk.project_psd(once), once)
-    assert mk.is_psd(once)
-
-
-def test_project_psd_optimality_sampled():
-    # oracle: no PSD matrix in a sampled neighborhood is closer in Frobenius norm
-    rng = np.random.default_rng(19)
-    h = rand_herm(rng, 3)
-    p = mk.project_psd(h)
-    base = np.linalg.norm(h - p)
-    for _ in range(200):
-        d = rand_herm(rng, 3)
-        d /= np.linalg.norm(d)
-        for eps in (0.01, 0.1, 0.5):
-            candidate = mk.project_psd(p + eps * d)
-            assert np.linalg.norm(h - candidate) >= base - 1e-12
-
-
 def test_hermitian_basis_qubit_is_normalized_paulis():
     basis = mk.hermitian_basis(2)
     expected = [I2, SX, SY, SZ]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from qcompat import compat as cp
 from qcompat import devices as dv
 from qcompat import order as od
 from qcompat.devices import CPMap, KrausSet, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, effect, half_sigma_x, luders_of
 
-from conftest import rand_cpmap, rand_kraus, rand_state
+from conftest import rand_complex, rand_cpmap, rand_kraus, rand_rank1_deficit_op, rand_state
 
 
 def transposition_pair():
@@ -122,17 +123,17 @@ def test_rank1_family_rejects_rank2_deficit():
 
 def test_rank1_families_luders_px_pz_disjoint():
     # the two Lueders projections admit no common upper channel
-    res = od.rank1_upper_channels_equal(luders_of(PX), luders_of(PZ))
-    assert not res.equal
-    assert res.separating_state is not None
-    rho = res.separating_state
-    # re-verify the separation certificate independently: for every pair of
-    # completion states the two outputs differ at rho
-    e1 = od.trace_deficit(luders_of(PX))
-    e2 = od.trace_deficit(luders_of(PZ))
+    phi1, phi2 = luders_of(PX), luders_of(PZ)
+    res = od.rank1_upper_channels_equal(phi1, phi2)
+    assert res.equal is False
+    assert res.reason.startswith("span residual")
+    # independent separation check at rho = PX: no pair of completion
+    # states makes the two family outputs agree there
+    rho = PX
+    e1, e2 = od.trace_deficit(phi1), od.trace_deficit(phi2)
     a1 = float(np.trace(rho @ e1).real)
     a2 = float(np.trace(rho @ e2).real)
-    d = dv.apply_s(luders_of(PZ), rho) - dv.apply_s(luders_of(PX), rho)
+    d = dv.apply_s(phi2, rho) - dv.apply_s(phi1, rho)
     evals = np.linalg.eigvalsh((d + d.conj().T) / 2)
     pos = float(np.sum(evals[evals > 0]))
     neg = float(-np.sum(evals[evals < 0]))
@@ -165,7 +166,8 @@ def test_rank1_families_parallel_deficits_disjoint():
     phi1 = luders_of(PX)
     phi2 = luders_of(PX + PMX / 2)
     res = od.rank1_upper_channels_equal(phi1, phi2)
-    assert not res.equal
+    assert res.equal is False
+    assert res.reason.startswith("span residual")
 
 
 def test_rank1_families_parallel_deficits_intersect():
@@ -175,6 +177,136 @@ def test_rank1_families_parallel_deficits_intersect():
     res = od.rank1_upper_channels_equal(phi1, lam)
     assert res.equal
     assert np.allclose(res.channel.choi, lam.choi, atol=1e-7)
+
+
+P0 = np.diag([1.0, 0.0]).astype(complex)
+P1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def below_depolarizing(x1, x2, v2=P1, a=0.25, b=0.25):
+    """Maps J_i = kron(1, 1/2) - kron(a_i v_i, x_i) with deficits E_i^T = a_i v_i.
+
+    With trace-one x_i the deficit is rank 1 along P0 (side 1) and v2
+    (side 2); their families meet at the depolarizing channel exactly
+    when x1 and x2 are states.
+    """
+    base = np.kron(I2, I2 / 2)
+    return CPMap(2, 2, base - np.kron(a * P0, x1)), CPMap(2, 2, base - np.kron(b * v2, x2))
+
+
+def check_common_member(res, phi1, phi2):
+    assert res.equal is True
+    lam = res.channel
+    assert lam.kind == "channel"
+    assert od.cp_leq(phi1, lam) and od.cp_leq(phi2, lam)
+    for xi in (res.xi1, res.xi2):
+        assert np.linalg.eigvalsh(xi)[0] >= -1e-9
+        assert np.trace(xi).real == pytest.approx(1.0, abs=1e-9)
+
+
+def test_rank1_families_unique_split_psd():
+    # independent deficit directions: the duals force xi_i = x_i, both states
+    phi1, phi2 = below_depolarizing(PX, PZ)
+    res = od.rank1_upper_channels_equal(phi1, phi2)
+    check_common_member(res, phi1, phi2)
+    assert np.allclose(res.xi1, PX, atol=1e-12) and np.allclose(res.xi2, PZ, atol=1e-12)
+    assert np.allclose(res.channel.choi, np.kron(I2, I2 / 2), atol=1e-12)
+
+
+def test_rank1_families_unique_split_not_psd():
+    # the forced xi1 = diag(1.2, -0.2) is no state, so the families miss
+    phi1, phi2 = below_depolarizing(np.diag([1.2, -0.2]).astype(complex), I2 / 2)
+    res = od.rank1_upper_channels_equal(phi1, phi2)
+    assert res.equal is False
+    assert res.reason == "xi1 has eigenvalue -2.000e-01"
+
+
+def test_rank1_families_span_residual():
+    # random rank-1 pure maps: the difference leaves the span of the families
+    rng = np.random.default_rng(5)
+    res = od.rank1_upper_channels_equal(rand_rank1_deficit_op(rng), rand_rank1_deficit_op(rng))
+    assert res.equal is False
+    assert res.reason.startswith("span residual")
+    assert float(res.reason.split()[-1]) > 1e-3
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_rank1_families_parallel_trace_test(eps):
+    # parallel deficits, D = xi1 - xi2 = diag(1 + t, -t - 1): states with
+    # this difference exist exactly when tr D+ = 1 + t <= 1
+    y = P1.copy()
+    below = below_depolarizing(np.diag([1 - eps, eps]).astype(complex), y, v2=P0)
+    res = od.rank1_upper_channels_equal(*below)
+    check_common_member(res, *below)
+    above = below_depolarizing(np.diag([1 + eps, -eps]).astype(complex), y, v2=P0)
+    res = od.rank1_upper_channels_equal(*above)
+    assert res.equal is False
+    assert res.reason.startswith(f"tr D+ = {1 + eps:.6g}, xi1 has eigenvalue")
+
+
+def test_rank1_families_parallel_within_tolerance_is_undecided():
+    # tr D+ = 1 + 2e-8 puts xi1's eigenvalue at -1e-8: above the -100 psd_tol
+    # refutation floor, yet the witness branch would sit below -psd_tol
+    phi1, phi2 = below_depolarizing(np.diag([1 + 2e-8, -2e-8]).astype(complex), P1, v2=P0)
+    res = od.rank1_upper_channels_equal(phi1, phi2)
+    assert res.equal is None
+    assert res.reason.startswith("uncertified")
+    assert res.channel is None
+
+
+@pytest.mark.parametrize("tilt", [1e-2, 1e-6, 1e-10])
+def test_rank1_families_split_by_deficit_angle(tilt):
+    # the families meet at the depolarizing channel for every tilt of the
+    # second deficit direction; a clear tilt takes the dual route, a tilt
+    # within eq_tol the parallel one, and the ill-conditioned band between
+    # them is left undecided, which classify hands to the engine
+    v = np.array([1.0, tilt]) / np.hypot(1.0, tilt)
+    phi1, phi2 = below_depolarizing(PX, PZ, v2=np.outer(v, v).astype(complex))
+    res = od.rank1_upper_channels_equal(phi1, phi2)
+    if tilt == 1e-6:
+        assert res.equal is None
+        assert res.reason.startswith("deficit directions nearly parallel")
+        assert cp.weakly_compatible(phi1, phi2).relation == "weakly_compatible_only"
+    else:
+        check_common_member(res, phi1, phi2)
+        if tilt == 1e-2:
+            assert np.allclose(res.xi1, PX, atol=1e-9) and np.allclose(res.xi2, PZ, atol=1e-9)
+
+
+def test_rank1_families_parallel_pair_on_the_cp_boundary_meets():
+    # two qubit maps below one channel, with parallel deficit directions and
+    # each on the CP boundary (J = lam - t kron(vv*, x) at the largest t);
+    # lam itself is a common member, so the families meet
+    rng = np.random.default_rng([6, 32])
+    lam = choi_from_kraus(rand_kraus(rng, 2, 2, 4)).choi
+    v = rand_complex(rng, 2, 1)[:, 0]
+    v /= np.linalg.norm(v)
+    w, q = np.linalg.eigh(lam)
+    inv_root = (q / np.sqrt(w)) @ q.conj().T
+    maps = []
+    for u in (v, v * np.exp(1j * rng.uniform(0, 6))):
+        k = np.kron(np.outer(u, u.conj()), rand_state(rng, 2))
+        t = 1.0 / np.linalg.eigvalsh(inv_root @ k @ inv_root)[-1]
+        j = lam - min(t, 0.9) * k
+        maps.append(CPMap(2, 2, (j + j.conj().T) / 2))
+    res = od.rank1_upper_channels_equal(*maps)
+    check_common_member(res, *maps)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_rank1_families_channel_against_rank1_map(swap):
+    # a channel is its own family: it meets phi's family exactly when it sits above phi
+    phi = luders_of(PX)
+    z_dephasing = CPMap(2, 2, luders_of(PZ).choi + luders_of(PMZ).choi, kind="channel")
+    for lam, meets in ((od.rank1_channel_family(phi, PMX), True), (z_dephasing, False)):
+        pair = (lam, phi) if swap else (phi, lam)
+        res = od.rank1_upper_channels_equal(*pair)
+        assert res.equal is meets
+        if meets:
+            assert np.allclose(res.channel.choi, lam.choi, atol=1e-12)
+            assert (res.xi1 is None) is swap and (res.xi2 is None) is not swap
+        else:
+            assert res.reason.startswith("span residual")
 
 
 def test_trivial_effect_detector():
