@@ -167,14 +167,6 @@ def fmt_matrix(m: np.ndarray) -> list:
     return [[[float(f"{x.real:.12g}"), float(f"{x.imag:.12g}")] for x in row] for row in m]
 
 
-def fmt_matrix_text(m: np.ndarray, indent: str = "  ") -> str:
-    lines = []
-    for row in np.asarray(m):
-        cells = [f"{x.real:+.6f}{x.imag:+.6f}j" for x in row]
-        lines.append(indent + "[" + ", ".join(cells) + "]")
-    return "\n".join(lines)
-
-
 def _emit(doc, args) -> None:
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -384,25 +384,6 @@ def apply_h(m: CPMap, t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.einsum("jmin,nm->ij", m._t4, t))
 
 
-def choi_from_action(action, dim_in: int) -> np.ndarray:
-    """Assemble the Choi matrix of a linear map given as a callable on matrices."""
-    first = as_matrix(action(np.zeros((dim_in, dim_in), dtype=complex) + _unit(dim_in, 0, 0)))
-    dim_out = first.shape[0]
-    side = dim_in * dim_out
-    j = np.zeros((side, side), dtype=complex)
-    for i in range(dim_in):
-        for k in range(dim_in):
-            out = as_matrix(action(_unit(dim_in, i, k))) if (i, k) != (0, 0) else first
-            j[i * dim_out : (i + 1) * dim_out, k * dim_out : (k + 1) * dim_out] = out
-    return j
-
-
-def _unit(d: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Four-effect span
 # ---------------------------------------------------------------------------
@@ -554,7 +535,7 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
         if (device.dim_in, device.dim_out) != (ins.dim_in, ins.dim_out):
             raise MatrixShapeError("map dimensions do not match the instrument")
         if device.kind == "channel" or device.is_trace_preserving(tol):
-            return close(device.choi, total_channel(ins).choi, tol)
+            return close(device.choi, total_channel(ins, tol).choi, tol)
         _check_part_bound(ins)
         side = ins.dim_in * ins.dim_out
         for subset in _subset_iter(ins.outcomes):

@@ -1,10 +1,14 @@
 """Minimal Stinespring dilations and ancilla-effect extraction.
 
 A dilation represents a map through an operator ``V`` into an enlarged
-space, ``F_H(T) = V* (T (x) 1_A) V``. Maps dominated by the dilated one
-in the CP order correspond to unique ancilla effects; extracting them
-(and observables, branch by branch) is what connects compatibility
-questions to plain effect coexistence on the ancilla.
+space, ``F_H(T) = V* (T (x) 1_A) V``. Its one working form is the
+Kraus-column matrix ``W`` (column a is the Choi vector of the Kraus
+operator K_a; V is a reshape of W): the map with ancilla effect E has
+Choi matrix ``W E^T W*``. Maps dominated by the dilated one in the CP
+order correspond to unique ancilla effects, read off as
+``E^T = W+ J W+*``; extracting them (and observables, branch by branch)
+is what connects compatibility questions to plain effect coexistence on
+the ancilla.
 """
 
 from __future__ import annotations
@@ -13,17 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import CPMap, Effect, Instrument, apply_h, total_channel
+from .devices import CPMap, Effect, Instrument, total_channel
 from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
     close,
-    coord_matrix,
     frob_norm,
-    herm_coords,
-    herm_from_coords,
-    hermitian_basis,
     hermitian_part,
     kron,
 )
@@ -35,7 +35,7 @@ class NotDominatedError(ValueError):
 
 
 class NonMinimalDilationError(ValueError):
-    """The extraction system is rank-deficient: the dilation is not minimal."""
+    """The Kraus columns are linearly dependent: the dilation is not minimal."""
 
 
 class TotalMismatchError(ValueError):
@@ -47,7 +47,7 @@ class StinespringDilation:
     """Dilation ``F_H(T) = V* (T (x) 1_A) V`` of a CP map.
 
     ``v`` maps the input space into output (x) ancilla, with the output
-    factor on the slow index.
+    factor on the slow index; ``kraus_columns()`` reshapes it into W.
     """
 
     source: CPMap
@@ -68,55 +68,37 @@ class StinespringDilation:
         return self.v.conj().T @ kron(t, np.eye(self.ancilla_dim)) @ self.v
 
     def kraus_columns(self) -> np.ndarray:
-        """Matrix whose column a is the Choi-vectorized Kraus operator K_a."""
+        """Matrix W whose column a is the Choi-vectorized Kraus operator K_a."""
         dh, dk, da = self.dim_in, self.dim_out, self.ancilla_dim
-        w = np.zeros((dh * dk, da), dtype=complex)
-        for a in range(da):
-            k_a = self.v.reshape(dk, da, dh)[:, a, :]
-            w[:, a] = k_a.T.reshape(dh * dk)
-        return w
+        return self.v.reshape(dk, da, dh).transpose(2, 0, 1).reshape(dh * dk, da)
 
 
 def minimal_stinespring(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> StinespringDilation:
     """Dilation with the smallest ancilla, assembled from Choi eigenpairs.
 
-    Ancilla column a carries sqrt(lambda_a) times the reshaped a-th Choi
-    eigenvector, ordered by descending eigenvalue. For channels V is an
-    isometry. Minimality is verified numerically and recorded.
+    Kraus column a is sqrt(lambda_a) times the a-th Choi eigenvector,
+    ordered by descending eigenvalue, and V is their reshape. For
+    channels V is an isometry. The dilation is minimal exactly when the
+    Kraus columns are linearly independent; that is recorded, and
+    ``W W* = J`` and ``||V||^2 = ||F_H(1)||`` are checked.
     """
     dh, dk = m.dim_in, m.dim_out
-    rank = choi_rank(m, tol)
-    da = max(rank, 1)
+    da = max(choi_rank(m, tol), 1)
     evals, evecs = np.linalg.eigh(hermitian_part(m.choi))
     order = np.argsort(evals)[::-1][:da]
-    v = np.zeros((dk * da, dh), dtype=complex)
-    for a, idx in enumerate(order):
-        lam = max(float(evals[idx]), 0.0)
-        k_a = np.sqrt(lam) * evecs[:, idx].reshape(dh, dk).T
-        v[a::da, :] = k_a
-    dil = StinespringDilation(m, v, da, minimal=_is_minimal(v, dh, dk, da))
+    w = evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))
+    v = w.reshape(dh, dk, da).transpose(1, 2, 0).reshape(dk * da, dh)
+    svals = np.linalg.svd(w, compute_uv=False)
+    minimal = int(np.sum(svals > 1e-10 * max(svals[0], 1.0))) == da
+    dil = StinespringDilation(m, v, da, minimal=minimal)
 
-    # contract checks: reproduces the map, norm identity
-    for t in hermitian_basis(dk):
-        if not close(apply_h(m, t), dil.heisenberg(t), tol):
-            raise AssertionError("dilation does not reproduce the map")
+    if not close(m.choi, w @ w.conj().T, tol):
+        raise AssertionError("dilation does not reproduce the map")
     v_norm_sq = float(np.linalg.norm(v, ord=2) ** 2)
     hu_norm = float(np.linalg.eigvalsh(hermitian_part(m.heisenberg_unit()))[-1])
     if abs(v_norm_sq - hu_norm) > 1e-8 * (1.0 + hu_norm):
         raise AssertionError("dilation norm identity failed")
     return dil
-
-
-def _is_minimal(v: np.ndarray, dh: int, dk: int, da: int) -> bool:
-    cols = []
-    eye_a = np.eye(da)
-    for t in hermitian_basis(dk):
-        lifted = kron(t, eye_a) @ v
-        cols.append(lifted)
-    stacked = np.hstack(cols)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    numeric_rank = int(np.sum(svals > 1e-10 * max(svals[0], 1.0)))
-    return numeric_rank == dk * da
 
 
 def map_from_ancilla_effect(
@@ -137,39 +119,36 @@ def radon_nikodym_effect(
     """The unique ancilla effect E with ``f_H(T) = V* (T (x) E) V``.
 
     Exists exactly when f sits below the dilated map in the CP order;
-    otherwise NotDominatedError is raised. A rank-deficient extraction
-    system means the dilation was not minimal.
+    otherwise NotDominatedError is raised. In Choi form
+    ``J_f = W E^T W*``, so ``E^T = W+ J_f W+*``; linearly dependent
+    Kraus columns (rank of W below the ancilla side) mean the dilation
+    was not minimal and raise NonMinimalDilationError.
     """
     if (f.dim_in, f.dim_out) != (dil.dim_in, dil.dim_out):
         raise MatrixShapeError("map dimensions do not match the dilation")
     if not cp_leq(f, dil.source, tol):
         raise NotDominatedError("map is not below the dilated map in the CP order")
     da = dil.ancilla_dim
-    rows, rhs = [], []
-    for t in hermitian_basis(dil.dim_out):
-        rows.append(coord_matrix(
-            lambda b: hermitian_part(dil.v.conj().T @ kron(t, b) @ dil.v), da
-        ))
-        rhs.append(herm_coords(hermitian_part(apply_h(f, t))))
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < da * da:
-        raise NonMinimalDilationError(
-            f"extraction system has rank {rank} < {da * da}; dilation not minimal"
-        )
-    residual = float(np.linalg.norm(a @ sol - b))
-    if residual > 10 * tol.feas_tol * (1.0 + float(np.linalg.norm(b))):
+    w = dil.kraus_columns()
+    u, s, vh = np.linalg.svd(w, full_matrices=False)
+    # E -> W E^T W* has singular values s_i s_j; keep those above the default
+    # least-squares cutoff for its (dh dk)^2 rows, eps * (dh dk)^2 * s_0^2
+    cut = np.finfo(float).eps * (dil.dim_in * dil.dim_out) ** 2 * s[0] ** 2
+    rank = int(np.sum(s * s > cut))
+    if rank < da:
+        raise NonMinimalDilationError(f"Kraus columns have rank {rank} < {da}; not minimal")
+    w_pinv = (vh.conj().T / s) @ u.conj().T
+    et = hermitian_part(w_pinv @ f.choi @ w_pinv.conj().T)
+    residual = frob_norm(w @ et @ w.conj().T - f.choi)
+    if residual > 10 * tol.feas_tol * (1.0 + frob_norm(f.choi)):
         raise NotDominatedError(f"no ancilla effect reproduces the map (residual {residual:.3e})")
-    e = herm_from_coords(sol, da)
-    evals = np.linalg.eigvalsh(e)
+    evals, vecs = np.linalg.eigh(et.T)
     gate = 10 * tol.feas_tol
     if evals[0] < -gate or evals[-1] > 1.0 + gate:
         raise NotDominatedError(
             f"extracted operator has spectrum [{evals[0]:.3e}, {evals[-1]:.3e}] outside [0, 1]"
         )
     clipped = np.clip(evals, 0.0, 1.0)
-    _, vecs = np.linalg.eigh(e)
     return Effect((vecs * clipped) @ vecs.conj().T, tol=tol)
 
 
@@ -198,11 +177,9 @@ def ancilla_intertwiner(
         raise MatrixShapeError("ancilla dimensions differ; dilations cannot both be minimal")
     if (dil1.dim_in, dil1.dim_out) != (dil2.dim_in, dil2.dim_out):
         raise MatrixShapeError("dilations belong to maps of different dimensions")
-    da, dk, dh = dil1.ancilla_dim, dil1.dim_out, dil1.dim_in
-    b1 = dil1.v.reshape(dk, da, dh).transpose(1, 0, 2).reshape(da, dk * dh)
-    b2 = dil2.v.reshape(dk, da, dh).transpose(1, 0, 2).reshape(da, dk * dh)
-    u, _, _, _ = np.linalg.lstsq(b1.conj().T, b2.conj().T, rcond=None)
-    u = u.conj().T
+    da, dk = dil1.ancilla_dim, dil1.dim_out
+    # K2_a = sum_b U_ab K1_b, that is W2 = W1 U^T
+    u = (np.linalg.pinv(dil1.kraus_columns()) @ dil2.kraus_columns()).T
     if not close(u @ u.conj().T, np.eye(da), tol) or not close(
         u.conj().T @ u, np.eye(da), tol
     ):
@@ -240,25 +217,18 @@ def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_T
     wtol = witness_tolerances(tol)
     w = verdict.witness
     if isinstance(w, CompatWitness):
-        lam = total_channel(w.instrument, wtol)
-        dil = minimal_stinespring(lam, wtol)
-        op1 = w.instrument.branch_sum(w.part_1, wtol)
-        op2 = w.instrument.branch_sum(w.part_2, wtol)
-        e1 = radon_nikodym_effect(dil, op1, wtol)
-        e2 = radon_nikodym_effect(dil, op2, wtol)
-        coex = classify(e1, e2, tol=wtol)
-        if coex.relation != "compatible":
-            raise AssertionError("ancilla effects of a compatible pair must coexist")
-        relation = coex.relation
+        lam, ins_1, ins_2 = total_channel(w.instrument, wtol), w.instrument, w.instrument
     elif isinstance(w, WeakWitness):
-        lam = w.common_channel
-        dil = minimal_stinespring(lam, wtol)
-        op1 = w.instrument_1.branch_sum(w.part_1, wtol)
-        op2 = w.instrument_2.branch_sum(w.part_2, wtol)
-        e1 = radon_nikodym_effect(dil, op1, wtol)
-        e2 = radon_nikodym_effect(dil, op2, wtol)
-        relation = None
+        lam, ins_1, ins_2 = w.common_channel, w.instrument_1, w.instrument_2
     else:
         raise TypeError(f"unsupported witness type {type(w).__name__}")
+    dil = minimal_stinespring(lam, wtol)
+    e1 = radon_nikodym_effect(dil, ins_1.branch_sum(w.part_1, wtol), wtol)
+    e2 = radon_nikodym_effect(dil, ins_2.branch_sum(w.part_2, wtol), wtol)
+    relation = None
+    if isinstance(w, CompatWitness):
+        relation = classify(e1, e2, tol=wtol).relation
+        if relation != "compatible":
+            raise AssertionError("ancilla effects of a compatible pair must coexist")
     comm = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
     return AncillaReport(dil, e1, e2, frob_norm(comm) <= 1e-6, relation)

@@ -52,7 +52,6 @@ class AffineConstraint:
 
     terms: tuple[tuple[str, np.ndarray], ...]
     rhs: np.ndarray
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class FeasibilityOutcome:
 # ---------------------------------------------------------------------------
 
 
-def encode_sum_constraint(blocks, target: np.ndarray, label: str = "") -> AffineConstraint:
+def encode_sum_constraint(blocks, target: np.ndarray) -> AffineConstraint:
     """Encode ``sum_i c_i X_i = target`` for same-side blocks.
 
     ``blocks`` is an iterable of names or (name, coefficient) pairs;
@@ -114,18 +113,18 @@ def encode_sum_constraint(blocks, target: np.ndarray, label: str = "") -> Affine
     for item in blocks:
         name, coeff = item if isinstance(item, tuple) else (item, 1.0)
         terms.append((name, float(coeff) * eye))
-    return AffineConstraint(tuple(terms), herm_coords(target), label=label)
+    return AffineConstraint(tuple(terms), herm_coords(target))
 
 
 def encode_partial_trace_constraint(
-    block: str, dims: tuple[int, int], keep: int, target: np.ndarray, label: str = ""
+    block: str, dims: tuple[int, int], keep: int, target: np.ndarray
 ) -> AffineConstraint:
     """Encode ``Tr_slot(X) = target`` for a block on a bipartite space."""
     target = hermitian_part(np.asarray(target, dtype=complex))
     if target.shape[0] != dims[keep]:
         raise MatrixShapeError("target side does not match the kept slot")
     mat = _partial_trace_matrix(int(dims[0]), int(dims[1]), keep)
-    return AffineConstraint(((block, mat),), herm_coords(target), label=label)
+    return AffineConstraint(((block, mat),), herm_coords(target))
 
 
 @functools.cache
@@ -137,7 +136,7 @@ def _partial_trace_matrix(d0: int, d1: int, keep: int) -> np.ndarray:
 
 
 def encode_heisenberg_unit_constraint(
-    block: str, dims: tuple[int, int], target_effect: np.ndarray, label: str = ""
+    block: str, dims: tuple[int, int], target_effect: np.ndarray
 ) -> AffineConstraint:
     """Encode ``F_H(1) = E`` for a Choi block.
 
@@ -145,7 +144,7 @@ def encode_heisenberg_unit_constraint(
     output slot, transposed: ``Tr_out[J] = E^T``.
     """
     e = hermitian_part(np.asarray(target_effect, dtype=complex))
-    return encode_partial_trace_constraint(block, dims, keep=0, target=e.T, label=label)
+    return encode_partial_trace_constraint(block, dims, keep=0, target=e.T)
 
 
 # ---------------------------------------------------------------------------

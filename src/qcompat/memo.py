@@ -21,7 +21,6 @@ from .devices import (
     Instrument,
     Observable,
     PointerMap,
-    choi_from_action,
     is_part_of,
     total_channel,
 )
@@ -118,6 +117,21 @@ def model_poststate(m: MeasurementModel, rho: np.ndarray, labels) -> np.ndarray:
     return _readout(m, _coupled_state(m, rho), f)
 
 
+def _model_chois(m: MeasurementModel, pointer_effects: list[np.ndarray]) -> np.ndarray:
+    """Choi matrices of the maps rho -> Tr_V2[(1 (x) f) U (rho (x) eta) U*], one per f.
+
+    ``J[(i,a),(j,b)] = sum U[a,v,i,s] eta[s,t] conj(U[b,w,j,t]) f[w,v]``, as
+    ``L R_f^T`` with L (rows (i,a)) and R_f (rows (j,b)) over columns (v,t).
+    """
+    dk, dv2, dh, dv1 = m.dim_out, m.dim_v2, m.dim_in, m.dim_v1
+    u4 = m.u.reshape(dk, dv2, dh, dv1)
+    left = (u4 @ m.eta).transpose(2, 0, 1, 3).reshape(dh * dk, dv2 * dv1)
+    # rows (j,b,t), columns v: sum_w conj(U[b,w,j,t]) f[w,v]
+    right = u4.conj().transpose(2, 0, 3, 1).reshape(-1, dv2) @ np.asarray(pointer_effects)
+    right = right.reshape(-1, dh * dk, dv1, dv2).swapaxes(-1, -2).reshape(-1, dh * dk, dv2 * dv1)
+    return left @ right.swapaxes(-1, -2)
+
+
 def model_instrument(
     m: MeasurementModel,
     f: PointerMap | None = None,
@@ -130,14 +144,9 @@ def model_instrument(
     if f is None:
         f = PointerMap({x: x for x in m.pointer.outcomes})
     f.check_total(m.pointer.outcomes)
-    branches = {}
-    for y in f.codomain:
-        eff = m.pointer.effect_of(f.preimage(y)).matrix
-
-        def action(rho, eff=eff):
-            return _readout(m, _coupled_state(m, rho), eff)
-
-        branches[y] = CPMap(m.dim_in, m.dim_out, choi_from_action(action, m.dim_in), tol=tol)
+    effs = [m.pointer.effect_of(f.preimage(y)).matrix for y in f.codomain]
+    branches = {y: CPMap(m.dim_in, m.dim_out, j, tol=tol)
+                for y, j in zip(f.codomain, _model_chois(m, effs))}
     return Instrument(f.codomain, branches, tol=tol)
 
 
@@ -148,11 +157,8 @@ def model_is_part_of(m: MeasurementModel, device, tol: Tolerances = DEFAULT_TOL)
 
 def model_channel(m: MeasurementModel, tol: Tolerances = DEFAULT_TOL) -> CPMap:
     """The channel a model induces; independent of the pointer observable."""
-
-    def action(rho):
-        return _readout(m, _coupled_state(m, rho), np.eye(m.dim_v2))
-
-    return CPMap(m.dim_in, m.dim_out, choi_from_action(action, m.dim_in), kind="channel", tol=tol)
+    j = _model_chois(m, [np.eye(m.dim_v2)])[0]
+    return CPMap(m.dim_in, m.dim_out, j, kind="channel", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +205,10 @@ def _base_parts(dil, tol: Tolerances):
     dv1 = dk * da
     dv2 = da * dm
     side = dh * dv1
-    prescribed = {}
-    for i in range(dh):
-        psi = np.zeros(dh, dtype=complex)
-        psi[i] = 1.0
-        v_psi = dil.v @ psi  # lives on K (x) A, index m*da + a
-        col = np.zeros(side, dtype=complex)
-        for m in range(dk):
-            for a_idx in range(da):
-                out_index = m * dv2 + a_idx * dm + 0
-                col[out_index] = v_psi[m * da + a_idx]
-        prescribed[i * dv1 + 0] = col
+    # column i*dv1 (probe ground state) holds V|i> at (m, a, 0) of K (x) A (x) M
+    cols = np.zeros((dh, dk, da, dm), dtype=complex)
+    cols[..., 0] = dil.v.reshape(dk, da, dh).transpose(2, 0, 1)
+    prescribed = {i * dv1: cols[i].reshape(side) for i in range(dh)}
     u = _complete_unitary(prescribed, side)
     eta = np.zeros((dv1, dv1), dtype=complex)
     eta[0, 0] = 1.0

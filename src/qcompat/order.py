@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import CPMap, Effect, apply_h, apply_s
+from .devices import CPMap, Effect, apply_s
 from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
     close,
     frob_norm,
-    hermitian_basis,
     hermitian_part,
     kron,
 )
@@ -224,27 +223,24 @@ def is_null_operation(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def is_contraction_channel(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """Recover the fixed output state of ``rho -> tr(rho) eta``, if any."""
+    """Recover the fixed output state of ``rho -> tr(rho) eta`` (Choi matrix ``1 (x) eta``)."""
     if not m.is_trace_preserving(tol):
         return None
     eta = hermitian_part(apply_s(m, np.eye(m.dim_in) / m.dim_in))
-    for b in hermitian_basis(m.dim_in):
-        expected = np.trace(b) * eta
-        if not close(apply_s(m, b), expected, tol):
-            return None
+    if frob_norm(m.choi - kron(np.eye(m.dim_in), eta)) > tol.eq_tol:
+        return None
     return eta
 
 
 def commutes_with_range(m: CPMap, e: Effect, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the effect commutes with everything the map can output.
 
-    Checked on an operator basis of the map's Heisenberg domain, which
-    suffices by linearity.
+    The map's Heisenberg range commutes with E exactly when the Choi
+    matrix commutes with ``E^T (x) 1``; the test is
+    ``||[J, E^T (x) 1]||_F <= eq_tol``, which bounds the commutator of E
+    with the image of every unit-norm operator.
     """
     if e.dim != m.dim_in:
         raise MatrixShapeError("effect must live on the map input space")
-    for b in hermitian_basis(m.dim_out):
-        x = apply_h(m, b)
-        if not close(x @ e.matrix, e.matrix @ x, tol):
-            return False
-    return True
+    lifted = kron(e.matrix.T, np.eye(m.dim_out))
+    return frob_norm(m.choi @ lifted - lifted @ m.choi) <= tol.eq_tol

@@ -15,6 +15,7 @@ from qcompat.fixtures import (
     PX,
     PZ,
     SX,
+    TABLE1_CELLS,
     builtin_devices,
     effect,
     half_sigma_x,
@@ -25,10 +26,12 @@ from qcompat.fixtures import (
 
 from conftest import (
     below_common_channel,
+    rand_complex,
     rand_cpmap,
     rand_effect,
     rand_instrument,
     rand_kraus,
+    rand_observable,
     rand_rank1_deficit_op,
     rand_state,
 )
@@ -148,8 +151,6 @@ def test_luders_px_vs_half_sigma_x_weakly_compatible_only():
     assert od.cp_leq(DEV["half_sigma_x"], lam, cp.witness_tolerances(cp.DEFAULT_TOL))
     # the witness channel acts like the x-dephasing channel
     expected = px_dephasing_channel()
-    for b in np.eye(4):
-        pass
     from qcompat.matkit import hermitian_basis
 
     for t in hermitian_basis(2):
@@ -817,3 +818,112 @@ def test_ancilla_verification_equal_maps():
     v = cp.classify(phi, phi)
     report = dl.verify_ancilla_characterization(phi, phi, v)
     assert np.allclose(report.effect_1.matrix, report.effect_2.matrix, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# two routes: fast paths on and off give the same relation
+# ---------------------------------------------------------------------------
+
+
+def _diag_in(u, values):
+    return (u * np.asarray(values)) @ u.conj().T
+
+
+def _observable(*mats):
+    return Observable(tuple(str(i) for i in range(len(mats))),
+                      {str(i): Effect(m) for i, m in enumerate(mats)})
+
+
+def _scaled_kraus(rng, scale):
+    return choi_from_kraus(rand_kraus(rng, 2, 2, 2, scale=scale))
+
+
+def _fast_path_sample():
+    """(fast path named in the notes, device, device): one pair per fast path of
+    every kind pair, with both outcomes where a path has two."""
+    rng = np.random.default_rng(2012)
+    u = np.linalg.qr(rand_complex(rng, 2))[0]
+    e, f = Effect(_diag_in(u, [0.3, 0.8])), Effect(_diag_in(u, [0.6, 0.1]))
+    obs = _observable(_diag_in(u, [0.2, 0.7]), _diag_in(u, [0.8, 0.3]))
+    coin = dv.trivial_observable({"a": 0.3, "b": 0.7}, 2)
+    ks = rand_kraus(rng, 2, 2, 2).ops
+    lam = choi_from_kraus(KrausSet(ks))
+    small = _scaled_kraus(rng, np.sqrt(0.4))
+    ins = rand_instrument(rng, n_out=3)
+    flips = Instrument(("a", "b"), {"a": choi_from_kraus(KrausSet((I2 / np.sqrt(2),))),
+                                    "b": choi_from_kraus(KrausSet((SX / np.sqrt(2),)))})
+    return [
+        ("commuting-effects", e, f),
+        ("sum-below-identity", effect(0.45 * PX), effect(0.45 * PZ)),
+        ("projection-commutation", effect(PX), effect(0.9 * PZ)),
+        ("trivial-observable", rand_effect(rng, 2), coin),
+        ("trivial-observable", rand_observable(rng, 2, 3), effect(0.4 * I2)),
+        ("commuting-observables", e, obs),
+        ("trivial-observable", coin, rand_observable(rng, 2, 2)),
+        ("commuting-observables", obs,
+         _observable(_diag_in(u, [0.5, 0.1]), _diag_in(u, [0.5, 0.9]))),
+        ("range-commutation", dv.luders(Effect(_diag_in(u, [1.0, 0.0]))), e),
+        ("sum-below-identity", Effect(0.5 * rand_effect(rng, 2).matrix), small),
+        ("projection-commutation", rand_cpmap(rng), effect(PX)),
+        ("range-commutation", f,
+         choi_from_kraus(KrausSet((_diag_in(u, [1, 0]), _diag_in(u, [0, 1]))))),
+        ("projection-commutation", lam, effect(PX)),
+        ("contraction-channel", dv.contraction_channel(rand_state(rng, 2)),
+         rand_observable(rng, 2, 3)),
+        ("trivial-observable", coin, lam),
+        ("comparable", choi_from_kraus(KrausSet((0.9 * ks[0],))), CPMap(2, 2, 0.9 * lam.choi)),
+        ("sum-below-identity", CPMap(2, 2, 0.3 * lam.choi), _scaled_kraus(rng, np.sqrt(0.3))),
+        ("pure-oracle", rand_rank1_deficit_op(rng), rand_rank1_deficit_op(rng)),
+        ("rank1-family", *below_common_channel(rng)),
+        ("cp-order", CPMap(2, 2, lam.choi), rand_rank1_deficit_op(rng)),
+        ("cp-order", lam, choi_from_kraus(KrausSet((0.8 * ks[0],)))),
+        ("cp-order", rand_rank1_deficit_op(rng), lam),
+        ("equal-channels", lam, CPMap(2, 2, lam.choi.copy(), kind="channel")),
+        ("distinct-channels", lam, choi_from_kraus(rand_kraus(rng, 2, 2, 2))),
+        ("total-channel", dv.total_channel(ins), ins),
+        ("total-channel", ins, lam),
+        ("distinct-totals", ins, rand_instrument(rng, n_out=2)),
+        ("shared-total", DEV["luders_x_instrument"], flips),
+    ]
+
+
+def _qutrit_tail():
+    """Six op-ef pairs whose sum exceeds the identity, and six 3-outcome observable pairs."""
+    pairs = []
+    for s in range(6):
+        rng = np.random.default_rng([3, s])
+        while True:
+            op = choi_from_kraus(rand_kraus(rng, 3, 3, 2, scale=np.sqrt(rng.uniform(0.2, 0.95))))
+            e = rand_effect(rng, 3)
+            if np.linalg.eigvalsh(op.heisenberg_unit() + e.matrix)[-1] > 1.0 + 1e-3:
+                break
+        pairs.append((op, e))
+    for s in range(6):
+        rng = np.random.default_rng([4, s])
+        pairs.append((rand_observable(rng, 3, 3), rand_observable(rng, 3, 3)))
+    return pairs
+
+
+def _both_routes(d1, d2) -> cp.Verdict:
+    fast = cp.classify(d1, d2)
+    slow = cp.classify(d1, d2, fast_paths=False)
+    assert fast.relation == slow.relation != "undecided", (fast.notes, slow.notes)
+    return fast
+
+
+def test_fast_paths_agree_with_engine_on_every_path():
+    sample = _fast_path_sample()
+    covered = {tuple(sorted(map(cp._kind, (d1, d2)), key=cp._ORDER.index)) for _, d1, d2 in sample}
+    assert covered >= set(cp._JOINT_PATHS) | set(cp._WEAK_PATHS)
+    for path, d1, d2 in sample:
+        assert path in _both_routes(d1, d2).notes
+
+
+def test_fast_paths_agree_with_engine_on_table1():
+    for _, _, n1, n2 in TABLE1_CELLS:
+        _both_routes(DEV[n1], DEV[n2])
+
+
+def test_fast_paths_agree_with_engine_on_qutrit_tail():
+    for d1, d2 in _qutrit_tail():
+        _both_routes(d1, d2)

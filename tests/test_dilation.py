@@ -54,6 +54,28 @@ def test_dilation_norm_identity():
     assert v_norm_sq == pytest.approx(hu_norm, abs=1e-9)
 
 
+def test_zero_map_dilation_is_not_minimal():
+    dil = dl.minimal_stinespring(CPMap(2, 3, np.zeros((6, 6))))
+    assert dil.ancilla_dim == 1
+    assert not dil.minimal
+    assert np.array_equal(dil.v, np.zeros((3, 2)))
+
+
+def test_rn_raises_on_zero_padded_dilation():
+    rng = np.random.default_rng(57)
+    lam = rand_cpmap(rng, 2, 2, n_ops=2, channel=True)
+    dil = dl.minimal_stinespring(lam)
+    da = dil.ancilla_dim + 1
+    w = np.hstack([dil.kraus_columns(), np.zeros((4, 1))])
+    v = w.reshape(2, 2, da).transpose(1, 2, 0).reshape(2 * da, 2)
+    padded = dl.StinespringDilation(lam, v, da, minimal=False)
+    assert np.array_equal(padded.kraus_columns(), w)
+    # the padded dilation still dilates the map; only the extraction is not unique
+    assert np.allclose(padded.heisenberg(PZ), dv.apply_h(lam, PZ), atol=1e-12)
+    with pytest.raises(dl.NonMinimalDilationError):
+        dl.radon_nikodym_effect(padded, CPMap(2, 2, lam.choi / 2))
+
+
 def test_unitary_freedom_between_minimal_dilations():
     rng = np.random.default_rng(55)
     lam = rand_cpmap(rng, 2, 2, n_ops=2, channel=True)

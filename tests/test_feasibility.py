@@ -205,9 +205,9 @@ def coexistence_problem(e1, e2):
     d = e1.shape[0]
     blocks = tuple((name, d) for name in ("g11", "g10", "g01", "g00"))
     cons = (
-        fs.encode_sum_constraint(("g11", "g10"), e1, label="margin-1"),
-        fs.encode_sum_constraint(("g11", "g01"), e2, label="margin-2"),
-        fs.encode_sum_constraint(("g11", "g10", "g01", "g00"), np.eye(d), label="total"),
+        fs.encode_sum_constraint(("g11", "g10"), e1),
+        fs.encode_sum_constraint(("g11", "g01"), e2),
+        fs.encode_sum_constraint(("g11", "g10", "g01", "g00"), np.eye(d)),
     )
     return fs.FeasibilityProblem(blocks, cons)
 

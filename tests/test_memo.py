@@ -6,7 +6,7 @@ from qcompat import memo as mm
 from qcompat.devices import CPMap, Instrument, KrausSet, PointerMap, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, effect, luders_of, sharp_observable
 
-from conftest import rand_instrument, rand_observable, rand_state
+from conftest import rand_complex, rand_instrument, rand_observable, rand_state
 
 
 def luders_x_instrument():
@@ -233,3 +233,29 @@ def test_model_validation_errors():
         mm.MeasurementModel(2, 2, 2, 2, eta, np.eye(4) * 2, pointer)
     with pytest.raises(Exception):
         mm.MeasurementModel(2, 2, 2, 3, eta, np.eye(4), pointer)
+
+
+@pytest.mark.parametrize("din, dout, dv1, dv2", [(2, 3, 3, 2), (3, 2, 2, 3)])
+def test_induced_chois_match_probed_poststates(din, dout, dv1, dv2):
+    """Each induced Choi matrix is sum_ij |i><j| (x) poststate(|i><j|), probed unit by unit."""
+    rng = np.random.default_rng([29, din])
+    u = np.linalg.qr(rand_complex(rng, din * dv1))[0]
+    model = mm.MeasurementModel(din, dout, dv1, dv2, rand_state(rng, dv1), u,
+                                rand_observable(rng, dv2, 3))
+
+    def probed(labels):
+        j = np.zeros((din * dout, din * dout), dtype=complex)
+        for i in range(din):
+            for k in range(din):
+                unit = np.zeros((din, din))
+                unit[i, k] = 1.0
+                j[i * dout:(i + 1) * dout, k * dout:(k + 1) * dout] = mm.model_poststate(
+                    model, unit, labels)
+        return j
+
+    induced = mm.model_instrument(model)
+    for x in model.outcomes():
+        assert np.linalg.norm(induced.branches[x].choi - probed((x,))) <= 1e-12
+    coarse = mm.model_instrument(model, PointerMap({"0": "a", "1": "b", "2": "a"}))
+    assert np.linalg.norm(coarse.branches["a"].choi - probed(("0", "2"))) <= 1e-12
+    assert np.linalg.norm(mm.model_channel(model).choi - probed(model.outcomes())) <= 1e-12

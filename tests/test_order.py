@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcompat import compat as cp
 from qcompat import devices as dv
 from qcompat import order as od
 from qcompat.devices import CPMap, KrausSet, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, effect, half_sigma_x, luders_of
+from qcompat.matkit import close, hermitian_basis
 
-from conftest import rand_complex, rand_cpmap, rand_kraus, rand_rank1_deficit_op, rand_state
+from conftest import (
+    rand_complex, rand_cpmap, rand_herm, rand_kraus, rand_rank1_deficit_op, rand_state,
+)
 
 
 def transposition_pair():
@@ -344,3 +349,59 @@ def test_commutes_with_range():
     rng = np.random.default_rng(43)
     contraction = dv.contraction_channel(rand_state(rng, 2))
     assert od.commutes_with_range(contraction, effect(PX))
+
+
+def _range_commutes_per_basis(m, e, tol=od.DEFAULT_TOL):
+    """Reference: the commutator with the image of every basis operator."""
+    for b in hermitian_basis(m.dim_out):
+        x = dv.apply_h(m, b)
+        if not close(x @ e.matrix, e.matrix @ x, tol):
+            return False
+    return True
+
+
+def _contraction_per_basis(m, tol=od.DEFAULT_TOL):
+    """Reference: rho -> tr(rho) eta checked on every basis operator."""
+    if not m.is_trace_preserving(tol):
+        return False
+    eta = dv.apply_s(m, np.eye(m.dim_in) / m.dim_in)
+    return all(close(dv.apply_s(m, b), np.trace(b) * eta, tol) for b in hermitian_basis(m.dim_in))
+
+
+@pytest.mark.parametrize("eps, accepted", [(1e-8, False), (1e-9, False), (3e-10, True)])
+def test_commutes_with_range_boundary(eps, accepted):
+    # ||[J, E^T x 1]||_F = sqrt(2) eps against eq_tol = 1e-9
+    e = effect(np.diag([0.7, 0.2]) + eps * SX)
+    assert od.commutes_with_range(luders_of(PZ), e) is accepted
+
+
+@pytest.mark.parametrize("eps, accepted", [(1e-8, False), (1e-9, False), (3e-10, True)])
+def test_contraction_channel_boundary(eps, accepted):
+    # conjugating 1 x eta by 1 + eps (sx x sx) leaves ||J - 1 x eta'||_F = 2 eps
+    lam = dv.contraction_channel(np.diag([0.7, 0.3]))
+    a = np.eye(4) + eps * np.kron(SX, SX)
+    m = CPMap(2, 2, a @ lam.choi @ a.conj().T, kind="channel")
+    assert (od.is_contraction_channel(m) is not None) is accepted
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_eps=st.floats(-13.0, -7.0), exact=st.booleans())
+def test_choi_tests_never_looser_than_per_basis(seed, log_eps, exact):
+    """Near the boundary, every acceptance is also a per-basis acceptance."""
+    rng = np.random.default_rng(seed)
+    eps = 0.0 if exact else 10.0 ** log_eps
+    din, dout = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    # a map whose Kraus operators end in eigenprojectors of E has a range commuting with E
+    u = np.linalg.qr(rand_complex(rng, din))[0]
+    ops = [rand_complex(rng, dout, din) @ np.outer(u[:, k], u[:, k].conj()) for k in range(din)]
+    top = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ops))[-1]
+    m = choi_from_kraus(KrausSet(tuple(k / np.sqrt(1.5 * top) for k in ops)))
+    e = (u * rng.uniform(0.2, 0.8, din)) @ u.conj().T + eps * rand_herm(rng, din) / din
+    if od.commutes_with_range(m, effect(e)):
+        assert _range_commutes_per_basis(m, effect(e))
+    # a channel eps away from a contraction channel
+    eta = rand_state(rng, dout)
+    other = choi_from_kraus(rand_kraus(rng, din, dout, 2))
+    c = CPMap(din, dout, (1 - eps) * np.kron(np.eye(din), eta) + eps * other.choi, kind="channel")
+    if od.is_contraction_channel(c) is not None:
+        assert _contraction_per_basis(c)
