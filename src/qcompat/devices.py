@@ -94,8 +94,9 @@ class Effect:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def complement(self) -> "Effect":
-        return Effect(np.eye(self.dim) - self.matrix)
+    def complement(self, tol: Tolerances | None = None) -> "Effect":
+        """1 - E, validated at ``tol``."""
+        return Effect(np.eye(self.dim) - self.matrix, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +127,8 @@ class Observable:
     def dim(self) -> int:
         return next(iter(self.effects.values())).dim
 
-    def effect_of(self, labels) -> Effect:
-        """Summed effect over an outcome subset."""
+    def effect_of(self, labels, tol: Tolerances | None = None) -> Effect:
+        """Summed effect over an outcome subset, validated at ``tol``."""
         labels = list(labels)
         for x in labels:
             if x not in self.effects:
@@ -135,7 +136,7 @@ class Observable:
         m = np.zeros((self.dim, self.dim), dtype=complex)
         for x in labels:
             m = m + self.effects[x].matrix
-        return Effect(m)
+        return Effect(m, tol)
 
 
 @dataclass(frozen=True, eq=False)

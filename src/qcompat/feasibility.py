@@ -17,11 +17,17 @@ the faces are lifted back through it.
 
 Blocks are parametrized by their real degrees of freedom (diagonal plus
 weighted upper triangle), so the constraints form a real linear system.
+Every linear map on blocks (partial traces, face maps, the blocks of the
+Schur complement) gets its coordinate matrix in closed form, Re(T^H L T),
+from the map's vec matrix L and the coordinate bases T. Each step of the
+run decomposes the slack once; that spectrum also gives the cone
+projection of the affine point.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,13 +37,13 @@ from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
-    coord_matrix,
+    frob_norm,
     herm_coords,
     herm_from_coords,
     herm_stack_coords,
     herm_stack_from_coords,
     hermitian_part,
-    partial_trace,
+    kron,
 )
 
 
@@ -128,9 +134,33 @@ def encode_partial_trace_constraint(
 
 
 @functools.cache
+def _coord_basis(d: int) -> np.ndarray:
+    """Read-only (d*d, d*d) complex matrix whose column k is the row-major
+    vec of the k-th coordinate matrix of side d, cached per d."""
+    basis = herm_stack_from_coords(np.eye(d * d), d).reshape(d * d, d * d).T.copy()
+    basis.flags.writeable = False
+    return basis
+
+
+def _coord_matrix(vec: np.ndarray) -> np.ndarray:
+    """Real coordinate matrix of a linear map on Hermitian matrices, or of
+    a stack of them, from the map's row-major vec matrix: Re(T_out^H vec T_in)
+    with T the coordinate bases of ``_coord_basis``."""
+    d_out, d_in = (math.isqrt(n) for n in vec.shape[-2:])
+    return (_coord_basis(d_out).conj().T @ vec @ _coord_basis(d_in)).real
+
+
+@functools.cache
 def _partial_trace_matrix(d0: int, d1: int, keep: int) -> np.ndarray:
-    """Read-only coordinate matrix of the partial trace, cached per slot layout."""
-    mat = coord_matrix(lambda x: partial_trace(x, (d0, d1), keep), d0 * d1)
+    """Read-only coordinate matrix of the partial trace, cached per slot layout.
+
+    The trace over the other slot is the sum of A X A* over the real
+    A = 1 (x) <k| (keep=0) or <k| (x) 1 (keep=1), so its vec matrix is the
+    sum of A (x) conj(A) = A (x) A.
+    """
+    eye, units = np.eye((d0, d1)[keep]), np.eye((d0, d1)[1 - keep])
+    ops = [kron(eye, k[None]) if keep == 0 else kron(k[None], eye) for k in units]
+    mat = _coord_matrix(sum(kron(op, op) for op in ops))
     mat.flags.writeable = False
     return mat
 
@@ -152,33 +182,40 @@ def encode_heisenberg_unit_constraint(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _Layout:
-    names: list[str]
-    sides: list[int]
-    offsets: list[int]
+    names: tuple[str, ...]
+    sides: tuple[int, ...]
+    offsets: tuple[int, ...]
     total: int
-    # (side, gather) in ascending side order; gather is the (n_blocks, side**2)
-    # array of the coordinate indices of that side's blocks
-    groups: list[tuple[int, np.ndarray]]
+    # (side, gather) in ascending side order; gather is the read-only
+    # (n_blocks, side**2) array of the coordinate indices of that side's blocks
+    groups: tuple[tuple[int, np.ndarray], ...]
+    # read-only coordinates of the all-blocks identity e
+    identity: np.ndarray
 
-    @classmethod
-    def of(cls, blocks) -> "_Layout":
-        """Layout of (name, side) blocks, stacked in the given order."""
-        names = [n for n, _ in blocks]
-        sides = [d for _, d in blocks]
-        offsets, run = [], 0
-        for d in sides:
-            offsets.append(run)
-            run += d * d
+    @staticmethod
+    @functools.lru_cache(maxsize=256)
+    def of(blocks: tuple[tuple[str, int], ...]) -> "_Layout":
+        """Layout of (name, side) blocks, stacked in the given order; cached."""
+        names = tuple(n for n, _ in blocks)
+        sides = tuple(d for _, d in blocks)
+        offsets, total = [], 0
         by_side: dict[int, list[int]] = {}
+        for d in sides:
+            offsets.append(total)
+            by_side.setdefault(d, []).append(total)
+            total += d * d
+        identity = np.zeros(total)
         for o, d in zip(offsets, sides):
-            by_side.setdefault(d, []).append(o)
-        groups = [
+            identity[o : o + d] = 1.0  # the diagonal coordinates come first
+        groups = tuple(
             (d, np.array(starts)[:, None] + np.arange(d * d))
             for d, starts in sorted(by_side.items())
-        ]
-        return cls(names, sides, offsets, run, groups)
+        )
+        for arr in (identity, *(g for _, g in groups)):
+            arr.flags.writeable = False
+        return _Layout(names, sides, tuple(offsets), total, groups, identity)
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         return [
@@ -200,11 +237,11 @@ def _face_map(layout: _Layout, bases) -> tuple[np.ndarray, _Layout]:
         for n, o, d, u in zip(layout.names, layout.offsets, layout.sides, bases)
         if u is None or u.shape[1]
     ]
-    face = _Layout.of([(n, d if u is None else u.shape[1]) for n, _, d, u in kept])
+    face = _Layout.of(tuple((n, d if u is None else u.shape[1]) for n, _, d, u in kept))
     embed = np.zeros((layout.total, face.total))
     for (_, o, d, u), fo, r in zip(kept, face.offsets, face.sides):
         embed[o : o + d * d, fo : fo + r * r] = (
-            np.eye(d * d) if u is None else coord_matrix(lambda z: u @ z @ u.conj().T, r)
+            np.eye(d * d) if u is None else _coord_matrix(kron(u, u.conj()))
         )
     return embed, face
 
@@ -226,32 +263,38 @@ def _assemble(problem: FeasibilityProblem, layout: _Layout):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def _project_cone(x: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Project onto the product of PSD cones.
+def _spectra(x: np.ndarray, layout: _Layout) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per side group, the (evals, evecs) of the blocks of a coordinate vector.
 
-    Blocks of equal side are read and written through their group's
-    gather; each group of side > 1 takes one batched eigendecomposition,
-    and 1x1 blocks, being their own eigenvalue, are clamped directly.
+    Blocks of equal side are read through their group's gather; each
+    group of side > 1 takes one batched eigendecomposition, and 1x1
+    blocks are their own eigenvalue.
     """
-    out = np.empty_like(x)
-    for d, gather in layout.groups:
-        rows = x[gather]
-        if d == 1:
-            out[gather] = np.maximum(rows, 0.0)
-            continue
-        evals, evecs = np.linalg.eigh(herm_stack_from_coords(rows, d))
-        clamped = np.maximum(evals, 0.0)
-        rebuilt = (evecs * clamped[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-        out[gather] = herm_stack_coords(rebuilt)
+    return [
+        (x[gather], np.ones((len(gather), 1, 1))) if d == 1
+        else np.linalg.eigh(herm_stack_from_coords(x[gather], d))
+        for d, gather in layout.groups
+    ]
+
+
+def _clamp(spectra, shift: float, layout: _Layout) -> np.ndarray:
+    """Cone projection of X + shift e, from the per-group spectra of X.
+
+    e is the identity in every block, so X + shift e has X's
+    eigenvectors, and its projection is V max(evals + shift, 0) V*.
+    """
+    out = np.empty(layout.total)
+    for (d, gather), (evals, evecs) in zip(layout.groups, spectra):
+        clamped = np.maximum(evals + shift, 0.0)
+        out[gather] = clamped if d == 1 else herm_stack_coords(
+            (evecs * clamped[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+        )
     return out
 
 
-def _identity_coords(layout: _Layout) -> np.ndarray:
-    """Coordinates of the all-blocks identity (the diagonal coordinates come first)."""
-    e = np.zeros(layout.total)
-    for o, d in zip(layout.offsets, layout.sides):
-        e[o : o + d] = 1.0
-    return e
+def _project_cone(x: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Project onto the product of PSD cones."""
+    return _clamp(_spectra(x, layout), 0.0, layout)
 
 
 def _min_eig(v: np.ndarray, layout: _Layout) -> float:
@@ -276,8 +319,7 @@ def _certificate_bound(v: np.ndarray, layout: _Layout, gram: np.ndarray, x0: np.
     z = gram @ v
     if _min_eig(z, layout) < 0:
         return None
-    e = _identity_coords(layout)
-    weight = float(e @ z)
+    weight = float(layout.identity @ z)
     if weight <= 0:
         return None
     return float(x0 @ z) / weight
@@ -364,8 +406,11 @@ def _identity_coefficient(mat: np.ndarray) -> float | None:
     n = mat.shape[0]
     if mat.shape != (n, n):
         return None
-    c = float(np.trace(mat)) / n
-    if np.linalg.norm(mat - c * np.eye(n)) <= 1e-12 * max(1.0, abs(c)):
+    dev = mat.flatten()
+    diag = dev[:: n + 1]
+    c = sum(diag.tolist()) / n
+    diag -= c  # dev is now mat - c 1, flattened
+    if frob_norm(dev) <= 1e-12 * max(1.0, abs(c)):
         return c
     return None
 
@@ -411,15 +456,6 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
     }
 
 
-@functools.cache
-def _coord_basis(d: int) -> np.ndarray:
-    """Read-only (d*d, d*d) complex matrix whose column k is the row-major
-    vec of the k-th coordinate matrix of side d, cached per d."""
-    basis = herm_stack_from_coords(np.eye(d * d), d).reshape(d * d, d * d).T.copy()
-    basis.flags.writeable = False
-    return basis
-
-
 def _step_lengths(halves, dz: np.ndarray, ds: np.ndarray, layout: _Layout):
     """Steps along dZ and dS: 0.95 of the way to the cone boundary, capped at 1.
 
@@ -450,8 +486,8 @@ def _newton_step(z, y, s, spec_s, layout: _Layout, f, f_groups):
     unit_t[-1] = 1.0
     m = np.zeros((len(f), len(f)))
     kmats, sinv, halves, sinv_c = [], [], [], np.empty_like(z)
-    for (d, gather), (ls, vs), fg in zip(layout.groups, spec_s, f_groups):
-        lz, vz = np.linalg.eigh(herm_stack_from_coords(z[gather], d))
+    spec_z = _spectra(z, layout)
+    for (d, gather), (ls, vs), (lz, vz), fg in zip(layout.groups, spec_s, spec_z, f_groups):
         if not lz[:, 0].min() > 0:
             raise np.linalg.LinAlgError("the dual iterate left the cone interior")
         vs_h, vz_h = vs.conj().swapaxes(-1, -2), vz.conj().swapaxes(-1, -2)
@@ -462,9 +498,8 @@ def _newton_step(z, y, s, spec_s, layout: _Layout, f, f_groups):
             (vz / np.sqrt(lz)[:, None, :]) @ vz_h, (vs / np.sqrt(ls)[:, None, :]) @ vs_h
         ]))
         n_b, dd = gather.shape
-        basis = _coord_basis(d)
-        kron = np.einsum("bij,bkl->biljk", (vz * lz[:, None, :]) @ vz_h, inv)
-        k = (basis.conj().T @ kron.reshape(n_b, dd, dd) @ basis).real
+        kron_zs = np.einsum("bij,bkl->biljk", (vz * lz[:, None, :]) @ vz_h, inv)
+        k = _coord_matrix(kron_zs.reshape(n_b, dd, dd))
         k = (k + k.swapaxes(-1, -2)) / 2
         kmats.append(k)
         fk = fg.reshape(-1, n_b, dd).swapaxes(0, 1) @ k
@@ -559,7 +594,7 @@ def solve(
         # no constraints, or every block pinned: the zero point is the witness
         return feasible(x0, affine_res, 0)
 
-    e = _identity_coords(layout)
+    e = layout.identity
     if np.linalg.norm(gram @ e) <= 1e-9 * np.linalg.norm(e):
         # the constraints never see e, so the affine set holds every shift
         # of x0 along it, and the least PSD one is the witness
@@ -580,13 +615,13 @@ def solve(
     try:
         for it in range(max_iter + 1):
             s = x0 - f.T @ y
-            spec_s = [np.linalg.eigh(herm_stack_from_coords(s[g], d)) for d, g in layout.groups]
+            spec_s = _spectra(s, layout)
             least = min(float(evals[:, 0].min()) for evals, _ in spec_s)
             if not least > 0:
                 raise np.linalg.LinAlgError("the slack left the cone interior")
             point = x0 - null @ y[:-1]
             psd = least + y[-1] >= 0  # Y = S + t e: the slack's spectrum shifted by t
-            cone = point if psd else _project_cone(point, layout)
+            cone = point if psd else _clamp(spec_s, y[-1], layout)
             residual = float(np.linalg.norm(a @ cone - b))
             if trace:
                 trace(f"iter={it} shift=+0.000e+00 residual={residual:.3e} gap={z @ s:.3e}")

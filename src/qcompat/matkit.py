@@ -8,6 +8,7 @@ All functions are pure; all matrices are plain complex ndarrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -195,13 +196,32 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _pack_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only real matrices that pack side-d Hermitian matrices, cached per d.
 
-
-def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
-    if d not in _TRIU_CACHE:
-        _TRIU_CACHE[d] = np.triu_indices(d, k=1)
-    return _TRIU_CACHE[d]
+    Coordinates are the diagonal, then the sqrt(2)-weighted real and
+    imaginary parts of the upper triangle (row-major). ``unpack`` is
+    (d*d, 2*d*d): a coordinate row times it is the float view of the
+    row-major complex matrix. ``pack`` is (2*d*d, d*d) and reads the
+    coordinates back from that float view. Each output entry has a
+    single nonzero term, so both products are exact up to the weights.
+    """
+    iu, ju = np.triu_indices(d, k=1)
+    n_off = len(iu)
+    diag, upper, lower = np.arange(d) * (d + 1), iu * d + ju, ju * d + iu
+    re, im = d + np.arange(n_off), d + n_off + np.arange(n_off)
+    r2 = 1.0 / np.sqrt(2.0)
+    unpack = np.zeros((d * d, 2 * d * d))
+    unpack[np.arange(d), 2 * diag] = 1.0
+    unpack[re, 2 * upper] = unpack[re, 2 * lower] = r2
+    unpack[im, 2 * upper + 1] = r2
+    unpack[im, 2 * lower + 1] = -r2
+    pack = np.zeros((2 * d * d, d * d))
+    pack[2 * diag, np.arange(d)] = 1.0
+    pack[2 * upper, re] = pack[2 * upper + 1, im] = np.sqrt(2.0)
+    unpack.flags.writeable = pack.flags.writeable = False
+    return unpack, pack
 
 
 def herm_coords(h: np.ndarray) -> np.ndarray:
@@ -211,13 +231,8 @@ def herm_coords(h: np.ndarray) -> np.ndarray:
     triangle, so the Euclidean norm of the coordinates equals the
     Frobenius norm of the matrix.
     """
-    h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    iu = _triu(d)
-    r2 = np.sqrt(2.0)
-    return np.concatenate(
-        [h.diagonal().real, r2 * h[iu].real, r2 * h[iu].imag]
-    )
+    h = np.ascontiguousarray(h, dtype=complex)
+    return h.reshape(-1).view(float) @ _pack_matrices(h.shape[0])[1]
 
 
 def herm_from_coords(x: np.ndarray, d: int) -> np.ndarray:
@@ -225,72 +240,16 @@ def herm_from_coords(x: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size != d * d:
         raise MatrixShapeError(f"expected {d * d} coordinates, got {x.size}")
-    n_off = d * (d - 1) // 2
-    diag = x[:d]
-    re = x[d : d + n_off]
-    im = x[d + n_off :]
-    h = np.zeros((d, d), dtype=complex)
-    iu = _triu(d)
-    r2 = np.sqrt(2.0)
-    h[iu] = (re + 1j * im) / r2
-    h = h + h.conj().T
-    h[np.arange(d), np.arange(d)] = diag
-    return h
-
-
-def coord_matrix(linear, d: int) -> np.ndarray:
-    """Real matrix of a linear map on d x d Hermitian matrices.
-
-    Coordinates are those of :func:`herm_coords`; column k is the image
-    of the k-th unit coordinate vector.
-    """
-    cols = []
-    for k in range(d * d):
-        unit = np.zeros(d * d)
-        unit[k] = 1.0
-        cols.append(herm_coords(linear(herm_from_coords(unit, d))))
-    return np.column_stack(cols)
-
-
-_PACK_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _pack_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables that pack side-d Hermitian stacks, cached per d.
-
-    ``unpack`` maps each row-major matrix entry to its position in
-    ``[diag, upper, conj(upper)]``; ``pack`` maps each coordinate to its
-    position in the float view of the flattened matrix; ``scale`` weights
-    the coordinates (1 on the diagonal, sqrt(2) off it).
-    """
-    if d not in _PACK_CACHE:
-        iu, ju = _triu(d)
-        n_off = len(iu)
-        unpack = np.empty((d, d), dtype=np.intp)
-        unpack[np.arange(d), np.arange(d)] = np.arange(d)
-        unpack[iu, ju] = d + np.arange(n_off)
-        unpack[ju, iu] = d + n_off + np.arange(n_off)
-        diag = np.arange(d) * (d + 1)
-        upper = iu * d + ju
-        pack = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
-        scale = np.concatenate([np.ones(d), np.full(2 * n_off, np.sqrt(2.0))])
-        _PACK_CACHE[d] = (unpack.ravel(), pack, scale)
-    return _PACK_CACHE[d]
+    return (x.reshape(d * d) @ _pack_matrices(d)[0]).view(complex).reshape(d, d)
 
 
 def herm_stack_coords(stack: np.ndarray) -> np.ndarray:
     """Row-wise :func:`herm_coords` of a (n, d, d) Hermitian stack."""
     n, d, _ = stack.shape
-    _, pack, scale = _pack_tables(d)
     flat = np.ascontiguousarray(stack, dtype=complex).reshape(n, d * d).view(float)
-    return flat[:, pack] * scale
+    return flat @ _pack_matrices(d)[1]
 
 
 def herm_stack_from_coords(x: np.ndarray, d: int) -> np.ndarray:
     """Row-wise :func:`herm_from_coords` of (n, d*d) coordinate rows."""
-    n = x.shape[0]
-    n_off = d * (d - 1) // 2
-    unpack, _, _ = _pack_tables(d)
-    upper = (x[:, d : d + n_off] + 1j * x[:, d + n_off :]) / np.sqrt(2.0)
-    vals = np.concatenate([x[:, :d], upper, upper.conj()], axis=1)
-    return vals[:, unpack].reshape(n, d, d)
+    return (x @ _pack_matrices(d)[0]).view(complex).reshape(len(x), d, d)

@@ -144,7 +144,7 @@ def model_instrument(
     if f is None:
         f = PointerMap({x: x for x in m.pointer.outcomes})
     f.check_total(m.pointer.outcomes)
-    effs = [m.pointer.effect_of(f.preimage(y)).matrix for y in f.codomain]
+    effs = [m.pointer.effect_of(f.preimage(y), tol).matrix for y in f.codomain]
     branches = {y: CPMap(m.dim_in, m.dim_out, j, tol=tol)
                 for y, j in zip(f.codomain, _model_chois(m, effs))}
     return Instrument(f.codomain, branches, tol=tol)
@@ -166,29 +166,17 @@ def model_channel(m: MeasurementModel, tol: Tolerances = DEFAULT_TOL) -> CPMap:
 # ---------------------------------------------------------------------------
 
 
-def _complete_unitary(prescribed: dict[int, np.ndarray], side: int) -> np.ndarray:
-    """Fill the unprescribed columns by Gram-Schmidt over the canonical basis."""
-    u = np.zeros((side, side), dtype=complex)
-    have = []
-    for idx, col in prescribed.items():
-        u[:, idx] = col
-        have.append(col)
+def _complete_unitary(prescribed: dict[int, np.ndarray], side: int, tol: Tolerances) -> np.ndarray:
+    """Fill the unprescribed columns with the orthogonal complement of the
+    prescribed ones, read off one complete QR; raise unless the result is
+    unitary within eq_tol."""
+    cols = np.column_stack(list(prescribed.values()))
+    u = np.empty((side, side), dtype=complex)
+    u[:, list(prescribed)] = cols
     free = [i for i in range(side) if i not in prescribed]
-    pool = []
-    for k in range(side):
-        v = np.zeros(side, dtype=complex)
-        v[k] = 1.0
-        for w in have + pool:
-            v = v - w * np.vdot(w, v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-7:
-            pool.append(v / norm)
-        if len(pool) == len(free):
-            break
-    if len(pool) != len(free):
-        raise AssertionError("unitary completion failed")
-    for idx, col in zip(free, pool):
-        u[:, idx] = col
+    u[:, free] = np.linalg.qr(cols, mode="complete")[0][:, len(prescribed) :]
+    if not close(u.conj().T @ u, np.eye(side), tol):
+        raise ModelSynthesisError("unitary completion failed")
     return u
 
 
@@ -209,7 +197,7 @@ def _base_parts(dil, tol: Tolerances):
     cols = np.zeros((dh, dk, da, dm), dtype=complex)
     cols[..., 0] = dil.v.reshape(dk, da, dh).transpose(2, 0, 1)
     prescribed = {i * dv1: cols[i].reshape(side) for i in range(dh)}
-    u = _complete_unitary(prescribed, side)
+    u = _complete_unitary(prescribed, side, tol)
     eta = np.zeros((dv1, dv1), dtype=complex)
     eta[0, 0] = 1.0
     return dv1, dv2, eta, u

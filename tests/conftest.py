@@ -3,6 +3,7 @@
 import numpy as np
 
 from qcompat.devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus
+from qcompat.matkit import Tolerances
 
 
 def rand_complex(rng, n, m=None):
@@ -98,3 +99,12 @@ def below_common_channel(rng):
     v = 1.0 / np.sqrt(1.0 + abs(ratio) ** 2)
     k2 = -np.conj(v) * r1 + np.conj(ratio * v) * k1
     return choi_from_kraus(KrausSet((k1,))), choi_from_kraus(KrausSet((k2,)))
+
+
+def loose_pointer():
+    """A two-outcome observable valid at psd_tol 1e-6 with an effect eigenvalue
+    of 1 + 5e-7, and that tolerance."""
+    loose = Tolerances(psd_tol=1e-6)
+    mats = {"a": np.diag([1 + 5e-7, 0.0]), "b": np.diag([-5e-7, 1.0])}
+    effects = {x: Effect(m, loose) for x, m in mats.items()}
+    return Observable(("a", "b"), effects, loose), loose

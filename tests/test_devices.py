@@ -7,7 +7,7 @@ from qcompat import devices as dv
 from qcompat import matkit as mk
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, SY, SZ, effect, luders_of
 
-from conftest import rand_complex, rand_cpmap, rand_herm, rand_instrument, rand_state
+from conftest import loose_pointer, rand_complex, rand_cpmap, rand_herm, rand_instrument, rand_state
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +30,16 @@ def test_effect_rejects_out_of_bounds():
 def test_effect_accepts_degenerate():
     dv.Effect(np.zeros((2, 2)))
     dv.Effect(np.eye(3))
+
+
+def test_summed_and_complement_effects_keep_the_tolerance():
+    obs, loose = loose_pointer()
+    assert obs.effect_of(["a"], loose).matrix[0, 0] == 1 + 5e-7
+    assert obs.effects["b"].complement(loose).matrix[0, 0] == 1 + 5e-7
+    with pytest.raises(dv.EffectBoundsError):
+        obs.effect_of(["a"])
+    with pytest.raises(dv.EffectBoundsError):
+        obs.effects["b"].complement()
 
 
 def test_observable_rejects_bad_sum():

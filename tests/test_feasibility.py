@@ -389,6 +389,106 @@ def test_project_cone_matches_blockwise_reference():
     assert sorted(gathered) == list(range(layout.total))
 
 
+def probed_coord_matrix(linear, d):
+    """Reference coordinate matrix: column k is the image of the k-th unit coordinate."""
+    return np.column_stack([
+        herm_coords(linear(herm_from_coords(unit, d))) for unit in np.eye(d * d)
+    ])
+
+
+def rand_isometry(rng, d, r):
+    return np.linalg.qr(rand_complex(rng, d, d))[0][:, :r]
+
+
+def test_face_map_matches_probed_conjugations():
+    # pinned (r = 0), whole (None), proper (1 < r < d) and unitary (r = d) faces
+    rng = np.random.default_rng(23)
+    sides = (3, 4, 2, 3, 5)
+    bases = [
+        rand_isometry(rng, 3, 0), None, rand_isometry(rng, 2, 2),
+        rand_isometry(rng, 3, 2), rand_isometry(rng, 5, 3),
+    ]
+    layout = fs._Layout.of(tuple((f"b{i}", d) for i, d in enumerate(sides)))
+    embed, face = fs._face_map(layout, bases)
+    assert face.names == ("b1", "b2", "b3", "b4") and face.sides == (4, 2, 2, 3)
+    assert embed.shape == (layout.total, face.total)
+    assert np.allclose(embed.T @ embed, np.eye(face.total), atol=1e-12)
+    expected = np.zeros_like(embed)
+    for name, fo, r in zip(face.names, face.offsets, face.sides):
+        i = layout.names.index(name)
+        o, d, u = layout.offsets[i], layout.sides[i], bases[i]
+        linear = (lambda z: z) if u is None else (lambda z, u=u: u @ z @ u.conj().T)
+        expected[o : o + d * d, fo : fo + r * r] = probed_coord_matrix(linear, r)
+    assert np.abs(embed - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2), (1, 3)])
+@pytest.mark.parametrize("keep", [0, 1])
+def test_partial_trace_matrix_matches_partial_trace(dims, keep):
+    from qcompat.matkit import partial_trace
+
+    rng = np.random.default_rng([*dims, keep])
+    mat = fs._partial_trace_matrix(*dims, keep)
+    assert not mat.flags.writeable
+    assert mat.shape == (dims[keep] ** 2, (dims[0] * dims[1]) ** 2)
+    for _ in range(3):
+        x = rand_herm(rng, dims[0] * dims[1])
+        expected = herm_coords(partial_trace(x, dims, keep))
+        assert np.abs(mat @ herm_coords(x) - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("shift", [-0.7, 0.0, 0.4])
+def test_shifted_spectrum_projection_matches_project_cone(shift):
+    # the cone projection of X + shift e read off X's spectra, 1x1 blocks included
+    sides = (2, 1, 4, 1, 3, 2)
+    layout = fs._Layout.of(tuple((f"b{i}", d) for i, d in enumerate(sides)))
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal(layout.total)
+    x[[layout.offsets[1], layout.offsets[3]]] = (-0.5, 0.1)
+    got = fs._clamp(fs._spectra(x, layout), shift, layout)
+    expected = fs._project_cone(x + shift * layout.identity, layout)
+    assert np.abs(got - expected).max() <= 1e-13
+
+
+def test_layout_is_cached_and_read_only():
+    blocks = (("a", 2), ("b", 1), ("c", 2))
+    layout = fs._Layout.of(blocks)
+    assert fs._Layout.of(blocks) is layout
+    assert list(layout.identity) == [1, 1, 0, 0, 1, 1, 1, 0, 0]
+    for arr in (layout.identity, *(g for _, g in layout.groups)):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+
+
+def test_solve_decomposes_each_slack_once_per_step(monkeypatch):
+    # Batched calls, one per side group: a step costs the slack's eigh,
+    # the certificate's eigvalsh, the dual iterate's eigh and one eigvalsh
+    # for each of the two step lengths. The start point adds one eigvalsh
+    # (the least eigenvalue of x0) and the last iteration the slack and the
+    # certificate. A second decomposition of the slack (for the cone
+    # projection of the affine point) would add one per iteration.
+    # Facial reduction takes single-matrix calls, which are not counted.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _orig=orig, _name=name, **kwargs):
+            if np.ndim(a) == 3:
+                calls.append(_name)
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for seed, verdict in ((3, "feasible"), (6, "infeasible")):
+        rng = np.random.default_rng(seed)
+        problem = coexistence_problem(rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix)
+        assert fs._support_bounds(problem, fs.DEFAULT_TOL) == {}  # no facial reduction
+        groups = sum(d > 1 for d, _ in fs._Layout.of(problem.blocks).groups)
+        calls.clear()
+        out = fs.solve(problem)
+        assert out.verdict == verdict and out.iterations >= 2
+        assert len(calls) <= groups * (5 * out.iterations + 3)
+
+
 def test_solver_packs_through_module_names(monkeypatch):
     # the traced benchmark wraps these names where feasibility looks them up
     calls = []

@@ -185,10 +185,28 @@ def test_herm_coords_roundtrip_isometry(d, seed):
     assert np.linalg.norm(back - h) <= 1e-12 * (1 + np.linalg.norm(h))
 
 
+def index_coords(h):
+    """Reference packing by index: diagonal, then sqrt(2) Re and Im of the upper triangle."""
+    iu = np.triu_indices(h.shape[0], k=1)
+    return np.concatenate([h.diagonal().real, np.sqrt(2.0) * h[iu].real, np.sqrt(2.0) * h[iu].imag])
+
+
+def index_from_coords(x, d):
+    """Reference unpacking by index, the inverse of index_coords."""
+    iu = np.triu_indices(d, k=1)
+    n_off = len(iu[0])
+    h = np.zeros((d, d), dtype=complex)
+    h[iu] = (x[d : d + n_off] + 1j * x[d + n_off :]) / np.sqrt(2.0)
+    h = h + h.conj().T
+    h[np.diag_indices(d)] = x[:d]
+    return h
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_herm_stack_packers_equal_rowwise(d, seed):
-    # the stack packers give the same bits as the one-matrix reference
+    # the matmul packers, of stacks and of single matrices, give the bits
+    # of the packing by index
     rng = np.random.default_rng([d, seed])
     n = 5
     rows = rng.standard_normal((n, d * d))
@@ -196,11 +214,16 @@ def test_herm_stack_packers_equal_rowwise(d, seed):
     assert stack.shape == (n, d, d)
     for row, h in zip(rows, stack):
         assert np.array_equal(h, mk.herm_from_coords(row, d))
+        assert np.array_equal(h, index_from_coords(row, d))
     herms = np.stack([rand_herm(rng, d) for _ in range(n)])
     coords = mk.herm_stack_coords(herms)
     assert coords.shape == (n, d * d)
     for h, x in zip(herms, coords):
         assert np.array_equal(x, mk.herm_coords(h))
+        assert np.array_equal(x, index_coords(h))
+    assert np.linalg.norm(mk.herm_stack_from_coords(coords, d) - herms) <= 1e-12 * (
+        1 + np.linalg.norm(herms)
+    )
     back = mk.herm_stack_coords(stack)
     assert np.array_equal(back, np.stack([mk.herm_coords(h) for h in stack]))
     assert np.linalg.norm(back - rows) <= 1e-12 * (1 + np.linalg.norm(rows))

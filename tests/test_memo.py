@@ -6,7 +6,7 @@ from qcompat import memo as mm
 from qcompat.devices import CPMap, Instrument, KrausSet, PointerMap, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, effect, luders_of, sharp_observable
 
-from conftest import rand_complex, rand_instrument, rand_observable, rand_state
+from conftest import loose_pointer, rand_complex, rand_instrument, rand_observable, rand_state
 
 
 def luders_x_instrument():
@@ -31,6 +31,26 @@ def test_swap_model_induced_observable_is_pointer():
     obs = dv.induced_observable(ins)
     assert np.allclose(obs.effects["+"].matrix, PZ, atol=1e-10)
     assert np.allclose(obs.effects["-"].matrix, PMZ, atol=1e-10)
+
+
+def test_model_instrument_keeps_the_tolerance():
+    # the pointer is valid only at the loose tolerance; its summed effects
+    # must be validated there too
+    pointer, loose = loose_pointer()
+    eta = np.diag([1.0, 0.0]).astype(complex)
+    model = mm.MeasurementModel(2, 2, 2, 2, eta, np.eye(4), pointer, tol=loose)
+    ins = mm.model_instrument(model, tol=loose)
+    assert np.allclose(ins.branches["a"].choi, (1 + 5e-7) * np.outer([1, 0, 0, 1], [1, 0, 0, 1]))
+
+
+def test_complete_unitary_keeps_prescribed_columns_and_checks_unitarity():
+    rng = np.random.default_rng(31)
+    q = np.linalg.qr(rand_complex(rng, 6, 6))[0]
+    u = mm._complete_unitary({0: q[:, 0], 3: q[:, 1]}, 6, mm.DEFAULT_TOL)
+    assert np.array_equal(u[:, 0], q[:, 0]) and np.array_equal(u[:, 3], q[:, 1])
+    assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= 1e-13
+    with pytest.raises(mm.ModelSynthesisError, match="unitary completion failed"):
+        mm._complete_unitary({0: q[:, 0], 3: 2 * q[:, 1]}, 6, mm.DEFAULT_TOL)
 
 
 def test_swap_model_trivial_pointer():
