@@ -94,9 +94,8 @@ class Effect:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def complement(self, tol: Tolerances | None = None) -> "Effect":
-        """1 - E, validated at ``tol``."""
-        return Effect(np.eye(self.dim) - self.matrix, tol)
+    def complement(self) -> "Effect":
+        return Effect(np.eye(self.dim) - self.matrix)
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,6 +66,7 @@ class FeasibilityProblem:
     constraints: tuple[AffineConstraint, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple((n, d) for n, d in self.blocks))
         names = [n for n, _ in self.blocks]
         if len(set(names)) != len(names):
             raise ValueError("duplicate block names")
@@ -352,6 +353,19 @@ def _restricted_solve(z, profile, layout, a, b):
     return x, float(np.linalg.norm(a @ x - b))
 
 
+def _face_rank(evals: np.ndarray, tau: float) -> int:
+    """Face rank of a block with ascending spectrum evals at threshold tau.
+
+    The count above tau, at least 1, widened to every eigenvalue within
+    1e-9 (relative) of the least one kept: a face never splits a
+    near-degenerate eigenspace, whose eigenvectors the point's last bits
+    would pick. The band is far below the ladder's finest rung, 1e-6,
+    and well above the rounding noise a path iterate carries.
+    """
+    r = max(int(np.sum(evals > tau)), 1)
+    return int(np.sum(evals >= evals[-r] - 1e-9 * max(1.0, float(np.abs(evals).max()))))
+
+
 def _face_polish(
     y: np.ndarray,
     layout: _Layout,
@@ -366,18 +380,16 @@ def _face_polish(
     Feasible sets here typically touch the cone boundary, where a
     projected point of the path still sits about the square root of its
     residual away from the face. For each candidate face profile (block
-    ranks read off the point's spectra at a ladder of thresholds) this
-    alternates a face-restricted least-squares solve with re-detection
-    of the face from the affine projection; with the right profile the
-    residual collapses at a linear rate. Candidates are gated on their
-    true residual, so wrong profiles are no-ops.
+    ranks read off the point's spectra by ``_face_rank`` at a ladder of
+    thresholds) this alternates a face-restricted least-squares solve
+    with re-detection of the face from the affine projection; with the
+    right profile the residual collapses at a linear rate. Candidates are
+    gated on their true residual, so wrong profiles are no-ops.
     """
     spectra = [np.linalg.eigvalsh(h) for h in layout.split(y)]
     seen: set[tuple[int, ...]] = set()
     for tau in _POLISH_THRESHOLDS:
-        profile = tuple(
-            max(int(np.sum(evals > tau)), 1) for evals in spectra
-        )
+        profile = tuple(_face_rank(evals, tau) for evals in spectra)
         if profile in seen or all(r == d for r, d in zip(profile, layout.sides)):
             continue
         if len(seen) >= 4:
@@ -406,11 +418,8 @@ def _identity_coefficient(mat: np.ndarray) -> float | None:
     n = mat.shape[0]
     if mat.shape != (n, n):
         return None
-    dev = mat.flatten()
-    diag = dev[:: n + 1]
-    c = sum(diag.tolist()) / n
-    diag -= c  # dev is now mat - c 1, flattened
-    if frob_norm(dev) <= 1e-12 * max(1.0, abs(c)):
+    c = float(np.trace(mat)) / n
+    if frob_norm(mat - c * np.eye(n)) <= 1e-12 * max(1.0, abs(c)):
         return c
     return None
 

@@ -32,14 +32,11 @@ def test_effect_accepts_degenerate():
     dv.Effect(np.eye(3))
 
 
-def test_summed_and_complement_effects_keep_the_tolerance():
+def test_summed_effect_keeps_the_tolerance():
     obs, loose = loose_pointer()
     assert obs.effect_of(["a"], loose).matrix[0, 0] == 1 + 5e-7
-    assert obs.effects["b"].complement(loose).matrix[0, 0] == 1 + 5e-7
     with pytest.raises(dv.EffectBoundsError):
         obs.effect_of(["a"])
-    with pytest.raises(dv.EffectBoundsError):
-        obs.effects["b"].complement()
 
 
 def test_observable_rejects_bad_sum():

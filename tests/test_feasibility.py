@@ -450,6 +450,36 @@ def test_shifted_spectrum_projection_matches_project_cone(shift):
     assert np.abs(got - expected).max() <= 1e-13
 
 
+def test_problem_blocks_may_be_a_list():
+    problem = fs.FeasibilityProblem([("x", 2)], one_block_trace_problem(1.0).constraints)
+    assert problem.blocks == (("x", 2),)
+    assert fs.solve(problem).verdict == "feasible"
+
+
+def test_face_polish_keeps_a_degenerate_pair_whole():
+    # qutrit states on span{|1>, |2>}: x_00 = 0 and tr x = 1. The point
+    # diag(0, 1/2, 1/2) puts a degenerate pair on the first rung, 0.5; a
+    # rank-1 face would be whichever eigenvector of the pair last bits pick.
+    assert fs._face_rank(np.array([0.0, 0.0, 0.5 - 4e-12, 0.5 + 4e-12]), 0.5) == 2
+    assert fs._face_rank(np.array([0.0, 0.2, 0.5, 0.9]), 0.5) == 1
+    assert fs._face_rank(np.array([1e-17, 2e-8, 0.3, 0.3]), 1e-6) == 2
+    layout = fs._Layout.of((("x", 3),))
+    a = np.zeros((2, 9))
+    a[0, 0] = a[1, 0] = a[1, 1] = a[1, 2] = 1.0
+    b = np.array([0.0, 1.0])
+    pinv = np.linalg.pinv(a)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        noise = np.zeros(9)
+        noise[[1, 2, 5, 8]] = 1e-13 * rng.standard_normal(4)  # the (1, 2) entry
+        y = herm_coords(np.diag([0.0, 0.5, 0.5])) + noise
+        x, residual = fs._face_polish(
+            y, layout, a, b, lambda x: x - pinv @ (a @ x - b), fs.DEFAULT_TOL
+        )
+        assert residual <= 1e-14
+        assert np.abs(herm_from_coords(x, 3) - np.diag([0.0, 0.5, 0.5])).max() <= 1e-12
+
+
 def test_layout_is_cached_and_read_only():
     blocks = (("a", 2), ("b", 1), ("c", 2))
     layout = fs._Layout.of(blocks)
