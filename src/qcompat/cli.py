@@ -389,8 +389,8 @@ def cmd_simulate(args) -> int:
     except json.JSONDecodeError as exc:
         raise DeviceFileError(f"state is not valid JSON: {exc}") from exc
     labels = tuple(args.outcomes.split(",")) if args.outcomes else model.outcomes()
-    p = mm.model_probability(model, rho, labels)
-    post = mm.model_poststate(model, rho, labels)
+    p = mm.model_probability(model, rho, labels, tol)
+    post = mm.model_poststate(model, rho, labels, tol)
     doc = {
         "name": args.name,
         "outcomes": list(labels),

@@ -4,7 +4,8 @@ Every device is read as an instrument through a table of parts, one per
 outcome: a fixed target (an effect for classical devices, a Choi matrix
 otherwise) or free. Two devices are compatible when both are parts of
 one joint instrument (``joint_problem``), and weakly compatible when two
-instruments containing them share one total channel (``weak_problem``).
+instruments, one containing each device, have equal totals
+(``weak_problem``, with blocks for the devices' own outcomes only).
 
 ``classify`` runs the pair's analytic fast paths, then the joint
 question, then the weak one, and returns compatible,
@@ -39,6 +40,7 @@ from .matkit import (
     Tolerances,
     close,
     frob_norm,
+    herm_coords,
     hermitian_part,
     kron,
     mat_sqrt,
@@ -166,21 +168,17 @@ def _free(parts) -> bool:
     return any(t is None for t in parts.values())
 
 
-def _views(d1, d2, tol: Tolerances = DEFAULT_TOL):
-    """The devices as the joint question sees them.
+def _joint_parts(d1, d2):
+    """The parts of both devices as the joint question sees them.
 
-    An effect facing an observable is read as its binary observable.
+    An effect facing an observable is read as its binary observable,
+    with targets E and 1 - E.
     """
-
-    def binary(e: Effect) -> Observable:
-        rest = Effect(np.eye(e.dim) - e.matrix, tol=tol)
-        return Observable(("1", "0"), {"1": e, "0": rest}, tol=tol)
-
-    if isinstance(d1, Effect) and isinstance(d2, Observable):
-        return binary(d1), d2
-    if isinstance(d1, Observable) and isinstance(d2, Effect):
-        return d1, binary(d2)
-    return d1, d2
+    t1, t2 = _parts(d1), _parts(d2)
+    for d, t, other in ((d1, t1, d2), (d2, t2, d1)):
+        if isinstance(d, Effect) and isinstance(other, Observable):
+            t["0"] = np.eye(d.dim) - d.matrix
+    return t1, t2
 
 
 def _dims(d1, d2) -> tuple[int, int | None]:
@@ -229,18 +227,17 @@ def joint_problem(d1, d2) -> fs.FeasibilityProblem:
     outcome. Classical pairs use effect blocks; otherwise blocks are
     Choi matrices and effect targets constrain ``Tr_out``.
     """
-    a1, a2 = _views(d1, d2)
-    t1, t2 = _parts(a1), _parts(a2)
-    din, dout = _dims(a1, a2)
+    t1, t2 = _joint_parts(d1, d2)
+    din, dout = _dims(d1, d2)
     quantum = dout is not None
     pairs = _joint_pairs(t1, t2)
     names = [f"g{n}" for n in range(len(pairs))]
     cons = []
-    for i, (a, targets) in enumerate(((a1, t1), (a2, t2))):
+    for i, (d, targets) in enumerate(((d1, t1), (d2, t2))):
         for x, target in targets.items():
             if target is not None:
                 own = [n for n, xy in zip(names, pairs) if xy[i] == x]
-                cons.append(_row(own, target, quantum and _classical(a), (din, dout)))
+                cons.append(_row(own, target, quantum and _classical(d), (din, dout)))
     if _free(t1) and _free(t2):
         cons.append(_row(names, np.eye(din), quantum, (din, dout)))
     side = din * dout if quantum else din
@@ -254,45 +251,31 @@ def _weak_name(i: int, x: str) -> str:
 def weak_problem(d1, d2) -> fs.FeasibilityProblem:
     """Two instruments, one containing each device, with one total channel.
 
-    A device without a free outcome stands for the common channel: its
-    blocks sum to it, and a channel or instrument makes it a constant.
-    Otherwise a block ``lam`` with ``Tr_out lam = 1`` is the channel.
-    Rows: the parts of every other device sum to the channel (fixed
-    Choi parts on the right-hand side), then trace preservation of
-    ``lam``, then the effect targets.
+    Each instrument has one block per free outcome and, for a classical
+    device, per outcome; the fixed Choi parts of a quantum device are
+    constants. Rows: the two totals agree (``sum own_2 - sum own_1 =
+    sum fixed_1 - sum fixed_2``); device 1's total is trace preserving,
+    when both devices have a free outcome (otherwise a fixed total or
+    the effect targets imply it); then the effect targets.
     """
-    devices = (d1, d2)
-    targets = (_parts(d1), _parts(d2))
     din, dout = _dims(d1, d2)
     quantum = dout is not None
     side = din * dout if quantum else din
-    chan = next((i for i in (0, 1) if not _free(targets[i])), None)
-    const = None
-    if chan is None:
-        blocks = ["lam"]
-    elif _classical(devices[chan]):
-        blocks = [_weak_name(chan, x) for x in targets[chan]]
-    else:
-        blocks, const = [], _sum(list(targets[chan].values()), side)
-    lam_terms, cons = [(n, 1.0) for n in blocks], []
-    for i in (0, 1):
-        if i == chan:
-            continue
-        quantum_i = not _classical(devices[i])
-        fixed = [t for t in targets[i].values() if t is not None and quantum_i]
-        own = [_weak_name(i, x) for x, t in targets[i].items() if t is None or not quantum_i]
-        blocks += own
-        if const is None:
-            terms = lam_terms + [(n, -1.0) for n in own]
-            cons.append(fs.encode_sum_constraint(terms, _sum(fixed, side)))
-        else:
-            cons.append(fs.encode_sum_constraint(own, const - _sum(fixed, side)))
-    if chan is None:
-        cons.append(_row(["lam"], np.eye(din), quantum, (din, dout)))
+    devices, parts = (d1, d2), (_parts(d1), _parts(d2))
+    own, fixed = [], []
+    for i, (d, t) in enumerate(zip(devices, parts)):
+        own.append([_weak_name(i, x) for x, m in t.items() if m is None or _classical(d)])
+        fixed.append(_sum([m for m in t.values() if m is not None and not _classical(d)], side))
+    terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
+    cons = [fs.encode_sum_constraint(terms, fixed[0] - fixed[1])]
+    if _free(parts[0]) and _free(parts[1]):
+        # the row's map applied to the fixed total moves to the right-hand side
+        tp = _row(own[0], np.eye(din), quantum, (din, dout))
+        cons.append(fs.AffineConstraint(tp.terms, tp.rhs - tp.terms[0][1] @ herm_coords(fixed[0])))
     cons += [_row([_weak_name(i, x)], t, quantum, (din, dout))
-             for i in (0, 1) if _classical(devices[i])
-             for x, t in targets[i].items() if t is not None]
-    return fs.FeasibilityProblem(tuple((n, side) for n in blocks), tuple(cons))
+             for i, d in enumerate(devices) if _classical(d)
+             for x, t in parts[i].items() if t is not None]
+    return fs.FeasibilityProblem(tuple((n, side) for n in own[0] + own[1]), tuple(cons))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +292,7 @@ class _Pair:
         self.kinds = (_kind(d1), _kind(d2))
         self.classical = _classical(d1) and _classical(d2)
         self.din, self.dout = _dims(d1, d2)
-        self.a1, self.a2 = _views(d1, d2, tol)
+        self.t1, self.t2 = _joint_parts(d1, d2)
 
 
 def _carve(ins: Instrument, device, owner: dict[str, str], wtol: Tolerances):
@@ -454,23 +437,22 @@ def _projection(p: _Pair):
 
 def _trivial_observable(p: _Pair):
     """A multiple-of-identity observable is a coin flip next to the other device."""
-    for i, (a, other) in enumerate(((p.a1, p.a2), (p.a2, p.a1))):
-        if isinstance(a, Observable) and all(
-            is_trivial_effect(a.effects[x], p.tol) for x in a.outcomes
-        ):
-            w = {x: float(np.trace(a.effects[x].matrix).real) / a.dim for x in a.outcomes}
-            blocks = {((x, y) if i == 0 else (y, x)): w[x] * t
-                      for x in w for y, t in _parts(other).items()}
+    for i, (d, t, other) in enumerate(((p.d1, p.t1, p.t2), (p.d2, p.t2, p.t1))):
+        effects = d.effects.values() if isinstance(d, Observable) else (d,)
+        if _classical(d) and not _free(t) and all(is_trivial_effect(e, p.tol) for e in effects):
+            w = {x: float(np.trace(e).real) / p.din for x, e in t.items()}
+            blocks = {((x, y) if i == 0 else (y, x)): w[x] * s
+                      for x in w for y, s in other.items()}
             vtol = p.wtol if p.classical else p.tol
             return _joint_verdict(p, blocks, "fast-path: trivial-observable", vtol)
     return None
 
 
 def _commuting_observables(p: _Pair):
-    a1, a2 = p.a1.effects, p.a2.effects
-    if not all(_commute(a1[x].matrix, a2[y].matrix, p.tol) for x in a1 for y in a2):
+    t1, t2 = p.t1, p.t2
+    if not all(_commute(t1[x], t2[y], p.tol) for x in t1 for y in t2):
         return None
-    blocks = {(x, y): hermitian_part(a1[x].matrix @ a2[y].matrix) for x in a1 for y in a2}
+    blocks = {(x, y): hermitian_part(t1[x] @ t2[y]) for x in t1 for y in t2}
     return _joint_verdict(p, blocks, "fast-path: commuting-observables", p.wtol)
 
 
@@ -643,9 +625,9 @@ def _decide(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
     if isinstance(notes, Verdict):
         return notes
     if notes is None:
-        out = fs.solve(joint_problem(p.a1, p.a2), p.tol, max_iter, trace=trace)
+        out = fs.solve(joint_problem(p.d1, p.d2), p.tol, max_iter, trace=trace)
         if out.verdict == "feasible":
-            pairs = _joint_pairs(_parts(p.a1), _parts(p.a2))
+            pairs = _joint_pairs(p.t1, p.t2)
             blocks = {xy: out.witness[f"g{n}"] for n, xy in enumerate(pairs)}
             return _joint_verdict(p, blocks, "sdp", p.wtol)
         if out.verdict == "undecided":

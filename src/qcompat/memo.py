@@ -98,22 +98,26 @@ def _readout(m: MeasurementModel, w: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.einsum("mvnw,wv->mn", w4, f))
 
 
-def model_probability(m: MeasurementModel, rho: np.ndarray, labels) -> float:
+def model_probability(
+    m: MeasurementModel, rho: np.ndarray, labels, tol: Tolerances = DEFAULT_TOL
+) -> float:
     """Probability of reading an outcome subset on the pointer."""
     rho = as_matrix(rho)
     if rho.shape != (m.dim_in, m.dim_in):
         raise MatrixShapeError("state must live on the model input space")
-    f = m.pointer.effect_of(labels).matrix
+    f = m.pointer.effect_of(labels, tol).matrix
     w = _coupled_state(m, rho)
     return float(np.einsum("mvmw,wv->", w.reshape(m.dim_out, m.dim_v2, m.dim_out, m.dim_v2), f).real)
 
 
-def model_poststate(m: MeasurementModel, rho: np.ndarray, labels) -> np.ndarray:
+def model_poststate(
+    m: MeasurementModel, rho: np.ndarray, labels, tol: Tolerances = DEFAULT_TOL
+) -> np.ndarray:
     """Unnormalized conditional state after reading an outcome subset."""
     rho = as_matrix(rho)
     if rho.shape != (m.dim_in, m.dim_in):
         raise MatrixShapeError("state must live on the model input space")
-    f = m.pointer.effect_of(labels).matrix
+    f = m.pointer.effect_of(labels, tol).matrix
     return _readout(m, _coupled_state(m, rho), f)
 
 

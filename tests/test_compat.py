@@ -8,6 +8,7 @@ from qcompat import devices as dv
 from qcompat import feasibility as fs
 from qcompat import order as od
 from qcompat.devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus
+from qcompat.matkit import Tolerances, herm_from_coords
 from qcompat.fixtures import (
     I2,
     PMX,
@@ -136,6 +137,18 @@ def test_effect_vs_observable_promotion():
     assert v.relation == "weakly_compatible_only"
     v = cp.classify(effect(I2 / 2), sharp_observable(PZ, PMZ))
     assert v.relation == "compatible"
+
+
+def test_joint_problem_keeps_an_effect_valid_only_at_a_loose_tolerance():
+    # 1 - E has eigenvalue -5e-7; the joint problem takes it as a target
+    # and does not validate it again at the default tolerance
+    loose = Tolerances(psd_tol=1e-6)
+    e = Effect(np.diag([1 + 5e-7, 0.3]), loose)
+    obs = sharp_observable(PZ, PMZ)
+    for problem in (cp.joint_problem(e, obs), cp.joint_problem(obs, e)):
+        targets = [herm_from_coords(c.rhs, 2) for c in problem.constraints]
+        assert any(np.allclose(t, I2 - e.matrix, rtol=0, atol=1e-12) for t in targets)
+    assert cp.classify(e, obs, tol=loose).relation == "compatible"
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +429,71 @@ def test_weak_ef_ef_always():
 def test_weak_obs_obs_always():
     v = cp.weakly_compatible(sharp_observable(PX, PMX), sharp_observable(PZ, PMZ))
     assert v.relation == "weakly_compatible_only"
+
+
+def test_weak_problem_has_only_the_devices_own_blocks():
+    # free outcomes, and every outcome of a classical device; no channel block
+    op = DEV["luders_px"]
+    for d1, d2, names in (
+        (op, DEV["half_sigma_x"], ["0:0", "1:0"]),
+        (op, effect(PZ), ["0:0", "1:1", "1:0"]),
+        (op, sharp_observable(PZ, PMZ), ["0:0", "1:+", "1:-"]),
+        (DEV["luders_x_instrument"], op, ["1:0"]),
+    ):
+        assert [n for n, _ in cp.weak_problem(d1, d2).blocks] == names
+
+
+def _weak_problem_with_channel_block(d1, d2) -> fs.FeasibilityProblem:
+    """Reference formulation: the common channel as a block ``lam``, unless a
+    device without free outcome stands for it; every other device's parts
+    sum to it."""
+    devices, targets = (d1, d2), (cp._parts(d1), cp._parts(d2))
+    din, dout = cp._dims(d1, d2)
+    quantum = dout is not None
+    side = din * dout if quantum else din
+    chan = next((i for i in (0, 1) if not cp._free(targets[i])), None)
+    const = None
+    if chan is None:
+        blocks = ["lam"]
+    elif cp._classical(devices[chan]):
+        blocks = [cp._weak_name(chan, x) for x in targets[chan]]
+    else:
+        blocks, const = [], cp._sum(list(targets[chan].values()), side)
+    lam_terms, cons = [(n, 1.0) for n in blocks], []
+    for i in (0, 1):
+        if i == chan:
+            continue
+        quantum_i = not cp._classical(devices[i])
+        fixed = [t for t in targets[i].values() if t is not None and quantum_i]
+        own = [cp._weak_name(i, x) for x, t in targets[i].items() if t is None or not quantum_i]
+        blocks += own
+        if const is None:
+            terms = lam_terms + [(n, -1.0) for n in own]
+            cons.append(fs.encode_sum_constraint(terms, cp._sum(fixed, side)))
+        else:
+            cons.append(fs.encode_sum_constraint(own, const - cp._sum(fixed, side)))
+    if chan is None:
+        cons.append(cp._row(["lam"], np.eye(din), quantum, (din, dout)))
+    cons += [cp._row([cp._weak_name(i, x)], t, quantum, (din, dout))
+             for i in (0, 1) if cp._classical(devices[i])
+             for x, t in targets[i].items() if t is not None]
+    return fs.FeasibilityProblem(tuple((n, side) for n in blocks), tuple(cons))
+
+
+def test_weak_problem_agrees_with_the_channel_block_formulation():
+    pairs = [(DEV[n1], DEV[n2]) for kind, _, n1, n2 in TABLE1_CELLS if kind != "ef-ef"]
+    pairs += [below_common_channel(np.random.default_rng(s)) for s in (100, 51, 86, 37, 1, 12, 20)]
+    pairs.append((DEV["luders_px"], effect(PZ)))
+    pairs += _qutrit_tail()[:6]
+    rng = np.random.default_rng(113)
+    pairs += [tuple(choi_from_kraus(rand_kraus(rng, 3, 3, 2, scale=np.sqrt(rng.uniform(0.3, 0.9))))
+                    for _ in range(2)) for _ in range(3)]
+    verdicts = set()
+    for d1, d2 in pairs:
+        got = fs.solve(cp.weak_problem(d1, d2)).verdict
+        assert got == fs.solve(_weak_problem_with_channel_block(d1, d2)).verdict != "undecided"
+        verdicts.add(got)
+    assert verdicts == {"feasible", "infeasible"}
 
 
 # ---------------------------------------------------------------------------

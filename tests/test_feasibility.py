@@ -612,7 +612,7 @@ def test_trace_lines_count_every_iteration():
     # every line of a run is an iteration line, and the iteration counter
     # differences over the lines add up to the outcome's iteration count;
     # seed 3 ends at a PSD affine point after 3 steps, seed 6 in a
-    # certificate after 5, and the weak problem in a face polish after 8
+    # certificate after 5, and the weak problem in a face polish after 7
     from qcompat import compat as cp
 
     problems = []

@@ -41,6 +41,8 @@ def test_model_instrument_keeps_the_tolerance():
     model = mm.MeasurementModel(2, 2, 2, 2, eta, np.eye(4), pointer, tol=loose)
     ins = mm.model_instrument(model, tol=loose)
     assert np.allclose(ins.branches["a"].choi, (1 + 5e-7) * np.outer([1, 0, 0, 1], [1, 0, 0, 1]))
+    assert mm.model_probability(model, eta, ("a",), tol=loose) == pytest.approx(1 + 5e-7)
+    assert np.allclose(mm.model_poststate(model, eta, ("a",), tol=loose), (1 + 5e-7) * eta)
 
 
 def test_complete_unitary_keeps_prescribed_columns_and_checks_unitarity():
