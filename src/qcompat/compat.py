@@ -1,15 +1,16 @@
 """Compatibility of device pairs, decided with re-validated witnesses.
 
-Every device is read as an instrument through a table of parts, one per
-outcome: a fixed target (an effect for classical devices, a Choi matrix
-otherwise) or free. Two devices are compatible when both are parts of
+Every device is read as an instrument through the table of parts
+``devices.instrument_parts``, one per outcome: a fixed target (an effect
+for classical devices, a Choi matrix otherwise) or free. Two devices are compatible when both are parts of
 one joint instrument (``joint_problem``), and weakly compatible when two
 instruments, one containing each device, have equal totals
 (``weak_problem``, with blocks for the devices' own outcomes only).
 
-``classify`` runs the pair's analytic fast paths, then the joint
-question, then the weak one, and returns compatible,
-weakly_compatible_only, strongly_incompatible, or undecided. Positive
+``classify`` asks the joint question, then the weak one, and returns
+compatible, weakly_compatible_only, strongly_incompatible, or undecided.
+Both questions go through one stage: the pair's analytic fast paths,
+then the engine, whose outcome becomes a verdict in one place. Positive
 verdicts carry a witness that is re-validated before it is returned. A
 flag disables the optional fast paths so the engine can be cross-checked
 against independent oracles.
@@ -28,6 +29,7 @@ from .devices import (
     Instrument,
     Observable,
     PointerMap,
+    instrument_parts as _parts,
     kraus_choi,
     kraus_from_choi,
     kraus_lists,
@@ -148,20 +150,6 @@ def _kind(device) -> str:
 
 def _classical(device) -> bool:
     return isinstance(device, (Effect, Observable))
-
-
-def _parts(device) -> dict[str, np.ndarray | None]:
-    """The device as an instrument: outcome -> target, None for the free outcome."""
-    kind = _kind(device)
-    if kind == "effect":
-        return {"1": device.matrix, "0": None}
-    if kind == "observable":
-        return {x: device.effects[x].matrix for x in device.outcomes}
-    if kind == "instrument":
-        return {x: device.branches[x].choi for x in device.outcomes}
-    if kind == "channel":
-        return {"1": device.choi}
-    return {"1": device.choi, "0": None}
 
 
 def _free(parts) -> bool:
@@ -301,18 +289,16 @@ def _carve(ins: Instrument, device, owner: dict[str, str], wtol: Tolerances):
     ``owner`` maps each instrument label to a device outcome; every fixed
     target of the device must come back from its labels.
     """
-    if isinstance(device, (Observable, Instrument)):
-        subset, pointer = None, PointerMap(owner, codomain=device.outcomes)
-    else:
-        subset, pointer = tuple(lab for lab, x in owner.items() if x == "1"), None
     for x, target in _parts(device).items():
         if target is None:
             continue
-        got = ins.branch_sum(pointer.preimage(x) if pointer is not None else subset, wtol)
+        got = ins.branch_sum([lab for lab, y in owner.items() if y == x], wtol)
         got = Effect(got.heisenberg_unit(), tol=wtol).matrix if _classical(device) else got.choi
         if not close(target, got, wtol):
             raise WitnessValidationError(f"{_kind(device)} is not reproduced by the witness")
-    return subset, pointer
+    if isinstance(device, (Observable, Instrument)):
+        return None, PointerMap(owner, codomain=device.outcomes)
+    return tuple(lab for lab, x in owner.items() if x == "1"), None
 
 
 def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verdict:
@@ -391,7 +377,7 @@ def _swap_verdict(v: Verdict) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# fast paths: each returns a verdict, the notes of a "not compatible" fact,
+# fast paths: each returns a verdict, the notes of a "no" to its question,
 # or None
 # ---------------------------------------------------------------------------
 
@@ -543,7 +529,7 @@ def _totals(p: _Pair):
 def _shared_total(p: _Pair):
     """Devices without free outcome share a total channel exactly when the totals agree."""
     if not _totals_agree(p):
-        return Verdict("strongly_incompatible", None, "fast-path: distinct-totals")
+        return "fast-path: distinct-totals"
     return _weak_verdict(p, {}, None, "fast-path: shared-total", p.tol)
 
 
@@ -555,7 +541,7 @@ def _weak_cp_order(p: _Pair):
     lam, other = (p.d1, p.d2) if tp[0] else (p.d2, p.d1)
     ok = close(p.d1.choi, p.d2.choi, p.tol) if all(tp) else cp_leq(other, lam, p.tol)
     if not ok:
-        return Verdict("strongly_incompatible", None, "fast-path: cp-order")
+        return "fast-path: cp-order"
     return _weak_verdict(p, {}, lam.choi, "fast-path: cp-order", p.tol)
 
 
@@ -569,7 +555,7 @@ def _rank1_family(p: _Pair):
         return None
     if overlap.equal:
         return _weak_verdict(p, {}, overlap.channel.choi, "fast-path: rank1-family", p.tol)
-    return Verdict("strongly_incompatible", None, f"fast-path: rank1-family ({overlap.reason})")
+    return f"fast-path: rank1-family ({overlap.reason})"
 
 
 # Fast paths per canonical kind pair, in the order they run. Structural
@@ -599,15 +585,6 @@ _WEAK_PATHS = {
 _STRUCTURAL = {_cp_order, _totals, _shared_total, _contraction}
 
 
-def _first_decision(paths: dict, p: _Pair, fast_paths: bool):
-    for path in paths.get(p.kinds, ()):
-        if fast_paths or path in _STRUCTURAL:
-            decision = path(p)
-            if decision is not None:
-                return decision
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
@@ -620,19 +597,39 @@ def _oriented(stage, d1, d2, tol: Tolerances, *args) -> Verdict:
     return _swap_verdict(v) if swap else v
 
 
+def _joint_sdp(p: _Pair, witness: dict) -> Verdict:
+    blocks = {xy: witness[f"g{n}"] for n, xy in enumerate(_joint_pairs(p.t1, p.t2))}
+    return _joint_verdict(p, blocks, "sdp", p.wtol)
+
+
+def _weak_sdp(p: _Pair, witness: dict) -> Verdict:
+    blocks = {(i, x): witness[n] for i, d in enumerate((p.d1, p.d2)) for x in _parts(d)
+              if (n := _weak_name(i, x)) in witness}
+    return _weak_verdict(p, blocks, None, "sdp", p.wtol)
+
+
+def _stage(p: _Pair, paths: dict, builder: str, assemble, fast_paths: bool, max_iter: int,
+           trace):
+    """One question: its fast paths, then the engine on the problem that the
+    function named ``builder`` encodes. Returns a verdict, or the notes of a "no"."""
+    for path in paths.get(p.kinds, ()):
+        if fast_paths or path in _STRUCTURAL:
+            decision = path(p)
+            if decision is not None:
+                return decision
+    # the builder is looked up here, at call time, where the traced benchmark wraps it
+    out = fs.solve(globals()[builder](p.d1, p.d2), p.tol, max_iter, trace=trace)
+    if out.verdict == "feasible":
+        return assemble(p, out.witness)
+    if out.verdict == "undecided":
+        return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
+    return f"sdp margin={out.margin:.3e}"
+
+
 def _decide(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
-    notes = _first_decision(_JOINT_PATHS, p, fast_paths)
+    notes = _stage(p, _JOINT_PATHS, "joint_problem", _joint_sdp, fast_paths, max_iter, trace)
     if isinstance(notes, Verdict):
         return notes
-    if notes is None:
-        out = fs.solve(joint_problem(p.d1, p.d2), p.tol, max_iter, trace=trace)
-        if out.verdict == "feasible":
-            pairs = _joint_pairs(p.t1, p.t2)
-            blocks = {xy: out.witness[f"g{n}"] for n, xy in enumerate(pairs)}
-            return _joint_verdict(p, blocks, "sdp", p.wtol)
-        if out.verdict == "undecided":
-            return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-        notes = f"sdp margin={out.margin:.3e}"
     if p.classical:
         return _contraction(p, notes)
     if "channel" in p.kinds:
@@ -645,17 +642,8 @@ def _decide(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
 
 
 def _decide_weak(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
-    decision = _first_decision(_WEAK_PATHS, p, fast_paths)
-    if decision is not None:
-        return decision
-    out = fs.solve(weak_problem(p.d1, p.d2), p.tol, max_iter, trace=trace)
-    if out.verdict == "feasible":
-        names = {(i, x): _weak_name(i, x) for i, d in enumerate((p.d1, p.d2)) for x in _parts(d)}
-        blocks = {ix: out.witness[n] for ix, n in names.items() if n in out.witness}
-        return _weak_verdict(p, blocks, None, "sdp", p.wtol)
-    if out.verdict == "infeasible":
-        return Verdict("strongly_incompatible", None, f"sdp margin={out.margin:.3e}")
-    return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
+    v = _stage(p, _WEAK_PATHS, "weak_problem", _weak_sdp, fast_paths, max_iter, trace)
+    return v if isinstance(v, Verdict) else Verdict("strongly_incompatible", None, v)
 
 
 def classify(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,

@@ -3,9 +3,11 @@
 Five device kinds live here: effects and observables (classical output),
 operations and channels (quantum output, represented by a CPMap in Choi
 form), and instruments (both outputs). The module also provides
-Kraus/Choi conversion, Schroedinger/Heisenberg application, parts of
-instruments, relabeling, and the standard instrument constructions that
-embed any single device into an instrument.
+Kraus/Choi conversion, Schroedinger/Heisenberg application, relabeling,
+and the standard instrument constructions that embed any single device
+into an instrument. ``instrument_parts`` is the one table that reads
+every device as an instrument, and ``is_part_of`` is one pointer search
+over it.
 
 Choi convention: for a map ``F`` from states on the input space (side
 ``dim_in``) to states on the output space (side ``dim_out``),
@@ -18,7 +20,6 @@ with the input slot on the slow index. The Schroedinger action is
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -93,9 +94,6 @@ class Effect:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def complement(self) -> "Effect":
-        return Effect(np.eye(self.dim) - self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,98 +465,84 @@ def relabel(ins: Instrument, f: PointerMap, tol: Tolerances = DEFAULT_TOL) -> In
     return Instrument(f.codomain, branches, tol=tol)
 
 
-def _subset_iter(outcomes: tuple[str, ...]):
-    for r in range(len(outcomes) + 1):
-        yield from itertools.combinations(outcomes, r)
+def instrument_parts(device) -> dict[str, np.ndarray | None]:
+    """The device as an instrument: outcome -> fixed target, None for the free outcome.
 
-
-def _check_part_bound(ins: Instrument) -> None:
-    if len(ins.outcomes) > PART_SEARCH_LIMIT:
-        raise OutcomeBoundError(
-            f"outcome set of size {len(ins.outcomes)} exceeds the exhaustive "
-            f"search limit {PART_SEARCH_LIMIT}"
-        )
-
-
-def _pointer_assignments(ins: Instrument, targets: dict[str, np.ndarray], summand, tol: Tolerances):
-    """DFS over pointer functions matching branch sums to target matrices.
-
-    ``summand(x)`` gives the matrix contributed by instrument outcome x.
-    Prunes assignments whose partial sums exceed the target in the PSD
-    order (sound because every summand is PSD).
+    Targets are effects for classical devices and Choi matrices
+    otherwise. Effects and operations leave outcome "0" free; a channel
+    has the one outcome "1".
     """
-    labels = list(targets)
-    src = list(ins.outcomes)
-    sums = {y: np.zeros_like(next(iter(targets.values()))) for y in labels}
-    scale = 1.0 + max(frob_norm(t) for t in targets.values())
+    if isinstance(device, Effect):
+        return {"1": device.matrix, "0": None}
+    if isinstance(device, Observable):
+        return {x: device.effects[x].matrix for x in device.outcomes}
+    if isinstance(device, Instrument):
+        return {x: device.branches[x].choi for x in device.outcomes}
+    if isinstance(device, CPMap):
+        return {"1": device.choi} if device.kind == "channel" else {"1": device.choi, "0": None}
+    raise TypeError(f"unsupported device type {type(device).__name__}")
 
-    def feasible(y: str) -> bool:
-        gap = targets[y] - sums[y]
-        return float(np.linalg.eigvalsh(hermitian_part(gap))[0]) >= -tol.psd_tol * scale
 
-    def rec(k: int):
+def _has_pointer(targets: dict, per: dict[str, np.ndarray], tol: Tolerances) -> bool:
+    """DFS over pointer functions from the outcomes of ``per`` onto ``targets``.
+
+    ``per[x]`` is the matrix contributed by instrument outcome x. A None
+    target is free: it takes any labels and is never checked. The scale
+    comes from the fixed targets. Assignments whose partial sums exceed
+    a fixed target in the PSD order by more than the larger tolerance
+    are pruned: every summand is PSD, so such a sum stays more than
+    eq_tol away from its target.
+    """
+    src = list(per)
+    fixed = {y: t for y, t in targets.items() if t is not None}
+    scale = 1.0 + max(frob_norm(t) for t in fixed.values())
+    floor = -max(tol.eq_tol, tol.psd_tol) * scale
+
+    def rec(k: int, sums: dict) -> bool:
         if k == len(src):
-            if all(frob_norm(targets[y] - sums[y]) <= tol.eq_tol * scale for y in labels):
-                yield {src[i]: assignment[i] for i in range(len(src))}
-            return
-        for y in labels:
-            sums[y] = sums[y] + summand(src[k])
-            assignment.append(y)
-            if feasible(y):
-                yield from rec(k + 1)
-            assignment.pop()
-            sums[y] = sums[y] - summand(src[k])
+            return all(frob_norm(fixed[y] - sums[y]) <= tol.eq_tol * scale for y in fixed)
+        for y in targets:
+            if y in fixed:
+                branch = {**sums, y: sums[y] + per[src[k]]}
+                gap = hermitian_part(fixed[y] - branch[y])
+                if float(np.linalg.eigvalsh(gap)[0]) < floor:
+                    continue
+            else:
+                branch = sums
+            if rec(k + 1, branch):
+                return True
+        return False
 
-    assignment: list[str] = []
-    yield from rec(0)
+    return rec(0, {y: np.zeros_like(t) for y, t in fixed.items()})
 
 
 def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Decide whether a device arises from an instrument.
 
-    Effects and operations: some outcome subset reproduces the device.
-    Channels: equality with the total channel. Observables and
-    instruments: some pointer function reproduces the device. Searches
-    are exhaustive and bounded by PART_SEARCH_LIMIT outcomes.
+    Some pointer function from the instrument's outcomes onto the
+    device's :func:`instrument_parts` must reproduce every fixed target;
+    the free outcome takes the labels left over. A trace-preserving map
+    is read as a channel, whose one target is the instrument's total.
+    Searches with more than one target are exhaustive and bounded by
+    PART_SEARCH_LIMIT outcomes.
     """
-    if isinstance(device, Effect):
-        if device.dim != ins.dim_in:
-            raise MatrixShapeError("effect dimension does not match the instrument input")
-        _check_part_bound(ins)
+    targets = instrument_parts(device)
+    if isinstance(device, (Effect, Observable)):
+        spaces = (device.dim,), (ins.dim_in,)
         per = {x: ins.branches[x].heisenberg_unit() for x in ins.outcomes}
-        for subset in _subset_iter(ins.outcomes):
-            s = sum((per[x] for x in subset), np.zeros((ins.dim_in, ins.dim_in), dtype=complex))
-            if close(device.matrix, s, tol):
-                return True
-        return False
-    if isinstance(device, CPMap):
-        if (device.dim_in, device.dim_out) != (ins.dim_in, ins.dim_out):
-            raise MatrixShapeError("map dimensions do not match the instrument")
-        if device.kind == "channel" or device.is_trace_preserving(tol):
-            return close(device.choi, total_channel(ins, tol).choi, tol)
-        _check_part_bound(ins)
-        side = ins.dim_in * ins.dim_out
-        for subset in _subset_iter(ins.outcomes):
-            s = sum((ins.branches[x].choi for x in subset), np.zeros((side, side), dtype=complex))
-            if close(device.choi, s, tol):
-                return True
-        return False
-    if isinstance(device, Observable):
-        if device.dim != ins.dim_in:
-            raise MatrixShapeError("observable dimension does not match the instrument input")
-        _check_part_bound(ins)
-        per = {x: ins.branches[x].heisenberg_unit() for x in ins.outcomes}
-        targets = {y: device.effects[y].matrix for y in device.outcomes}
-        return next(_pointer_assignments(ins, targets, lambda x: per[x], tol), None) is not None
-    if isinstance(device, Instrument):
-        if (device.dim_in, device.dim_out) != (ins.dim_in, ins.dim_out):
-            raise MatrixShapeError("instrument dimensions do not match")
-        _check_part_bound(ins)
-        targets = {y: device.branches[y].choi for y in device.outcomes}
-        return next(
-            _pointer_assignments(ins, targets, lambda x: ins.branches[x].choi, tol), None
-        ) is not None
-    raise TypeError(f"unsupported device type {type(device).__name__}")
+    else:
+        spaces = (device.dim_in, device.dim_out), (ins.dim_in, ins.dim_out)
+        per = {x: ins.branches[x].choi for x in ins.outcomes}
+    if spaces[0] != spaces[1]:
+        raise MatrixShapeError("device dimensions do not match the instrument")
+    if isinstance(device, CPMap) and device.is_trace_preserving(tol):
+        targets = {"1": device.choi}
+    if len(targets) > 1 and len(ins.outcomes) > PART_SEARCH_LIMIT:
+        raise OutcomeBoundError(
+            f"outcome set of size {len(ins.outcomes)} exceeds the exhaustive "
+            f"search limit {PART_SEARCH_LIMIT}"
+        )
+    return _has_pointer(targets, per, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -598,22 +582,16 @@ def canonical_instrument(
     of copies. The anchor state (default: maximally mixed) parametrizes
     an uncountable family of valid embeddings.
     """
-    if isinstance(device, Effect):
+    if isinstance(device, (Effect, Observable)):
         d = device.dim
         rho0 = _check_state(anchor_state if anchor_state is not None else np.eye(d) / d, tol)
-        branches = {
-            "0": CPMap(d, rho0.shape[0], state_prep_choi(device.matrix, rho0)),
-            "1": CPMap(d, rho0.shape[0], state_prep_choi(np.eye(d) - device.matrix, rho0)),
-        }
-        return Instrument(("0", "1"), branches)
-    if isinstance(device, Observable):
-        d = device.dim
-        rho0 = _check_state(anchor_state if anchor_state is not None else np.eye(d) / d, tol)
-        branches = {
-            x: CPMap(d, rho0.shape[0], state_prep_choi(device.effects[x].matrix, rho0))
-            for x in device.outcomes
-        }
-        return Instrument(device.outcomes, branches)
+        if isinstance(device, Effect):
+            effects = {"0": device.matrix, "1": np.eye(d) - device.matrix}
+        else:
+            effects = {x: device.effects[x].matrix for x in device.outcomes}
+        branches = {x: CPMap(d, rho0.shape[0], state_prep_choi(e, rho0), tol=tol)
+                    for x, e in effects.items()}
+        return Instrument(tuple(branches), branches, tol=tol)
     if isinstance(device, CPMap) and device.kind == "channel":
         if probs is None:
             probs = {"0": 1.0}
@@ -622,10 +600,10 @@ def canonical_instrument(
             raise ValueError("probs must be a probability distribution")
         outcomes = tuple(probs)
         branches = {
-            x: CPMap(device.dim_in, device.dim_out, max(p, 0.0) * device.choi)
+            x: CPMap(device.dim_in, device.dim_out, max(p, 0.0) * device.choi, tol=tol)
             for x, p in probs.items()
         }
-        return Instrument(outcomes, branches)
+        return Instrument(outcomes, branches, tol=tol)
     if isinstance(device, CPMap):
         dk = device.dim_out
         rho0 = _check_state(anchor_state if anchor_state is not None else np.eye(dk) / dk, tol)
@@ -634,9 +612,9 @@ def canonical_instrument(
         deficit = np.eye(device.dim_in) - device.heisenberg_unit()
         branches = {
             "0": device,
-            "1": CPMap(device.dim_in, dk, state_prep_choi(deficit, rho0)),
+            "1": CPMap(device.dim_in, dk, state_prep_choi(deficit, rho0), tol=tol),
         }
-        return Instrument(("0", "1"), branches)
+        return Instrument(("0", "1"), branches, tol=tol)
     raise TypeError(f"unsupported device type {type(device).__name__}")
 
 
@@ -650,7 +628,7 @@ def contraction_channel(eta: np.ndarray, dim_in: int | None = None, tol: Toleran
     """The channel ``rho -> tr(rho) eta`` for a fixed output state eta."""
     eta = _check_state(eta, tol)
     din = dim_in if dim_in is not None else eta.shape[0]
-    return CPMap(din, eta.shape[0], kron(np.eye(din), eta), kind="channel")
+    return CPMap(din, eta.shape[0], kron(np.eye(din), eta), kind="channel", tol=tol)
 
 
 def trivial_observable(p: dict[str, float], dim: int, tol: Tolerances = DEFAULT_TOL) -> Observable:

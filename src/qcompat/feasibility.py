@@ -336,6 +336,7 @@ def _affine_frame(a: np.ndarray, b: np.ndarray):
 
 
 _POLISH_THRESHOLDS = (0.5, 0.2, 0.1, 0.05, 0.02, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6)
+_POLISH_ROUNDS = 50  # restricted solves per face profile, at most
 
 
 def _restricted_solve(z, profile, layout, a, b):
@@ -373,7 +374,6 @@ def _face_polish(
     b: np.ndarray,
     proj_affine,
     tol: Tolerances,
-    max_rounds: int = 50,
 ):
     """Round a near-boundary affine point onto an exactly feasible cone face.
 
@@ -398,7 +398,7 @@ def _face_polish(
         z = y.copy()
         prev = float("inf")
         stagnant = 0
-        for _ in range(max_rounds):
+        for _ in range(_POLISH_ROUNDS):
             x, residual = _restricted_solve(z, profile, layout, a, b)
             if residual <= tol.feas_tol:
                 return x, residual

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernel.
 
 Deterministic building blocks used by every other module: Kronecker
-products, partial traces, Hermitian eigendecomposition, square roots,
-orthonormal Hermitian operator bases, and tolerance-aware predicates.
+products, Hermitian eigendecomposition, square roots, isometric
+Hermitian coordinates, and tolerance-aware predicates.
 All functions are pure; all matrices are plain complex ndarrays.
 """
 
@@ -69,11 +69,6 @@ def frob_norm(a: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def frob_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Frobenius inner product tr(a† b)."""
-    return complex(np.vdot(a, b))
-
-
 def close(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Scale-free matrix equality: ||a - b||_F <= eq_tol * (1 + ||a||_F)."""
     if a.shape != b.shape:
@@ -109,24 +104,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one tensor slot of a square matrix on a bipartite space.
-
-    ``dims = (d0, d1)`` gives the slot sides (slot 0 is the slow index);
-    ``keep`` selects the surviving slot. Linear and trace-preserving.
-    """
-    d0, d1 = dims
-    m = as_matrix(m)
-    if m.shape != (d0 * d1, d0 * d1):
-        raise MatrixShapeError(f"matrix side {m.shape[0]} != {d0}*{d1}")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    t = m.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.ascontiguousarray(np.einsum("ikjk->ij", t))
-    return np.ascontiguousarray(np.einsum("kikj->ij", t))
-
-
 def herm_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -138,14 +115,6 @@ def herm_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, 
         raise HermiticityError("input is not Hermitian within eq_tol")
     evals, evecs = np.linalg.eigh(hermitian_part(h))
     return evals, evecs
-
-
-def is_psd(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """PSD within psd_tol; requires Hermiticity within eq_tol."""
-    if not is_hermitian(h, tol):
-        return False
-    evals = np.linalg.eigvalsh(hermitian_part(as_matrix(h)))
-    return bool(evals[0] >= -tol.psd_tol)
 
 
 def mat_sqrt(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -161,39 +130,6 @@ def mat_sqrt(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     clean = np.where(evals > tol.psd_tol, evals, 0.0)
     root = np.sqrt(clean)
     return hermitian_part((evecs * root) @ evecs.conj().T)
-
-
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of the d x d matrices (Frobenius pairing).
-
-    Ordering: normalized identity, symmetric off-diagonal pairs,
-    antisymmetric off-diagonal pairs, traceless diagonal matrices.
-    Real combinations span the Hermitian matrices; complex combinations
-    span everything.
-    """
-    if d <= 0:
-        raise ValueError("dimension must be positive")
-    basis: list[np.ndarray] = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    r2 = 1.0 / np.sqrt(2.0)
-    for k in range(1, d):
-        for j in range(k):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = r2
-            m[k, j] = r2
-            basis.append(m)
-    for k in range(1, d):
-        for j in range(k):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j * r2
-            m[k, j] = 1j * r2
-            basis.append(m)
-    for ell in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        norm = np.sqrt(ell * (ell + 1.0))
-        m[np.arange(ell), np.arange(ell)] = 1.0 / norm
-        m[ell, ell] = -ell / norm
-        basis.append(m)
-    return basis
 
 
 @functools.cache

@@ -3,7 +3,14 @@
 import numpy as np
 
 from qcompat.devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus
-from qcompat.matkit import Tolerances
+from qcompat.matkit import (
+    DEFAULT_TOL,
+    MatrixShapeError,
+    Tolerances,
+    as_matrix,
+    hermitian_part,
+    is_hermitian,
+)
 
 
 def rand_complex(rng, n, m=None):
@@ -108,3 +115,72 @@ def loose_pointer():
     mats = {"a": np.diag([1 + 5e-7, 0.0]), "b": np.diag([-5e-7, 1.0])}
     effects = {x: Effect(m, loose) for x, m in mats.items()}
     return Observable(("a", "b"), effects, loose), loose
+
+
+# ---------------------------------------------------------------------------
+# linear algebra that only the tests need
+# ---------------------------------------------------------------------------
+
+
+def frob_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """Frobenius inner product tr(a† b)."""
+    return complex(np.vdot(a, b))
+
+
+def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Trace out one tensor slot of a square matrix on a bipartite space.
+
+    ``dims = (d0, d1)`` gives the slot sides (slot 0 is the slow index);
+    ``keep`` selects the surviving slot. Linear and trace-preserving.
+    """
+    d0, d1 = dims
+    m = as_matrix(m)
+    if m.shape != (d0 * d1, d0 * d1):
+        raise MatrixShapeError(f"matrix side {m.shape[0]} != {d0}*{d1}")
+    if keep not in (0, 1):
+        raise ValueError("keep must be 0 or 1")
+    t = m.reshape(d0, d1, d0, d1)
+    if keep == 0:
+        return np.ascontiguousarray(np.einsum("ikjk->ij", t))
+    return np.ascontiguousarray(np.einsum("kikj->ij", t))
+
+
+def is_psd(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """PSD within psd_tol; requires Hermiticity within eq_tol."""
+    if not is_hermitian(h, tol):
+        return False
+    evals = np.linalg.eigvalsh(hermitian_part(as_matrix(h)))
+    return bool(evals[0] >= -tol.psd_tol)
+
+
+def hermitian_basis(d: int) -> list[np.ndarray]:
+    """Orthonormal Hermitian basis of the d x d matrices (Frobenius pairing).
+
+    Ordering: normalized identity, symmetric off-diagonal pairs,
+    antisymmetric off-diagonal pairs, traceless diagonal matrices.
+    Real combinations span the Hermitian matrices; complex combinations
+    span everything.
+    """
+    if d <= 0:
+        raise ValueError("dimension must be positive")
+    basis: list[np.ndarray] = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    r2 = 1.0 / np.sqrt(2.0)
+    for k in range(1, d):
+        for j in range(k):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = r2
+            m[k, j] = r2
+            basis.append(m)
+    for k in range(1, d):
+        for j in range(k):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j * r2
+            m[k, j] = 1j * r2
+            basis.append(m)
+    for ell in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        norm = np.sqrt(ell * (ell + 1.0))
+        m[np.arange(ell), np.arange(ell)] = 1.0 / norm
+        m[ell, ell] = -ell / norm
+        basis.append(m)
+    return basis

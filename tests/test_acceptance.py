@@ -30,9 +30,9 @@ from qcompat.fixtures import (
     luders_of,
     px_dephasing_channel,
 )
-from qcompat.matkit import hermitian_basis
 
 from conftest import (
+    hermitian_basis,
     rand_complex,
     rand_cpmap,
     rand_effect,

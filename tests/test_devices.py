@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,17 @@ from qcompat import devices as dv
 from qcompat import matkit as mk
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, SY, SZ, effect, luders_of
 
-from conftest import loose_pointer, rand_complex, rand_cpmap, rand_herm, rand_instrument, rand_state
+from conftest import (
+    hermitian_basis,
+    loose_pointer,
+    rand_complex,
+    rand_cpmap,
+    rand_herm,
+    rand_effect,
+    rand_instrument,
+    rand_observable,
+    rand_state,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +152,7 @@ def test_kraus_choi_roundtrip_action():
     for _ in range(10):
         m = rand_cpmap(rng, 2, 2, n_ops=2)
         back = dv.choi_from_kraus(dv.kraus_from_choi(m))
-        for b in mk.hermitian_basis(2):
+        for b in hermitian_basis(2):
             assert np.linalg.norm(dv.apply_s(m, b) - dv.apply_s(back, b)) <= 1e-9
 
 
@@ -157,7 +169,7 @@ def test_kraus_of_contraction_channel():
     m = dv.contraction_channel(eta)
     ks = dv.kraus_from_choi(m)
     assert len(ks.ops) == 2
-    for b in mk.hermitian_basis(2):
+    for b in hermitian_basis(2):
         expected = np.trace(b) * eta
         got = sum(k @ b @ k.conj().T for k in ks.ops)
         assert np.linalg.norm(got - expected) <= 1e-10
@@ -404,6 +416,153 @@ def test_part_search_bound():
         dv.is_part_of(dv.Effect(np.array([[0.5]])), ins)
 
 
+def _subset_iter(outcomes):
+    for r in range(len(outcomes) + 1):
+        yield from itertools.combinations(outcomes, r)
+
+
+def _check_part_bound(ins):
+    if len(ins.outcomes) > dv.PART_SEARCH_LIMIT:
+        raise dv.OutcomeBoundError(f"outcome set of size {len(ins.outcomes)}")
+
+
+def _pointer_assignments(ins, targets, summand, tol):
+    labels = list(targets)
+    src = list(ins.outcomes)
+    sums = {y: np.zeros_like(next(iter(targets.values()))) for y in labels}
+    scale = 1.0 + max(mk.frob_norm(t) for t in targets.values())
+
+    def feasible(y):
+        gap = targets[y] - sums[y]
+        return float(np.linalg.eigvalsh(mk.hermitian_part(gap))[0]) >= -tol.psd_tol * scale
+
+    def rec(k):
+        if k == len(src):
+            if all(mk.frob_norm(targets[y] - sums[y]) <= tol.eq_tol * scale for y in labels):
+                yield {src[i]: assignment[i] for i in range(len(src))}
+            return
+        for y in labels:
+            sums[y] = sums[y] + summand(src[k])
+            assignment.append(y)
+            if feasible(y):
+                yield from rec(k + 1)
+            assignment.pop()
+            sums[y] = sums[y] - summand(src[k])
+
+    assignment = []
+    yield from rec(0)
+
+
+def reference_is_part_of(device, ins, tol=mk.DEFAULT_TOL):
+    """The part-of relation kind by kind: subsets of outcomes for effects and
+    operations, the total for channels, pointer functions for observables and
+    instruments."""
+    if isinstance(device, dv.Effect):
+        _check_part_bound(ins)
+        per = {x: ins.branches[x].heisenberg_unit() for x in ins.outcomes}
+        for subset in _subset_iter(ins.outcomes):
+            s = sum((per[x] for x in subset), np.zeros((ins.dim_in, ins.dim_in), dtype=complex))
+            if mk.close(device.matrix, s, tol):
+                return True
+        return False
+    if isinstance(device, dv.CPMap):
+        if device.kind == "channel" or device.is_trace_preserving(tol):
+            return mk.close(device.choi, dv.total_channel(ins, tol).choi, tol)
+        _check_part_bound(ins)
+        side = ins.dim_in * ins.dim_out
+        for subset in _subset_iter(ins.outcomes):
+            s = sum((ins.branches[x].choi for x in subset), np.zeros((side, side), dtype=complex))
+            if mk.close(device.choi, s, tol):
+                return True
+        return False
+    _check_part_bound(ins)
+    if isinstance(device, dv.Observable):
+        per = {x: ins.branches[x].heisenberg_unit() for x in ins.outcomes}
+        targets = {y: device.effects[y].matrix for y in device.outcomes}
+        return next(_pointer_assignments(ins, targets, lambda x: per[x], tol), None) is not None
+    targets = {y: device.branches[y].choi for y in device.outcomes}
+    return next(
+        _pointer_assignments(ins, targets, lambda x: ins.branches[x].choi, tol), None
+    ) is not None
+
+
+def _drawn_part(rng, ins, kind, eps):
+    """A device of the given kind carved from the instrument by a random subset or
+    pointer, then mixed with weight eps into a random device of the same kind."""
+    labels = ins.outcomes
+    subset = tuple(x for x in labels if rng.random() < 0.5)
+    m = int(rng.integers(1, len(labels) + 1))
+    pointer = dv.PointerMap({x: str(rng.integers(m)) for x in labels},
+                            codomain=tuple(str(i) for i in range(m)))
+    if kind == "effect":
+        e = dv.instrument_part_effect(ins, subset).matrix
+        return dv.Effect((1 - eps) * e + eps * rand_effect(rng, 2).matrix)
+    if kind in ("operation", "channel"):
+        chan = kind == "channel"
+        j = dv.total_channel(ins).choi if chan else ins.branch_sum(subset).choi
+        other = rand_cpmap(rng, channel=chan).choi
+        return dv.CPMap(2, 2, (1 - eps) * j + eps * other, kind=kind)
+    coarse = dv.relabel(ins, pointer)
+    if kind == "observable":
+        obs, other = dv.induced_observable(coarse), rand_observable(rng, 2, m)
+        return dv.Observable(obs.outcomes, {
+            y: dv.Effect((1 - eps) * obs.effects[y].matrix + eps * other.effects[y].matrix)
+            for y in obs.outcomes})
+    other = rand_instrument(rng, n_out=m)
+    return dv.Instrument(coarse.outcomes, {
+        y: dv.CPMap(2, 2, (1 - eps) * coarse.branches[y].choi + eps * other.branches[y].choi)
+        for y in coarse.outcomes})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_out=st.integers(2, 6),
+    kind=st.sampled_from(["effect", "observable", "operation", "channel", "instrument"]),
+    eps=st.sampled_from([0.0, 1e-11, 1e-10, 1e-9, 2e-9, 3e-9, 1e-8, 1e-3]),
+)
+def test_is_part_of_agrees_with_the_kind_by_kind_reference(seed, n_out, kind, eps):
+    rng = np.random.default_rng(seed)
+    ins = rand_instrument(rng, n_out=n_out)
+    device = _drawn_part(rng, ins, kind, eps)
+    assert dv.is_part_of(device, ins) == reference_is_part_of(device, ins)
+
+
+def test_part_search_keeps_parts_within_eq_tol():
+    # the prune must not cut an assignment that the final eq_tol check accepts
+    tol = mk.Tolerances(eq_tol=1e-6, psd_tol=1e-9)
+    ins = luders_x_instrument()
+    e = dv.Effect((1 - 1e-7) * PX)
+    obs = dv.Observable(("+", "-"), {"+": e, "-": dv.Effect(PMX + 1e-7 * PX)})
+    assert dv.is_part_of(e, ins, tol) and reference_is_part_of(e, ins, tol)
+    assert dv.is_part_of(obs, ins, tol)
+
+
+def test_part_of_checks_the_spaces():
+    ins = luders_x_instrument()
+    wide = rand_cpmap(np.random.default_rng(31), 2, 3)
+    narrow = dv.Instrument(("0",), {"0": rand_cpmap(np.random.default_rng(32), 3, 2, channel=True)})
+    for device, other in ((effect(np.eye(3) / 2), ins), (wide, ins), (wide, narrow)):
+        with pytest.raises(mk.MatrixShapeError):
+            dv.is_part_of(device, other)
+
+
+def test_channel_readings_need_no_outcome_bound():
+    # a channel, and a trace-preserving map of kind "operation", are compared with
+    # the total, whatever the number of outcomes
+    rng = np.random.default_rng(30)
+    ins = rand_instrument(rng, n_out=dv.PART_SEARCH_LIMIT + 1)
+    total = dv.total_channel(ins)
+    other = rand_cpmap(rng, channel=True)
+    for choi, want in ((total.choi, True), (other.choi, False)):
+        for kind in ("channel", "operation"):
+            device = dv.CPMap(2, 2, choi, kind=kind)
+            assert dv.is_part_of(device, ins) is want
+            assert reference_is_part_of(device, ins) is want
+    with pytest.raises(dv.OutcomeBoundError):
+        dv.is_part_of(dv.CPMap(2, 2, ins.branches["0"].choi), ins)
+
+
 # ---------------------------------------------------------------------------
 # canonical constructions
 # ---------------------------------------------------------------------------
@@ -439,6 +598,16 @@ def test_canonical_instrument_many_anchors():
         rho0 = rand_state(rng, 2)
         assert dv.is_part_of(dev_effect, dv.canonical_instrument(dev_effect, anchor_state=rho0))
         assert dv.is_part_of(dev_op, dv.canonical_instrument(dev_op, anchor_state=rho0))
+
+
+def test_canonical_constructions_keep_the_tolerance():
+    loose = mk.Tolerances(psd_tol=1e-6)
+    e = dv.Effect(np.diag([1 + 5e-7, 0.3]), loose)
+    obs = dv.Observable(("a", "b"), {"a": e, "b": dv.Effect(I2 - e.matrix, loose)}, loose)
+    for device in (e, obs):
+        assert dv.is_part_of(device, dv.canonical_instrument(device, tol=loose), loose)
+    lam = dv.contraction_channel(np.diag([1 + 5e-7, -5e-7]), tol=loose)
+    assert lam.kind == "channel"
 
 
 def test_canonical_instrument_rejects_bad_state():
@@ -479,8 +648,8 @@ def test_trivial_observable():
 
 def test_duality_on_full_basis_random_maps():
     rng = np.random.default_rng(26)
-    basis_in = mk.hermitian_basis(2)
-    basis_out = mk.hermitian_basis(2)
+    basis_in = hermitian_basis(2)
+    basis_out = hermitian_basis(2)
     for _ in range(5):
         m = rand_cpmap(rng, 2, 2, n_ops=3)
         for rho in basis_in:

@@ -7,7 +7,7 @@ from qcompat import matkit as mk
 from qcompat.devices import CPMap, Instrument, KrausSet, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PX, PZ, luders_of
 
-from conftest import rand_complex, rand_cpmap, rand_herm, rand_state
+from conftest import hermitian_basis, rand_complex, rand_cpmap, rand_herm, rand_state
 
 
 def x_dephasing():
@@ -41,7 +41,7 @@ def test_dilation_roundtrip_on_basis():
     for _ in range(10):
         m = rand_cpmap(rng, 2, 2, n_ops=2)
         dil = dl.minimal_stinespring(m)
-        for t in mk.hermitian_basis(2):
+        for t in hermitian_basis(2):
             assert np.linalg.norm(dil.heisenberg(t) - dv.apply_h(m, t)) <= 1e-9
 
 
@@ -113,7 +113,7 @@ def test_rn_effect_of_luders_branch_is_rank_one_projection():
     evals = np.linalg.eigvalsh(e.matrix)
     assert np.allclose(np.sort(evals), [0.0, 1.0], atol=1e-8)
     rebuilt = dl.map_from_ancilla_effect(dil, e.matrix)
-    for t in mk.hermitian_basis(2):
+    for t in hermitian_basis(2):
         assert np.linalg.norm(dv.apply_h(rebuilt, t) - dv.apply_h(luders_of(PX), t)) <= 1e-8
 
 

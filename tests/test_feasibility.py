@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from qcompat import feasibility as fs
 from qcompat.fixtures import I2, SX, SZ
-from qcompat.matkit import herm_coords, herm_from_coords, hermitian_basis, is_psd
+from qcompat.matkit import herm_coords, herm_from_coords
 
-from conftest import below_common_channel, rand_complex, rand_effect, rand_herm
+from conftest import (
+    below_common_channel,
+    hermitian_basis,
+    is_psd,
+    rand_complex,
+    rand_effect,
+    rand_herm,
+)
 
 
 def one_block_trace_problem(value, side=2):
@@ -425,7 +432,7 @@ def test_face_map_matches_probed_conjugations():
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2), (1, 3)])
 @pytest.mark.parametrize("keep", [0, 1])
 def test_partial_trace_matrix_matches_partial_trace(dims, keep):
-    from qcompat.matkit import partial_trace
+    from conftest import partial_trace
 
     rng = np.random.default_rng([*dims, keep])
     mat = fs._partial_trace_matrix(*dims, keep)

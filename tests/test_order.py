@@ -8,10 +8,11 @@ from qcompat import devices as dv
 from qcompat import order as od
 from qcompat.devices import CPMap, KrausSet, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, effect, half_sigma_x, luders_of
-from qcompat.matkit import close, hermitian_basis
+from qcompat.matkit import close
 
 from conftest import (
-    rand_complex, rand_cpmap, rand_herm, rand_kraus, rand_rank1_deficit_op, rand_state,
+    hermitian_basis, rand_complex, rand_cpmap, rand_herm, rand_kraus, rand_rank1_deficit_op,
+    rand_state,
 )
 
 
