@@ -143,18 +143,21 @@ def load_device_file(path: str, tol: Tolerances) -> dict:
         raise DeviceFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DeviceFileError(f"invalid JSON in {path}: {exc}") from exc
-    entries = doc.get("devices")
+    entries = doc.get("devices") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise DeviceFileError("device file needs a top-level 'devices' list")
     out = {}
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise DeviceFileError(f"device entry {entry!r} is not an object")
         name = entry.get("name", "<unnamed>")
-        if name in out:
-            raise DeviceFileError(f"device {name!r} defined twice")
         try:
-            out[name] = parse_device(entry, tol)
-        except (DeviceFileError, ValueError, KeyError, TypeError) as exc:
+            device = parse_device(entry, tol)
+        except (DeviceFileError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise DeviceFileError(f"device {name!r}: {exc}") from exc
+        if name in out:  # parse_device has checked that the name is a string
+            raise DeviceFileError(f"device {name!r} defined twice")
+        out[name] = device
     return out
 
 
@@ -279,8 +282,7 @@ def _classify_pair(args, devices):
     tol = _tolerances(args)
     start = time.perf_counter()
     verdict = cp.classify(
-        d1, d2, tol=tol, fast_paths=not args.no_fast_paths, max_iter=args.max_iter,
-        trace=_trace_fn(args),
+        d1, d2, tol=tol, fast_paths=not args.no_fast_paths, trace=_trace_fn(args),
     )
     elapsed = time.perf_counter() - start
     print(f"classified in {elapsed:.3f}s", file=sys.stderr)
@@ -421,8 +423,7 @@ def cmd_table1(args) -> int:
     details = []
     for col, row, n1, n2 in TABLE1_CELLS:
         verdict = cp.classify(
-            devices[n1], devices[n2], tol=tol,
-            fast_paths=not args.no_fast_paths, max_iter=args.max_iter,
+            devices[n1], devices[n2], tol=tol, fast_paths=not args.no_fast_paths,
         )
         ok = verdict.relation == _RELATION_OF_ROW[row]
         results[(row, col)] = "✓" if ok else "?"
@@ -469,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-eq", type=float, default=1e-9, help="matrix equality threshold")
     parser.add_argument("--tol-psd", type=float, default=1e-9, help="eigenvalue floor")
     parser.add_argument("--tol-feas", type=float, default=1e-7, help="feasibility residual")
-    parser.add_argument("--max-iter", type=int, default=100, help="interior-point step cap")
     parser.add_argument("--no-fast-paths", action="store_true",
                         help="disable analytic fast paths (forces the feasibility engine)")
     parser.add_argument("--trace", action="store_true", help="solver trace on stderr")

@@ -608,8 +608,7 @@ def _weak_sdp(p: _Pair, witness: dict) -> Verdict:
     return _weak_verdict(p, blocks, None, "sdp", p.wtol)
 
 
-def _stage(p: _Pair, paths: dict, builder: str, assemble, fast_paths: bool, max_iter: int,
-           trace):
+def _stage(p: _Pair, paths: dict, builder: str, assemble, fast_paths: bool, trace):
     """One question: its fast paths, then the engine on the problem that the
     function named ``builder`` encodes. Returns a verdict, or the notes of a "no"."""
     for path in paths.get(p.kinds, ()):
@@ -618,7 +617,7 @@ def _stage(p: _Pair, paths: dict, builder: str, assemble, fast_paths: bool, max_
             if decision is not None:
                 return decision
     # the builder is looked up here, at call time, where the traced benchmark wraps it
-    out = fs.solve(globals()[builder](p.d1, p.d2), p.tol, max_iter, trace=trace)
+    out = fs.solve(globals()[builder](p.d1, p.d2), p.tol, trace=trace)
     if out.verdict == "feasible":
         return assemble(p, out.witness)
     if out.verdict == "undecided":
@@ -626,8 +625,8 @@ def _stage(p: _Pair, paths: dict, builder: str, assemble, fast_paths: bool, max_
     return f"sdp margin={out.margin:.3e}"
 
 
-def _decide(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
-    notes = _stage(p, _JOINT_PATHS, "joint_problem", _joint_sdp, fast_paths, max_iter, trace)
+def _decide(p: _Pair, fast_paths: bool, trace) -> Verdict:
+    notes = _stage(p, _JOINT_PATHS, "joint_problem", _joint_sdp, fast_paths, trace)
     if isinstance(notes, Verdict):
         return notes
     if p.classical:
@@ -635,19 +634,19 @@ def _decide(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
     if "channel" in p.kinds:
         # the common channel of a weak witness would have to be this channel
         return Verdict("strongly_incompatible", None, notes)
-    weak = _decide_weak(p, fast_paths, max_iter, trace)
+    weak = _decide_weak(p, fast_paths, trace)
     if weak.relation == "undecided":
         return Verdict("undecided", None, f"not compatible; weak undecided; {notes}")
     return Verdict(weak.relation, weak.witness, f"{notes}; {weak.notes}")
 
 
-def _decide_weak(p: _Pair, fast_paths: bool, max_iter: int, trace) -> Verdict:
-    v = _stage(p, _WEAK_PATHS, "weak_problem", _weak_sdp, fast_paths, max_iter, trace)
+def _decide_weak(p: _Pair, fast_paths: bool, trace) -> Verdict:
+    v = _stage(p, _WEAK_PATHS, "weak_problem", _weak_sdp, fast_paths, trace)
     return v if isinstance(v, Verdict) else Verdict("strongly_incompatible", None, v)
 
 
 def classify(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
-             max_iter: int = 100, trace=None) -> Verdict:
+             trace=None) -> Verdict:
     """Three-way classification of any pair of devices.
 
     Returns compatible, weakly_compatible_only, strongly_incompatible,
@@ -657,17 +656,17 @@ def classify(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
     the weak question. The witness orientation matches the argument
     order.
     """
-    return _oriented(_decide, d1, d2, tol, fast_paths, max_iter, trace)
+    return _oriented(_decide, d1, d2, tol, fast_paths, trace)
 
 
 def weakly_compatible(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
-                      max_iter: int = 100, trace=None) -> Verdict:
+                      trace=None) -> Verdict:
     """Decide whether two instruments containing the devices share a total channel.
 
     Positive answers come back as ``weakly_compatible_only`` with both
     instruments; whether the pair is also compatible is not examined.
     """
-    return _oriented(_decide_weak, d1, d2, tol, fast_paths, max_iter, trace)
+    return _oriented(_decide_weak, d1, d2, tol, fast_paths, trace)
 
 
 # ---------------------------------------------------------------------------

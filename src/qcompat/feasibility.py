@@ -13,7 +13,10 @@ honest "undecided".
 Facial reduction and the face polish share one face map: each block is
 restricted to a face {U Z U*} of its cone by one isometric embedding of
 coordinates, the constraints are composed with it, and points found on
-the faces are lifted back through it.
+the faces are lifted back through it. The polish, which rounds the run's
+last boundary point onto an exactly feasible face, reads that face from
+the path itself (as in Mehrotra & Ye, Math. Programming 62, 1993): one
+profile, the eigenvalues above the cube root of the duality measure.
 
 Blocks are parametrized by their real degrees of freedom (diagonal plus
 weighted upper triangle), so the constraints form a real linear system.
@@ -335,8 +338,8 @@ def _affine_frame(a: np.ndarray, b: np.ndarray):
     return row.T @ ((u[:, :rank].T @ b) / sv[:rank]), row.T @ row, vt[rank:].T
 
 
-_POLISH_THRESHOLDS = (0.5, 0.2, 0.1, 0.05, 0.02, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6)
-_POLISH_ROUNDS = 50  # restricted solves per face profile, at most
+_MAX_STEPS = 100  # interior-point steps per run, at most
+_POLISH_ROUNDS = 50  # restricted solves of one face polish, at most
 
 
 def _restricted_solve(z, profile, layout, a, b):
@@ -360,8 +363,8 @@ def _face_rank(evals: np.ndarray, tau: float) -> int:
     The count above tau, at least 1, widened to every eigenvalue within
     1e-9 (relative) of the least one kept: a face never splits a
     near-degenerate eigenspace, whose eigenvectors the point's last bits
-    would pick. The band is far below the ladder's finest rung, 1e-6,
-    and well above the rounding noise a path iterate carries.
+    would pick. The band is far below the polish cutoffs the path
+    reaches and well above the rounding noise a path iterate carries.
     """
     r = max(int(np.sum(evals > tau)), 1)
     return int(np.sum(evals >= evals[-r] - 1e-9 * max(1.0, float(np.abs(evals).max()))))
@@ -369,6 +372,7 @@ def _face_rank(evals: np.ndarray, tau: float) -> int:
 
 def _face_polish(
     y: np.ndarray,
+    cutoff: float,
     layout: _Layout,
     a: np.ndarray,
     b: np.ndarray,
@@ -379,37 +383,30 @@ def _face_polish(
 
     Feasible sets here typically touch the cone boundary, where a
     projected point of the path still sits about the square root of its
-    residual away from the face. For each candidate face profile (block
-    ranks read off the point's spectra by ``_face_rank`` at a ladder of
-    thresholds) this alternates a face-restricted least-squares solve
-    with re-detection of the face from the affine projection; with the
-    right profile the residual collapses at a linear rate. Candidates are
-    gated on their true residual, so wrong profiles are no-ops.
+    residual away from the face. The face profile keeps each block's
+    eigenvalues of y above ``cutoff``, read by ``_face_rank``; the polish
+    alternates a face-restricted least-squares solve with re-detection of
+    the face from the affine projection, and on the right face the
+    residual collapses at a linear rate. The candidate is gated on its
+    true residual, so a wrong face is a no-op: the result is None unless
+    a point within ``feas_tol`` is found.
     """
-    spectra = [np.linalg.eigvalsh(h) for h in layout.split(y)]
-    seen: set[tuple[int, ...]] = set()
-    for tau in _POLISH_THRESHOLDS:
-        profile = tuple(_face_rank(evals, tau) for evals in spectra)
-        if profile in seen or all(r == d for r, d in zip(profile, layout.sides)):
-            continue
-        if len(seen) >= 4:
-            break
-        seen.add(profile)
-        z = y.copy()
-        prev = float("inf")
-        stagnant = 0
-        for _ in range(_POLISH_ROUNDS):
-            x, residual = _restricted_solve(z, profile, layout, a, b)
-            if residual <= tol.feas_tol:
-                return x, residual
-            if residual > 0.9 * prev:
-                stagnant += 1
-                if stagnant >= 3:
-                    break
-            else:
-                stagnant = 0
-            prev = residual
-            z = proj_affine(x)
+    profile = tuple(_face_rank(np.linalg.eigvalsh(h), cutoff) for h in layout.split(y))
+    if profile == layout.sides:
+        return None
+    z, prev, stagnant = y, float("inf"), 0
+    for _ in range(_POLISH_ROUNDS):
+        x, residual = _restricted_solve(z, profile, layout, a, b)
+        if residual <= tol.feas_tol:
+            return x, residual
+        if residual > 0.9 * prev:
+            stagnant += 1
+            if stagnant >= 3:
+                break
+        else:
+            stagnant = 0
+        prev = residual
+        z = proj_affine(x)
     return None
 
 
@@ -544,7 +541,6 @@ def _newton_step(z, y, s, spec_s, layout: _Layout, f, f_groups):
 def solve(
     problem: FeasibilityProblem,
     tol: Tolerances = DEFAULT_TOL,
-    max_iter: int = 100,
     *,
     trace: Callable[[str], None] | None = None,
 ) -> FeasibilityOutcome:
@@ -556,23 +552,26 @@ def solve(
     One SVD of the constraint matrix gives the min-norm affine point x0,
     the row-space projector and an orthonormal null-space basis N. Then
     one infeasible-start primal-dual interior-point run of at most
-    ``max_iter`` steps (HKM direction, Mehrotra predictor-corrector)
+    ``_MAX_STEPS`` steps (HKM direction, Mehrotra predictor-corrector)
     works on the margin SDP
 
         maximize t  s.t.  x0 - N w - t e is PSD blockwise,
 
     with e the all-blocks identity. Its dual, minimize <x0, Z> over PSD
     Z with N^T Z = 0 and <e, Z> = 1, is a Farkas certificate. Every step
-    checks the affine point Y = x0 - N w: Y is the witness when PSD; when
-    its cone projection meets the constraints within ``feas_tol`` the
-    point is a boundary one, and one face polish rounds it onto its face
-    (the projection is the witness if the polish fails). A certificate
-    bound (``_certificate_bound`` of Z) below ``-feas_tol`` is an
-    infeasible verdict. When the budget is spent or the Newton system
-    breaks down, one face polish from the last affine point may still
-    round it onto a face within ``feas_tol`` (a boundary witness whose
-    margin sits in (-feas_tol, 0)); otherwise the verdict is undecided,
-    with the best certified margin. The run is deterministic.
+    checks the affine point Y = x0 - N w: Y is the witness when PSD, and
+    a certificate bound (``_certificate_bound`` of Z) below ``-feas_tol``
+    is an infeasible verdict. The run stops early when Y's cone
+    projection meets the constraints within ``feas_tol`` (a boundary
+    point), and otherwise when the budget is spent or the Newton system
+    breaks down. Then one face polish rounds the last Y onto its face,
+    read at the cutoff cbrt(mu), mu = <Z, S> / <e, e> being the duality
+    measure of Y's iterate: on the path, eigenvalues of Y in the face
+    stay of order 1, and the others fall like mu, or like about sqrt(mu)
+    where strict complementarity fails. A polished point within
+    ``feas_tol`` is the witness; else the projection is, when it met
+    the constraints; else the verdict is undecided, with the best
+    certified margin. The run is deterministic.
     """
     full = _Layout.of(problem.blocks)
     a, b = _assemble(problem, full)
@@ -615,47 +614,46 @@ def solve(
     def proj_affine(x: np.ndarray) -> np.ndarray:
         return x - gram @ x + x0
 
-    z = e / float(e @ e)
+    nu = float(e @ e)
+    z = e / nu
     y = np.zeros(len(f))
     y[-1] = _min_eig(x0, layout) - 1.0
     margin = residual = float("inf")
     done = 0
     point = None
     try:
-        for it in range(max_iter + 1):
+        for it in range(_MAX_STEPS + 1):
             s = x0 - f.T @ y
             spec_s = _spectra(s, layout)
             least = min(float(evals[:, 0].min()) for evals, _ in spec_s)
             if not least > 0:
                 raise np.linalg.LinAlgError("the slack left the cone interior")
-            point = x0 - null @ y[:-1]
+            point, gap = x0 - null @ y[:-1], float(z @ s)
             psd = least + y[-1] >= 0  # Y = S + t e: the slack's spectrum shifted by t
             cone = point if psd else _clamp(spec_s, y[-1], layout)
             residual = float(np.linalg.norm(a @ cone - b))
             if trace:
-                trace(f"iter={it} shift=+0.000e+00 residual={residual:.3e} gap={z @ s:.3e}")
+                trace(f"iter={it} shift=+0.000e+00 residual={residual:.3e} gap={gap:.3e}")
             done = it
             if psd:
                 return feasible(point, residual, it)
             if residual <= tol.feas_tol:
-                polished = _face_polish(point, layout, a, b, proj_affine, tol)
-                if polished is None:
-                    return feasible(cone, residual, it)
-                if trace:
-                    trace(f"iter={it} shift=+0.000e+00 face-polish residual={polished[1]:.3e}")
-                return feasible(polished[0], polished[1], it)
+                break
             bound = _certificate_bound(z, layout, gram, x0)
             if bound is not None and bound < margin:
                 margin = bound
                 if margin < -tol.feas_tol:
                     return FeasibilityOutcome("infeasible", None, margin, residual, it)
-            if it < max_iter:
+            if it < _MAX_STEPS:
                 z, y = _newton_step(z, y, s, spec_s, layout, f, f_groups)
     except np.linalg.LinAlgError:
         pass
-    polished = None if point is None else _face_polish(point, layout, a, b, proj_affine, tol)
-    if polished is not None:
-        if trace:
-            trace(f"iter={done} shift=+0.000e+00 face-polish residual={polished[1]:.3e}")
-        return feasible(polished[0], polished[1], done)
+    if point is not None:
+        polished = _face_polish(point, float(np.cbrt(gap / nu)), layout, a, b, proj_affine, tol)
+        if polished is not None:
+            if trace:
+                trace(f"iter={done} shift=+0.000e+00 face-polish residual={polished[1]:.3e}")
+            return feasible(*polished, done)
+    if residual <= tol.feas_tol:
+        return feasible(cone, residual, done)
     return FeasibilityOutcome("undecided", None, margin, residual, done)

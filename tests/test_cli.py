@@ -102,6 +102,23 @@ def test_validate_rejects_bad_effect(tmp_path, capsys):
     assert "outside [0, 1]" in err
 
 
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"devices": [1]},
+    {"devices": [{"name": "e", "type": "effect", "dims": 3,
+                  "payload": {"matrix": jmat(PX)}}]},
+    {"devices": [{"name": "o", "type": "observable",
+                  "payload": {"outcomes": ["0", "1"], "effects": [jmat(PZ), jmat(PMZ)]}}]},
+    {"devices": [{"name": ["e"], "type": "effect", "payload": {"matrix": jmat(PX)}}]},
+], ids=["top-level-array", "non-object-entry", "non-object-dims", "effects-list", "list-name"])
+def test_validate_rejects_malformed_structure(doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(["validate", str(bad)], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_classify_weak_pair(device_file, capsys):
     code, out, _ = run_cli(["classify", device_file, "px", "luders_pz"], capsys)
     assert code == 0

@@ -1,3 +1,7 @@
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -510,6 +514,23 @@ def test_weak_problem_agrees_with_the_channel_block_formulation():
     assert verdicts == {"feasible", "infeasible"}
 
 
+@pytest.mark.parametrize("seed", [86, 37, 1, 12, 20])
+def test_channel_block_problem_polishes_on_one_face_profile(seed, monkeypatch):
+    # boundary witnesses on a (2, 1, 1) face, which a fixed threshold of 0.5
+    # reads as (1, 1, 1); the one profile read from the path must be the face
+    profiles = []
+    orig = fs._restricted_solve
+
+    def recording(z, profile, *args):
+        profiles.append(profile)
+        return orig(z, profile, *args)
+
+    monkeypatch.setattr(fs, "_restricted_solve", recording)
+    f1, f2 = below_common_channel(np.random.default_rng(seed))
+    assert fs.solve(_weak_problem_with_channel_block(f1, f2)).verdict == "feasible"
+    assert len(set(profiles)) == 1
+
+
 # ---------------------------------------------------------------------------
 # classify dispatch
 # ---------------------------------------------------------------------------
@@ -1019,3 +1040,17 @@ def test_fast_paths_agree_with_engine_on_table1():
 def test_fast_paths_agree_with_engine_on_qutrit_tail():
     for d1, d2 in _qutrit_tail():
         _both_routes(d1, d2)
+
+
+@pytest.mark.parametrize("name", ["fastpath-mix", "pure-opop", "engine-tail"])
+def test_fast_paths_agree_with_engine_on_benchmark_workloads(name, monkeypatch):
+    # one round of each benchmark workload at the seed its figures are quoted
+    # for; perfbench/workloads.py runs from its source, so nothing is written
+    # next to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    wl = types.ModuleType("perfbench_workloads")
+    monkeypatch.setitem(sys.modules, wl.__name__, wl)  # its dataclass looks itself up there
+    exec(compile(path.read_text(), str(path), "exec"), wl.__dict__)
+    for pair in wl.WORKLOADS[name](90210):
+        relation = _both_routes(pair.d1, pair.d2).relation
+        assert pair.expected is None or relation in pair.expected, pair.pid

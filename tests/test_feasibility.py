@@ -337,7 +337,7 @@ def test_interior_point_found_within_budget():
         fs.AffineConstraint((("x", row[None, :]),), np.array([v]))
         for row, v in zip(rows, rhs)
     )
-    out = fs.solve(fs.FeasibilityProblem((("x", side),), cons), max_iter=50_000)
+    out = fs.solve(fs.FeasibilityProblem((("x", side),), cons))
     assert out.verdict == "feasible"
     assert is_psd(out.witness["x"])
 
@@ -465,8 +465,8 @@ def test_problem_blocks_may_be_a_list():
 
 def test_face_polish_keeps_a_degenerate_pair_whole():
     # qutrit states on span{|1>, |2>}: x_00 = 0 and tr x = 1. The point
-    # diag(0, 1/2, 1/2) puts a degenerate pair on the first rung, 0.5; a
-    # rank-1 face would be whichever eigenvector of the pair last bits pick.
+    # diag(0, 1/2, 1/2) puts a degenerate pair on the cutoff 0.5; a rank-1
+    # face would be whichever eigenvector of the pair last bits pick.
     assert fs._face_rank(np.array([0.0, 0.0, 0.5 - 4e-12, 0.5 + 4e-12]), 0.5) == 2
     assert fs._face_rank(np.array([0.0, 0.2, 0.5, 0.9]), 0.5) == 1
     assert fs._face_rank(np.array([1e-17, 2e-8, 0.3, 0.3]), 1e-6) == 2
@@ -481,7 +481,7 @@ def test_face_polish_keeps_a_degenerate_pair_whole():
         noise[[1, 2, 5, 8]] = 1e-13 * rng.standard_normal(4)  # the (1, 2) entry
         y = herm_coords(np.diag([0.0, 0.5, 0.5])) + noise
         x, residual = fs._face_polish(
-            y, layout, a, b, lambda x: x - pinv @ (a @ x - b), fs.DEFAULT_TOL
+            y, 0.5, layout, a, b, lambda x: x - pinv @ (a @ x - b), fs.DEFAULT_TOL
         )
         assert residual <= 1e-14
         assert np.abs(herm_from_coords(x, 3) - np.diag([0.0, 0.5, 0.5])).max() <= 1e-12
@@ -557,7 +557,7 @@ def test_engine_never_refutes_weak_problem_below_common_channel(seed):
     from qcompat import compat as cp
 
     f1, f2 = below_common_channel(np.random.default_rng(seed))
-    assert fs.solve(cp.weak_problem(f1, f2), max_iter=5000).verdict != "infeasible"
+    assert fs.solve(cp.weak_problem(f1, f2)).verdict != "infeasible"
 
 
 @pytest.mark.parametrize("seed", [100, 51, 86, 37, 1, 12, 20])
