@@ -59,7 +59,7 @@ def _scalar(x) -> complex:
 
 
 def _matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) and r for r in rows):
         raise DeviceFileError("matrix must be a non-empty nested array")
     data = [[_scalar(x) for x in row] for row in rows]
     widths = {len(r) for r in data}

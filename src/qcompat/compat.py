@@ -122,12 +122,6 @@ def witness_tolerances(tol: Tolerances) -> Tolerances:
     )
 
 
-def state_prep_map(effect_matrix: np.ndarray, eta: np.ndarray, tol: Tolerances) -> CPMap:
-    """The operation ``rho -> tr[E rho] eta``."""
-    choi = state_prep_choi(effect_matrix, eta)
-    return CPMap(np.shape(effect_matrix)[0], eta.shape[0], choi, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # devices as instruments
 # ---------------------------------------------------------------------------
@@ -287,43 +281,45 @@ def _carve(ins: Instrument, device, owner: dict[str, str], wtol: Tolerances):
     """(subset, pointer) carving the device out of the instrument, re-validated.
 
     ``owner`` maps each instrument label to a device outcome; every fixed
-    target of the device must come back from its labels.
+    target of the device must come back from its labels. The sums are
+    validated as one stack, and for a classical device their units as one
+    effect stack.
     """
-    for x, target in _parts(device).items():
-        if target is None:
-            continue
-        got = ins.branch_sum([lab for lab, y in owner.items() if y == x], wtol)
-        got = Effect(got.heisenberg_unit(), tol=wtol).matrix if _classical(device) else got.choi
-        if not close(target, got, wtol):
-            raise WitnessValidationError(f"{_kind(device)} is not reproduced by the witness")
+    fixed = [(x, t) for x, t in _parts(device).items() if t is not None]
+    sums = ins.branch_sums([[lab for lab, y in owner.items() if y == x] for x, _ in fixed], wtol)
+    if _classical(device):
+        got = [e.matrix for e in Effect.from_stack([m.heisenberg_unit() for m in sums], wtol)]
+    else:
+        got = [m.choi for m in sums]
+    if not all(close(t, g, wtol) for (_, t), g in zip(fixed, got)):
+        raise WitnessValidationError(f"{_kind(device)} is not reproduced by the witness")
     if isinstance(device, (Observable, Instrument)):
         return None, PointerMap(owner, codomain=device.outcomes)
     return tuple(lab for lab, x in owner.items() if x == "1"), None
 
 
 def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verdict:
-    """Joint instrument from one block per outcome pair, re-validated.
+    """Joint instrument from one block per outcome pair, re-validated as one stack.
 
     Classical pairs give effects, measured and then prepared into the
     maximally mixed state; other pairs give Choi matrices.
     """
     labels = {xy: f"{xy[0]}&{xy[1]}" for xy in blocks}
+    mats = {labels[xy]: m for xy, m in blocks.items()}
     joint = None
     if p.classical:
-        effects = {labels[xy]: Effect(m, tol=vtol) for xy, m in blocks.items()}
+        effects = dict(zip(mats, Effect.from_stack(list(mats.values()), vtol)))
         joint = Observable(tuple(effects), effects, tol=vtol)
         eta = np.eye(p.din) / p.din
-        branches = {lab: state_prep_map(e.matrix, eta, vtol) for lab, e in effects.items()}
-    else:
-        branches = {labels[xy]: CPMap(p.din, p.dout, m, tol=vtol) for xy, m in blocks.items()}
-    ins = Instrument(tuple(branches), branches, tol=vtol)
+        mats = {lab: state_prep_choi(e.matrix, eta) for lab, e in effects.items()}
+    ins = Instrument.from_chois(tuple(mats), mats, p.din, p.dout or p.din, vtol)
     (s1, q1), (s2, q2) = (_carve(ins, d, {labels[xy]: xy[i] for xy in blocks}, vtol)
                           for i, d in enumerate((p.d1, p.d2)))
     return Verdict("compatible", CompatWitness(ins, s1, s2, q1, q2, joint), notes)
 
 
 def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> Verdict:
-    """Two instruments sharing a total channel, re-validated.
+    """Two instruments sharing a total channel, each re-validated as one stack.
 
     Device i keeps its own outcomes: each is its block ``blocks[i, x]``,
     its fixed Choi part, or, for the free outcome, what the channel
@@ -342,8 +338,7 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
         free = [x for x in parts if x not in choi]
         if free:
             choi[free[0]] = lam - _sum(list(choi.values()), lam.shape[0])
-        branches = {x: CPMap(p.din, dout, choi[x], tol=vtol) for x in parts}
-        instruments.append(Instrument(tuple(parts), branches, tol=vtol))
+        instruments.append(Instrument.from_chois(tuple(parts), choi, p.din, dout, vtol))
     i1, i2 = instruments
     lam1, lam2 = total_channel(i1, vtol), total_channel(i2, vtol)
     if not close(lam1.choi, lam2.choi, vtol):

@@ -9,6 +9,15 @@ into an instrument. ``instrument_parts`` is the one table that reads
 every device as an instrument, and ``is_part_of`` is one pointer search
 over it.
 
+Validation runs on stacks. There is one Choi validator and one effect
+validator, each taking an (n, d, d) stack: finiteness and Hermiticity
+are checked matrix by matrix, positivity with one ``eigvalsh`` per stack,
+and the Heisenberg units of Choi matrices come from one ``einsum`` and
+their top eigenvalues from one more ``eigvalsh``. The single-matrix
+constructors call them on a stack of one; ``CPMap.from_stack``,
+``Effect.from_stack``, ``Instrument.from_chois`` and
+``Instrument.branch_sums`` validate many matrices at once.
+
 Choi convention: for a map ``F`` from states on the input space (side
 ``dim_in``) to states on the output space (side ``dim_out``),
 
@@ -26,11 +35,11 @@ import numpy as np
 
 from .matkit import (
     DEFAULT_TOL,
+    HermiticityError,
     MatrixShapeError,
     PositivityError,
     Tolerances,
     as_matrix,
-    checked_hermitian_part,
     close,
     frob_norm,
     hermitian_part,
@@ -66,6 +75,96 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Stack validators: every device check runs here, once per (n, d, d) stack
+# ---------------------------------------------------------------------------
+
+
+def _made(cls, **fields):
+    """An instance of a device class from fields that were validated as part of a stack."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+def _square_stack(mats, what: str, side: int | None = None) -> np.ndarray:
+    """The matrices as one C-ordered complex (n, side, side) array."""
+    a = np.ascontiguousarray(mats, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or side not in (None, a.shape[1]):
+        d = "d" if side is None else side
+        raise MatrixShapeError(f"{what} stack of shape {a.shape} is not (n, {d}, {d})")
+    return a
+
+
+def _hermitian_stack(a: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
+    """Read-only Hermitian parts of a C-ordered stack of finite matrices that pass
+    :func:`matkit.is_hermitian`'s test, matrix by matrix; else ValueError or
+    HermiticityError naming ``what``."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} contains NaN or Inf entries")
+    at = a.conj().swapaxes(-1, -2)
+    gap = a - at
+    if gap.any():  # an exactly Hermitian stack passes every test
+        for i in range(len(a)):
+            g = frob_norm(gap[i])
+            # a gap within eq_tol passes whatever the matrix's norm
+            if g > tol.eq_tol and not g <= tol.eq_tol * (1.0 + frob_norm(a[i])):
+                raise HermiticityError(f"{what} is not Hermitian")
+    h = (a + at) / 2.0
+    h.flags.writeable = False
+    return h
+
+
+def _effect_stack(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The effect check of a stack: Hermitian parts with spectra in [0, 1], from one eigvalsh."""
+    h = _hermitian_stack(m, tol, "effect matrix")
+    evals = np.linalg.eigvalsh(h)
+    for lo, hi in zip(evals[:, 0].tolist(), evals[:, -1].tolist()):
+        if not (lo >= -tol.psd_tol and hi <= 1.0 + tol.psd_tol):
+            raise EffectBoundsError(f"effect eigenvalues [{lo:.3e}, {hi:.3e}] outside [0, 1]")
+    return h
+
+
+def _spectra(h: np.ndarray, din: int, dout: int):
+    """Least Choi eigenvalue, read-only Heisenberg unit and top unit eigenvalue of each
+    map in a Hermitian stack: one einsum and two eigvalsh for the whole stack."""
+    low = np.linalg.eigvalsh(h)[:, 0]
+    units = np.ascontiguousarray(np.einsum("njmim->nij", h.reshape(-1, din, dout, din, dout)))
+    units.flags.writeable = False
+    # the partial trace of a Hermitian matrix is Hermitian, entry for entry
+    return low, units, np.linalg.eigvalsh(units)[:, -1]
+
+
+def _check_maps(low: np.ndarray, top: np.ndarray, tol: Tolerances) -> None:
+    """PositivityError or TraceConditionError for the first map, in stack order, that is
+    not completely positive or increases trace."""
+    for lo, hi in zip(low.tolist(), top.tolist()):
+        if not lo >= -tol.psd_tol:
+            raise PositivityError(f"Choi matrix has eigenvalue {lo:.3e} < 0")
+        if not hi <= 1.0 + tol.psd_tol:
+            raise TraceConditionError(f"map increases trace: ||F_H(1)|| = {hi:.6f} > 1")
+
+
+def _choi_stack(j: np.ndarray, din: int, dout: int, tol: Tolerances):
+    """The Choi check of a stack: read-only Hermitian parts and Heisenberg units of
+    completely positive, trace-non-increasing maps."""
+    h = _hermitian_stack(j, tol, "Choi matrix")
+    low, units, top = _spectra(h, din, dout)
+    _check_maps(low, top, tol)
+    return h, units
+
+
+def _operations(din: int, dout: int, h: np.ndarray, units: np.ndarray) -> list[CPMap]:
+    """Maps of kind operation from checked Choi matrices and their units."""
+    return [_made(CPMap, dim_in=din, dim_out=dout, choi=c, kind="operation", _unit=u)
+            for c, u in zip(h, units)]
+
+
+def _require_channel(m: CPMap, tol: Tolerances) -> None:
+    if not m.is_trace_preserving(tol):
+        raise TraceConditionError("channel is not trace-preserving")
+
+
+# ---------------------------------------------------------------------------
 # Device types
 # ---------------------------------------------------------------------------
 
@@ -78,18 +177,16 @@ class Effect:
     tol: InitVar[Tolerances | None] = None
 
     def __post_init__(self, tol: Tolerances | None) -> None:
-        tol = tol or DEFAULT_TOL
-        m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
+        m = np.ascontiguousarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise MatrixShapeError("effect matrix must be square")
-        h = checked_hermitian_part(m, tol, "effect matrix")
-        evals = np.linalg.eigvalsh(h)
-        if evals[0] < -tol.psd_tol or evals[-1] > 1.0 + tol.psd_tol:
-            raise EffectBoundsError(
-                f"effect eigenvalues [{evals[0]:.3e}, {evals[-1]:.3e}] outside [0, 1]"
-            )
-        h.flags.writeable = False
-        object.__setattr__(self, "matrix", h)
+        vars(self)["matrix"] = _effect_stack(m[None], tol or DEFAULT_TOL)[0]
+
+    @classmethod
+    def from_stack(cls, mats, tol: Tolerances | None = None) -> list[Effect]:
+        """The effects of a (n, d, d) stack, validated as one stack."""
+        h = _effect_stack(_square_stack(mats, "effect matrix"), tol or DEFAULT_TOL)
+        return [_made(cls, matrix=m) for m in h]
 
     @property
     def dim(self) -> int:
@@ -152,28 +249,25 @@ class CPMap:
     tol: InitVar[Tolerances | None] = None
 
     def __post_init__(self, tol: Tolerances | None) -> None:
-        tol = tol or DEFAULT_TOL
         if self.kind not in ("operation", "channel"):
             raise ValueError(f"unknown map kind {self.kind!r}")
-        j = as_matrix(self.choi)
+        j = np.ascontiguousarray(self.choi, dtype=complex)
         side = self.dim_in * self.dim_out
         if j.shape != (side, side):
-            raise MatrixShapeError(f"Choi side {j.shape[0]} != dim_in*dim_out = {side}")
-        j = checked_hermitian_part(j, tol, "Choi matrix")
-        evals = np.linalg.eigvalsh(j)
-        if evals[0] < -tol.psd_tol:
-            raise PositivityError(f"Choi matrix has eigenvalue {evals[0]:.3e} < 0")
-        j.flags.writeable = False
-        object.__setattr__(self, "choi", j)
-        t = j.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
-        hu = np.ascontiguousarray(np.einsum("jmim->ij", t))
-        hu.flags.writeable = False
-        object.__setattr__(self, "_unit", hu)
-        top = float(np.linalg.eigvalsh(hermitian_part(hu))[-1])
-        if top > 1.0 + tol.psd_tol:
-            raise TraceConditionError(f"map increases trace: ||F_H(1)|| = {top:.6f} > 1")
-        if self.kind == "channel" and not close(hu, np.eye(self.dim_in), tol):
-            raise TraceConditionError("channel is not trace-preserving")
+            raise MatrixShapeError(f"Choi shape {j.shape} is not side dim_in*dim_out = {side}")
+        tol = tol or DEFAULT_TOL
+        h, units = _choi_stack(j[None], self.dim_in, self.dim_out, tol)
+        vars(self).update(choi=h[0], _unit=units[0])
+        if self.kind == "channel":
+            _require_channel(self, tol)
+
+    @classmethod
+    def from_stack(cls, dim_in: int, dim_out: int, chois,
+                   tol: Tolerances | None = None) -> list[CPMap]:
+        """The operations of a (n, side, side) stack of Choi matrices, validated as one stack."""
+        j = _square_stack(chois, "Choi matrix", dim_in * dim_out)
+        h, units = _choi_stack(j, dim_in, dim_out, tol or DEFAULT_TOL)
+        return _operations(dim_in, dim_out, h, units)
 
     @property
     def _t4(self) -> np.ndarray:
@@ -200,23 +294,32 @@ class Instrument:
 
     def __post_init__(self, tol: Tolerances | None) -> None:
         tol = tol or DEFAULT_TOL
-        object.__setattr__(self, "outcomes", tuple(str(x) for x in self.outcomes))
-        if not self.outcomes:
-            raise OutcomeError("instrument needs at least one outcome")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise OutcomeError("duplicate outcome labels")
-        if set(self.branches) != set(self.outcomes):
-            raise OutcomeError("branch labels do not match outcome list")
+        outcomes = _outcome_labels(self.outcomes, self.branches)
         dims = {(b.dim_in, b.dim_out) for b in self.branches.values()}
         if len(dims) != 1:
             raise MatrixShapeError("all branches must share input/output dimensions")
-        total = sum(self.branches[x].choi for x in self.outcomes)
-        din, dout = next(iter(dims))
-        try:
-            channel = CPMap(din, dout, total, kind="channel", tol=tol)
-        except (TraceConditionError, PositivityError) as exc:
-            raise NormalizationError(f"branch sum is not a channel: {exc}") from exc
-        object.__setattr__(self, "_total", (tol, channel))
+        # branch Choi matrices are Hermitian, entry for entry, and so is their sum
+        total = sum(self.branches[x].choi for x in outcomes)
+        _, channel = _with_total(total[None], *next(iter(dims)), tol)
+        vars(self).update(outcomes=outcomes, _total=(tol, channel))
+
+    @classmethod
+    def from_chois(cls, outcomes, chois: dict, dim_in: int, dim_out: int,
+                   tol: Tolerances | None = None) -> Instrument:
+        """The instrument whose branch x has the raw Choi matrix ``chois[x]``.
+
+        The branches and their total are validated as one stack; the
+        total is, as for an instrument of CPMaps, the sum in outcome order
+        of the branches' Hermitian parts.
+        """
+        tol = tol or DEFAULT_TOL
+        outcomes = _outcome_labels(outcomes, chois)
+        j = _square_stack([chois[x] for x in outcomes], "Choi matrix", dim_in * dim_out)
+        h = _hermitian_stack(j, tol, "Choi matrix")
+        # the total of Hermitian parts is Hermitian, entry for entry
+        branches, channel = _with_total(np.concatenate([h, sum(h)[None]]), dim_in, dim_out, tol)
+        return _made(cls, outcomes=outcomes, branches=dict(zip(outcomes, branches)),
+                     _total=(tol, channel))
 
     @property
     def dim_in(self) -> int:
@@ -226,17 +329,58 @@ class Instrument:
     def dim_out(self) -> int:
         return next(iter(self.branches.values())).dim_out
 
-    def branch_sum(self, labels, tol: Tolerances = DEFAULT_TOL) -> CPMap:
-        """Summed operation over an outcome subset (the empty sum is null)."""
-        labels = list(labels)
-        for x in labels:
+    def branch_sums(self, label_sets, tol: Tolerances = DEFAULT_TOL) -> list[CPMap]:
+        """Summed operations over outcome subsets (the empty sum is null), validated
+        as one stack; each is a channel when it is trace-preserving."""
+        sets = [list(labels) for labels in label_sets]
+        for x in (x for labels in sets for x in labels):
             if x not in self.branches:
                 raise OutcomeError(f"unknown outcome {x!r}")
         side = self.dim_in * self.dim_out
-        j = np.zeros((side, side), dtype=complex)
-        for x in labels:
-            j = j + self.branches[x].choi
-        return _validated_map(self.dim_in, self.dim_out, j, tol)
+        sums = np.zeros((len(sets), side, side), dtype=complex)
+        for j, labels in zip(sums, sets):
+            for x in labels:
+                j += self.branches[x].choi
+        return _channels_when_tp(CPMap.from_stack(self.dim_in, self.dim_out, sums, tol), tol)
+
+    def branch_sum(self, labels, tol: Tolerances = DEFAULT_TOL) -> CPMap:
+        """Summed operation over an outcome subset (the empty sum is null)."""
+        return self.branch_sums([labels], tol)[0]
+
+
+def _outcome_labels(outcomes, branches: dict) -> tuple[str, ...]:
+    outcomes = tuple(str(x) for x in outcomes)
+    if not outcomes:
+        raise OutcomeError("instrument needs at least one outcome")
+    if len(set(outcomes)) != len(outcomes):
+        raise OutcomeError("duplicate outcome labels")
+    if set(branches) != set(outcomes):
+        raise OutcomeError("branch labels do not match outcome list")
+    return outcomes
+
+
+def _with_total(stack: np.ndarray, din: int, dout: int, tol: Tolerances):
+    """Check a Hermitian Choi stack of branches followed by their total: the
+    branches as operations, and the total as a channel, else NormalizationError."""
+    stack.flags.writeable = False
+    low, units, top = _spectra(stack, din, dout)
+    _check_maps(low[:-1], top[:-1], tol)
+    *branches, channel = _operations(din, dout, stack, units)
+    vars(channel)["kind"] = "channel"
+    try:
+        _check_maps(low[-1:], top[-1:], tol)
+        _require_channel(channel, tol)
+    except (TraceConditionError, PositivityError) as exc:
+        raise NormalizationError(f"branch sum is not a channel: {exc}") from exc
+    return branches, channel
+
+
+def _channels_when_tp(maps: list[CPMap], tol: Tolerances) -> list[CPMap]:
+    """The maps, each of kind channel when it is trace-preserving."""
+    for m in maps:
+        if m.is_trace_preserving(tol):
+            vars(m)["kind"] = "channel"
+    return maps
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,14 +461,6 @@ def kraus_choi(ops) -> np.ndarray:
     return (v[:, :, None] * v.conj()[:, None, :]).sum(axis=0)
 
 
-def _validated_map(din: int, dout: int, j: np.ndarray, tol: Tolerances) -> CPMap:
-    """The map with Choi matrix j, validated once; a channel when it is trace-preserving."""
-    m = CPMap(din, dout, j, tol=tol)
-    if m.is_trace_preserving(tol):
-        object.__setattr__(m, "kind", "channel")
-    return m
-
-
 def choi_from_kraus(k: KrausSet | list, tol: Tolerances = DEFAULT_TOL) -> CPMap:
     """Canonical Choi matrix of ``rho -> sum_j K_j rho K_j^*``.
 
@@ -332,7 +468,8 @@ def choi_from_kraus(k: KrausSet | list, tol: Tolerances = DEFAULT_TOL) -> CPMap:
     """
     if not isinstance(k, KrausSet):
         k = KrausSet(tuple(k), tol=tol)
-    return _validated_map(k.dim_in, k.dim_out, kraus_choi(k.ops), tol)
+    (m,) = CPMap.from_stack(k.dim_in, k.dim_out, kraus_choi(k.ops)[None], tol)
+    return _channels_when_tp([m], tol)[0]
 
 
 def kraus_lists(maps: list[CPMap], tol: Tolerances = DEFAULT_TOL, check: bool = True) -> list:
@@ -551,10 +688,10 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _check_state(rho: np.ndarray, tol: Tolerances) -> np.ndarray:
-    rho = as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise MatrixShapeError("state must be square")
-    h = checked_hermitian_part(rho, tol, "state")
+    h = _hermitian_stack(rho[None], tol, "state")[0]
     evals = np.linalg.eigvalsh(h)
     if evals[0] < -tol.psd_tol:
         raise PositivityError(f"state has negative eigenvalue {evals[0]:.3e}")

@@ -88,15 +88,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def checked_hermitian_part(h: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
-    """:func:`hermitian_part` of a square h that passes :func:`is_hermitian`
-    (one conjugate transpose serves both); else HermiticityError naming ``what``."""
-    ht = h.conj().T
-    if not frob_norm(h - ht) <= tol.eq_tol * (1.0 + frob_norm(h)):
-        raise HermiticityError(f"{what} is not Hermitian")
-    return (h + ht) / 2.0
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor on the slow index (np.kron's products)."""
     a, b = as_matrix(a), as_matrix(b)

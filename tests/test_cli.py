@@ -208,6 +208,16 @@ def test_simulate_instrument(device_file, capsys):
     assert doc["probability"] == pytest.approx(0.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("state", ["[1]", "[null]", "[true]", "[[[1,0]], 2]"])
+def test_simulate_rejects_a_state_row_that_is_not_a_list(device_file, state, capsys):
+    code, _, err = run_cli(
+        ["simulate", device_file, "luders_x_instrument", "--state", state, "--outcomes", "+"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_table1_pattern(capsys):
     code, out, _ = run_cli(["table1"], capsys)
     assert code == 0

@@ -1054,3 +1054,62 @@ def test_fast_paths_agree_with_engine_on_benchmark_workloads(name, monkeypatch):
     for pair in wl.WORKLOADS[name](90210):
         relation = _both_routes(pair.d1, pair.d2).relation
         assert pair.expected is None or relation in pair.expected, pair.pid
+
+
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, executed from its source so that nothing is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    wl = types.ModuleType("perfbench_workloads")
+    monkeypatch.setitem(sys.modules, wl.__name__, wl)  # its dataclass looks itself up there
+    exec(compile(path.read_text(), str(path), "exec"), wl.__dict__)
+    return wl
+
+
+def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
+    # every witness instrument is validated as one stack; rebuilt branch by
+    # branch from the same raw Choi matrices, it must come out bit for bit
+    built = []
+    stacked = Instrument.from_chois.__func__
+
+    def recorded(cls, outcomes, chois, dim_in, dim_out, tol=None):
+        ins = stacked(cls, outcomes, chois, dim_in, dim_out, tol)
+        built.append((dict(chois), tol, ins))
+        return ins
+
+    monkeypatch.setattr(Instrument, "from_chois", classmethod(recorded))
+    wl = _benchmark_workloads(monkeypatch)
+    calls = [(p.d1, p.d2, fast) for p in wl.fastpath_mix(90210) for fast in (True, False)]
+    calls += [(p.d1, p.d2, p.fast_paths) for p in wl.engine_tail(90210, 0)]
+    for d1, d2, fast in calls:
+        cp.classify(d1, d2, fast_paths=fast)
+    assert len(built) > len(calls) // 2
+    for chois, tol, ins in built:
+        one = Instrument(ins.outcomes, {x: CPMap(ins.dim_in, ins.dim_out, chois[x], tol=tol)
+                                        for x in ins.outcomes}, tol=tol)
+        pairs = [(one.branches[x], ins.branches[x]) for x in ins.outcomes]
+        pairs.append((dv.total_channel(one, tol), dv.total_channel(ins, tol)))
+        for want, got in pairs:
+            assert got.kind == want.kind
+            assert got.choi.tobytes() == want.choi.tobytes()
+            assert got.heisenberg_unit().tobytes() == want.heisenberg_unit().tobytes()
+
+
+def test_commuting_observables_witness_takes_few_eigvalsh_calls(monkeypatch):
+    rng = np.random.default_rng(2014)
+    u = np.linalg.qr(rand_complex(rng, 2))[0]
+    a = _observable(_diag_in(u, [0.5, 0.1]), _diag_in(u, [0.3, 0.3]), _diag_in(u, [0.2, 0.6]))
+    b = _observable(_diag_in(u, [0.1, 0.7]), _diag_in(u, [0.6, 0.2]), _diag_in(u, [0.3, 0.1]))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    v = cp.classify(a, b)
+    assert v.relation == "compatible" and "commuting-observables" in v.notes
+    assert len(v.witness.instrument.outcomes) == 9
+    # the witness takes one effect stack, one instrument stack, and per device
+    # one stack of carved sums with one effect stack of their units
+    assert len(calls) <= 12, calls

@@ -120,6 +120,105 @@ def test_total_channel_is_the_branch_sum_at_any_tolerance():
         assert np.array_equal(lam.choi, want)
 
 
+def _bad_choi(case: str) -> np.ndarray:
+    j = 0.25 * np.eye(4, dtype=complex)  # the map rho -> tr(rho) 1/2, with unit 1/2
+    if case == "nan":
+        j[1, 2] = np.nan
+    elif case == "non-hermitian":
+        j[0, 1] = 0.1
+    elif case == "negative-eigenvalue":
+        v = np.array([1.0, 1j, 0.0, 1.0]) / np.sqrt(3.0)
+        j = j - (0.25 + 1e-6) * np.outer(v, v.conj())
+    elif case == "trace-increasing":
+        j = 2.5 * j
+    return j
+
+
+def _raised(build) -> type:
+    with pytest.raises(ValueError) as info:
+        build()
+    return type(info.value)
+
+
+@pytest.mark.parametrize("case, error", [
+    ("nan", ValueError),
+    ("non-hermitian", mk.HermiticityError),
+    ("negative-eigenvalue", mk.PositivityError),
+    ("trace-increasing", dv.TraceConditionError),
+])
+def test_stacked_maps_reject_what_one_map_rejects(case, error):
+    rng = np.random.default_rng(13)
+    good = [rand_cpmap(rng, 2, 2, n_ops=2).choi / 3 for _ in range(3)]
+    bad = _bad_choi(case)
+    labels = ("a", "b", "c", "d")
+    assert _raised(lambda: dv.CPMap(2, 2, bad)) is error
+    assert _raised(lambda: dv.CPMap.from_stack(2, 2, good + [bad])) is error
+    chois = dict(zip(labels, good + [bad]))
+    assert _raised(lambda: dv.Instrument.from_chois(labels, chois, 2, 2)) is error
+
+
+@pytest.mark.parametrize("case, error", [
+    ("nan", ValueError),
+    ("non-hermitian", mk.HermiticityError),
+    ("above-one", dv.EffectBoundsError),
+    ("below-zero", dv.EffectBoundsError),
+])
+def test_stacked_effects_reject_what_one_effect_rejects(case, error):
+    rng = np.random.default_rng(14)
+    good = [rand_effect(rng, 2).matrix for _ in range(3)]
+    bad = {"nan": np.array([[0.5, np.nan], [np.nan, 0.5]]),
+           "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+           "above-one": np.diag([1.1, 0.2]),
+           "below-zero": np.diag([0.3, -1e-6])}[case]
+    assert _raised(lambda: dv.Effect(bad)) is error
+    assert _raised(lambda: dv.Effect.from_stack(good + [bad])) is error
+
+
+def test_stacked_instrument_rejects_a_total_that_is_not_a_channel():
+    quarter = dv.choi_from_kraus(dv.KrausSet((I2 / 2,))).choi
+    ident = dv.choi_from_kraus(dv.KrausSet((I2,))).choi
+    for chois in ([quarter] * 3, [quarter, ident]):
+        labels = tuple(str(i) for i in range(len(chois)))
+        maps = {x: dv.CPMap(2, 2, j) for x, j in zip(labels, chois)}
+        assert _raised(lambda: dv.Instrument(labels, maps)) is dv.NormalizationError
+        assert _raised(lambda: dv.Instrument.from_chois(labels, dict(zip(labels, chois)), 2, 2)) \
+            is dv.NormalizationError
+
+
+def test_stacked_constructors_match_one_by_one_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for din, dout in ((2, 2), (2, 3), (3, 2)):
+        ins = rand_instrument(rng, din, dout, n_out=3, ops_per_branch=2)
+        # raw Choi matrices that are Hermitian only within eq_tol
+        raw = {x: ins.branches[x].choi + 1e-13 * rand_complex(rng, din * dout)
+               for x in ins.outcomes}
+        one = dv.Instrument(ins.outcomes, {x: dv.CPMap(din, dout, j) for x, j in raw.items()})
+        stacked = dv.Instrument.from_chois(ins.outcomes, raw, din, dout)
+        maps = dv.CPMap.from_stack(din, dout, list(raw.values()))
+        for x, m in zip(ins.outcomes, maps):
+            want = one.branches[x]
+            for got in (stacked.branches[x], m):
+                assert got.kind == want.kind == "operation"
+                assert got.choi.tobytes() == want.choi.tobytes()
+                assert got.heisenberg_unit().tobytes() == want.heisenberg_unit().tobytes()
+        totals = [dv.total_channel(i) for i in (one, stacked)]
+        assert totals[0].kind == totals[1].kind == "channel"
+        assert totals[0].choi.tobytes() == totals[1].choi.tobytes()
+        assert totals[0].heisenberg_unit().tobytes() == totals[1].heisenberg_unit().tobytes()
+        label_sets = [("0",), ("0", "2"), (), ins.outcomes]
+        for labels, got in zip(label_sets, ins.branch_sums(label_sets)):
+            j = np.zeros((din * dout, din * dout), dtype=complex)
+            for x in labels:
+                j = j + ins.branches[x].choi
+            want = dv.CPMap(din, dout, j)
+            assert got.kind == ("channel" if len(labels) == 3 else "operation")
+            assert got.choi.tobytes() == want.choi.tobytes()
+            assert got.heisenberg_unit().tobytes() == want.heisenberg_unit().tobytes()
+        effects = dv.Effect.from_stack([m.heisenberg_unit() for m in maps])
+        for e, m in zip(effects, maps):
+            assert e.matrix.tobytes() == dv.Effect(m.heisenberg_unit()).matrix.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Choi / Kraus conversions
 # ---------------------------------------------------------------------------

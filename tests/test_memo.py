@@ -212,16 +212,15 @@ def test_shared_model_pair_contraction_instruments():
     eta = rand_state(rng, 2)
     a1 = rand_observable(rng, 2, 2)
     a2 = rand_observable(rng, 2, 3)
-    from qcompat.compat import state_prep_map
-    from qcompat.matkit import DEFAULT_TOL
+    from qcompat.devices import state_prep_choi
 
     i1 = Instrument(
         a1.outcomes,
-        {x: state_prep_map(a1.effects[x].matrix, eta, DEFAULT_TOL) for x in a1.outcomes},
+        {x: CPMap(2, 2, state_prep_choi(a1.effects[x].matrix, eta)) for x in a1.outcomes},
     )
     i2 = Instrument(
         a2.outcomes,
-        {x: state_prep_map(a2.effects[x].matrix, eta, DEFAULT_TOL) for x in a2.outcomes},
+        {x: CPMap(2, 2, state_prep_choi(a2.effects[x].matrix, eta)) for x in a2.outcomes},
     )
     m1, m2 = mm.shared_model_pair(i1, i2)
     assert np.array_equal(m1.u, m2.u)
