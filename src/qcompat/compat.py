@@ -277,29 +277,43 @@ class _Pair:
         self.t1, self.t2 = _joint_parts(d1, d2)
 
 
-def _carve(ins: Instrument, device, owner: dict[str, str], wtol: Tolerances):
-    """(subset, pointer) carving the device out of the instrument, re-validated.
+def _label_sets(device, owner: dict[str, str]) -> list[list[str]]:
+    """For each fixed target of the device, the instrument labels that ``owner`` maps to it."""
+    return [[lab for lab, y in owner.items() if y == x]
+            for x, t in _parts(device).items() if t is not None]
 
-    ``owner`` maps each instrument label to a device outcome; every fixed
-    target of the device must come back from its labels. The sums are
-    validated as one stack, and for a classical device their units as one
-    effect stack.
+
+def _carve(p: _Pair, owners, sums, wtol: Tolerances):
+    """(subset, pointer) carving each device out of its witness instrument.
+
+    ``owners[i]`` maps each instrument label to an outcome of device i,
+    and ``sums[i]`` holds the validated Choi matrices and units of the
+    branch sums over :func:`_label_sets`. The units of classical devices
+    are checked as one effect stack; then every fixed target must come
+    back from its sum.
     """
-    fixed = [(x, t) for x, t in _parts(device).items() if t is not None]
-    sums = ins.branch_sums([[lab for lab, y in owner.items() if y == x] for x, _ in fixed], wtol)
-    if _classical(device):
-        got = [e.matrix for e in Effect.from_stack([m.heisenberg_unit() for m in sums], wtol)]
-    else:
-        got = [m.choi for m in sums]
-    if not all(close(t, g, wtol) for (_, t), g in zip(fixed, got)):
-        raise WitnessValidationError(f"{_kind(device)} is not reproduced by the witness")
-    if isinstance(device, (Observable, Instrument)):
-        return None, PointerMap(owner, codomain=device.outcomes)
-    return tuple(lab for lab, x in owner.items() if x == "1"), None
+    devices = (p.d1, p.d2)
+    got = [chois for chois, _ in sums]
+    classical = [i for i, d in enumerate(devices) if _classical(d)]
+    if classical:
+        effects = iter(Effect.from_stack([u for i in classical for u in sums[i][1]], wtol))
+        for i in classical:
+            got[i] = [next(effects).matrix for _ in sums[i][1]]
+    carved = []
+    for d, owner, mats in zip(devices, owners, got):
+        fixed = [t for t in _parts(d).values() if t is not None]
+        if not all(close(t, g, wtol) for t, g in zip(fixed, mats)):
+            raise WitnessValidationError(f"{_kind(d)} is not reproduced by the witness")
+        if isinstance(d, (Observable, Instrument)):
+            carved.append((None, PointerMap(owner, codomain=d.outcomes)))
+        else:
+            carved.append((tuple(lab for lab, x in owner.items() if x == "1"), None))
+    return carved
 
 
 def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verdict:
-    """Joint instrument from one block per outcome pair, re-validated as one stack.
+    """Joint instrument from one block per outcome pair, re-validated as one stack
+    together with the sums that carve each device out of it.
 
     Classical pairs give effects, measured and then prepared into the
     maximally mixed state; other pairs give Choi matrices.
@@ -312,9 +326,12 @@ def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verd
         joint = Observable(tuple(effects), effects, tol=vtol)
         eta = np.eye(p.din) / p.din
         mats = {lab: state_prep_choi(e.matrix, eta) for lab, e in effects.items()}
-    ins = Instrument.from_chois(tuple(mats), mats, p.din, p.dout or p.din, vtol)
-    (s1, q1), (s2, q2) = (_carve(ins, d, {labels[xy]: xy[i] for xy in blocks}, vtol)
-                          for i, d in enumerate((p.d1, p.d2)))
+    owners = [{labels[xy]: xy[i] for xy in blocks} for i in (0, 1)]
+    sets = [_label_sets(d, owner) for d, owner in zip((p.d1, p.d2), owners)]
+    ins, chois, units = Instrument.with_sums(tuple(mats), mats, p.din, p.dout or p.din,
+                                             sets[0] + sets[1], vtol)
+    k = len(sets[0])
+    (s1, q1), (s2, q2) = _carve(p, owners, ((chois[:k], units[:k]), (chois[k:], units[k:])), vtol)
     return Verdict("compatible", CompatWitness(ins, s1, s2, q1, q2, joint), notes)
 
 
@@ -323,10 +340,11 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
 
     Device i keeps its own outcomes: each is its block ``blocks[i, x]``,
     its fixed Choi part, or, for the free outcome, what the channel
-    ``lam`` leaves over.
+    ``lam`` leaves over. Each device is carved out of single branches,
+    which need no second validation.
     """
     dout = p.dout or p.din
-    instruments = []
+    instruments, owners, sums = [], [], []
     for i, device in enumerate((p.d1, p.d2)):
         parts = _parts(device)
         choi = {}
@@ -338,13 +356,17 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
         free = [x for x in parts if x not in choi]
         if free:
             choi[free[0]] = lam - _sum(list(choi.values()), lam.shape[0])
-        instruments.append(Instrument.from_chois(tuple(parts), choi, p.din, dout, vtol))
+        owner = {x: x for x in parts}
+        ins, *carved = Instrument.with_sums(tuple(parts), choi, p.din, dout,
+                                            _label_sets(device, owner), vtol)
+        instruments.append(ins)
+        owners.append(owner)
+        sums.append(carved)
     i1, i2 = instruments
     lam1, lam2 = total_channel(i1, vtol), total_channel(i2, vtol)
     if not close(lam1.choi, lam2.choi, vtol):
         raise WitnessValidationError("witness instruments do not share their total channel")
-    (s1, q1), (s2, q2) = (_carve(ins, d, {x: x for x in ins.outcomes}, vtol)
-                          for d, ins in ((p.d1, i1), (p.d2, i2)))
+    (s1, q1), (s2, q2) = _carve(p, owners, sums, vtol)
     return Verdict("weakly_compatible_only", WeakWitness(i1, i2, lam1, s1, s2, q1, q2), notes)
 
 

@@ -16,7 +16,9 @@ and the Heisenberg units of Choi matrices come from one ``einsum`` and
 their top eigenvalues from one more ``eigvalsh``. The single-matrix
 constructors call them on a stack of one; ``CPMap.from_stack``,
 ``Effect.from_stack``, ``Instrument.from_chois`` and
-``Instrument.branch_sums`` validate many matrices at once.
+``Instrument.branch_sums`` validate many matrices at once, and
+``Instrument.with_sums`` validates an instrument's branches, its total
+and its sums over several label sets as one stack.
 
 Choi convention: for a map ``F`` from states on the input space (side
 ``dim_in``) to states on the output space (side ``dim_out``),
@@ -300,7 +302,7 @@ class Instrument:
             raise MatrixShapeError("all branches must share input/output dimensions")
         # branch Choi matrices are Hermitian, entry for entry, and so is their sum
         total = sum(self.branches[x].choi for x in outcomes)
-        _, channel = _with_total(total[None], *next(iter(dims)), tol)
+        _, channel, _ = _with_total(total[None], 0, *next(iter(dims)), tol)
         vars(self).update(outcomes=outcomes, _total=(tol, channel))
 
     @classmethod
@@ -312,14 +314,33 @@ class Instrument:
         total is, as for an instrument of CPMaps, the sum in outcome order
         of the branches' Hermitian parts.
         """
+        return cls.with_sums(outcomes, chois, dim_in, dim_out, (), tol)[0]
+
+    @classmethod
+    def with_sums(cls, outcomes, chois: dict, dim_in: int, dim_out: int, label_sets,
+                  tol: Tolerances | None = None):
+        """:meth:`from_chois`'s instrument, with the Choi matrices and the Heisenberg
+        units of its branch sums over ``label_sets``, as :meth:`branch_sums` adds them.
+
+        One stack holds the branches, their total and every sum that is not
+        a single branch, and is checked in that order: the branches as
+        operations, the total as a channel, the sums as operations. A
+        single branch is its own sum, validated once.
+        """
         tol = tol or DEFAULT_TOL
         outcomes = _outcome_labels(outcomes, chois)
         j = _square_stack([chois[x] for x in outcomes], "Choi matrix", dim_in * dim_out)
         h = _hermitian_stack(j, tol, "Choi matrix")
-        # the total of Hermitian parts is Hermitian, entry for entry
-        branches, channel = _with_total(np.concatenate([h, sum(h)[None]]), dim_in, dim_out, tol)
-        return _made(cls, outcomes=outcomes, branches=dict(zip(outcomes, branches)),
-                     _total=(tol, channel))
+        sets, sums = _label_sums(dict(zip(outcomes, h)), label_sets)
+        many = [len(labels) != 1 for labels in sets]
+        # the total and the sums of Hermitian parts are Hermitian, entry for entry
+        stack = np.concatenate([h, sum(h)[None], sums[many]])
+        branches, channel, units = _with_total(stack, len(h), dim_in, dim_out, tol)
+        ins = _made(cls, outcomes=outcomes, branches=dict(zip(outcomes, branches)),
+                    _total=(tol, channel))
+        extra = iter(range(len(h) + 1, len(stack)))
+        rows = [next(extra) if m else outcomes.index(labels[0]) for m, labels in zip(many, sets)]
+        return ins, [stack[k] for k in rows], [units[k] for k in rows]
 
     @property
     def dim_in(self) -> int:
@@ -332,15 +353,7 @@ class Instrument:
     def branch_sums(self, label_sets, tol: Tolerances = DEFAULT_TOL) -> list[CPMap]:
         """Summed operations over outcome subsets (the empty sum is null), validated
         as one stack; each is a channel when it is trace-preserving."""
-        sets = [list(labels) for labels in label_sets]
-        for x in (x for labels in sets for x in labels):
-            if x not in self.branches:
-                raise OutcomeError(f"unknown outcome {x!r}")
-        side = self.dim_in * self.dim_out
-        sums = np.zeros((len(sets), side, side), dtype=complex)
-        for j, labels in zip(sums, sets):
-            for x in labels:
-                j += self.branches[x].choi
+        _, sums = _label_sums({x: m.choi for x, m in self.branches.items()}, label_sets)
         return _channels_when_tp(CPMap.from_stack(self.dim_in, self.dim_out, sums, tol), tol)
 
     def branch_sum(self, labels, tol: Tolerances = DEFAULT_TOL) -> CPMap:
@@ -359,20 +372,38 @@ def _outcome_labels(outcomes, branches: dict) -> tuple[str, ...]:
     return outcomes
 
 
-def _with_total(stack: np.ndarray, din: int, dout: int, tol: Tolerances):
-    """Check a Hermitian Choi stack of branches followed by their total: the
-    branches as operations, and the total as a channel, else NormalizationError."""
+def _label_sums(chois: dict, label_sets):
+    """The label sets as lists, and the (n, side, side) stack of the sums of ``chois``
+    over each, added from zero in label order (the empty sum is null); OutcomeError
+    for a label that ``chois`` lacks."""
+    sets = [list(labels) for labels in label_sets]
+    for x in (x for labels in sets for x in labels):
+        if x not in chois:
+            raise OutcomeError(f"unknown outcome {x!r}")
+    side = next(iter(chois.values())).shape[0]
+    sums = np.zeros((len(sets), side, side), dtype=complex)
+    for j, labels in zip(sums, sets):
+        for x in labels:
+            j += chois[x]
+    return sets, sums
+
+
+def _with_total(stack: np.ndarray, n: int, din: int, dout: int, tol: Tolerances):
+    """Check a Hermitian Choi stack of n branches, their total, then further sums,
+    in that order: the branches and sums as operations, the total as a channel,
+    else NormalizationError. Returns the branches, the total and every unit."""
     stack.flags.writeable = False
     low, units, top = _spectra(stack, din, dout)
-    _check_maps(low[:-1], top[:-1], tol)
-    *branches, channel = _operations(din, dout, stack, units)
+    _check_maps(low[:n], top[:n], tol)
+    *branches, channel = _operations(din, dout, stack[:n + 1], units[:n + 1])
     vars(channel)["kind"] = "channel"
     try:
-        _check_maps(low[-1:], top[-1:], tol)
+        _check_maps(low[n:n + 1], top[n:n + 1], tol)
         _require_channel(channel, tol)
     except (TraceConditionError, PositivityError) as exc:
         raise NormalizationError(f"branch sum is not a channel: {exc}") from exc
-    return branches, channel
+    _check_maps(low[n + 1:], top[n + 1:], tol)
+    return branches, channel, units
 
 
 def _channels_when_tp(maps: list[CPMap], tol: Tolerances) -> list[CPMap]:

@@ -649,6 +649,7 @@ def solve(
     except np.linalg.LinAlgError:
         pass
     if point is not None:
+        # polished even when the projection met feas_tol: only the polished point lies on the face
         polished = _face_polish(point, float(np.cbrt(gap / nu)), layout, a, b, proj_affine, tol)
         if polished is not None:
             if trace:

@@ -41,8 +41,9 @@ class Tolerances:
     feas_tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.eq_tol < 0 or self.psd_tol < 0 or self.feas_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # NaN fails every comparison, so the test is written to pass only finite values
+        if not all(0 <= t < math.inf for t in (self.eq_tol, self.psd_tol, self.feas_tol)):
+            raise ValueError("tolerances must be finite and nonnegative")
 
 
 DEFAULT_TOL = Tolerances()

@@ -246,6 +246,16 @@ def test_table1_json(capsys):
     assert relations[("luders_px", "luders_pz")] == "strongly_incompatible"
 
 
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-feas", "nan"), ("--tol-psd", "inf"), ("--tol-eq", "-inf"), ("--tol-eq", "nan"),
+])
+def test_non_finite_tolerance_is_invalid_input(flag, value, capsys):
+    code, out, err = run_cli([f"{flag}={value}", "table1"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "finite" in err
+    assert out == ""
+
 def test_stdout_deterministic(device_file):
     outs = set()
     for _ in range(2):

@@ -12,7 +12,7 @@ from qcompat import devices as dv
 from qcompat import feasibility as fs
 from qcompat import order as od
 from qcompat.devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus
-from qcompat.matkit import Tolerances, herm_from_coords
+from qcompat.matkit import PositivityError, Tolerances, herm_from_coords
 from qcompat.fixtures import (
     I2,
     PMX,
@@ -359,6 +359,17 @@ def test_weakly_compatible_ops_strong_pair():
     assert v.relation == "strongly_incompatible"
     assert "margin" in v.notes
 
+
+
+def test_weak_solve_of_luders_px_and_half_sigma_x_ends_in_the_face_polish():
+    # the projection meets feas_tol here, and the polish still runs: the
+    # rank-1 structure checked next holds on the face, not at the projection
+    lines = []
+    v = cp.weakly_compatible(DEV["luders_px"], DEV["half_sigma_x"], fast_paths=False,
+                             trace=lines.append)
+    assert v.relation == "weakly_compatible_only" and v.notes == "sdp"
+    assert "face-polish" in lines[-1]
+    assert all("face-polish" not in line for line in lines[:-1])
 
 def test_weak_completion_branch_has_rank1_structure():
     # any engine-found upper channel of a rank-1-deficit map is in the family
@@ -1066,24 +1077,26 @@ def _benchmark_workloads(monkeypatch):
 
 
 def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
-    # every witness instrument is validated as one stack; rebuilt branch by
-    # branch from the same raw Choi matrices, it must come out bit for bit
+    # every witness instrument is validated as one stack with the sums that
+    # carve the devices out of it; rebuilt branch by branch from the same raw
+    # Choi matrices, it must come out bit for bit, and so must the sums
     built = []
-    stacked = Instrument.from_chois.__func__
+    stacked = Instrument.with_sums.__func__
 
-    def recorded(cls, outcomes, chois, dim_in, dim_out, tol=None):
-        ins = stacked(cls, outcomes, chois, dim_in, dim_out, tol)
-        built.append((dict(chois), tol, ins))
-        return ins
+    def recorded(cls, outcomes, chois, dim_in, dim_out, label_sets, tol=None):
+        out = stacked(cls, outcomes, chois, dim_in, dim_out, label_sets, tol)
+        built.append((dict(chois), [tuple(s) for s in label_sets], tol, out))
+        return out
 
-    monkeypatch.setattr(Instrument, "from_chois", classmethod(recorded))
+    monkeypatch.setattr(Instrument, "with_sums", classmethod(recorded))
     wl = _benchmark_workloads(monkeypatch)
     calls = [(p.d1, p.d2, fast) for p in wl.fastpath_mix(90210) for fast in (True, False)]
     calls += [(p.d1, p.d2, p.fast_paths) for p in wl.engine_tail(90210, 0)]
-    for d1, d2, fast in calls:
-        cp.classify(d1, d2, fast_paths=fast)
+    kinds = {type(cp.classify(d1, d2, fast_paths=fast).witness) for d1, d2, fast in calls}
+    assert {cp.CompatWitness, cp.WeakWitness} <= kinds
     assert len(built) > len(calls) // 2
-    for chois, tol, ins in built:
+    assert any(len(s) > 1 for _, sets, _, _ in built for s in sets)
+    for chois, label_sets, tol, (ins, sums, units) in built:
         one = Instrument(ins.outcomes, {x: CPMap(ins.dim_in, ins.dim_out, chois[x], tol=tol)
                                         for x in ins.outcomes}, tol=tol)
         pairs = [(one.branches[x], ins.branches[x]) for x in ins.outcomes]
@@ -1092,6 +1105,20 @@ def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
             assert got.kind == want.kind
             assert got.choi.tobytes() == want.choi.tobytes()
             assert got.heisenberg_unit().tobytes() == want.heisenberg_unit().tobytes()
+        assert len(sums) == len(units) == len(label_sets)
+        for labels, choi, unit, want in zip(label_sets, sums, units,
+                                            one.branch_sums(label_sets, tol)):
+            if len(labels) == 1:
+                # a single branch is its own sum; branch_sums adds it to zero,
+                # which can only turn a -0.0 entry into 0.0
+                branch = ins.branches[labels[0]]
+                assert choi.tobytes() == branch.choi.tobytes()
+                assert unit.tobytes() == branch.heisenberg_unit().tobytes()
+                assert np.array_equal(choi, want.choi)
+                assert np.array_equal(unit, want.heisenberg_unit())
+            else:
+                assert choi.tobytes() == want.choi.tobytes()
+                assert unit.tobytes() == want.heisenberg_unit().tobytes()
 
 
 def test_commuting_observables_witness_takes_few_eigvalsh_calls(monkeypatch):
@@ -1110,6 +1137,103 @@ def test_commuting_observables_witness_takes_few_eigvalsh_calls(monkeypatch):
     v = cp.classify(a, b)
     assert v.relation == "compatible" and "commuting-observables" in v.notes
     assert len(v.witness.instrument.outcomes) == 9
-    # the witness takes one effect stack, one instrument stack, and per device
-    # one stack of carved sums with one effect stack of their units
-    assert len(calls) <= 12, calls
+    # the witness takes one effect stack of the joint observable, one Choi
+    # stack of the instrument and its carved sums (Choi matrices, then their
+    # units), and one effect stack of the carved units of both devices
+    assert len(calls) <= 4, calls
+
+
+# ---------------------------------------------------------------------------
+# tampered witnesses: each fault is caught by its validation stage
+# ---------------------------------------------------------------------------
+
+_ETA = I2 / 2
+_OFF = 1e-3 / np.sqrt(2)  # mixing PX and P-X by this moves a unit 1e-3 in Frobenius norm
+
+
+def _mixed(a, b, t):
+    return (1 - t) * a + t * b
+
+
+def _tampered_joint(case):
+    """The dephasing channel and sharp_x as parts of the Lueders-x instrument, with a fault."""
+    p = cp._Pair(DEV["px_dephasing"], DEV["sharp_x"], cp.DEFAULT_TOL)
+    plus, minus = luders_of(PX).choi, luders_of(PMX).choi
+    blocks = {("1", "+"): plus, ("1", "-"): minus}
+    if case == "negative-branch":  # P-x's Lueders Choi matrix spans a kernel vector of Px's
+        blocks["1", "+"] = plus - 1e-4 * minus
+    elif case == "total-not-channel":
+        blocks = {xy: 0.9 * m for xy, m in blocks.items()}
+    elif case == "pointer-miss":
+        blocks = {("1", "+"): _mixed(plus, minus, _OFF), ("1", "-"): _mixed(minus, plus, _OFF)}
+    elif case == "unit-below-zero":
+        # Choi eigenvalue -8e-6 on both output levels: within psd_tol, unit -1.6e-5 is not
+        blocks["1", "+"] = plus - 8e-6 * np.kron(PMX.T, I2)
+    return p, blocks
+
+
+def _tampered_weak(case):
+    """sharp_x and sharp_z, each measured and then prepared into I/2, with a fault."""
+    p = cp._Pair(sharp_observable(PX, PMX), sharp_observable(PZ, PMZ), cp.DEFAULT_TOL)
+    blocks = {(i, x): dv.state_prep_choi(e.matrix, _ETA)
+              for i, d in enumerate((p.d1, p.d2)) for x, e in d.effects.items()}
+    plus, minus = blocks[0, "+"], blocks[0, "-"]
+    if case == "negative-branch":
+        blocks[0, "+"] = plus - 1e-4 * np.kron(PMX.T, PZ)
+    elif case == "total-not-channel":
+        blocks[0, "+"], blocks[0, "-"] = 0.9 * plus, 0.9 * minus
+    elif case == "pointer-miss":
+        blocks[0, "+"], blocks[0, "-"] = _mixed(plus, minus, _OFF), _mixed(minus, plus, _OFF)
+    elif case == "unit-below-zero":
+        blocks[0, "+"] = plus - 8e-6 * np.kron(PMX.T, I2)
+    elif case == "unit-above-one":  # stopped by the Choi check, before any unit stack
+        blocks[0, "+"] = (1 + 1e-4) * plus
+    return p, blocks
+
+
+@pytest.mark.parametrize("case, error", [
+    (None, None),
+    ("negative-branch", PositivityError),
+    ("total-not-channel", dv.NormalizationError),
+    ("pointer-miss", cp.WitnessValidationError),
+    ("unit-below-zero", dv.EffectBoundsError),
+])
+def test_tampered_joint_witness_is_rejected(case, error):
+    p, blocks = _tampered_joint(case)
+    if error is None:
+        v = cp._joint_verdict(p, blocks, "hand-built", p.wtol)
+        assert v.relation == "compatible" and v.witness.pointer_2.preimage("+") == ("1&+",)
+        return
+    with pytest.raises(error):
+        cp._joint_verdict(p, blocks, "hand-built", p.wtol)
+
+
+def test_tampered_classical_joint_observable_is_rejected():
+    # a carved unit is bounded by its Choi check at the same threshold, so
+    # a unit above 1 meets EffectBoundsError only in a classical pair, whose
+    # blocks are the effects of the joint observable
+    p = cp._Pair(effect(PZ), effect(I2 / 2), cp.DEFAULT_TOL)
+    blocks = {("1", "1"): PZ / 2, ("1", "0"): PZ / 2, ("0", "1"): PMZ / 2, ("0", "0"): PMZ / 2}
+    assert cp._joint_verdict(p, blocks, "hand-built", p.wtol).relation == "compatible"
+    blocks["1", "1"] = (1 + 1e-4) * PZ
+    with pytest.raises(dv.EffectBoundsError):
+        cp._joint_verdict(p, blocks, "hand-built", p.wtol)
+
+
+@pytest.mark.parametrize("case, error", [
+    (None, None),
+    ("negative-branch", PositivityError),
+    ("total-not-channel", dv.NormalizationError),
+    ("pointer-miss", cp.WitnessValidationError),
+    ("unit-below-zero", dv.EffectBoundsError),
+    ("unit-above-one", dv.TraceConditionError),
+])
+def test_tampered_weak_witness_is_rejected(case, error):
+    p, blocks = _tampered_weak(case)
+    if error is None:
+        v = cp._weak_verdict(p, blocks, None, "hand-built", p.wtol)
+        assert v.relation == "weakly_compatible_only"
+        assert v.witness.pointer_1.preimage("+") == ("+",)
+        return
+    with pytest.raises(error):
+        cp._weak_verdict(p, blocks, None, "hand-built", p.wtol)

@@ -236,3 +236,10 @@ def test_tolerances_defaults_and_validation():
     assert tol.eq_tol == 1e-9 and tol.psd_tol == 1e-9 and tol.feas_tol == 1e-7
     with pytest.raises(ValueError):
         mk.Tolerances(eq_tol=-1.0)
+
+
+@pytest.mark.parametrize("field", ["eq_tol", "psd_tol", "feas_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_tolerances_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        mk.Tolerances(**{field: value})
