@@ -251,9 +251,12 @@ def weak_problem(d1, d2) -> fs.FeasibilityProblem:
     terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
     cons = [fs.encode_sum_constraint(terms, fixed[0] - fixed[1])]
     if _free(parts[0]) and _free(parts[1]):
-        # the row's map applied to the fixed total moves to the right-hand side
         tp = _row(own[0], np.eye(din), quantum, (din, dout))
-        cons.append(fs.AffineConstraint(tp.terms, tp.rhs - tp.terms[0][1] @ herm_coords(fixed[0])))
+        if quantum:
+            # the row's partial trace of the fixed total moves to the right-hand
+            # side; classical devices have no fixed Choi parts
+            tp = fs.AffineConstraint(tp.terms, tp.rhs - tp.terms[0][1].matrix @ herm_coords(fixed[0]))
+        cons.append(tp)
     cons += [_row([_weak_name(i, x)], t, quantum, (din, dout))
              for i, d in enumerate(devices) if _classical(d)
              for x, t in parts[i].items() if t is not None]

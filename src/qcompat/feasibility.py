@@ -25,6 +25,13 @@ Schur complement) gets its coordinate matrix in closed form, Re(T^H L T),
 from the map's vec matrix L and the coordinate bases T. Each step of the
 run decomposes the slack once; that spectrum also gives the cone
 projection of the affine point.
+
+Constraint rows are typed: a sum row keeps its scalar coefficients and a
+partial-trace row its slot layout, so only the right-hand sides carry
+data. What the blocks and the typed rows fix is planned once per shape:
+the assembled constraint matrix and, for problems that facial reduction
+leaves whole, its affine frame (one SVD). Plans are cached, bounded and
+read-only, and a solve from a cached plan gives the bits of a cold one.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
-    frob_norm,
     herm_coords,
     herm_from_coords,
     herm_stack_coords,
@@ -51,16 +57,46 @@ from .matkit import (
 
 
 @dataclass(frozen=True)
+class PartialTrace:
+    """The map X -> Tr_other(X) on a block of the bipartite space ``dims``,
+    keeping slot ``keep``."""
+
+    dims: tuple[int, int]
+    keep: int
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Its read-only coordinate matrix."""
+        return _partial_trace_matrix(*self.dims, self.keep)
+
+
+@dataclass(frozen=True)
 class AffineConstraint:
     """One affine equation: sum of real-linear maps on blocks equals a target.
 
-    Each term is (block name, real matrix acting on the block's
-    coordinate vector); the right-hand side is the coordinate vector of
-    a Hermitian target.
+    Each term is (block name, map); the right-hand side is the
+    coordinate vector of a Hermitian target. A map is a float c (c times
+    the identity: a sum row), a :class:`PartialTrace`, or an explicit
+    real matrix acting on the block's coordinate vector. Problems whose
+    maps are all floats and partial traces are planned once per shape;
+    an explicit matrix makes its problem planned afresh on every solve.
     """
 
-    terms: tuple[tuple[str, np.ndarray], ...]
+    terms: tuple[tuple[str, float | PartialTrace | np.ndarray], ...]
     rhs: np.ndarray
+
+    def __post_init__(self) -> None:
+        # tuples all the way down: typed terms are a plan's cache key
+        object.__setattr__(self, "terms", tuple((n, op) for n, op in self.terms))
+
+
+def _term_shape(op, side: int) -> tuple[int, int]:
+    """Shape of the coordinate matrix of a term's map on a block of that side."""
+    if isinstance(op, PartialTrace):
+        return op.dims[op.keep] ** 2, (op.dims[0] * op.dims[1]) ** 2
+    if isinstance(op, np.ndarray):
+        return op.shape
+    return side * side, side * side
 
 
 @dataclass(frozen=True)
@@ -76,12 +112,13 @@ class FeasibilityProblem:
         sides = dict(self.blocks)
         for c in self.constraints:
             m = c.rhs.shape[0]
-            for name, mat in c.terms:
+            for name, op in c.terms:
                 if name not in sides:
                     raise ValueError(f"constraint references unknown block {name!r}")
-                if mat.shape != (m, sides[name] ** 2):
+                shape = _term_shape(op, sides[name])
+                if shape != (m, sides[name] ** 2):
                     raise MatrixShapeError(
-                        f"constraint term for {name!r} has shape {mat.shape}, "
+                        f"constraint term for {name!r} has shape {shape}, "
                         f"expected ({m}, {sides[name] ** 2})"
                     )
 
@@ -117,13 +154,8 @@ def encode_sum_constraint(blocks, target: np.ndarray) -> AffineConstraint:
     bare names get coefficient +1.
     """
     target = hermitian_part(np.asarray(target, dtype=complex))
-    s = target.shape[0]
-    eye = np.eye(s * s)
-    terms = []
-    for item in blocks:
-        name, coeff = item if isinstance(item, tuple) else (item, 1.0)
-        terms.append((name, float(coeff) * eye))
-    return AffineConstraint(tuple(terms), herm_coords(target))
+    terms = (item if isinstance(item, tuple) else (item, 1.0) for item in blocks)
+    return AffineConstraint(tuple((n, float(c)) for n, c in terms), herm_coords(target))
 
 
 def encode_partial_trace_constraint(
@@ -133,8 +165,8 @@ def encode_partial_trace_constraint(
     target = hermitian_part(np.asarray(target, dtype=complex))
     if target.shape[0] != dims[keep]:
         raise MatrixShapeError("target side does not match the kept slot")
-    mat = _partial_trace_matrix(int(dims[0]), int(dims[1]), keep)
-    return AffineConstraint(((block, mat),), herm_coords(target))
+    op = PartialTrace((int(dims[0]), int(dims[1])), int(keep))
+    return AffineConstraint(((block, op),), herm_coords(target))
 
 
 @functools.cache
@@ -250,21 +282,96 @@ def _face_map(layout: _Layout, bases) -> tuple[np.ndarray, _Layout]:
     return embed, face
 
 
-def _assemble(problem: FeasibilityProblem, layout: _Layout):
-    col_of = dict(zip(layout.names, layout.offsets))
-    side_of = dict(problem.blocks)
-    rows, rhs = [], []
-    for c in problem.constraints:
-        m = c.rhs.shape[0]
+def _assemble(rows, layout: _Layout) -> np.ndarray:
+    """Read-only constraint matrix of rows given as (terms, height)."""
+    col_of = dict(zip(layout.names, zip(layout.offsets, layout.sides)))
+    parts = []
+    for terms, m in rows:
         block_row = np.zeros((m, layout.total))
-        for name, mat in c.terms:
-            o = col_of[name]
-            block_row[:, o : o + side_of[name] ** 2] += mat
-        rows.append(block_row)
-        rhs.append(c.rhs)
-    if not rows:
-        return np.zeros((0, layout.total)), np.zeros(0)
-    return np.vstack(rows), np.concatenate(rhs)
+        for name, op in terms:
+            o, d = col_of[name]
+            cols = block_row[:, o : o + d * d]
+            if isinstance(op, PartialTrace):
+                op = op.matrix
+            if isinstance(op, np.ndarray):
+                cols += op
+            else:  # c times the identity
+                diag = np.arange(d * d)
+                cols[diag, diag] += op
+        parts.append(block_row)
+    a = np.vstack(parts) if parts else np.zeros((0, layout.total))
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """The affine frame of a constraint matrix a, from one SVD.
+
+    ``x0(b)`` is the min-norm solution of a x = b, ``gram`` the projector
+    onto the row space of a and ``null`` an orthonormal basis of its
+    null space. ``f`` stacks null^T on the all-blocks identity e, with
+    its columns per side group in ``f_groups``; ``blind`` marks
+    constraints that never see e. All arrays are read-only.
+    """
+
+    row: np.ndarray
+    u: np.ndarray
+    sv: np.ndarray
+    gram: np.ndarray
+    null: np.ndarray
+    f: np.ndarray
+    f_groups: tuple[np.ndarray, ...]
+    blind: bool
+
+    @staticmethod
+    def of(a: np.ndarray, layout: _Layout) -> "_Frame":
+        u, sv, vt = np.linalg.svd(a)
+        rank = int(np.sum(sv > 1e-12 * sv[0]))
+        row, null = vt[:rank], vt[rank:].T
+        gram = row.T @ row
+        e = layout.identity
+        f = np.vstack([null.T, e])  # the slack is S = x0 - f^T y, with y = (w, t)
+        f_groups = tuple(f[:, gather.ravel()] for _, gather in layout.groups)
+        for arr in (u, sv, row, null, gram, f, *f_groups):
+            arr.flags.writeable = False
+        blind = bool(np.linalg.norm(gram @ e) <= 1e-9 * np.linalg.norm(e))
+        return _Frame(row, u[:, :rank], sv[:rank], gram, null, f, f_groups, blind)
+
+    def x0(self, b: np.ndarray) -> np.ndarray:
+        return self.row.T @ ((self.u.T @ b) / self.sv)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What a problem's shape fixes: its layout, its read-only constraint
+    matrix and, once a solve has needed it, that matrix's affine frame."""
+
+    layout: _Layout
+    a: np.ndarray
+
+    @staticmethod
+    def build(blocks: tuple[tuple[str, int], ...], rows) -> "_Plan":
+        layout = _Layout.of(blocks)
+        return _Plan(layout, _assemble(rows, layout))
+
+    @staticmethod
+    @functools.lru_cache(maxsize=32)
+    def of(blocks: tuple[tuple[str, int], ...], rows) -> "_Plan":
+        """Plan of blocks and typed (terms, height) rows; cached."""
+        return _Plan.build(blocks, rows)
+
+    @functools.cached_property
+    def frame(self) -> _Frame:
+        return _Frame.of(self.a, self.layout)
+
+
+def _plan(problem: FeasibilityProblem) -> _Plan:
+    """The problem's plan: cached per shape, unless a term is an explicit matrix."""
+    rows = tuple((c.terms, c.rhs.shape[0]) for c in problem.constraints)
+    if any(isinstance(op, np.ndarray) for terms, _ in rows for _, op in terms):
+        return _Plan.build(problem.blocks, rows)
+    return _Plan.of(problem.blocks, rows)
 
 
 def _spectra(x: np.ndarray, layout: _Layout) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -327,15 +434,6 @@ def _certificate_bound(v: np.ndarray, layout: _Layout, gram: np.ndarray, x0: np.
     if weight <= 0:
         return None
     return float(x0 @ z) / weight
-
-
-def _affine_frame(a: np.ndarray, b: np.ndarray):
-    """The min-norm solution x0 of a x = b, the projector onto the row
-    space of a, and an orthonormal basis of its null space, from one SVD."""
-    u, sv, vt = np.linalg.svd(a)
-    rank = int(np.sum(sv > 1e-12 * sv[0]))
-    row = vt[:rank]
-    return row.T @ ((u[:, :rank].T @ b) / sv[:rank]), row.T @ row, vt[rank:].T
 
 
 _MAX_STEPS = 100  # interior-point steps per run, at most
@@ -410,22 +508,19 @@ def _face_polish(
     return None
 
 
-def _identity_coefficient(mat: np.ndarray) -> float | None:
-    """The scalar c when a term matrix equals c times the identity."""
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        return None
-    c = float(np.trace(mat)) / n
-    if frob_norm(mat - c * np.eye(n)) <= 1e-12 * max(1.0, abs(c)):
-        return c
-    return None
-
-
 def _intersect_ranges(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     p1 = b1 @ b1.conj().T
     p2 = b2 @ b2.conj().T
     evals, vecs = np.linalg.eigh((p1 + p2) / 2)
     return vecs[:, evals > 1.0 - 1e-7]
+
+
+def _positive_identity(op) -> bool:
+    """Whether a term's map is a positive multiple of the identity: a
+    positive float, or a partial trace over a slot of dimension 1."""
+    if isinstance(op, PartialTrace):
+        return op.dims[1 - op.keep] == 1
+    return not isinstance(op, np.ndarray) and op > 0
 
 
 def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, np.ndarray]:
@@ -440,19 +535,15 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
     sides = dict(problem.blocks)
     bounds: dict[str, np.ndarray] = {}
     for c in problem.constraints:
-        coeffs = [(_identity_coefficient(mat), name) for name, mat in c.terms]
-        if not coeffs or any(co is None or co <= 0 for co, _ in coeffs):
+        if not c.terms or not all(_positive_identity(op) for _, op in c.terms):
             continue
-        s = sides[c.terms[0][0]]
-        if c.rhs.shape[0] != s * s:
-            continue
-        r = herm_from_coords(c.rhs, s)
+        r = herm_from_coords(c.rhs, sides[c.terms[0][0]])
         evals, vecs = np.linalg.eigh(r)
         scale = max(float(evals[-1]), 1.0)
         if evals[0] < -1e3 * tol.psd_tol * scale:
             continue
         basis = vecs[:, evals > tol.psd_tol]
-        for _, name in coeffs:
+        for name, _ in c.terms:
             if name in bounds:
                 bounds[name] = _intersect_ranges(bounds[name], basis)
             else:
@@ -473,7 +564,10 @@ def _step_lengths(halves, dz: np.ndarray, ds: np.ndarray, layout: _Layout):
     lo_z = lo_s = 0.0
     for (d, gather), h in zip(layout.groups, halves):
         rows = np.concatenate([dz[gather], ds[gather]])
-        least = np.linalg.eigvalsh(h @ herm_stack_from_coords(rows, d) @ h)[:, 0]
+        if d == 1:  # 1x1 blocks are their own eigenvalue
+            least = (h[:, 0] * rows * h[:, 0])[:, 0]
+        else:
+            least = np.linalg.eigvalsh(h @ herm_stack_from_coords(rows, d) @ h)[:, 0]
         lo_z = min(lo_z, float(least[: len(gather)].min()))
         lo_s = min(lo_s, float(least[len(gather) :].min()))
     return tuple(1.0 if lo >= -0.95 else -0.95 / lo for lo in (lo_z, lo_s))
@@ -550,7 +644,8 @@ def solve(
     by positive sum constraints: the constraints are composed with the
     face map of ``_face_map`` and the search runs in face coordinates.
     One SVD of the constraint matrix gives the min-norm affine point x0,
-    the row-space projector and an orthonormal null-space basis N. Then
+    the row-space projector and an orthonormal null-space basis N; a
+    problem left whole takes it from its shape's ``_Plan``. Then
     one infeasible-start primal-dual interior-point run of at most
     ``_MAX_STEPS`` steps (HKM direction, Mehrotra predictor-corrector)
     works on the margin SDP
@@ -573,17 +668,21 @@ def solve(
     the constraints; else the verdict is undecided, with the best
     certified margin. The run is deterministic.
     """
-    full = _Layout.of(problem.blocks)
-    a, b = _assemble(problem, full)
+    plan = _plan(problem)
+    full, a = plan.layout, plan.a
+    b = np.concatenate([c.rhs for c in problem.constraints]) if problem.constraints else np.zeros(0)
     bounds = _support_bounds(problem, tol)
     embed, layout = None, full
     if bounds:
         embed, layout = _face_map(full, [bounds.get(n) for n in full.names])
         a = a @ embed
 
+    frame = None
     x0 = np.zeros(layout.total)
     if a.size:
-        x0, gram, null = _affine_frame(a, b)
+        # a face depends on the data, so only a whole problem reuses its plan's frame
+        frame = plan.frame if embed is None else _Frame.of(a, layout)
+        x0 = frame.x0(b)
     affine_res = float(np.linalg.norm(a @ x0 - b))
     if affine_res > tol.feas_tol * (1.0 + float(np.linalg.norm(b))):
         if trace:
@@ -598,18 +697,17 @@ def solve(
         witness = {n: hermitian_part(m) for n, m in zip(full.names, full.split(point))}
         return FeasibilityOutcome("feasible", witness, None, residual, it)
 
-    if not a.size:
+    if frame is None:
         # no constraints, or every block pinned: the zero point is the witness
         return feasible(x0, affine_res, 0)
 
     e = layout.identity
-    if np.linalg.norm(gram @ e) <= 1e-9 * np.linalg.norm(e):
+    if frame.blind:
         # the constraints never see e, so the affine set holds every shift
         # of x0 along it, and the least PSD one is the witness
         point = x0 - min(_min_eig(x0, layout), 0.0) * e
         return feasible(point, float(np.linalg.norm(a @ point - b)), 0)
-    f = np.vstack([null.T, e])  # the slack is S = x0 - f^T y, with y = (w, t)
-    f_groups = [f[:, gather.ravel()] for _, gather in layout.groups]
+    gram, null, f, f_groups = frame.gram, frame.null, frame.f, frame.f_groups
 
     def proj_affine(x: np.ndarray) -> np.ndarray:
         return x - gram @ x + x0
@@ -617,14 +715,19 @@ def solve(
     nu = float(e @ e)
     z = e / nu
     y = np.zeros(len(f))
-    y[-1] = _min_eig(x0, layout) - 1.0
+    # the first slack S = x0 - t e has the eigenvectors of x0 and its
+    # eigenvalues shifted by -t: one decomposition serves both
+    spec_s = _spectra(x0, layout)
+    y[-1] = min(float(evals[:, 0].min()) for evals, _ in spec_s) - 1.0
+    spec_s = [(evals - y[-1], evecs) for evals, evecs in spec_s]
     margin = residual = float("inf")
     done = 0
     point = None
     try:
         for it in range(_MAX_STEPS + 1):
             s = x0 - f.T @ y
-            spec_s = _spectra(s, layout)
+            if it:
+                spec_s = _spectra(s, layout)
             least = min(float(evals[:, 0].min()) for evals, _ in spec_s)
             if not least > 0:
                 raise np.linalg.LinAlgError("the slack left the cone interior")

@@ -12,7 +12,7 @@ from qcompat import devices as dv
 from qcompat import feasibility as fs
 from qcompat import order as od
 from qcompat.devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus
-from qcompat.matkit import PositivityError, Tolerances, herm_from_coords
+from qcompat.matkit import PositivityError, Tolerances, herm_coords, herm_from_coords, hermitian_part
 from qcompat.fixtures import (
     I2,
     PMX,
@@ -507,6 +507,88 @@ def _weak_problem_with_channel_block(d1, d2) -> fs.FeasibilityProblem:
              for i in (0, 1) if cp._classical(devices[i])
              for x, t in targets[i].items() if t is not None]
     return fs.FeasibilityProblem(tuple((n, side) for n in blocks), tuple(cons))
+
+
+def _dense_row(names, target, heisenberg, dims):
+    """Reference encoder: one dense term matrix per block (c times the
+    identity, or the partial trace matrix) and the target's coordinates."""
+    items = [n if isinstance(n, tuple) else (n, 1.0) for n in names]
+    t = hermitian_part(np.asarray(target, dtype=complex))
+    if heisenberg:
+        t = hermitian_part(t.T)
+        return [(n, fs._partial_trace_matrix(*dims, 0)) for n, _ in items], herm_coords(t)
+    eye = np.eye(t.shape[0] ** 2)
+    return [(n, c * eye) for n, c in items], herm_coords(t)
+
+
+def _dense_problem(builder, d1, d2):
+    """The blocks, dense constraint matrix and right-hand side of either
+    question, built row by row from dense term matrices."""
+    din, dout = cp._dims(d1, d2)
+    quantum = dout is not None
+    side = din * dout if quantum else din
+    devices, rows = (d1, d2), []
+    if builder == "joint":
+        t1, t2 = cp._joint_parts(d1, d2)
+        pairs = cp._joint_pairs(t1, t2)
+        names = [f"g{n}" for n in range(len(pairs))]
+        for i, (d, targets) in enumerate(zip(devices, (t1, t2))):
+            for x, target in targets.items():
+                if target is not None:
+                    own = [n for n, xy in zip(names, pairs) if xy[i] == x]
+                    rows.append(_dense_row(own, target, quantum and cp._classical(d), (din, dout)))
+        if cp._free(t1) and cp._free(t2):
+            rows.append(_dense_row(names, np.eye(din), quantum, (din, dout)))
+    else:
+        parts, own, fixed = (cp._parts(d1), cp._parts(d2)), [], []
+        for i, (d, t) in enumerate(zip(devices, parts)):
+            own.append([cp._weak_name(i, x) for x, m in t.items() if m is None or cp._classical(d)])
+            fixed.append(cp._sum([m for m in t.values() if m is not None and not cp._classical(d)], side))
+        terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
+        rows.append(_dense_row(terms, fixed[0] - fixed[1], False, None))
+        if cp._free(parts[0]) and cp._free(parts[1]):
+            terms, rhs = _dense_row(own[0], np.eye(din), quantum, (din, dout))
+            rows.append((terms, rhs - terms[0][1] @ herm_coords(fixed[0])))
+        rows += [_dense_row([cp._weak_name(i, x)], t, quantum, (din, dout))
+                 for i, d in enumerate(devices) if cp._classical(d)
+                 for x, t in parts[i].items() if t is not None]
+        names = own[0] + own[1]
+    offsets = {n: k * side * side for k, n in enumerate(names)}
+    a = []
+    for terms, rhs in rows:
+        block_row = np.zeros((len(rhs), len(names) * side * side))
+        for n, mat in terms:
+            block_row[:, offsets[n] : offsets[n] + side * side] += mat
+        a.append(block_row)
+    return tuple((n, side) for n in names), np.vstack(a), np.concatenate([rhs for _, rhs in rows])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_typed_rows_assemble_to_the_dense_encoding(d):
+    # every kind pair in canonical order, both questions: the plan's matrix
+    # and the right-hand side equal the dense encoding bit for bit
+    rng = np.random.default_rng([41, d])
+    kinds = {
+        "instrument": lambda: rand_instrument(rng, d, d, n_out=3),
+        "channel": lambda: rand_cpmap(rng, d, d, channel=True),
+        "operation": lambda: rand_cpmap(rng, d, d),
+        "effect": lambda: rand_effect(rng, d),
+        "observable": lambda: rand_observable(rng, d, 3),
+    }
+    order = list(kinds)
+    built = 0
+    for i, k1 in enumerate(order):
+        for k2 in order[i:]:
+            d1, d2 = kinds[k1](), kinds[k2]()
+            for builder in ("joint", "weak"):
+                problem = getattr(cp, f"{builder}_problem")(d1, d2)
+                blocks, a, b = _dense_problem(builder, d1, d2)
+                assert problem.blocks == blocks
+                assert np.array_equal(fs._plan(problem).a, a)
+                assert np.array_equal(np.concatenate([c.rhs for c in problem.constraints]), b)
+                assert not any(isinstance(op, np.ndarray) for c in problem.constraints for _, op in c.terms)
+                built += 1
+    assert built == 30
 
 
 def test_weak_problem_agrees_with_the_channel_block_formulation():

@@ -47,9 +47,9 @@ def test_negative_trace_infeasible():
 
 def affine_data(problem):
     """Layout, row-space projector and affine base point, as the solver builds them."""
-    layout = fs._Layout.of(problem.blocks)
-    x0, gram, _ = fs._affine_frame(*fs._assemble(problem, layout))
-    return layout, gram, x0
+    plan = fs._plan(problem)
+    b = np.concatenate([c.rhs for c in problem.constraints])
+    return plan.layout, plan.frame.gram, plan.frame.x0(b)
 
 
 def test_certificate_bound_of_negative_trace():
@@ -185,6 +185,16 @@ def test_support_bound_restricts_blocks_to_the_target_range():
         assert w[0, 0].real == pytest.approx(weight, abs=1e-7)
         # supported on |0><0|: nothing outside the range of the target
         assert np.abs(w - np.diag([w[0, 0], 0.0])).max() <= 1e-12
+
+
+def test_partial_trace_over_a_trivial_slot_bounds_the_support():
+    # the trace over a one-dimensional slot is the identity map, so its row
+    # bounds the block as a sum row does; the trace over a qubit slot does not
+    for dims, target, bounded in (((2, 1), np.diag([1.0, 0.0]), True), ((1, 2), np.eye(1), False)):
+        row = fs.encode_heisenberg_unit_constraint("j", dims, target)
+        problem = fs.FeasibilityProblem((("j", 2),), (row,))
+        assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == bounded
+        assert fs.solve(problem).verdict == "feasible"
 
 
 def test_all_blocks_pinned_to_zero_is_decided_without_iterating():
@@ -500,10 +510,10 @@ def test_layout_is_cached_and_read_only():
 def test_solve_decomposes_each_slack_once_per_step(monkeypatch):
     # Batched calls, one per side group: a step costs the slack's eigh,
     # the certificate's eigvalsh, the dual iterate's eigh and one eigvalsh
-    # for each of the two step lengths. The start point adds one eigvalsh
-    # (the least eigenvalue of x0) and the last iteration the slack and the
-    # certificate. A second decomposition of the slack (for the cone
-    # projection of the affine point) would add one per iteration.
+    # for each of the two step lengths. The first slack's eigh is x0's
+    # (which gives the start point), and the last iteration adds the slack
+    # and the certificate. A second decomposition of the slack (for the
+    # cone projection of the affine point) would add one per iteration.
     # Facial reduction takes single-matrix calls, which are not counted.
     calls = []
     for name in ("eigh", "eigvalsh"):
@@ -523,7 +533,70 @@ def test_solve_decomposes_each_slack_once_per_step(monkeypatch):
         calls.clear()
         out = fs.solve(problem)
         assert out.verdict == verdict and out.iterations >= 2
-        assert len(calls) <= groups * (5 * out.iterations + 3)
+        assert len(calls) <= groups * (5 * out.iterations + 2)
+
+
+def _outcome_bits(out):
+    witness = None if out.witness is None else [out.witness[k].tobytes() for k in sorted(out.witness)]
+    return out.verdict, out.iterations, repr(out.margin), repr(out.residual), witness
+
+
+def test_a_warm_plan_repeats_the_cold_solve_bit_for_bit(monkeypatch):
+    # A whole problem takes its SVD once, into the plan; a face-reduced one
+    # takes a fresh SVD of its face on every solve. Either way the second
+    # solve, from the cached plan, gives the bits of the first.
+    from qcompat import compat as cp
+
+    svds = []
+    orig = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        svds.append(a.shape)
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    problems = []
+    for seed in (3, 6):  # whole: feasible after 3 steps, infeasible after 5
+        rng = np.random.default_rng(seed)
+        problems.append((coexistence_problem(rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix), 0))
+    e2 = rand_effect(np.random.default_rng(0), 3).matrix
+    problems.append((coexistence_problem(np.diag([0.6, 0.3, 0.0]), e2), 1))  # reduced, feasible
+    f1, f2 = below_common_channel(np.random.default_rng(100))
+    problems.append((cp.joint_problem(f1, f2), 1))  # reduced, infeasible
+    verdicts = set()
+    for problem, hit_svds in problems:
+        assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == bool(hit_svds)
+        fs._Plan.of.cache_clear()
+        cold = fs.solve(problem)
+        svds.clear()
+        warm = fs.solve(problem)
+        assert len(svds) == hit_svds
+        assert fs._Plan.of.cache_info().hits == 1
+        assert _outcome_bits(warm) == _outcome_bits(cold)
+        assert cold.iterations >= 1
+        plan = fs._plan(problem)
+        cached = [plan.a]
+        if not hit_svds:
+            frame = plan.frame
+            cached += [frame.row, frame.u, frame.sv, frame.gram, frame.null, frame.f, *frame.f_groups]
+        assert not any(arr.flags.writeable for arr in cached)
+        verdicts.add(cold.verdict)
+    assert verdicts == {"feasible", "infeasible"}
+
+
+def test_plan_cache_stays_bounded():
+    # one distinct shape per block count; a problem with an explicit matrix
+    # is planned afresh and never enters the cache
+    fs._Plan.of.cache_clear()
+    limit = fs._Plan.of.cache_info().maxsize
+    for n in range(1, 2 * limit + 2):
+        blocks = tuple((f"x{i}", 1) for i in range(n))
+        row = fs.encode_sum_constraint([name for name, _ in blocks], np.eye(1))
+        assert fs.solve(fs.FeasibilityProblem(blocks, (row,))).verdict == "feasible"
+    info = fs._Plan.of.cache_info()
+    assert info.currsize == limit and info.misses == 2 * limit + 1
+    assert fs.solve(one_block_trace_problem(1.0)).verdict == "feasible"
+    assert fs._Plan.of.cache_info() == info
 
 
 def test_solver_packs_through_module_names(monkeypatch):
