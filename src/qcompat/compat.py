@@ -1,10 +1,13 @@
 """Compatibility of device pairs, decided with re-validated witnesses.
 
 Every device is read as an instrument through the table of parts
-``devices.instrument_parts``, one per outcome: a fixed target (an effect
-for classical devices, a Choi matrix otherwise) or free. Two devices are compatible when both are parts of
-one joint instrument (``joint_problem``), and weakly compatible when two
-instruments, one containing each device, have equal totals
+``devices.instrument_parts``, one per outcome: free, or the Choi matrix of
+a map on the device's own output (E^T for an effect E, whose output is
+one-dimensional). Blocks are Choi matrices on side ``din * dout``, with
+``dout = 1`` when neither device has a quantum output, and :func:`_row`
+compares their sums with targets. Two devices are compatible when both are
+parts of one joint instrument (``joint_problem``), and weakly compatible
+when two instruments, one containing each device, have equal totals
 (``weak_problem``, with blocks for the devices' own outcomes only).
 
 ``classify`` asks the joint question, then the weak one, and returns
@@ -33,6 +36,7 @@ from .devices import (
     kraus_choi,
     kraus_from_choi,
     kraus_lists,
+    sides,
     state_prep_choi,
     total_channel,
 )
@@ -53,7 +57,6 @@ from .order import (
     cp_leq,
     is_contraction_channel,
     is_pure,
-    is_trivial_effect,
     pure_pair_compatible,
     rank1_upper_channels_equal,
 )
@@ -142,10 +145,6 @@ def _kind(device) -> str:
     raise UnsupportedPairError(f"unsupported device type {type(device).__name__}")
 
 
-def _classical(device) -> bool:
-    return isinstance(device, (Effect, Observable))
-
-
 def _free(parts) -> bool:
     return any(t is None for t in parts.values())
 
@@ -154,22 +153,21 @@ def _joint_parts(d1, d2):
     """The parts of both devices as the joint question sees them.
 
     An effect facing an observable is read as its binary observable,
-    with targets E and 1 - E.
+    with targets E^T and 1 - E^T.
     """
     t1, t2 = _parts(d1), _parts(d2)
     for d, t, other in ((d1, t1, d2), (d2, t2, d1)):
         if isinstance(d, Effect) and isinstance(other, Observable):
-            t["0"] = np.eye(d.dim) - d.matrix
+            t["0"] = np.eye(d.dim) - t["1"]
     return t1, t2
 
 
-def _dims(d1, d2) -> tuple[int, int | None]:
-    """Shared input side, and output side (None when both are classical)."""
-    sides_in = {d.dim if _classical(d) else d.dim_in for d in (d1, d2)}
-    sides_out = {d.dim_out for d in (d1, d2) if not _classical(d)}
-    if len(sides_in) != 1 or len(sides_out) > 1:
+def _dims(d1, d2) -> tuple[int, int]:
+    """Shared input side, and the blocks' output side: the quantum one, else 1."""
+    (in1, out1), (in2, out2) = sides(d1), sides(d2)
+    if in1 != in2 or (None not in (out1, out2) and out1 != out2):
         raise MatrixShapeError("devices live on different spaces")
-    return sides_in.pop(), (sides_out.pop() if sides_out else None)
+    return in1, out1 or out2 or 1
 
 
 def _sum(mats, side: int) -> np.ndarray:
@@ -182,12 +180,15 @@ def _sum(mats, side: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _row(names, target: np.ndarray, heisenberg: bool, dims) -> fs.AffineConstraint:
-    """``sum of blocks = target``, or ``Tr_out(sum of blocks) = target^T``."""
-    if not heisenberg:
-        return fs.encode_sum_constraint(names, target)
-    hu = fs.encode_heisenberg_unit_constraint(names[0], dims, target)
-    return fs.AffineConstraint(tuple((n, hu.terms[0][1]) for n in names), hu.rhs)
+def _row(names, target: np.ndarray, din: int, dout: int, fixed=None) -> fs.AffineConstraint:
+    """``S = target`` for S the sum of the blocks and ``fixed``, when the target has
+    the blocks' side ``din * dout``; else ``Tr_out(S) = target``."""
+    if target.shape[0] == din * dout:
+        return fs.encode_sum_constraint(names, target if fixed is None else target - fixed)
+    row = fs.encode_partial_trace_constraint(names[0], (din, dout), 0, target)
+    op = row.terms[0][1]
+    rhs = row.rhs if fixed is None else row.rhs - op.matrix @ herm_coords(fixed)
+    return fs.AffineConstraint(tuple((n, op) for n in names), rhs)
 
 
 def _joint_pairs(t1, t2) -> list[tuple[str, str]]:
@@ -204,26 +205,23 @@ def _joint_pairs(t1, t2) -> list[tuple[str, str]]:
 def joint_problem(d1, d2) -> fs.FeasibilityProblem:
     """Both devices as parts of one instrument, one block per outcome pair.
 
-    Each fixed target of device 1, then of device 2, is the sum of its
-    blocks; the blocks sum to a channel when both devices have a free
-    outcome. Classical pairs use effect blocks; otherwise blocks are
-    Choi matrices and effect targets constrain ``Tr_out``.
+    Each fixed target of device 1, then of device 2, is matched by the
+    sum of its blocks (:func:`_row`); the blocks sum to a channel when
+    both devices have a free outcome.
     """
     t1, t2 = _joint_parts(d1, d2)
     din, dout = _dims(d1, d2)
-    quantum = dout is not None
     pairs = _joint_pairs(t1, t2)
     names = [f"g{n}" for n in range(len(pairs))]
     cons = []
-    for i, (d, targets) in enumerate(((d1, t1), (d2, t2))):
+    for i, targets in enumerate((t1, t2)):
         for x, target in targets.items():
             if target is not None:
                 own = [n for n, xy in zip(names, pairs) if xy[i] == x]
-                cons.append(_row(own, target, quantum and _classical(d), (din, dout)))
+                cons.append(_row(own, target, din, dout))
     if _free(t1) and _free(t2):
-        cons.append(_row(names, np.eye(din), quantum, (din, dout)))
-    side = din * dout if quantum else din
-    return fs.FeasibilityProblem(tuple((n, side) for n in names), tuple(cons))
+        cons.append(_row(names, np.eye(din), din, dout))
+    return fs.FeasibilityProblem(tuple((n, din * dout) for n in names), tuple(cons))
 
 
 def _weak_name(i: int, x: str) -> str:
@@ -233,33 +231,27 @@ def _weak_name(i: int, x: str) -> str:
 def weak_problem(d1, d2) -> fs.FeasibilityProblem:
     """Two instruments, one containing each device, with one total channel.
 
-    Each instrument has one block per free outcome and, for a classical
-    device, per outcome; the fixed Choi parts of a quantum device are
-    constants. Rows: the two totals agree (``sum own_2 - sum own_1 =
-    sum fixed_1 - sum fixed_2``); device 1's total is trace preserving,
-    when both devices have a free outcome (otherwise a fixed total or
-    the effect targets imply it); then the effect targets.
+    Each instrument has one block per free outcome and per target smaller
+    than the blocks (an effect's, facing a quantum output); targets of the
+    blocks' side are constants. Rows: the two totals agree (``sum own_2 -
+    sum own_1 = sum fixed_1 - sum fixed_2``); device 1's total is trace
+    preserving, when both devices have a free outcome (otherwise a fixed
+    total or the smaller targets imply it); then the smaller targets.
     """
     din, dout = _dims(d1, d2)
-    quantum = dout is not None
-    side = din * dout if quantum else din
-    devices, parts = (d1, d2), (_parts(d1), _parts(d2))
+    side = din * dout
+    parts = (_parts(d1), _parts(d2))
     own, fixed = [], []
-    for i, (d, t) in enumerate(zip(devices, parts)):
-        own.append([_weak_name(i, x) for x, m in t.items() if m is None or _classical(d)])
-        fixed.append(_sum([m for m in t.values() if m is not None and not _classical(d)], side))
+    for i, t in enumerate(parts):
+        own.append([_weak_name(i, x) for x, m in t.items() if m is None or m.shape[0] != side])
+        fixed.append(_sum([m for m in t.values() if m is not None and m.shape[0] == side], side))
     terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
     cons = [fs.encode_sum_constraint(terms, fixed[0] - fixed[1])]
     if _free(parts[0]) and _free(parts[1]):
-        tp = _row(own[0], np.eye(din), quantum, (din, dout))
-        if quantum:
-            # the row's partial trace of the fixed total moves to the right-hand
-            # side; classical devices have no fixed Choi parts
-            tp = fs.AffineConstraint(tp.terms, tp.rhs - tp.terms[0][1].matrix @ herm_coords(fixed[0]))
-        cons.append(tp)
-    cons += [_row([_weak_name(i, x)], t, quantum, (din, dout))
-             for i, d in enumerate(devices) if _classical(d)
-             for x, t in parts[i].items() if t is not None]
+        cons.append(_row(own[0], np.eye(din), din, dout, fixed[0]))
+    cons += [_row([_weak_name(i, x)], m, din, dout)
+             for i, t in enumerate(parts) for x, m in t.items()
+             if m is not None and m.shape[0] != side]
     return fs.FeasibilityProblem(tuple((n, side) for n in own[0] + own[1]), tuple(cons))
 
 
@@ -275,8 +267,11 @@ class _Pair:
         self.d1, self.d2, self.tol = d1, d2, tol
         self.wtol = witness_tolerances(tol)
         self.kinds = (_kind(d1), _kind(d2))
-        self.classical = _classical(d1) and _classical(d2)
+        self.classical = set(self.kinds) <= {"effect", "observable"}
         self.din, self.dout = _dims(d1, d2)
+        # witness output side: a classical pair's measure and prepare on the input
+        self.wout = self.din if self.classical else self.dout
+        self.vtol = self.wtol if self.classical else tol  # for its fast-path witnesses
         self.t1, self.t2 = _joint_parts(d1, d2)
 
 
@@ -291,21 +286,15 @@ def _carve(p: _Pair, owners, sums, wtol: Tolerances):
 
     ``owners[i]`` maps each instrument label to an outcome of device i,
     and ``sums[i]`` holds the validated Choi matrices and units of the
-    branch sums over :func:`_label_sets`. The units of classical devices
-    are checked as one effect stack; then every fixed target must come
-    back from its sum.
+    branch sums over :func:`_label_sets`. Every fixed target must come
+    back from its sum, as :func:`_row` reads it: the Choi matrix, or its
+    partial trace over the output, the unit's transpose.
     """
-    devices = (p.d1, p.d2)
-    got = [chois for chois, _ in sums]
-    classical = [i for i, d in enumerate(devices) if _classical(d)]
-    if classical:
-        effects = iter(Effect.from_stack([u for i in classical for u in sums[i][1]], wtol))
-        for i in classical:
-            got[i] = [next(effects).matrix for _ in sums[i][1]]
     carved = []
-    for d, owner, mats in zip(devices, owners, got):
+    for d, owner, (chois, units) in zip((p.d1, p.d2), owners, sums):
         fixed = [t for t in _parts(d).values() if t is not None]
-        if not all(close(t, g, wtol) for t, g in zip(fixed, mats)):
+        got = [j if t.shape == j.shape else u.T for t, j, u in zip(fixed, chois, units)]
+        if not all(close(t, g, wtol) for t, g in zip(fixed, got)):
             raise WitnessValidationError(f"{_kind(d)} is not reproduced by the witness")
         if isinstance(d, (Observable, Instrument)):
             carved.append((None, PointerMap(owner, codomain=d.outcomes)))
@@ -318,20 +307,21 @@ def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verd
     """Joint instrument from one block per outcome pair, re-validated as one stack
     together with the sums that carve each device out of it.
 
-    Classical pairs give effects, measured and then prepared into the
-    maximally mixed state; other pairs give Choi matrices.
+    Blocks are Choi matrices on the pair's output. A classical pair's,
+    G^T at output side 1, are the effects G of a joint observable, each
+    then measured and prepared into the maximally mixed state.
     """
     labels = {xy: f"{xy[0]}&{xy[1]}" for xy in blocks}
     mats = {labels[xy]: m for xy, m in blocks.items()}
     joint = None
-    if p.classical:
-        effects = dict(zip(mats, Effect.from_stack(list(mats.values()), vtol)))
+    if p.wout != p.dout:
+        effects = dict(zip(mats, Effect.from_stack([m.T for m in mats.values()], vtol)))
         joint = Observable(tuple(effects), effects, tol=vtol)
         eta = np.eye(p.din) / p.din
         mats = {lab: state_prep_choi(e.matrix, eta) for lab, e in effects.items()}
     owners = [{labels[xy]: xy[i] for xy in blocks} for i in (0, 1)]
     sets = [_label_sets(d, owner) for d, owner in zip((p.d1, p.d2), owners)]
-    ins, chois, units = Instrument.with_sums(tuple(mats), mats, p.din, p.dout or p.din,
+    ins, chois, units = Instrument.with_sums(tuple(mats), mats, p.din, p.wout,
                                              sets[0] + sets[1], vtol)
     k = len(sets[0])
     (s1, q1), (s2, q2) = _carve(p, owners, ((chois[:k], units[:k]), (chois[k:], units[k:])), vtol)
@@ -342,11 +332,11 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
     """Two instruments sharing a total channel, each re-validated as one stack.
 
     Device i keeps its own outcomes: each is its block ``blocks[i, x]``,
-    its fixed Choi part, or, for the free outcome, what the channel
-    ``lam`` leaves over. Each device is carved out of single branches,
-    which need no second validation.
+    its fixed target when that has the witness's side, or, for the free
+    outcome, what the channel ``lam`` leaves over. Each device is carved
+    out of single branches, which need no second validation.
     """
-    dout = p.dout or p.din
+    side = p.din * p.wout
     instruments, owners, sums = [], [], []
     for i, device in enumerate((p.d1, p.d2)):
         parts = _parts(device)
@@ -354,13 +344,13 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
         for x, target in parts.items():
             if (i, x) in blocks:
                 choi[x] = blocks[i, x]
-            elif target is not None and not _classical(device):
+            elif target is not None and target.shape[0] == side:
                 choi[x] = target
         free = [x for x in parts if x not in choi]
         if free:
             choi[free[0]] = lam - _sum(list(choi.values()), lam.shape[0])
         owner = {x: x for x in parts}
-        ins, *carved = Instrument.with_sums(tuple(parts), choi, p.din, dout,
+        ins, *carved = Instrument.with_sums(tuple(parts), choi, p.din, p.wout,
                                             _label_sets(device, owner), vtol)
         instruments.append(ins)
         owners.append(owner)
@@ -380,7 +370,7 @@ def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
     totals are the contraction channel to that state.
     """
     eta = np.eye(p.din) / p.din
-    blocks = {(i, x): state_prep_choi(t, eta) for i, d in enumerate((p.d1, p.d2))
+    blocks = {(i, x): kron(t, eta) for i, d in enumerate((p.d1, p.d2))
               for x, t in _parts(d).items() if t is not None}
     return _weak_verdict(p, blocks, kron(np.eye(p.din), eta), notes, p.tol)
 
@@ -406,13 +396,14 @@ def _commute(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> bool:
     return close(a @ b, b @ a, tol)
 
 
-def _measure(p: _Pair, e: np.ndarray) -> np.ndarray:
-    """Block measuring E: E itself, or E then the maximally mixed output."""
-    return e if p.classical else state_prep_choi(e, np.eye(p.dout) / p.dout)
+def _measure(p: _Pair, c: np.ndarray) -> np.ndarray:
+    """Block from a Choi matrix c: c itself, or, for an effect's (output side 1) on a
+    quantum output, the effect measured and then the maximally mixed state prepared."""
+    return c if c.shape[0] == p.din * p.dout else kron(c, np.eye(p.dout) / p.dout)
 
 
 def _commuting_effects(p: _Pair):
-    e1, e2 = p.d1.matrix, p.d2.matrix
+    e1, e2 = p.t1["1"], p.t2["1"]
     if not _commute(e1, e2, p.tol):
         return None
     g11 = hermitian_part(e1 @ e2)
@@ -426,11 +417,10 @@ def _sum_below_identity(p: _Pair):
     gram = sum(d.matrix if isinstance(d, Effect) else d.heisenberg_unit() for d in (p.d1, p.d2))
     if float(np.linalg.eigvalsh(hermitian_part(gram))[-1]) > 1.0 + p.tol.psd_tol:
         return None
-    own = [_measure(p, d.matrix) if isinstance(d, Effect) else d.choi for d in (p.d1, p.d2)]
+    own = [_measure(p, t["1"]) for t in (p.t1, p.t2)]
     leftover = hermitian_part(np.eye(p.din) - gram)
-    blocks = {("1", "0"): own[0], ("0", "1"): own[1], ("0", "0"): _measure(p, leftover)}
-    vtol = p.wtol if p.classical else p.tol
-    return _joint_verdict(p, blocks, "fast-path: sum-below-identity", vtol)
+    blocks = {("1", "0"): own[0], ("0", "1"): own[1], ("0", "0"): _measure(p, leftover.T)}
+    return _joint_verdict(p, blocks, "fast-path: sum-below-identity", p.vtol)
 
 
 def _projection(p: _Pair):
@@ -443,14 +433,13 @@ def _projection(p: _Pair):
 
 def _trivial_observable(p: _Pair):
     """A multiple-of-identity observable is a coin flip next to the other device."""
-    for i, (d, t, other) in enumerate(((p.d1, p.t1, p.t2), (p.d2, p.t2, p.t1))):
-        effects = d.effects.values() if isinstance(d, Observable) else (d,)
-        if _classical(d) and not _free(t) and all(is_trivial_effect(e, p.tol) for e in effects):
-            w = {x: float(np.trace(e).real) / p.din for x, e in t.items()}
+    for i, (t, other) in enumerate(((p.t1, p.t2), (p.t2, p.t1))):
+        w = {x: float(np.trace(m).real) / p.din for x, m in t.items() if m is not None}
+        if len(w) == len(t) and all(m.shape[0] == p.din and close(m, w[x] * np.eye(p.din), p.tol)
+                                    for x, m in t.items()):
             blocks = {((x, y) if i == 0 else (y, x)): w[x] * s
                       for x in w for y, s in other.items()}
-            vtol = p.wtol if p.classical else p.tol
-            return _joint_verdict(p, blocks, "fast-path: trivial-observable", vtol)
+            return _joint_verdict(p, blocks, "fast-path: trivial-observable", p.vtol)
     return None
 
 
@@ -468,7 +457,7 @@ def _comparable(p: _Pair):
         if cp_leq(lo, hi, p.tol):
             leftover = hermitian_part(np.eye(p.din) - hi.heisenberg_unit())
             blocks = {("1", "1"): lo.choi, split: hermitian_part(hi.choi - lo.choi),
-                      ("0", "0"): _measure(p, leftover)}
+                      ("0", "0"): _measure(p, leftover.T)}
             return _joint_verdict(p, blocks, "fast-path: comparable", p.tol)
     return None
 
@@ -496,8 +485,8 @@ def _range_commutation(p: _Pair):
               ("1", "0"): kraus_choi([k @ comp_root for k in ks])}
     if p.kinds[0] == "operation":
         deficit = hermitian_part(np.eye(f.dim_in) - f.heisenberg_unit())
-        blocks[("0", "1")] = _measure(p, hermitian_part(e.matrix @ deficit))
-        blocks[("0", "0")] = _measure(p, hermitian_part((np.eye(e.dim) - e.matrix) @ deficit))
+        blocks[("0", "1")] = _measure(p, hermitian_part(e.matrix @ deficit).T)
+        blocks[("0", "0")] = _measure(p, hermitian_part((np.eye(e.dim) - e.matrix) @ deficit).T)
     return _joint_verdict(p, blocks, "fast-path: range-commutation", p.tol)
 
 

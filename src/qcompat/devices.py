@@ -6,19 +6,18 @@ form), and instruments (both outputs). The module also provides
 Kraus/Choi conversion, Schroedinger/Heisenberg application, relabeling,
 and the standard instrument constructions that embed any single device
 into an instrument. ``instrument_parts`` is the one table that reads
-every device as an instrument, and ``is_part_of`` is one pointer search
-over it.
+every device as an instrument, an effect E as the map rho -> tr(E rho)
+with Choi matrix E^T, and ``is_part_of`` is one pointer search over it.
 
 Validation runs on stacks. There is one Choi validator and one effect
 validator, each taking an (n, d, d) stack: finiteness and Hermiticity
 are checked matrix by matrix, positivity with one ``eigvalsh`` per stack,
 and the Heisenberg units of Choi matrices come from one ``einsum`` and
-their top eigenvalues from one more ``eigvalsh``. The single-matrix
+their spectra from one more ``eigvalsh``. The single-matrix
 constructors call them on a stack of one; ``CPMap.from_stack``,
-``Effect.from_stack``, ``Instrument.from_chois`` and
-``Instrument.branch_sums`` validate many matrices at once, and
-``Instrument.with_sums`` validates an instrument's branches, its total
-and its sums over several label sets as one stack.
+``Effect.from_stack`` and ``Instrument.branch_sums`` validate many
+matrices at once, and ``Instrument.with_sums`` validates an instrument's
+branches, its total and its sums over several label sets as one stack.
 
 Choi convention: for a map ``F`` from states on the input space (side
 ``dim_in``) to states on the output space (side ``dim_out``),
@@ -116,30 +115,34 @@ def _hermitian_stack(a: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
     return h
 
 
-def _effect_stack(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The effect check of a stack: Hermitian parts with spectra in [0, 1], from one eigvalsh."""
-    h = _hermitian_stack(m, tol, "effect matrix")
-    evals = np.linalg.eigvalsh(h)
+def _check_effects(evals: np.ndarray, tol: Tolerances) -> None:
+    """EffectBoundsError for the first of a stack of ascending spectra outside [0, 1]."""
     for lo, hi in zip(evals[:, 0].tolist(), evals[:, -1].tolist()):
         if not (lo >= -tol.psd_tol and hi <= 1.0 + tol.psd_tol):
             raise EffectBoundsError(f"effect eigenvalues [{lo:.3e}, {hi:.3e}] outside [0, 1]")
+
+
+def _effect_stack(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The effect check of a stack: Hermitian parts with spectra in [0, 1], from one eigvalsh."""
+    h = _hermitian_stack(m, tol, "effect matrix")
+    _check_effects(np.linalg.eigvalsh(h), tol)
     return h
 
 
 def _spectra(h: np.ndarray, din: int, dout: int):
-    """Least Choi eigenvalue, read-only Heisenberg unit and top unit eigenvalue of each
-    map in a Hermitian stack: one einsum and two eigvalsh for the whole stack."""
+    """Least Choi eigenvalue, read-only Heisenberg unit and unit spectrum of each map in
+    a Hermitian stack: one einsum and two eigvalsh for the whole stack."""
     low = np.linalg.eigvalsh(h)[:, 0]
     units = np.ascontiguousarray(np.einsum("njmim->nij", h.reshape(-1, din, dout, din, dout)))
     units.flags.writeable = False
     # the partial trace of a Hermitian matrix is Hermitian, entry for entry
-    return low, units, np.linalg.eigvalsh(units)[:, -1]
+    return low, units, np.linalg.eigvalsh(units)
 
 
-def _check_maps(low: np.ndarray, top: np.ndarray, tol: Tolerances) -> None:
+def _check_maps(low: np.ndarray, unit_evals: np.ndarray, tol: Tolerances) -> None:
     """PositivityError or TraceConditionError for the first map, in stack order, that is
     not completely positive or increases trace."""
-    for lo, hi in zip(low.tolist(), top.tolist()):
+    for lo, hi in zip(low.tolist(), unit_evals[:, -1].tolist()):
         if not lo >= -tol.psd_tol:
             raise PositivityError(f"Choi matrix has eigenvalue {lo:.3e} < 0")
         if not hi <= 1.0 + tol.psd_tol:
@@ -150,8 +153,8 @@ def _choi_stack(j: np.ndarray, din: int, dout: int, tol: Tolerances):
     """The Choi check of a stack: read-only Hermitian parts and Heisenberg units of
     completely positive, trace-non-increasing maps."""
     h = _hermitian_stack(j, tol, "Choi matrix")
-    low, units, top = _spectra(h, din, dout)
-    _check_maps(low, top, tol)
+    low, units, unit_evals = _spectra(h, din, dout)
+    _check_maps(low, unit_evals, tol)
     return h, units
 
 
@@ -302,30 +305,22 @@ class Instrument:
             raise MatrixShapeError("all branches must share input/output dimensions")
         # branch Choi matrices are Hermitian, entry for entry, and so is their sum
         total = sum(self.branches[x].choi for x in outcomes)
-        _, channel, _ = _with_total(total[None], 0, *next(iter(dims)), tol)
+        channel = _with_total(total[None], 0, *next(iter(dims)), tol)[1]
         vars(self).update(outcomes=outcomes, _total=(tol, channel))
-
-    @classmethod
-    def from_chois(cls, outcomes, chois: dict, dim_in: int, dim_out: int,
-                   tol: Tolerances | None = None) -> Instrument:
-        """The instrument whose branch x has the raw Choi matrix ``chois[x]``.
-
-        The branches and their total are validated as one stack; the
-        total is, as for an instrument of CPMaps, the sum in outcome order
-        of the branches' Hermitian parts.
-        """
-        return cls.with_sums(outcomes, chois, dim_in, dim_out, (), tol)[0]
 
     @classmethod
     def with_sums(cls, outcomes, chois: dict, dim_in: int, dim_out: int, label_sets,
                   tol: Tolerances | None = None):
-        """:meth:`from_chois`'s instrument, with the Choi matrices and the Heisenberg
-        units of its branch sums over ``label_sets``, as :meth:`branch_sums` adds them.
+        """The instrument whose branch x has the raw Choi matrix ``chois[x]``, with the
+        Choi matrices and the Heisenberg units of its branch sums over ``label_sets``,
+        as :meth:`branch_sums` adds them.
 
-        One stack holds the branches, their total and every sum that is not
-        a single branch, and is checked in that order: the branches as
-        operations, the total as a channel, the sums as operations. A
-        single branch is its own sum, validated once.
+        The total is, as for an instrument of CPMaps, the sum in outcome
+        order of the branches' Hermitian parts. One stack holds the
+        branches, their total and every sum that is not a single branch,
+        and is checked in that order: the branches as operations, the
+        total as a channel, the sums as operations and their units as
+        effects. A single branch is its own sum, validated once.
         """
         tol = tol or DEFAULT_TOL
         outcomes = _outcome_labels(outcomes, chois)
@@ -335,11 +330,12 @@ class Instrument:
         many = [len(labels) != 1 for labels in sets]
         # the total and the sums of Hermitian parts are Hermitian, entry for entry
         stack = np.concatenate([h, sum(h)[None], sums[many]])
-        branches, channel, units = _with_total(stack, len(h), dim_in, dim_out, tol)
+        branches, channel, units, unit_evals = _with_total(stack, len(h), dim_in, dim_out, tol)
         ins = _made(cls, outcomes=outcomes, branches=dict(zip(outcomes, branches)),
                     _total=(tol, channel))
         extra = iter(range(len(h) + 1, len(stack)))
         rows = [next(extra) if m else outcomes.index(labels[0]) for m, labels in zip(many, sets)]
+        _check_effects(unit_evals[rows], tol)
         return ins, [stack[k] for k in rows], [units[k] for k in rows]
 
     @property
@@ -391,19 +387,20 @@ def _label_sums(chois: dict, label_sets):
 def _with_total(stack: np.ndarray, n: int, din: int, dout: int, tol: Tolerances):
     """Check a Hermitian Choi stack of n branches, their total, then further sums,
     in that order: the branches and sums as operations, the total as a channel,
-    else NormalizationError. Returns the branches, the total and every unit."""
+    else NormalizationError. Returns the branches, the total, and every unit and
+    its spectrum."""
     stack.flags.writeable = False
-    low, units, top = _spectra(stack, din, dout)
-    _check_maps(low[:n], top[:n], tol)
+    low, units, unit_evals = _spectra(stack, din, dout)
+    _check_maps(low[:n], unit_evals[:n], tol)
     *branches, channel = _operations(din, dout, stack[:n + 1], units[:n + 1])
     vars(channel)["kind"] = "channel"
     try:
-        _check_maps(low[n:n + 1], top[n:n + 1], tol)
+        _check_maps(low[n:n + 1], unit_evals[n:n + 1], tol)
         _require_channel(channel, tol)
     except (TraceConditionError, PositivityError) as exc:
         raise NormalizationError(f"branch sum is not a channel: {exc}") from exc
-    _check_maps(low[n + 1:], top[n + 1:], tol)
-    return branches, channel, units
+    _check_maps(low[n + 1:], unit_evals[n + 1:], tol)
+    return branches, channel, units, unit_evals
 
 
 def _channels_when_tp(maps: list[CPMap], tol: Tolerances) -> list[CPMap]:
@@ -633,17 +630,28 @@ def relabel(ins: Instrument, f: PointerMap, tol: Tolerances = DEFAULT_TOL) -> In
     return Instrument(f.codomain, branches, tol=tol)
 
 
+def sides(device) -> tuple[int, int | None]:
+    """Input side and quantum output side of a device (None for an effect or
+    observable, whose parts map into a one-dimensional output)."""
+    if isinstance(device, (Effect, Observable)):
+        return device.dim, None
+    if isinstance(device, (CPMap, Instrument)):
+        return device.dim_in, device.dim_out
+    raise TypeError(f"unsupported device type {type(device).__name__}")
+
+
 def instrument_parts(device) -> dict[str, np.ndarray | None]:
     """The device as an instrument: outcome -> fixed target, None for the free outcome.
 
-    Targets are effects for classical devices and Choi matrices
-    otherwise. Effects and operations leave outcome "0" free; a channel
-    has the one outcome "1".
+    Every target is the Choi matrix of a map on the device's own output:
+    an effect E is the map rho -> tr(E rho) into a one-dimensional output,
+    whose Choi matrix is E^T. Effects and operations leave outcome "0"
+    free; a channel has the one outcome "1".
     """
     if isinstance(device, Effect):
-        return {"1": device.matrix, "0": None}
+        return {"1": device.matrix.T, "0": None}
     if isinstance(device, Observable):
-        return {x: device.effects[x].matrix for x in device.outcomes}
+        return {x: device.effects[x].matrix.T for x in device.outcomes}
     if isinstance(device, Instrument):
         return {x: device.branches[x].choi for x in device.outcomes}
     if isinstance(device, CPMap):
@@ -689,22 +697,22 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
 
     Some pointer function from the instrument's outcomes onto the
     device's :func:`instrument_parts` must reproduce every fixed target;
-    the free outcome takes the labels left over. A trace-preserving map
-    is read as a channel, whose one target is the instrument's total.
-    Searches with more than one target are exhaustive and bounded by
-    PART_SEARCH_LIMIT outcomes.
+    the free outcome takes the labels left over. A target of the
+    branches' side is compared with summed Choi matrices, a smaller one
+    (an effect's) with their partial traces over the output. A
+    trace-preserving map is read as a channel, whose one target is the
+    instrument's total. Searches with more than one target are
+    exhaustive and bounded by PART_SEARCH_LIMIT outcomes.
     """
-    targets = instrument_parts(device)
-    if isinstance(device, (Effect, Observable)):
-        spaces = (device.dim,), (ins.dim_in,)
-        per = {x: ins.branches[x].heisenberg_unit() for x in ins.outcomes}
-    else:
-        spaces = (device.dim_in, device.dim_out), (ins.dim_in, ins.dim_out)
-        per = {x: ins.branches[x].choi for x in ins.outcomes}
-    if spaces[0] != spaces[1]:
+    din, dout = sides(device)
+    if din != ins.dim_in or dout not in (None, ins.dim_out):
         raise MatrixShapeError("device dimensions do not match the instrument")
+    targets = instrument_parts(device)
     if isinstance(device, CPMap) and device.is_trace_preserving(tol):
         targets = {"1": device.choi}
+    side = next(t for t in targets.values() if t is not None).shape[0]
+    per = {x: ins.branches[x].choi if side == din * ins.dim_out
+           else ins.branches[x].heisenberg_unit().T for x in ins.outcomes}
     if len(targets) > 1 and len(ins.outcomes) > PART_SEARCH_LIMIT:
         raise OutcomeBoundError(
             f"outcome set of size {len(ins.outcomes)} exceeds the exhaustive "

@@ -12,7 +12,14 @@ from qcompat import devices as dv
 from qcompat import feasibility as fs
 from qcompat import order as od
 from qcompat.devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus
-from qcompat.matkit import PositivityError, Tolerances, herm_coords, herm_from_coords, hermitian_part
+from qcompat.matkit import (
+    PositivityError,
+    Tolerances,
+    close,
+    herm_coords,
+    herm_from_coords,
+    hermitian_part,
+)
 from qcompat.fixtures import (
     I2,
     PMX,
@@ -20,6 +27,8 @@ from qcompat.fixtures import (
     PX,
     PZ,
     SX,
+    SY,
+    SZ,
     TABLE1_CELLS,
     builtin_devices,
     effect,
@@ -472,50 +481,100 @@ def test_weak_problem_has_only_the_devices_own_blocks():
         assert [n for n, _ in cp.weak_problem(d1, d2).blocks] == names
 
 
+def _ref_targets(device) -> dict:
+    """Reference reading of a device as an instrument: outcome -> Choi matrix of a
+    map on the device's own output (E^T for an effect E, whose output is
+    one-dimensional), None for the free outcome."""
+    if isinstance(device, Effect):
+        return {"1": device.matrix.T, "0": None}
+    if isinstance(device, Observable):
+        return {x: device.effects[x].matrix.T for x in device.outcomes}
+    if isinstance(device, Instrument):
+        return {x: device.branches[x].choi for x in device.outcomes}
+    if device.kind == "channel":
+        return {"1": device.choi}
+    return {"1": device.choi, "0": None}
+
+
+def _ref_dims(d1, d2) -> tuple[int, int]:
+    """Reference block sides: the input side, and the output side of the devices
+    with a quantum output, or 1 when neither has one."""
+    quantum = [d for d in (d1, d2) if isinstance(d, (CPMap, Instrument))]
+    din = quantum[0].dim_in if quantum else d1.dim
+    return din, (quantum[0].dim_out if quantum else 1)
+
+
+def _ref_joint_targets(d1, d2):
+    """Reference joint reading: an effect facing an observable is its binary
+    observable, with targets E^T and 1 - E^T."""
+    t1, t2 = _ref_targets(d1), _ref_targets(d2)
+    for d, t, other in ((d1, t1, d2), (d2, t2, d1)):
+        if isinstance(d, Effect) and isinstance(other, Observable):
+            t["0"] = np.eye(d.dim) - d.matrix.T
+    return t1, t2
+
+
+def _ref_free(targets) -> bool:
+    return any(t is None for t in targets.values())
+
+
+def _ref_sum(mats, side: int) -> np.ndarray:
+    return sum(mats[1:], mats[0]) if mats else np.zeros((side, side))
+
+
+def _ref_row(names, target, dims) -> fs.AffineConstraint:
+    """Reference comparison of a sum of blocks with a target: the sum itself when
+    the target has the blocks' side, its partial trace over the output when it
+    is smaller."""
+    if target.shape[0] == dims[0] * dims[1]:
+        return fs.encode_sum_constraint(names, target)
+    rows = [fs.encode_partial_trace_constraint(n, dims, 0, target) for n in names]
+    return fs.AffineConstraint(tuple(r.terms[0] for r in rows), rows[0].rhs)
+
+
 def _weak_problem_with_channel_block(d1, d2) -> fs.FeasibilityProblem:
     """Reference formulation: the common channel as a block ``lam``, unless a
     device without free outcome stands for it; every other device's parts
-    sum to it."""
-    devices, targets = (d1, d2), (cp._parts(d1), cp._parts(d2))
-    din, dout = cp._dims(d1, d2)
-    quantum = dout is not None
-    side = din * dout if quantum else din
-    chan = next((i for i in (0, 1) if not cp._free(targets[i])), None)
+    sum to it. Targets of the blocks' side are constants, smaller ones get
+    blocks."""
+    targets = (_ref_targets(d1), _ref_targets(d2))
+    din, dout = _ref_dims(d1, d2)
+    side = din * dout
+    chan = next((i for i in (0, 1) if not _ref_free(targets[i])), None)
     const = None
     if chan is None:
         blocks = ["lam"]
-    elif cp._classical(devices[chan]):
+    elif any(t.shape[0] != side for t in targets[chan].values()):
         blocks = [cp._weak_name(chan, x) for x in targets[chan]]
     else:
-        blocks, const = [], cp._sum(list(targets[chan].values()), side)
+        blocks, const = [], _ref_sum(list(targets[chan].values()), side)
     lam_terms, cons = [(n, 1.0) for n in blocks], []
     for i in (0, 1):
         if i == chan:
             continue
-        quantum_i = not cp._classical(devices[i])
-        fixed = [t for t in targets[i].values() if t is not None and quantum_i]
-        own = [cp._weak_name(i, x) for x, t in targets[i].items() if t is None or not quantum_i]
+        fixed = [t for t in targets[i].values() if t is not None and t.shape[0] == side]
+        own = [cp._weak_name(i, x) for x, t in targets[i].items() if t is None or t.shape[0] != side]
         blocks += own
         if const is None:
             terms = lam_terms + [(n, -1.0) for n in own]
-            cons.append(fs.encode_sum_constraint(terms, cp._sum(fixed, side)))
+            cons.append(fs.encode_sum_constraint(terms, _ref_sum(fixed, side)))
         else:
-            cons.append(fs.encode_sum_constraint(own, const - cp._sum(fixed, side)))
+            cons.append(fs.encode_sum_constraint(own, const - _ref_sum(fixed, side)))
     if chan is None:
-        cons.append(cp._row(["lam"], np.eye(din), quantum, (din, dout)))
-    cons += [cp._row([cp._weak_name(i, x)], t, quantum, (din, dout))
-             for i in (0, 1) if cp._classical(devices[i])
-             for x, t in targets[i].items() if t is not None]
+        cons.append(_ref_row(["lam"], np.eye(din), (din, dout)))
+    cons += [_ref_row([cp._weak_name(i, x)], t, (din, dout))
+             for i in (0, 1) for x, t in targets[i].items()
+             if t is not None and t.shape[0] != side]
     return fs.FeasibilityProblem(tuple((n, side) for n in blocks), tuple(cons))
 
 
-def _dense_row(names, target, heisenberg, dims):
-    """Reference encoder: one dense term matrix per block (c times the
-    identity, or the partial trace matrix) and the target's coordinates."""
+def _dense_row(names, target, dims):
+    """Reference encoder: one dense term matrix per block (c times the identity
+    when the target has the blocks' side, else the matrix of the partial trace
+    over the output) and the target's coordinates."""
     items = [n if isinstance(n, tuple) else (n, 1.0) for n in names]
     t = hermitian_part(np.asarray(target, dtype=complex))
-    if heisenberg:
-        t = hermitian_part(t.T)
+    if t.shape[0] != dims[0] * dims[1]:
         return [(n, fs._partial_trace_matrix(*dims, 0)) for n, _ in items], herm_coords(t)
     eye = np.eye(t.shape[0] ** 2)
     return [(n, c * eye) for n, c in items], herm_coords(t)
@@ -524,34 +583,33 @@ def _dense_row(names, target, heisenberg, dims):
 def _dense_problem(builder, d1, d2):
     """The blocks, dense constraint matrix and right-hand side of either
     question, built row by row from dense term matrices."""
-    din, dout = cp._dims(d1, d2)
-    quantum = dout is not None
-    side = din * dout if quantum else din
-    devices, rows = (d1, d2), []
+    din, dout = _ref_dims(d1, d2)
+    side = din * dout
+    rows = []
     if builder == "joint":
-        t1, t2 = cp._joint_parts(d1, d2)
+        t1, t2 = _ref_joint_targets(d1, d2)
         pairs = cp._joint_pairs(t1, t2)
         names = [f"g{n}" for n in range(len(pairs))]
-        for i, (d, targets) in enumerate(zip(devices, (t1, t2))):
+        for i, targets in enumerate((t1, t2)):
             for x, target in targets.items():
                 if target is not None:
                     own = [n for n, xy in zip(names, pairs) if xy[i] == x]
-                    rows.append(_dense_row(own, target, quantum and cp._classical(d), (din, dout)))
-        if cp._free(t1) and cp._free(t2):
-            rows.append(_dense_row(names, np.eye(din), quantum, (din, dout)))
+                    rows.append(_dense_row(own, target, (din, dout)))
+        if _ref_free(t1) and _ref_free(t2):
+            rows.append(_dense_row(names, np.eye(din), (din, dout)))
     else:
-        parts, own, fixed = (cp._parts(d1), cp._parts(d2)), [], []
-        for i, (d, t) in enumerate(zip(devices, parts)):
-            own.append([cp._weak_name(i, x) for x, m in t.items() if m is None or cp._classical(d)])
-            fixed.append(cp._sum([m for m in t.values() if m is not None and not cp._classical(d)], side))
+        parts, own, fixed = (_ref_targets(d1), _ref_targets(d2)), [], []
+        for i, t in enumerate(parts):
+            own.append([cp._weak_name(i, x) for x, m in t.items() if m is None or m.shape[0] != side])
+            fixed.append(_ref_sum([m for m in t.values() if m is not None and m.shape[0] == side], side))
         terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
-        rows.append(_dense_row(terms, fixed[0] - fixed[1], False, None))
-        if cp._free(parts[0]) and cp._free(parts[1]):
-            terms, rhs = _dense_row(own[0], np.eye(din), quantum, (din, dout))
+        rows.append(_dense_row(terms, fixed[0] - fixed[1], (din, dout)))
+        if _ref_free(parts[0]) and _ref_free(parts[1]):
+            terms, rhs = _dense_row(own[0], np.eye(din), (din, dout))
             rows.append((terms, rhs - terms[0][1] @ herm_coords(fixed[0])))
-        rows += [_dense_row([cp._weak_name(i, x)], t, quantum, (din, dout))
-                 for i, d in enumerate(devices) if cp._classical(d)
-                 for x, t in parts[i].items() if t is not None]
+        rows += [_dense_row([cp._weak_name(i, x)], t, (din, dout))
+                 for i in (0, 1) for x, t in parts[i].items()
+                 if t is not None and t.shape[0] != side]
         names = own[0] + own[1]
     offsets = {n: k * side * side for k, n in enumerate(names)}
     a = []
@@ -1219,10 +1277,100 @@ def test_commuting_observables_witness_takes_few_eigvalsh_calls(monkeypatch):
     v = cp.classify(a, b)
     assert v.relation == "compatible" and "commuting-observables" in v.notes
     assert len(v.witness.instrument.outcomes) == 9
-    # the witness takes one effect stack of the joint observable, one Choi
+    # the witness takes one effect stack of the joint observable and one Choi
     # stack of the instrument and its carved sums (Choi matrices, then their
-    # units), and one effect stack of the carved units of both devices
-    assert len(calls) <= 4, calls
+    # units, whose spectra also bound the carved effects)
+    assert len(calls) <= 3, calls
+
+
+@pytest.mark.parametrize("name", ["ef-ef", "op-ef"])
+def test_carved_effects_take_no_eigvalsh_of_their_own(name, monkeypatch):
+    # a carved effect is checked from the unit spectra of the witness stack,
+    # not from a stack of its own
+    d1, d2, shapes = {
+        "ef-ef": (effect(PZ), effect(I2 / 2), [(4, 2, 2), (7, 4, 4), (7, 2, 2)]),
+        "op-ef": (DEV["luders_pz"], DEV["pz"], [(2, 2), (7, 4, 4), (7, 2, 2)]),
+    }[name]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    v = cp.classify(d1, d2)
+    assert v.relation == "compatible" and "fast-path" in v.notes
+    # ef-ef: the joint observable's effects, then the witness stack (Choi
+    # matrices, then units); op-ef: the fast path's range test, then the stack
+    assert calls == shapes
+
+
+def _rank1_observable(rng, d: int) -> Observable:
+    """d + 1 rank-1 effects v v^* from the columns of d rows of a random unitary."""
+    u = np.linalg.qr(rand_complex(rng, d + 1))[0][:d]
+    return Observable(tuple(str(k) for k in range(d + 1)),
+                      {str(k): Effect(np.outer(u[:, k], u[:, k].conj())) for k in range(d + 1)})
+
+
+def _noisy(axis, a):
+    """The effect (1 + a axis) / 2 of a Pauli axis."""
+    return effect((I2 + a * axis) / 2)
+
+
+def _noisy_observable(axis, a):
+    return sharp_observable((I2 + a * axis) / 2, (I2 - a * axis) / 2)
+
+
+# compatible pairs whose effects have sigma_y components, where E and E^T differ
+_Y_PAIRS = {
+    "ef-ef-commuting": lambda: (_noisy(SY, 0.5), _noisy(SY, -0.3)),
+    "ef-ef-noisy": lambda: (_noisy(SY, 0.5), _noisy(SX + SY, 0.4)),
+    "ef-obs": lambda: (_noisy(SY, 0.5), _noisy_observable(SX, 0.5)),
+    "obs-obs": lambda: (_noisy_observable(SY, 0.6), _noisy_observable(SX + SZ, 0.5)),
+    "op-ef": lambda: (luders_of((I2 + SY) / 2), _noisy(SY, 0.4)),
+}
+
+
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("name", sorted(_Y_PAIRS))
+def test_witnesses_keep_the_orientation_of_sigma_y(name, fast):
+    # a slip between E and E^T is invisible on real effects; sigma_y is imaginary
+    d1, d2 = _Y_PAIRS[name]()
+    v = cp.classify(d1, d2, fast_paths=fast)
+    assert v.relation == "compatible"
+    w, wtol = v.witness, cp.witness_tolerances(cp.DEFAULT_TOL)
+    assert dv.is_part_of(d1, w.instrument, wtol) and dv.is_part_of(d2, w.instrument, wtol)
+    if w.joint_observable is None:
+        assert name == "op-ef"
+        return
+    joint = w.joint_observable.effects
+    for d, part, pointer in ((d1, w.part_1, w.pointer_1), (d2, w.part_2, w.pointer_2)):
+        if isinstance(d, Effect):
+            wants = [(d.matrix, part)]
+        else:
+            wants = [(d.effects[y].matrix, pointer.preimage(y)) for y in d.outcomes]
+        for want, labels in wants:
+            assert close(want, sum(joint[lab].matrix for lab in labels), wtol)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_maps_into_one_dimension_read_like_effects(d):
+    # the map rho -> tr(E rho) has Choi matrix E^T at output side 1; as a
+    # CPMap it must stand in the same relation to every partner as Effect(E)
+    rng = np.random.default_rng([17, d])
+    agreed = 0
+    for _ in range(3):
+        e = rand_effect(rng, d).matrix
+        g = rand_effect(rng, d).matrix
+        partners = (rand_effect(rng, d), _rank1_observable(rng, d), CPMap(d, 1, g.T))
+        for other in partners:
+            for fast in (True, False):
+                want = cp.classify(Effect(e), other, fast_paths=fast).relation
+                assert cp.classify(CPMap(d, 1, e.T), other, fast_paths=fast).relation == want
+                assert cp.classify(other, CPMap(d, 1, e.T), fast_paths=fast).relation == want
+                agreed += 2
+    assert agreed == 36
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_stacked_maps_reject_what_one_map_rejects(case, error):
     assert _raised(lambda: dv.CPMap(2, 2, bad)) is error
     assert _raised(lambda: dv.CPMap.from_stack(2, 2, good + [bad])) is error
     chois = dict(zip(labels, good + [bad]))
-    assert _raised(lambda: dv.Instrument.from_chois(labels, chois, 2, 2)) is error
+    assert _raised(lambda: dv.Instrument.with_sums(labels, chois, 2, 2, ())[0]) is error
 
 
 @pytest.mark.parametrize("case, error", [
@@ -181,7 +181,7 @@ def test_stacked_instrument_rejects_a_total_that_is_not_a_channel():
         labels = tuple(str(i) for i in range(len(chois)))
         maps = {x: dv.CPMap(2, 2, j) for x, j in zip(labels, chois)}
         assert _raised(lambda: dv.Instrument(labels, maps)) is dv.NormalizationError
-        assert _raised(lambda: dv.Instrument.from_chois(labels, dict(zip(labels, chois)), 2, 2)) \
+        assert _raised(lambda: dv.Instrument.with_sums(labels, dict(zip(labels, chois)), 2, 2, ())[0]) \
             is dv.NormalizationError
 
 
@@ -193,7 +193,7 @@ def test_stacked_constructors_match_one_by_one_bit_for_bit():
         raw = {x: ins.branches[x].choi + 1e-13 * rand_complex(rng, din * dout)
                for x in ins.outcomes}
         one = dv.Instrument(ins.outcomes, {x: dv.CPMap(din, dout, j) for x, j in raw.items()})
-        stacked = dv.Instrument.from_chois(ins.outcomes, raw, din, dout)
+        stacked = dv.Instrument.with_sums(ins.outcomes, raw, din, dout, ())[0]
         maps = dv.CPMap.from_stack(din, dout, list(raw.values()))
         for x, m in zip(ins.outcomes, maps):
             want = one.branches[x]
