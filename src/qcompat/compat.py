@@ -10,13 +10,19 @@ parts of one joint instrument (``joint_problem``), and weakly compatible
 when two instruments, one containing each device, have equal totals
 (``weak_problem``, with blocks for the devices' own outcomes only).
 
-``classify`` asks the joint question, then the weak one, and returns
-compatible, weakly_compatible_only, strongly_incompatible, or undecided.
-Both questions go through one stage: the pair's analytic fast paths,
-then the engine, whose outcome becomes a verdict in one place. Positive
-verdicts carry a witness that is re-validated before it is returned. A
-flag disables the optional fast paths so the engine can be cross-checked
-against independent oracles.
+``classify`` returns compatible, weakly_compatible_only,
+strongly_incompatible, or undecided. Each question has the pair's
+analytic fast paths, then the engine, whose outcome becomes a verdict in
+one place. The joint fast paths run first. A quantum pair without a
+channel then asks the weak question before the joint engine: every
+compatible pair is weakly compatible, so a certified weak "no" proves
+strong incompatibility on its own, and the joint problem is not solved.
+The engine's weak "yes" is assembled into a witness only when the joint
+engine says no. Classical pairs are always weakly compatible, and a pair with a
+channel that is not compatible is strongly incompatible, so both ask
+only the joint question. Positive verdicts carry a witness that is
+re-validated before it is returned. A flag disables the optional fast
+paths so the engine can be cross-checked against independent oracles.
 """
 
 from __future__ import annotations
@@ -617,40 +623,61 @@ def _weak_sdp(p: _Pair, witness: dict) -> Verdict:
     return _weak_verdict(p, blocks, None, "sdp", p.wtol)
 
 
-def _stage(p: _Pair, paths: dict, builder: str, assemble, fast_paths: bool, trace):
-    """One question: its fast paths, then the engine on the problem that the
-    function named ``builder`` encodes. Returns a verdict, or the notes of a "no"."""
+def _fast(p: _Pair, paths: dict, fast_paths: bool):
+    """A question's fast paths in order: the first verdict or notes of a "no", else None."""
     for path in paths.get(p.kinds, ()):
         if fast_paths or path in _STRUCTURAL:
             decision = path(p)
             if decision is not None:
                 return decision
+    return None
+
+
+def _engine(p: _Pair, builder: str, trace):
+    """The engine on the problem that the function named ``builder`` encodes: its
+    feasible outcome, whose witness the caller assembles, an undecided verdict, or
+    the notes of a certified "no"."""
     # the builder is looked up here, at call time, where the traced benchmark wraps it
     out = fs.solve(globals()[builder](p.d1, p.d2), p.tol, trace=trace)
     if out.verdict == "feasible":
-        return assemble(p, out.witness)
+        return out
     if out.verdict == "undecided":
         return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
     return f"sdp margin={out.margin:.3e}"
 
 
 def _decide(p: _Pair, fast_paths: bool, trace) -> Verdict:
-    notes = _stage(p, _JOINT_PATHS, "joint_problem", _joint_sdp, fast_paths, trace)
-    if isinstance(notes, Verdict):
-        return notes
+    joint = _fast(p, _JOINT_PATHS, fast_paths)
+    if isinstance(joint, Verdict):
+        return joint
+    weak = None
+    if not p.classical and "channel" not in p.kinds:
+        # every compatible pair is weakly compatible, so a "no" here decides the pair
+        weak = _fast(p, _WEAK_PATHS, fast_paths) or _engine(p, "weak_problem", trace)
+        if isinstance(weak, str):
+            return Verdict("strongly_incompatible", None, "; ".join(filter(None, (joint, weak))))
+    if joint is None:
+        joint = _engine(p, "joint_problem", trace)
+        if isinstance(joint, fs.FeasibilityOutcome):
+            return _joint_sdp(p, joint.witness)
+        if isinstance(joint, Verdict):  # undecided
+            return joint
     if p.classical:
-        return _contraction(p, notes)
+        return _contraction(p, joint)
     if "channel" in p.kinds:
         # the common channel of a weak witness would have to be this channel
-        return Verdict("strongly_incompatible", None, notes)
-    weak = _decide_weak(p, fast_paths, trace)
+        return Verdict("strongly_incompatible", None, joint)
+    if isinstance(weak, fs.FeasibilityOutcome):
+        weak = _weak_sdp(p, weak.witness)
     if weak.relation == "undecided":
-        return Verdict("undecided", None, f"not compatible; weak undecided; {notes}")
-    return Verdict(weak.relation, weak.witness, f"{notes}; {weak.notes}")
+        return Verdict("undecided", None, f"not compatible; weak undecided; {joint}")
+    return Verdict(weak.relation, weak.witness, f"{joint}; {weak.notes}")
 
 
 def _decide_weak(p: _Pair, fast_paths: bool, trace) -> Verdict:
-    v = _stage(p, _WEAK_PATHS, "weak_problem", _weak_sdp, fast_paths, trace)
+    v = _fast(p, _WEAK_PATHS, fast_paths) or _engine(p, "weak_problem", trace)
+    if isinstance(v, fs.FeasibilityOutcome):
+        return _weak_sdp(p, v.witness)
     return v if isinstance(v, Verdict) else Verdict("strongly_incompatible", None, v)
 
 
@@ -661,9 +688,12 @@ def classify(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
     Returns compatible, weakly_compatible_only, strongly_incompatible,
     or undecided. Pairs of classical devices are always weakly
     compatible, and a pair with a channel that is not compatible is
-    strongly incompatible; other pairs that are not compatible go on to
-    the weak question. The witness orientation matches the argument
-    order.
+    strongly incompatible; both ask only the joint question. Other pairs
+    ask it by its fast paths, then the weak question, then the joint
+    engine. Every compatible pair is weakly compatible, so a weak "no"
+    (an analytic one or a certified infeasible problem) decides the pair
+    as strongly incompatible without the joint solve. The witness
+    orientation matches the argument order.
     """
     return _oriented(_decide, d1, d2, tol, fast_paths, trace)
 

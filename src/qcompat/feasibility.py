@@ -201,18 +201,6 @@ def _partial_trace_matrix(d0: int, d1: int, keep: int) -> np.ndarray:
     return mat
 
 
-def encode_heisenberg_unit_constraint(
-    block: str, dims: tuple[int, int], target_effect: np.ndarray
-) -> AffineConstraint:
-    """Encode ``F_H(1) = E`` for a Choi block.
-
-    In the canonical convention this is the partial trace over the
-    output slot, transposed: ``Tr_out[J] = E^T``.
-    """
-    e = hermitian_part(np.asarray(target_effect, dtype=complex))
-    return encode_partial_trace_constraint(block, dims, keep=0, target=e.T)
-
-
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -540,7 +528,9 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
         r = herm_from_coords(c.rhs, sides[c.terms[0][0]])
         evals, vecs = np.linalg.eigh(r)
         scale = max(float(evals[-1]), 1.0)
-        if evals[0] < -1e3 * tol.psd_tol * scale:
+        # a target of full range bounds no support; intersecting with it
+        # would only rotate the other bases
+        if evals[0] < -1e3 * tol.psd_tol * scale or evals[0] > tol.psd_tol:
             continue
         basis = vecs[:, evals > tol.psd_tol]
         for name, _ in c.terms:
@@ -548,9 +538,7 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
                 bounds[name] = _intersect_ranges(bounds[name], basis)
             else:
                 bounds[name] = basis
-    return {
-        name: b for name, b in bounds.items() if b.shape[1] < sides[name]
-    }
+    return bounds
 
 
 def _step_lengths(halves, dz: np.ndarray, ds: np.ndarray, layout: _Layout):

@@ -455,18 +455,99 @@ def test_weak_obs_obs_always():
     assert v.relation == "weakly_compatible_only"
 
 
-def test_classify_builds_problems_through_module_names(monkeypatch):
-    # the traced benchmark wraps the problem builders where compat looks them up
+def _record_questions(monkeypatch) -> list[str]:
+    """Record, in order, each problem built and each weak witness assembled."""
     calls = []
-    for name in ("joint_problem", "weak_problem"):
-        def counting(d1, d2, name=name, orig=getattr(cp, name)):
+    for name in ("joint_problem", "weak_problem", "_weak_verdict"):
+        def counting(*args, name=name, orig=getattr(cp, name)):
             calls.append(name)
-            return orig(d1, d2)
+            return orig(*args)
 
         monkeypatch.setattr(cp, name, counting)
+    return calls
+
+
+def test_classify_builds_problems_through_module_names(monkeypatch):
+    # the traced benchmark wraps the problem builders where compat looks them up
+    calls = _record_questions(monkeypatch)
     v = cp.classify(DEV["luders_px"], DEV["luders_pz"], fast_paths=False)
     assert v.relation == "strongly_incompatible"
-    assert sorted(calls) == ["joint_problem", "weak_problem"]
+    # the weak certificate alone decides a strongly incompatible pair
+    assert calls == ["weak_problem"]
+
+
+@pytest.mark.parametrize("n1, n2, relation, asked", [
+    # quantum pairs: the weak question first; a compatible pair assembles no
+    # weak witness, and only a weakly compatible one does
+    ("luders_px", "half_luders_px", "compatible", ["weak_problem", "joint_problem"]),
+    ("luders_pz", "pz", "compatible", ["weak_problem", "joint_problem"]),
+    ("luders_px", "half_sigma_x", "weakly_compatible_only",
+     ["weak_problem", "joint_problem", "_weak_verdict"]),
+    ("luders_pz", "px", "weakly_compatible_only",
+     ["weak_problem", "joint_problem", "_weak_verdict"]),
+    ("luders_biased_z", "px", "strongly_incompatible", ["weak_problem"]),
+    # classical and channel pairs: only the joint question
+    ("px", "pz", "weakly_compatible_only", ["joint_problem", "_weak_verdict"]),
+    ("half_identity", "pz", "compatible", ["joint_problem"]),
+    ("px_dephasing", "pz", "strongly_incompatible", ["joint_problem"]),
+    ("px_dephasing", "px", "compatible", ["joint_problem"]),
+])
+def test_classify_asks_its_questions_in_order(monkeypatch, n1, n2, relation, asked):
+    calls = _record_questions(monkeypatch)
+    for d1, d2 in ((DEV[n1], DEV[n2]), (DEV[n2], DEV[n1])):
+        calls.clear()
+        assert cp.classify(d1, d2, fast_paths=False).relation == relation
+        assert calls == asked
+
+
+def _engine_pair(kind: str, rng, d: int):
+    """A seeded quantum pair of a kind that the engine decides, at side d."""
+    def op(n_ops):
+        return choi_from_kraus(rand_kraus(rng, d, d, n_ops, scale=np.sqrt(rng.uniform(0.3, 0.95))))
+
+    if kind == "pure op-op":
+        return op(1), op(1)
+    if kind == "op-ef":
+        return op(2), rand_effect(rng, d)
+    if kind == "op-obs":
+        return op(1), rand_observable(rng, d, 2)
+    return rand_instrument(rng, d, d, 2), op(1)
+
+
+@pytest.mark.parametrize("kind", ["pure op-op", "op-ef", "op-obs", "ins-op"])
+def test_a_certified_weak_no_leaves_the_joint_problem_infeasible(kind):
+    # classify reads a weak "no" as a joint "no" without solving the joint problem
+    shortcuts = 0
+    for d in (2, 3):
+        for s in range(6):
+            d1, d2 = _engine_pair(kind, np.random.default_rng([11, d, s]), d)
+            if fs.solve(cp.weak_problem(d1, d2)).verdict == "infeasible":
+                shortcuts += 1
+                assert fs.solve(cp.joint_problem(d1, d2)).verdict != "feasible", (d, s)
+    assert shortcuts > 0
+
+
+@pytest.mark.parametrize("joint, weak, relation, notes", [
+    ("undecided", "infeasible", "strongly_incompatible", "sdp margin=-1.000e-01"),
+    ("infeasible", "undecided", "undecided",
+     "not compatible; weak undecided; sdp margin=-1.000e-01"),
+    ("undecided", "undecided", "undecided", "sdp undecided margin=-1.000e-09"),
+    ("undecided", "feasible", "undecided", "sdp undecided margin=-1.000e-09"),
+])
+def test_undecided_stages_are_read_in_question_order(monkeypatch, joint, weak, relation, notes):
+    # a certified weak "no" decides the pair even when the joint engine is undecided
+    solve = fs.solve
+
+    def scripted(problem, tol=fs.DEFAULT_TOL, trace=None):
+        verdict = joint if problem.blocks[0][0].startswith("g") else weak
+        if verdict == "feasible":
+            return solve(problem, tol, trace=trace)
+        margin = -0.1 if verdict == "infeasible" else -1e-9
+        return fs.FeasibilityOutcome(verdict, None, margin, 0.0, 1)
+
+    monkeypatch.setattr(fs, "solve", scripted)
+    v = cp.classify(DEV["luders_px"], DEV["half_sigma_x"], fast_paths=False)
+    assert (v.relation, v.witness, v.notes) == (relation, None, notes)
 
 
 def test_weak_problem_has_only_the_devices_own_blocks():

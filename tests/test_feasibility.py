@@ -191,7 +191,7 @@ def test_partial_trace_over_a_trivial_slot_bounds_the_support():
     # the trace over a one-dimensional slot is the identity map, so its row
     # bounds the block as a sum row does; the trace over a qubit slot does not
     for dims, target, bounded in (((2, 1), np.diag([1.0, 0.0]), True), ((1, 2), np.eye(1), False)):
-        row = fs.encode_heisenberg_unit_constraint("j", dims, target)
+        row = fs.encode_partial_trace_constraint("j", dims, keep=0, target=target.T)
         problem = fs.FeasibilityProblem((("j", 2),), (row,))
         assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == bounded
         assert fs.solve(problem).verdict == "feasible"
@@ -322,7 +322,7 @@ def test_heisenberg_unit_constraint():
     from qcompat.devices import CPMap, apply_h
 
     px = (I2 + SX) / 2
-    cons = (fs.encode_heisenberg_unit_constraint("j", (2, 2), px),)
+    cons = (fs.encode_partial_trace_constraint("j", (2, 2), keep=0, target=px.T),)
     out = fs.solve(fs.FeasibilityProblem((("j", 4),), cons))
     assert out.verdict == "feasible"
     m = CPMap(2, 2, out.witness["j"])
