@@ -69,6 +69,8 @@ def _matrix(rows) -> np.ndarray:
 
 
 def _cpmap_payload(payload, din, dout, kind, tol) -> dv.CPMap:
+    """The map of a Kraus or Choi payload; either form gives it the kind that CPMap
+    validation fixes, and a declared channel must preserve trace."""
     if "kraus" in payload:
         ops = tuple(_matrix(k) for k in payload["kraus"])
         for k in ops:
@@ -76,13 +78,12 @@ def _cpmap_payload(payload, din, dout, kind, tol) -> dv.CPMap:
                 raise DeviceFileError(
                     f"Kraus operator shape {k.shape} does not match dims ({dout}, {din})"
                 )
-        m = dv.choi_from_kraus(dv.KrausSet(ops, tol=tol), tol)
-        if kind == "channel" and m.kind != "channel":
-            raise DeviceFileError("declared channel is not trace-preserving")
-        return m
-    if "choi" in payload:
-        return dv.CPMap(din, dout, _matrix(payload["choi"]), kind=kind, tol=tol)
-    raise DeviceFileError("operation payload needs 'kraus' or 'choi'")
+        choi = dv.kraus_choi(dv.KrausSet(ops, tol=tol).ops)
+    elif "choi" in payload:
+        choi = _matrix(payload["choi"])
+    else:
+        raise DeviceFileError("operation payload needs 'kraus' or 'choi'")
+    return dv.CPMap(din, dout, choi, kind=kind, tol=tol)
 
 
 def _observable_payload(payload, tol) -> dv.Observable:
@@ -102,13 +103,14 @@ def parse_device(entry: dict, tol: Tolerances):
         raise DeviceFileError("device entry without a name")
     din = int(dims.get("in", 0))
     dout = int(dims.get("out", din))
-    if kind == "effect":
-        e = dv.Effect(_matrix(payload["matrix"]), tol=tol)
-        if din and e.dim != din:
-            raise DeviceFileError(f"effect {name!r} does not match its declared dims")
-        return e
-    if kind == "observable":
-        return _observable_payload(payload, tol)
+    if kind in ("effect", "observable"):
+        if kind == "effect":
+            device = dv.Effect(_matrix(payload["matrix"]), tol=tol)
+        else:
+            device = _observable_payload(payload, tol)
+        if din and device.dim != din:
+            raise DeviceFileError(f"{kind} {name!r} does not match its declared dims")
+        return device
     if kind in ("operation", "channel"):
         if not din or not dout:
             raise DeviceFileError(f"{kind} {name!r} needs dims.in and dims.out")
@@ -471,7 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-psd", type=float, default=1e-9, help="eigenvalue floor")
     parser.add_argument("--tol-feas", type=float, default=1e-7, help="feasibility residual")
     parser.add_argument("--no-fast-paths", action="store_true",
-                        help="disable analytic fast paths (forces the feasibility engine)")
+                        help="disable the optional analytic fast paths, so the feasibility "
+                             "engine decides; the structural paths of channel and instrument "
+                             "pairs, and the weak answer of classical pairs, still run")
     parser.add_argument("--trace", action="store_true", help="solver trace on stderr")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,9 +20,13 @@ strong incompatibility on its own, and the joint problem is not solved.
 The engine's weak "yes" is assembled into a witness only when the joint
 engine says no. Classical pairs are always weakly compatible, and a pair with a
 channel that is not compatible is strongly incompatible, so both ask
-only the joint question. Positive verdicts carry a witness that is
-re-validated before it is returned. A flag disables the optional fast
-paths so the engine can be cross-checked against independent oracles.
+only the joint question. A map's kind is the one its validation fixed,
+so every trace-preserving map is a channel here, whatever it was
+declared. Positive verdicts carry a witness that is re-validated before
+it is returned. A flag disables the optional fast paths so the engine
+can be cross-checked against independent oracles; the structural ones,
+which decide channel and instrument pairs and the weak answer of
+classical pairs outright, still run.
 """
 
 from __future__ import annotations
@@ -548,18 +552,6 @@ def _shared_total(p: _Pair):
     return _weak_verdict(p, {}, None, "fast-path: shared-total", p.tol)
 
 
-def _weak_cp_order(p: _Pair):
-    """A channel in the pair forces the common upper channel to equal it."""
-    tp = [f.is_trace_preserving(p.tol) for f in (p.d1, p.d2)]
-    if not any(tp):
-        return None
-    lam, other = (p.d1, p.d2) if tp[0] else (p.d2, p.d1)
-    ok = close(p.d1.choi, p.d2.choi, p.tol) if all(tp) else cp_leq(other, lam, p.tol)
-    if not ok:
-        return "fast-path: cp-order"
-    return _weak_verdict(p, {}, lam.choi, "fast-path: cp-order", p.tol)
-
-
 def _rank1_family(p: _Pair):
     """Rank-1 trace deficits: intersect the two one-parameter channel families."""
     try:
@@ -592,7 +584,7 @@ _WEAK_PATHS = {
     ("effect", "effect"): (_contraction,),
     ("effect", "observable"): (_contraction,),
     ("observable", "observable"): (_contraction,),
-    ("operation", "operation"): (_weak_cp_order, _rank1_family),
+    ("operation", "operation"): (_rank1_family,),
     ("channel", "channel"): (_shared_total,),
     ("instrument", "channel"): (_shared_total,),
     ("instrument", "instrument"): (_shared_total,),

@@ -2,7 +2,10 @@
 
 Five device kinds live here: effects and observables (classical output),
 operations and channels (quantum output, represented by a CPMap in Choi
-form), and instruments (both outputs). The module also provides
+form), and instruments (both outputs). A map is a channel exactly when
+it preserves trace: the Choi validator fixes every map's kind from its
+Heisenberg unit at the validating tolerance, and a declared channel is
+only asserted. The module also provides
 Kraus/Choi conversion, Schroedinger/Heisenberg application, relabeling,
 and the standard instrument constructions that embed any single device
 into an instrument. ``instrument_parts`` is the one table that reads
@@ -14,10 +17,10 @@ validator, each taking an (n, d, d) stack: finiteness and Hermiticity
 are checked matrix by matrix, positivity with one ``eigvalsh`` per stack,
 and the Heisenberg units of Choi matrices come from one ``einsum`` and
 their spectra from one more ``eigvalsh``. The single-matrix
-constructors call them on a stack of one; ``CPMap.from_stack``,
-``Effect.from_stack`` and ``Instrument.branch_sums`` validate many
-matrices at once, and ``Instrument.with_sums`` validates an instrument's
-branches, its total and its sums over several label sets as one stack.
+constructors call them on a stack of one; ``CPMap.from_stack`` and
+``Effect.from_stack`` validate many matrices at once, and
+``Instrument.with_sums`` validates an instrument's branches, its total
+and its sums over several label sets as one stack.
 
 Choi convention: for a map ``F`` from states on the input space (side
 ``dim_in``) to states on the output space (side ``dim_out``),
@@ -30,6 +33,7 @@ with the input slot on the slow index. The Schroedinger action is
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -139,34 +143,44 @@ def _spectra(h: np.ndarray, din: int, dout: int):
     return low, units, np.linalg.eigvalsh(units)
 
 
-def _check_maps(low: np.ndarray, unit_evals: np.ndarray, tol: Tolerances) -> None:
-    """PositivityError or TraceConditionError for the first map, in stack order, that is
-    not completely positive or increases trace."""
-    for lo, hi in zip(low.tolist(), unit_evals[:, -1].tolist()):
+def _is_unit(evals: list[float], tol: Tolerances) -> bool:
+    """Whether a Hermitian matrix with these eigenvalues is the identity at ``tol``:
+    :func:`matkit.close`'s test ``||U - 1||_F <= eq_tol (1 + ||U||_F)``, with both
+    norms read from the spectrum."""
+    gap = norm = 0.0
+    for x in evals:
+        gap += (x - 1.0) ** 2
+        norm += x * x
+    return math.sqrt(gap) <= tol.eq_tol * (1.0 + math.sqrt(norm))
+
+
+def _kinds(low: np.ndarray, unit_evals: np.ndarray, tol: Tolerances) -> list[str]:
+    """The kind of each map in a stack, from its least Choi eigenvalue and its unit
+    spectrum: "channel" when the unit is the identity at ``tol``, else "operation".
+    PositivityError or TraceConditionError for the first map, in stack order, that
+    is not completely positive or increases trace."""
+    kinds = []
+    for lo, evals in zip(low.tolist(), unit_evals.tolist()):
         if not lo >= -tol.psd_tol:
             raise PositivityError(f"Choi matrix has eigenvalue {lo:.3e} < 0")
-        if not hi <= 1.0 + tol.psd_tol:
-            raise TraceConditionError(f"map increases trace: ||F_H(1)|| = {hi:.6f} > 1")
+        if not evals[-1] <= 1.0 + tol.psd_tol:
+            raise TraceConditionError(f"map increases trace: ||F_H(1)|| = {evals[-1]:.6f} > 1")
+        kinds.append("channel" if _is_unit(evals, tol) else "operation")
+    return kinds
+
+
+def _maps(din: int, dout: int, h: np.ndarray, units: np.ndarray, kinds) -> list[CPMap]:
+    """Maps from checked Choi matrices, their units and their kinds."""
+    return [_made(CPMap, dim_in=din, dim_out=dout, choi=c, kind=k, _unit=u)
+            for c, u, k in zip(h, units, kinds)]
 
 
 def _choi_stack(j: np.ndarray, din: int, dout: int, tol: Tolerances):
-    """The Choi check of a stack: read-only Hermitian parts and Heisenberg units of
-    completely positive, trace-non-increasing maps."""
+    """The Choi check of a stack: read-only Hermitian parts and Heisenberg units, and
+    the kinds, of completely positive, trace-non-increasing maps."""
     h = _hermitian_stack(j, tol, "Choi matrix")
     low, units, unit_evals = _spectra(h, din, dout)
-    _check_maps(low, unit_evals, tol)
-    return h, units
-
-
-def _operations(din: int, dout: int, h: np.ndarray, units: np.ndarray) -> list[CPMap]:
-    """Maps of kind operation from checked Choi matrices and their units."""
-    return [_made(CPMap, dim_in=din, dim_out=dout, choi=c, kind="operation", _unit=u)
-            for c, u in zip(h, units)]
-
-
-def _require_channel(m: CPMap, tol: Tolerances) -> None:
-    if not m.is_trace_preserving(tol):
-        raise TraceConditionError("channel is not trace-preserving")
+    return h, units, _kinds(low, unit_evals, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +256,12 @@ class Observable:
 class CPMap:
     """Completely positive trace-non-increasing map in canonical Choi form.
 
-    ``kind`` is "operation" or "channel"; channels are additionally
-    trace-preserving. Validation computes the Heisenberg unit once and
-    keeps it, read-only.
+    Validation computes the Heisenberg unit once, keeps it read-only,
+    and fixes ``kind``: "channel" exactly when the unit is the identity
+    at the validating tolerance, else "operation". A declared
+    ``kind="channel"`` is an assertion, TraceConditionError when the map
+    does not preserve trace; :meth:`is_trace_preserving` asks the
+    question again at another tolerance.
     """
 
     dim_in: int
@@ -261,18 +278,17 @@ class CPMap:
         if j.shape != (side, side):
             raise MatrixShapeError(f"Choi shape {j.shape} is not side dim_in*dim_out = {side}")
         tol = tol or DEFAULT_TOL
-        h, units = _choi_stack(j[None], self.dim_in, self.dim_out, tol)
-        vars(self).update(choi=h[0], _unit=units[0])
-        if self.kind == "channel":
-            _require_channel(self, tol)
+        h, units, (kind,) = _choi_stack(j[None], self.dim_in, self.dim_out, tol)
+        if self.kind == "channel" and kind != "channel":
+            raise TraceConditionError("channel is not trace-preserving")
+        vars(self).update(choi=h[0], _unit=units[0], kind=kind)
 
     @classmethod
     def from_stack(cls, dim_in: int, dim_out: int, chois,
                    tol: Tolerances | None = None) -> list[CPMap]:
-        """The operations of a (n, side, side) stack of Choi matrices, validated as one stack."""
+        """The maps of a (n, side, side) stack of Choi matrices, validated as one stack."""
         j = _square_stack(chois, "Choi matrix", dim_in * dim_out)
-        h, units = _choi_stack(j, dim_in, dim_out, tol or DEFAULT_TOL)
-        return _operations(dim_in, dim_out, h, units)
+        return _maps(dim_in, dim_out, *_choi_stack(j, dim_in, dim_out, tol or DEFAULT_TOL))
 
     @property
     def _t4(self) -> np.ndarray:
@@ -283,7 +299,9 @@ class CPMap:
         return self._unit
 
     def is_trace_preserving(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return close(self.heisenberg_unit(), np.eye(self.dim_in), tol)
+        """Whether the unit is the identity at ``tol``: the test that fixed ``kind`` at
+        the validating tolerance."""
+        return _is_unit(np.linalg.eigvalsh(self._unit).tolist(), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,14 +331,14 @@ class Instrument:
                   tol: Tolerances | None = None):
         """The instrument whose branch x has the raw Choi matrix ``chois[x]``, with the
         Choi matrices and the Heisenberg units of its branch sums over ``label_sets``,
-        as :meth:`branch_sums` adds them.
+        as :meth:`branch_sum` adds each.
 
         The total is, as for an instrument of CPMaps, the sum in outcome
         order of the branches' Hermitian parts. One stack holds the
         branches, their total and every sum that is not a single branch,
-        and is checked in that order: the branches as operations, the
-        total as a channel, the sums as operations and their units as
-        effects. A single branch is its own sum, validated once.
+        and is checked in that order: the branches as maps, the total as
+        a channel, the sums as maps and their units as effects. A single
+        branch is its own sum, validated once.
         """
         tol = tol or DEFAULT_TOL
         outcomes = _outcome_labels(outcomes, chois)
@@ -346,15 +364,10 @@ class Instrument:
     def dim_out(self) -> int:
         return next(iter(self.branches.values())).dim_out
 
-    def branch_sums(self, label_sets, tol: Tolerances = DEFAULT_TOL) -> list[CPMap]:
-        """Summed operations over outcome subsets (the empty sum is null), validated
-        as one stack; each is a channel when it is trace-preserving."""
-        _, sums = _label_sums({x: m.choi for x, m in self.branches.items()}, label_sets)
-        return _channels_when_tp(CPMap.from_stack(self.dim_in, self.dim_out, sums, tol), tol)
-
     def branch_sum(self, labels, tol: Tolerances = DEFAULT_TOL) -> CPMap:
-        """Summed operation over an outcome subset (the empty sum is null)."""
-        return self.branch_sums([labels], tol)[0]
+        """Summed map over an outcome subset (the empty sum is null)."""
+        _, sums = _label_sums({x: m.choi for x, m in self.branches.items()}, [labels])
+        return CPMap.from_stack(self.dim_in, self.dim_out, sums, tol)[0]
 
 
 def _outcome_labels(outcomes, branches: dict) -> tuple[str, ...]:
@@ -386,29 +399,21 @@ def _label_sums(chois: dict, label_sets):
 
 def _with_total(stack: np.ndarray, n: int, din: int, dout: int, tol: Tolerances):
     """Check a Hermitian Choi stack of n branches, their total, then further sums,
-    in that order: the branches and sums as operations, the total as a channel,
-    else NormalizationError. Returns the branches, the total, and every unit and
-    its spectrum."""
+    in that order: the branches and sums as maps, the total as a channel, else
+    NormalizationError. Returns the branches, the total, and every unit and its
+    spectrum."""
     stack.flags.writeable = False
     low, units, unit_evals = _spectra(stack, din, dout)
-    _check_maps(low[:n], unit_evals[:n], tol)
-    *branches, channel = _operations(din, dout, stack[:n + 1], units[:n + 1])
-    vars(channel)["kind"] = "channel"
+    kinds = _kinds(low[:n], unit_evals[:n], tol)
     try:
-        _check_maps(low[n:n + 1], unit_evals[n:n + 1], tol)
-        _require_channel(channel, tol)
+        kinds += _kinds(low[n:n + 1], unit_evals[n:n + 1], tol)
     except (TraceConditionError, PositivityError) as exc:
         raise NormalizationError(f"branch sum is not a channel: {exc}") from exc
-    _check_maps(low[n + 1:], unit_evals[n + 1:], tol)
+    if kinds[n] != "channel":
+        raise NormalizationError("branch sum is not a channel: it does not preserve trace")
+    _kinds(low[n + 1:], unit_evals[n + 1:], tol)
+    *branches, channel = _maps(din, dout, stack[:n + 1], units[:n + 1], kinds)
     return branches, channel, units, unit_evals
-
-
-def _channels_when_tp(maps: list[CPMap], tol: Tolerances) -> list[CPMap]:
-    """The maps, each of kind channel when it is trace-preserving."""
-    for m in maps:
-        if m.is_trace_preserving(tol):
-            vars(m)["kind"] = "channel"
-    return maps
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,8 +501,7 @@ def choi_from_kraus(k: KrausSet | list, tol: Tolerances = DEFAULT_TOL) -> CPMap:
     """
     if not isinstance(k, KrausSet):
         k = KrausSet(tuple(k), tol=tol)
-    (m,) = CPMap.from_stack(k.dim_in, k.dim_out, kraus_choi(k.ops)[None], tol)
-    return _channels_when_tp([m], tol)[0]
+    return CPMap.from_stack(k.dim_in, k.dim_out, kraus_choi(k.ops)[None], tol)[0]
 
 
 def kraus_lists(maps: list[CPMap], tol: Tolerances = DEFAULT_TOL, check: bool = True) -> list:
@@ -619,15 +623,11 @@ def total_channel(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> CPMap:
 def relabel(ins: Instrument, f: PointerMap, tol: Tolerances = DEFAULT_TOL) -> Instrument:
     """Coarse-grain an instrument along a pointer function."""
     f.check_total(ins.outcomes)
-    branches = {}
-    side = ins.dim_in * ins.dim_out
-    for y in f.codomain:
-        j = np.zeros((side, side), dtype=complex)
-        for x in f.preimage(y):
-            if x in ins.branches:
-                j = j + ins.branches[x].choi
-        branches[y] = CPMap(ins.dim_in, ins.dim_out, j, tol=tol)
-    return Instrument(f.codomain, branches, tol=tol)
+    chois = {x: m.choi for x, m in ins.branches.items()}
+    # mapping labels that are not outcomes add nothing
+    _, sums = _label_sums(chois, [[x for x in f.preimage(y) if x in chois] for y in f.codomain])
+    return Instrument.with_sums(f.codomain, dict(zip(f.codomain, sums)), ins.dim_in,
+                                ins.dim_out, (), tol)[0]
 
 
 def sides(device) -> tuple[int, int | None]:
@@ -699,17 +699,16 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     device's :func:`instrument_parts` must reproduce every fixed target;
     the free outcome takes the labels left over. A target of the
     branches' side is compared with summed Choi matrices, a smaller one
-    (an effect's) with their partial traces over the output. A
-    trace-preserving map is read as a channel, whose one target is the
-    instrument's total. Searches with more than one target are
-    exhaustive and bounded by PART_SEARCH_LIMIT outcomes.
+    (an effect's) with their partial traces over the output. A map's
+    kind is the one its validation fixed, not measured again at ``tol``:
+    a channel has one target, the instrument's total. Searches with
+    more than one target are exhaustive and bounded by
+    PART_SEARCH_LIMIT outcomes.
     """
     din, dout = sides(device)
     if din != ins.dim_in or dout not in (None, ins.dim_out):
         raise MatrixShapeError("device dimensions do not match the instrument")
     targets = instrument_parts(device)
-    if isinstance(device, CPMap) and device.is_trace_preserving(tol):
-        targets = {"1": device.choi}
     side = next(t for t in targets.values() if t is not None).shape[0]
     per = {x: ins.branches[x].choi if side == din * ins.dim_out
            else ins.branches[x].heisenberg_unit().T for x in ins.outcomes}
@@ -765,21 +764,17 @@ def canonical_instrument(
             effects = {"0": device.matrix, "1": np.eye(d) - device.matrix}
         else:
             effects = {x: device.effects[x].matrix for x in device.outcomes}
-        branches = {x: CPMap(d, rho0.shape[0], state_prep_choi(e, rho0), tol=tol)
-                    for x, e in effects.items()}
-        return Instrument(tuple(branches), branches, tol=tol)
+        chois = {x: state_prep_choi(e, rho0) for x, e in effects.items()}
+        return Instrument.with_sums(tuple(chois), chois, d, rho0.shape[0], (), tol)[0]
     if isinstance(device, CPMap) and device.kind == "channel":
         if probs is None:
             probs = {"0": 1.0}
         total = sum(probs.values())
         if abs(total - 1.0) > 1e-9 or any(p < -1e-12 for p in probs.values()):
             raise ValueError("probs must be a probability distribution")
-        outcomes = tuple(probs)
-        branches = {
-            x: CPMap(device.dim_in, device.dim_out, max(p, 0.0) * device.choi, tol=tol)
-            for x, p in probs.items()
-        }
-        return Instrument(outcomes, branches, tol=tol)
+        chois = {x: max(p, 0.0) * device.choi for x, p in probs.items()}
+        return Instrument.with_sums(tuple(probs), chois, device.dim_in, device.dim_out,
+                                    (), tol)[0]
     if isinstance(device, CPMap):
         dk = device.dim_out
         rho0 = _check_state(anchor_state if anchor_state is not None else np.eye(dk) / dk, tol)

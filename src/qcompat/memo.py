@@ -149,9 +149,8 @@ def model_instrument(
         f = PointerMap({x: x for x in m.pointer.outcomes})
     f.check_total(m.pointer.outcomes)
     effs = [m.pointer.effect_of(f.preimage(y), tol).matrix for y in f.codomain]
-    branches = {y: CPMap(m.dim_in, m.dim_out, j, tol=tol)
-                for y, j in zip(f.codomain, _model_chois(m, effs))}
-    return Instrument(f.codomain, branches, tol=tol)
+    chois = dict(zip(f.codomain, _model_chois(m, effs)))
+    return Instrument.with_sums(f.codomain, chois, m.dim_in, m.dim_out, (), tol)[0]
 
 
 def model_is_part_of(m: MeasurementModel, device, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -9,6 +9,7 @@ import pytest
 
 import qcompat
 from qcompat import cli
+from qcompat import devices as dv
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ
 
 
@@ -43,6 +44,12 @@ def device_file(tmp_path_factory):
                     "outcomes": ["+", "-"],
                     "branches": {"+": {"kraus": [jmat(PX)]}, "-": {"kraus": [jmat(PMX)]}},
                 },
+            },
+            {
+                "name": "sharp_z",
+                "type": "observable",
+                "dims": {"in": 2},
+                "payload": {"outcomes": ["+", "-"], "effects": {"+": jmat(PZ), "-": jmat(PMZ)}},
             },
             {
                 "name": "swap_readout",
@@ -100,6 +107,63 @@ def test_validate_rejects_bad_effect(tmp_path, capsys):
     code, _, err = run_cli(["validate", str(bad)], capsys)
     assert code == 2
     assert "outside [0, 1]" in err
+
+
+def _write(tmp_path, devices) -> str:
+    path = tmp_path / "devices.json"
+    path.write_text(json.dumps({"devices": devices}))
+    return str(path)
+
+
+def test_validate_gives_a_map_one_kind_in_both_payload_forms(tmp_path, capsys):
+    # the identity map preserves trace: a channel, however it is declared and given
+    devices = [{"name": f"{kind}-{form}", "type": kind, "dims": {"in": 2, "out": 2},
+                "payload": {"kraus": [jmat(I2)]} if form == "kraus"
+                else {"choi": jmat(dv.kraus_choi([I2]))}}
+               for kind in ("operation", "channel") for form in ("kraus", "choi")]
+    devices.append({"name": "half", "type": "operation", "dims": {"in": 2, "out": 2},
+                    "payload": {"choi": jmat(dv.kraus_choi([PX]))}})
+    code, out, _ = run_cli(["--format", "json", "validate", _write(tmp_path, devices)], capsys)
+    assert code == 0
+    types = {d["name"]: d["type"] for d in json.loads(out)["devices"]}
+    assert types == {**{d["name"]: "channel" for d in devices[:4]}, "half": "operation"}
+
+
+def _entry(kind, payload, dims=None):
+    return {"name": "d", "type": kind, "dims": dims or {"in": 2, "out": 2}, "payload": payload}
+
+
+@pytest.mark.parametrize("devices, message", [
+    ([_entry("observable", {"outcomes": ["+", "-"], "effects": {"+": jmat(PZ), "-": jmat(PMZ)}},
+             {"in": 3})], "observable 'd' does not match its declared dims"),
+    ([_entry("effect", {"matrix": jmat(PX)}, {"in": 3})],
+     "effect 'd' does not match its declared dims"),
+    ([_entry("operation", {"kraus": [jmat(np.eye(3))]})],
+     "Kraus operator shape (3, 3) does not match dims (2, 2)"),
+    ([_entry("channel", {"kraus": [jmat(PX)]})], "channel is not trace-preserving"),
+    ([_entry("channel", {"choi": jmat(dv.kraus_choi([PX]))})], "channel is not trace-preserving"),
+    ([_entry("operation", {"matrix": jmat(PX)})], "operation payload needs 'kraus' or 'choi'"),
+    ([_entry("povm", {"matrix": jmat(PX)})], "unknown device type 'povm'"),
+    ([_entry("effect", {"matrix": jmat(PX)})] * 2, "device 'd' defined twice"),
+], ids=["observable-dims", "effect-dims", "kraus-shape", "kraus-channel-not-tp",
+        "choi-channel-not-tp", "no-payload-form", "unknown-type", "name-twice"])
+def test_validate_rejects_a_bad_device(devices, message, tmp_path, capsys):
+    code, out, err = run_cli(["validate", _write(tmp_path, devices)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: device 'd'") and message in err
+
+
+def test_validate_rejects_an_unreadable_or_invalid_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, err = run_cli(["validate", str(missing)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot read {missing}")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"devices": [')
+    code, _, err = run_cli(["validate", str(broken)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: invalid JSON in {broken}")
 
 
 @pytest.mark.parametrize("doc", [
@@ -164,6 +228,29 @@ def test_witness_weak_pair_structure(device_file, capsys):
     w = doc["witness"]
     assert w["kind"] == "shared-total-instrument-pair"
     assert "common_channel" in w
+
+
+def test_witness_carries_the_pointer_and_the_joint_observable(device_file, capsys):
+    code, out, _ = run_cli(["--format", "json", "witness", device_file, "sharp_z", "pz"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["relation"] == "compatible"
+    w = doc["witness"]
+    assert w["kind"] == "joint-instrument"
+    assert set(w["pointer_1"].values()) == {"+", "-"}
+    assert set(w["pointer_1"]) == set(w["instrument"]["outcomes"])
+    assert set(w["joint_observable"]) == set(w["instrument"]["outcomes"])
+    assert w["part_1"] is None and w["part_2"] is not None
+    assert "pointer_2" not in w
+
+
+def test_trace_goes_to_stderr(device_file, capsys):
+    args = ["--no-fast-paths", "classify", device_file, "px", "pz"]
+    code, out, err = run_cli(["--trace", *args], capsys)
+    assert code == 0
+    assert "iter=0 " in err and "iter=" not in out
+    code, quiet, err = run_cli(args, capsys)
+    assert quiet == out and "iter=" not in err
 
 
 def test_dilate(device_file, capsys):

@@ -455,6 +455,34 @@ def test_weak_obs_obs_always():
     assert v.relation == "weakly_compatible_only"
 
 
+def test_weakly_compatible_instruments_with_distinct_totals():
+    # instruments have no free outcome, so distinct totals leave no channel to share
+    rng = np.random.default_rng(90)
+    a, b = rand_instrument(rng, n_out=3), rand_instrument(rng, n_out=2)
+    for fast in (True, False):
+        v = cp.weakly_compatible(a, b, fast_paths=fast)
+        assert (v.relation, v.witness) == ("strongly_incompatible", None)
+        assert v.notes == "fast-path: distinct-totals"
+
+
+def test_a_trace_preserving_map_is_classified_as_the_channel_it_is():
+    # the declared kind does not matter: validation makes the map a channel
+    rng = np.random.default_rng(91)
+    lam = rand_cpmap(rng, channel=True)
+    others = [rand_effect(rng, 2), rand_observable(rng, 2, 3), rand_cpmap(rng),
+              CPMap(2, 2, 0.5 * lam.choi), rand_cpmap(rng, channel=True),
+              rand_instrument(rng, n_out=3),
+              dv.canonical_instrument(lam, probs={"a": 0.4, "b": 0.6})]
+    relations = set()
+    for other in others:
+        for fast in (True, False):
+            want = cp.classify(CPMap(2, 2, lam.choi, kind="channel"), other, fast_paths=fast)
+            got = cp.classify(CPMap(2, 2, lam.choi, kind="operation"), other, fast_paths=fast)
+            assert (got.relation, got.notes) == (want.relation, want.notes)
+            relations.add(got.relation)
+    assert relations == {"compatible", "strongly_incompatible"}
+
+
 def _record_questions(monkeypatch) -> list[str]:
     """Record, in order, each problem built and each weak witness assembled."""
     calls = []
@@ -1327,10 +1355,10 @@ def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
             assert got.choi.tobytes() == want.choi.tobytes()
             assert got.heisenberg_unit().tobytes() == want.heisenberg_unit().tobytes()
         assert len(sums) == len(units) == len(label_sets)
-        for labels, choi, unit, want in zip(label_sets, sums, units,
-                                            one.branch_sums(label_sets, tol)):
+        for labels, choi, unit in zip(label_sets, sums, units):
+            want = one.branch_sum(labels, tol)
             if len(labels) == 1:
-                # a single branch is its own sum; branch_sums adds it to zero,
+                # a single branch is its own sum; branch_sum adds it to zero,
                 # which can only turn a -0.0 entry into 0.0
                 branch = ins.branches[labels[0]]
                 assert choi.tobytes() == branch.choi.tobytes()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qcompat import devices as dv
 from qcompat import matkit as mk
+from qcompat import memo as mm
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, SY, SZ, effect, luders_of
 
 from conftest import (
@@ -78,6 +79,37 @@ def test_cpmap_channel_kind_requires_trace_preserving():
     half = dv.choi_from_kraus(dv.KrausSet((I2 / np.sqrt(2),)))
     with pytest.raises(dv.TraceConditionError):
         dv.CPMap(2, 2, half.choi, kind="channel")
+
+
+def test_a_map_is_a_channel_exactly_when_it_preserves_trace():
+    # the kind comes from validation, whatever the construction path or the declared kind
+    rng = np.random.default_rng(16)
+    ident = dv.kraus_choi([I2])
+    channels = [ident, rand_cpmap(rng, channel=True).choi]
+    operations = [rand_cpmap(rng).choi, (1 - 1e-7) * ident]
+    for j, kind in [(j, "channel") for j in channels] + [(j, "operation") for j in operations]:
+        for m in (dv.CPMap(2, 2, j), dv.CPMap.from_stack(2, 2, [j])[0]):
+            assert m.kind == kind
+            assert m.is_trace_preserving() is (kind == "channel")
+    for j in operations:
+        with pytest.raises(dv.TraceConditionError):
+            dv.CPMap(2, 2, j, kind="channel")
+    assert dv.choi_from_kraus(dv.KrausSet((I2,))).kind == "channel"
+    for j in channels:
+        for chois in ({"0": j}, {"0": 0.5 * j, "1": 0.5 * j}):
+            branch = "channel" if len(chois) == 1 else "operation"
+            maps = {x: dv.CPMap(2, 2, c) for x, c in chois.items()}
+            for ins in (dv.Instrument(tuple(chois), maps),
+                        dv.Instrument.with_sums(tuple(chois), chois, 2, 2, ())[0]):
+                assert [ins.branches[x].kind for x in ins.outcomes] == [branch] * len(chois)
+                assert dv.total_channel(ins).kind == "channel"
+                assert ins.branch_sum(ins.outcomes).kind == "channel"
+    # a map 1e-7 short of preserving trace is a channel when validated at eq_tol 1e-6,
+    # and keeps that kind when asked again at a tighter tolerance
+    loose = mk.Tolerances(eq_tol=1e-6, psd_tol=1e-6, feas_tol=1e-5)
+    near = dv.CPMap(2, 2, (1 - 1e-7) * ident, tol=loose)
+    assert near.kind == "channel" and near.is_trace_preserving(loose)
+    assert not near.is_trace_preserving()
 
 
 def test_instrument_total_must_be_channel():
@@ -206,7 +238,8 @@ def test_stacked_constructors_match_one_by_one_bit_for_bit():
         assert totals[0].choi.tobytes() == totals[1].choi.tobytes()
         assert totals[0].heisenberg_unit().tobytes() == totals[1].heisenberg_unit().tobytes()
         label_sets = [("0",), ("0", "2"), (), ins.outcomes]
-        for labels, got in zip(label_sets, ins.branch_sums(label_sets)):
+        for labels in label_sets:
+            got = ins.branch_sum(labels)
             j = np.zeros((din * dout, din * dout), dtype=complex)
             for x in labels:
                 j = j + ins.branches[x].choi
@@ -217,6 +250,51 @@ def test_stacked_constructors_match_one_by_one_bit_for_bit():
         effects = dv.Effect.from_stack([m.heisenberg_unit() for m in maps])
         for e, m in zip(effects, maps):
             assert e.matrix.tobytes() == dv.Effect(m.heisenberg_unit()).matrix.tobytes()
+        for got, chois in _derived_instruments(rng, ins):
+            _assert_built_branch_by_branch(got, chois)
+
+
+def _derived_instruments(rng, ins):
+    """Instruments that relabel, canonical_instrument and model_instrument build, each
+    with the raw Choi matrices that the branch-by-branch construction would validate."""
+    din, dout = ins.dim_in, ins.dim_out
+    side = din * dout
+    # "9" is not an outcome, and "c" has no preimage
+    f = dv.PointerMap({"0": "a", "1": "b", "2": "a", "9": "b"}, codomain=("a", "b", "c"))
+    coarse = {}
+    for y in f.codomain:
+        j = np.zeros((side, side), dtype=complex)
+        for x in f.preimage(y):
+            if x in ins.branches:
+                j = j + ins.branches[x].choi
+        coarse[y] = j
+    yield dv.relabel(ins, f), coarse
+    rho0 = np.eye(din) / din
+    e = rand_effect(rng, din)
+    yield dv.canonical_instrument(e), {"0": dv.state_prep_choi(e.matrix, rho0),
+                                       "1": dv.state_prep_choi(np.eye(din) - e.matrix, rho0)}
+    obs = rand_observable(rng, din, 3)
+    yield dv.canonical_instrument(obs), {x: dv.state_prep_choi(obs.effects[x].matrix, rho0)
+                                         for x in obs.outcomes}
+    lam = dv.total_channel(ins)
+    probs = {"a": 0.25, "b": 0.75}
+    yield dv.canonical_instrument(lam, probs=probs), {x: p * lam.choi for x, p in probs.items()}
+    model = mm.synthesize_model(ins)
+    g = dv.PointerMap({x: "even" if int(x) % 2 == 0 else "odd" for x in model.pointer.outcomes})
+    effs = [model.pointer.effect_of(g.preimage(y)).matrix for y in g.codomain]
+    yield mm.model_instrument(model, g), dict(zip(g.codomain, mm._model_chois(model, effs)))
+
+
+def _assert_built_branch_by_branch(got, chois):
+    din, dout = got.dim_in, got.dim_out
+    want = dv.Instrument(tuple(chois), {x: dv.CPMap(din, dout, j) for x, j in chois.items()})
+    assert got.outcomes == want.outcomes
+    pairs = [(got.branches[x], want.branches[x]) for x in want.outcomes]
+    pairs.append((dv.total_channel(got), dv.total_channel(want)))
+    for g, w in pairs:
+        assert (g.dim_in, g.dim_out, g.kind) == (w.dim_in, w.dim_out, w.kind)
+        assert g.choi.tobytes() == w.choi.tobytes()
+        assert g.heisenberg_unit().tobytes() == w.heisenberg_unit().tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +643,7 @@ def reference_is_part_of(device, ins, tol=mk.DEFAULT_TOL):
                 return True
         return False
     if isinstance(device, dv.CPMap):
-        if device.kind == "channel" or device.is_trace_preserving(tol):
+        if device.kind == "channel":
             return mk.close(device.choi, dv.total_channel(ins, tol).choi, tol)
         _check_part_bound(ins)
         side = ins.dim_in * ins.dim_out
@@ -647,7 +725,7 @@ def test_part_of_checks_the_spaces():
 
 
 def test_channel_readings_need_no_outcome_bound():
-    # a channel, and a trace-preserving map of kind "operation", are compared with
+    # a trace-preserving map is a channel, declared so or not, and is compared with
     # the total, whatever the number of outcomes
     rng = np.random.default_rng(30)
     ins = rand_instrument(rng, n_out=dv.PART_SEARCH_LIMIT + 1)

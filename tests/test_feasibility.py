@@ -83,6 +83,18 @@ def test_certificate_needs_psd_direction_without_fixed_trace():
     assert fs._certificate_bound(herm_coords(np.eye(2)), layout, gram, x0) == pytest.approx(-0.5)
 
 
+def test_certificate_bound_of_a_direction_in_the_null_space():
+    # X[0, 0] = -1: a direction with no part in the row space projects to z = 0,
+    # which is PSD but has no weight, and so bounds nothing
+    row = np.zeros((1, 4))
+    row[0, 0] = 1.0
+    c = fs.AffineConstraint((("x", row),), np.array([-1.0]))
+    layout, gram, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
+    v = herm_coords(np.diag([0.0, 1.0]))
+    assert not (gram @ v).any()
+    assert fs._certificate_bound(v, layout, gram, x0) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
