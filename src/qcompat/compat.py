@@ -12,15 +12,18 @@ when two instruments, one containing each device, have equal totals
 
 ``classify`` returns compatible, weakly_compatible_only,
 strongly_incompatible, or undecided. Each question has the pair's
-analytic fast paths, then the engine, whose outcome becomes a verdict in
-one place. The joint fast paths run first. A quantum pair without a
-channel then asks the weak question before the joint engine: every
-compatible pair is weakly compatible, so a certified weak "no" proves
-strong incompatibility on its own, and the joint problem is not solved.
-The engine's weak "yes" is assembled into a witness only when the joint
-engine says no. Classical pairs are always weakly compatible, and a pair with a
-channel that is not compatible is strongly incompatible, so both ask
-only the joint question. A map's kind is the one its validation fixed,
+analytic fast paths, then the engine, which is handed the question's
+builder and whose outcome becomes a verdict in one place. A kind pair
+lists only paths that decide pairs no other path of its row decides: a
+trivial observable commutes with everything, so it has a path of its
+own only against a channel. The joint fast paths run first. A quantum
+pair without a channel then asks the weak question before the joint
+engine: every compatible pair is weakly compatible, so a certified weak
+"no" proves strong incompatibility on its own, and the joint problem is
+not solved. The engine's weak "yes" is assembled into a witness only
+when the joint engine says no. Classical pairs are always weakly
+compatible, and a pair with a channel that is not compatible is strongly
+incompatible, so both ask only the joint question. A map's kind is the one its validation fixed,
 so every trace-preserving map is a channel here, whatever it was
 declared. Positive verdicts carry a witness that is re-validated before
 it is returned. A flag disables the optional fast paths so the engine
@@ -442,15 +445,12 @@ def _projection(p: _Pair):
 
 
 def _trivial_observable(p: _Pair):
-    """A multiple-of-identity observable is a coin flip next to the other device."""
-    for i, (t, other) in enumerate(((p.t1, p.t2), (p.t2, p.t1))):
-        w = {x: float(np.trace(m).real) / p.din for x, m in t.items() if m is not None}
-        if len(w) == len(t) and all(m.shape[0] == p.din and close(m, w[x] * np.eye(p.din), p.tol)
-                                    for x, m in t.items()):
-            blocks = {((x, y) if i == 0 else (y, x)): w[x] * s
-                      for x in w for y, s in other.items()}
-            return _joint_verdict(p, blocks, "fast-path: trivial-observable", p.vtol)
-    return None
+    """A multiple-of-identity observable is a coin flip next to the channel."""
+    w = {x: float(np.trace(m).real) / p.din for x, m in p.t2.items()}
+    if not all(close(m, w[x] * np.eye(p.din), p.tol) for x, m in p.t2.items()):
+        return None
+    blocks = {("1", x): w[x] * p.t1["1"] for x in w}
+    return _joint_verdict(p, blocks, "fast-path: trivial-observable", p.vtol)
 
 
 def _commuting_observables(p: _Pair):
@@ -569,8 +569,8 @@ def _rank1_family(p: _Pair):
 # ones decide their pairs outright and run even with fast paths off.
 _JOINT_PATHS = {
     ("effect", "effect"): (_commuting_effects, _sum_below_identity, _projection),
-    ("effect", "observable"): (_trivial_observable, _commuting_observables),
-    ("observable", "observable"): (_trivial_observable, _commuting_observables),
+    ("effect", "observable"): (_commuting_observables,),
+    ("observable", "observable"): (_commuting_observables,),
     ("operation", "operation"): (_comparable, _sum_below_identity, _pure_oracle),
     ("operation", "effect"): (_range_commutation, _projection, _sum_below_identity),
     ("channel", "effect"): (_range_commutation, _projection),
@@ -625,12 +625,11 @@ def _fast(p: _Pair, paths: dict, fast_paths: bool):
     return None
 
 
-def _engine(p: _Pair, builder: str, trace):
-    """The engine on the problem that the function named ``builder`` encodes: its
-    feasible outcome, whose witness the caller assembles, an undecided verdict, or
-    the notes of a certified "no"."""
-    # the builder is looked up here, at call time, where the traced benchmark wraps it
-    out = fs.solve(globals()[builder](p.d1, p.d2), p.tol, trace=trace)
+def _engine(p: _Pair, builder, trace):
+    """The engine on the problem that ``builder`` encodes: its feasible outcome,
+    whose witness the caller assembles, an undecided verdict, or the notes of a
+    certified "no"."""
+    out = fs.solve(builder(p.d1, p.d2), p.tol, trace=trace)
     if out.verdict == "feasible":
         return out
     if out.verdict == "undecided":
@@ -645,11 +644,11 @@ def _decide(p: _Pair, fast_paths: bool, trace) -> Verdict:
     weak = None
     if not p.classical and "channel" not in p.kinds:
         # every compatible pair is weakly compatible, so a "no" here decides the pair
-        weak = _fast(p, _WEAK_PATHS, fast_paths) or _engine(p, "weak_problem", trace)
+        weak = _fast(p, _WEAK_PATHS, fast_paths) or _engine(p, weak_problem, trace)
         if isinstance(weak, str):
             return Verdict("strongly_incompatible", None, "; ".join(filter(None, (joint, weak))))
     if joint is None:
-        joint = _engine(p, "joint_problem", trace)
+        joint = _engine(p, joint_problem, trace)
         if isinstance(joint, fs.FeasibilityOutcome):
             return _joint_sdp(p, joint.witness)
         if isinstance(joint, Verdict):  # undecided
@@ -667,7 +666,7 @@ def _decide(p: _Pair, fast_paths: bool, trace) -> Verdict:
 
 
 def _decide_weak(p: _Pair, fast_paths: bool, trace) -> Verdict:
-    v = _fast(p, _WEAK_PATHS, fast_paths) or _engine(p, "weak_problem", trace)
+    v = _fast(p, _WEAK_PATHS, fast_paths) or _engine(p, weak_problem, trace)
     if isinstance(v, fs.FeasibilityOutcome):
         return _weak_sdp(p, v.witness)
     return v if isinstance(v, Verdict) else Verdict("strongly_incompatible", None, v)

@@ -504,12 +504,12 @@ def choi_from_kraus(k: KrausSet | list, tol: Tolerances = DEFAULT_TOL) -> CPMap:
     return CPMap.from_stack(k.dim_in, k.dim_out, kraus_choi(k.ops)[None], tol)[0]
 
 
-def kraus_lists(maps: list[CPMap], tol: Tolerances = DEFAULT_TOL, check: bool = True) -> list:
+def kraus_lists(maps: list[CPMap], tol: Tolerances = DEFAULT_TOL) -> list:
     """Kraus operators of several same-shape maps, from one batched Choi eigh.
 
     Eigenvalues at or below psd_tol are dropped; a map left with none
-    yields the single zero operator. ``check`` applies KrausSet's trace
-    condition to every list, on one stack of sums K^*K.
+    yields the single zero operator. KrausSet's trace condition is
+    checked for every list, on one stack of sums K^*K.
     """
     if not maps:
         return []
@@ -519,9 +519,8 @@ def kraus_lists(maps: list[CPMap], tol: Tolerances = DEFAULT_TOL, check: bool = 
     keep = evals > tol.psd_tol
     vecs = evecs.swapaxes(-1, -2).reshape(*evals.shape, din, dout).swapaxes(-1, -2)
     ops = np.sqrt(np.where(keep, evals, 0.0))[..., None, None] * vecs
-    if check:
-        v = ops.reshape(len(maps), -1, din)
-        _check_trace_condition(v.conj().swapaxes(-1, -2) @ v, tol)
+    v = ops.reshape(len(maps), -1, din)
+    _check_trace_condition(v.conj().swapaxes(-1, -2) @ v, tol)
     kept = ops[keep]
     kept.flags.writeable = False
     flat, ends = list(kept), np.cumsum(keep.sum(axis=1)).tolist()
@@ -531,8 +530,8 @@ def kraus_lists(maps: list[CPMap], tol: Tolerances = DEFAULT_TOL, check: bool = 
 
 def kraus_from_choi(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     """Kraus operators from the Choi eigendecomposition: :func:`kraus_lists` of one
-    map, whose trace condition KrausSet checks."""
-    return KrausSet(kraus_lists([m], tol, check=False)[0], tol=tol)
+    map, which checks their trace condition."""
+    return _made(KrausSet, ops=kraus_lists([m], tol)[0])
 
 
 def apply_s(m: CPMap, rho: np.ndarray) -> np.ndarray:

@@ -296,18 +296,19 @@ def _assemble(rows, layout: _Layout) -> np.ndarray:
 class _Frame:
     """The affine frame of a constraint matrix a, from one SVD.
 
-    ``x0(b)`` is the min-norm solution of a x = b, ``gram`` the projector
-    onto the row space of a and ``null`` an orthonormal basis of its
-    null space. ``f`` stacks null^T on the all-blocks identity e, with
-    its columns per side group in ``f_groups``; ``blind`` marks
-    constraints that never see e. All arrays are read-only.
+    The rows of ``row`` are an orthonormal basis of the row space of a,
+    with ``u`` and ``sv`` their left singular vectors and values:
+    ``x0(b)`` is the min-norm solution of a x = b, and ``project`` the
+    projection onto the row space. ``f`` stacks an orthonormal basis of
+    the null space, one vector per row, on the all-blocks identity e,
+    with its columns per side group in ``f_groups``; ``blind`` marks
+    constraints that never see e. All arrays are read-only and own their
+    data, so the full SVD bases are not kept.
     """
 
     row: np.ndarray
     u: np.ndarray
     sv: np.ndarray
-    gram: np.ndarray
-    null: np.ndarray
     f: np.ndarray
     f_groups: tuple[np.ndarray, ...]
     blind: bool
@@ -316,18 +317,20 @@ class _Frame:
     def of(a: np.ndarray, layout: _Layout) -> "_Frame":
         u, sv, vt = np.linalg.svd(a)
         rank = int(np.sum(sv > 1e-12 * sv[0]))
-        row, null = vt[:rank], vt[rank:].T
-        gram = row.T @ row
+        row, u, sv = vt[:rank].copy(), u[:, :rank].copy(), sv[:rank].copy()
         e = layout.identity
-        f = np.vstack([null.T, e])  # the slack is S = x0 - f^T y, with y = (w, t)
+        f = np.vstack([vt[rank:], e])  # the slack is S = x0 - f^T y, with y = (w, t)
         f_groups = tuple(f[:, gather.ravel()] for _, gather in layout.groups)
-        for arr in (u, sv, row, null, gram, f, *f_groups):
+        for arr in (u, sv, row, f, *f_groups):
             arr.flags.writeable = False
-        blind = bool(np.linalg.norm(gram @ e) <= 1e-9 * np.linalg.norm(e))
-        return _Frame(row, u[:, :rank], sv[:rank], gram, null, f, f_groups, blind)
+        blind = bool(np.linalg.norm(row @ e) <= 1e-9 * np.linalg.norm(e))
+        return _Frame(row, u, sv, f, f_groups, blind)
 
     def x0(self, b: np.ndarray) -> np.ndarray:
         return self.row.T @ ((self.u.T @ b) / self.sv)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        return self.row.T @ (self.row @ v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,16 +409,16 @@ def _min_eig(v: np.ndarray, layout: _Layout) -> float:
     return mu
 
 
-def _certificate_bound(v: np.ndarray, layout: _Layout, gram: np.ndarray, x0: np.ndarray):
+def _certificate_bound(z: np.ndarray, layout: _Layout, x0: np.ndarray):
     """Upper bound on the minimum block eigenvalue over the affine set, or None.
 
-    ``z = gram @ v`` lies in the row space of the constraints, so
-    <X, z> = <x0, z> for every affine X. When z is PSD blockwise,
-    <X, z> >= min eig(X) * <e, z> with e the all-blocks identity, hence
-    min eig(X) <= <x0, z> / <e, z>. A z with a negative eigenvalue gives
-    no bound. A bound below zero is a Farkas certificate of infeasibility.
+    ``z``, a vector in the row space of the constraints (a projection,
+    ``_Frame.project``), has <X, z> = <x0, z> for every affine X. When z
+    is PSD blockwise, <X, z> >= min eig(X) * <e, z> with e the all-blocks
+    identity, hence min eig(X) <= <x0, z> / <e, z>. A z with a negative
+    eigenvalue gives no bound. A bound below zero is a Farkas certificate
+    of infeasibility.
     """
-    z = gram @ v
     if _min_eig(z, layout) < 0:
         return None
     weight = float(layout.identity @ z)
@@ -695,10 +698,10 @@ def solve(
         # of x0 along it, and the least PSD one is the witness
         point = x0 - min(_min_eig(x0, layout), 0.0) * e
         return feasible(point, float(np.linalg.norm(a @ point - b)), 0)
-    gram, null, f, f_groups = frame.gram, frame.null, frame.f, frame.f_groups
+    f, f_groups = frame.f, frame.f_groups
 
     def proj_affine(x: np.ndarray) -> np.ndarray:
-        return x - gram @ x + x0
+        return x - frame.project(x) + x0
 
     nu = float(e @ e)
     z = e / nu
@@ -719,7 +722,7 @@ def solve(
             least = min(float(evals[:, 0].min()) for evals, _ in spec_s)
             if not least > 0:
                 raise np.linalg.LinAlgError("the slack left the cone interior")
-            point, gap = x0 - null @ y[:-1], float(z @ s)
+            point, gap = x0 - f[:-1].T @ y[:-1], float(z @ s)
             psd = least + y[-1] >= 0  # Y = S + t e: the slack's spectrum shifted by t
             cone = point if psd else _clamp(spec_s, y[-1], layout)
             residual = float(np.linalg.norm(a @ cone - b))
@@ -730,7 +733,7 @@ def solve(
                 return feasible(point, residual, it)
             if residual <= tol.feas_tol:
                 break
-            bound = _certificate_bound(z, layout, gram, x0)
+            bound = _certificate_bound(frame.project(z), layout, x0)
             if bound is not None and bound < margin:
                 margin = bound
                 if margin < -tol.feas_tol:

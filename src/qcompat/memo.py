@@ -21,6 +21,7 @@ from .devices import (
     Instrument,
     Observable,
     PointerMap,
+    _check_state,
     is_part_of,
     total_channel,
 )
@@ -31,8 +32,6 @@ from .matkit import (
     Tolerances,
     as_matrix,
     close,
-    hermitian_part,
-    is_hermitian,
     kron,
 )
 
@@ -71,18 +70,13 @@ class MeasurementModel:
         eye = np.eye(side)
         if not (close(u @ u.conj().T, eye, tol) and close(u.conj().T @ u, eye, tol)):
             raise ValueError("coupling matrix is not unitary")
-        eta = as_matrix(self.eta)
+        eta = _check_state(self.eta, tol)
         if eta.shape != (self.dim_v1, self.dim_v1):
             raise MatrixShapeError("probe state must live on V1")
-        if not is_hermitian(eta, tol):
-            raise ValueError("probe state is not Hermitian")
-        evals = np.linalg.eigvalsh(hermitian_part(eta))
-        if evals[0] < -tol.psd_tol or abs(float(np.trace(eta).real) - 1.0) > 1e-8:
-            raise ValueError("probe state is not a state")
         if self.pointer.dim != self.dim_v2:
             raise MatrixShapeError("pointer observable must live on V2")
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "eta", hermitian_part(eta))
+        object.__setattr__(self, "eta", eta)
 
     def outcomes(self) -> tuple[str, ...]:
         return self.pointer.outcomes

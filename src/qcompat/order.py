@@ -2,9 +2,10 @@
 
 Contains the CP order on operations, purity and comparability tests,
 the one-parameter channel family above an operation with rank-1 trace
-deficit and a closed-form test of whether two such families meet,
-detectors for trivial devices, and the commutation criterion between an
-operation's range and an effect.
+deficit and a closed-form test of whether two such families meet (both
+read the deficit by one rank rule), the output state of a contraction
+channel, and the commutation criterion between an operation's range
+and an effect.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
-    close,
     frob_norm,
     hermitian_part,
     kron,
@@ -83,28 +83,30 @@ def trace_deficit(m: CPMap) -> np.ndarray:
     return hermitian_part(np.eye(m.dim_in) - m.heisenberg_unit())
 
 
-def _deficit_rank(e: np.ndarray, tol: Tolerances) -> int:
-    evals = np.linalg.eigvalsh(e)
-    return int(np.sum(evals > tol.psd_tol))
+def _deficit_vector(phi: CPMap, tol: Tolerances) -> np.ndarray | None:
+    """The vector u with ``E^T = u u*`` for a rank-1 deficit; None for rank 0."""
+    evals, vecs = np.linalg.eigh(trace_deficit(phi).T)
+    r = int(np.sum(evals > tol.psd_tol))
+    if r > 1:
+        raise RankConditionError(f"trace deficit has rank {r} > 1")
+    return np.sqrt(evals[-1]) * vecs[:, -1] if r else None
 
 
 def rank1_channel_family(phi: CPMap, xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CPMap:
     """The channel ``rho -> phi(rho) + tr[rho E] xi`` above a rank-1-deficit map.
 
     ``E = 1 - phi_H(1)`` must have rank at most 1; every channel above
-    ``phi`` has this form, parametrized by the completion state ``xi``.
+    ``phi`` has this form, parametrized by the completion state ``xi``,
+    with Choi matrix ``J + (u u*) (x) xi`` for ``E^T = u u*``.
     A map that is already a channel (rank-0 deficit) gives itself.
     """
-    e = trace_deficit(phi)
-    r = _deficit_rank(e, tol)
-    if r == 0:
+    u = _deficit_vector(phi, tol)
+    if u is None:
         return CPMap(phi.dim_in, phi.dim_out, phi.choi, kind="channel", tol=tol)
-    if r > 1:
-        raise RankConditionError(f"trace deficit has rank {r} > 1")
     xi = hermitian_part(np.asarray(xi, dtype=complex))
     if xi.shape != (phi.dim_out, phi.dim_out):
         raise MatrixShapeError("completion state must live on the output space")
-    j = phi.choi + np.kron(e.T, xi)
+    j = phi.choi + kron(np.outer(u, u.conj()), xi)
     return CPMap(phi.dim_in, phi.dim_out, j, kind="channel", tol=tol)
 
 
@@ -125,15 +127,6 @@ class FamilyOverlap:
     xi2: np.ndarray | None = None
     channel: CPMap | None = None
     reason: str = ""
-
-
-def _deficit_vector(phi: CPMap, tol: Tolerances) -> np.ndarray | None:
-    """The vector u with ``E^T = u u*`` for a rank-1 deficit; None for rank 0."""
-    evals, vecs = np.linalg.eigh(trace_deficit(phi).T)
-    r = int(np.sum(evals > tol.psd_tol))
-    if r > 1:
-        raise RankConditionError(f"trace deficit has rank {r} > 1")
-    return np.sqrt(evals[-1]) * vecs[:, -1] if r else None
 
 
 def _compress(delta: np.ndarray, f: np.ndarray, dk: int) -> np.ndarray:
@@ -204,22 +197,6 @@ def rank1_upper_channels_equal(
         return FamilyOverlap(None, reason=f"uncertified: slack {slack:.3e}, drift {drift:.3e}")
     ch = CPMap(phi1.dim_in, dk, phi1.choi + lifts.get(0, 0.0), kind="channel", tol=tol)
     return FamilyOverlap(True, xis[0], xis[1], ch, reason="families intersect")
-
-
-# ---------------------------------------------------------------------------
-# trivial-device detectors
-# ---------------------------------------------------------------------------
-
-
-def is_trivial_effect(e: Effect, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether the effect is a multiple of the identity."""
-    d = e.dim
-    scale = float(np.trace(e.matrix).real) / d
-    return close(e.matrix, scale * np.eye(d), tol)
-
-
-def is_null_operation(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return frob_norm(m.choi) <= tol.eq_tol
 
 
 def is_contraction_channel(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:

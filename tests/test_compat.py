@@ -139,10 +139,11 @@ def test_sharp_x_vs_sharp_z_incompatible():
 
 
 def test_trivial_observable_compatible_with_any():
+    # a multiple of the identity commutes with every effect
     p = dv.trivial_observable({"h": 0.3, "t": 0.7}, dim=2)
     v = cp.classify(p, sharp_observable(PZ, PMZ))
     assert v.relation == "compatible"
-    assert "trivial" in v.notes
+    assert v.notes == "fast-path: commuting-observables"
 
 
 def test_effect_vs_observable_promotion():
@@ -1229,10 +1230,10 @@ def _fast_path_sample():
         ("commuting-effects", e, f),
         ("sum-below-identity", effect(0.45 * PX), effect(0.45 * PZ)),
         ("projection-commutation", effect(PX), effect(0.9 * PZ)),
-        ("trivial-observable", rand_effect(rng, 2), coin),
-        ("trivial-observable", rand_observable(rng, 2, 3), effect(0.4 * I2)),
+        ("commuting-observables", rand_effect(rng, 2), coin),
+        ("commuting-observables", rand_observable(rng, 2, 3), effect(0.4 * I2)),
         ("commuting-observables", e, obs),
-        ("trivial-observable", coin, rand_observable(rng, 2, 2)),
+        ("commuting-observables", coin, rand_observable(rng, 2, 2)),
         ("commuting-observables", obs,
          _observable(_diag_in(u, [0.5, 0.1]), _diag_in(u, [0.5, 0.9]))),
         ("range-commutation", dv.luders(Effect(_diag_in(u, [1.0, 0.0]))), e),
@@ -1290,6 +1291,52 @@ def test_fast_paths_agree_with_engine_on_every_path():
     assert covered >= set(cp._JOINT_PATHS) | set(cp._WEAK_PATHS)
     for path, d1, d2 in sample:
         assert path in _both_routes(d1, d2).notes
+
+
+def _coin(p, delta=0.0 * I2) -> Observable:
+    """The trivial observable (p, 1 - p), its effects moved by +delta and -delta."""
+    return _observable(p * I2 + delta, (1 - p) * I2 - delta)
+
+
+def _steepest(b: np.ndarray, norm: float) -> np.ndarray:
+    """The traceless Hermitian delta of Frobenius norm ``norm`` with the largest [delta, b]."""
+    paulis = [m / np.sqrt(2) for m in (SX, SY, SZ)]
+    comm = np.array([(m @ b - b @ m).ravel() for m in paulis]).T
+    c = np.linalg.svd(np.vstack([comm.real, comm.imag]))[2][0]
+    return norm * sum(ck * m for ck, m in zip(c, paulis))
+
+
+def test_trivial_observables_take_the_commuting_path():
+    # a multiple of the identity commutes with everything, so the commuting
+    # path decides trivial effects and observables against any observable;
+    # against a channel nothing else decides them
+    rng = np.random.default_rng(2020)
+    for _ in range(3):
+        obs = rand_observable(rng, 2, int(rng.integers(2, 4)))
+        pairs = [(effect(rng.uniform() * I2), obs), (_coin(rng.uniform()), obs),
+                 (_coin(rng.uniform()), rand_effect(rng, 2))]
+        for d1, d2 in pairs + [(d2, d1) for d1, d2 in pairs]:
+            assert _both_routes(d1, d2).notes == "fast-path: commuting-observables"
+        lam = rand_cpmap(rng, channel=True)
+        coin = _coin(rng.uniform())
+        for d1, d2 in ((lam, coin), (coin, lam)):
+            assert _both_routes(d1, d2).notes == "fast-path: trivial-observable"
+    # within eq_tol of trivial (as close() reads it: up to eq_tol (1 + |E|_F)),
+    # in a random direction or in the one that makes the commutator with a
+    # random or a sharp observable largest, on both routes
+    eq_tol = Tolerances().eq_tol
+    for _ in range(4):
+        u = np.linalg.qr(rand_complex(rng, 2))[0]
+        sharp = _observable(_diag_in(u, [1.0, 0.0]), _diag_in(u, [0.0, 1.0]))
+        for obs in (rand_observable(rng, 2, int(rng.integers(2, 4))), sharp):
+            p = rng.uniform(0.1, 0.9)
+            edge = 0.999 * eq_tol * (1 + np.sqrt(2) * min(p, 1 - p))
+            h = hermitian_part(rand_complex(rng, 2))
+            h -= np.trace(h).real / 2 * I2
+            for delta in (rng.uniform() * edge * h / np.linalg.norm(h),
+                          _steepest(obs.effects["0"].matrix, edge)):
+                for d1, d2 in ((_coin(p, delta), obs), (obs, _coin(p, delta))):
+                    assert _both_routes(d1, d2).relation == "compatible"
 
 
 def test_fast_paths_agree_with_engine_on_table1():
@@ -1398,7 +1445,7 @@ def test_carved_effects_take_no_eigvalsh_of_their_own(name, monkeypatch):
     # not from a stack of its own
     d1, d2, shapes = {
         "ef-ef": (effect(PZ), effect(I2 / 2), [(4, 2, 2), (7, 4, 4), (7, 2, 2)]),
-        "op-ef": (DEV["luders_pz"], DEV["pz"], [(2, 2), (7, 4, 4), (7, 2, 2)]),
+        "op-ef": (DEV["luders_pz"], DEV["pz"], [(1, 2, 2), (7, 4, 4), (7, 2, 2)]),
     }[name]
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -1411,7 +1458,9 @@ def test_carved_effects_take_no_eigvalsh_of_their_own(name, monkeypatch):
     v = cp.classify(d1, d2)
     assert v.relation == "compatible" and "fast-path" in v.notes
     # ef-ef: the joint observable's effects, then the witness stack (Choi
-    # matrices, then units); op-ef: the fast path's range test, then the stack
+    # matrices, then units); op-ef: the trace condition of the fast path's
+    # Kraus operators, checked once by kraus_lists on a stack of one, then
+    # the witness stack
     assert calls == shapes
 
 

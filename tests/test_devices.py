@@ -381,6 +381,30 @@ def test_kraus_lists_check_the_trace_condition():
         dv.kraus_lists([luders_of(PZ), big])
 
 
+def test_kraus_from_choi_checks_the_trace_condition_once(monkeypatch):
+    loose = mk.Tolerances(eq_tol=1e-6, psd_tol=1e-6)
+    ident = dv.choi_from_kraus(dv.KrausSet((I2,))).choi
+    big = dv.CPMap(2, 2, (1 + 1e-7) * ident, tol=loose)
+    checks = []
+    check = dv._check_trace_condition
+    monkeypatch.setattr(dv, "_check_trace_condition", lambda *a: checks.append(1) or check(*a))
+    ks = dv.kraus_from_choi(big, loose)
+    assert checks == [1]
+    assert not any(k.flags.writeable for k in ks.ops)
+    with pytest.raises(dv.TraceConditionError):
+        dv.kraus_from_choi(big)
+
+
+def test_kraus_helpers_take_plain_lists_and_no_maps():
+    ops = [PX, PMX]
+    m = dv.choi_from_kraus(ops)
+    assert np.array_equal(m.choi, dv.choi_from_kraus(dv.KrausSet(tuple(ops))).choi)
+    assert m.kind == "channel"
+    with pytest.raises(dv.TraceConditionError):
+        dv.choi_from_kraus([I2, PX])
+    assert dv.kraus_lists([]) == []
+
+
 def test_kraus_choi_adds_outer_products_in_order():
     rng = np.random.default_rng(15)
     ops = np.array([rand_complex(rng, 3, 2) for _ in range(4)])
@@ -790,6 +814,31 @@ def test_canonical_constructions_keep_the_tolerance():
 def test_canonical_instrument_rejects_bad_state():
     with pytest.raises(ValueError):
         dv.canonical_instrument(effect(PX), anchor_state=2 * I2)
+
+
+@pytest.mark.parametrize("rho, error", [
+    (np.ones((2, 3)) / 2, mk.MatrixShapeError),
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), mk.HermiticityError),
+    (np.diag([1.5, -0.5]), mk.PositivityError),
+    (np.diag([0.5, 0.4]), ValueError),
+], ids=["not-square", "not-hermitian", "negative-eigenvalue", "trace"])
+def test_every_state_check_rejects_what_is_not_a_state(rho, error):
+    for build in (lambda: dv._check_state(rho, mk.DEFAULT_TOL),
+                  lambda: dv.contraction_channel(rho),
+                  lambda: dv.canonical_instrument(effect(PX), anchor_state=rho)):
+        with pytest.raises(error) as info:
+            build()
+        assert info.type is error
+
+
+def test_canonical_instrument_rejects_bad_probs_and_a_misshaped_anchor():
+    ident = dv.luders(effect(I2))
+    for probs in ({"a": 0.7, "b": 0.2}, {"a": 1.2, "b": -0.2}):
+        with pytest.raises(ValueError, match="probability distribution") as info:
+            dv.canonical_instrument(ident, probs=probs)
+        assert info.type is ValueError
+    with pytest.raises(mk.MatrixShapeError, match="output space"):
+        dv.canonical_instrument(luders_of(PX), anchor_state=np.eye(3) / 3)
 
 
 def test_luders_of_identity_is_identity_channel():

@@ -46,20 +46,21 @@ def test_negative_trace_infeasible():
 
 
 def affine_data(problem):
-    """Layout, row-space projector and affine base point, as the solver builds them."""
+    """Layout, affine frame and affine base point, as the solver builds them."""
     plan = fs._plan(problem)
     b = np.concatenate([c.rhs for c in problem.constraints])
-    return plan.layout, plan.frame.gram, plan.frame.x0(b)
+    return plan.layout, plan.frame, plan.frame.x0(b)
 
 
 def test_certificate_bound_of_negative_trace():
-    # Tr X = -1 on one 2x2 block; with the exact projector onto the trace
-    # row, z = I certifies min eig(X) <= -1/2, which X = -I/2 attains
+    # Tr X = -1 on one 2x2 block; z = I lies in the span of the trace row,
+    # so it is its own projection, and certifies min eig(X) <= -1/2, which
+    # X = -I/2 attains
     layout = fs._Layout.of(one_block_trace_problem(-1.0).blocks)
     row = np.array([1.0, 1.0, 0.0, 0.0])
-    gram = np.outer(row, row) / 2
     x0 = -row / 2
-    assert fs._certificate_bound(herm_coords(np.eye(2)), layout, gram, x0) == -0.5
+    assert np.array_equal(herm_coords(np.eye(2)), row)
+    assert fs._certificate_bound(herm_coords(np.eye(2)), layout, x0) == -0.5
 
 
 def test_certificate_needs_psd_direction_without_fixed_trace():
@@ -67,20 +68,21 @@ def test_certificate_needs_psd_direction_without_fixed_trace():
     row = np.zeros((1, 4))
     row[0, 0] = 1.0
     c = fs.AffineConstraint((("x", row),), np.array([-1.0]))
-    layout, gram, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
-    assert fs._certificate_bound(herm_coords(np.diag([-1.0, 0.0])), layout, gram, x0) is None
-    assert fs._certificate_bound(herm_coords(np.diag([1.0, 0.0])), layout, gram, x0) == -1.0
+    layout, frame, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
+    for diag, bound in (([-1.0, 0.0], None), ([1.0, 0.0], -1.0)):
+        assert fs._certificate_bound(frame.project(herm_coords(np.diag(diag))), layout, x0) == bound
     # with the trace fixed as well (Tr X = -1, one off-diagonal coordinate 0),
     # a non-PSD z in the row space still gives no bound: z is not shifted
     rows = np.zeros((2, 4))
     rows[0, :2] = 1.0
     rows[1, 2] = 1.0
     c = fs.AffineConstraint((("x", rows),), np.array([-1.0, 0.0]))
-    layout, gram, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
-    z = np.array([1.0, 1.0, 3.0, 0.0])
-    assert fs._min_eig(gram @ z, layout) < 0
-    assert fs._certificate_bound(z, layout, gram, x0) is None
-    assert fs._certificate_bound(herm_coords(np.eye(2)), layout, gram, x0) == pytest.approx(-0.5)
+    layout, frame, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
+    z = frame.project(np.array([1.0, 1.0, 3.0, 0.0]))
+    assert fs._min_eig(z, layout) < 0
+    assert fs._certificate_bound(z, layout, x0) is None
+    z = frame.project(herm_coords(np.eye(2)))
+    assert fs._certificate_bound(z, layout, x0) == pytest.approx(-0.5)
 
 
 def test_certificate_bound_of_a_direction_in_the_null_space():
@@ -89,10 +91,10 @@ def test_certificate_bound_of_a_direction_in_the_null_space():
     row = np.zeros((1, 4))
     row[0, 0] = 1.0
     c = fs.AffineConstraint((("x", row),), np.array([-1.0]))
-    layout, gram, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
-    v = herm_coords(np.diag([0.0, 1.0]))
-    assert not (gram @ v).any()
-    assert fs._certificate_bound(v, layout, gram, x0) is None
+    layout, frame, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
+    z = frame.project(herm_coords(np.diag([0.0, 1.0])))
+    assert not z.any()
+    assert fs._certificate_bound(z, layout, x0) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,9 +122,9 @@ def test_certificate_bound_is_sound(seed, sides, n_rows, fixed_trace):
         terms.append((name, rows[:, col : col + d * d]))
         col += d * d
     problem = fs.FeasibilityProblem(blocks, (fs.AffineConstraint(tuple(terms), rows @ point),))
-    layout, gram, x0 = affine_data(problem)
+    layout, frame, x0 = affine_data(problem)
     for _ in range(20):
-        bound = fs._certificate_bound(rng.standard_normal(point.size), layout, gram, x0)
+        bound = fs._certificate_bound(frame.project(rng.standard_normal(point.size)), layout, x0)
         assert bound is None or bound >= -1e-9
 
 
@@ -590,7 +592,9 @@ def test_a_warm_plan_repeats_the_cold_solve_bit_for_bit(monkeypatch):
         cached = [plan.a]
         if not hit_svds:
             frame = plan.frame
-            cached += [frame.row, frame.u, frame.sv, frame.gram, frame.null, frame.f, *frame.f_groups]
+            cached += [frame.row, frame.u, frame.sv, frame.f, *frame.f_groups]
+            # no cached array is a view that keeps the full SVD bases alive
+            assert all(arr.base is None or arr.base.size == arr.size for arr in cached)
         assert not any(arr.flags.writeable for arr in cached)
         verdicts.add(cold.verdict)
     assert verdicts == {"feasible", "infeasible"}

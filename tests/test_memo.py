@@ -5,6 +5,7 @@ from qcompat import devices as dv
 from qcompat import memo as mm
 from qcompat.devices import CPMap, Instrument, KrausSet, PointerMap, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, effect, luders_of, sharp_observable
+from qcompat.matkit import HermiticityError, MatrixShapeError, PositivityError
 
 from conftest import loose_pointer, rand_complex, rand_instrument, rand_observable, rand_state
 
@@ -254,6 +255,24 @@ def test_model_validation_errors():
         mm.MeasurementModel(2, 2, 2, 2, eta, np.eye(4) * 2, pointer)
     with pytest.raises(Exception):
         mm.MeasurementModel(2, 2, 2, 3, eta, np.eye(4), pointer)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("u", np.eye(6), MatrixShapeError),
+    ("eta", np.eye(3) / 3, MatrixShapeError),
+    ("eta", np.array([[0.5, 0.5], [0.0, 0.5]]), HermiticityError),
+    ("eta", np.diag([1.5, -0.5]), PositivityError),
+    ("eta", np.diag([0.5, 0.4]), ValueError),
+    ("pointer", sharp_observable(np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])), MatrixShapeError),
+], ids=["unitary-side", "probe-shape", "probe-hermitian", "probe-psd", "probe-trace",
+        "pointer-dim"])
+def test_model_rejects_a_bad_unitary_probe_state_or_pointer(field, value, error):
+    # the probe state is checked as every state is, by devices._check_state
+    args = {"eta": I2 / 2, "u": np.eye(4), "pointer": sharp_observable(PZ, PMZ)}
+    args[field] = value
+    with pytest.raises(error) as info:
+        mm.MeasurementModel(2, 2, 2, 2, args["eta"], args["u"], args["pointer"])
+    assert info.type is error
 
 
 @pytest.mark.parametrize("din, dout, dv1, dv2", [(2, 3, 3, 2), (3, 2, 2, 3)])

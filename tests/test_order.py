@@ -8,7 +8,7 @@ from qcompat import devices as dv
 from qcompat import order as od
 from qcompat.devices import CPMap, KrausSet, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, effect, half_sigma_x, luders_of
-from qcompat.matkit import close
+from qcompat.matkit import MatrixShapeError, close
 
 from conftest import (
     hermitian_basis, rand_complex, rand_cpmap, rand_herm, rand_kraus, rand_rank1_deficit_op,
@@ -125,6 +125,16 @@ def test_rank1_family_of_channel_is_itself():
 def test_rank1_family_rejects_rank2_deficit():
     with pytest.raises(od.RankConditionError):
         od.rank1_channel_family(half_sigma_x(), I2 / 2)
+
+
+def test_rank1_family_rejects_a_misshaped_state_and_a_rank2_deficit():
+    with pytest.raises(MatrixShapeError, match="output space"):
+        od.rank1_channel_family(luders_of(PX), np.eye(3) / 3)
+    # half the identity channel has deficit 1/2, of rank 2
+    half = CPMap(2, 2, 0.5 * luders_of(I2).choi)
+    with pytest.raises(od.RankConditionError) as info:
+        od.rank1_channel_family(half, I2 / 2)
+    assert info.type is od.RankConditionError
 
 
 def test_rank1_families_luders_px_pz_disjoint():
@@ -313,17 +323,6 @@ def test_rank1_families_channel_against_rank1_map(swap):
             assert (res.xi1 is None) is swap and (res.xi2 is None) is not swap
         else:
             assert res.reason.startswith("span residual")
-
-
-def test_trivial_effect_detector():
-    assert od.is_trivial_effect(effect(I2 / 2))
-    assert od.is_trivial_effect(effect(np.zeros((2, 2))))
-    assert not od.is_trivial_effect(effect(PX))
-
-
-def test_null_operation_detector():
-    assert od.is_null_operation(CPMap(2, 2, np.zeros((4, 4))))
-    assert not od.is_null_operation(luders_of(PX))
 
 
 def test_contraction_channel_roundtrip():
