@@ -4,8 +4,9 @@ Every device is read as an instrument through the table of parts
 ``devices.instrument_parts``, one per outcome: free, or the Choi matrix of
 a map on the device's own output (E^T for an effect E, whose output is
 one-dimensional). Blocks are Choi matrices on side ``din * dout``, with
-``dout = 1`` when neither device has a quantum output, and :func:`_row`
-compares their sums with targets. Two devices are compatible when both are
+``dout`` the quantum output side, else ``din``; a joint block that no
+full-side target reads has side ``din``, and :func:`_measure` lifts it.
+:func:`_row` compares block sums with targets. Two devices are compatible when both are
 parts of one joint instrument (``joint_problem``), and weakly compatible
 when two instruments, one containing each device, have equal totals
 (``weak_problem``, with blocks for the devices' own outcomes only).
@@ -176,11 +177,11 @@ def _joint_parts(d1, d2):
 
 
 def _dims(d1, d2) -> tuple[int, int]:
-    """Shared input side, and the blocks' output side: the quantum one, else 1."""
+    """Shared input side, and the pair's one output side: the quantum one, else din."""
     (in1, out1), (in2, out2) = sides(d1), sides(d2)
     if in1 != in2 or (None not in (out1, out2) and out1 != out2):
         raise MatrixShapeError("devices live on different spaces")
-    return in1, out1 or out2 or 1
+    return in1, out1 or out2 or in1
 
 
 def _sum(mats, side: int) -> np.ndarray:
@@ -193,15 +194,17 @@ def _sum(mats, side: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _row(names, target: np.ndarray, din: int, dout: int, fixed=None) -> fs.AffineConstraint:
-    """``S = target`` for S the sum of the blocks and ``fixed``, when the target has
-    the blocks' side ``din * dout``; else ``Tr_out(S) = target``."""
+def _row(blocks, target: np.ndarray, din: int, dout: int, fixed=None) -> fs.AffineConstraint:
+    """``S = target`` for S the sum of the (name, side) blocks and ``fixed``, when the
+    target has the full side ``din * dout``; else ``Tr_out(S) = target``, where a
+    block of side ``din`` enters as itself, the partial trace of its lift (:func:`_measure`)."""
     if target.shape[0] == din * dout:
-        return fs.encode_sum_constraint(names, target if fixed is None else target - fixed)
-    row = fs.encode_partial_trace_constraint(names[0], (din, dout), 0, target)
+        return fs.encode_sum_constraint([n for n, _ in blocks],
+                                        target if fixed is None else target - fixed)
+    row = fs.encode_partial_trace_constraint(blocks[0][0], (din, dout), 0, target)
     op = row.terms[0][1]
     rhs = row.rhs if fixed is None else row.rhs - op.matrix @ herm_coords(fixed)
-    return fs.AffineConstraint(tuple((n, op) for n in names), rhs)
+    return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks), rhs)
 
 
 def _joint_pairs(t1, t2) -> list[tuple[str, str]]:
@@ -220,21 +223,24 @@ def joint_problem(d1, d2) -> fs.FeasibilityProblem:
 
     Each fixed target of device 1, then of device 2, is matched by the
     sum of its blocks (:func:`_row`); the blocks sum to a channel when
-    both devices have a free outcome.
+    both devices have a free outcome. A block whose targets are all free
+    or of side ``din`` is read only through Tr_out and has side ``din``:
+    each PSD h is Tr_out of the PSD kron(h, 1/dout) (:func:`_measure`).
     """
     t1, t2 = _joint_parts(d1, d2)
     din, dout = _dims(d1, d2)
     pairs = _joint_pairs(t1, t2)
-    names = [f"g{n}" for n in range(len(pairs))]
+    blocks = [(f"g{n}", din if all(t is None or t.shape[0] == din for t in (t1[x], t2[y]))
+               else din * dout) for n, (x, y) in enumerate(pairs)]
     cons = []
     for i, targets in enumerate((t1, t2)):
         for x, target in targets.items():
             if target is not None:
-                own = [n for n, xy in zip(names, pairs) if xy[i] == x]
+                own = [b for b, xy in zip(blocks, pairs) if xy[i] == x]
                 cons.append(_row(own, target, din, dout))
     if _free(t1) and _free(t2):
-        cons.append(_row(names, np.eye(din), din, dout))
-    return fs.FeasibilityProblem(tuple((n, din * dout) for n in names), tuple(cons))
+        cons.append(_row(blocks, np.eye(din), din, dout))
+    return fs.FeasibilityProblem(tuple(blocks), tuple(cons))
 
 
 def _weak_name(i: int, x: str) -> str:
@@ -245,7 +251,7 @@ def weak_problem(d1, d2) -> fs.FeasibilityProblem:
     """Two instruments, one containing each device, with one total channel.
 
     Each instrument has one block per free outcome and per target smaller
-    than the blocks (an effect's, facing a quantum output); targets of the
+    than the blocks (an effect's, also in a classical pair); targets of the
     blocks' side are constants. Rows: the two totals agree (``sum own_2 -
     sum own_1 = sum fixed_1 - sum fixed_2``); device 1's total is trace
     preserving, when both devices have a free outcome (otherwise a fixed
@@ -261,8 +267,8 @@ def weak_problem(d1, d2) -> fs.FeasibilityProblem:
     terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
     cons = [fs.encode_sum_constraint(terms, fixed[0] - fixed[1])]
     if _free(parts[0]) and _free(parts[1]):
-        cons.append(_row(own[0], np.eye(din), din, dout, fixed[0]))
-    cons += [_row([_weak_name(i, x)], m, din, dout)
+        cons.append(_row([(n, side) for n in own[0]], np.eye(din), din, dout, fixed[0]))
+    cons += [_row([(_weak_name(i, x), side)], m, din, dout)
              for i, t in enumerate(parts) for x, m in t.items()
              if m is not None and m.shape[0] != side]
     return fs.FeasibilityProblem(tuple((n, side) for n in own[0] + own[1]), tuple(cons))
@@ -282,8 +288,6 @@ class _Pair:
         self.kinds = (_kind(d1), _kind(d2))
         self.classical = set(self.kinds) <= {"effect", "observable"}
         self.din, self.dout = _dims(d1, d2)
-        # witness output side: a classical pair's measure and prepare on the input
-        self.wout = self.din if self.classical else self.dout
         self.vtol = self.wtol if self.classical else tol  # for its fast-path witnesses
         self.t1, self.t2 = _joint_parts(d1, d2)
 
@@ -316,25 +320,29 @@ def _carve(p: _Pair, owners, sums, wtol: Tolerances):
     return carved
 
 
+def _measure(p: _Pair, c: np.ndarray) -> np.ndarray:
+    """A block's witness branch: c itself on the pair's output, or an effect's G^T of
+    side ``din`` measured and the maximally mixed state prepared, kron(c, 1/dout)."""
+    return c if c.shape[0] == p.din * p.dout else kron(c, np.eye(p.dout) / p.dout)
+
+
 def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verdict:
     """Joint instrument from one block per outcome pair, re-validated as one stack
     together with the sums that carve each device out of it.
 
-    Blocks are Choi matrices on the pair's output. A classical pair's,
-    G^T at output side 1, are the effects G of a joint observable, each
-    then measured and prepared into the maximally mixed state.
+    Blocks are Choi matrices on the pair's output, or an effect's G^T of
+    side ``din``, which :func:`_measure` lifts. A classical pair's blocks
+    all have side ``din``; their G are the effects of a joint observable.
     """
     labels = {xy: f"{xy[0]}&{xy[1]}" for xy in blocks}
-    mats = {labels[xy]: m for xy, m in blocks.items()}
     joint = None
-    if p.wout != p.dout:
-        effects = dict(zip(mats, Effect.from_stack([m.T for m in mats.values()], vtol)))
-        joint = Observable(tuple(effects), effects, tol=vtol)
-        eta = np.eye(p.din) / p.din
-        mats = {lab: state_prep_choi(e.matrix, eta) for lab, e in effects.items()}
+    if p.classical:
+        effects = Effect.from_stack([m.T for m in blocks.values()], vtol)
+        joint = Observable(tuple(labels.values()), dict(zip(labels.values(), effects)), tol=vtol)
+    mats = {labels[xy]: _measure(p, m) for xy, m in blocks.items()}
     owners = [{labels[xy]: xy[i] for xy in blocks} for i in (0, 1)]
     sets = [_label_sets(d, owner) for d, owner in zip((p.d1, p.d2), owners)]
-    ins, chois, units = Instrument.with_sums(tuple(mats), mats, p.din, p.wout,
+    ins, chois, units = Instrument.with_sums(tuple(mats), mats, p.din, p.dout,
                                              sets[0] + sets[1], vtol)
     k = len(sets[0])
     (s1, q1), (s2, q2) = _carve(p, owners, ((chois[:k], units[:k]), (chois[k:], units[k:])), vtol)
@@ -349,7 +357,7 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
     outcome, what the channel ``lam`` leaves over. Each device is carved
     out of single branches, which need no second validation.
     """
-    side = p.din * p.wout
+    side = p.din * p.dout
     instruments, owners, sums = [], [], []
     for i, device in enumerate((p.d1, p.d2)):
         parts = _parts(device)
@@ -363,7 +371,7 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
         if free:
             choi[free[0]] = lam - _sum(list(choi.values()), lam.shape[0])
         owner = {x: x for x in parts}
-        ins, *carved = Instrument.with_sums(tuple(parts), choi, p.din, p.wout,
+        ins, *carved = Instrument.with_sums(tuple(parts), choi, p.din, p.dout,
                                             _label_sets(device, owner), vtol)
         instruments.append(ins)
         owners.append(owner)
@@ -379,13 +387,12 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
 def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
     """Classical devices are always weakly compatible.
 
-    Both instruments measure and then prepare one fixed state, so both
-    totals are the contraction channel to that state.
+    Both instruments measure and then prepare one fixed state (:func:`_measure`),
+    so both totals are the contraction channel to that state.
     """
-    eta = np.eye(p.din) / p.din
-    blocks = {(i, x): kron(t, eta) for i, d in enumerate((p.d1, p.d2))
+    blocks = {(i, x): _measure(p, t) for i, d in enumerate((p.d1, p.d2))
               for x, t in _parts(d).items() if t is not None}
-    return _weak_verdict(p, blocks, kron(np.eye(p.din), eta), notes, p.tol)
+    return _weak_verdict(p, blocks, _measure(p, np.eye(p.din)), notes, p.tol)
 
 
 def _swap_verdict(v: Verdict) -> Verdict:
@@ -409,12 +416,6 @@ def _commute(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> bool:
     return close(a @ b, b @ a, tol)
 
 
-def _measure(p: _Pair, c: np.ndarray) -> np.ndarray:
-    """Block from a Choi matrix c: c itself, or, for an effect's (output side 1) on a
-    quantum output, the effect measured and then the maximally mixed state prepared."""
-    return c if c.shape[0] == p.din * p.dout else kron(c, np.eye(p.dout) / p.dout)
-
-
 def _commuting_effects(p: _Pair):
     e1, e2 = p.t1["1"], p.t2["1"]
     if not _commute(e1, e2, p.tol):
@@ -430,9 +431,8 @@ def _sum_below_identity(p: _Pair):
     gram = sum(d.matrix if isinstance(d, Effect) else d.heisenberg_unit() for d in (p.d1, p.d2))
     if float(np.linalg.eigvalsh(hermitian_part(gram))[-1]) > 1.0 + p.tol.psd_tol:
         return None
-    own = [_measure(p, t["1"]) for t in (p.t1, p.t2)]
     leftover = hermitian_part(np.eye(p.din) - gram)
-    blocks = {("1", "0"): own[0], ("0", "1"): own[1], ("0", "0"): _measure(p, leftover.T)}
+    blocks = {("1", "0"): p.t1["1"], ("0", "1"): p.t2["1"], ("0", "0"): leftover.T}
     return _joint_verdict(p, blocks, "fast-path: sum-below-identity", p.vtol)
 
 
@@ -467,7 +467,7 @@ def _comparable(p: _Pair):
         if cp_leq(lo, hi, p.tol):
             leftover = hermitian_part(np.eye(p.din) - hi.heisenberg_unit())
             blocks = {("1", "1"): lo.choi, split: hermitian_part(hi.choi - lo.choi),
-                      ("0", "0"): _measure(p, leftover.T)}
+                      ("0", "0"): leftover.T}
             return _joint_verdict(p, blocks, "fast-path: comparable", p.tol)
     return None
 
@@ -495,8 +495,8 @@ def _range_commutation(p: _Pair):
               ("1", "0"): kraus_choi([k @ comp_root for k in ks])}
     if p.kinds[0] == "operation":
         deficit = hermitian_part(np.eye(f.dim_in) - f.heisenberg_unit())
-        blocks[("0", "1")] = _measure(p, hermitian_part(e.matrix @ deficit).T)
-        blocks[("0", "0")] = _measure(p, hermitian_part((np.eye(e.dim) - e.matrix) @ deficit).T)
+        blocks[("0", "1")] = hermitian_part(e.matrix @ deficit).T
+        blocks[("0", "0")] = hermitian_part((np.eye(e.dim) - e.matrix) @ deficit).T
     return _joint_verdict(p, blocks, "fast-path: range-commutation", p.tol)
 
 

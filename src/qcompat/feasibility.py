@@ -212,34 +212,31 @@ class _Layout:
     sides: tuple[int, ...]
     offsets: tuple[int, ...]
     total: int
-    # (side, gather) in ascending side order; gather is the read-only
-    # (n_blocks, side**2) array of the coordinate indices of that side's blocks
-    groups: tuple[tuple[int, np.ndarray], ...]
+    # (side, span) in ascending side order; span is the slice of the
+    # coordinates of that side's blocks, x[span].reshape(-1, side**2)
+    groups: tuple[tuple[int, slice], ...]
     # read-only coordinates of the all-blocks identity e
     identity: np.ndarray
 
     @staticmethod
     @functools.lru_cache(maxsize=256)
     def of(blocks: tuple[tuple[str, int], ...]) -> "_Layout":
-        """Layout of (name, side) blocks, stacked in the given order; cached."""
+        """Layout of (name, side) blocks, stacked by ascending side and in the given
+        order within a side; cached. ``names``, ``sides`` and ``offsets`` keep that order."""
         names = tuple(n for n, _ in blocks)
         sides = tuple(d for _, d in blocks)
-        offsets, total = [], 0
-        by_side: dict[int, list[int]] = {}
-        for d in sides:
-            offsets.append(total)
-            by_side.setdefault(d, []).append(total)
-            total += d * d
+        offsets, total, groups = [0] * len(sides), 0, []
+        for d in sorted(set(sides)):
+            start = total
+            for k in (k for k, dk in enumerate(sides) if dk == d):
+                offsets[k] = total
+                total += d * d
+            groups.append((d, slice(start, total)))
         identity = np.zeros(total)
         for o, d in zip(offsets, sides):
             identity[o : o + d] = 1.0  # the diagonal coordinates come first
-        groups = tuple(
-            (d, np.array(starts)[:, None] + np.arange(d * d))
-            for d, starts in sorted(by_side.items())
-        )
-        for arr in (identity, *(g for _, g in groups)):
-            arr.flags.writeable = False
-        return _Layout(names, sides, tuple(offsets), total, groups, identity)
+        identity.flags.writeable = False
+        return _Layout(names, sides, tuple(offsets), total, tuple(groups), identity)
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         return [
@@ -300,17 +297,16 @@ class _Frame:
     with ``u`` and ``sv`` their left singular vectors and values:
     ``x0(b)`` is the min-norm solution of a x = b, and ``project`` the
     projection onto the row space. ``f`` stacks an orthonormal basis of
-    the null space, one vector per row, on the all-blocks identity e,
-    with its columns per side group in ``f_groups``; ``blind`` marks
-    constraints that never see e. All arrays are read-only and own their
-    data, so the full SVD bases are not kept.
+    the null space, one vector per row, on the all-blocks identity e; a
+    side group's columns are the contiguous ``f[:, span]``. ``blind``
+    marks constraints that never see e. All arrays are read-only and own
+    their data, so the full SVD bases are not kept.
     """
 
     row: np.ndarray
     u: np.ndarray
     sv: np.ndarray
     f: np.ndarray
-    f_groups: tuple[np.ndarray, ...]
     blind: bool
 
     @staticmethod
@@ -320,11 +316,10 @@ class _Frame:
         row, u, sv = vt[:rank].copy(), u[:, :rank].copy(), sv[:rank].copy()
         e = layout.identity
         f = np.vstack([vt[rank:], e])  # the slack is S = x0 - f^T y, with y = (w, t)
-        f_groups = tuple(f[:, gather.ravel()] for _, gather in layout.groups)
-        for arr in (u, sv, row, f, *f_groups):
+        for arr in (u, sv, row, f):
             arr.flags.writeable = False
         blind = bool(np.linalg.norm(row @ e) <= 1e-9 * np.linalg.norm(e))
-        return _Frame(row, u, sv, f, f_groups, blind)
+        return _Frame(row, u, sv, f, blind)
 
     def x0(self, b: np.ndarray) -> np.ndarray:
         return self.row.T @ ((self.u.T @ b) / self.sv)
@@ -368,14 +363,14 @@ def _plan(problem: FeasibilityProblem) -> _Plan:
 def _spectra(x: np.ndarray, layout: _Layout) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per side group, the (evals, evecs) of the blocks of a coordinate vector.
 
-    Blocks of equal side are read through their group's gather; each
-    group of side > 1 takes one batched eigendecomposition, and 1x1
-    blocks are their own eigenvalue.
+    Blocks of equal side are read from their group's span; each group
+    of side > 1 takes one batched eigendecomposition, and 1x1 blocks are
+    their own eigenvalue.
     """
     return [
-        (x[gather], np.ones((len(gather), 1, 1))) if d == 1
-        else np.linalg.eigh(herm_stack_from_coords(x[gather], d))
-        for d, gather in layout.groups
+        (x[span, None], np.ones((span.stop - span.start, 1, 1))) if d == 1
+        else np.linalg.eigh(herm_stack_from_coords(x[span].reshape(-1, d * d), d))
+        for d, span in layout.groups
     ]
 
 
@@ -386,11 +381,11 @@ def _clamp(spectra, shift: float, layout: _Layout) -> np.ndarray:
     eigenvectors, and its projection is V max(evals + shift, 0) V*.
     """
     out = np.empty(layout.total)
-    for (d, gather), (evals, evecs) in zip(layout.groups, spectra):
+    for (d, span), (evals, evecs) in zip(layout.groups, spectra):
         clamped = np.maximum(evals + shift, 0.0)
-        out[gather] = clamped if d == 1 else herm_stack_coords(
+        out[span] = (clamped if d == 1 else herm_stack_coords(
             (evecs * clamped[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-        )
+        )).ravel()
     return out
 
 
@@ -402,8 +397,8 @@ def _project_cone(x: np.ndarray, layout: _Layout) -> np.ndarray:
 def _min_eig(v: np.ndarray, layout: _Layout) -> float:
     """Least eigenvalue over all blocks of a coordinate vector."""
     mu = float("inf")
-    for d, gather in layout.groups:
-        rows = v[gather]
+    for d, span in layout.groups:
+        rows = v[span].reshape(-1, d * d)
         evals = rows if d == 1 else np.linalg.eigvalsh(herm_stack_from_coords(rows, d))
         mu = min(mu, float(evals.min()))
     return mu
@@ -553,24 +548,24 @@ def _step_lengths(halves, dz: np.ndarray, ds: np.ndarray, layout: _Layout):
     group take one batched eigenvalue call.
     """
     lo_z = lo_s = 0.0
-    for (d, gather), h in zip(layout.groups, halves):
-        rows = np.concatenate([dz[gather], ds[gather]])
+    for (d, span), h in zip(layout.groups, halves):
+        rows = np.concatenate([dz[span], ds[span]]).reshape(-1, d * d)
         if d == 1:  # 1x1 blocks are their own eigenvalue
             least = (h[:, 0] * rows * h[:, 0])[:, 0]
         else:
             least = np.linalg.eigvalsh(h @ herm_stack_from_coords(rows, d) @ h)[:, 0]
-        lo_z = min(lo_z, float(least[: len(gather)].min()))
-        lo_s = min(lo_s, float(least[len(gather) :].min()))
+        lo_z = min(lo_z, float(least[: len(least) // 2].min()))
+        lo_s = min(lo_s, float(least[len(least) // 2 :].min()))
     return tuple(1.0 if lo >= -0.95 else -0.95 / lo for lo in (lo_z, lo_s))
 
 
-def _newton_step(z, y, s, spec_s, layout: _Layout, f, f_groups):
+def _newton_step(z, y, s, spec_s, layout: _Layout, f):
     """One HKM predictor-corrector step from (Z, y), with S = x0 - f^T y.
 
     The Schur complement is f K f^T with K block-diagonal: for a block
     pair (Z, S), K = Re(T^H (Z kron S^-T) T) maps the coordinates of H
     to those of sym(Z H S^-1), T being the coordinate basis. Each side
-    group adds its blocks with one batched product.
+    group adds its blocks, the columns f[:, span], in one batched product.
     """
     nu = float(f[-1] @ f[-1])
     unit_t = np.zeros(len(f))
@@ -578,28 +573,29 @@ def _newton_step(z, y, s, spec_s, layout: _Layout, f, f_groups):
     m = np.zeros((len(f), len(f)))
     kmats, sinv, halves, sinv_c = [], [], [], np.empty_like(z)
     spec_z = _spectra(z, layout)
-    for (d, gather), (ls, vs), (lz, vz), fg in zip(layout.groups, spec_s, spec_z, f_groups):
+    for (d, span), (ls, vs), (lz, vz) in zip(layout.groups, spec_s, spec_z):
         if not lz[:, 0].min() > 0:
             raise np.linalg.LinAlgError("the dual iterate left the cone interior")
         vs_h, vz_h = vs.conj().swapaxes(-1, -2), vz.conj().swapaxes(-1, -2)
         inv = (vs / ls[:, None, :]) @ vs_h
         sinv.append(inv)
-        sinv_c[gather] = herm_stack_coords(inv)
+        sinv_c[span] = herm_stack_coords(inv).ravel()
         halves.append(np.concatenate([
             (vz / np.sqrt(lz)[:, None, :]) @ vz_h, (vs / np.sqrt(ls)[:, None, :]) @ vs_h
         ]))
-        n_b, dd = gather.shape
+        n_b, dd = len(ls), d * d
         kron_zs = np.einsum("bij,bkl->biljk", (vz * lz[:, None, :]) @ vz_h, inv)
         k = _coord_matrix(kron_zs.reshape(n_b, dd, dd))
         k = (k + k.swapaxes(-1, -2)) / 2
         kmats.append(k)
+        fg = f[:, span]
         fk = fg.reshape(-1, n_b, dd).swapaxes(0, 1) @ k
         m += fk.swapaxes(0, 1).reshape(len(f), -1) @ fg.T
 
     def apply_k(v):
         out = np.empty_like(v)
-        for (_, gather), k in zip(layout.groups, kmats):
-            out[gather] = (k @ v[gather][..., None])[..., 0]
+        for (d, span), k in zip(layout.groups, kmats):
+            out[span] = (k @ v[span].reshape(-1, d * d, 1)).ravel()
         return out
 
     # predictor (sigma = 0) and its complementarity after the step
@@ -612,10 +608,10 @@ def _newton_step(z, y, s, spec_s, layout: _Layout, f, f_groups):
     sigma_mu = min(1.0, max(mu_aff, 0.0) / mu) ** 3 * mu
     # corrector: centring plus the second-order term sym(dZ dS S^-1)
     corr = np.empty_like(z)
-    for (d, gather), inv in zip(layout.groups, sinv):
-        dz_m, ds_m = herm_stack_from_coords(dz[gather], d), herm_stack_from_coords(ds[gather], d)
+    for (d, span), inv in zip(layout.groups, sinv):
+        dz_m, ds_m = (herm_stack_from_coords(v[span].reshape(-1, d * d), d) for v in (dz, ds))
         prod = dz_m @ ds_m @ inv
-        corr[gather] = herm_stack_coords((prod + prod.conj().swapaxes(-1, -2)) / 2)
+        corr[span] = herm_stack_coords((prod + prod.conj().swapaxes(-1, -2)) / 2).ravel()
     dy = np.linalg.solve(m, unit_t - sigma_mu * (f @ sinv_c) + f @ corr)
     ds = -f.T @ dy
     dz = sigma_mu * sinv_c - z + apply_k(-ds) - corr
@@ -698,7 +694,7 @@ def solve(
         # of x0 along it, and the least PSD one is the witness
         point = x0 - min(_min_eig(x0, layout), 0.0) * e
         return feasible(point, float(np.linalg.norm(a @ point - b)), 0)
-    f, f_groups = frame.f, frame.f_groups
+    f = frame.f
 
     def proj_affine(x: np.ndarray) -> np.ndarray:
         return x - frame.project(x) + x0
@@ -739,7 +735,7 @@ def solve(
                 if margin < -tol.feas_tol:
                     return FeasibilityOutcome("infeasible", None, margin, residual, it)
             if it < _MAX_STEPS:
-                z, y = _newton_step(z, y, s, spec_s, layout, f, f_groups)
+                z, y = _newton_step(z, y, s, spec_s, layout, f)
     except np.linalg.LinAlgError:
         pass
     if point is not None:

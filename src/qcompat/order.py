@@ -163,13 +163,15 @@ def rank1_upper_channels_equal(
     if live:
         basis = np.stack([us[i] for i in live], axis=1)
         sv = np.linalg.svd(basis, compute_uv=False)
+        # a one-dimensional input has one singular value: its second direction is parallel
+        low = sv[-1] if len(sv) == len(live) else 0.0
         # the duals amplify rounding in J2 - J1 by cond([u1 u2])^2
-        if np.finfo(float).eps * sv[0] ** 2 <= tol.psd_tol * sv[-1] ** 2:
+        if np.finfo(float).eps * sv[0] ** 2 <= tol.psd_tol * low ** 2:
             duals = basis @ np.linalg.inv(basis.conj().T @ basis)
             for i, f in zip(live, duals.T):
                 xis[i] = (1 - 2 * i) * _compress(delta, f, dk)
-        elif sv[-1] > tol.eq_tol * sv[0]:
-            ratio = sv[-1] / sv[0]
+        elif low > tol.eq_tol * sv[0]:
+            ratio = low / sv[0]
             return FamilyOverlap(None, reason=f"deficit directions nearly parallel: {ratio:.3e}")
         else:
             mu = weight[1] / weight[0]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcompat import compat as cp
@@ -607,11 +607,11 @@ def _ref_targets(device) -> dict:
 
 
 def _ref_dims(d1, d2) -> tuple[int, int]:
-    """Reference block sides: the input side, and the output side of the devices
-    with a quantum output, or 1 when neither has one."""
+    """Reference sides: the input side, and the output side of the devices with a
+    quantum output, or the input side when neither has one."""
     quantum = [d for d in (d1, d2) if isinstance(d, (CPMap, Instrument))]
     din = quantum[0].dim_in if quantum else d1.dim
-    return din, (quantum[0].dim_out if quantum else 1)
+    return din, (quantum[0].dim_out if quantum else din)
 
 
 def _ref_joint_targets(d1, d2):
@@ -678,21 +678,25 @@ def _weak_problem_with_channel_block(d1, d2) -> fs.FeasibilityProblem:
     return fs.FeasibilityProblem(tuple((n, side) for n in blocks), tuple(cons))
 
 
-def _dense_row(names, target, dims):
+def _dense_row(names, target, dims, sides):
     """Reference encoder: one dense term matrix per block (c times the identity
-    when the target has the blocks' side, else the matrix of the partial trace
-    over the output) and the target's coordinates."""
+    when the target has the full side; else the matrix of the partial trace over
+    the output, or the identity for a block of the target's side) and the
+    target's coordinates."""
     items = [n if isinstance(n, tuple) else (n, 1.0) for n in names]
     t = hermitian_part(np.asarray(target, dtype=complex))
-    if t.shape[0] != dims[0] * dims[1]:
-        return [(n, fs._partial_trace_matrix(*dims, 0)) for n, _ in items], herm_coords(t)
     eye = np.eye(t.shape[0] ** 2)
+    if t.shape[0] != dims[0] * dims[1]:
+        return [(n, eye if sides[n] == dims[0] else fs._partial_trace_matrix(*dims, 0))
+                for n, _ in items], herm_coords(t)
     return [(n, c * eye) for n, c in items], herm_coords(t)
 
 
 def _dense_problem(builder, d1, d2):
-    """The blocks, dense constraint matrix and right-hand side of either
-    question, built row by row from dense term matrices."""
+    """The blocks, dense constraint matrix (columns in block order) and
+    right-hand side of either question, built row by row from dense term
+    matrices. A joint block whose targets are all free or of side din has
+    side din; every other block has the full side."""
     din, dout = _ref_dims(d1, d2)
     side = din * dout
     rows = []
@@ -700,41 +704,46 @@ def _dense_problem(builder, d1, d2):
         t1, t2 = _ref_joint_targets(d1, d2)
         pairs = cp._joint_pairs(t1, t2)
         names = [f"g{n}" for n in range(len(pairs))]
+        sides = {n: din if all(t is None or t.shape[0] == din for t in (t1[x], t2[y])) else side
+                 for n, (x, y) in zip(names, pairs)}
         for i, targets in enumerate((t1, t2)):
             for x, target in targets.items():
                 if target is not None:
                     own = [n for n, xy in zip(names, pairs) if xy[i] == x]
-                    rows.append(_dense_row(own, target, (din, dout)))
+                    rows.append(_dense_row(own, target, (din, dout), sides))
         if _ref_free(t1) and _ref_free(t2):
-            rows.append(_dense_row(names, np.eye(din), (din, dout)))
+            rows.append(_dense_row(names, np.eye(din), (din, dout), sides))
     else:
         parts, own, fixed = (_ref_targets(d1), _ref_targets(d2)), [], []
         for i, t in enumerate(parts):
             own.append([cp._weak_name(i, x) for x, m in t.items() if m is None or m.shape[0] != side])
             fixed.append(_ref_sum([m for m in t.values() if m is not None and m.shape[0] == side], side))
+        names = own[0] + own[1]
+        sides = dict.fromkeys(names, side)
         terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
-        rows.append(_dense_row(terms, fixed[0] - fixed[1], (din, dout)))
+        rows.append(_dense_row(terms, fixed[0] - fixed[1], (din, dout), sides))
         if _ref_free(parts[0]) and _ref_free(parts[1]):
-            terms, rhs = _dense_row(own[0], np.eye(din), (din, dout))
+            terms, rhs = _dense_row(own[0], np.eye(din), (din, dout), sides)
             rows.append((terms, rhs - terms[0][1] @ herm_coords(fixed[0])))
-        rows += [_dense_row([cp._weak_name(i, x)], t, (din, dout))
+        rows += [_dense_row([cp._weak_name(i, x)], t, (din, dout), sides)
                  for i in (0, 1) for x, t in parts[i].items()
                  if t is not None and t.shape[0] != side]
-        names = own[0] + own[1]
-    offsets = {n: k * side * side for k, n in enumerate(names)}
+    widths = [sides[n] ** 2 for n in names]
+    offsets = dict(zip(names, np.cumsum([0] + widths)))
     a = []
     for terms, rhs in rows:
-        block_row = np.zeros((len(rhs), len(names) * side * side))
+        block_row = np.zeros((len(rhs), sum(widths)))
         for n, mat in terms:
-            block_row[:, offsets[n] : offsets[n] + side * side] += mat
+            block_row[:, offsets[n] : offsets[n] + sides[n] ** 2] += mat
         a.append(block_row)
-    return tuple((n, side) for n in names), np.vstack(a), np.concatenate([rhs for _, rhs in rows])
+    return tuple((n, sides[n]) for n in names), np.vstack(a), np.concatenate([rhs for _, rhs in rows])
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_typed_rows_assemble_to_the_dense_encoding(d):
     # every kind pair in canonical order, both questions: the plan's matrix
-    # and the right-hand side equal the dense encoding bit for bit
+    # and the right-hand side equal the dense encoding bit for bit, column
+    # block by column block (the layout stacks blocks by side)
     rng = np.random.default_rng([41, d])
     kinds = {
         "instrument": lambda: rand_instrument(rng, d, d, n_out=3),
@@ -752,11 +761,54 @@ def test_typed_rows_assemble_to_the_dense_encoding(d):
                 problem = getattr(cp, f"{builder}_problem")(d1, d2)
                 blocks, a, b = _dense_problem(builder, d1, d2)
                 assert problem.blocks == blocks
-                assert np.array_equal(fs._plan(problem).a, a)
+                plan = fs._plan(problem)
+                cols = [c for o, d in zip(plan.layout.offsets, plan.layout.sides)
+                        for c in range(o, o + d * d)]
+                assert np.array_equal(plan.a[:, cols], a)
                 assert np.array_equal(np.concatenate([c.rhs for c in problem.constraints]), b)
                 assert not any(isinstance(op, np.ndarray) for c in problem.constraints for _, op in c.terms)
                 built += 1
     assert built == 30
+
+
+def test_joint_blocks_that_no_full_side_target_reads_have_the_input_side():
+    # built, not solved: a block whose targets are all free or effects' (side
+    # din) has side din, every other one din * dout; the d = 5 joint problems
+    # have 1300, 1950 and 1900 coordinates, not 2500, 3750 and 2500
+    rng = np.random.default_rng(43)
+    op = rand_cpmap(rng, 5, 5)
+    coords = []
+    for d1, d2, sides in (
+        (op, rand_effect(rng, 5), [25, 25, 5, 5]),
+        (op, rand_observable(rng, 5, 3), [25, 5] * 3),
+        (op, rand_cpmap(rng, 5, 5), [25, 25, 25, 5]),
+        (rand_cpmap(rng, 2, 3), rand_effect(rng, 2), [6, 6, 2, 2]),
+        (rand_cpmap(rng, 3, 3, channel=True), rand_effect(rng, 3), [9, 9]),
+        (rand_effect(rng, 3), rand_observable(rng, 3, 2), [3] * 4),
+    ):
+        blocks = cp.joint_problem(d1, d2).blocks
+        assert [side for _, side in blocks] == sides
+        coords.append(sum(side * side for _, side in blocks))
+    assert coords[:3] == [1300, 1950, 1900]
+    # a classical pair's weak blocks have the side of its measure-and-prepare witness
+    e1, e2 = rand_effect(rng, 3), rand_effect(rng, 3)
+    assert cp.weak_problem(e1, e2).blocks == tuple((n, 9) for n in ("0:1", "0:0", "1:1", "1:0"))
+
+
+def test_unobserved_engine_branches_are_measured_and_prepared():
+    # the engine's joint witness of luders_pz and pz: the branches of the free
+    # outcome of the operation are solved at side 2 and lifted to kron(h, 1/2)
+    v = cp.classify(DEV["luders_pz"], DEV["pz"], fast_paths=False)
+    assert v.relation == "compatible" and v.notes == "sdp"
+    branches = v.witness.instrument.branches
+    for x in ("0&1", "0&0"):
+        choi = branches[x].choi
+        h = np.einsum("iaja->ij", choi.reshape(2, 2, 2, 2))
+        assert np.array_equal(choi, np.kron(h, I2 / 2))
+    assert not np.allclose(branches["1&1"].choi, np.kron(np.einsum(
+        "iaja->ij", branches["1&1"].choi.reshape(2, 2, 2, 2)), I2 / 2))
+    cert = cp.kraus_witness(v)
+    assert cert.kind == "joint"
 
 
 def test_weak_problem_agrees_with_the_channel_block_formulation():
@@ -1283,6 +1335,42 @@ def _both_routes(d1, d2) -> cp.Verdict:
     slow = cp.classify(d1, d2, fast_paths=False)
     assert fast.relation == slow.relation != "undecided", (fast.notes, slow.notes)
     return fast
+
+
+def _shaped_pair(kind, din, dout, n_ops, seed):
+    """A pair of the kind on input side din and output side dout; the maps have
+    enough Kraus operators (dout * n >= din) to be scaled from a channel."""
+    rng = np.random.default_rng([47, seed])
+    n_ops = max(n_ops, -(-din // dout))
+    if kind == "ins-ef":
+        d1 = rand_instrument(rng, din, dout, n_out=2, ops_per_branch=-(-din // (2 * dout)))
+    else:
+        d1 = rand_cpmap(rng, din, dout, n_ops=n_ops)
+    if kind == "op-op":
+        return d1, rand_cpmap(rng, din, dout, n_ops=n_ops)
+    if kind == "op-obs":
+        return d1, rand_observable(rng, din, 3)
+    return d1, rand_effect(rng, din)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["op-op", "op-ef", "op-obs", "ins-ef"]), din=st.integers(1, 3),
+       dout=st.integers(1, 3), n_ops=st.integers(1, 2), seed=st.integers(0, 2**16),
+       swap=st.booleans())
+@example(kind="op-op", din=1, dout=2, n_ops=2, seed=0, swap=False)  # a wrong "no" at d_in = 1
+@example(kind="op-op", din=1, dout=2, n_ops=2, seed=1, swap=False)  # a singular dual basis
+def test_unusual_shapes_agree_on_both_routes(kind, din, dout, n_ops, seed, swap):
+    # one-dimensional inputs or outputs and unequal sides: both routes give one
+    # relation, and every exported Kraus certificate validates
+    d1, d2 = _shaped_pair(kind, din, dout, n_ops, seed)
+    if swap:
+        d1, d2 = d2, d1
+    verdicts = [cp.classify(d1, d2, fast_paths=fast) for fast in (True, False)]
+    assert verdicts[0].relation == verdicts[1].relation, [v.notes for v in verdicts]
+    for v in verdicts:
+        w = v.witness
+        if w is not None and w.part_1 is not None and w.part_2 is not None:
+            cp.kraus_witness(v)
 
 
 def test_fast_paths_agree_with_engine_on_every_path():

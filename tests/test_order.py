@@ -260,6 +260,25 @@ def test_rank1_families_parallel_trace_test(eps):
     assert res.reason.startswith(f"tr D+ = {1 + eps:.6g}, xi1 has eigenvalue")
 
 
+@pytest.mark.parametrize("dout", [1, 2, 3])
+def test_rank1_families_on_a_one_dimensional_input_are_parallel(dout):
+    # on a one-dimensional input any two deficit directions are parallel, so
+    # the parallel trace test decides, and it agrees with the weak engine
+    answers = set()
+    for s in range(10):
+        rng = np.random.default_rng([11, dout, s])
+        phi1, phi2 = rand_cpmap(rng, 1, dout), rand_cpmap(rng, 1, dout)
+        res = od.rank1_upper_channels_equal(phi1, phi2)
+        engine = cp.weakly_compatible(phi1, phi2, fast_paths=False).relation
+        assert res.equal is (engine == "weakly_compatible_only"), (s, res.reason)
+        if res.equal:
+            check_common_member(res, phi1, phi2)
+        else:
+            assert res.reason.startswith("tr D+ = ")
+        answers.add(res.equal)
+    assert answers == ({True} if dout == 1 else {True, False})
+
+
 def test_rank1_families_parallel_within_tolerance_is_undecided():
     # tr D+ = 1 + 2e-8 puts xi1's eigenvalue at -1e-8: above the -100 psd_tol
     # refutation floor, yet the witness branch would sit below -psd_tol
