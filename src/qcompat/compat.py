@@ -15,9 +15,11 @@ when two instruments, one containing each device, have equal totals
 strongly_incompatible, or undecided. Each question has the pair's
 analytic fast paths, then the engine, which is handed the question's
 builder and whose outcome becomes a verdict in one place. A kind pair
-lists only paths that decide pairs no other path of its row decides: a
-trivial observable commutes with everything, so it has a path of its
-own only against a channel. The joint fast paths run first. A quantum
+lists only paths that decide pairs no other path of its row decides.
+Every row whose second device is an effect or an observable starts with
+one commutation rule, :func:`_commuting`: when those effects commute
+with every part of the first device, splitting each part along them is
+a joint instrument. The joint fast paths run first. A quantum
 pair without a channel then asks the weak question before the joint
 engine: every compatible pair is weakly compatible, so a certified weak
 "no" proves strong incompatibility on its own, and the joint problem is
@@ -48,10 +50,9 @@ from .devices import (
     PointerMap,
     instrument_parts as _parts,
     kraus_choi,
-    kraus_from_choi,
+    kraus_from_choi,  # noqa: F401  (unused here; perfbench/tracer.py wraps compat.kraus_from_choi)
     kraus_lists,
     sides,
-    state_prep_choi,
     total_channel,
 )
 from .matkit import (
@@ -63,13 +64,10 @@ from .matkit import (
     herm_coords,
     hermitian_part,
     kron,
-    mat_sqrt,
 )
 from .order import (
     RankConditionError,
-    commutes_with_range,
     cp_leq,
-    is_contraction_channel,
     is_pure,
     pure_pair_compatible,
     rank1_upper_channels_equal,
@@ -412,18 +410,29 @@ def _swap_verdict(v: Verdict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _commute(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> bool:
-    return close(a @ b, b @ a, tol)
+def _commuting(p: _Pair):
+    """Device 2's effects B_y commute with every part of device 1.
 
-
-def _commuting_effects(p: _Pair):
-    e1, e2 = p.t1["1"], p.t2["1"]
-    if not _commute(e1, e2, p.tol):
+    Each fixed target J_x of device 1 must commute with L_y = B_y^T (x) 1
+    on its side, for every y (an effect's free outcome is 1 - F). Block
+    (x, y) is then J_x L_y, and device 1's free outcome gives the side-``din``
+    blocks D^T B_y^T, with D^T = 1 - sum_x Tr_out J_x. The factors commute
+    and are PSD, so every block is PSD; the blocks are linear in B_y, so
+    they sum back to every target.
+    """
+    fixed = [t for t in p.t1.values() if t is not None]
+    k = fixed[0].shape[0] // p.din  # 1 for targets E^T, dout for Choi matrices
+    given = [t for t in p.t2.values() if t is not None]
+    bt = {y: np.eye(p.din) - _sum(given, p.din) if t is None else t for y, t in p.t2.items()}
+    lifts = {y: b if k == 1 else kron(b, np.eye(k)) for y, b in bt.items()}
+    if not all(close(j @ lift, lift @ j, p.tol) for j in fixed for lift in lifts.values()):
         return None
-    g11 = hermitian_part(e1 @ e2)
-    blocks = {("1", "1"): g11, ("1", "0"): e1 - g11, ("0", "1"): e2 - g11,
-              ("0", "0"): np.eye(p.din) - e1 - e2 + g11}
-    return _joint_verdict(p, blocks, "fast-path: commuting-effects", p.wtol)
+    if _free(p.t1):
+        dt = np.eye(p.din) - _sum([np.trace(j.reshape(p.din, k, p.din, k), axis1=1, axis2=3)
+                                   for j in fixed], p.din)
+    blocks = {(x, y): hermitian_part(dt @ bt[y] if p.t1[x] is None else p.t1[x] @ lifts[y])
+              for x, y in _joint_pairs(p.t1, p.t2)}
+    return _joint_verdict(p, blocks, "fast-path: commuting", p.vtol)
 
 
 def _sum_below_identity(p: _Pair):
@@ -442,23 +451,6 @@ def _projection(p: _Pair):
         if isinstance(d, Effect) and close(d.matrix @ d.matrix, d.matrix, p.tol):
             return "fast-path: projection-commutation"
     return None
-
-
-def _trivial_observable(p: _Pair):
-    """A multiple-of-identity observable is a coin flip next to the channel."""
-    w = {x: float(np.trace(m).real) / p.din for x, m in p.t2.items()}
-    if not all(close(m, w[x] * np.eye(p.din), p.tol) for x, m in p.t2.items()):
-        return None
-    blocks = {("1", x): w[x] * p.t1["1"] for x in w}
-    return _joint_verdict(p, blocks, "fast-path: trivial-observable", p.vtol)
-
-
-def _commuting_observables(p: _Pair):
-    t1, t2 = p.t1, p.t2
-    if not all(_commute(t1[x], t2[y], p.tol) for x in t1 for y in t2):
-        return None
-    blocks = {(x, y): hermitian_part(t1[x] @ t2[y]) for x in t1 for y in t2}
-    return _joint_verdict(p, blocks, "fast-path: commuting-observables", p.wtol)
 
 
 def _comparable(p: _Pair):
@@ -481,31 +473,6 @@ def _pure_oracle(p: _Pair):
             "pure oracle claims compatibility outside its construction cases"
         )
     return "fast-path: pure-oracle"
-
-
-def _range_commutation(p: _Pair):
-    """Split the map along an effect that commutes with its range."""
-    f, e = p.d1, p.d2
-    if not commutes_with_range(f, e, p.tol):
-        return None
-    root = mat_sqrt(e.matrix, p.tol)
-    comp_root = mat_sqrt(np.eye(e.dim) - e.matrix, p.tol)
-    ks = kraus_from_choi(f, p.tol).ops
-    blocks = {("1", "1"): kraus_choi([k @ root for k in ks]),
-              ("1", "0"): kraus_choi([k @ comp_root for k in ks])}
-    if p.kinds[0] == "operation":
-        deficit = hermitian_part(np.eye(f.dim_in) - f.heisenberg_unit())
-        blocks[("0", "1")] = hermitian_part(e.matrix @ deficit).T
-        blocks[("0", "0")] = hermitian_part((np.eye(e.dim) - e.matrix) @ deficit).T
-    return _joint_verdict(p, blocks, "fast-path: range-commutation", p.tol)
-
-
-def _contraction_channel(p: _Pair):
-    eta = is_contraction_channel(p.d1, p.tol)
-    if eta is None:
-        return None
-    blocks = {("1", x): state_prep_choi(p.d2.effects[x].matrix, eta) for x in p.d2.outcomes}
-    return _joint_verdict(p, blocks, "fast-path: contraction-channel", p.tol)
 
 
 def _cp_order(p: _Pair):
@@ -568,15 +535,18 @@ def _rank1_family(p: _Pair):
 # Fast paths per canonical kind pair, in the order they run. Structural
 # ones decide their pairs outright and run even with fast paths off.
 _JOINT_PATHS = {
-    ("effect", "effect"): (_commuting_effects, _sum_below_identity, _projection),
-    ("effect", "observable"): (_commuting_observables,),
-    ("observable", "observable"): (_commuting_observables,),
+    ("effect", "effect"): (_commuting, _sum_below_identity, _projection),
+    ("effect", "observable"): (_commuting,),
+    ("observable", "observable"): (_commuting,),
     ("operation", "operation"): (_comparable, _sum_below_identity, _pure_oracle),
-    ("operation", "effect"): (_range_commutation, _projection, _sum_below_identity),
-    ("channel", "effect"): (_range_commutation, _projection),
-    ("channel", "observable"): (_contraction_channel, _trivial_observable),
+    ("operation", "effect"): (_commuting, _projection, _sum_below_identity),
+    ("operation", "observable"): (_commuting,),
+    ("channel", "effect"): (_commuting, _projection),
+    ("channel", "observable"): (_commuting,),
     ("channel", "operation"): (_cp_order,),
     ("channel", "channel"): (_totals,),
+    ("instrument", "effect"): (_commuting,),
+    ("instrument", "observable"): (_commuting,),
     ("instrument", "channel"): (_totals,),
     ("instrument", "instrument"): (_totals,),
 }

@@ -91,10 +91,19 @@ def _made(cls, **fields):
     return obj
 
 
+def _map_side(dim_in, dim_out) -> int:
+    """The Choi side ``dim_in * dim_out``; MatrixShapeError unless both are positive integers."""
+    for d in (dim_in, dim_out):
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise MatrixShapeError(f"map sides {dim_in!r}, {dim_out!r} are not positive integers")
+    return dim_in * dim_out
+
+
 def _square_stack(mats, what: str, side: int | None = None) -> np.ndarray:
-    """The matrices as one C-ordered complex (n, side, side) array."""
+    """The matrices as one C-ordered complex (n, side, side) array, with side > 0."""
     a = np.ascontiguousarray(mats, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or side not in (None, a.shape[1]):
+    if (a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]
+            or side not in (None, a.shape[1])):
         d = "d" if side is None else side
         raise MatrixShapeError(f"{what} stack of shape {a.shape} is not (n, {d}, {d})")
     return a
@@ -197,8 +206,8 @@ class Effect:
 
     def __post_init__(self, tol: Tolerances | None) -> None:
         m = np.ascontiguousarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise MatrixShapeError("effect matrix must be square")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.shape[0]:
+            raise MatrixShapeError("effect matrix must be square and not empty")
         vars(self)["matrix"] = _effect_stack(m[None], tol or DEFAULT_TOL)[0]
 
     @classmethod
@@ -242,10 +251,7 @@ class Observable:
 
     def effect_of(self, labels, tol: Tolerances | None = None) -> Effect:
         """Summed effect over an outcome subset, validated at ``tol``."""
-        labels = list(labels)
-        for x in labels:
-            if x not in self.effects:
-                raise OutcomeError(f"unknown outcome {x!r}")
+        labels = _subset(labels, self.effects)
         m = np.zeros((self.dim, self.dim), dtype=complex)
         for x in labels:
             m = m + self.effects[x].matrix
@@ -274,7 +280,7 @@ class CPMap:
         if self.kind not in ("operation", "channel"):
             raise ValueError(f"unknown map kind {self.kind!r}")
         j = np.ascontiguousarray(self.choi, dtype=complex)
-        side = self.dim_in * self.dim_out
+        side = _map_side(self.dim_in, self.dim_out)
         if j.shape != (side, side):
             raise MatrixShapeError(f"Choi shape {j.shape} is not side dim_in*dim_out = {side}")
         tol = tol or DEFAULT_TOL
@@ -287,7 +293,7 @@ class CPMap:
     def from_stack(cls, dim_in: int, dim_out: int, chois,
                    tol: Tolerances | None = None) -> list[CPMap]:
         """The maps of a (n, side, side) stack of Choi matrices, validated as one stack."""
-        j = _square_stack(chois, "Choi matrix", dim_in * dim_out)
+        j = _square_stack(chois, "Choi matrix", _map_side(dim_in, dim_out))
         return _maps(dim_in, dim_out, *_choi_stack(j, dim_in, dim_out, tol or DEFAULT_TOL))
 
     @property
@@ -342,7 +348,7 @@ class Instrument:
         """
         tol = tol or DEFAULT_TOL
         outcomes = _outcome_labels(outcomes, chois)
-        j = _square_stack([chois[x] for x in outcomes], "Choi matrix", dim_in * dim_out)
+        j = _square_stack([chois[x] for x in outcomes], "Choi matrix", _map_side(dim_in, dim_out))
         h = _hermitian_stack(j, tol, "Choi matrix")
         sets, sums = _label_sums(dict(zip(outcomes, h)), label_sets)
         many = [len(labels) != 1 for labels in sets]
@@ -381,14 +387,22 @@ def _outcome_labels(outcomes, branches: dict) -> tuple[str, ...]:
     return outcomes
 
 
+def _subset(labels, outcomes) -> list:
+    """The labels as a list; OutcomeError for one that ``outcomes`` lacks or that repeats."""
+    labels = list(labels)
+    for x in labels:
+        if x not in outcomes:
+            raise OutcomeError(f"unknown outcome {x!r}")
+    if len(set(labels)) != len(labels):
+        raise OutcomeError(f"repeated outcome in {labels}")
+    return labels
+
+
 def _label_sums(chois: dict, label_sets):
     """The label sets as lists, and the (n, side, side) stack of the sums of ``chois``
     over each, added from zero in label order (the empty sum is null); OutcomeError
-    for a label that ``chois`` lacks."""
-    sets = [list(labels) for labels in label_sets]
-    for x in (x for labels in sets for x in labels):
-        if x not in chois:
-            raise OutcomeError(f"unknown outcome {x!r}")
+    for a label that ``chois`` lacks or that a set repeats."""
+    sets = [_subset(labels, chois) for labels in label_sets]
     side = next(iter(chois.values())).shape[0]
     sums = np.zeros((len(sets), side, side), dtype=complex)
     for j, labels in zip(sums, sets):
@@ -429,8 +443,8 @@ class KrausSet:
         if not ops:
             raise ValueError("empty Kraus set")
         shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
-            raise MatrixShapeError("Kraus operators must share one shape")
+        if any(k.shape != shape for k in ops) or 0 in shape:
+            raise MatrixShapeError("Kraus operators must share one shape with positive sides")
         _check_trace_condition(sum(k.conj().T @ k for k in ops), tol)
         object.__setattr__(self, "ops", tuple(_freeze(k) for k in ops))
 

@@ -3,9 +3,8 @@
 Contains the CP order on operations, purity and comparability tests,
 the one-parameter channel family above an operation with rank-1 trace
 deficit and a closed-form test of whether two such families meet (both
-read the deficit by one rank rule), the output state of a contraction
-channel, and the commutation criterion between an operation's range
-and an effect.
+read the deficit by one rank rule), and the output state of a
+contraction channel.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import CPMap, Effect, apply_s
+from .devices import CPMap, apply_s
 from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
@@ -210,16 +209,3 @@ def is_contraction_channel(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
         return None
     return eta
 
-
-def commutes_with_range(m: CPMap, e: Effect, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether the effect commutes with everything the map can output.
-
-    The map's Heisenberg range commutes with E exactly when the Choi
-    matrix commutes with ``E^T (x) 1``; the test is
-    ``||[J, E^T (x) 1]||_F <= eq_tol``, which bounds the commutator of E
-    with the image of every unit-norm operator.
-    """
-    if e.dim != m.dim_in:
-        raise MatrixShapeError("effect must live on the map input space")
-    lifted = kron(e.matrix.T, np.eye(m.dim_out))
-    return frob_norm(m.choi @ lifted - lifted @ m.choi) <= tol.eq_tol

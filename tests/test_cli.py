@@ -295,6 +295,17 @@ def test_simulate_instrument(device_file, capsys):
     assert doc["probability"] == pytest.approx(0.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("name", ["swap_readout", "luders_x_instrument"])
+def test_simulate_rejects_a_repeated_outcome(device_file, name, capsys):
+    # "+,+" once read as twice the "+" effect, outside [0, 1] on a sharp pointer
+    state = json.dumps(jmat(PZ))
+    code, _, err = run_cli(
+        ["simulate", device_file, name, "--state", state, "--outcomes", "+,+"], capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "repeated outcome" in err
+
+
 @pytest.mark.parametrize("state", ["[1]", "[null]", "[true]", "[[[1,0]], 2]"])
 def test_simulate_rejects_a_state_row_that_is_not_a_list(device_file, state, capsys):
     code, _, err = run_cli(

@@ -52,6 +52,44 @@ def test_summed_effect_keeps_the_tolerance():
         obs.effect_of(["a"])
 
 
+def test_a_repeated_label_is_rejected_not_counted_twice():
+    # with weights 0.3 and 0.7, ["a", "a"] would read as 0.6 * 1, and as an
+    # effect outside [0, 1] on a sharp pointer
+    coin = dv.trivial_observable({"a": 0.3, "b": 0.7}, dim=2)
+    with pytest.raises(dv.OutcomeError, match="repeated"):
+        coin.effect_of(["a", "a"])
+    sharp = dv.Observable(("+", "-"), {"+": effect(PZ), "-": effect(PMZ)})
+    with pytest.raises(dv.OutcomeError, match="repeated"):
+        sharp.effect_of(["+", "+"])
+    ins = luders_x_instrument()
+    with pytest.raises(dv.OutcomeError, match="repeated"):
+        ins.branch_sum(["+", "+"])
+    with pytest.raises(dv.OutcomeError, match="repeated"):
+        dv.Instrument.with_sums(ins.outcomes, {x: m.choi for x, m in ins.branches.items()},
+                                2, 2, [["+", "-", "+"]])
+    assert np.allclose(coin.effect_of(["a", "b"]).matrix, I2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dv.Effect(np.zeros((0, 0))),
+    lambda: dv.Effect.from_stack(np.zeros((1, 0, 0))),
+    lambda: dv.CPMap(1, 0, np.zeros((0, 0))),
+    lambda: dv.CPMap(-1, -4, np.eye(4)),
+    lambda: dv.CPMap(2.0, 2, np.eye(4)),
+    lambda: dv.CPMap.from_stack(1, 0, np.zeros((1, 0, 0))),
+    lambda: dv.CPMap.from_stack(-1, -4, np.eye(4)[None]),
+    lambda: dv.Instrument.with_sums(("a",), {"a": np.eye(4)}, -1, -4, ()),
+    lambda: dv.KrausSet((np.zeros((0, 0)),)),
+], ids=["effect-0", "effect-stack-0", "map-side-0", "map-negative-sides", "map-float-side",
+        "map-stack-side-0", "map-stack-negative-sides", "instrument-negative-sides",
+        "kraus-0"])
+def test_empty_and_negative_sides_are_shape_errors(build):
+    # these reached IndexError, or passed the shape check because
+    # (-1)(-4) = 4, and failed later inside numpy
+    with pytest.raises(mk.MatrixShapeError):
+        build()
+
+
 def test_observable_rejects_bad_sum():
     with pytest.raises(dv.NormalizationError):
         dv.Observable(("a", "b"), {"a": effect(PX), "b": effect(PX)})
