@@ -314,17 +314,14 @@ def cmd_witness(args) -> int:
     }
     if verdict.witness is not None and verdict.witness.part_1 is not None \
             and verdict.witness.part_2 is not None:
-        try:
-            cert = cp.kraus_witness(verdict, _tolerances(args))
-            doc["kraus_certificate"] = {
-                "kind": cert.kind,
-                "k_ops": [fmt_matrix(k) for k in cert.k_ops],
-                "l_ops": [fmt_matrix(k) for k in cert.l_ops] if cert.l_ops else None,
-                "j1": list(cert.j1),
-                "j2": list(cert.j2),
-            }
-        except ValueError:
-            pass
+        cert = cp.kraus_witness(verdict, _tolerances(args))
+        doc["kraus_certificate"] = {
+            "kind": cert.kind,
+            "k_ops": [fmt_matrix(k) for k in cert.k_ops],
+            "l_ops": [fmt_matrix(k) for k in cert.l_ops] if cert.l_ops else None,
+            "j1": list(cert.j1),
+            "j2": list(cert.j2),
+        }
     _emit(doc, args)
     return EXIT_UNDECIDED if verdict.relation == "undecided" else EXIT_OK
 

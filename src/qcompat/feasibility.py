@@ -24,7 +24,8 @@ Every linear map on blocks (partial traces, face maps, the blocks of the
 Schur complement) gets its coordinate matrix in closed form, Re(T^H L T),
 from the map's vec matrix L and the coordinate bases T. Each step of the
 run decomposes the slack once; that spectrum also gives the cone
-projection of the affine point.
+projection of the affine point, and the first one, inverted, the first
+dual iterate.
 
 Constraint rows are typed: a sum row keeps its scalar coefficients and a
 partial-trace row its slot layout, so only the right-hand sides carry
@@ -559,10 +560,11 @@ def _step_lengths(halves, dz: np.ndarray, ds: np.ndarray, layout: _Layout):
     return tuple(1.0 if lo >= -0.95 else -0.95 / lo for lo in (lo_z, lo_s))
 
 
-def _newton_step(z, y, s, spec_s, layout: _Layout, f):
+def _newton_step(z, y, s, spec_z, spec_s, layout: _Layout, f):
     """One HKM predictor-corrector step from (Z, y), with S = x0 - f^T y.
 
-    The Schur complement is f K f^T with K block-diagonal: for a block
+    ``spec_z`` and ``spec_s`` are the per-group spectra of Z and S. The
+    Schur complement is f K f^T with K block-diagonal: for a block
     pair (Z, S), K = Re(T^H (Z kron S^-T) T) maps the coordinates of H
     to those of sym(Z H S^-1), T being the coordinate basis. Each side
     group adds its blocks, the columns f[:, span], in one batched product.
@@ -572,7 +574,6 @@ def _newton_step(z, y, s, spec_s, layout: _Layout, f):
     unit_t[-1] = 1.0
     m = np.zeros((len(f), len(f)))
     kmats, sinv, halves, sinv_c = [], [], [], np.empty_like(z)
-    spec_z = _spectra(z, layout)
     for (d, span), (ls, vs), (lz, vz) in zip(layout.groups, spec_s, spec_z):
         if not lz[:, 0].min() > 0:
             raise np.linalg.LinAlgError("the dual iterate left the cone interior")
@@ -640,7 +641,10 @@ def solve(
         maximize t  s.t.  x0 - N w - t e is PSD blockwise,
 
     with e the all-blocks identity. Its dual, minimize <x0, Z> over PSD
-    Z with N^T Z = 0 and <e, Z> = 1, is a Farkas certificate. Every step
+    Z with N^T Z = 0 and <e, Z> = 1, is a Farkas certificate. The run
+    starts on the central path: from w = 0 and t = lambda_min(x0) - 1,
+    with the slack S = x0 - t e, and from the dual iterate
+    Z = S^-1 / <e, S^-1>, so that Z S = mu 1 in every block. Every step
     checks the affine point Y = x0 - N w: Y is the witness when PSD, and
     a certificate bound (``_certificate_bound`` of Z) below ``-feas_tol``
     is an infeasible verdict. The run stops early when Y's cone
@@ -700,13 +704,18 @@ def solve(
         return x - frame.project(x) + x0
 
     nu = float(e @ e)
-    z = e / nu
     y = np.zeros(len(f))
     # the first slack S = x0 - t e has the eigenvectors of x0 and its
     # eigenvalues shifted by -t: one decomposition serves both
     spec_s = _spectra(x0, layout)
     y[-1] = min(float(evals[:, 0].min()) for evals, _ in spec_s) - 1.0
     spec_s = [(evals - y[-1], evecs) for evals, evecs in spec_s]
+    # the first dual iterate is S^-1 / <e, S^-1>, centred: Z S = mu 1 in
+    # every block; its spectrum is the slack's, inverted (ascending again)
+    spec_z = [(1.0 / evals[:, ::-1], evecs[..., ::-1]) for evals, evecs in spec_s]
+    weight = sum(float(evals.sum()) for evals, _ in spec_z)
+    z = _clamp(spec_z, 0.0, layout) / weight
+    spec_z = [(evals / weight, evecs) for evals, evecs in spec_z]
     margin = residual = float("inf")
     done = 0
     point = None
@@ -735,7 +744,9 @@ def solve(
                 if margin < -tol.feas_tol:
                     return FeasibilityOutcome("infeasible", None, margin, residual, it)
             if it < _MAX_STEPS:
-                z, y = _newton_step(z, y, s, spec_s, layout, f)
+                if it:
+                    spec_z = _spectra(z, layout)
+                z, y = _newton_step(z, y, s, spec_z, spec_s, layout, f)
     except np.linalg.LinAlgError:
         pass
     if point is not None:

@@ -230,6 +230,21 @@ def test_witness_weak_pair_structure(device_file, capsys):
     assert "common_channel" in w
 
 
+def test_witness_reports_a_kraus_certificate_that_fails_its_checks(
+    device_file, capsys, monkeypatch
+):
+    def failing(verdict, tol):
+        raise dv.TraceConditionError("map increases trace")
+
+    monkeypatch.setattr(cli.cp, "kraus_witness", failing)
+    code, out, err = run_cli(
+        ["--format", "json", "witness", device_file, "luders_pz", "pz"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "map increases trace" in err
+
+
 def test_witness_carries_the_pointer_and_the_joint_observable(device_file, capsys):
     code, out, _ = run_cli(["--format", "json", "witness", device_file, "sharp_z", "pz"], capsys)
     assert code == 0

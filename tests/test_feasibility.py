@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qcompat import feasibility as fs
 from qcompat.fixtures import I2, SX, SZ
-from qcompat.matkit import herm_coords, herm_from_coords
+from qcompat.devices import choi_from_kraus
+from qcompat.matkit import herm_coords, herm_from_coords, herm_stack_from_coords
 
 from conftest import (
     below_common_channel,
@@ -16,6 +17,8 @@ from conftest import (
     rand_complex,
     rand_effect,
     rand_herm,
+    rand_kraus,
+    rand_psd,
 )
 
 
@@ -528,10 +531,12 @@ def test_solve_decomposes_each_slack_once_per_step(monkeypatch):
     # Batched calls, one per side group: a step costs the slack's eigh,
     # the certificate's eigvalsh, the dual iterate's eigh and one eigvalsh
     # for each of the two step lengths. The first slack's eigh is x0's
-    # (which gives the start point), and the last iteration adds the slack
-    # and the certificate. A second decomposition of the slack (for the
-    # cone projection of the affine point) would add one per iteration.
-    # Facial reduction takes single-matrix calls, which are not counted.
+    # (which gives the start point and the first dual iterate, so the
+    # first step takes no eigh of its own), and the last iteration adds
+    # the slack and the certificate. A second decomposition of the slack
+    # (for the cone projection of the affine point) would add one per
+    # iteration. Facial reduction takes single-matrix calls, which are
+    # not counted.
     calls = []
     for name in ("eigh", "eigvalsh"):
         orig = getattr(np.linalg, name)
@@ -550,7 +555,99 @@ def test_solve_decomposes_each_slack_once_per_step(monkeypatch):
         calls.clear()
         out = fs.solve(problem)
         assert out.verdict == verdict and out.iterations >= 2
-        assert len(calls) <= groups * (5 * out.iterations + 2)
+        assert len(calls) <= groups * (5 * out.iterations + 1)
+
+
+def _first_step(problem, monkeypatch):
+    """The arguments of the first ``_newton_step`` of a solve."""
+    calls = []
+    orig = fs._newton_step
+
+    def recorded(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(fs, "_newton_step", recorded)
+    fs.solve(problem)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_the_first_dual_iterate_is_centred(monkeypatch):
+    # Z0 = S0^-1 / <e, S0^-1>: positive definite, of unit weight, and
+    # Z0 S0 = mu 1 in every block; the spectrum handed to the step is Z0's
+    from qcompat import compat as cp
+
+    rng = np.random.default_rng(3)
+    whole = coexistence_problem(rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix)
+    reduced = cp.joint_problem(*below_common_channel(np.random.default_rng(101)))
+    for problem, face in ((whole, False), (reduced, True)):
+        assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == face
+        z, _, s, spec_z, _, layout, f = _first_step(problem, monkeypatch)
+        assert np.array_equal(f[-1], layout.identity)
+        assert abs(layout.identity @ z - 1.0) <= 1e-12
+        mu = float(z @ s) / float(layout.identity @ layout.identity)
+        for zb, sb in zip(layout.split(z), layout.split(s)):
+            assert np.linalg.eigvalsh(zb)[0] > 0
+            assert np.abs(zb @ sb - mu * np.eye(len(zb))).max() <= 1e-12
+        for (d, span), (evals, evecs) in zip(layout.groups, spec_z):
+            assert np.all(np.diff(evals, axis=-1) >= 0)  # ascending, as eigh gives
+            blocks = herm_stack_from_coords(z[span].reshape(-1, d * d), d)
+            assert np.abs((evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+                          - blocks).max() <= 1e-12
+
+
+def _sharp_qubit_effect(rng):
+    h = rand_psd(rng, 2)
+    return h / (np.linalg.eigvalsh(h)[-1] * rng.uniform(1.0, 1.2))
+
+
+def _climb(point, null, layout, steps):
+    """The best least block eigenvalue met by a projected subgradient
+    ascent of it over the affine set, from an affine point."""
+    best = -np.inf
+    for k in range(steps):
+        least = np.inf
+        for (d, span), (evals, evecs) in zip(layout.groups, fs._spectra(point, layout)):
+            i = int(np.argmin(evals[:, 0]))
+            if evals[i, 0] < least:
+                least, o, d_min, v = evals[i, 0], span.start + i * d * d, d, evecs[i, :, 0]
+        best = max(best, least)
+        grad = np.zeros(layout.total)
+        grad[o : o + d_min * d_min] = herm_coords(np.outer(v, v.conj()))
+        point = point + 0.3 / np.sqrt(k + 1) * (null.T @ (null @ grad))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pure_ops=st.booleans())
+def test_an_infeasible_margin_bounds_every_affine_point(seed, pure_ops):
+    # Whole problems (no facial reduction): coexistence of two random qubit
+    # effects, or the weak problem of two random pure qubit operations.
+    # About two in three are infeasible, and a third of the pure pairs are
+    # certified at step 0. A certified margin bounds the least block
+    # eigenvalue of every affine point x0 - N w, however early it was read.
+    # Random points lie far below the margin, so the ascent from x0 climbs
+    # to within about 1e-3 of it on the coexistence problems.
+    from qcompat import compat as cp
+
+    rng = np.random.default_rng(seed)
+    if pure_ops:
+        f1, f2 = (choi_from_kraus(rand_kraus(rng, 2, 2, 1, scale=np.sqrt(rng.uniform(0.25, 1.0))))
+                  for _ in range(2))
+        problem = cp.weak_problem(f1, f2)
+    else:
+        problem = coexistence_problem(_sharp_qubit_effect(rng), _sharp_qubit_effect(rng))
+    assert fs._support_bounds(problem, fs.DEFAULT_TOL) == {}
+    out = fs.solve(problem)
+    if out.verdict != "infeasible":
+        return
+    layout, frame, x0 = affine_data(problem)
+    null = frame.f[:-1]
+    for scale in (0.1, 1.0, 10.0):
+        point = x0 - null.T @ (scale * rng.standard_normal(len(null)))
+        assert fs._min_eig(point, layout) <= out.margin + 1e-12
+    assert _climb(x0, null, layout, 100) <= out.margin + 1e-12
 
 
 def _outcome_bits(out):
@@ -573,13 +670,13 @@ def test_a_warm_plan_repeats_the_cold_solve_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     problems = []
-    for seed in (3, 6):  # whole: feasible after 3 steps, infeasible after 5
+    for seed in (3, 6):  # whole: feasible after 3 steps, infeasible after 4
         rng = np.random.default_rng(seed)
         problems.append((coexistence_problem(rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix), 0))
     e2 = rand_effect(np.random.default_rng(0), 3).matrix
     problems.append((coexistence_problem(np.diag([0.6, 0.3, 0.0]), e2), 1))  # reduced, feasible
-    f1, f2 = below_common_channel(np.random.default_rng(100))
-    problems.append((cp.joint_problem(f1, f2), 1))  # reduced, infeasible
+    f1, f2 = below_common_channel(np.random.default_rng(101))
+    problems.append((cp.joint_problem(f1, f2), 1))  # reduced, infeasible after 1
     verdicts = set()
     for problem, hit_svds in problems:
         assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == bool(hit_svds)
