@@ -94,6 +94,16 @@ def _observable_payload(payload, tol) -> dv.Observable:
     return dv.Observable(outcomes, effects, tol=tol)
 
 
+def _dim(dims: dict, key: str, default: int) -> int:
+    """A declared side: a JSON integer >= 1 (not a boolean), or ``default`` when absent."""
+    if key not in dims:
+        return default
+    d = dims[key]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise DeviceFileError(f"dims.{key} must be an integer >= 1, got {d!r}")
+    return d
+
+
 def parse_device(entry: dict, tol: Tolerances):
     name = entry.get("name")
     kind = entry.get("type")
@@ -101,8 +111,10 @@ def parse_device(entry: dict, tol: Tolerances):
     payload = entry.get("payload", {})
     if not name or not isinstance(name, str):
         raise DeviceFileError("device entry without a name")
-    din = int(dims.get("in", 0))
-    dout = int(dims.get("out", din))
+    if not isinstance(dims, dict):
+        raise DeviceFileError(f"dims must be an object, got {dims!r}")
+    din = _dim(dims, "in", 0)
+    dout = _dim(dims, "out", din)
     if kind in ("effect", "observable"):
         if kind == "effect":
             device = dv.Effect(_matrix(payload["matrix"]), tol=tol)
@@ -127,8 +139,8 @@ def parse_device(entry: dict, tol: Tolerances):
         return mm.MeasurementModel(
             din,
             dout,
-            int(payload["dim_v1"]),
-            int(payload["dim_v2"]),
+            payload["dim_v1"],
+            payload["dim_v2"],
             _matrix(payload["eta"]),
             _matrix(payload["unitary"]),
             pointer,

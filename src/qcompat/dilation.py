@@ -1,7 +1,9 @@
 """Minimal Stinespring dilations and ancilla-effect extraction.
 
 A dilation represents a map through an operator ``V`` into an enlarged
-space, ``F_H(T) = V* (T (x) 1_A) V``. Its one working form is the
+space, ``F_H(T) = V* (T (x) 1_A) V``. Its Kraus operators are the ones
+:func:`devices.kraus_lists` exports for the map, so dilations, models and
+Kraus certificates read one decomposition. The working form is the
 Kraus-column matrix ``W`` (column a is the Choi vector of the Kraus
 operator K_a; V is a reshape of W): the map with ancilla effect E has
 Choi matrix ``W E^T W*``. Maps dominated by the dilated one in the CP
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import CPMap, Effect, Instrument, total_channel
+from .compat import CompatWitness, WeakWitness, classify, witness_tolerances
+from .devices import CPMap, Effect, Instrument, Observable, kraus_lists, total_channel
 from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
@@ -27,7 +30,7 @@ from .matkit import (
     hermitian_part,
     kron,
 )
-from .order import choi_rank, cp_leq
+from .order import cp_leq
 
 
 class NotDominatedError(ValueError):
@@ -74,24 +77,18 @@ class StinespringDilation:
 
 
 def minimal_stinespring(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> StinespringDilation:
-    """Dilation with the smallest ancilla, assembled from Choi eigenpairs.
+    """Dilation with the smallest ancilla, assembled from the exported Kraus operators.
 
-    Kraus column a is sqrt(lambda_a) times the a-th Choi eigenvector,
-    ordered by descending eigenvalue, and V is their reshape. For
-    channels V is an isometry. The dilation is minimal exactly when the
-    Kraus columns are linearly independent; that is recorded, and
-    ``W W* = J`` and ``||V||^2 = ||F_H(1)||`` are checked.
+    The operators are :func:`devices.kraus_lists`' for the map, in
+    descending eigenvalue order, and V stacks them: ``V|i> = sum_a K_a|i> (x) |a>``.
+    For channels V is an isometry. The Kraus columns are orthogonal Choi
+    eigenvectors, so the dilation is minimal exactly when the map is not
+    zero; ``W W* = J`` and ``||V||^2 = ||F_H(1)||`` are checked.
     """
-    dh, dk = m.dim_in, m.dim_out
-    da = max(choi_rank(m, tol), 1)
-    evals, evecs = np.linalg.eigh(hermitian_part(m.choi))
-    order = np.argsort(evals)[::-1][:da]
-    w = evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))
-    v = w.reshape(dh, dk, da).transpose(1, 2, 0).reshape(dk * da, dh)
-    svals = np.linalg.svd(w, compute_uv=False)
-    minimal = int(np.sum(svals > 1e-10 * max(svals[0], 1.0))) == da
-    dil = StinespringDilation(m, v, da, minimal=minimal)
-
+    ops = np.array(kraus_lists([m], tol)[0][::-1])
+    v = ops.transpose(1, 0, 2).reshape(-1, m.dim_in)
+    dil = StinespringDilation(m, v, len(ops), minimal=bool(ops.any()))
+    w = dil.kraus_columns()
     if not close(m.choi, w @ w.conj().T, tol):
         raise AssertionError("dilation does not reproduce the map")
     v_norm_sq = float(np.linalg.norm(v, ord=2) ** 2)
@@ -161,8 +158,6 @@ def rn_observable(
     per-branch extractions then sum to the ancilla identity and form an
     observable on the ancilla space.
     """
-    from .devices import Observable
-
     if not close(total_channel(ins, tol).choi, dil.source.choi, tol):
         raise TotalMismatchError("instrument total differs from the dilated channel")
     effects = {x: radon_nikodym_effect(dil, ins.branches[x], tol) for x in ins.outcomes}
@@ -208,8 +203,6 @@ def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_T
     weakly compatible pair: extract both effects from the common channel
     and report them (their coexistence is not required).
     """
-    from .compat import CompatWitness, WeakWitness, classify, witness_tolerances
-
     if verdict.witness is None:
         raise ValueError("verdict carries no witness to verify")
     # witnesses coming out of the feasibility engine are only accurate to

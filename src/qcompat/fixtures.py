@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus
+from .devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus, luders
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -30,8 +30,6 @@ def effect(m) -> Effect:
 
 def luders_of(m) -> CPMap:
     """Lueders operation of an effect given as a raw matrix."""
-    from .devices import luders
-
     return luders(effect(m))
 
 

@@ -2,11 +2,14 @@
 
 A model realizes an instrument physically: couple the system to a probe
 via a unitary, then read a pointer observable on the outgoing ancilla.
-This module evaluates outcome probabilities and conditional post-states,
-induces the instrument belonging to a model, synthesizes a
-finite-dimensional model for any instrument, and builds pairs of models
-that differ only in their pointer observables -- the operational face
-of weak compatibility.
+Everything a model says about the system goes through one Choi
+contraction, ``_model_chois``: the instrument a model induces, its
+channel, and the probability (the trace) and unnormalized post-state of
+reading an outcome subset. One builder dilates a total channel once and
+returns one verified model per instrument: ``synthesize_model`` is its
+case of one instrument, and ``shared_model_pair`` builds two models that
+differ only in their pointer observables -- the operational face of weak
+compatibility.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .devices import (
     Observable,
     PointerMap,
     _check_state,
+    _map_side,
     is_part_of,
     total_channel,
 )
@@ -47,7 +51,8 @@ class MeasurementModel:
     ``u`` maps (input system) (x) V1 unitarily onto (output system) (x) V2;
     ``eta`` is the probe state on V1 and the pointer observable lives on
     V2. Input/output system sides are explicit because the unitary's
-    shape alone does not determine them.
+    shape alone does not determine them; all four sides must be positive
+    integers (MatrixShapeError otherwise).
     """
 
     dim_in: int
@@ -61,8 +66,8 @@ class MeasurementModel:
 
     def __post_init__(self, tol: Tolerances | None) -> None:
         tol = tol or DEFAULT_TOL
-        side = self.dim_in * self.dim_v1
-        if side != self.dim_out * self.dim_v2:
+        side = _map_side(self.dim_in, self.dim_v1)
+        if side != _map_side(self.dim_out, self.dim_v2):
             raise MatrixShapeError("dim_in * dim_v1 must equal dim_out * dim_v2")
         u = as_matrix(self.u)
         if u.shape != (side, side):
@@ -82,39 +87,6 @@ class MeasurementModel:
         return self.pointer.outcomes
 
 
-def _coupled_state(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
-    return m.u @ kron(rho, m.eta) @ m.u.conj().T
-
-
-def _readout(m: MeasurementModel, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Tr_V2 of w (1 (x) f), for w on (output system) (x) V2."""
-    w4 = w.reshape(m.dim_out, m.dim_v2, m.dim_out, m.dim_v2)
-    return np.ascontiguousarray(np.einsum("mvnw,wv->mn", w4, f))
-
-
-def model_probability(
-    m: MeasurementModel, rho: np.ndarray, labels, tol: Tolerances = DEFAULT_TOL
-) -> float:
-    """Probability of reading an outcome subset on the pointer."""
-    rho = as_matrix(rho)
-    if rho.shape != (m.dim_in, m.dim_in):
-        raise MatrixShapeError("state must live on the model input space")
-    f = m.pointer.effect_of(labels, tol).matrix
-    w = _coupled_state(m, rho)
-    return float(np.einsum("mvmw,wv->", w.reshape(m.dim_out, m.dim_v2, m.dim_out, m.dim_v2), f).real)
-
-
-def model_poststate(
-    m: MeasurementModel, rho: np.ndarray, labels, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Unnormalized conditional state after reading an outcome subset."""
-    rho = as_matrix(rho)
-    if rho.shape != (m.dim_in, m.dim_in):
-        raise MatrixShapeError("state must live on the model input space")
-    f = m.pointer.effect_of(labels, tol).matrix
-    return _readout(m, _coupled_state(m, rho), f)
-
-
 def _model_chois(m: MeasurementModel, pointer_effects: list[np.ndarray]) -> np.ndarray:
     """Choi matrices of the maps rho -> Tr_V2[(1 (x) f) U (rho (x) eta) U*], one per f.
 
@@ -128,6 +100,26 @@ def _model_chois(m: MeasurementModel, pointer_effects: list[np.ndarray]) -> np.n
     right = u4.conj().transpose(2, 0, 3, 1).reshape(-1, dv2) @ np.asarray(pointer_effects)
     right = right.reshape(-1, dh * dk, dv1, dv2).swapaxes(-1, -2).reshape(-1, dh * dk, dv2 * dv1)
     return left @ right.swapaxes(-1, -2)
+
+
+def model_poststate(
+    m: MeasurementModel, rho: np.ndarray, labels, tol: Tolerances = DEFAULT_TOL
+) -> np.ndarray:
+    """Unnormalized conditional state after reading an outcome subset: the
+    subset's map, as its Choi matrix from :func:`_model_chois`, applied to rho."""
+    rho = as_matrix(rho)
+    if rho.shape != (m.dim_in, m.dim_in):
+        raise MatrixShapeError("state must live on the model input space")
+    f = m.pointer.effect_of(labels, tol).matrix
+    j4 = _model_chois(m, [f])[0].reshape(m.dim_in, m.dim_out, m.dim_in, m.dim_out)
+    return np.ascontiguousarray(np.einsum("ij,imjn->mn", rho, j4))
+
+
+def model_probability(
+    m: MeasurementModel, rho: np.ndarray, labels, tol: Tolerances = DEFAULT_TOL
+) -> float:
+    """Probability of reading an outcome subset: the trace of its post-state."""
+    return float(np.trace(model_poststate(m, rho, labels, tol)).real)
 
 
 def model_instrument(
@@ -216,22 +208,32 @@ def _check_realizes(m: MeasurementModel, ins: Instrument, tol: Tolerances) -> No
             raise ModelSynthesisError(f"synthesized model misses branch {x!r}")
 
 
+def _models_sharing(lam: CPMap, instruments, tol: Tolerances) -> list[MeasurementModel]:
+    """One model per instrument of total channel ``lam``, verified branch by branch.
+
+    The probe sides, probe state and coupling come from one minimal
+    dilation of ``lam``, so the models agree bytewise outside their
+    pointers; each pointer carries its instrument's per-branch ancilla
+    effects.
+    """
+    dil = minimal_stinespring(lam, tol)
+    dv1, dv2, eta, u = _base_parts(dil, tol)
+    models = []
+    for ins in instruments:
+        pointer = _pointer_from_ancilla(rn_observable(dil, ins, tol), ins.dim_in)
+        m = MeasurementModel(ins.dim_in, ins.dim_out, dv1, dv2, eta, u, pointer, tol=tol)
+        _check_realizes(m, ins, tol)
+        models.append(m)
+    return models
+
+
 def synthesize_model(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> MeasurementModel:
     """Build a measurement model realizing an instrument exactly.
 
-    Probe sides are the smallest satisfying the unitary shape condition;
-    the probe starts in the first basis state and the pointer observable
-    carries the per-branch ancilla effects of the instrument's total
-    channel. The result is verified branch by branch.
+    Probe sides are the smallest satisfying the unitary shape condition,
+    and the probe starts in the first basis state.
     """
-    lam = total_channel(ins, tol)
-    dil = minimal_stinespring(lam, tol)
-    anc = rn_observable(dil, ins, tol)
-    dv1, dv2, eta, u = _base_parts(dil, tol)
-    pointer = _pointer_from_ancilla(anc, ins.dim_in)
-    model = MeasurementModel(ins.dim_in, ins.dim_out, dv1, dv2, eta, u, pointer, tol=tol)
-    _check_realizes(model, ins, tol)
-    return model
+    return _models_sharing(total_channel(ins, tol), [ins], tol)[0]
 
 
 def shared_model_pair(
@@ -241,21 +243,13 @@ def shared_model_pair(
 
     Requires the instruments to share their total channel; the common
     probe state and coupling are then built once from that channel's
-    dilation, so the returned models agree bytewise outside the pointer.
+    dilation.
     """
-    lam1 = total_channel(i1, tol)
-    lam2 = total_channel(i2, tol)
-    if not close(lam1.choi, lam2.choi, tol):
+    lam = total_channel(i1, tol)
+    if not close(lam.choi, total_channel(i2, tol).choi, tol):
         raise TotalMismatchError("instruments do not share their total channel")
-    dil = minimal_stinespring(lam1, tol)
-    dv1, dv2, eta, u = _base_parts(dil, tol)
-    models = []
-    for ins in (i1, i2):
-        pointer = _pointer_from_ancilla(rn_observable(dil, ins, tol), ins.dim_in)
-        m = MeasurementModel(ins.dim_in, ins.dim_out, dv1, dv2, eta, u, pointer, tol=tol)
-        _check_realizes(m, ins, tol)
-        models.append(m)
-    return models[0], models[1]
+    m1, m2 = _models_sharing(lam, [i1, i2], tol)
+    return m1, m2
 
 
 def swap_model(eta: np.ndarray, pointer: Observable, tol: Tolerances = DEFAULT_TOL) -> MeasurementModel:

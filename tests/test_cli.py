@@ -145,13 +145,54 @@ def _entry(kind, payload, dims=None):
     ([_entry("operation", {"matrix": jmat(PX)})], "operation payload needs 'kraus' or 'choi'"),
     ([_entry("povm", {"matrix": jmat(PX)})], "unknown device type 'povm'"),
     ([_entry("effect", {"matrix": jmat(PX)})] * 2, "device 'd' defined twice"),
+    # sides are JSON integers >= 1, never coerced
+    ([_entry("effect", {"matrix": jmat(PX)}, {"in": 2.7})],
+     "dims.in must be an integer >= 1, got 2.7"),
+    ([_entry("operation", {"kraus": [jmat([[1], [0]])]}, {"in": True, "out": "2"})],
+     "dims.in must be an integer >= 1, got True"),
+    ([_entry("operation", {"kraus": [jmat(PX)]}, {"in": 2, "out": "2"})],
+     "dims.out must be an integer >= 1, got '2'"),
+    ([_entry("channel", {"kraus": [jmat(I2)]}, {"in": 2, "out": 2.0})],
+     "dims.out must be an integer >= 1, got 2.0"),
+    ([_entry("effect", {"matrix": jmat(PX)}, {"in": 0})],
+     "dims.in must be an integer >= 1, got 0"),
+    ([_entry("effect", {"matrix": jmat(PX)}, {"in": None})],
+     "dims.in must be an integer >= 1, got None"),
+    ([_entry("effect", {"matrix": jmat(PX)}, [2])], "dims must be an object, got [2]"),
+    ([_entry("model", {"dim_v1": 2.0, "dim_v2": 2, "eta": jmat(I2 / 2),
+                       "unitary": jmat(np.eye(4)), "pointer": {
+                           "outcomes": ["+", "-"], "effects": {"+": jmat(PZ), "-": jmat(PMZ)}}})],
+     "map sides 2, 2.0 are not positive integers"),
 ], ids=["observable-dims", "effect-dims", "kraus-shape", "kraus-channel-not-tp",
-        "choi-channel-not-tp", "no-payload-form", "unknown-type", "name-twice"])
+        "choi-channel-not-tp", "no-payload-form", "unknown-type", "name-twice",
+        "float-in", "bool-in-string-out", "string-out", "float-out", "zero-in", "null-in",
+        "list-dims", "float-probe-side"])
 def test_validate_rejects_a_bad_device(devices, message, tmp_path, capsys):
     code, out, err = run_cli(["validate", _write(tmp_path, devices)], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: device 'd'") and message in err
+
+
+@pytest.mark.parametrize("devices, argv, message", [
+    ([_entry("effect", {"matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [0, 0]]]}, {"in": 2})],
+     ["validate"], "complex scalar must be [re, im], got [1, 0, 0]"),
+    ([_entry("effect", {"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, {"in": 2})],
+     ["validate"], "matrix rows have inconsistent lengths"),
+    ([{"name": "d", "type": "operation", "payload": {"kraus": [jmat(PX)]}}],
+     ["validate"], "operation 'd' needs dims.in and dims.out"),
+    (None, ["dilate", "px"], "'px' is not an operation or channel"),
+    (None, ["model", "px"], "'px' is not an instrument"),
+    (None, ["simulate", "px", "--state", "[[[1,0]]]"], "'px' is neither a model nor an instrument"),
+    (None, ["simulate", "luders_x_instrument", "--state", "[[1,0"], "state is not valid JSON"),
+], ids=["complex-scalar", "ragged-rows", "operation-without-dims", "dilate-effect",
+        "model-effect", "simulate-effect", "state-not-json"])
+def test_cli_reports_invalid_input(devices, argv, message, device_file, tmp_path, capsys):
+    path = device_file if devices is None else _write(tmp_path, devices)
+    code, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_validate_rejects_an_unreadable_or_invalid_file(tmp_path, capsys):

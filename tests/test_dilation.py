@@ -54,6 +54,20 @@ def test_dilation_norm_identity():
     assert v_norm_sq == pytest.approx(hu_norm, abs=1e-9)
 
 
+def test_dilation_takes_the_exported_kraus_operators():
+    # a Choi eigenvalue of 1.5e-9: above psd_tol, below psd_tol * tr J = 2e-9,
+    # so a rank threshold scaled by the trace would drop a Kraus operator the
+    # export keeps
+    eps = 1.5e-9
+    k1 = np.diag([1.0, np.sqrt(1.0 - eps)])
+    k2 = np.sqrt(eps) * np.array([[0.0, 1.0], [0.0, 0.0]])
+    m = choi_from_kraus(KrausSet((k1, k2)))
+    ops = dv.kraus_lists([m])[0][::-1]
+    dil = dl.minimal_stinespring(m)
+    assert dil.ancilla_dim == len(ops) == 2 and dil.minimal
+    assert np.array_equal(dil.kraus_columns(), np.column_stack([k.T.reshape(-1) for k in ops]))
+
+
 def test_zero_map_dilation_is_not_minimal():
     dil = dl.minimal_stinespring(CPMap(2, 3, np.zeros((6, 6))))
     assert dil.ancilla_dim == 1

@@ -275,13 +275,27 @@ def test_model_rejects_a_bad_unitary_probe_state_or_pointer(field, value, error)
     assert info.type is error
 
 
+@pytest.mark.parametrize("din, dout, dv1, dv2, u", [
+    (0, 0, 2, 2, np.zeros((0, 0))),
+    (2.0, 2, 2, 2, np.eye(4)),
+    (2, 2, True, 2, np.eye(4)),
+    (2, 2, 2, -2, np.eye(4)),
+    (2, "2", 2, 2, np.eye(4)),
+], ids=["zero-system", "float-input", "bool-probe", "negative-pointer-side", "string-output"])
+def test_model_rejects_sides_that_are_not_positive_integers(din, dout, dv1, dv2, u):
+    # the four sides are checked as a map's two are, by devices._map_side
+    with pytest.raises(MatrixShapeError, match="not positive integers"):
+        mm.MeasurementModel(din, dout, dv1, dv2, I2 / 2, u, sharp_observable(PZ, PMZ))
+
+
 @pytest.mark.parametrize("din, dout, dv1, dv2", [(2, 3, 3, 2), (3, 2, 2, 3)])
 def test_induced_chois_match_probed_poststates(din, dout, dv1, dv2):
-    """Each induced Choi matrix is sum_ij |i><j| (x) poststate(|i><j|), probed unit by unit."""
+    """Each induced Choi matrix is sum_ij |i><j| (x) poststate(|i><j|), probed unit by unit,
+    and each post-state is Tr_V2[(1 (x) f) U (rho (x) eta) U*], built densely here."""
     rng = np.random.default_rng([29, din])
     u = np.linalg.qr(rand_complex(rng, din * dv1))[0]
-    model = mm.MeasurementModel(din, dout, dv1, dv2, rand_state(rng, dv1), u,
-                                rand_observable(rng, dv2, 3))
+    eta = rand_state(rng, dv1)
+    model = mm.MeasurementModel(din, dout, dv1, dv2, eta, u, rand_observable(rng, dv2, 3))
 
     def probed(labels):
         j = np.zeros((din * dout, din * dout), dtype=complex)
@@ -299,3 +313,11 @@ def test_induced_chois_match_probed_poststates(din, dout, dv1, dv2):
     coarse = mm.model_instrument(model, PointerMap({"0": "a", "1": "b", "2": "a"}))
     assert np.linalg.norm(coarse.branches["a"].choi - probed(("0", "2"))) <= 1e-12
     assert np.linalg.norm(mm.model_channel(model).choi - probed(model.outcomes())) <= 1e-12
+
+    for labels in (("0",), ("1", "2"), model.outcomes()):
+        rho = rand_state(rng, din)
+        w = (u @ np.kron(rho, eta) @ u.conj().T).reshape(dout, dv2, dout, dv2)
+        dense = np.einsum("mvnw,wv->mn", w, model.pointer.effect_of(labels).matrix)
+        assert np.linalg.norm(mm.model_poststate(model, rho, labels) - dense) <= 1e-13
+        assert mm.model_probability(model, rho, labels) == pytest.approx(
+            float(np.trace(dense).real), abs=1e-13)
