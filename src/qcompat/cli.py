@@ -195,6 +195,11 @@ def _flat(v) -> bool:
     return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
 
 
+def _matrix_row(v) -> bool:
+    """A row of :func:`fmt_matrix`: a list of [re, im] pairs, printed on one line."""
+    return isinstance(v, list) and all(_flat(x) for x in v)
+
+
 def _emit_text(doc, prefix: str) -> None:
     if isinstance(doc, dict):
         for k in doc:
@@ -208,9 +213,12 @@ def _emit_text(doc, prefix: str) -> None:
                 print(f"{prefix}{k}: {v}")
     elif isinstance(doc, list):
         for v in doc:
-            if _flat(v):
+            if _flat(v) or _matrix_row(v):
                 print(f"{prefix}- {json.dumps(v)}")
-            elif isinstance(v, (dict, list)):
+            elif isinstance(v, list):  # a matrix in a list of matrices
+                print(f"{prefix}-")
+                _emit_text(v, prefix + "  ")
+            elif isinstance(v, dict):
                 _emit_text(v, prefix + "  ")
             else:
                 print(f"{prefix}- {v}")
@@ -401,6 +409,7 @@ def cmd_simulate(args) -> int:
         rho = _matrix(json.loads(args.state))
     except json.JSONDecodeError as exc:
         raise DeviceFileError(f"state is not valid JSON: {exc}") from exc
+    rho = dv._check_state(rho, tol)
     labels = tuple(args.outcomes.split(",")) if args.outcomes else model.outcomes()
     p = mm.model_probability(model, rho, labels, tol)
     post = mm.model_poststate(model, rho, labels, tol)

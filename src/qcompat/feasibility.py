@@ -17,6 +17,11 @@ the faces are lifted back through it. The polish, which rounds the run's
 last boundary point onto an exactly feasible face, reads that face from
 the path itself (as in Mehrotra & Ye, Math. Programming 62, 1993): one
 profile, the eigenvalues above the cube root of the duality measure.
+Facial reduction reads its faces from the rows (Drusvyatskiy &
+Wolkowicz, arXiv:1706.03705): sum rows of either sign and partial-trace
+rows bound the supports of their blocks, and the bounds are read to a
+fixed point. A reduced problem whose affine set is a single point is
+decided by that point's spectrum, without a step.
 
 Blocks are parametrized by their real degrees of freedom (diagonal plus
 weighted upper triangle), so the constraints form a real linear system.
@@ -423,6 +428,21 @@ def _certificate_bound(z: np.ndarray, layout: _Layout, x0: np.ndarray):
     return float(x0 @ z) / weight
 
 
+def _least_projector(spectra, layout: _Layout) -> np.ndarray:
+    """Coordinates of the projector onto the least eigenvector over all
+    blocks, from their per-group spectra, plus 1e-12 of that block's
+    identity, so that rounding cannot make it indefinite."""
+    (d, span), (evals, evecs) = min(
+        zip(layout.groups, spectra), key=lambda group: float(group[1][0][:, 0].min())
+    )
+    i = int(np.argmin(evals[:, 0]))
+    v = evecs[i, :, :1]
+    z = np.zeros(layout.total)
+    o = span.start + i * d * d
+    z[o : o + d * d] = herm_coords(v @ v.conj().T + 1e-12 * np.eye(d))
+    return z
+
+
 _MAX_STEPS = 100  # interior-point steps per run, at most
 _POLISH_ROUNDS = 50  # restricted solves of one face polish, at most
 
@@ -502,41 +522,94 @@ def _intersect_ranges(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return vecs[:, evals > 1.0 - 1e-7]
 
 
-def _positive_identity(op) -> bool:
-    """Whether a term's map is a positive multiple of the identity: a
-    positive float, or a partial trace over a slot of dimension 1."""
-    if isinstance(op, PartialTrace):
-        return op.dims[1 - op.keep] == 1
-    return not isinstance(op, np.ndarray) and op > 0
+def _ranges(coords: np.ndarray, m: int, tol: Tolerances) -> list[np.ndarray | None]:
+    """Range bases of the side-m targets whose coordinates ``coords`` stacks,
+    from one batched eigh: the eigenvectors of eigenvalues beyond psd_tol in
+    modulus, or None for a target of full range."""
+    evals, vecs = np.linalg.eigh(herm_stack_from_coords(coords, m))
+    kept = np.abs(evals) > tol.psd_tol
+    return [None if k.all() else v[:, k] for k, v in zip(kept, vecs)]
+
+
+def _span(bases) -> np.ndarray:
+    """Orthonormal basis of the sum of the column spaces of ``bases``."""
+    u, sv, _ = np.linalg.svd(np.hstack(bases), full_matrices=False)
+    return u[:, sv > 1e-9]
+
+
+def _lift(basis: np.ndarray, op) -> np.ndarray:
+    """The bound on a block that a bound on its term's image gives: the
+    basis itself for a sum term; tensored with the traced slot for a
+    partial trace, since a PSD X on A (x) B lies in supp(Tr_B X) (x) B."""
+    if not isinstance(op, PartialTrace):
+        return basis
+    traced = np.eye(op.dims[1 - op.keep])
+    return kron(basis, traced) if op.keep == 0 else kron(traced, basis)
 
 
 def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, np.ndarray]:
-    """Per-block range bounds implied by positive sum constraints.
+    """Per-block range bounds implied by the rows, read to a fixed point.
 
-    In ``sum_i c_i X_i = R`` with all ``c_i > 0`` and PSD ``R``, every
-    PSD solution block is supported inside the range of R. Intersecting
-    these bounds is a facial reduction: degenerate problems become
-    strictly feasible on the reduced blocks, where the interior-point run
-    finds an interior witness instead of crawling towards the boundary.
+    A row reads as ``sum_i T_i(X_i) = R + sum_j c_j X_j``: the T_i are its
+    positive sum coefficients and its partial traces, and its negative sum
+    terms move to the right with c_j > 0. Every term is PSD at a solution,
+    so each T_i(X_i) lies in range(R) + sum_j supp(X_j), and so does X_i,
+    tensored with the traced slot for a partial trace. A row with negative
+    terms is read once every block it subtracts is bounded, and read again
+    whenever one of those bounds shrinks, until no bound shrinks. Rows
+    with an explicit matrix term are not read.
+
+    Intersecting these bounds is a facial reduction: degenerate problems
+    become strictly feasible on the reduced blocks, where the
+    interior-point run finds an interior witness instead of crawling
+    towards the boundary. A bound is stored only when it shrinks a block,
+    so a row that bounds nothing new never rotates a basis.
     """
     sides = dict(problem.blocks)
-    bounds: dict[str, np.ndarray] = {}
+    rows = []  # (positive terms, names of the negative terms, target coordinates)
     for c in problem.constraints:
-        if not c.terms or not all(_positive_identity(op) for _, op in c.terms):
+        pos, neg = [], []
+        for name, op in c.terms:
+            if isinstance(op, np.ndarray):
+                break
+            if isinstance(op, PartialTrace) or op > 0:
+                pos.append((name, op))
+            elif op < 0:
+                neg.append(name)
+        else:
+            if pos:
+                rows.append((pos, neg, c.rhs))
+    # the targets' ranges (None when full): the rows without negative terms
+    # are read first, their targets decomposed in one batch per side, and a
+    # row with negative terms decomposes its target when it is first read
+    ranges: dict[int, np.ndarray | None] = {}
+    by_side: dict[int, list[int]] = {}
+    for k, (_, neg, rhs) in enumerate(rows):
+        if not neg:
+            by_side.setdefault(math.isqrt(len(rhs)), []).append(k)
+    for m, ks in by_side.items():
+        ranges.update(zip(ks, _ranges(np.array([rows[k][2] for k in ks]), m, tol)))
+    bounds: dict[str, np.ndarray] = {}
+    pending = list(range(len(rows)))
+    while pending:
+        k = pending.pop(0)
+        pos, neg, rhs = rows[k]
+        if any(n not in bounds for n in neg):
             continue
-        r = herm_from_coords(c.rhs, sides[c.terms[0][0]])
-        evals, vecs = np.linalg.eigh(r)
-        scale = max(float(evals[-1]), 1.0)
-        # a target of full range bounds no support; intersecting with it
-        # would only rotate the other bases
-        if evals[0] < -1e3 * tol.psd_tol * scale or evals[0] > tol.psd_tol:
-            continue
-        basis = vecs[:, evals > tol.psd_tol]
-        for name, _ in c.terms:
+        if k not in ranges:
+            ranges[k] = _ranges(rhs[None], math.isqrt(len(rhs)), tol)[0]
+        space = ranges[k]
+        if space is not None and neg:
+            space = _span([space] + [bounds[n] for n in neg])
+        if space is None or space.shape[1] == space.shape[0]:
+            continue  # a row that spans its whole side bounds no support
+        for name, op in pos:
+            basis = _lift(space, op)
             if name in bounds:
-                bounds[name] = _intersect_ranges(bounds[name], basis)
-            else:
+                basis = _intersect_ranges(bounds[name], basis)
+            if basis.shape[1] < (bounds[name].shape[1] if name in bounds else sides[name]):
                 bounds[name] = basis
+                pending += [j for j, row in enumerate(rows) if name in row[1] and j not in pending]
     return bounds
 
 
@@ -628,12 +701,17 @@ def solve(
 ) -> FeasibilityOutcome:
     """Decide feasibility of a stacked-PSD problem.
 
-    Facial reduction first restricts each block to the support allowed
-    by positive sum constraints: the constraints are composed with the
-    face map of ``_face_map`` and the search runs in face coordinates.
+    Facial reduction first restricts each block to the support that the
+    rows allow (``_support_bounds``): the constraints are composed with
+    the face map of ``_face_map`` and the search runs in face coordinates.
     One SVD of the constraint matrix gives the min-norm affine point x0,
     the row-space projector and an orthonormal null-space basis N; a
-    problem left whole takes it from its shape's ``_Plan``. Then
+    problem left whole takes it from its shape's ``_Plan``. When N is
+    empty, the affine set is the point x0 and the margin is its least
+    eigenvalue: below ``-feas_tol``, the problem is infeasible at step 0,
+    with the least eigenvector's projector (plus 1e-12 of its block's
+    identity, so that rounding cannot make it indefinite) as the
+    certificate, checked by ``_certificate_bound``. Otherwise
     one infeasible-start primal-dual interior-point run of at most
     ``_MAX_STEPS`` steps (HKM direction, Mehrotra predictor-corrector)
     works on the margin SDP
@@ -703,12 +781,22 @@ def solve(
     def proj_affine(x: np.ndarray) -> np.ndarray:
         return x - frame.project(x) + x0
 
-    nu = float(e @ e)
-    y = np.zeros(len(f))
     # the first slack S = x0 - t e has the eigenvectors of x0 and its
     # eigenvalues shifted by -t: one decomposition serves both
     spec_s = _spectra(x0, layout)
-    y[-1] = min(float(evals[:, 0].min()) for evals, _ in spec_s) - 1.0
+    least = min(float(evals[:, 0].min()) for evals, _ in spec_s)
+    if len(f) == 1 and least < -tol.feas_tol:
+        # the affine set is the point x0, whose margin is its least eigenvalue
+        margin = _certificate_bound(frame.project(_least_projector(spec_s, layout)), layout, x0)
+        if margin is not None and margin < -tol.feas_tol:
+            residual = float(np.linalg.norm(a @ _clamp(spec_s, 0.0, layout) - b))
+            if trace:
+                trace(f"iter=0 shift=+0.000e+00 point residual={residual:.3e} margin={margin:.3e}")
+            return FeasibilityOutcome("infeasible", None, margin, residual, 0)
+
+    nu = float(e @ e)
+    y = np.zeros(len(f))
+    y[-1] = least - 1.0
     spec_s = [(evals - y[-1], evecs) for evals, evecs in spec_s]
     # the first dual iterate is S^-1 / <e, S^-1>, centred: Z S = mu 1 in
     # every block; its spectrum is the slack's, inverted (ascending again)

@@ -185,8 +185,13 @@ def test_validate_rejects_a_bad_device(devices, message, tmp_path, capsys):
     (None, ["model", "px"], "'px' is not an instrument"),
     (None, ["simulate", "px", "--state", "[[[1,0]]]"], "'px' is neither a model nor an instrument"),
     (None, ["simulate", "luders_x_instrument", "--state", "[[1,0"], "state is not valid JSON"),
+    (None, ["simulate", "luders_x_instrument", "--state", "[[[2,0],[0,0]],[[0,0],[0,0]]]",
+            "--outcomes", "+"], "state trace differs from 1"),
+    (None, ["simulate", "luders_x_instrument", "--state", "[[[0,0],[1,0]],[[0,0],[0,0]]]",
+            "--outcomes", "+"], "state is not Hermitian"),
 ], ids=["complex-scalar", "ragged-rows", "operation-without-dims", "dilate-effect",
-        "model-effect", "simulate-effect", "state-not-json"])
+        "model-effect", "simulate-effect", "state-not-json", "state-trace-2",
+        "state-not-hermitian"])
 def test_cli_reports_invalid_input(devices, argv, message, device_file, tmp_path, capsys):
     path = device_file if devices is None else _write(tmp_path, devices)
     code, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
@@ -349,6 +354,19 @@ def test_simulate_instrument(device_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["probability"] == pytest.approx(0.5, abs=1e-8)
+
+
+def test_simulate_text_keeps_matrix_rows(device_file, capsys):
+    # the text format prints one line per matrix row, the rows of the JSON format
+    args = ["simulate", device_file, "swap_readout",
+            "--state", "[[[0.7,0],[0.1,0.2]],[[0.1,-0.2],[0.3,0]]]", "--outcomes", "+"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    rows = lines[lines.index("post_state:") + 1 :]
+    assert all(line.startswith("  - ") for line in rows)
+    _, doc, _ = run_cli(["--format", "json", *args], capsys)
+    assert [json.loads(line[4:]) for line in rows] == json.loads(doc)["post_state"]
 
 
 @pytest.mark.parametrize("name", ["swap_readout", "luders_x_instrument"])

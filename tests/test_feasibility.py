@@ -2,13 +2,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcompat import feasibility as fs
 from qcompat.fixtures import I2, SX, SZ
 from qcompat.devices import choi_from_kraus
-from qcompat.matkit import herm_coords, herm_from_coords, herm_stack_from_coords
+from qcompat.matkit import herm_coords, herm_from_coords, herm_stack_from_coords, kron
 
 from conftest import (
     below_common_channel,
@@ -139,6 +139,8 @@ def test_certificate_bound_is_sound(seed, sides, n_rows, fixed_trace):
     fixed_trace=st.booleans(),
     deficit=st.sampled_from([None, 1e-4, 1e-2, 1.0]),
 )
+@example(seed=4274, sides=[3, 1, 1], n_rows=3, fixed_trace=False, deficit=1e-4)
+@example(seed=2, sides=[2, 1], n_rows=2, fixed_trace=False, deficit=1e-4)
 def test_solve_is_sound(seed, sides, n_rows, fixed_trace, deficit):
     # problems built around a known point: around a PSD point (deficit
     # None) no verdict is infeasible; with the total trace fixed at
@@ -166,9 +168,11 @@ def test_solve_is_sound(seed, sides, n_rows, fixed_trace, deficit):
     out = fs.solve(problem)
     assert out.verdict != ("infeasible" if deficit is None else "feasible")
     if out.verdict == "infeasible":
+        # the point stacks its blocks in the given order, not the layout's
+        offsets = np.cumsum([0] + [d * d for d in sides])
         least = min(
             np.linalg.eigvalsh(herm_from_coords(point[o : o + d * d], d))[0]
-            for o, d in zip(fs._Layout.of(blocks).offsets, sides)
+            for o, d in zip(offsets, sides)
         )
         assert least - 1e-9 <= out.margin < -fs.DEFAULT_TOL.feas_tol
 
@@ -206,12 +210,104 @@ def test_support_bound_restricts_blocks_to_the_target_range():
 
 def test_partial_trace_over_a_trivial_slot_bounds_the_support():
     # the trace over a one-dimensional slot is the identity map, so its row
-    # bounds the block as a sum row does; the trace over a qubit slot does not
-    for dims, target, bounded in (((2, 1), np.diag([1.0, 0.0]), True), ((1, 2), np.eye(1), False)):
+    # bounds the block as a sum row does; over a qubit slot, a rank-deficient
+    # target bounds the block by its range tensored with the slot, and a
+    # target of full range bounds nothing
+    for dims, target, rank in (((2, 1), np.diag([1.0, 0.0]), 1), ((1, 2), np.eye(1), None),
+                               ((2, 2), np.diag([1.0, 0.0]), 2)):
         row = fs.encode_partial_trace_constraint("j", dims, keep=0, target=target.T)
-        problem = fs.FeasibilityProblem((("j", 2),), (row,))
-        assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == bounded
+        problem = fs.FeasibilityProblem((("j", dims[0] * dims[1]),), (row,))
+        bounds = fs._support_bounds(problem, fs.DEFAULT_TOL)
+        assert (bounds["j"].shape[1] if bounds else None) == rank
         assert fs.solve(problem).verdict == "feasible"
+
+
+def _subspace(rng, n, r):
+    """Orthonormal basis of a random r-dimensional subspace of C^n."""
+    return np.linalg.qr(rand_complex(rng, n, r))[0] if r else np.zeros((n, 0))
+
+
+def _psd_on(rng, basis):
+    """A random PSD matrix with range the column space of ``basis``."""
+    k = rand_complex(rng, basis.shape[1])
+    return basis @ k @ k.conj().T @ basis.conj().T
+
+
+def _partial_trace(x, dims, keep):
+    return np.einsum("ijkj->ik" if keep == 0 else "ijil->jl", x.reshape(dims * 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 1)]),
+    keep=st.integers(0, 1),
+    ranks=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 6), st.integers(0, 6)),
+    order=st.permutations(range(3)),
+)
+def test_support_bounds_never_cut_off_a_psd_point(seed, dims, keep, ranks, order):
+    # PSD blocks a (on the bipartite space, its kept marginal supported on a
+    # subspace V), c (on the kept slot, supported on W), b and b2, and the rows
+    # Tr(a) + c, a + b and b2 - a around them, in any order. Every bound holds
+    # its block's range, and a row whose right-hand side, subtracted blocks'
+    # bounds included, spans less than the whole space bounds its blocks.
+    rng = np.random.default_rng(seed)
+    n, dk = dims[0] * dims[1], dims[keep]
+    rv, rw, rb, rb2 = min(ranks[0], dk), min(ranks[1], dk), min(ranks[2], n), min(ranks[3], n)
+    traced = np.eye(dims[1 - keep])
+    v, w = _subspace(rng, dk, rv), _subspace(rng, dk, rw)
+    x = {"a": _psd_on(rng, kron(v, traced) if keep == 0 else kron(traced, v)), "c": _psd_on(rng, w),
+         "b": _psd_on(rng, _subspace(rng, n, rb)), "b2": _psd_on(rng, _subspace(rng, n, rb2))}
+    rows = (
+        fs.AffineConstraint((("a", fs.PartialTrace(dims, keep)), ("c", 1.0)),
+                            herm_coords(_partial_trace(x["a"], dims, keep) + x["c"])),
+        fs.encode_sum_constraint(["a", "b"], x["a"] + x["b"]),
+        fs.encode_sum_constraint([("b2", 1.0), ("a", -1.0)], x["b2"] - x["a"]),
+    )
+    blocks = (("a", n), ("b", n), ("b2", n), ("c", dk))
+    bounds = fs._support_bounds(fs.FeasibilityProblem(blocks, tuple(rows[k] for k in order)),
+                                fs.DEFAULT_TOL)
+    for name, u in bounds.items():
+        outside = x[name] - u @ (u.conj().T @ x[name])
+        assert np.abs(outside).max() <= 1e-9 * max(1.0, np.abs(x[name]).max())
+    rank = {name: bounds[name].shape[1] if name in bounds else side for name, side in blocks}
+    reach = np.linalg.matrix_rank(np.hstack([v, w])) if rv + rw else 0
+    if reach < dk:  # Tr(a) + c lies in V + W
+        assert rank["c"] <= reach and rank["a"] <= reach * len(traced)
+    if rv * len(traced) + rb < n:  # a + b has the rank of its parts
+        assert max(rank["a"], rank["b"]) <= rv * len(traced) + rb
+    if rb2 + rank["a"] < n:  # b2 lies in the range of b2 - a plus the bound on a
+        assert rank["b2"] <= rb2 + rank["a"]
+
+
+@pytest.mark.parametrize("sides", [(2, 3), (3, 1, 2)])
+def test_an_infeasible_point_is_decided_at_step_0(sides):
+    # each block pinned to a random Hermitian matrix: the affine set is one
+    # point, and its margin is the point's least eigenvalue
+    rng = np.random.default_rng(sum(sides))
+    targets = [rand_herm(rng, d) for d in sides]
+    least = min(np.linalg.eigvalsh(t)[0] for t in targets)
+    assert least < -fs.DEFAULT_TOL.feas_tol
+    blocks = tuple((f"b{i}", d) for i, d in enumerate(sides))
+    rows = tuple(fs.encode_sum_constraint([n], t) for (n, _), t in zip(blocks, targets))
+    lines = []
+    out = fs.solve(fs.FeasibilityProblem(blocks, rows), trace=lines.append)
+    assert out.verdict == "infeasible" and out.iterations == 0
+    assert abs(out.margin - least) <= 1e-10
+    assert len(lines) == 1 and "point" in lines[0]
+
+
+def test_a_point_within_feas_tol_of_the_cone_takes_the_run():
+    # least eigenvalue -1e-8 lies in (-feas_tol, 0): no certificate can
+    # decide it, and the run's cone projection meets the constraint
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rand_complex(rng, 2))[0]
+    target = u @ np.diag([-1e-8, 0.5]) @ u.conj().T
+    lines = []
+    out = fs.solve(fs.FeasibilityProblem((("x", 2),), (fs.encode_sum_constraint(["x"], target),)),
+                   trace=lines.append)
+    assert out.verdict == "feasible"
+    assert not any("point" in line for line in lines)
 
 
 def test_all_blocks_pinned_to_zero_is_decided_without_iterating():
@@ -535,8 +631,8 @@ def test_solve_decomposes_each_slack_once_per_step(monkeypatch):
     # first step takes no eigh of its own), and the last iteration adds
     # the slack and the certificate. A second decomposition of the slack
     # (for the cone projection of the affine point) would add one per
-    # iteration. Facial reduction takes single-matrix calls, which are
-    # not counted.
+    # iteration. Facial reduction adds one batched eigh per side of the
+    # targets it reads first: one here, where every target is 2x2.
     calls = []
     for name in ("eigh", "eigvalsh"):
         orig = getattr(np.linalg, name)
@@ -555,7 +651,7 @@ def test_solve_decomposes_each_slack_once_per_step(monkeypatch):
         calls.clear()
         out = fs.solve(problem)
         assert out.verdict == verdict and out.iterations >= 2
-        assert len(calls) <= groups * (5 * out.iterations + 1)
+        assert len(calls) <= groups * (5 * out.iterations + 1) + 1
 
 
 def _first_step(problem, monkeypatch):
@@ -728,6 +824,32 @@ def test_solver_packs_through_module_names(monkeypatch):
     out = fs.solve(one_block_trace_problem(1.0, side=4))
     assert out.verdict == "feasible"
     assert calls and set(calls) == {4}
+
+
+@pytest.mark.parametrize("n1, n2", [("luders_px", "half_luders_px"), ("luders_pz", "pz")])
+def test_table1_compatible_cells_take_no_step_in_their_weak_solve(n1, n2, monkeypatch):
+    # Lüders instruments of sharp observables: the partial-trace and mixed
+    # rows bound every block of the weak problem, and the face's interior
+    # point is the witness. With fast paths on, fast paths decide both cells.
+    from qcompat import compat as cp
+    from qcompat.fixtures import builtin_devices
+
+    dev = builtin_devices()
+    solves = []
+    orig = fs.solve
+
+    def recorded(problem, *args, **kwargs):
+        solves.append((problem, orig(problem, *args, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(fs, "solve", recorded)
+    assert cp.classify(dev[n1], dev[n2], fast_paths=False).relation == "compatible"
+    (weak, out), _ = solves  # the weak question first, then the joint one
+    assert all(":" in name for name, _ in weak.blocks)  # the weak problem's block names
+    assert set(fs._support_bounds(weak, fs.DEFAULT_TOL)) == {name for name, _ in weak.blocks}
+    assert out.verdict == "feasible" and out.iterations == 0
+    solves.clear()
+    assert cp.classify(dev[n1], dev[n2]).notes.startswith("fast-path") and not solves
 
 
 def test_weak_problem_below_common_channel():
