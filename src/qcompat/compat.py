@@ -693,10 +693,13 @@ class KrausCertificate:
 def _instrument_kraus(ins: Instrument, subset, tol: Tolerances):
     """Kraus operators of the nonzero branches, their owners, and a subset's indices.
 
-    All branches share one batched eigendecomposition.
+    All branches share one batched eigendecomposition, which keeps the
+    Choi eigenvalues above ``tol.psd_tol``; branches and trace condition
+    are read at the witness scale.
     """
-    nonzero = [x for x in ins.outcomes if frob_norm(ins.branches[x].choi) > tol.eq_tol]
-    lists = kraus_lists([ins.branches[x] for x in nonzero], tol)
+    wtol = witness_tolerances(tol)
+    nonzero = [x for x in ins.outcomes if frob_norm(ins.branches[x].choi) > wtol.eq_tol]
+    lists = kraus_lists([ins.branches[x] for x in nonzero], wtol, cut=tol.psd_tol)
     owned = [(k, x) for x, ops in zip(nonzero, lists) for k in ops]
     owners = [x for _, x in owned]
     return [k for k, _ in owned], owners, tuple(i for i, x in enumerate(owners) if x in subset)
@@ -705,9 +708,11 @@ def _instrument_kraus(ins: Instrument, subset, tol: Tolerances):
 def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate:
     """Export a verdict witness as Kraus operators with index subsets.
 
-    The certificate is re-validated: subset sums reproduce the devices'
-    actions, the full sums are normalized, and paired lists share their
-    total channel.
+    The certificate is re-validated at ``witness_tolerances(tol)``: subset
+    sums reproduce the devices' actions, the full sums are normalized,
+    and paired lists share their total channel. Only Choi eigenvalues at
+    or below ``tol.psd_tol`` are dropped; dropping at the looser scale
+    would miss the parts by as much as the validator forbids.
     """
     wtol = witness_tolerances(tol)
     if v.witness is None:
@@ -719,12 +724,12 @@ def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate
             "(effects, operations, channels)"
         )
     if isinstance(w, CompatWitness):
-        ops, owners, j1 = _instrument_kraus(w.instrument, w.part_1, wtol)
+        ops, owners, j1 = _instrument_kraus(w.instrument, w.part_1, tol)
         j2 = tuple(i for i, x in enumerate(owners) if x in w.part_2)
         cert = KrausCertificate("joint", tuple(ops), None, j1, j2)
     else:
-        k_ops, _, j1 = _instrument_kraus(w.instrument_1, w.part_1, wtol)
-        l_ops, _, j2 = _instrument_kraus(w.instrument_2, w.part_2, wtol)
+        k_ops, _, j1 = _instrument_kraus(w.instrument_1, w.part_1, tol)
+        l_ops, _, j2 = _instrument_kraus(w.instrument_2, w.part_2, tol)
         n = max(len(k_ops), len(l_ops), 1)
         shape = (w.instrument_1.dim_out, w.instrument_1.dim_in)
         k_ops = tuple(k_ops + [np.zeros(shape, dtype=complex)] * (n - len(k_ops)))

@@ -518,19 +518,21 @@ def choi_from_kraus(k: KrausSet | list, tol: Tolerances = DEFAULT_TOL) -> CPMap:
     return CPMap.from_stack(k.dim_in, k.dim_out, kraus_choi(k.ops)[None], tol)[0]
 
 
-def kraus_lists(maps: list[CPMap], tol: Tolerances = DEFAULT_TOL) -> list:
+def kraus_lists(
+    maps: list[CPMap], tol: Tolerances = DEFAULT_TOL, *, cut: float | None = None
+) -> list:
     """Kraus operators of several same-shape maps, from one batched Choi eigh.
 
-    Eigenvalues at or below psd_tol are dropped; a map left with none
-    yields the single zero operator. KrausSet's trace condition is
-    checked for every list, on one stack of sums K^*K.
+    Eigenvalues at or below ``cut`` (psd_tol when None) are dropped; a map
+    left with none yields the single zero operator. KrausSet's trace
+    condition is checked at ``tol`` for every list, on one stack of sums K^*K.
     """
     if not maps:
         return []
     din, dout = maps[0].dim_in, maps[0].dim_out
     # CPMap validation left every Choi matrix exactly Hermitian
     evals, evecs = np.linalg.eigh(np.array([m.choi for m in maps]))
-    keep = evals > tol.psd_tol
+    keep = evals > (tol.psd_tol if cut is None else cut)
     vecs = evecs.swapaxes(-1, -2).reshape(*evals.shape, din, dout).swapaxes(-1, -2)
     ops = np.sqrt(np.where(keep, evals, 0.0))[..., None, None] * vecs
     v = ops.reshape(len(maps), -1, din)

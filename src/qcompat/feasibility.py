@@ -10,18 +10,22 @@ carries a checked Farkas certificate: a dual iterate whose value bounds
 the margin from above, below zero. Without either, the verdict is an
 honest "undecided".
 
-Facial reduction and the face polish share one face map: each block is
-restricted to a face {U Z U*} of its cone by one isometric embedding of
-coordinates, the constraints are composed with it, and points found on
-the faces are lifted back through it. The polish, which rounds the run's
-last boundary point onto an exactly feasible face, reads that face from
-the path itself (as in Mehrotra & Ye, Math. Programming 62, 1993): one
-profile, the eigenvalues above the cube root of the duality measure.
-Facial reduction reads its faces from the rows (Drusvyatskiy &
-Wolkowicz, arXiv:1706.03705): sum rows of either sign and partial-trace
-rows bound the supports of their blocks, and the bounds are read to a
-fixed point. A reduced problem whose affine set is a single point is
-decided by that point's spectrum, without a step.
+Both ways onto a face share one face map: each block is restricted to a
+face {U Z U*} of its cone by one isometric embedding of coordinates, the
+constraints are composed with it, and points found on the face are
+lifted back through it. Facial reduction reads its faces from the rows
+before the run (Drusvyatskiy & Wolkowicz, arXiv:1706.03705): sum rows of
+either sign and partial-trace rows bound the supports of their blocks,
+and the bounds are read to a fixed point. A reduced problem whose affine
+set is a single point is decided by that point's spectrum, without a
+step. A run that ends without a verdict has its face read from the path
+itself (as in Mehrotra & Ye, Math. Programming 62, 1993): each block
+keeps the eigenvalues of the last affine point above the cube root of
+the duality measure. Where that face shrinks a block, the same path runs
+once more on it (a partial facial reduction: Permenter & Parrilo, Math.
+Programming 171, 2018); on the right face the problem is typically
+strictly feasible again and the second run decides at step 0. Every
+witness, from either run, meets the constraints within feas_tol.
 
 Blocks are parametrized by their real degrees of freedom (diagonal plus
 weighted upper triangle), so the constraints form a real linear system.
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -395,11 +399,6 @@ def _clamp(spectra, shift: float, layout: _Layout) -> np.ndarray:
     return out
 
 
-def _project_cone(x: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Project onto the product of PSD cones."""
-    return _clamp(_spectra(x, layout), 0.0, layout)
-
-
 def _min_eig(v: np.ndarray, layout: _Layout) -> float:
     """Least eigenvalue over all blocks of a coordinate vector."""
     mu = float("inf")
@@ -444,22 +443,6 @@ def _least_projector(spectra, layout: _Layout) -> np.ndarray:
 
 
 _MAX_STEPS = 100  # interior-point steps per run, at most
-_POLISH_ROUNDS = 50  # restricted solves of one face polish, at most
-
-
-def _restricted_solve(z, profile, layout, a, b):
-    """One face-restricted least-squares step from the face suggested by z.
-
-    Returns the clamped candidate point and its residual.
-    """
-    bases = []
-    for block, r in zip(layout.split(z), profile):
-        evals, evecs = np.linalg.eigh(block)
-        bases.append(evecs[:, np.argsort(evals)[::-1][:r]])
-    embed, face = _face_map(layout, bases)
-    z_sol, _, _, _ = np.linalg.lstsq(a @ embed, b, rcond=None)
-    x = embed @ _project_cone(z_sol, face)
-    return x, float(np.linalg.norm(a @ x - b))
 
 
 def _face_rank(evals: np.ndarray, tau: float) -> int:
@@ -468,51 +451,33 @@ def _face_rank(evals: np.ndarray, tau: float) -> int:
     The count above tau, at least 1, widened to every eigenvalue within
     1e-9 (relative) of the least one kept: a face never splits a
     near-degenerate eigenspace, whose eigenvectors the point's last bits
-    would pick. The band is far below the polish cutoffs the path
-    reaches and well above the rounding noise a path iterate carries.
+    would pick. The band is far below the face cutoffs the path reaches
+    and well above the rounding noise a path iterate carries.
     """
     r = max(int(np.sum(evals > tau)), 1)
     return int(np.sum(evals >= evals[-r] - 1e-9 * max(1.0, float(np.abs(evals).max()))))
 
 
-def _face_polish(
-    y: np.ndarray,
-    cutoff: float,
-    layout: _Layout,
-    a: np.ndarray,
-    b: np.ndarray,
-    proj_affine,
-    tol: Tolerances,
-):
-    """Round a near-boundary affine point onto an exactly feasible cone face.
+def _read_face(point: np.ndarray, cutoff: float, layout: _Layout, bases):
+    """Support bases of the face read from an affine point, or None when
+    that face shrinks no block.
 
-    Feasible sets here typically touch the cone boundary, where a
-    projected point of the path still sits about the square root of its
-    residual away from the face. The face profile keeps each block's
-    eigenvalues of y above ``cutoff``, read by ``_face_rank``; the polish
-    alternates a face-restricted least-squares solve with re-detection of
-    the face from the affine projection, and on the right face the
-    residual collapses at a linear rate. The candidate is gated on its
-    true residual, so a wrong face is a no-op: the result is None unless
-    a point within ``feas_tol`` is found.
+    ``point`` lies on the face of ``bases`` (one per block, as for
+    ``_face_map``), whose layout is ``layout``. A block that the face
+    shrinks, to its eigenvectors V of the point whose eigenvalues
+    ``_face_rank`` keeps at ``cutoff``, gets the basis U V (V when whole);
+    the other bases are kept, so pinned blocks stay pinned.
     """
-    profile = tuple(_face_rank(np.linalg.eigvalsh(h), cutoff) for h in layout.split(y))
-    if profile == layout.sides:
-        return None
-    z, prev, stagnant = y, float("inf"), 0
-    for _ in range(_POLISH_ROUNDS):
-        x, residual = _restricted_solve(z, profile, layout, a, b)
-        if residual <= tol.feas_tol:
-            return x, residual
-        if residual > 0.9 * prev:
-            stagnant += 1
-            if stagnant >= 3:
-                break
-        else:
-            stagnant = 0
-        prev = residual
-        z = proj_affine(x)
-    return None
+    blocks = iter(layout.split(point))
+    out = []
+    for u in bases:
+        if u is None or u.shape[1]:  # pinned blocks have no block in the point
+            evals, evecs = np.linalg.eigh(next(blocks))
+            r = _face_rank(evals, cutoff)
+            if r < len(evals):
+                u = evecs[:, -r:] if u is None else u @ evecs[:, -r:]
+        out.append(u)
+    return None if all(v is u for v, u in zip(out, bases)) else out
 
 
 def _intersect_ranges(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -728,22 +693,33 @@ def solve(
     is an infeasible verdict. The run stops early when Y's cone
     projection meets the constraints within ``feas_tol`` (a boundary
     point), and otherwise when the budget is spent or the Newton system
-    breaks down. Then one face polish rounds the last Y onto its face,
-    read at the cutoff cbrt(mu), mu = <Z, S> / <e, e> being the duality
-    measure of Y's iterate: on the path, eigenvalues of Y in the face
-    stay of order 1, and the others fall like mu, or like about sqrt(mu)
-    where strict complementarity fails. A polished point within
-    ``feas_tol`` is the witness; else the projection is, when it met
-    the constraints; else the verdict is undecided, with the best
-    certified margin. The run is deterministic.
+    breaks down. Then the face of the last Y is read (``_read_face``) at
+    the cutoff cbrt(mu), mu = <Z, S> / <e, e> being the duality measure
+    of Y's iterate: on the path, eigenvalues of Y in the face stay of
+    order 1, and the others fall like mu, or like about sqrt(mu) where
+    strict complementarity fails. Where that face shrinks a block, the
+    path runs once more with it as the support bounds, and a witness of
+    that run is the verdict. Else the projection is, when it met the
+    constraints; else the verdict is undecided, with the best certified
+    margin. No exit returns a witness whose residual exceeds
+    ``feas_tol``. The run is deterministic.
     """
     plan = _plan(problem)
-    full, a = plan.layout, plan.a
     b = np.concatenate([c.rhs for c in problem.constraints]) if problem.constraints else np.zeros(0)
     bounds = _support_bounds(problem, tol)
+    return _run(plan, b, [bounds.get(n) for n in plan.layout.names], tol, trace, read_face=True)
+
+
+def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace, read_face: bool):
+    """The path of ``solve`` on the face of the support ``bases``, one per
+    block of the plan as for ``_face_map``. With ``read_face``, a run that
+    ends without a PSD affine point or a certificate is followed by one
+    untraced run, which reads no face, on the face read from its last
+    affine point; ``iterations`` counts the steps of both."""
+    full, a = plan.layout, plan.a
     embed, layout = None, full
-    if bounds:
-        embed, layout = _face_map(full, [bounds.get(n) for n in full.names])
+    if any(u is not None for u in bases):
+        embed, layout = _face_map(full, bases)
         a = a @ embed
 
     frame = None
@@ -760,7 +736,13 @@ def solve(
             "infeasible", None, float("-inf"), affine_res, 0, affine_inconsistent=True
         )
 
+    margin = float("inf")
+
     def feasible(point: np.ndarray, residual: float, it: int) -> FeasibilityOutcome:
+        # one residual rule for every witness: a point that misses the
+        # constraints by more than feas_tol leaves the problem undecided
+        if residual > tol.feas_tol:
+            return FeasibilityOutcome("undecided", None, margin, residual, it)
         if embed is not None:
             point = embed @ point
         witness = {n: hermitian_part(m) for n, m in zip(full.names, full.split(point))}
@@ -778,21 +760,18 @@ def solve(
         return feasible(point, float(np.linalg.norm(a @ point - b)), 0)
     f = frame.f
 
-    def proj_affine(x: np.ndarray) -> np.ndarray:
-        return x - frame.project(x) + x0
-
     # the first slack S = x0 - t e has the eigenvectors of x0 and its
     # eigenvalues shifted by -t: one decomposition serves both
     spec_s = _spectra(x0, layout)
     least = min(float(evals[:, 0].min()) for evals, _ in spec_s)
     if len(f) == 1 and least < -tol.feas_tol:
         # the affine set is the point x0, whose margin is its least eigenvalue
-        margin = _certificate_bound(frame.project(_least_projector(spec_s, layout)), layout, x0)
-        if margin is not None and margin < -tol.feas_tol:
+        bound = _certificate_bound(frame.project(_least_projector(spec_s, layout)), layout, x0)
+        if bound is not None and bound < -tol.feas_tol:
             residual = float(np.linalg.norm(a @ _clamp(spec_s, 0.0, layout) - b))
             if trace:
-                trace(f"iter=0 shift=+0.000e+00 point residual={residual:.3e} margin={margin:.3e}")
-            return FeasibilityOutcome("infeasible", None, margin, residual, 0)
+                trace(f"iter=0 shift=+0.000e+00 point residual={residual:.3e} margin={bound:.3e}")
+            return FeasibilityOutcome("infeasible", None, bound, residual, 0)
 
     nu = float(e @ e)
     y = np.zeros(len(f))
@@ -804,7 +783,7 @@ def solve(
     weight = sum(float(evals.sum()) for evals, _ in spec_z)
     z = _clamp(spec_z, 0.0, layout) / weight
     spec_z = [(evals / weight, evecs) for evals, evecs in spec_z]
-    margin = residual = float("inf")
+    residual = float("inf")
     done = 0
     point = None
     try:
@@ -837,13 +816,16 @@ def solve(
                 z, y = _newton_step(z, y, s, spec_z, spec_s, layout, f)
     except np.linalg.LinAlgError:
         pass
-    if point is not None:
-        # polished even when the projection met feas_tol: only the polished point lies on the face
-        polished = _face_polish(point, float(np.cbrt(gap / nu)), layout, a, b, proj_affine, tol)
-        if polished is not None:
-            if trace:
-                trace(f"iter={done} shift=+0.000e+00 face-polish residual={polished[1]:.3e}")
-            return feasible(*polished, done)
+    if point is not None and read_face:
+        # read even when the projection met feas_tol: only the face holds a point on it
+        face = _read_face(point, float(np.cbrt(gap / nu)), layout, bases)
+        if face is not None:
+            second = _run(plan, b, face, tol, None, read_face=False)
+            done += second.iterations
+            if second.verdict == "feasible":
+                if trace:
+                    trace(f"iter={done} shift=+0.000e+00 face-polish residual={second.residual:.3e}")
+                return replace(second, iterations=done)
     if residual <= tol.feas_tol:
         return feasible(cone, residual, done)
     return FeasibilityOutcome("undecided", None, margin, residual, done)

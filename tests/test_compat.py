@@ -210,6 +210,32 @@ def test_joint_problem_keeps_an_effect_valid_only_at_a_loose_tolerance():
     assert cp.classify(e, obs, tol=loose).relation == "compatible"
 
 
+@pytest.mark.parametrize("delta", [5e-8, 1e-7, 2e-7])
+def test_engine_witness_is_held_to_feas_tol_at_a_loose_tolerance(delta, monkeypatch):
+    # the joint solve finds its PSD affine point at step 0, with residual
+    # about 1.22 delta: within feas_tol it is the witness, above it the
+    # engine says undecided (fast paths, reading the pair as commuting,
+    # still say compatible; that route disagreement is not decided here)
+    loose = Tolerances(psd_tol=1e-6)
+    e = Effect(np.diag([1 + delta, 0.3]), loose)
+    outcomes = []
+    orig = fs.solve
+
+    def recording(*args, **kwargs):
+        outcomes.append(orig(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(fs, "solve", recording)
+    v = cp.classify(e, sharp_observable(PZ, PMZ), tol=loose, fast_paths=False)
+    (out,) = outcomes
+    assert out.iterations == 0 and out.residual == pytest.approx(1.22 * delta, rel=0.01)
+    if delta < 1e-7:
+        assert (out.verdict, v.relation) == ("feasible", "compatible")
+    else:
+        assert (out.verdict, v.relation) == ("undecided", "undecided")
+        assert out.margin == float("inf") and out.witness is None
+
+
 # ---------------------------------------------------------------------------
 # operation-operation
 # ---------------------------------------------------------------------------
@@ -873,21 +899,32 @@ def test_weak_problem_agrees_with_the_channel_block_formulation():
     assert verdicts == {"feasible", "infeasible"}
 
 
+def _second_runs(monkeypatch) -> list:
+    """Record (face ranks, outcome) of every second run of ``solve``."""
+    runs = []
+    orig = fs._run
+
+    def recording(plan, b, bases, tol, trace, read_face):
+        out = orig(plan, b, bases, tol, trace, read_face)
+        if not read_face:
+            runs.append((tuple(None if u is None else u.shape[1] for u in bases), out))
+        return out
+
+    monkeypatch.setattr(fs, "_run", recording)
+    return runs
+
+
 @pytest.mark.parametrize("seed", [86, 37, 1, 12, 20])
 def test_channel_block_problem_polishes_on_one_face_profile(seed, monkeypatch):
     # boundary witnesses on a (2, 1, 1) face, which a fixed threshold of 0.5
-    # reads as (1, 1, 1); the one profile read from the path must be the face
-    profiles = []
-    orig = fs._restricted_solve
-
-    def recording(z, profile, *args):
-        profiles.append(profile)
-        return orig(z, profile, *args)
-
-    monkeypatch.setattr(fs, "_restricted_solve", recording)
+    # reads as (1, 1, 1); the one face read from the path must be that face,
+    # and the second run on it decides at step 0 (seeds 86 and 12 take its
+    # witness; 37, 1 and 20 fall back to the first run's projection)
+    runs = _second_runs(monkeypatch)
     f1, f2 = below_common_channel(np.random.default_rng(seed))
     assert fs.solve(_weak_problem_with_channel_block(f1, f2)).verdict == "feasible"
-    assert len(set(profiles)) == 1
+    assert [(face, out.iterations) for face, out in runs] == [((2, 1, 1), 0)]
+    assert (runs[0][1].verdict == "feasible") == (seed in (86, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -1129,6 +1166,16 @@ def test_kraus_witness_paired_weak():
         assert np.linalg.norm(got1 - dv.apply_s(DEV["luders_px"], t)) <= 1e-5
         got2 = apply_kraus_subset(cert.l_ops, cert.j2, t)
         assert np.linalg.norm(got2 - dv.apply_s(DEV["half_sigma_x"], t)) <= 1e-5
+
+
+def test_kraus_witness_checks_the_trace_condition_at_the_witness_scale():
+    # a branch of the weak witness of luders_px and biased_z has sum K^*K
+    # about 1 + 1.3e-8: above psd_tol, within the scale the engine's witness
+    # is held to, so the export drops eigenvalues at psd_tol only
+    for a, b in ((DEV["luders_px"], DEV["biased_z"]), (DEV["biased_z"], DEV["luders_px"])):
+        v = cp.classify(a, b)
+        assert v.relation == "weakly_compatible_only"
+        assert cp.kraus_witness(v).kind == "paired"
 
 
 def test_kraus_witness_null_operation():
@@ -1569,6 +1616,7 @@ def _commuting_pair(row, din, dout, seed):
 @settings(max_examples=30, deadline=None)
 @given(row=st.sampled_from(_COMMUTING_ROWS), din=st.integers(2, 3), dout=st.integers(1, 3),
        seed=st.integers(0, 2**16))
+@example(row="ef-ef", din=3, dout=1, seed=15296)  # branch Choi eigenvalues of 7.3e-6
 def test_commuting_pairs_take_the_commuting_rule_on_every_classical_row(row, din, dout, seed):
     # in both orders: the rule decides the pair, the engine gives the same
     # relation, each device is a part of the witness instrument, and the

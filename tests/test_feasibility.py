@@ -382,9 +382,9 @@ def test_coexistence_noisy_pair_against_grid_oracle():
 
 def test_busch_boundary_is_rounded_onto_its_face():
     # Just past t = 1/sqrt(2) the margin is negative but above -feas_tol.
-    # The path cannot certify either way; a final face polish finds a point
-    # within feas_tol for delta = 1e-7, not for 2e-7, and from 3e-7 on the
-    # certificate refutes.
+    # The path cannot certify either way; a second run on the face read from
+    # the path finds a point within feas_tol for delta = 1e-7, not for 2e-7,
+    # and from 3e-7 on the certificate refutes.
     tol = fs.DEFAULT_TOL
     e1, e2 = noisy_pair(1 / np.sqrt(2) + 1e-7)
     out = fs.solve(coexistence_problem(e1, e2))
@@ -508,7 +508,7 @@ def test_project_cone_matches_blockwise_reference():
     x = rng.standard_normal(layout.total)
     # the two 1x1 blocks lie below and above 0
     x[[layout.offsets[1], layout.offsets[3]]] = (-0.5, 0.1)
-    got = fs._project_cone(x, layout)
+    got = fs._clamp(fs._spectra(x, layout), 0.0, layout)
     expected = np.empty_like(x)
     for o, d in zip(layout.offsets, sides):
         evals, evecs = np.linalg.eigh(herm_from_coords(x[o : o + d * d], d))
@@ -576,7 +576,7 @@ def test_shifted_spectrum_projection_matches_project_cone(shift):
     x = rng.standard_normal(layout.total)
     x[[layout.offsets[1], layout.offsets[3]]] = (-0.5, 0.1)
     got = fs._clamp(fs._spectra(x, layout), shift, layout)
-    expected = fs._project_cone(x + shift * layout.identity, layout)
+    expected = fs._clamp(fs._spectra(x + shift * layout.identity, layout), 0.0, layout)
     assert np.abs(got - expected).max() <= 1e-13
 
 
@@ -593,21 +593,24 @@ def test_face_polish_keeps_a_degenerate_pair_whole():
     assert fs._face_rank(np.array([0.0, 0.0, 0.5 - 4e-12, 0.5 + 4e-12]), 0.5) == 2
     assert fs._face_rank(np.array([0.0, 0.2, 0.5, 0.9]), 0.5) == 1
     assert fs._face_rank(np.array([1e-17, 2e-8, 0.3, 0.3]), 1e-6) == 2
-    layout = fs._Layout.of((("x", 3),))
     a = np.zeros((2, 9))
     a[0, 0] = a[1, 0] = a[1, 1] = a[1, 2] = 1.0
     b = np.array([0.0, 1.0])
-    pinv = np.linalg.pinv(a)
+    plan = fs._plan(fs.FeasibilityProblem((("x", 3),), (fs.AffineConstraint((("x", a),), b),)))
     rng = np.random.default_rng(5)
     for _ in range(4):
         noise = np.zeros(9)
         noise[[1, 2, 5, 8]] = 1e-13 * rng.standard_normal(4)  # the (1, 2) entry
         y = herm_coords(np.diag([0.0, 0.5, 0.5])) + noise
-        x, residual = fs._face_polish(
-            y, 0.5, layout, a, b, lambda x: x - pinv @ (a @ x - b), fs.DEFAULT_TOL
-        )
-        assert residual <= 1e-14
-        assert np.abs(herm_from_coords(x, 3) - np.diag([0.0, 0.5, 0.5])).max() <= 1e-12
+        (u,) = fs._read_face(y, 0.5, plan.layout, [None])
+        assert u.shape == (3, 2) and np.abs(u[0]).max() <= 1e-12
+        # the second run on that face decides at step 0
+        out = fs._run(plan, b, [u], fs.DEFAULT_TOL, None, read_face=False)
+        assert (out.verdict, out.iterations) == ("feasible", 0)
+        assert out.residual <= 1e-14
+        assert np.abs(out.witness["x"] - np.diag([0.0, 0.5, 0.5])).max() <= 1e-12
+    # a face that shrinks no block is not read
+    assert fs._read_face(herm_coords(np.diag([0.2, 0.3, 0.5])), 0.1, plan.layout, [None]) is None
 
 
 def test_layout_is_cached_and_read_only():
@@ -930,22 +933,25 @@ def test_trace_lines_count_every_iteration():
     # every line of a run is an iteration line, and the iteration counter
     # differences over the lines add up to the outcome's iteration count;
     # seed 3 ends at a PSD affine point after 3 steps, seed 6 in a
-    # certificate after 5, and the weak problem in a face polish after 7
+    # certificate after 5, and the weak problem of luders_px and
+    # half_sigma_x in a second run on the face read after 6, which adds
+    # one summary line and no step
     from qcompat import compat as cp
+    from qcompat.fixtures import builtin_devices
 
     problems = []
     for seed, verdict in ((3, "feasible"), (6, "infeasible")):
         rng = np.random.default_rng(seed)
         e1, e2 = rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix
         problems.append((coexistence_problem(e1, e2), verdict))
-    f1, f2 = below_common_channel(np.random.default_rng(100))
-    problems.append((cp.weak_problem(f1, f2), "feasible"))
-    polished = 0
+    dev = builtin_devices()
+    problems.append((cp.weak_problem(dev["luders_px"], dev["half_sigma_x"]), "feasible"))
+    polished = []
     for problem, verdict in problems:
         lines = []
         out = fs.solve(problem, trace=lines.append)
         assert out.verdict == verdict
-        polished += sum("face-polish" in line for line in lines)
+        polished += [line for line in lines if "face-polish" in line]
         counted, last = 0, 0
         for line in lines:
             m = re.match(r"iter=(\d+) shift=(\S+)", line)
@@ -956,4 +962,4 @@ def test_trace_lines_count_every_iteration():
             counted += it if it <= last else it - last
             last = it
         assert counted == out.iterations
-    assert polished == 1
+    assert polished == [f"iter=6 shift=+0.000e+00 face-polish residual={out.residual:.3e}"]
