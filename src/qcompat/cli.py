@@ -68,6 +68,13 @@ def _matrix(rows) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
+def _field(payload, key: str, kind: str):
+    """A payload field, or an error that names the missing one."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise DeviceFileError(f"{kind} payload needs {key!r}")
+    return payload[key]
+
+
 def _cpmap_payload(payload, din, dout, kind, tol) -> dv.CPMap:
     """The map of a Kraus or Choi payload; either form gives it the kind that CPMap
     validation fixes, and a declared channel must preserve trace."""
@@ -87,9 +94,10 @@ def _cpmap_payload(payload, din, dout, kind, tol) -> dv.CPMap:
 
 
 def _observable_payload(payload, tol) -> dv.Observable:
-    outcomes = tuple(str(x) for x in payload["outcomes"])
+    outcomes = tuple(str(x) for x in _field(payload, "outcomes", "observable"))
     effects = {
-        str(x): dv.Effect(_matrix(m), tol=tol) for x, m in payload["effects"].items()
+        str(x): dv.Effect(_matrix(m), tol=tol)
+        for x, m in _field(payload, "effects", "observable").items()
     }
     return dv.Observable(outcomes, effects, tol=tol)
 
@@ -115,36 +123,32 @@ def parse_device(entry: dict, tol: Tolerances):
         raise DeviceFileError(f"dims must be an object, got {dims!r}")
     din = _dim(dims, "in", 0)
     dout = _dim(dims, "out", din)
+    if kind in ("operation", "channel", "instrument", "model") and not (din and dout):
+        raise DeviceFileError(f"{kind} {name!r} needs dims.in and dims.out")
     if kind in ("effect", "observable"):
         if kind == "effect":
-            device = dv.Effect(_matrix(payload["matrix"]), tol=tol)
+            device = dv.Effect(_matrix(_field(payload, "matrix", kind)), tol=tol)
         else:
             device = _observable_payload(payload, tol)
         if din and device.dim != din:
             raise DeviceFileError(f"{kind} {name!r} does not match its declared dims")
         return device
     if kind in ("operation", "channel"):
-        if not din or not dout:
-            raise DeviceFileError(f"{kind} {name!r} needs dims.in and dims.out")
         return _cpmap_payload(payload, din, dout, kind, tol)
     if kind == "instrument":
-        outcomes = tuple(str(x) for x in payload["outcomes"])
+        outcomes = tuple(str(x) for x in _field(payload, "outcomes", kind))
         branches = {
             str(x): _cpmap_payload(b, din, dout, "operation", tol)
-            for x, b in payload["branches"].items()
+            for x, b in _field(payload, "branches", kind).items()
         }
         return dv.Instrument(outcomes, branches, tol=tol)
     if kind == "model":
-        pointer = _observable_payload(payload["pointer"], tol)
+        dim_v1, dim_v2, eta, unitary, pointer = (
+            _field(payload, key, kind) for key in ("dim_v1", "dim_v2", "eta", "unitary", "pointer")
+        )
         return mm.MeasurementModel(
-            din,
-            dout,
-            payload["dim_v1"],
-            payload["dim_v2"],
-            _matrix(payload["eta"]),
-            _matrix(payload["unitary"]),
-            pointer,
-            tol=tol,
+            din, dout, dim_v1, dim_v2, _matrix(eta), _matrix(unitary),
+            _observable_payload(pointer, tol), tol=tol,
         )
     raise DeviceFileError(f"unknown device type {kind!r}")
 
@@ -439,11 +443,12 @@ _RELATION_OF_ROW = {
 def cmd_table1(args) -> int:
     tol = _tolerances(args)
     devices = builtin_devices()
+    trace = _trace_fn(args)
     results = {}
     details = []
     for col, row, n1, n2 in TABLE1_CELLS:
         verdict = cp.classify(
-            devices[n1], devices[n2], tol=tol, fast_paths=not args.no_fast_paths,
+            devices[n1], devices[n2], tol=tol, fast_paths=not args.no_fast_paths, trace=trace,
         )
         ok = verdict.relation == _RELATION_OF_ROW[row]
         results[(row, col)] = "✓" if ok else "?"

@@ -8,7 +8,7 @@ interior-point run on it decides the question. A feasible verdict
 carries a witness, a PSD point of the affine set. An infeasible one
 carries a checked Farkas certificate: a dual iterate whose value bounds
 the margin from above, below zero. Without either, the verdict is an
-honest "undecided".
+honest "undecided". Every outcome names the exit of ``solve`` that ended it.
 
 Both ways onto a face share one face map: each block is restricted to a
 face {U Z U*} of its cone by one isometric embedding of coordinates, the
@@ -133,15 +133,19 @@ class FeasibilityProblem:
                     )
 
 
+# how ``solve`` can end; its docstring says what decides at each
+EXITS = ("affine", "shift", "point", "path", "certificate", "face", "projection", "stall")
+
+
 @dataclass(frozen=True)
 class FeasibilityOutcome:
-    """Solver verdict with either a witness or a margin bound.
+    """Solver verdict with either a witness or a margin bound, and its exit.
 
     ``margin`` is a certified upper bound on the supremum over the affine
     set of the minimum block eigenvalue (``inf`` when no certificate was
-    found); it is present exactly when no witness was found.
-    ``affine_inconsistent`` marks problems whose affine part alone has
-    no solution.
+    found, ``-inf`` when the affine part alone has no solution); it is
+    present exactly when no witness was found. ``exit`` is the one of
+    ``EXITS`` that ended the solve.
     """
 
     verdict: str  # feasible | infeasible | undecided
@@ -149,7 +153,7 @@ class FeasibilityOutcome:
     margin: float | None
     residual: float
     iterations: int
-    affine_inconsistent: bool = False
+    exit: str
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +313,9 @@ class _Frame:
     projection onto the row space. ``f`` stacks an orthonormal basis of
     the null space, one vector per row, on the all-blocks identity e; a
     side group's columns are the contiguous ``f[:, span]``. ``blind``
-    marks constraints that never see e. All arrays are read-only and own
-    their data, so the full SVD bases are not kept.
+    marks constraints that never see e; an empty matrix has rank 0 and is
+    blind. All arrays are read-only and own their data, so the full SVD
+    bases are not kept.
     """
 
     row: np.ndarray
@@ -322,7 +327,7 @@ class _Frame:
     @staticmethod
     def of(a: np.ndarray, layout: _Layout) -> "_Frame":
         u, sv, vt = np.linalg.svd(a)
-        rank = int(np.sum(sv > 1e-12 * sv[0]))
+        rank = int(np.sum(sv > 1e-12 * sv[:1]))
         row, u, sv = vt[:rank].copy(), u[:, :rank].copy(), sv[:rank].copy()
         e = layout.identity
         f = np.vstack([vt[rank:], e])  # the slack is S = x0 - f^T y, with y = (w, t)
@@ -667,19 +672,13 @@ def solve(
     """Decide feasibility of a stacked-PSD problem.
 
     Facial reduction first restricts each block to the support that the
-    rows allow (``_support_bounds``): the constraints are composed with
-    the face map of ``_face_map`` and the search runs in face coordinates.
-    One SVD of the constraint matrix gives the min-norm affine point x0,
-    the row-space projector and an orthonormal null-space basis N; a
-    problem left whole takes it from its shape's ``_Plan``. When N is
-    empty, the affine set is the point x0 and the margin is its least
-    eigenvalue: below ``-feas_tol``, the problem is infeasible at step 0,
-    with the least eigenvector's projector (plus 1e-12 of its block's
-    identity, so that rounding cannot make it indefinite) as the
-    certificate, checked by ``_certificate_bound``. Otherwise
-    one infeasible-start primal-dual interior-point run of at most
-    ``_MAX_STEPS`` steps (HKM direction, Mehrotra predictor-corrector)
-    works on the margin SDP
+    rows allow (``_support_bounds``), and the search runs in the face
+    coordinates of ``_face_map``. One SVD of the constraint matrix gives
+    the min-norm affine point x0, the row-space projector and an
+    orthonormal null-space basis N; a problem left whole takes it from
+    its shape's ``_Plan``. One infeasible-start primal-dual interior-point
+    run of at most ``_MAX_STEPS`` steps (HKM direction, Mehrotra
+    predictor-corrector) works on the margin SDP
 
         maximize t  s.t.  x0 - N w - t e is PSD blockwise,
 
@@ -687,77 +686,88 @@ def solve(
     Z with N^T Z = 0 and <e, Z> = 1, is a Farkas certificate. The run
     starts on the central path: from w = 0 and t = lambda_min(x0) - 1,
     with the slack S = x0 - t e, and from the dual iterate
-    Z = S^-1 / <e, S^-1>, so that Z S = mu 1 in every block. Every step
-    checks the affine point Y = x0 - N w: Y is the witness when PSD, and
-    a certificate bound (``_certificate_bound`` of Z) below ``-feas_tol``
-    is an infeasible verdict. The run stops early when Y's cone
-    projection meets the constraints within ``feas_tol`` (a boundary
-    point), and otherwise when the budget is spent or the Newton system
-    breaks down. Then the face of the last Y is read (``_read_face``) at
-    the cutoff cbrt(mu), mu = <Z, S> / <e, e> being the duality measure
-    of Y's iterate: on the path, eigenvalues of Y in the face stay of
-    order 1, and the others fall like mu, or like about sqrt(mu) where
-    strict complementarity fails. Where that face shrinks a block, the
-    path runs once more with it as the support bounds, and a witness of
-    that run is the verdict. Else the projection is, when it met the
-    constraints; else the verdict is undecided, with the best certified
-    margin. No exit returns a witness whose residual exceeds
-    ``feas_tol``. The run is deterministic.
+    Z = S^-1 / <e, S^-1>, so that Z S = mu 1 in every block.
+
+    The outcome names its exit, in the order they are tried:
+
+    - ``affine``: no point solves the constraints; infeasible at margin -inf.
+    - ``shift``: the constraints never see e (as with no rows, or every
+      block pinned): the least PSD shift of x0 along e is the witness.
+    - ``point``: N is empty and lambda_min(x0) < -feas_tol: infeasible at
+      step 0, certified by ``_least_projector``, checked like any Z.
+    - ``path``: a step's affine point Y = x0 - N w is PSD: the witness.
+    - ``certificate``: a step's ``_certificate_bound`` of Z is below
+      -feas_tol: infeasible.
+    - ``face``: the run ended otherwise (budget spent, Newton system
+      broken down, or Y's cone projection within feas_tol of the
+      constraints); the face of the last Y read at the cutoff cbrt(mu),
+      mu = <Z, S> / <e, e>, shrinks a block (``_read_face``), and a
+      second, untraced run on it finds a witness, which one
+      ``face-polish`` line reports. On the path, eigenvalues of Y in the
+      face stay of order 1, and the others fall like mu, or like about
+      sqrt(mu) where strict complementarity fails.
+    - ``projection``: else Y's cone projection, when within feas_tol.
+    - ``stall``: else undecided, with the best certified margin.
+
+    A witness that misses the constraints by more than feas_tol leaves
+    the problem undecided at its own exit. ``iterations`` counts the
+    steps of both runs. The solve is deterministic.
     """
     plan = _plan(problem)
-    b = np.concatenate([c.rhs for c in problem.constraints]) if problem.constraints else np.zeros(0)
+    b = np.concatenate([np.zeros(0)] + [c.rhs for c in problem.constraints])
     bounds = _support_bounds(problem, tol)
-    return _run(plan, b, [bounds.get(n) for n in plan.layout.names], tol, trace, read_face=True)
+    bases = [bounds.get(n) for n in plan.layout.names]
+    out, last = _run(plan, b, bases, tol, trace)
+    # read even when the projection met feas_tol: only the face holds a point on it
+    face = None if last is None else _read_face(*last, bases)
+    if face is None:
+        return out
+    second, _ = _run(plan, b, face, tol, None)
+    done = out.iterations + second.iterations
+    if second.verdict != "feasible":
+        return replace(out, iterations=done)
+    if trace:
+        trace(f"iter={done} shift=+0.000e+00 face-polish residual={second.residual:.3e}")
+    return replace(second, iterations=done, exit="face")
 
 
-def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace, read_face: bool):
+def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
     """The path of ``solve`` on the face of the support ``bases``, one per
-    block of the plan as for ``_face_map``. With ``read_face``, a run that
-    ends without a PSD affine point or a certificate is followed by one
-    untraced run, which reads no face, on the face read from its last
-    affine point; ``iterations`` counts the steps of both."""
+    block of the plan as for ``_face_map``: its outcome, and after a
+    ``projection`` or ``stall`` the ``_read_face`` arguments of its last
+    affine point: the point, its face cutoff and its layout (else None)."""
     full, a = plan.layout, plan.a
     embed, layout = None, full
     if any(u is not None for u in bases):
         embed, layout = _face_map(full, bases)
         a = a @ embed
+    # a face depends on the data, so only a whole problem reuses its plan's frame
+    frame = plan.frame if embed is None else _Frame.of(a, layout)
+    x0 = frame.x0(b)
+    margin = float("inf")
 
-    frame = None
-    x0 = np.zeros(layout.total)
-    if a.size:
-        # a face depends on the data, so only a whole problem reuses its plan's frame
-        frame = plan.frame if embed is None else _Frame.of(a, layout)
-        x0 = frame.x0(b)
+    def outcome(exit: str, residual: float, it: int, point=None, bound=None):
+        # one residual rule for every witness: a point that misses the
+        # constraints by more than feas_tol leaves the problem undecided
+        if point is not None and residual <= tol.feas_tol:
+            blocks = full.split(point if embed is None else embed @ point)
+            witness = {n: hermitian_part(m) for n, m in zip(full.names, blocks)}
+            return FeasibilityOutcome("feasible", witness, None, residual, it, exit)
+        if bound is None:
+            return FeasibilityOutcome("undecided", None, margin, residual, it, exit)
+        return FeasibilityOutcome("infeasible", None, bound, residual, it, exit)
+
     affine_res = float(np.linalg.norm(a @ x0 - b))
     if affine_res > tol.feas_tol * (1.0 + float(np.linalg.norm(b))):
         if trace:
             trace(f"affine-inconsistent residual={affine_res:.3e}")
-        return FeasibilityOutcome(
-            "infeasible", None, float("-inf"), affine_res, 0, affine_inconsistent=True
-        )
-
-    margin = float("inf")
-
-    def feasible(point: np.ndarray, residual: float, it: int) -> FeasibilityOutcome:
-        # one residual rule for every witness: a point that misses the
-        # constraints by more than feas_tol leaves the problem undecided
-        if residual > tol.feas_tol:
-            return FeasibilityOutcome("undecided", None, margin, residual, it)
-        if embed is not None:
-            point = embed @ point
-        witness = {n: hermitian_part(m) for n, m in zip(full.names, full.split(point))}
-        return FeasibilityOutcome("feasible", witness, None, residual, it)
-
-    if frame is None:
-        # no constraints, or every block pinned: the zero point is the witness
-        return feasible(x0, affine_res, 0)
-
+        return outcome("affine", affine_res, 0, bound=float("-inf")), None
     e = layout.identity
     if frame.blind:
         # the constraints never see e, so the affine set holds every shift
         # of x0 along it, and the least PSD one is the witness
         point = x0 - min(_min_eig(x0, layout), 0.0) * e
-        return feasible(point, float(np.linalg.norm(a @ point - b)), 0)
+        return outcome("shift", float(np.linalg.norm(a @ point - b)), 0, point), None
     f = frame.f
 
     # the first slack S = x0 - t e has the eigenvectors of x0 and its
@@ -771,7 +781,7 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace, read_face: b
             residual = float(np.linalg.norm(a @ _clamp(spec_s, 0.0, layout) - b))
             if trace:
                 trace(f"iter=0 shift=+0.000e+00 point residual={residual:.3e} margin={bound:.3e}")
-            return FeasibilityOutcome("infeasible", None, bound, residual, 0)
+            return outcome("point", residual, 0, bound=bound), None
 
     nu = float(e @ e)
     y = np.zeros(len(f))
@@ -785,7 +795,7 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace, read_face: b
     spec_z = [(evals / weight, evecs) for evals, evecs in spec_z]
     residual = float("inf")
     done = 0
-    point = None
+    point = cone = None
     try:
         for it in range(_MAX_STEPS + 1):
             s = x0 - f.T @ y
@@ -802,30 +812,19 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace, read_face: b
                 trace(f"iter={it} shift=+0.000e+00 residual={residual:.3e} gap={gap:.3e}")
             done = it
             if psd:
-                return feasible(point, residual, it)
+                return outcome("path", residual, it, point), None
             if residual <= tol.feas_tol:
                 break
             bound = _certificate_bound(frame.project(z), layout, x0)
             if bound is not None and bound < margin:
                 margin = bound
                 if margin < -tol.feas_tol:
-                    return FeasibilityOutcome("infeasible", None, margin, residual, it)
+                    return outcome("certificate", residual, it, bound=margin), None
             if it < _MAX_STEPS:
                 if it:
                     spec_z = _spectra(z, layout)
                 z, y = _newton_step(z, y, s, spec_z, spec_s, layout, f)
     except np.linalg.LinAlgError:
         pass
-    if point is not None and read_face:
-        # read even when the projection met feas_tol: only the face holds a point on it
-        face = _read_face(point, float(np.cbrt(gap / nu)), layout, bases)
-        if face is not None:
-            second = _run(plan, b, face, tol, None, read_face=False)
-            done += second.iterations
-            if second.verdict == "feasible":
-                if trace:
-                    trace(f"iter={done} shift=+0.000e+00 face-polish residual={second.residual:.3e}")
-                return replace(second, iterations=done)
-    if residual <= tol.feas_tol:
-        return feasible(cone, residual, done)
-    return FeasibilityOutcome("undecided", None, margin, residual, done)
+    last = None if point is None else (point, float(np.cbrt(gap / nu)), layout)
+    return outcome("projection" if residual <= tol.feas_tol else "stall", residual, done, cone), last

@@ -181,6 +181,18 @@ def test_validate_rejects_a_bad_device(devices, message, tmp_path, capsys):
      ["validate"], "matrix rows have inconsistent lengths"),
     ([{"name": "d", "type": "operation", "payload": {"kraus": [jmat(PX)]}}],
      ["validate"], "operation 'd' needs dims.in and dims.out"),
+    ([{"name": "d", "type": "instrument", "payload": {
+        "outcomes": ["+"], "branches": {"+": {"kraus": [jmat(I2)]}}}}],
+     ["validate"], "instrument 'd' needs dims.in and dims.out"),
+    ([{"name": "d", "type": "model", "payload": {}}],
+     ["validate"], "model 'd' needs dims.in and dims.out"),
+    ([_entry("model", {"dim_v1": 2, "dim_v2": 2, "eta": jmat(I2 / 2),
+                       "unitary": jmat(np.eye(4))})],
+     ["validate"], "model payload needs 'pointer'"),
+    ([_entry("instrument", {"outcomes": ["+"]})],
+     ["validate"], "instrument payload needs 'branches'"),
+    ([_entry("effect", {"matrx": jmat(PX)}, {"in": 2})],
+     ["validate"], "effect payload needs 'matrix'"),
     (None, ["dilate", "px"], "'px' is not an operation or channel"),
     (None, ["model", "px"], "'px' is not an instrument"),
     (None, ["simulate", "px", "--state", "[[[1,0]]]"], "'px' is neither a model nor an instrument"),
@@ -189,7 +201,9 @@ def test_validate_rejects_a_bad_device(devices, message, tmp_path, capsys):
             "--outcomes", "+"], "state trace differs from 1"),
     (None, ["simulate", "luders_x_instrument", "--state", "[[[0,0],[1,0]],[[0,0],[0,0]]]",
             "--outcomes", "+"], "state is not Hermitian"),
-], ids=["complex-scalar", "ragged-rows", "operation-without-dims", "dilate-effect",
+], ids=["complex-scalar", "ragged-rows", "operation-without-dims", "instrument-without-dims",
+        "model-without-dims", "model-without-pointer", "instrument-without-branches",
+        "effect-without-matrix", "dilate-effect",
         "model-effect", "simulate-effect", "state-not-json", "state-trace-2",
         "state-not-hermitian"])
 def test_cli_reports_invalid_input(devices, argv, message, device_file, tmp_path, capsys):
@@ -307,6 +321,15 @@ def test_witness_carries_the_pointer_and_the_joint_observable(device_file, capsy
 
 def test_trace_goes_to_stderr(device_file, capsys):
     args = ["--no-fast-paths", "classify", device_file, "px", "pz"]
+    code, out, err = run_cli(["--trace", *args], capsys)
+    assert code == 0
+    assert "iter=0 " in err and "iter=" not in out
+    code, quiet, err = run_cli(args, capsys)
+    assert quiet == out and "iter=" not in err
+
+
+def test_table1_trace_goes_to_stderr(capsys):
+    args = ["--format", "json", "--no-fast-paths", "table1"]
     code, out, err = run_cli(["--trace", *args], capsys)
     assert code == 0
     assert "iter=0 " in err and "iter=" not in out

@@ -644,7 +644,9 @@ def test_undecided_stages_are_read_in_question_order(monkeypatch, joint, weak, r
         if verdict == "feasible":
             return solve(problem, tol, trace=trace)
         margin = -0.1 if verdict == "infeasible" else -1e-9
-        return fs.FeasibilityOutcome(verdict, None, margin, 0.0, 1)
+        return fs.FeasibilityOutcome(
+            verdict, None, margin, 0.0, 1, "certificate" if verdict == "infeasible" else "stall"
+        )
 
     monkeypatch.setattr(fs, "solve", scripted)
     v = cp.classify(DEV["luders_px"], DEV["half_sigma_x"], fast_paths=False)
@@ -900,16 +902,22 @@ def test_weak_problem_agrees_with_the_channel_block_formulation():
 
 
 def _second_runs(monkeypatch) -> list:
-    """Record (face ranks, outcome) of every second run of ``solve``."""
-    runs = []
-    orig = fs._run
+    """Record (face ranks, outcome) of every second run of ``solve``: a
+    run on a face that ``_read_face`` returned."""
+    runs, read = [], []
+    orig_run, orig_read = fs._run, fs._read_face
 
-    def recording(plan, b, bases, tol, trace, read_face):
-        out = orig(plan, b, bases, tol, trace, read_face)
-        if not read_face:
+    def reading(*args):
+        read.append(orig_read(*args))
+        return read[-1]
+
+    def recording(plan, b, bases, tol, trace):
+        out, last = orig_run(plan, b, bases, tol, trace)
+        if any(bases is f for f in read):
             runs.append((tuple(None if u is None else u.shape[1] for u in bases), out))
-        return out
+        return out, last
 
+    monkeypatch.setattr(fs, "_read_face", reading)
     monkeypatch.setattr(fs, "_run", recording)
     return runs
 

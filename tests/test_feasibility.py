@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from qcompat import feasibility as fs
 from qcompat.fixtures import I2, SX, SZ
 from qcompat.devices import choi_from_kraus
-from qcompat.matkit import herm_coords, herm_from_coords, herm_stack_from_coords, kron
+from qcompat.matkit import (
+    Tolerances,
+    herm_coords,
+    herm_from_coords,
+    herm_stack_from_coords,
+    kron,
+)
 
 from conftest import (
     below_common_channel,
@@ -146,7 +152,7 @@ def test_solve_is_sound(seed, sides, n_rows, fixed_trace, deficit):
     # None) no verdict is infeasible; with the total trace fixed at
     # -deficit times the total side, no PSD point exists, so no verdict
     # is feasible. A certified margin lies between the point's least
-    # eigenvalue and -feas_tol.
+    # eigenvalue and -feas_tol. Every outcome agrees with its exit.
     rng = np.random.default_rng(seed)
     blocks = tuple((f"b{i}", d) for i, d in enumerate(sides))
     point = []
@@ -166,6 +172,12 @@ def test_solve_is_sound(seed, sides, n_rows, fixed_trace, deficit):
         col += d * d
     problem = fs.FeasibilityProblem(blocks, (fs.AffineConstraint(tuple(terms), rows @ point),))
     out = fs.solve(problem)
+    tol = fs.DEFAULT_TOL
+    assert out.exit in fs.EXITS
+    assert (out.verdict == "feasible") == (out.witness is not None) == (out.margin is None)
+    assert out.witness is None or out.residual <= tol.feas_tol
+    if out.verdict == "infeasible":
+        assert out.exit in ("affine", "point", "certificate") and out.margin < -tol.feas_tol
     assert out.verdict != ("infeasible" if deficit is None else "feasible")
     if out.verdict == "infeasible":
         # the point stacks its blocks in the given order, not the layout's
@@ -184,7 +196,7 @@ def test_affine_inconsistency_reported_distinctly():
     c2 = fs.AffineConstraint((("x", row),), np.array([2.0]))
     out = fs.solve(fs.FeasibilityProblem((("x", 2),), (c1, c2)))
     assert out.verdict == "infeasible"
-    assert out.affine_inconsistent
+    assert out.exit == "affine"
     assert out.margin == float("-inf")
 
 
@@ -321,7 +333,7 @@ def test_all_blocks_pinned_to_zero_is_decided_without_iterating():
 def test_constraint_on_pinned_blocks_is_affine_inconsistent():
     out = fs.solve(pinned_sum_problem(np.zeros((2, 2)), trace_x=1.0))
     assert out.verdict == "infeasible"
-    assert out.affine_inconsistent
+    assert out.exit == "affine"
     assert out.margin == float("-inf")
 
 
@@ -605,7 +617,7 @@ def test_face_polish_keeps_a_degenerate_pair_whole():
         (u,) = fs._read_face(y, 0.5, plan.layout, [None])
         assert u.shape == (3, 2) and np.abs(u[0]).max() <= 1e-12
         # the second run on that face decides at step 0
-        out = fs._run(plan, b, [u], fs.DEFAULT_TOL, None, read_face=False)
+        out, _ = fs._run(plan, b, [u], fs.DEFAULT_TOL, None)
         assert (out.verdict, out.iterations) == ("feasible", 0)
         assert out.residual <= 1e-14
         assert np.abs(out.witness["x"] - np.diag([0.0, 0.5, 0.5])).max() <= 1e-12
@@ -933,7 +945,7 @@ def test_trace_lines_count_every_iteration():
     # every line of a run is an iteration line, and the iteration counter
     # differences over the lines add up to the outcome's iteration count;
     # seed 3 ends at a PSD affine point after 3 steps, seed 6 in a
-    # certificate after 5, and the weak problem of luders_px and
+    # certificate after 4, and the weak problem of luders_px and
     # half_sigma_x in a second run on the face read after 6, which adds
     # one summary line and no step
     from qcompat import compat as cp
@@ -963,3 +975,57 @@ def test_trace_lines_count_every_iteration():
             last = it
         assert counted == out.iterations
     assert polished == [f"iter=6 shift=+0.000e+00 face-polish residual={out.residual:.3e}"]
+
+
+def _coexistence_draw(seed):
+    rng = np.random.default_rng(seed)
+    return coexistence_problem(rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix)
+
+
+def _builtin_problem(builder, n1, n2):
+    from qcompat import compat as cp
+    from qcompat.fixtures import builtin_devices
+
+    dev = builtin_devices()
+    return getattr(cp, builder)(dev[n1], dev[n2])
+
+
+_GATED_TOL = Tolerances(psd_tol=1e-6)
+
+
+def _gated_problem():
+    # the effect is accepted at psd_tol 1e-6, but its unit exceeds 1 by
+    # 2e-7: the joint problem's PSD affine point misses it by 2.4e-7
+    from qcompat import compat as cp
+    from qcompat.devices import Effect
+    from qcompat.fixtures import builtin_devices
+
+    effect = Effect(np.diag([1 + 2e-7, 0.3]), _GATED_TOL)
+    return cp.joint_problem(effect, builtin_devices()["sharp_z"])
+
+
+@pytest.mark.parametrize("build, tol, exit, verdict, iterations", [
+    (lambda: pinned_sum_problem(np.zeros((2, 2)), trace_x=1.0), fs.DEFAULT_TOL,
+     "affine", "infeasible", 0),
+    (lambda: fs.FeasibilityProblem((("x", 2),), ()), fs.DEFAULT_TOL, "shift", "feasible", 0),
+    (lambda: pinned_sum_problem(np.zeros((2, 2))), fs.DEFAULT_TOL, "shift", "feasible", 0),
+    (lambda: fs.FeasibilityProblem((("x", 2), ("y", 2)), (fs.encode_sum_constraint(
+        (("x", 1.0), ("y", -1.0)), np.diag([1.0, -2.0])),)), fs.DEFAULT_TOL,
+     "shift", "feasible", 0),
+    (lambda: fs.FeasibilityProblem((("x", 2),), (fs.encode_sum_constraint(
+        ["x"], np.diag([-1.0, 1.0])),)), fs.DEFAULT_TOL, "point", "infeasible", 0),
+    (lambda: _coexistence_draw(3), fs.DEFAULT_TOL, "path", "feasible", 3),
+    (lambda: _coexistence_draw(6), fs.DEFAULT_TOL, "certificate", "infeasible", 4),
+    (lambda: _builtin_problem("weak_problem", "luders_px", "half_sigma_x"), fs.DEFAULT_TOL,
+     "face", "feasible", 6),
+    (lambda: _builtin_problem("joint_problem", "half_identity", "biased_z"), fs.DEFAULT_TOL,
+     "projection", "feasible", 0),
+    (lambda: coexistence_problem(*noisy_pair(1 / np.sqrt(2) + 2e-7)), fs.DEFAULT_TOL,
+     "stall", "undecided", 12),
+    (_gated_problem, _GATED_TOL, "path", "undecided", 0),
+], ids=["affine", "shift-no-rows", "shift-all-pinned", "shift-blind", "point", "path",
+        "certificate", "face", "projection", "stall", "gated-path"])
+def test_every_exit_names_itself(build, tol, exit, verdict, iterations):
+    out = fs.solve(build(), tol)
+    assert (out.exit, out.verdict, out.iterations) == (exit, verdict, iterations)
+    assert (out.witness is not None) == (out.margin is None) == (verdict == "feasible")
