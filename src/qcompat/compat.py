@@ -195,13 +195,20 @@ def _sum(mats, side: int) -> np.ndarray:
 def _row(blocks, target: np.ndarray, din: int, dout: int, fixed=None) -> fs.AffineConstraint:
     """``S = target`` for S the sum of the (name, side) blocks and ``fixed``, when the
     target has the full side ``din * dout``; else ``Tr_out(S) = target``, where a
-    block of side ``din`` enters as itself, the partial trace of its lift (:func:`_measure`)."""
-    if target.shape[0] == din * dout:
-        return fs.encode_sum_constraint([n for n, _ in blocks],
-                                        target if fixed is None else target - fixed)
-    row = fs.encode_partial_trace_constraint(blocks[0][0], (din, dout), 0, target)
-    op = row.terms[0][1]
-    rhs = row.rhs if fixed is None else row.rhs - op.matrix @ herm_coords(fixed)
+    block of side ``din`` enters as itself, the partial trace of its lift (:func:`_measure`).
+
+    Targets come from validated devices, or are their sums and differences,
+    so they are exactly Hermitian: the row takes their coordinates once,
+    without the public encoders' ``hermitian_part``.
+    """
+    full = target.shape[0] == din * dout
+    op = 1.0 if full else fs.PartialTrace((din, dout), 0)
+    if fixed is None:
+        rhs = herm_coords(target)
+    elif full:
+        rhs = herm_coords(target - fixed)
+    else:
+        rhs = herm_coords(target) - op.matrix @ herm_coords(fixed)
     return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks), rhs)
 
 
@@ -263,7 +270,7 @@ def weak_problem(d1, d2) -> fs.FeasibilityProblem:
         own.append([_weak_name(i, x) for x, m in t.items() if m is None or m.shape[0] != side])
         fixed.append(_sum([m for m in t.values() if m is not None and m.shape[0] == side], side))
     terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
-    cons = [fs.encode_sum_constraint(terms, fixed[0] - fixed[1])]
+    cons = [fs.AffineConstraint(terms, herm_coords(fixed[0] - fixed[1]))]
     if _free(parts[0]) and _free(parts[1]):
         cons.append(_row([(n, side) for n in own[0]], np.eye(din), din, dout, fixed[0]))
     cons += [_row([(_weak_name(i, x), side)], m, din, dout)

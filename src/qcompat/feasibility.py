@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -57,22 +57,40 @@ from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
+    as_matrix,
+    frob_norm,
     herm_coords,
     herm_from_coords,
     herm_stack_coords,
     herm_stack_from_coords,
     hermitian_part,
     kron,
+    kron_unchecked,
 )
+
+
+def _side(d) -> int:
+    """A block or slot side; MatrixShapeError unless it is a positive integer."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise MatrixShapeError(f"side {d!r} is not a positive integer")
+    return int(d)
 
 
 @dataclass(frozen=True)
 class PartialTrace:
     """The map X -> Tr_other(X) on a block of the bipartite space ``dims``,
-    keeping slot ``keep``."""
+    keeping slot ``keep`` (0 or 1)."""
 
     dims: tuple[int, int]
     keep: int
+
+    def __post_init__(self) -> None:
+        if len(self.dims) != 2:
+            raise MatrixShapeError(f"a partial trace needs two slot sides, got {self.dims!r}")
+        if isinstance(self.keep, bool) or self.keep not in (0, 1):
+            raise ValueError(f"kept slot {self.keep!r} is not 0 or 1")
+        object.__setattr__(self, "dims", tuple(_side(d) for d in self.dims))
+        object.__setattr__(self, "keep", int(self.keep))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -98,6 +116,11 @@ class AffineConstraint:
     def __post_init__(self) -> None:
         # tuples all the way down: typed terms are a plan's cache key
         object.__setattr__(self, "terms", tuple((n, op) for n, op in self.terms))
+        object.__setattr__(self, "rhs", np.asarray(self.rhs))
+        if self.rhs.ndim != 1:
+            raise MatrixShapeError(f"right-hand side must be 1-d, got ndim={self.rhs.ndim}")
+        if self.rhs.dtype.kind not in "iuf":
+            raise ValueError(f"right-hand side must be real coordinates, got {self.rhs.dtype}")
 
 
 def _term_shape(op, side: int) -> tuple[int, int]:
@@ -111,15 +134,21 @@ def _term_shape(op, side: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
+    """Named blocks of positive integer sides, and the affine constraints on
+    them; the constraints' data (right-hand sides, sum coefficients and
+    explicit matrices) must be finite. ``rhs`` stacks the right-hand sides."""
+
     blocks: tuple[tuple[str, int], ...]
     constraints: tuple[AffineConstraint, ...]
+    rhs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple((n, d) for n, d in self.blocks))
+        object.__setattr__(self, "blocks", tuple((n, _side(d)) for n, d in self.blocks))
         names = [n for n, _ in self.blocks]
         if len(set(names)) != len(names):
             raise ValueError("duplicate block names")
         sides = dict(self.blocks)
+        explicit = []
         for c in self.constraints:
             m = c.rhs.shape[0]
             for name, op in c.terms:
@@ -131,6 +160,15 @@ class FeasibilityProblem:
                         f"constraint term for {name!r} has shape {shape}, "
                         f"expected ({m}, {sides[name] ** 2})"
                     )
+                if isinstance(op, np.ndarray):
+                    explicit.append(op.ravel())
+                elif not isinstance(op, PartialTrace) and not math.isfinite(op):
+                    raise ValueError(f"constraint term for {name!r} has coefficient {op!r}")
+        # one finiteness test for the problem's arrays, the stacked right-hand sides first
+        data = np.concatenate([np.zeros(0)] + [c.rhs for c in self.constraints] + explicit)
+        if np.count_nonzero(np.isfinite(data)) < data.size:
+            raise ValueError("constraint data contains NaN or Inf entries")
+        object.__setattr__(self, "rhs", data[: data.size - sum(map(len, explicit))])
 
 
 # how ``solve`` can end; its docstring says what decides at each
@@ -167,7 +205,7 @@ def encode_sum_constraint(blocks, target: np.ndarray) -> AffineConstraint:
     ``blocks`` is an iterable of names or (name, coefficient) pairs;
     bare names get coefficient +1.
     """
-    target = hermitian_part(np.asarray(target, dtype=complex))
+    target = hermitian_part(as_matrix(target))
     terms = (item if isinstance(item, tuple) else (item, 1.0) for item in blocks)
     return AffineConstraint(tuple((n, float(c)) for n, c in terms), herm_coords(target))
 
@@ -176,10 +214,10 @@ def encode_partial_trace_constraint(
     block: str, dims: tuple[int, int], keep: int, target: np.ndarray
 ) -> AffineConstraint:
     """Encode ``Tr_slot(X) = target`` for a block on a bipartite space."""
-    target = hermitian_part(np.asarray(target, dtype=complex))
-    if target.shape[0] != dims[keep]:
+    op = PartialTrace(tuple(dims), keep)
+    target = hermitian_part(as_matrix(target))
+    if target.shape[0] != op.dims[op.keep]:
         raise MatrixShapeError("target side does not match the kept slot")
-    op = PartialTrace((int(dims[0]), int(dims[1])), int(keep))
     return AffineConstraint(((block, op),), herm_coords(target))
 
 
@@ -276,7 +314,7 @@ def _face_map(layout: _Layout, bases) -> tuple[np.ndarray, _Layout]:
     embed = np.zeros((layout.total, face.total))
     for (_, o, d, u), fo, r in zip(kept, face.offsets, face.sides):
         embed[o : o + d * d, fo : fo + r * r] = (
-            np.eye(d * d) if u is None else _coord_matrix(kron(u, u.conj()))
+            np.eye(d * d) if u is None else _coord_matrix(kron_unchecked(u, u.conj()))
         )
     return embed, face
 
@@ -333,7 +371,7 @@ class _Frame:
         f = np.vstack([vt[rank:], e])  # the slack is S = x0 - f^T y, with y = (w, t)
         for arr in (u, sv, row, f):
             arr.flags.writeable = False
-        blind = bool(np.linalg.norm(row @ e) <= 1e-9 * np.linalg.norm(e))
+        blind = frob_norm(row @ e) <= 1e-9 * frob_norm(e)
         return _Frame(row, u, sv, f, blind)
 
     def x0(self, b: np.ndarray) -> np.ndarray:
@@ -501,6 +539,16 @@ def _ranges(coords: np.ndarray, m: int, tol: Tolerances) -> list[np.ndarray | No
     return [None if k.all() else v[:, k] for k, v in zip(kept, vecs)]
 
 
+def _surely_full(x: np.ndarray, tol: Tolerances) -> bool:
+    """Whether the side-2 target of coordinates x has full range, decided without
+    an eigh where that is certain: both eigenvalues beyond psd_tol in modulus by
+    a margin far above rounding. The lesser modulus is |det| over the greater,
+    which is at most the Frobenius norm."""
+    a, d, re, im = x.tolist()
+    norm = math.sqrt(a * a + d * d + re * re + im * im)
+    return abs(a * d - (re * re + im * im) / 2) > norm * (tol.psd_tol + 1e-12 * norm)
+
+
 def _span(bases) -> np.ndarray:
     """Orthonormal basis of the sum of the column spaces of ``bases``."""
     u, sv, _ = np.linalg.svd(np.hstack(bases), full_matrices=False)
@@ -514,7 +562,7 @@ def _lift(basis: np.ndarray, op) -> np.ndarray:
     if not isinstance(op, PartialTrace):
         return basis
     traced = np.eye(op.dims[1 - op.keep])
-    return kron(basis, traced) if op.keep == 0 else kron(traced, basis)
+    return kron_unchecked(basis, traced) if op.keep == 0 else kron_unchecked(traced, basis)
 
 
 def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, np.ndarray]:
@@ -549,13 +597,16 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
         else:
             if pos:
                 rows.append((pos, neg, c.rhs))
-    # the targets' ranges (None when full): the rows without negative terms
-    # are read first, their targets decomposed in one batch per side, and a
-    # row with negative terms decomposes its target when it is first read
+    # the targets' ranges (None when full): a side-2 target that is surely
+    # full takes no eigh; the other rows without negative terms are read
+    # first, their targets decomposed in one batch per side, and a row with
+    # negative terms decomposes its target when it is first read
     ranges: dict[int, np.ndarray | None] = {}
     by_side: dict[int, list[int]] = {}
     for k, (_, neg, rhs) in enumerate(rows):
-        if not neg:
+        if len(rhs) == 4 and _surely_full(rhs, tol):
+            ranges[k] = None
+        elif not neg:
             by_side.setdefault(math.isqrt(len(rhs)), []).append(k)
     for m, ks in by_side.items():
         ranges.update(zip(ks, _ranges(np.array([rows[k][2] for k in ks]), m, tol)))
@@ -714,7 +765,7 @@ def solve(
     steps of both runs. The solve is deterministic.
     """
     plan = _plan(problem)
-    b = np.concatenate([np.zeros(0)] + [c.rhs for c in problem.constraints])
+    b = problem.rhs
     bounds = _support_bounds(problem, tol)
     bases = [bounds.get(n) for n in plan.layout.names]
     out, last = _run(plan, b, bases, tol, trace)
@@ -751,14 +802,14 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
         # constraints by more than feas_tol leaves the problem undecided
         if point is not None and residual <= tol.feas_tol:
             blocks = full.split(point if embed is None else embed @ point)
-            witness = {n: hermitian_part(m) for n, m in zip(full.names, blocks)}
+            witness = dict(zip(full.names, blocks))
             return FeasibilityOutcome("feasible", witness, None, residual, it, exit)
         if bound is None:
             return FeasibilityOutcome("undecided", None, margin, residual, it, exit)
         return FeasibilityOutcome("infeasible", None, bound, residual, it, exit)
 
-    affine_res = float(np.linalg.norm(a @ x0 - b))
-    if affine_res > tol.feas_tol * (1.0 + float(np.linalg.norm(b))):
+    affine_res = frob_norm(a @ x0 - b)
+    if affine_res > tol.feas_tol * (1.0 + frob_norm(b)):
         if trace:
             trace(f"affine-inconsistent residual={affine_res:.3e}")
         return outcome("affine", affine_res, 0, bound=float("-inf")), None
@@ -767,7 +818,7 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
         # the constraints never see e, so the affine set holds every shift
         # of x0 along it, and the least PSD one is the witness
         point = x0 - min(_min_eig(x0, layout), 0.0) * e
-        return outcome("shift", float(np.linalg.norm(a @ point - b)), 0, point), None
+        return outcome("shift", frob_norm(a @ point - b), 0, point), None
     f = frame.f
 
     # the first slack S = x0 - t e has the eigenvectors of x0 and its
@@ -778,7 +829,7 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
         # the affine set is the point x0, whose margin is its least eigenvalue
         bound = _certificate_bound(frame.project(_least_projector(spec_s, layout)), layout, x0)
         if bound is not None and bound < -tol.feas_tol:
-            residual = float(np.linalg.norm(a @ _clamp(spec_s, 0.0, layout) - b))
+            residual = frob_norm(a @ _clamp(spec_s, 0.0, layout) - b)
             if trace:
                 trace(f"iter=0 shift=+0.000e+00 point residual={residual:.3e} margin={bound:.3e}")
             return outcome("point", residual, 0, bound=bound), None
@@ -807,7 +858,7 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
             point, gap = x0 - f[:-1].T @ y[:-1], float(z @ s)
             psd = least + y[-1] >= 0  # Y = S + t e: the slack's spectrum shifted by t
             cone = point if psd else _clamp(spec_s, y[-1], layout)
-            residual = float(np.linalg.norm(a @ cone - b))
+            residual = frob_norm(a @ cone - b)
             if trace:
                 trace(f"iter={it} shift=+0.000e+00 residual={residual:.3e} gap={gap:.3e}")
             done = it

@@ -91,7 +91,12 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor on the slow index (np.kron's products)."""
-    a, b = as_matrix(a), as_matrix(b)
+    return kron_unchecked(as_matrix(a), as_matrix(b))
+
+
+def kron_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`kron` of two 2-d arrays, without coercion or checks, for arrays
+    whose shapes and entries the caller already guarantees."""
     (m, n), (p, q) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 

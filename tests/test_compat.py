@@ -1936,3 +1936,88 @@ def test_tampered_weak_witness_is_rejected(case, error):
         return
     with pytest.raises(error):
         cp._weak_verdict(p, blocks, None, "hand-built", p.wtol)
+
+
+# ---------------------------------------------------------------------------
+# the problem builders' rows and the Table-1 solves, pinned
+# ---------------------------------------------------------------------------
+
+
+def _encoded_row(blocks, target, din, dout, fixed=None):
+    """``cp._row``'s rule, written through the public encoders."""
+    if target.shape[0] == din * dout:
+        return fs.encode_sum_constraint([n for n, _ in blocks],
+                                        target if fixed is None else target - fixed)
+    row = fs.encode_partial_trace_constraint(blocks[0][0], (din, dout), 0, target)
+    op = row.terms[0][1]
+    rhs = row.rhs if fixed is None else row.rhs - op.matrix @ herm_coords(fixed)
+    return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks), rhs)
+
+
+def _encoded_totals_row(d1, d2, terms):
+    """``weak_problem``'s first row through ``encode_sum_constraint``."""
+    din, dout = cp._dims(d1, d2)
+    side = din * dout
+    fixed = [cp._sum([m for m in cp._parts(d).values() if m is not None and m.shape[0] == side],
+                     side) for d in (d1, d2)]
+    return fs.encode_sum_constraint(terms, fixed[0] - fixed[1])
+
+
+@pytest.mark.parametrize("builder", [cp.joint_problem, cp.weak_problem])
+def test_problem_rows_equal_the_encoders_rows_byte_for_byte(builder, monkeypatch):
+    # the builders write each row once, without the encoders' hermitian_part:
+    # their targets are exactly Hermitian, so the rows keep their bytes
+    pairs = [(DEV[a], DEV[b]) for a in DEV for b in DEV]
+    built = [builder(d1, d2) for d1, d2 in pairs]
+    monkeypatch.setattr(cp, "_row", _encoded_row)
+    for (d1, d2), got in zip(pairs, built):
+        want = builder(d1, d2)
+        rows = list(want.constraints)
+        if builder is cp.weak_problem:
+            rows[0] = _encoded_totals_row(d1, d2, rows[0].terms)
+        assert got.blocks == want.blocks and len(got.constraints) == len(rows)
+        for g, w in zip(got.constraints, rows):
+            assert g.terms == w.terms
+            assert g.rhs.dtype == w.rhs.dtype and g.rhs.tobytes() == w.rhs.tobytes()
+
+
+# (exit, steps) of every solve of each Table-1 cell, in order; cells not
+# listed make no solve
+_TABLE1_SOLVES = {
+    True: {
+        ("luders_px", "half_sigma_x"): [("face", 6)],
+        ("luders_pz", "px"): [("face", 6)],
+        ("luders_biased_z", "px"): [("certificate", 1)],
+    },
+    False: {
+        ("luders_px", "half_luders_px"): [("path", 0), ("path", 0)],
+        ("luders_px", "half_sigma_x"): [("face", 6), ("certificate", 1)],
+        ("luders_px", "luders_pz"): [("certificate", 1)],
+        ("luders_pz", "pz"): [("path", 0), ("face", 6)],
+        ("luders_pz", "px"): [("face", 6), ("certificate", 1)],
+        ("luders_biased_z", "px"): [("certificate", 1)],
+        ("half_identity", "pz"): [("face", 0)],
+        ("px", "pz"): [("certificate", 1)],
+    },
+}
+
+
+@pytest.mark.parametrize("fast_paths, steps", [(True, 13), (False, 23)])
+def test_table1_solves_are_pinned(fast_paths, steps, monkeypatch):
+    solves = []
+    orig = fs.solve
+
+    def recorded(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        solves.append((out.exit, out.iterations))
+        return out
+
+    monkeypatch.setattr(fs, "solve", recorded)
+    got = {}
+    for _, _, n1, n2 in TABLE1_CELLS:
+        solves.clear()
+        cp.classify(DEV[n1], DEV[n2], fast_paths=fast_paths)
+        if solves:
+            got[n1, n2] = list(solves)
+    assert got == _TABLE1_SOLVES[fast_paths]
+    assert sum(n for cell in got.values() for _, n in cell) == steps

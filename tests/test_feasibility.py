@@ -249,6 +249,28 @@ def _partial_trace(x, dims, keep):
     return np.einsum("ijkj->ik" if keep == 0 else "ijil->jl", x.reshape(dims * 2))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    moduli=st.tuples(*[st.sampled_from([0.0, 1e-12, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 1e3,
+                                        1e6, 1e9])] * 2),
+    signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+    psd_tol=st.sampled_from([0.0, 1e-9, 1e-6]),
+)
+def test_a_surely_full_qubit_target_has_full_range(seed, moduli, signs, psd_tol):
+    # the closed-form test skips the eigh only where eigh finds full range;
+    # eigenvalue moduli are drawn on both sides of psd_tol and at wide spreads
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rand_complex(rng, 2))[0]
+    evals = np.array([s * m * psd_tol if m < 1e3 else s * m for s, m in zip(signs, moduli)])
+    x = herm_coords(u @ np.diag(evals) @ u.conj().T)
+    tol = Tolerances(psd_tol=psd_tol)
+    if fs._surely_full(x, tol):
+        assert fs._ranges(x[None], 2, tol)[0] is None
+    # a target well inside full range is decided without the eigh
+    assert fs._surely_full(herm_coords(u @ np.diag([0.3, 0.7]) @ u.conj().T), tol)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1029,3 +1051,42 @@ def test_every_exit_names_itself(build, tol, exit, verdict, iterations):
     out = fs.solve(build(), tol)
     assert (out.exit, out.verdict, out.iterations) == (exit, verdict, iterations)
     assert (out.witness is not None) == (out.margin is None) == (verdict == "feasible")
+
+
+def _sum_problem(side=2, coefficient=1.0, rhs=None):
+    rhs = herm_coords(I2) if rhs is None else rhs
+    return fs.FeasibilityProblem((("x", side),), (fs.AffineConstraint((("x", coefficient),), rhs),))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: _sum_problem(side=0), fs.MatrixShapeError, "positive integer"),
+    (lambda: _sum_problem(side=-1), fs.MatrixShapeError, "positive integer"),
+    (lambda: _sum_problem(side=True), fs.MatrixShapeError, "positive integer"),
+    (lambda: _sum_problem(side=2.0), fs.MatrixShapeError, "positive integer"),
+    (lambda: fs.encode_sum_constraint(["x"], np.diag([np.nan, 1.0])), ValueError, "NaN or Inf"),
+    (lambda: fs.encode_sum_constraint(["x"], np.diag([np.inf, 1.0])), ValueError, "NaN or Inf"),
+    (lambda: _sum_problem(rhs=np.array([1.0, np.inf, 0.0, 0.0])), ValueError, "NaN or Inf"),
+    (lambda: _sum_problem(coefficient=np.nan), ValueError, "coefficient"),
+    (lambda: _sum_problem(coefficient=np.inf), ValueError, "coefficient"),
+    (lambda: fs.FeasibilityProblem((("x", 2),), (fs.AffineConstraint(
+        (("x", np.full((1, 4), np.nan)),), np.zeros(1)),)), ValueError, "NaN or Inf"),
+    (lambda: _sum_problem(rhs=np.eye(2)), fs.MatrixShapeError, "1-d"),
+    (lambda: _sum_problem(rhs=herm_coords(I2) + 0.5j), ValueError, "real coordinates"),
+    (lambda: fs.PartialTrace((2, 0), 0), fs.MatrixShapeError, "positive integer"),
+    (lambda: fs.PartialTrace((2, 2, 2), 0), fs.MatrixShapeError, "two slot sides"),
+    (lambda: fs.PartialTrace((2, 2), 2), ValueError, "0 or 1"),
+    (lambda: fs.encode_partial_trace_constraint("x", (2, 2), 2, I2), ValueError, "0 or 1"),
+], ids=["side-0", "side-negative", "side-bool", "side-float", "nan-target", "inf-target",
+        "inf-rhs", "nan-coefficient", "inf-coefficient", "nan-matrix-term", "2d-rhs",
+        "complex-rhs", "trace-side-0", "trace-three-slots", "trace-keep-2", "encoder-keep-2"])
+def test_malformed_problems_are_rejected_at_construction(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_well_formed_problems_keep_their_data():
+    problem = _sum_problem(side=np.int64(2))
+    assert problem.blocks == (("x", 2),) and type(problem.blocks[0][1]) is int
+    assert fs.PartialTrace((np.int64(2), 3), 1) == fs.PartialTrace((2, 3), 1)
+    assert problem.rhs.tobytes() == herm_coords(np.eye(2)).tobytes()
+    assert fs.solve(problem).verdict == "feasible"

@@ -65,6 +65,44 @@ def test_kron_associative_bilinear():
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_kron_unchecked_gives_the_bits_of_kron():
+    # the engine's products: an orthonormal basis with its conjugate, and a
+    # complex basis with a real identity on either side
+    rng = np.random.default_rng(5)
+    for n, r in ((2, 1), (4, 2), (6, 3), (3, 3)):
+        u = np.linalg.qr(rand_complex(rng, n, r))[0]
+        for a, b in ((u, u.conj()), (u, np.eye(2)), (np.eye(3), u), (u[:, ::-1], u.conj()[::2])):
+            assert _same_bits(mk.kron_unchecked(a, b), mk.kron(a, b))
+
+
+@pytest.mark.parametrize("x", [
+    np.zeros(0), np.zeros((0, 3)), np.array([-2.5]), np.array([[3.0 - 4.0j]]),
+    np.array([3, 4]), np.zeros(0, dtype=complex),
+    np.random.default_rng(1).standard_normal(17),
+    np.random.default_rng(2).standard_normal((5, 7)),
+    rand_complex(np.random.default_rng(3), 6),
+    rand_complex(np.random.default_rng(4), 1, 9)[0],
+    rand_complex(np.random.default_rng(5), 4, 4).T,
+], ids=["empty", "empty-matrix", "one", "one-complex", "int", "empty-complex", "real-vector",
+        "real-matrix", "complex-matrix", "complex-vector", "complex-transposed"])
+def test_frob_norm_gives_the_bits_of_linalg_norm(x):
+    assert _same_bits(np.float64(mk.frob_norm(x)), np.float64(np.linalg.norm(x)))
+
+
+def test_herm_from_coords_is_exactly_hermitian():
+    # solver witnesses are unpacked coordinates, returned without hermitian_part
+    rng = np.random.default_rng(9)
+    for d in range(1, 7):
+        for x in (rng.standard_normal(d * d), -np.abs(rng.standard_normal(d * d)), np.zeros(d * d)):
+            h = mk.herm_from_coords(x, d)
+            assert _same_bits(h, mk.hermitian_part(h))
+
+
 def test_partial_trace_product_states():
     rng = np.random.default_rng(3)
     a, b = rand_complex(rng, 2), rand_complex(rng, 3)

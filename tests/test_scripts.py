@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import qcompat
+from qcompat import feasibility as fs
 from qcompat.fixtures import TABLE1_CELLS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -42,3 +43,16 @@ def test_make_example_devices_reproduces_the_shipped_file(tmp_path):
     proc = run_script("make_example_devices.py", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (SCRIPTS / "example_devices.json").read_bytes()
+
+
+def test_solve_digest_prints_one_line_per_solve_and_a_digest():
+    proc = run_script("solve_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    assert last.startswith(f"solves={len(lines)} steps=") and " digest=" in last
+    pair, route, exit_, steps, margin, residual, sha = lines[0].split()
+    assert route in ("fast", "engine") and exit_ in fs.EXITS and int(steps) >= 0
+    assert sum(int(ln.split()[3]) for ln in lines) == int(last.split()[1].split("=")[1])
+    # every Table-1 cell is among the pairs, and makes a solve without fast paths
+    assert {f"{n1}/{n2} engine" for _, _, n1, n2 in TABLE1_CELLS} <= {
+        " ".join(ln.split()[:2]) for ln in lines}
