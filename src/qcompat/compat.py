@@ -202,7 +202,7 @@ def _row(blocks, target: np.ndarray, din: int, dout: int, fixed=None) -> fs.Affi
     without the public encoders' ``hermitian_part``.
     """
     full = target.shape[0] == din * dout
-    op = 1.0 if full else fs.PartialTrace((din, dout), 0)
+    op = 1.0 if full else fs.PartialTrace((din, dout))
     if fixed is None:
         rhs = herm_coords(target)
     elif full:

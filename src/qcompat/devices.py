@@ -50,6 +50,7 @@ from .matkit import (
     hermitian_part,
     kron,
     mat_sqrt,
+    side_product,
 )
 
 
@@ -89,14 +90,6 @@ def _made(cls, **fields):
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj
-
-
-def _map_side(dim_in, dim_out) -> int:
-    """The Choi side ``dim_in * dim_out``; MatrixShapeError unless both are positive integers."""
-    for d in (dim_in, dim_out):
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-            raise MatrixShapeError(f"map sides {dim_in!r}, {dim_out!r} are not positive integers")
-    return dim_in * dim_out
 
 
 def _square_stack(mats, what: str, side: int | None = None) -> np.ndarray:
@@ -280,7 +273,7 @@ class CPMap:
         if self.kind not in ("operation", "channel"):
             raise ValueError(f"unknown map kind {self.kind!r}")
         j = np.ascontiguousarray(self.choi, dtype=complex)
-        side = _map_side(self.dim_in, self.dim_out)
+        side = side_product(self.dim_in, self.dim_out)
         if j.shape != (side, side):
             raise MatrixShapeError(f"Choi shape {j.shape} is not side dim_in*dim_out = {side}")
         tol = tol or DEFAULT_TOL
@@ -293,7 +286,7 @@ class CPMap:
     def from_stack(cls, dim_in: int, dim_out: int, chois,
                    tol: Tolerances | None = None) -> list[CPMap]:
         """The maps of a (n, side, side) stack of Choi matrices, validated as one stack."""
-        j = _square_stack(chois, "Choi matrix", _map_side(dim_in, dim_out))
+        j = _square_stack(chois, "Choi matrix", side_product(dim_in, dim_out))
         return _maps(dim_in, dim_out, *_choi_stack(j, dim_in, dim_out, tol or DEFAULT_TOL))
 
     @property
@@ -348,7 +341,8 @@ class Instrument:
         """
         tol = tol or DEFAULT_TOL
         outcomes = _outcome_labels(outcomes, chois)
-        j = _square_stack([chois[x] for x in outcomes], "Choi matrix", _map_side(dim_in, dim_out))
+        j = _square_stack([chois[x] for x in outcomes], "Choi matrix",
+                          side_product(dim_in, dim_out))
         h = _hermitian_stack(j, tol, "Choi matrix")
         sets, sums = _label_sums(dict(zip(outcomes, h)), label_sets)
         many = [len(labels) != 1 for labels in sets]
@@ -758,6 +752,13 @@ def state_prep_choi(effect_matrix: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     return kron(np.asarray(effect_matrix).T, rho0)
 
 
+def _check_distribution(p: dict[str, float], name: str) -> None:
+    """ValueError naming ``p`` unless its values sum to 1 within 1e-9 and none
+    is below -1e-12."""
+    if abs(sum(p.values()) - 1.0) > 1e-9 or any(v < -1e-12 for v in p.values()):
+        raise ValueError(f"{name} must be a probability distribution")
+
+
 def canonical_instrument(
     device,
     anchor_state: np.ndarray | None = None,
@@ -784,9 +785,7 @@ def canonical_instrument(
     if isinstance(device, CPMap) and device.kind == "channel":
         if probs is None:
             probs = {"0": 1.0}
-        total = sum(probs.values())
-        if abs(total - 1.0) > 1e-9 or any(p < -1e-12 for p in probs.values()):
-            raise ValueError("probs must be a probability distribution")
+        _check_distribution(probs, "probs")
         chois = {x: max(p, 0.0) * device.choi for x, p in probs.items()}
         return Instrument.with_sums(tuple(probs), chois, device.dim_in, device.dim_out,
                                     (), tol)[0]
@@ -819,8 +818,7 @@ def contraction_channel(eta: np.ndarray, dim_in: int | None = None, tol: Toleran
 
 def trivial_observable(p: dict[str, float], dim: int, tol: Tolerances = DEFAULT_TOL) -> Observable:
     """The observable ``x -> p(x) 1`` for a probability distribution p."""
-    if abs(sum(p.values()) - 1.0) > 1e-9 or any(v < -1e-12 for v in p.values()):
-        raise ValueError("p must be a probability distribution")
+    _check_distribution(p, "p")
     outcomes = tuple(p)
     effects = {x: Effect(max(v, 0.0) * np.eye(dim), tol=tol) for x, v in p.items()}
     return Observable(outcomes, effects, tol=tol)

@@ -36,12 +36,13 @@ run decomposes the slack once; that spectrum also gives the cone
 projection of the affine point, and the first one, inverted, the first
 dual iterate.
 
-Constraint rows are typed: a sum row keeps its scalar coefficients and a
-partial-trace row its slot layout, so only the right-hand sides carry
-data. What the blocks and the typed rows fix is planned once per shape:
-the assembled constraint matrix and, for problems that facial reduction
-leaves whole, its affine frame (one SVD). Plans are cached, bounded and
-read-only, and a solve from a cached plan gives the bits of a cold one.
+Constraint rows are typed: a term's map is a sum coefficient or the
+trace over a block's second slot, so only the right-hand sides carry
+data, and every row has a closed-form adjoint (c F, or F (x) 1). What the
+blocks and the typed rows fix is planned once per shape: the assembled
+constraint matrix and, for problems that facial reduction leaves whole,
+its affine frame (one SVD). Plans are cached, bounded and read-only, and
+a solve from a cached plan gives the bits of a cold one.
 """
 
 from __future__ import annotations
@@ -66,36 +67,27 @@ from .matkit import (
     hermitian_part,
     kron,
     kron_unchecked,
+    side_product,
 )
-
-
-def _side(d) -> int:
-    """A block or slot side; MatrixShapeError unless it is a positive integer."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise MatrixShapeError(f"side {d!r} is not a positive integer")
-    return int(d)
 
 
 @dataclass(frozen=True)
 class PartialTrace:
-    """The map X -> Tr_other(X) on a block of the bipartite space ``dims``,
-    keeping slot ``keep`` (0 or 1)."""
+    """The map X -> Tr_2(X) on a block of the bipartite space ``dims``: the
+    trace over the second slot. ``PartialTrace((1, d))`` is the trace."""
 
     dims: tuple[int, int]
-    keep: int
 
     def __post_init__(self) -> None:
         if len(self.dims) != 2:
             raise MatrixShapeError(f"a partial trace needs two slot sides, got {self.dims!r}")
-        if isinstance(self.keep, bool) or self.keep not in (0, 1):
-            raise ValueError(f"kept slot {self.keep!r} is not 0 or 1")
-        object.__setattr__(self, "dims", tuple(_side(d) for d in self.dims))
-        object.__setattr__(self, "keep", int(self.keep))
+        side_product(*self.dims)
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
     @property
     def matrix(self) -> np.ndarray:
         """Its read-only coordinate matrix."""
-        return _partial_trace_matrix(*self.dims, self.keep)
+        return _partial_trace_matrix(*self.dims)
 
 
 @dataclass(frozen=True)
@@ -104,13 +96,11 @@ class AffineConstraint:
 
     Each term is (block name, map); the right-hand side is the
     coordinate vector of a Hermitian target. A map is a float c (c times
-    the identity: a sum row), a :class:`PartialTrace`, or an explicit
-    real matrix acting on the block's coordinate vector. Problems whose
-    maps are all floats and partial traces are planned once per shape;
-    an explicit matrix makes its problem planned afresh on every solve.
+    the identity: a sum row) or a :class:`PartialTrace`, so every problem
+    is planned once per shape.
     """
 
-    terms: tuple[tuple[str, float | PartialTrace | np.ndarray], ...]
+    terms: tuple[tuple[str, float | PartialTrace], ...]
     rhs: np.ndarray
 
     def __post_init__(self) -> None:
@@ -126,49 +116,48 @@ class AffineConstraint:
 def _term_shape(op, side: int) -> tuple[int, int]:
     """Shape of the coordinate matrix of a term's map on a block of that side."""
     if isinstance(op, PartialTrace):
-        return op.dims[op.keep] ** 2, (op.dims[0] * op.dims[1]) ** 2
-    if isinstance(op, np.ndarray):
-        return op.shape
+        return op.dims[0] ** 2, (op.dims[0] * op.dims[1]) ** 2
     return side * side, side * side
 
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
     """Named blocks of positive integer sides, and the affine constraints on
-    them; the constraints' data (right-hand sides, sum coefficients and
-    explicit matrices) must be finite. ``rhs`` stacks the right-hand sides."""
+    them; a term's map must be a finite float or a :class:`PartialTrace`, and
+    the right-hand sides finite. ``rhs`` stacks the right-hand sides."""
 
     blocks: tuple[tuple[str, int], ...]
     constraints: tuple[AffineConstraint, ...]
     rhs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple((n, _side(d)) for n, d in self.blocks))
+        side_product(*(d for _, d in self.blocks))
+        object.__setattr__(self, "blocks", tuple((n, int(d)) for n, d in self.blocks))
         names = [n for n, _ in self.blocks]
         if len(set(names)) != len(names):
             raise ValueError("duplicate block names")
         sides = dict(self.blocks)
-        explicit = []
         for c in self.constraints:
             m = c.rhs.shape[0]
             for name, op in c.terms:
                 if name not in sides:
                     raise ValueError(f"constraint references unknown block {name!r}")
+                if not isinstance(op, (PartialTrace, float, int, np.floating, np.integer)):
+                    raise TypeError(f"constraint term for {name!r} is of type "
+                                    f"{type(op).__name__}, not a float or a PartialTrace")
                 shape = _term_shape(op, sides[name])
                 if shape != (m, sides[name] ** 2):
                     raise MatrixShapeError(
                         f"constraint term for {name!r} has shape {shape}, "
                         f"expected ({m}, {sides[name] ** 2})"
                     )
-                if isinstance(op, np.ndarray):
-                    explicit.append(op.ravel())
-                elif not isinstance(op, PartialTrace) and not math.isfinite(op):
+                if not isinstance(op, PartialTrace) and not math.isfinite(op):
                     raise ValueError(f"constraint term for {name!r} has coefficient {op!r}")
-        # one finiteness test for the problem's arrays, the stacked right-hand sides first
-        data = np.concatenate([np.zeros(0)] + [c.rhs for c in self.constraints] + explicit)
-        if np.count_nonzero(np.isfinite(data)) < data.size:
+        # one finiteness test for the stacked right-hand sides
+        rhs = np.concatenate([np.zeros(0)] + [c.rhs for c in self.constraints])
+        if np.count_nonzero(np.isfinite(rhs)) < rhs.size:
             raise ValueError("constraint data contains NaN or Inf entries")
-        object.__setattr__(self, "rhs", data[: data.size - sum(map(len, explicit))])
+        object.__setattr__(self, "rhs", rhs)
 
 
 # how ``solve`` can end; its docstring says what decides at each
@@ -199,25 +188,33 @@ class FeasibilityOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _target(target: np.ndarray) -> np.ndarray:
+    """Hermitian part of a square target; MatrixShapeError unless it is square."""
+    target = as_matrix(target)
+    if target.shape[0] != target.shape[1]:
+        raise MatrixShapeError(f"target of shape {target.shape} is not square")
+    return hermitian_part(target)
+
+
 def encode_sum_constraint(blocks, target: np.ndarray) -> AffineConstraint:
     """Encode ``sum_i c_i X_i = target`` for same-side blocks.
 
     ``blocks`` is an iterable of names or (name, coefficient) pairs;
     bare names get coefficient +1.
     """
-    target = hermitian_part(as_matrix(target))
+    target = _target(target)
     terms = (item if isinstance(item, tuple) else (item, 1.0) for item in blocks)
     return AffineConstraint(tuple((n, float(c)) for n, c in terms), herm_coords(target))
 
 
 def encode_partial_trace_constraint(
-    block: str, dims: tuple[int, int], keep: int, target: np.ndarray
+    block: str, dims: tuple[int, int], target: np.ndarray
 ) -> AffineConstraint:
-    """Encode ``Tr_slot(X) = target`` for a block on a bipartite space."""
-    op = PartialTrace(tuple(dims), keep)
-    target = hermitian_part(as_matrix(target))
-    if target.shape[0] != op.dims[op.keep]:
-        raise MatrixShapeError("target side does not match the kept slot")
+    """Encode ``Tr_2(X) = target`` for a block on the bipartite space ``dims``."""
+    op = PartialTrace(tuple(dims))
+    target = _target(target)
+    if target.shape[0] != op.dims[0]:
+        raise MatrixShapeError("target side does not match the partial trace's output side")
     return AffineConstraint(((block, op),), herm_coords(target))
 
 
@@ -239,15 +236,14 @@ def _coord_matrix(vec: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _partial_trace_matrix(d0: int, d1: int, keep: int) -> np.ndarray:
-    """Read-only coordinate matrix of the partial trace, cached per slot layout.
+def _partial_trace_matrix(d0: int, d1: int) -> np.ndarray:
+    """Read-only coordinate matrix of the trace over the second slot, cached
+    per slot layout.
 
-    The trace over the other slot is the sum of A X A* over the real
-    A = 1 (x) <k| (keep=0) or <k| (x) 1 (keep=1), so its vec matrix is the
-    sum of A (x) conj(A) = A (x) A.
+    Tr_2 X is the sum of A X A* over the real A = 1 (x) <k|, so its vec
+    matrix is the sum of A (x) conj(A) = A (x) A.
     """
-    eye, units = np.eye((d0, d1)[keep]), np.eye((d0, d1)[1 - keep])
-    ops = [kron(eye, k[None]) if keep == 0 else kron(k[None], eye) for k in units]
+    ops = [kron(np.eye(d0), k[None]) for k in np.eye(d1)]
     mat = _coord_matrix(sum(kron(op, op) for op in ops))
     mat.flags.writeable = False
     return mat
@@ -329,9 +325,7 @@ def _assemble(rows, layout: _Layout) -> np.ndarray:
             o, d = col_of[name]
             cols = block_row[:, o : o + d * d]
             if isinstance(op, PartialTrace):
-                op = op.matrix
-            if isinstance(op, np.ndarray):
-                cols += op
+                cols += op.matrix
             else:  # c times the identity
                 diag = np.arange(d * d)
                 cols[diag, diag] += op
@@ -390,15 +384,11 @@ class _Plan:
     a: np.ndarray
 
     @staticmethod
-    def build(blocks: tuple[tuple[str, int], ...], rows) -> "_Plan":
-        layout = _Layout.of(blocks)
-        return _Plan(layout, _assemble(rows, layout))
-
-    @staticmethod
     @functools.lru_cache(maxsize=32)
     def of(blocks: tuple[tuple[str, int], ...], rows) -> "_Plan":
         """Plan of blocks and typed (terms, height) rows; cached."""
-        return _Plan.build(blocks, rows)
+        layout = _Layout.of(blocks)
+        return _Plan(layout, _assemble(rows, layout))
 
     @functools.cached_property
     def frame(self) -> _Frame:
@@ -406,11 +396,8 @@ class _Plan:
 
 
 def _plan(problem: FeasibilityProblem) -> _Plan:
-    """The problem's plan: cached per shape, unless a term is an explicit matrix."""
-    rows = tuple((c.terms, c.rhs.shape[0]) for c in problem.constraints)
-    if any(isinstance(op, np.ndarray) for terms, _ in rows for _, op in terms):
-        return _Plan.build(problem.blocks, rows)
-    return _Plan.of(problem.blocks, rows)
+    """The problem's plan, cached per shape."""
+    return _Plan.of(problem.blocks, tuple((c.terms, c.rhs.shape[0]) for c in problem.constraints))
 
 
 def _spectra(x: np.ndarray, layout: _Layout) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -561,8 +548,7 @@ def _lift(basis: np.ndarray, op) -> np.ndarray:
     partial trace, since a PSD X on A (x) B lies in supp(Tr_B X) (x) B."""
     if not isinstance(op, PartialTrace):
         return basis
-    traced = np.eye(op.dims[1 - op.keep])
-    return kron_unchecked(basis, traced) if op.keep == 0 else kron_unchecked(traced, basis)
+    return kron_unchecked(basis, np.eye(op.dims[1]))
 
 
 def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, np.ndarray]:
@@ -574,8 +560,7 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
     so each T_i(X_i) lies in range(R) + sum_j supp(X_j), and so does X_i,
     tensored with the traced slot for a partial trace. A row with negative
     terms is read once every block it subtracts is bounded, and read again
-    whenever one of those bounds shrinks, until no bound shrinks. Rows
-    with an explicit matrix term are not read.
+    whenever one of those bounds shrinks, until no bound shrinks.
 
     Intersecting these bounds is a facial reduction: degenerate problems
     become strictly feasible on the reduced blocks, where the
@@ -588,15 +573,12 @@ def _support_bounds(problem: FeasibilityProblem, tol: Tolerances) -> dict[str, n
     for c in problem.constraints:
         pos, neg = [], []
         for name, op in c.terms:
-            if isinstance(op, np.ndarray):
-                break
             if isinstance(op, PartialTrace) or op > 0:
                 pos.append((name, op))
             elif op < 0:
                 neg.append(name)
-        else:
-            if pos:
-                rows.append((pos, neg, c.rhs))
+        if pos:
+            rows.append((pos, neg, c.rhs))
     # the targets' ranges (None when full): a side-2 target that is surely
     # full takes no eigh; the other rows without negative terms are read
     # first, their targets decomposed in one batch per side, and a row with

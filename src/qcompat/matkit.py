@@ -49,6 +49,17 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def side_product(*sides) -> int:
+    """The product of matrix or slot sides; MatrixShapeError unless every side is
+    a positive integer: an int or a numpy integer, not a bool, at least 1."""
+    product = 1
+    for d in sides:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise MatrixShapeError(f"sides {', '.join(map(repr, sides))} are not positive integers")
+        product *= d
+    return product
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a C-ordered complex matrix and reject non-finite entries."""
     m = np.ascontiguousarray(a, dtype=complex)

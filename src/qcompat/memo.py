@@ -25,7 +25,6 @@ from .devices import (
     Observable,
     PointerMap,
     _check_state,
-    _map_side,
     is_part_of,
     total_channel,
 )
@@ -37,6 +36,7 @@ from .matkit import (
     as_matrix,
     close,
     kron,
+    side_product,
 )
 
 
@@ -66,8 +66,8 @@ class MeasurementModel:
 
     def __post_init__(self, tol: Tolerances | None) -> None:
         tol = tol or DEFAULT_TOL
-        side = _map_side(self.dim_in, self.dim_v1)
-        if side != _map_side(self.dim_out, self.dim_v2):
+        side = side_product(self.dim_in, self.dim_v1)
+        if side != side_product(self.dim_out, self.dim_v2):
             raise MatrixShapeError("dim_in * dim_v1 must equal dim_out * dim_v2")
         u = as_matrix(self.u)
         if u.shape != (side, side):

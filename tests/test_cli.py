@@ -162,7 +162,7 @@ def _entry(kind, payload, dims=None):
     ([_entry("model", {"dim_v1": 2.0, "dim_v2": 2, "eta": jmat(I2 / 2),
                        "unitary": jmat(np.eye(4)), "pointer": {
                            "outcomes": ["+", "-"], "effects": {"+": jmat(PZ), "-": jmat(PMZ)}}})],
-     "map sides 2, 2.0 are not positive integers"),
+     "sides 2, 2.0 are not positive integers"),
 ], ids=["observable-dims", "effect-dims", "kraus-shape", "kraus-channel-not-tp",
         "choi-channel-not-tp", "no-payload-form", "unknown-type", "name-twice",
         "float-in", "bool-in-string-out", "string-out", "float-out", "zero-in", "null-in",

@@ -712,7 +712,7 @@ def _ref_row(names, target, dims) -> fs.AffineConstraint:
     is smaller."""
     if target.shape[0] == dims[0] * dims[1]:
         return fs.encode_sum_constraint(names, target)
-    rows = [fs.encode_partial_trace_constraint(n, dims, 0, target) for n in names]
+    rows = [fs.encode_partial_trace_constraint(n, dims, target) for n in names]
     return fs.AffineConstraint(tuple(r.terms[0] for r in rows), rows[0].rhs)
 
 
@@ -761,7 +761,7 @@ def _dense_row(names, target, dims, sides):
     t = hermitian_part(np.asarray(target, dtype=complex))
     eye = np.eye(t.shape[0] ** 2)
     if t.shape[0] != dims[0] * dims[1]:
-        return [(n, eye if sides[n] == dims[0] else fs._partial_trace_matrix(*dims, 0))
+        return [(n, eye if sides[n] == dims[0] else fs._partial_trace_matrix(*dims))
                 for n, _ in items], herm_coords(t)
     return [(n, c * eye) for n, c in items], herm_coords(t)
 
@@ -1948,7 +1948,7 @@ def _encoded_row(blocks, target, din, dout, fixed=None):
     if target.shape[0] == din * dout:
         return fs.encode_sum_constraint([n for n, _ in blocks],
                                         target if fixed is None else target - fixed)
-    row = fs.encode_partial_trace_constraint(blocks[0][0], (din, dout), 0, target)
+    row = fs.encode_partial_trace_constraint(blocks[0][0], (din, dout), target)
     op = row.terms[0][1]
     rhs = row.rhs if fixed is None else row.rhs - op.matrix @ herm_coords(fixed)
     return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks), rhs)

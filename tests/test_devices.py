@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qcompat import devices as dv
 from qcompat import matkit as mk
 from qcompat import memo as mm
-from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, SY, SZ, effect, luders_of
+from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, SY, SZ, effect, luders_of, sharp_observable
 
 from conftest import (
     hermitian_basis,
@@ -88,6 +88,39 @@ def test_empty_and_negative_sides_are_shape_errors(build):
     # (-1)(-4) = 4, and failed later inside numpy
     with pytest.raises(mk.MatrixShapeError):
         build()
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: dv.Observable((), {}), dv.OutcomeError, "at least one outcome"),
+    (lambda: dv.Observable(("a", "a"), {"a": effect(I2)}), dv.OutcomeError, "duplicate"),
+    (lambda: dv.Observable(("a", "b"), {"a": effect(I2), "b": dv.Effect(np.zeros((3, 3)))}),
+     mk.MatrixShapeError, "one dimension"),
+    (lambda: dv.CPMap(2, 2, np.eye(4) / 2, kind="unitary"), ValueError, "unknown map kind"),
+    (lambda: dv.CPMap(2, 2, np.eye(2)), mk.MatrixShapeError, "Choi shape"),
+    (lambda: dv.Instrument(("a", "b"), {"a": luders_of(I2), "b": dv.CPMap(2, 3, np.zeros((6, 6)))}),
+     mk.MatrixShapeError, "share input/output"),
+    (lambda: dv.Instrument((), {}), dv.OutcomeError, "at least one outcome"),
+    (lambda: dv.Instrument(("a", "a"), {"a": luders_of(I2)}), dv.OutcomeError, "duplicate"),
+    (lambda: dv.Instrument(("a",), {"b": luders_of(I2)}), dv.OutcomeError, "do not match"),
+    (lambda: sharp_observable(PZ, PMZ).effect_of(["0"]), dv.OutcomeError, "unknown outcome"),
+    (lambda: dv.KrausSet(()), ValueError, "empty Kraus set"),
+    (lambda: dv.PointerMap({"a": "x"}, ("y",)), dv.OutcomeError, "not contained"),
+    (lambda: dv.four_effect_decomposition(np.ones((2, 3))), mk.MatrixShapeError, "square"),
+    (lambda: dv.trivial_observable({"a": 0.5, "b": 0.6}, 2), ValueError,
+     "p must be a probability distribution"),
+    (lambda: dv.sides(object()), TypeError, "unsupported device type object"),
+    (lambda: dv.instrument_parts(object()), TypeError, "unsupported device type object"),
+    (lambda: dv.canonical_instrument(object()), TypeError, "unsupported device type object"),
+], ids=["observable-no-outcomes", "observable-duplicate-labels", "observable-mixed-sides",
+        "map-unknown-kind", "map-choi-shape", "instrument-mixed-sides", "instrument-no-outcomes",
+        "instrument-duplicate-labels", "instrument-mismatched-labels", "effect-of-unknown",
+        "kraus-empty", "pointer-outside-codomain", "four-effects-not-square",
+        "trivial-observable-probs", "sides-type", "instrument-parts-type",
+        "canonical-instrument-type"])
+def test_validators_raise_what_their_docstrings_promise(build, error, match):
+    with pytest.raises(error, match=match) as info:
+        build()
+    assert info.type is error
 
 
 def test_observable_rejects_bad_sum():

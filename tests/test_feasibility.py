@@ -28,12 +28,15 @@ from conftest import (
 )
 
 
+def trace_row(value, *names_sides):
+    """``sum_i Tr X_i = value``: the trace of a block of side d is
+    ``PartialTrace((1, d))``, and of a 1x1 block its coefficient 1."""
+    terms = tuple((n, 1.0 if d == 1 else fs.PartialTrace((1, d))) for n, d in names_sides)
+    return fs.AffineConstraint(terms, np.array([float(value)]))
+
+
 def one_block_trace_problem(value, side=2):
-    # the trace functional in coordinates: sum of the diagonal entries
-    row = np.zeros((1, side * side))
-    row[0, :side] = 1.0
-    c = fs.AffineConstraint((("x", row),), np.array([float(value)]))
-    return fs.FeasibilityProblem((("x", side),), (c,))
+    return fs.FeasibilityProblem((("x", side),), (trace_row(value, ("x", side)),))
 
 
 def test_unit_trace_feasible():
@@ -73,20 +76,13 @@ def test_certificate_bound_of_negative_trace():
 
 
 def test_certificate_needs_psd_direction_without_fixed_trace():
-    # X[0, 0] = -1 leaves the trace free, so a non-PSD z gives no bound
-    row = np.zeros((1, 4))
-    row[0, 0] = 1.0
-    c = fs.AffineConstraint((("x", row),), np.array([-1.0]))
+    # X = diag(-1, 0): every direction lies in the row space, and a non-PSD z
+    # gives no bound, whatever its weight; z is not shifted towards the cone
+    c = fs.encode_sum_constraint(["x"], np.diag([-1.0, 0.0]))
     layout, frame, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
     for diag, bound in (([-1.0, 0.0], None), ([1.0, 0.0], -1.0)):
-        assert fs._certificate_bound(frame.project(herm_coords(np.diag(diag))), layout, x0) == bound
-    # with the trace fixed as well (Tr X = -1, one off-diagonal coordinate 0),
-    # a non-PSD z in the row space still gives no bound: z is not shifted
-    rows = np.zeros((2, 4))
-    rows[0, :2] = 1.0
-    rows[1, 2] = 1.0
-    c = fs.AffineConstraint((("x", rows),), np.array([-1.0, 0.0]))
-    layout, frame, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
+        got = fs._certificate_bound(frame.project(herm_coords(np.diag(diag))), layout, x0)
+        assert got == (None if bound is None else pytest.approx(bound))
     z = frame.project(np.array([1.0, 1.0, 3.0, 0.0]))
     assert fs._min_eig(z, layout) < 0
     assert fs._certificate_bound(z, layout, x0) is None
@@ -95,82 +91,133 @@ def test_certificate_needs_psd_direction_without_fixed_trace():
 
 
 def test_certificate_bound_of_a_direction_in_the_null_space():
-    # X[0, 0] = -1: a direction with no part in the row space projects to z = 0,
-    # which is PSD but has no weight, and so bounds nothing
-    row = np.zeros((1, 4))
-    row[0, 0] = 1.0
-    c = fs.AffineConstraint((("x", row),), np.array([-1.0]))
-    layout, frame, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
-    z = frame.project(herm_coords(np.diag([0.0, 1.0])))
+    # c = -1 on a 1x1 block beside a free qubit block x: a direction in x has
+    # no part in the row space and projects to z = 0, which is PSD but has no
+    # weight, and so bounds nothing
+    problem = fs.FeasibilityProblem((("x", 2), ("c", 1)), (trace_row(-1.0, ("c", 1)),))
+    layout, frame, x0 = affine_data(problem)
+    z = frame.project(np.concatenate([[0.0], herm_coords(np.diag([0.0, 1.0]))]))
     assert not z.any()
     assert fs._certificate_bound(z, layout, x0) is None
+
+
+_COEFFICIENTS = (1.0, -1.0, 0.5, 2.0)
+
+
+def _image(op, x):
+    """A term's map applied to a block."""
+    return _partial_trace(x, op.dims) if isinstance(op, fs.PartialTrace) else op * x
+
+
+def typed_problem_around(rng, sides, n_rows, fixed_trace, deficit=None):
+    """A problem of typed rows around random blocks, and the blocks.
+
+    The blocks are PSD of random rank (0 included), or, with a ``deficit``,
+    shifted along the identity until their total trace is -deficit times the
+    total side, so that no PSD point meets it. The total-trace row comes first
+    when ``fixed_trace``; each of ``n_rows`` random rows has an output side m,
+    1 or a block's side, and reads a random nonempty subset of the blocks whose
+    side m divides: a block of side m through a sum coefficient drawn from
+    +-1, 0.5 and 2, a larger one through the trace over its second slot. Every
+    row holds at the blocks.
+    """
+    blocks = tuple((f"b{i}", d) for i, d in enumerate(sides))
+    point = []
+    for d in sides:
+        k = rand_complex(rng, d, int(rng.integers(0, d + 1)))
+        point.append(herm_from_coords(herm_coords(k @ k.conj().T), d))
+    if deficit is not None:
+        shift = sum(np.trace(x).real for x in point) / sum(sides) + deficit
+        point = [x - shift * np.eye(len(x)) for x in point]
+    rows = [trace_row(sum(np.trace(x).real for x in point), *blocks)] if fixed_trace else []
+    outputs = sorted({1, *sides})
+    for _ in range(n_rows):
+        m = int(rng.choice(outputs))
+        fit = [k for k, d in enumerate(sides) if d % m == 0]
+        chosen = [k for k in fit if rng.random() < 0.6] or [int(rng.choice(fit))]
+        ops = [float(rng.choice(_COEFFICIENTS)) if sides[k] == m
+               else fs.PartialTrace((m, sides[k] // m)) for k in chosen]
+        target = sum(_image(op, point[k]) for k, op in zip(chosen, ops))
+        rows.append(fs.AffineConstraint(tuple((blocks[k][0], op) for k, op in zip(chosen, ops)),
+                                        herm_coords(target)))
+    return fs.FeasibilityProblem(blocks, tuple(rows)), point
+
+
+def face_data(problem):
+    """Layout, affine frame and affine base point on the face that facial
+    reduction reads from the rows, as the solver builds them."""
+    plan = fs._plan(problem)
+    bounds = fs._support_bounds(problem, fs.DEFAULT_TOL)
+    embed, layout = fs._face_map(plan.layout, [bounds.get(n) for n in plan.layout.names])
+    frame = fs._Frame.of(plan.a @ embed, layout)
+    return layout, frame, frame.x0(problem.rhs)
+
+
+def _ranks(bounds):
+    return {name: u.shape[1] for name, u in bounds.items()}
+
+
+# draws of typed_problem_around (without the total-trace row) that facial
+# reduction reduces: a rank-1 target bounds a qubit block; a row with a
+# negative sum coefficient, read once the block it subtracts is bounded,
+# bounds a block that the other rows leave whole
+_SHRINKS_A_BLOCK = dict(seed=0, sides=[2, 2], n_rows=2)
+_READS_A_MIXED_SIGN_ROW = dict(seed=25, sides=[2, 2], n_rows=4)
+
+
+def test_the_soundness_examples_reach_facial_reduction():
+    def draw(seed, sides, n_rows):
+        return typed_problem_around(np.random.default_rng(seed), sides, n_rows, False)[0]
+
+    problem = draw(**_SHRINKS_A_BLOCK)
+    assert _ranks(fs._support_bounds(problem, fs.DEFAULT_TOL)) == {"b1": 1}
+    problem = draw(**_READS_A_MIXED_SIGN_ROW)
+    assert _ranks(fs._support_bounds(problem, fs.DEFAULT_TOL)) == {"b0": 1, "b1": 1}
+    positive = tuple(c for c in problem.constraints
+                     if all(isinstance(op, fs.PartialTrace) or op > 0 for _, op in c.terms))
+    assert len(positive) < len(problem.constraints)
+    problem = fs.FeasibilityProblem(problem.blocks, positive)
+    assert _ranks(fs._support_bounds(problem, fs.DEFAULT_TOL)) == {"b0": 1}
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    sides=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    sides=st.lists(st.integers(1, 4), min_size=1, max_size=3),
     n_rows=st.integers(1, 6),
     fixed_trace=st.booleans(),
 )
 def test_certificate_bound_is_sound(seed, sides, n_rows, fixed_trace):
     # around a known PSD point (rank-deficient blocks included), no
-    # direction may certify a minimum eigenvalue below the point's own
+    # direction may certify a minimum eigenvalue below the point's own, on
+    # the face that facial reduction reads from the typed rows
     rng = np.random.default_rng(seed)
-    blocks = tuple((f"b{i}", d) for i, d in enumerate(sides))
-    point = []
-    for d in sides:
-        k = rand_complex(rng, d, int(rng.integers(0, d + 1)))
-        point.append(herm_coords(k @ k.conj().T))
-    point = np.concatenate(point)
-    rows = rng.standard_normal((n_rows, point.size))
-    if fixed_trace:
-        rows[0] = np.concatenate([herm_coords(np.eye(d)) for d in sides])
-    terms, col = [], 0
-    for name, d in blocks:
-        terms.append((name, rows[:, col : col + d * d]))
-        col += d * d
-    problem = fs.FeasibilityProblem(blocks, (fs.AffineConstraint(tuple(terms), rows @ point),))
-    layout, frame, x0 = affine_data(problem)
+    problem, _ = typed_problem_around(rng, sides, n_rows, fixed_trace)
+    layout, frame, x0 = face_data(problem)
     for _ in range(20):
-        bound = fs._certificate_bound(frame.project(rng.standard_normal(point.size)), layout, x0)
+        bound = fs._certificate_bound(frame.project(rng.standard_normal(layout.total)), layout, x0)
         assert bound is None or bound >= -1e-9
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    sides=st.lists(st.integers(1, 3), min_size=1, max_size=3),
-    n_rows=st.integers(0, 10),
+    sides=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n_rows=st.integers(0, 6),
     fixed_trace=st.booleans(),
     deficit=st.sampled_from([None, 1e-4, 1e-2, 1.0]),
 )
-@example(seed=4274, sides=[3, 1, 1], n_rows=3, fixed_trace=False, deficit=1e-4)
-@example(seed=2, sides=[2, 1], n_rows=2, fixed_trace=False, deficit=1e-4)
+@example(**_SHRINKS_A_BLOCK, fixed_trace=False, deficit=None)
+@example(**_READS_A_MIXED_SIGN_ROW, fixed_trace=False, deficit=None)
 def test_solve_is_sound(seed, sides, n_rows, fixed_trace, deficit):
-    # problems built around a known point: around a PSD point (deficit
+    # typed problems built around a known point: around a PSD point (deficit
     # None) no verdict is infeasible; with the total trace fixed at
     # -deficit times the total side, no PSD point exists, so no verdict
     # is feasible. A certified margin lies between the point's least
     # eigenvalue and -feas_tol. Every outcome agrees with its exit.
     rng = np.random.default_rng(seed)
-    blocks = tuple((f"b{i}", d) for i, d in enumerate(sides))
-    point = []
-    for d in sides:
-        k = rand_complex(rng, d, int(rng.integers(0, d + 1)))
-        point.append(herm_coords(k @ k.conj().T))
-    point = np.concatenate(point)
-    e = np.concatenate([herm_coords(np.eye(d)) for d in sides])
-    if deficit is not None:
-        point -= (point @ e / sum(sides) + deficit) * e
-    rows = rng.standard_normal((n_rows + 1, point.size))
-    if fixed_trace or deficit is not None:
-        rows[0] = e
-    terms, col = [], 0
-    for name, d in blocks:
-        terms.append((name, rows[:, col : col + d * d]))
-        col += d * d
-    problem = fs.FeasibilityProblem(blocks, (fs.AffineConstraint(tuple(terms), rows @ point),))
+    problem, point = typed_problem_around(rng, sides, n_rows, fixed_trace or deficit is not None,
+                                          deficit)
     out = fs.solve(problem)
     tol = fs.DEFAULT_TOL
     assert out.exit in fs.EXITS
@@ -180,20 +227,12 @@ def test_solve_is_sound(seed, sides, n_rows, fixed_trace, deficit):
         assert out.exit in ("affine", "point", "certificate") and out.margin < -tol.feas_tol
     assert out.verdict != ("infeasible" if deficit is None else "feasible")
     if out.verdict == "infeasible":
-        # the point stacks its blocks in the given order, not the layout's
-        offsets = np.cumsum([0] + [d * d for d in sides])
-        least = min(
-            np.linalg.eigvalsh(herm_from_coords(point[o : o + d * d], d))[0]
-            for o, d in zip(offsets, sides)
-        )
+        least = min(np.linalg.eigvalsh(x)[0] for x in point)
         assert least - 1e-9 <= out.margin < -fs.DEFAULT_TOL.feas_tol
 
 
 def test_affine_inconsistency_reported_distinctly():
-    row = np.zeros((1, 4))
-    row[0, :2] = 1.0
-    c1 = fs.AffineConstraint((("x", row),), np.array([1.0]))
-    c2 = fs.AffineConstraint((("x", row),), np.array([2.0]))
+    c1, c2 = trace_row(1.0, ("x", 2)), trace_row(2.0, ("x", 2))
     out = fs.solve(fs.FeasibilityProblem((("x", 2),), (c1, c2)))
     assert out.verdict == "infeasible"
     assert out.exit == "affine"
@@ -204,9 +243,7 @@ def pinned_sum_problem(target, trace_x=None):
     """``x + y = target`` on two qubit blocks, optionally with ``tr x`` fixed."""
     cons = [fs.encode_sum_constraint(("x", "y"), target)]
     if trace_x is not None:
-        row = np.zeros((1, 4))
-        row[0, :2] = 1.0
-        cons.append(fs.AffineConstraint((("x", row),), np.array([trace_x])))
+        cons.append(trace_row(trace_x, ("x", 2)))
     return fs.FeasibilityProblem((("x", 2), ("y", 2)), tuple(cons))
 
 
@@ -227,7 +264,7 @@ def test_partial_trace_over_a_trivial_slot_bounds_the_support():
     # target of full range bounds nothing
     for dims, target, rank in (((2, 1), np.diag([1.0, 0.0]), 1), ((1, 2), np.eye(1), None),
                                ((2, 2), np.diag([1.0, 0.0]), 2)):
-        row = fs.encode_partial_trace_constraint("j", dims, keep=0, target=target.T)
+        row = fs.encode_partial_trace_constraint("j", dims, target=target.T)
         problem = fs.FeasibilityProblem((("j", dims[0] * dims[1]),), (row,))
         bounds = fs._support_bounds(problem, fs.DEFAULT_TOL)
         assert (bounds["j"].shape[1] if bounds else None) == rank
@@ -245,8 +282,8 @@ def _psd_on(rng, basis):
     return basis @ k @ k.conj().T @ basis.conj().T
 
 
-def _partial_trace(x, dims, keep):
-    return np.einsum("ijkj->ik" if keep == 0 else "ijil->jl", x.reshape(dims * 2))
+def _partial_trace(x, dims):
+    return np.einsum("ijkj->ik", x.reshape(dims * 2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,27 +311,26 @@ def test_a_surely_full_qubit_target_has_full_range(seed, moduli, signs, psd_tol)
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 1)]),
-    keep=st.integers(0, 1),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 1), (1, 3)]),
     ranks=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 6), st.integers(0, 6)),
     order=st.permutations(range(3)),
 )
-def test_support_bounds_never_cut_off_a_psd_point(seed, dims, keep, ranks, order):
-    # PSD blocks a (on the bipartite space, its kept marginal supported on a
-    # subspace V), c (on the kept slot, supported on W), b and b2, and the rows
-    # Tr(a) + c, a + b and b2 - a around them, in any order. Every bound holds
+def test_support_bounds_never_cut_off_a_psd_point(seed, dims, ranks, order):
+    # PSD blocks a (on the bipartite space, its first marginal supported on a
+    # subspace V), c (on the first slot, supported on W), b and b2, and the rows
+    # Tr_2(a) + c, a + b and b2 - a around them, in any order. Every bound holds
     # its block's range, and a row whose right-hand side, subtracted blocks'
     # bounds included, spans less than the whole space bounds its blocks.
     rng = np.random.default_rng(seed)
-    n, dk = dims[0] * dims[1], dims[keep]
+    n, dk = dims[0] * dims[1], dims[0]
     rv, rw, rb, rb2 = min(ranks[0], dk), min(ranks[1], dk), min(ranks[2], n), min(ranks[3], n)
-    traced = np.eye(dims[1 - keep])
+    traced = np.eye(dims[1])
     v, w = _subspace(rng, dk, rv), _subspace(rng, dk, rw)
-    x = {"a": _psd_on(rng, kron(v, traced) if keep == 0 else kron(traced, v)), "c": _psd_on(rng, w),
+    x = {"a": _psd_on(rng, kron(v, traced)), "c": _psd_on(rng, w),
          "b": _psd_on(rng, _subspace(rng, n, rb)), "b2": _psd_on(rng, _subspace(rng, n, rb2))}
     rows = (
-        fs.AffineConstraint((("a", fs.PartialTrace(dims, keep)), ("c", 1.0)),
-                            herm_coords(_partial_trace(x["a"], dims, keep) + x["c"])),
+        fs.AffineConstraint((("a", fs.PartialTrace(dims)), ("c", 1.0)),
+                            herm_coords(_partial_trace(x["a"], dims) + x["c"])),
         fs.encode_sum_constraint(["a", "b"], x["a"] + x["b"]),
         fs.encode_sum_constraint([("b2", 1.0), ("a", -1.0)], x["b2"] - x["a"]),
     )
@@ -306,7 +342,7 @@ def test_support_bounds_never_cut_off_a_psd_point(seed, dims, keep, ranks, order
         assert np.abs(outside).max() <= 1e-9 * max(1.0, np.abs(x[name]).max())
     rank = {name: bounds[name].shape[1] if name in bounds else side for name, side in blocks}
     reach = np.linalg.matrix_rank(np.hstack([v, w])) if rv + rw else 0
-    if reach < dk:  # Tr(a) + c lies in V + W
+    if reach < dk:  # Tr_2(a) + c lies in V + W
         assert rank["c"] <= reach and rank["a"] <= reach * len(traced)
     if rv * len(traced) + rb < n:  # a + b has the rank of its parts
         assert max(rank["a"], rank["b"]) <= rv * len(traced) + rb
@@ -455,7 +491,7 @@ def test_sum_constraint_witness_resums():
 
 def test_partial_trace_constraint_encodes_trace_preservation():
     cons = (
-        fs.encode_partial_trace_constraint("j", (2, 2), keep=0, target=np.eye(2)),
+        fs.encode_partial_trace_constraint("j", (2, 2), target=np.eye(2)),
     )
     out = fs.solve(fs.FeasibilityProblem((("j", 4),), cons))
     assert out.verdict == "feasible"
@@ -469,7 +505,7 @@ def test_heisenberg_unit_constraint():
     from qcompat.devices import CPMap, apply_h
 
     px = (I2 + SX) / 2
-    cons = (fs.encode_partial_trace_constraint("j", (2, 2), keep=0, target=px.T),)
+    cons = (fs.encode_partial_trace_constraint("j", (2, 2), target=px.T),)
     out = fs.solve(fs.FeasibilityProblem((("j", 4),), cons))
     assert out.verdict == "feasible"
     m = CPMap(2, 2, out.witness["j"])
@@ -477,22 +513,15 @@ def test_heisenberg_unit_constraint():
 
 
 def test_interior_point_found_within_budget():
-    # feasible problem with a strictly interior witness on a 16x16 block
+    # feasible problem with a strictly interior witness on a 16x16 block: its
+    # trace, and its partial trace over the second of two 4-dimensional slots
     rng = np.random.default_rng(47)
     side = 16
-    x_star = np.eye(side) * 0.5
-    rows, rhs = [], []
-    row = np.zeros(side * side)
-    row[:side] = 1.0
-    rows.append(row)
-    rhs.append(0.5 * side)
-    for _ in range(6):
-        r = rand_herm(rng, side)
-        rows.append(herm_coords(r))
-        rhs.append(float(np.vdot(herm_coords(r), herm_coords(x_star))))
-    cons = tuple(
-        fs.AffineConstraint((("x", row[None, :]),), np.array([v]))
-        for row, v in zip(rows, rhs)
+    x_star = np.eye(side) * 0.5 + 0.02 * rand_herm(rng, side)
+    assert np.linalg.eigvalsh(x_star)[0] > 0.1
+    cons = (
+        trace_row(np.trace(x_star).real, ("x", side)),
+        fs.encode_partial_trace_constraint("x", (4, 4), _partial_trace(x_star, (4, 4))),
     )
     out = fs.solve(fs.FeasibilityProblem((("x", side),), cons))
     assert out.verdict == "feasible"
@@ -500,16 +529,15 @@ def test_interior_point_found_within_budget():
 
 
 def test_margin_monotone_under_constraint_addition():
+    # Tr X = -0.4 on a two-qubit block, then also Tr_2 X = H for a random H
+    # of that trace
     rng = np.random.default_rng(49)
     for _ in range(5):
-        side = 3
-        row = np.zeros(side * side)
-        row[:side] = 1.0
-        base = fs.AffineConstraint((("x", row[None, :]),), np.array([-0.4]))
-        extra_vec = herm_coords(rand_herm(rng, side))
-        extra = fs.AffineConstraint(
-            (("x", extra_vec[None, :]),), np.array([float(rng.normal())])
-        )
+        side = 4
+        base = trace_row(-0.4, ("x", side))
+        h = rand_herm(rng, 2)
+        h += (-0.4 - np.trace(h).real) / 2 * I2
+        extra = fs.encode_partial_trace_constraint("x", (2, 2), h)
         p1 = fs.FeasibilityProblem((("x", side),), (base,))
         p2 = fs.FeasibilityProblem((("x", side),), (base, extra))
         m1 = fs.solve(p1).margin
@@ -587,17 +615,16 @@ def test_face_map_matches_probed_conjugations():
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2), (1, 3)])
-@pytest.mark.parametrize("keep", [0, 1])
-def test_partial_trace_matrix_matches_partial_trace(dims, keep):
+def test_partial_trace_matrix_matches_partial_trace(dims):
     from conftest import partial_trace
 
-    rng = np.random.default_rng([*dims, keep])
-    mat = fs._partial_trace_matrix(*dims, keep)
+    rng = np.random.default_rng([*dims, 0])
+    mat = fs._partial_trace_matrix(*dims)
     assert not mat.flags.writeable
-    assert mat.shape == (dims[keep] ** 2, (dims[0] * dims[1]) ** 2)
+    assert mat.shape == (dims[0] ** 2, (dims[0] * dims[1]) ** 2)
     for _ in range(3):
         x = rand_herm(rng, dims[0] * dims[1])
-        expected = herm_coords(partial_trace(x, dims, keep))
+        expected = herm_coords(partial_trace(x, dims, 0))
         assert np.abs(mat @ herm_coords(x) - expected).max() <= 1e-13
 
 
@@ -621,30 +648,32 @@ def test_problem_blocks_may_be_a_list():
 
 
 def test_face_polish_keeps_a_degenerate_pair_whole():
-    # qutrit states on span{|1>, |2>}: x_00 = 0 and tr x = 1. The point
-    # diag(0, 1/2, 1/2) puts a degenerate pair on the cutoff 0.5; a rank-1
-    # face would be whichever eigenvector of the pair last bits pick.
+    # two qutrit blocks on span{|1>, |2>}: x + y = diag(0, 1, 1). The point
+    # x = y = diag(0, 1/2, 1/2) puts a degenerate pair on the cutoff 0.5; a
+    # rank-1 face would be whichever eigenvector of the pair last bits pick.
     assert fs._face_rank(np.array([0.0, 0.0, 0.5 - 4e-12, 0.5 + 4e-12]), 0.5) == 2
     assert fs._face_rank(np.array([0.0, 0.2, 0.5, 0.9]), 0.5) == 1
     assert fs._face_rank(np.array([1e-17, 2e-8, 0.3, 0.3]), 1e-6) == 2
-    a = np.zeros((2, 9))
-    a[0, 0] = a[1, 0] = a[1, 1] = a[1, 2] = 1.0
-    b = np.array([0.0, 1.0])
-    plan = fs._plan(fs.FeasibilityProblem((("x", 3),), (fs.AffineConstraint((("x", a),), b),)))
+    half = np.diag([0.0, 0.5, 0.5])
+    row = fs.encode_sum_constraint(("x", "y"), 2 * half)
+    plan = fs._plan(fs.FeasibilityProblem((("x", 3), ("y", 3)), (row,)))
     rng = np.random.default_rng(5)
     for _ in range(4):
-        noise = np.zeros(9)
-        noise[[1, 2, 5, 8]] = 1e-13 * rng.standard_normal(4)  # the (1, 2) entry
-        y = herm_coords(np.diag([0.0, 0.5, 0.5])) + noise
-        (u,) = fs._read_face(y, 0.5, plan.layout, [None])
-        assert u.shape == (3, 2) and np.abs(u[0]).max() <= 1e-12
+        noise = np.zeros(18)
+        noise[[1, 2, 5, 8, 10, 11, 14, 17]] = 1e-13 * rng.standard_normal(8)  # the (1, 2) entries
+        point = np.concatenate([herm_coords(half)] * 2) + noise
+        bases = fs._read_face(point, 0.5, plan.layout, [None, None])
+        for u in bases:
+            assert u.shape == (3, 2) and np.abs(u[0]).max() <= 1e-12
         # the second run on that face decides at step 0
-        out, _ = fs._run(plan, b, [u], fs.DEFAULT_TOL, None)
+        out, _ = fs._run(plan, row.rhs, bases, fs.DEFAULT_TOL, None)
         assert (out.verdict, out.iterations) == ("feasible", 0)
         assert out.residual <= 1e-14
-        assert np.abs(out.witness["x"] - np.diag([0.0, 0.5, 0.5])).max() <= 1e-12
+        for name in ("x", "y"):
+            assert np.abs(out.witness[name] - half).max() <= 1e-12
     # a face that shrinks no block is not read
-    assert fs._read_face(herm_coords(np.diag([0.2, 0.3, 0.5])), 0.1, plan.layout, [None]) is None
+    whole = np.concatenate([herm_coords(np.diag([0.2, 0.3, 0.5]))] * 2)
+    assert fs._read_face(whole, 0.1, plan.layout, [None, None]) is None
 
 
 def test_layout_is_cached_and_read_only():
@@ -834,8 +863,7 @@ def test_a_warm_plan_repeats_the_cold_solve_bit_for_bit(monkeypatch):
 
 
 def test_plan_cache_stays_bounded():
-    # one distinct shape per block count; a problem with an explicit matrix
-    # is planned afresh and never enters the cache
+    # one distinct shape per block count
     fs._Plan.of.cache_clear()
     limit = fs._Plan.of.cache_info().maxsize
     for n in range(1, 2 * limit + 2):
@@ -844,8 +872,6 @@ def test_plan_cache_stays_bounded():
         assert fs.solve(fs.FeasibilityProblem(blocks, (row,))).verdict == "feasible"
     info = fs._Plan.of.cache_info()
     assert info.currsize == limit and info.misses == 2 * limit + 1
-    assert fs.solve(one_block_trace_problem(1.0)).verdict == "feasible"
-    assert fs._Plan.of.cache_info() == info
 
 
 def test_solver_packs_through_module_names(monkeypatch):
@@ -860,7 +886,8 @@ def test_solver_packs_through_module_names(monkeypatch):
     monkeypatch.setattr(fs, "herm_stack_from_coords", counting)
     out = fs.solve(one_block_trace_problem(1.0, side=4))
     assert out.verdict == "feasible"
-    assert calls and set(calls) == {4}
+    # facial reduction packs the 1x1 trace target once, the run its 4x4 blocks
+    assert calls and set(calls) == {1, 4}
 
 
 @pytest.mark.parametrize("n1, n2", [("luders_px", "half_luders_px"), ("luders_pz", "pz")])
@@ -943,7 +970,7 @@ def test_constraints_blind_to_the_trace_direction():
 
 
 def test_constraint_validation():
-    bad = fs.AffineConstraint((("y", np.eye(4)),), np.zeros(4))
+    bad = fs.AffineConstraint((("y", 1.0),), np.zeros(4))
     with pytest.raises(ValueError):
         fs.FeasibilityProblem((("x", 2),), (bad,))
 
@@ -1026,6 +1053,15 @@ def _gated_problem():
     return cp.joint_problem(effect, builtin_devices()["sharp_z"])
 
 
+_STEP_TRACE_LINE = r"iter=\d+ shift=\+0\.000e\+00 residual=\S+ gap=\S+"
+_LAST_TRACE_LINE = {
+    "affine": r"affine-inconsistent residual=\S+",
+    "shift": "",
+    "point": r"iter=0 shift=\+0\.000e\+00 point residual=\S+ margin=\S+",
+    "face": r"iter=\d+ shift=\+0\.000e\+00 face-polish residual=\S+",
+}
+
+
 @pytest.mark.parametrize("build, tol, exit, verdict, iterations", [
     (lambda: pinned_sum_problem(np.zeros((2, 2)), trace_x=1.0), fs.DEFAULT_TOL,
      "affine", "infeasible", 0),
@@ -1048,9 +1084,20 @@ def _gated_problem():
 ], ids=["affine", "shift-no-rows", "shift-all-pinned", "shift-blind", "point", "path",
         "certificate", "face", "projection", "stall", "gated-path"])
 def test_every_exit_names_itself(build, tol, exit, verdict, iterations):
-    out = fs.solve(build(), tol)
+    lines = []
+    out = fs.solve(build(), tol, trace=lines.append)
     assert (out.exit, out.verdict, out.iterations) == (exit, verdict, iterations)
     assert (out.witness is not None) == (out.margin is None) == (verdict == "feasible")
+    # the trace: no line for shift, one line for affine and point, and step
+    # lines for the run, closed by one face-polish line for face; the last
+    # iteration count traced is the outcome's
+    assert bool(lines) == (exit != "shift")
+    *steps, last = lines or [""]
+    assert re.fullmatch(_LAST_TRACE_LINE.get(exit, _STEP_TRACE_LINE), last)
+    assert all(re.fullmatch(_STEP_TRACE_LINE, line) for line in steps)
+    assert not steps or exit not in ("affine", "point")
+    counts = [int(line.split()[0][len("iter="):]) for line in lines if line.startswith("iter=")]
+    assert counts[-1:] in ([], [out.iterations])
 
 
 def _sum_problem(side=2, coefficient=1.0, rhs=None):
@@ -1068,17 +1115,29 @@ def _sum_problem(side=2, coefficient=1.0, rhs=None):
     (lambda: _sum_problem(rhs=np.array([1.0, np.inf, 0.0, 0.0])), ValueError, "NaN or Inf"),
     (lambda: _sum_problem(coefficient=np.nan), ValueError, "coefficient"),
     (lambda: _sum_problem(coefficient=np.inf), ValueError, "coefficient"),
+    # an explicit matrix is no map: a term is a float or a PartialTrace
     (lambda: fs.FeasibilityProblem((("x", 2),), (fs.AffineConstraint(
-        (("x", np.full((1, 4), np.nan)),), np.zeros(1)),)), ValueError, "NaN or Inf"),
+        (("x", np.full((1, 4), np.nan)),), np.zeros(1)),)), TypeError,
+     "term for 'x' is of type ndarray"),
+    (lambda: _sum_problem(coefficient=1j), TypeError, "term for 'x' is of type complex"),
     (lambda: _sum_problem(rhs=np.eye(2)), fs.MatrixShapeError, "1-d"),
     (lambda: _sum_problem(rhs=herm_coords(I2) + 0.5j), ValueError, "real coordinates"),
-    (lambda: fs.PartialTrace((2, 0), 0), fs.MatrixShapeError, "positive integer"),
-    (lambda: fs.PartialTrace((2, 2, 2), 0), fs.MatrixShapeError, "two slot sides"),
-    (lambda: fs.PartialTrace((2, 2), 2), ValueError, "0 or 1"),
-    (lambda: fs.encode_partial_trace_constraint("x", (2, 2), 2, I2), ValueError, "0 or 1"),
+    (lambda: fs.PartialTrace((2, 0)), fs.MatrixShapeError, "positive integer"),
+    (lambda: fs.PartialTrace((2, 2, 2)), fs.MatrixShapeError, "two slot sides"),
+    (lambda: fs.encode_sum_constraint(["x"], np.ones((2, 3))), fs.MatrixShapeError, "not square"),
+    (lambda: fs.encode_partial_trace_constraint("x", (2, 2), np.ones((2, 3))),
+     fs.MatrixShapeError, "not square"),
+    (lambda: fs.encode_partial_trace_constraint("x", (3, 2), I2), fs.MatrixShapeError,
+     "output side"),
+    (lambda: fs.FeasibilityProblem((("x", 2), ("x", 1)), ()), ValueError, "duplicate block"),
+    (lambda: _sum_problem(rhs=np.zeros(1)), fs.MatrixShapeError, r"shape \(4, 4\)"),
+    (lambda: fs.FeasibilityProblem((("x", 2),), (fs.encode_partial_trace_constraint(
+        "x", (2, 2), I2),)), fs.MatrixShapeError, r"shape \(4, 16\)"),
 ], ids=["side-0", "side-negative", "side-bool", "side-float", "nan-target", "inf-target",
-        "inf-rhs", "nan-coefficient", "inf-coefficient", "nan-matrix-term", "2d-rhs",
-        "complex-rhs", "trace-side-0", "trace-three-slots", "trace-keep-2", "encoder-keep-2"])
+        "inf-rhs", "nan-coefficient", "inf-coefficient", "nan-matrix-term",
+        "complex-coefficient", "2d-rhs", "complex-rhs", "trace-side-0", "trace-three-slots",
+        "sum-target-not-square", "trace-target-not-square", "trace-target-side",
+        "duplicate-block", "sum-term-shape", "trace-term-shape"])
 def test_malformed_problems_are_rejected_at_construction(build, error, match):
     with pytest.raises(error, match=match):
         build()
@@ -1087,6 +1146,6 @@ def test_malformed_problems_are_rejected_at_construction(build, error, match):
 def test_well_formed_problems_keep_their_data():
     problem = _sum_problem(side=np.int64(2))
     assert problem.blocks == (("x", 2),) and type(problem.blocks[0][1]) is int
-    assert fs.PartialTrace((np.int64(2), 3), 1) == fs.PartialTrace((2, 3), 1)
+    assert fs.PartialTrace((np.int64(2), 3)) == fs.PartialTrace((2, 3))
     assert problem.rhs.tobytes() == herm_coords(np.eye(2)).tobytes()
     assert fs.solve(problem).verdict == "feasible"

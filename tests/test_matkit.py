@@ -213,6 +213,18 @@ def test_as_matrix_rejects_nonfinite():
         mk.as_matrix(np.array([[np.nan, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: mk.as_matrix(np.zeros((2, 2, 2))), "2-d matrix, got ndim=3"),
+    (lambda: mk.herm_from_coords(np.zeros(3), 2), "expected 4 coordinates, got 3"),
+    (lambda: mk.side_product(2, 0), "sides 2, 0 are not positive integers"),
+    (lambda: mk.side_product(True), "not positive integers"),
+    (lambda: mk.side_product(2.0), "not positive integers"),
+], ids=["matrix-3d", "coords-count", "side-0", "side-bool", "side-float"])
+def test_shape_validators_raise_shape_errors(build, match):
+    with pytest.raises(mk.MatrixShapeError, match=match):
+        build()
+
+
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_herm_coords_roundtrip_isometry(d, seed):

@@ -283,7 +283,7 @@ def test_model_rejects_a_bad_unitary_probe_state_or_pointer(field, value, error)
     (2, "2", 2, 2, np.eye(4)),
 ], ids=["zero-system", "float-input", "bool-probe", "negative-pointer-side", "string-output"])
 def test_model_rejects_sides_that_are_not_positive_integers(din, dout, dv1, dv2, u):
-    # the four sides are checked as a map's two are, by devices._map_side
+    # the four sides are checked as a map's two are, by matkit.side_product
     with pytest.raises(MatrixShapeError, match="not positive integers"):
         mm.MeasurementModel(din, dout, dv1, dv2, I2 / 2, u, sharp_observable(PZ, PMZ))
 

@@ -1,6 +1,9 @@
-"""Smoke tests: the scripts in ``scripts/`` run from a checkout."""
+"""Smoke tests: the scripts in ``scripts/`` and the README's code run from a checkout."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,8 @@ import qcompat
 from qcompat import feasibility as fs
 from qcompat.fixtures import TABLE1_CELLS
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args):
@@ -56,3 +60,12 @@ def test_solve_digest_prints_one_line_per_solve_and_a_digest():
     # every Table-1 cell is among the pairs, and makes a solve without fast paths
     assert {f"{n1}/{n2} engine" for _, _, n1, n2 in TABLE1_CELLS} <= {
         " ".join(ln.split()[:2]) for ln in lines}
+
+
+def test_readme_quick_tour_prints_its_relation():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Quick tour \(library\)\n\n```python\n(.*?)```", readme, re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue() == "weakly_compatible_only\n"
