@@ -3,8 +3,10 @@
 Parses device files, validates them, classifies pairs, dumps witnesses
 and certificates, synthesizes and simulates measurement models, and
 reproduces the built-in demonstration table of relation types on a
-qubit. Output on stdout is deterministic for fixed inputs and flags;
-timings and solver traces go to stderr.
+qubit. One table of subcommands builds the parser; the commands that
+name devices load the file once and resolve and type-check the named
+devices through one helper. Output on stdout is deterministic for fixed
+inputs and flags; timings and solver traces go to stderr.
 
 Device files are JSON documents::
 
@@ -14,11 +16,20 @@ Device files are JSON documents::
        "payload": {...}}
     ]}
 
-Complex numbers are two-element arrays ``[re, im]``; matrices are
-row-major nested arrays of those. Operations and channels take either
-``{"kraus": [matrix, ...]}`` or ``{"choi": matrix}``; instruments take
-``{"outcomes": [...], "branches": {label: kraus-or-choi}}``; models take
-the quintuple fields ``dim_v1, dim_v2, eta, unitary, pointer``.
+Every field is read by its JSON type, never coerced. Complex numbers are
+two-element arrays ``[re, im]`` of JSON numbers (not booleans or
+strings); matrices are row-major nested arrays of those. Operations and
+channels take either ``{"kraus": [matrix, ...]}`` or ``{"choi": matrix}``;
+observables take ``{"outcomes": [...], "effects": {label: matrix}}`` and
+instruments ``{"outcomes": [...], "branches": {label: kraus-or-choi}}``,
+where ``outcomes`` is an array of strings; models take the quintuple
+fields ``dim_v1, dim_v2, eta, unitary, pointer``.
+
+A witness document lists the witness's instruments (one joint instrument,
+or two instruments and their common channel), then, for both kinds by
+one rule, how each device arises from them: ``part_i``, the outcome
+subset of an effect, operation or channel (``null`` otherwise), and
+``pointer_i``, the pointer map of an observable or instrument.
 """
 
 from __future__ import annotations
@@ -53,9 +64,14 @@ class DeviceFileError(ValueError):
 
 
 def _scalar(x) -> complex:
-    if not (isinstance(x, list) and len(x) == 2):
+    """A complex number from ``[re, im]``, two JSON numbers (a boolean is not one)."""
+    if not (isinstance(x, list) and len(x) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)):
         raise DeviceFileError(f"complex scalar must be [re, im], got {x!r}")
-    return complex(float(x[0]), float(x[1]))
+    try:
+        return complex(*x)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise DeviceFileError("complex scalar has an entry beyond the float range") from None
 
 
 def _matrix(rows) -> np.ndarray:
@@ -68,36 +84,49 @@ def _matrix(rows) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
-def _field(payload, key: str, kind: str):
-    """A payload field, or an error that names the missing one."""
+def _field(payload, key: str, kind: str, json_type=None):
+    """A payload field, or an error that names the missing one, or, when
+    ``json_type`` (``list`` or ``dict``) is given, the one of another JSON type."""
     if not isinstance(payload, dict) or key not in payload:
         raise DeviceFileError(f"{kind} payload needs {key!r}")
-    return payload[key]
+    value = payload[key]
+    if json_type is not None and not isinstance(value, json_type):
+        name = "an object" if json_type is dict else "an array"
+        raise DeviceFileError(f"{kind} payload {key!r} must be {name}")
+    return value
+
+
+def _outcomes(payload, kind: str) -> tuple[str, ...]:
+    outcomes = _field(payload, "outcomes", kind)
+    if not isinstance(outcomes, list) or not all(isinstance(x, str) for x in outcomes):
+        raise DeviceFileError(f"{kind} payload 'outcomes' must be an array of strings")
+    return tuple(outcomes)
 
 
 def _cpmap_payload(payload, din, dout, kind, tol) -> dv.CPMap:
     """The map of a Kraus or Choi payload; either form gives it the kind that CPMap
     validation fixes, and a declared channel must preserve trace."""
-    if "kraus" in payload:
-        ops = tuple(_matrix(k) for k in payload["kraus"])
+    fields = payload if isinstance(payload, dict) else {}
+    if "kraus" in fields:
+        ops = tuple(_matrix(k) for k in _field(fields, "kraus", "operation", list))
         for k in ops:
             if k.shape != (dout, din):
                 raise DeviceFileError(
                     f"Kraus operator shape {k.shape} does not match dims ({dout}, {din})"
                 )
         choi = dv.kraus_choi(dv.KrausSet(ops, tol=tol).ops)
-    elif "choi" in payload:
-        choi = _matrix(payload["choi"])
+    elif "choi" in fields:
+        choi = _matrix(fields["choi"])
     else:
         raise DeviceFileError("operation payload needs 'kraus' or 'choi'")
     return dv.CPMap(din, dout, choi, kind=kind, tol=tol)
 
 
 def _observable_payload(payload, tol) -> dv.Observable:
-    outcomes = tuple(str(x) for x in _field(payload, "outcomes", "observable"))
+    outcomes = _outcomes(payload, "observable")
     effects = {
-        str(x): dv.Effect(_matrix(m), tol=tol)
-        for x, m in _field(payload, "effects", "observable").items()
+        x: dv.Effect(_matrix(m), tol=tol)
+        for x, m in _field(payload, "effects", "observable", dict).items()
     }
     return dv.Observable(outcomes, effects, tol=tol)
 
@@ -136,10 +165,10 @@ def parse_device(entry: dict, tol: Tolerances):
     if kind in ("operation", "channel"):
         return _cpmap_payload(payload, din, dout, kind, tol)
     if kind == "instrument":
-        outcomes = tuple(str(x) for x in _field(payload, "outcomes", kind))
+        outcomes = _outcomes(payload, kind)
         branches = {
-            str(x): _cpmap_payload(b, din, dout, "operation", tol)
-            for x, b in _field(payload, "branches", kind).items()
+            x: _cpmap_payload(b, din, dout, "operation", tol)
+            for x, b in _field(payload, "branches", kind, dict).items()
         }
         return dv.Instrument(outcomes, branches, tol=tol)
     if kind == "model":
@@ -171,7 +200,7 @@ def load_device_file(path: str, tol: Tolerances) -> dict:
         name = entry.get("name", "<unnamed>")
         try:
             device = parse_device(entry, tol)
-        except (DeviceFileError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise DeviceFileError(f"device {name!r}: {exc}") from exc
         if name in out:  # parse_device has checked that the name is a string
             raise DeviceFileError(f"device {name!r} defined twice")
@@ -188,13 +217,6 @@ def fmt_matrix(m: np.ndarray) -> list:
     return [[[float(f"{x.real:.12g}"), float(f"{x.imag:.12g}")] for x in row] for row in m]
 
 
-def _emit(doc, args) -> None:
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _emit_text(doc, prefix="")
-
-
 def _flat(v) -> bool:
     return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
 
@@ -204,7 +226,7 @@ def _matrix_row(v) -> bool:
     return isinstance(v, list) and all(_flat(x) for x in v)
 
 
-def _emit_text(doc, prefix: str) -> None:
+def _emit_text(doc, prefix: str = "") -> None:
     if isinstance(doc, dict):
         for k in doc:
             v = doc[k]
@@ -219,13 +241,19 @@ def _emit_text(doc, prefix: str) -> None:
         for v in doc:
             if _flat(v) or _matrix_row(v):
                 print(f"{prefix}- {json.dumps(v)}")
-            elif isinstance(v, list):  # a matrix in a list of matrices
+            elif isinstance(v, (dict, list)):  # an object, or a matrix in a list of matrices
                 print(f"{prefix}-")
-                _emit_text(v, prefix + "  ")
-            elif isinstance(v, dict):
                 _emit_text(v, prefix + "  ")
             else:
                 print(f"{prefix}- {v}")
+
+
+def _emit(doc, args, text=_emit_text) -> None:
+    """Print ``doc`` as JSON, or in the text format through ``text``."""
+    if args.format == "json":
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        text(doc)
 
 
 def _instrument_doc(ins: dv.Instrument) -> dict:
@@ -235,35 +263,30 @@ def _instrument_doc(ins: dv.Instrument) -> dict:
     }
 
 
-def _witness_doc(verdict: cp.Verdict) -> dict:
-    w = verdict.witness
+def _witness_doc(w: cp.CompatWitness | cp.WeakWitness | None) -> dict:
+    """The witness's instruments, then, by one rule for both kinds, how each
+    device arises from them: its subset ``part_i`` and its pointer map ``pointer_i``."""
     if w is None:
         return {"witness": None}
     if isinstance(w, cp.CompatWitness):
+        doc = {"kind": "joint-instrument", "instrument": _instrument_doc(w.instrument)}
+    else:
         doc = {
-            "kind": "joint-instrument",
-            "instrument": _instrument_doc(w.instrument),
-            "part_1": list(w.part_1) if w.part_1 is not None else None,
-            "part_2": list(w.part_2) if w.part_2 is not None else None,
+            "kind": "shared-total-instrument-pair",
+            "instrument_1": _instrument_doc(w.instrument_1),
+            "instrument_2": _instrument_doc(w.instrument_2),
+            "common_channel": {"choi": fmt_matrix(w.common_channel.choi)},
         }
-        if w.pointer_1 is not None:
-            doc["pointer_1"] = dict(w.pointer_1.mapping)
-        if w.pointer_2 is not None:
-            doc["pointer_2"] = dict(w.pointer_2.mapping)
-        if w.joint_observable is not None:
-            doc["joint_observable"] = {
-                x: fmt_matrix(w.joint_observable.effects[x].matrix)
-                for x in w.joint_observable.outcomes
-            }
-        return doc
-    doc = {
-        "kind": "shared-total-instrument-pair",
-        "instrument_1": _instrument_doc(w.instrument_1),
-        "instrument_2": _instrument_doc(w.instrument_2),
-        "common_channel": {"choi": fmt_matrix(w.common_channel.choi)},
-        "part_1": list(w.part_1) if w.part_1 is not None else None,
-        "part_2": list(w.part_2) if w.part_2 is not None else None,
-    }
+    doc["part_1"] = list(w.part_1) if w.part_1 is not None else None
+    doc["part_2"] = list(w.part_2) if w.part_2 is not None else None
+    for key, pointer in (("pointer_1", w.pointer_1), ("pointer_2", w.pointer_2)):
+        if pointer is not None:
+            doc[key] = dict(pointer.mapping)
+    observable = getattr(w, "joint_observable", None)
+    if observable is not None:
+        doc["joint_observable"] = {
+            x: fmt_matrix(observable.effects[x].matrix) for x in observable.outcomes
+        }
     return doc
 
 
@@ -282,9 +305,12 @@ def _trace_fn(args):
     return None
 
 
+def _exit_code(relations) -> int:
+    return EXIT_UNDECIDED if "undecided" in relations else EXIT_OK
+
+
 def cmd_validate(args) -> int:
-    tol = _tolerances(args)
-    devices = load_device_file(args.file, tol)
+    devices = load_device_file(args.file, _tolerances(args))
     doc = {"devices": [{"name": n, "type": _type_name(d), "status": "ok"} for n, d in devices.items()]}
     _emit(doc, args)
     return EXIT_OK
@@ -296,49 +322,44 @@ def _type_name(device) -> str:
     return cp._kind(device)
 
 
-def _resolve(devices: dict, name: str):
-    if name not in devices:
-        raise DeviceFileError(f"no device named {name!r} in the file")
-    return devices[name]
-
-
-def _classify_pair(args, devices):
-    d1 = _resolve(devices, args.name1)
-    d2 = _resolve(devices, args.name2)
+def _load(args, *names, types=object, wrong_type=""):
+    """The tolerances of ``args``, then each named device of ``args.file``, loaded
+    once; a device that is not one of ``types`` is invalid input: ``'name' wrong_type``."""
     tol = _tolerances(args)
+    devices = load_device_file(args.file, tol)
+    for name in names:
+        if name not in devices:
+            raise DeviceFileError(f"no device named {name!r} in the file")
+        if not isinstance(devices[name], types):
+            raise DeviceFileError(f"{name!r} {wrong_type}")
+    return (tol, *(devices[name] for name in names))
+
+
+def _classified(args):
+    """The tolerances, the verdict on the named pair, and the head of its document."""
+    tol, d1, d2 = _load(args, args.name1, args.name2)
     start = time.perf_counter()
     verdict = cp.classify(
         d1, d2, tol=tol, fast_paths=not args.no_fast_paths, trace=_trace_fn(args),
     )
     elapsed = time.perf_counter() - start
     print(f"classified in {elapsed:.3f}s", file=sys.stderr)
-    return verdict
+    doc = {"pair": [args.name1, args.name2], "relation": verdict.relation, "notes": verdict.notes}
+    return tol, verdict, doc
 
 
 def cmd_classify(args) -> int:
-    devices = load_device_file(args.file, _tolerances(args))
-    verdict = _classify_pair(args, devices)
-    doc = {
-        "pair": [args.name1, args.name2],
-        "relation": verdict.relation,
-        "notes": verdict.notes,
-    }
+    _, verdict, doc = _classified(args)
     _emit(doc, args)
-    return EXIT_UNDECIDED if verdict.relation == "undecided" else EXIT_OK
+    return _exit_code([verdict.relation])
 
 
 def cmd_witness(args) -> int:
-    devices = load_device_file(args.file, _tolerances(args))
-    verdict = _classify_pair(args, devices)
-    doc = {
-        "pair": [args.name1, args.name2],
-        "relation": verdict.relation,
-        "notes": verdict.notes,
-        "witness": _witness_doc(verdict),
-    }
-    if verdict.witness is not None and verdict.witness.part_1 is not None \
-            and verdict.witness.part_2 is not None:
-        cert = cp.kraus_witness(verdict, _tolerances(args))
+    tol, verdict, doc = _classified(args)
+    w = verdict.witness
+    doc["witness"] = _witness_doc(w)
+    if w is not None and w.part_1 is not None and w.part_2 is not None:
+        cert = cp.kraus_witness(verdict, tol)
         doc["kraus_certificate"] = {
             "kind": cert.kind,
             "k_ops": [fmt_matrix(k) for k in cert.k_ops],
@@ -347,15 +368,12 @@ def cmd_witness(args) -> int:
             "j2": list(cert.j2),
         }
     _emit(doc, args)
-    return EXIT_UNDECIDED if verdict.relation == "undecided" else EXIT_OK
+    return _exit_code([verdict.relation])
 
 
 def cmd_dilate(args) -> int:
-    tol = _tolerances(args)
-    devices = load_device_file(args.file, tol)
-    device = _resolve(devices, args.name)
-    if not isinstance(device, dv.CPMap):
-        raise DeviceFileError(f"{args.name!r} is not an operation or channel")
+    tol, device = _load(args, args.name, types=dv.CPMap,
+                        wrong_type="is not an operation or channel")
     dil = dl.minimal_stinespring(device, tol)
     doc = {
         "name": args.name,
@@ -371,11 +389,7 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_model(args) -> int:
-    tol = _tolerances(args)
-    devices = load_device_file(args.file, tol)
-    device = _resolve(devices, args.name)
-    if not isinstance(device, dv.Instrument):
-        raise DeviceFileError(f"{args.name!r} is not an instrument")
+    tol, device = _load(args, args.name, types=dv.Instrument, wrong_type="is not an instrument")
     model = mm.synthesize_model(device, tol)
     doc = {
         "name": args.name,
@@ -400,15 +414,9 @@ def cmd_model(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    tol = _tolerances(args)
-    devices = load_device_file(args.file, tol)
-    device = _resolve(devices, args.name)
-    if isinstance(device, dv.Instrument):
-        model = mm.synthesize_model(device, tol)
-    elif isinstance(device, mm.MeasurementModel):
-        model = device
-    else:
-        raise DeviceFileError(f"{args.name!r} is neither a model nor an instrument")
+    tol, device = _load(args, args.name, types=(dv.Instrument, mm.MeasurementModel),
+                        wrong_type="is neither a model nor an instrument")
+    model = mm.synthesize_model(device, tol) if isinstance(device, dv.Instrument) else device
     try:
         rho = _matrix(json.loads(args.state))
     except json.JSONDecodeError as exc:
@@ -440,46 +448,35 @@ _RELATION_OF_ROW = {
 }
 
 
+def _table_text(doc) -> None:
+    """The text format of ``table1``: the table, then one line per cell."""
+    width = max(len(r) for r in ROW_ORDER) + 2
+    print("Relations between qubit device pairs")
+    print(" " * width + "  ".join(f"{c:^5}" for c in COL_ORDER))
+    for row, marks in doc["table"].items():
+        print(f"{row:<{width}}" + "  ".join(f"{mark:^5}" for mark in marks.values()))
+    print()
+    for d in doc["cells"]:
+        print(f"{d['cell']}: {d['pair'][0]} vs {d['pair'][1]} -> {d['relation']}")
+
+
 def cmd_table1(args) -> int:
     tol = _tolerances(args)
     devices = builtin_devices()
     trace = _trace_fn(args)
-    results = {}
-    details = []
+    doc = {"table": {row: dict.fromkeys(COL_ORDER, "") for row in ROW_ORDER}, "cells": []}
     for col, row, n1, n2 in TABLE1_CELLS:
         verdict = cp.classify(
             devices[n1], devices[n2], tol=tol, fast_paths=not args.no_fast_paths, trace=trace,
         )
-        ok = verdict.relation == _RELATION_OF_ROW[row]
-        results[(row, col)] = "✓" if ok else "?"
-        details.append(
+        doc["table"][row][col] = "✓" if verdict.relation == _RELATION_OF_ROW[row] else "?"
+        doc["cells"].append(
             {"cell": f"{row} / {col}", "pair": [n1, n2], "relation": verdict.relation,
              "notes": verdict.notes}
         )
-    results[("strongly incompatible", "ef-ef")] = "×"
-
-    if args.format == "json":
-        doc = {
-            "table": {
-                row: {col: results.get((row, col), "") for col in COL_ORDER}
-                for row in ROW_ORDER
-            },
-            "cells": details,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        width = max(len(r) for r in ROW_ORDER) + 2
-        header = " " * width + "  ".join(f"{c:^5}" for c in COL_ORDER)
-        print("Relations between qubit device pairs")
-        print(header)
-        for row in ROW_ORDER:
-            cells = "  ".join(f"{results.get((row, col), ''):^5}" for col in COL_ORDER)
-            print(f"{row:<{width}}" + cells)
-        print()
-        for d in details:
-            print(f"{d['cell']}: {d['pair'][0]} vs {d['pair'][1]} -> {d['relation']}")
-    bad = [d for d in details if d["relation"] == "undecided"]
-    return EXIT_UNDECIDED if bad else EXIT_OK
+    doc["table"]["strongly incompatible"]["ef-ef"] = "×"
+    _emit(doc, args, text=_table_text)
+    return _exit_code([d["relation"] for d in doc["cells"]])
 
 
 # ---------------------------------------------------------------------------
@@ -502,43 +499,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true", help="solver trace on stderr")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and validate a device file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("classify", help="three-way classification of a device pair")
-    p.add_argument("file")
-    p.add_argument("name1")
-    p.add_argument("name2")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("witness", help="classification plus witness dump")
-    p.add_argument("file")
-    p.add_argument("name1")
-    p.add_argument("name2")
-    p.set_defaults(fn=cmd_witness)
-
-    p = sub.add_parser("dilate", help="minimal dilation of an operation or channel")
-    p.add_argument("file")
-    p.add_argument("name")
-    p.set_defaults(fn=cmd_dilate)
-
-    p = sub.add_parser("model", help="synthesize a measurement model for an instrument")
-    p.add_argument("file")
-    p.add_argument("name")
-    p.set_defaults(fn=cmd_model)
-
-    p = sub.add_parser("simulate", help="outcome probability and post-state of a model")
-    p.add_argument("file")
-    p.add_argument("name")
-    p.add_argument("--state", required=True, help="input state as a JSON matrix")
-    p.add_argument("--outcomes", default="", help="comma-separated outcome subset")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("table1", help="built-in demo: the relation table on a qubit")
-    p.set_defaults(fn=cmd_table1)
-
+    pair, one = ("file", "name1", "name2"), ("file", "name")
+    for name, help_, positionals, fn in (
+        ("validate", "parse and validate a device file", ("file",), cmd_validate),
+        ("classify", "three-way classification of a device pair", pair, cmd_classify),
+        ("witness", "classification plus witness dump", pair, cmd_witness),
+        ("dilate", "minimal dilation of an operation or channel", one, cmd_dilate),
+        ("model", "synthesize a measurement model for an instrument", one, cmd_model),
+        ("simulate", "outcome probability and post-state of a model", one, cmd_simulate),
+        ("table1", "built-in demo: the relation table on a qubit", (), cmd_table1),
+    ):
+        p = sub.add_parser(name, help=help_)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(fn=fn)
+    simulate = sub.choices["simulate"]
+    simulate.add_argument("--state", required=True, help="input state as a JSON matrix")
+    simulate.add_argument("--outcomes", default="", help="comma-separated outcome subset")
     return parser
 
 
@@ -547,9 +524,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DeviceFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except cp.UnsupportedPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

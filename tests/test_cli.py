@@ -163,10 +163,37 @@ def _entry(kind, payload, dims=None):
                        "unitary": jmat(np.eye(4)), "pointer": {
                            "outcomes": ["+", "-"], "effects": {"+": jmat(PZ), "-": jmat(PMZ)}}})],
      "sides 2, 2.0 are not positive integers"),
+    # every field is read by its JSON type: no string is split, no entry goes through float()
+    ([_entry("observable", {"outcomes": "+-", "effects": {"+": jmat(PZ), "-": jmat(PMZ)}},
+             {"in": 2})], "observable payload 'outcomes' must be an array of strings"),
+    ([_entry("instrument", {"outcomes": "+-", "branches": {
+        "+": {"kraus": [jmat(PZ)]}, "-": {"kraus": [jmat(PMZ)]}}})],
+     "instrument payload 'outcomes' must be an array of strings"),
+    ([_entry("observable", {"outcomes": [0, 1], "effects": {"0": jmat(PZ), "1": jmat(PMZ)}},
+             {"in": 2})], "observable payload 'outcomes' must be an array of strings"),
+    ([_entry("effect", {"matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}, {"in": 2})],
+     "complex scalar must be [re, im], got [True, 0]"),
+    ([_entry("effect", {"matrix": [[[1, 0], [0, False]], [[0, 0], [0, 0]]]}, {"in": 2})],
+     "complex scalar must be [re, im], got [0, False]"),
+    ([_entry("effect", {"matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0, 0]]]}, {"in": 2})],
+     "complex scalar must be [re, im], got ['0.5', 0]"),
+    ([_entry("effect", {"matrix": [[[None, 0], [0, 0]], [[0, 0], [0, 0]]]}, {"in": 2})],
+     "complex scalar must be [re, im], got [None, 0]"),
+    ([_entry("effect", {"matrix": [[[10**400, 0]]]}, {"in": 1})],
+     "complex scalar has an entry beyond the float range"),
+    ([_entry("instrument", {"outcomes": ["+"], "branches": [{"kraus": [jmat(I2)]}]})],
+     "instrument payload 'branches' must be an object"),
+    ([_entry("operation", "kraus")], "operation payload needs 'kraus' or 'choi'"),
+    ([_entry("instrument", {"outcomes": ["+"], "branches": {"+": "kraus"}})],
+     "operation payload needs 'kraus' or 'choi'"),
+    ([_entry("operation", {"kraus": 5})], "operation payload 'kraus' must be an array"),
 ], ids=["observable-dims", "effect-dims", "kraus-shape", "kraus-channel-not-tp",
         "choi-channel-not-tp", "no-payload-form", "unknown-type", "name-twice",
         "float-in", "bool-in-string-out", "string-out", "float-out", "zero-in", "null-in",
-        "list-dims", "float-probe-side"])
+        "list-dims", "float-probe-side", "observable-outcomes-string",
+        "instrument-outcomes-string", "number-outcomes", "true-entry", "false-entry",
+        "string-entry", "null-entry", "huge-entry", "branches-list", "payload-string", "branch-string",
+        "kraus-number"])
 def test_validate_rejects_a_bad_device(devices, message, tmp_path, capsys):
     code, out, err = run_cli(["validate", _write(tmp_path, devices)], capsys)
     assert code == 2
@@ -226,21 +253,35 @@ def test_validate_rejects_an_unreadable_or_invalid_file(tmp_path, capsys):
     assert err.startswith(f"error: invalid JSON in {broken}")
 
 
-@pytest.mark.parametrize("doc", [
-    [1, 2],
-    {"devices": [1]},
-    {"devices": [{"name": "e", "type": "effect", "dims": 3,
-                  "payload": {"matrix": jmat(PX)}}]},
-    {"devices": [{"name": "o", "type": "observable",
-                  "payload": {"outcomes": ["0", "1"], "effects": [jmat(PZ), jmat(PMZ)]}}]},
-    {"devices": [{"name": ["e"], "type": "effect", "payload": {"matrix": jmat(PX)}}]},
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], None),
+    ({"devices": [1]}, None),
+    ({"devices": [{"name": "e", "type": "effect", "dims": 3,
+                   "payload": {"matrix": jmat(PX)}}]}, None),
+    ({"devices": [{"name": "o", "type": "observable",
+                   "payload": {"outcomes": ["0", "1"], "effects": [jmat(PZ), jmat(PMZ)]}}]},
+     "error: device 'o': observable payload 'effects' must be an object"),
+    ({"devices": [{"name": ["e"], "type": "effect", "payload": {"matrix": jmat(PX)}}]}, None),
 ], ids=["top-level-array", "non-object-entry", "non-object-dims", "effects-list", "list-name"])
-def test_validate_rejects_malformed_structure(doc, tmp_path, capsys):
+def test_validate_rejects_malformed_structure(doc, message, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(["validate", str(bad)], capsys)
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith(message or "error: ")
+
+
+def test_validate_text_marks_each_device(tmp_path, capsys):
+    # an object in a list is marked with "-", as a matrix in a list is
+    devices = [{"name": n, "type": "effect", "payload": {"matrix": jmat(m)}}
+               for n, m in (("px", PX), ("pz", PZ))]
+    code, out, _ = run_cli(["validate", _write(tmp_path, devices)], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "devices:",
+        "  -", "    name: px", "    type: effect", "    status: ok",
+        "  -", "    name: pz", "    type: effect", "    status: ok",
+    ]
 
 
 def test_classify_weak_pair(device_file, capsys):
@@ -288,6 +329,20 @@ def test_witness_weak_pair_structure(device_file, capsys):
     w = doc["witness"]
     assert w["kind"] == "shared-total-instrument-pair"
     assert "common_channel" in w
+
+
+@pytest.mark.parametrize("pair, i", [(("sharp_z", "px"), 1), (("px", "sharp_z"), 2)])
+def test_weak_witness_carries_the_pointer_map(pair, i, device_file, capsys):
+    # a weak witness says how each device arises from its instrument: a subset or a pointer
+    code, out, _ = run_cli(["--format", "json", "witness", device_file, *pair], capsys)
+    assert code == 0
+    w = json.loads(out)["witness"]
+    assert w["kind"] == "shared-total-instrument-pair"
+    devices = cli.load_device_file(device_file, cli.Tolerances())
+    want = qcompat.classify(*(devices[n] for n in pair)).witness
+    assert w[f"part_{i}"] is None and w[f"part_{3 - i}"] is not None
+    assert w[f"pointer_{i}"] == getattr(want, f"pointer_{i}").mapping
+    assert f"pointer_{3 - i}" not in w
 
 
 def test_witness_reports_a_kraus_certificate_that_fails_its_checks(

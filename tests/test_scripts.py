@@ -1,9 +1,11 @@
 """Smoke tests: the scripts in ``scripts/`` and the README's code run from a checkout."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +62,30 @@ def test_solve_digest_prints_one_line_per_solve_and_a_digest():
     # every Table-1 cell is among the pairs, and makes a solve without fast paths
     assert {f"{n1}/{n2} engine" for _, _, n1, n2 in TABLE1_CELLS} <= {
         " ".join(ln.split()[:2]) for ln in lines}
+
+
+def test_cli_digest_describes_one_invocation_per_command():
+    spec = importlib.util.spec_from_file_location("cli_digest", SCRIPTS / "cli_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    argvs = list(digest.invocations())
+    # validate, table1 on two routes, three commands per device, two per ordered pair and route
+    assert len({tuple(a) for a in argvs}) == len(argvs) == (1 + 2 + 3 * 10 + 2 * 100 * 2) * 2
+    first = {}
+    for argv in argvs:
+        first.setdefault(next(a for a in argv[2:] if not a.startswith("--")), argv)
+    exits = {}
+    for command, argv in first.items():
+        line = digest.line(argv)
+        assert line.startswith(shlex.join(argv) + " exit=")
+        exit_, out, err = line[len(shlex.join(argv)) + 1 :].split()
+        assert re.fullmatch(r"out=[0-9a-f]{16}", out) and re.fullmatch(r"err=[0-9a-f]{16}", err)
+        exits[command] = int(exit_.removeprefix("exit="))
+    # the first device, the effect px, has no dilation, model or simulation
+    assert exits == {"validate": 0, "table1": 0, "dilate": 2, "model": 2, "simulate": 2,
+                     "classify": 0, "witness": 0}
+    # the timing on stderr is masked, so a line repeats
+    assert digest.line(first["witness"]) == digest.line(first["witness"])
 
 
 def test_readme_quick_tour_prints_its_relation():
