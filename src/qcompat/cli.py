@@ -263,11 +263,12 @@ def _instrument_doc(ins: dv.Instrument) -> dict:
     }
 
 
-def _witness_doc(w: cp.CompatWitness | cp.WeakWitness | None) -> dict:
+def _witness_doc(w: cp.CompatWitness | cp.WeakWitness | None) -> dict | None:
     """The witness's instruments, then, by one rule for both kinds, how each
-    device arises from them: its subset ``part_i`` and its pointer map ``pointer_i``."""
+    device arises from them: its subset ``part_i`` and its pointer map
+    ``pointer_i``. None when the verdict has no witness."""
     if w is None:
-        return {"witness": None}
+        return None
     if isinstance(w, cp.CompatWitness):
         doc = {"kind": "joint-instrument", "instrument": _instrument_doc(w.instrument)}
     else:

@@ -199,7 +199,7 @@ def _row(blocks, target: np.ndarray, din: int, dout: int, fixed=None) -> fs.Affi
 
     Targets come from validated devices, or are their sums and differences,
     so they are exactly Hermitian: the row takes their coordinates once,
-    without the public encoders' ``hermitian_part``.
+    without a ``hermitian_part``.
     """
     full = target.shape[0] == din * dout
     op = 1.0 if full else fs.PartialTrace((din, dout))

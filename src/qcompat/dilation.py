@@ -164,26 +164,6 @@ def rn_observable(
     return Observable(ins.outcomes, effects, tol=tol)
 
 
-def ancilla_intertwiner(
-    dil1: StinespringDilation, dil2: StinespringDilation, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Unitary U with ``V2 = (1 (x) U) V1`` relating two minimal dilations."""
-    if dil1.ancilla_dim != dil2.ancilla_dim:
-        raise MatrixShapeError("ancilla dimensions differ; dilations cannot both be minimal")
-    if (dil1.dim_in, dil1.dim_out) != (dil2.dim_in, dil2.dim_out):
-        raise MatrixShapeError("dilations belong to maps of different dimensions")
-    da, dk = dil1.ancilla_dim, dil1.dim_out
-    # K2_a = sum_b U_ab K1_b, that is W2 = W1 U^T
-    u = (np.linalg.pinv(dil1.kraus_columns()) @ dil2.kraus_columns()).T
-    if not close(u @ u.conj().T, np.eye(da), tol) or not close(
-        u.conj().T @ u, np.eye(da), tol
-    ):
-        raise ValueError("no unitary intertwiner found; a dilation is not minimal")
-    if frob_norm(dil2.v - kron(np.eye(dk), u) @ dil1.v) > 1e-7 * (1 + frob_norm(dil2.v)):
-        raise ValueError("intertwiner does not relate the dilations")
-    return u
-
-
 @dataclass(frozen=True, eq=False)
 class AncillaReport:
     """Ancilla-level account of a compatibility verdict."""

@@ -58,13 +58,11 @@ from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
-    as_matrix,
     frob_norm,
     herm_coords,
     herm_from_coords,
     herm_stack_coords,
     herm_stack_from_coords,
-    hermitian_part,
     kron,
     kron_unchecked,
     side_product,
@@ -181,41 +179,6 @@ class FeasibilityOutcome:
     residual: float
     iterations: int
     exit: str
-
-
-# ---------------------------------------------------------------------------
-# constraint encoders
-# ---------------------------------------------------------------------------
-
-
-def _target(target: np.ndarray) -> np.ndarray:
-    """Hermitian part of a square target; MatrixShapeError unless it is square."""
-    target = as_matrix(target)
-    if target.shape[0] != target.shape[1]:
-        raise MatrixShapeError(f"target of shape {target.shape} is not square")
-    return hermitian_part(target)
-
-
-def encode_sum_constraint(blocks, target: np.ndarray) -> AffineConstraint:
-    """Encode ``sum_i c_i X_i = target`` for same-side blocks.
-
-    ``blocks`` is an iterable of names or (name, coefficient) pairs;
-    bare names get coefficient +1.
-    """
-    target = _target(target)
-    terms = (item if isinstance(item, tuple) else (item, 1.0) for item in blocks)
-    return AffineConstraint(tuple((n, float(c)) for n, c in terms), herm_coords(target))
-
-
-def encode_partial_trace_constraint(
-    block: str, dims: tuple[int, int], target: np.ndarray
-) -> AffineConstraint:
-    """Encode ``Tr_2(X) = target`` for a block on the bipartite space ``dims``."""
-    op = PartialTrace(tuple(dims))
-    target = _target(target)
-    if target.shape[0] != op.dims[0]:
-        raise MatrixShapeError("target side does not match the partial trace's output side")
-    return AffineConstraint(((block, op),), herm_coords(target))
 
 
 @functools.cache

@@ -1,10 +1,9 @@
 """The completely-positive partial order and related structure tests.
 
 Contains the CP order on operations, purity and comparability tests,
-the one-parameter channel family above an operation with rank-1 trace
-deficit and a closed-form test of whether two such families meet (both
-read the deficit by one rank rule), and the output state of a
-contraction channel.
+a closed-form test of whether the one-parameter channel families above
+two operations with rank-1 trace deficit meet, and the output state of
+a contraction channel.
 """
 
 from __future__ import annotations
@@ -89,24 +88,6 @@ def _deficit_vector(phi: CPMap, tol: Tolerances) -> np.ndarray | None:
     if r > 1:
         raise RankConditionError(f"trace deficit has rank {r} > 1")
     return np.sqrt(evals[-1]) * vecs[:, -1] if r else None
-
-
-def rank1_channel_family(phi: CPMap, xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CPMap:
-    """The channel ``rho -> phi(rho) + tr[rho E] xi`` above a rank-1-deficit map.
-
-    ``E = 1 - phi_H(1)`` must have rank at most 1; every channel above
-    ``phi`` has this form, parametrized by the completion state ``xi``,
-    with Choi matrix ``J + (u u*) (x) xi`` for ``E^T = u u*``.
-    A map that is already a channel (rank-0 deficit) gives itself.
-    """
-    u = _deficit_vector(phi, tol)
-    if u is None:
-        return CPMap(phi.dim_in, phi.dim_out, phi.choi, kind="channel", tol=tol)
-    xi = hermitian_part(np.asarray(xi, dtype=complex))
-    if xi.shape != (phi.dim_out, phi.dim_out):
-        raise MatrixShapeError("completion state must live on the output space")
-    j = phi.choi + kron(np.outer(u, u.conj()), xi)
-    return CPMap(phi.dim_in, phi.dim_out, j, kind="channel", tol=tol)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 import numpy as np
 
 from qcompat.devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus
+from qcompat.feasibility import AffineConstraint, PartialTrace
 from qcompat.matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
     as_matrix,
+    herm_coords,
     hermitian_part,
     is_hermitian,
 )
@@ -143,6 +145,21 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     if keep == 0:
         return np.ascontiguousarray(np.einsum("ikjk->ij", t))
     return np.ascontiguousarray(np.einsum("kikj->ij", t))
+
+
+def sum_constraint(blocks, target: np.ndarray) -> AffineConstraint:
+    """The typed row ``sum_i c_i X_i = target`` for same-side blocks, with the
+    target's Hermitian part as right-hand side. ``blocks`` holds names or
+    (name, coefficient) pairs; a bare name gets coefficient +1."""
+    terms = (item if isinstance(item, tuple) else (item, 1.0) for item in blocks)
+    rhs = herm_coords(hermitian_part(as_matrix(target)))
+    return AffineConstraint(tuple((n, float(c)) for n, c in terms), rhs)
+
+
+def partial_trace_constraint(block: str, dims: tuple[int, int], target) -> AffineConstraint:
+    """The typed row ``Tr_2(X) = target`` for a block on the bipartite space ``dims``."""
+    rhs = herm_coords(hermitian_part(as_matrix(target)))
+    return AffineConstraint(((block, PartialTrace(tuple(dims))),), rhs)
 
 
 def is_psd(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -345,6 +345,18 @@ def test_weak_witness_carries_the_pointer_map(pair, i, device_file, capsys):
     assert f"pointer_{3 - i}" not in w
 
 
+def test_a_verdict_without_a_witness_prints_a_null_witness(capsys):
+    example = Path(__file__).resolve().parents[1] / "scripts" / "example_devices.json"
+    code, out, _ = run_cli(
+        ["--format", "json", "witness", str(example), "luders_px", "luders_pz"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["relation"] == "strongly_incompatible"
+    assert doc["witness"] is None
+    assert "kraus_certificate" not in doc
+
+
 def test_witness_reports_a_kraus_certificate_that_fails_its_checks(
     device_file, capsys, monkeypatch
 ):

@@ -40,6 +40,7 @@ from qcompat.fixtures import (
 
 from conftest import (
     below_common_channel,
+    partial_trace_constraint,
     rand_complex,
     rand_cpmap,
     rand_effect,
@@ -49,6 +50,7 @@ from conftest import (
     rand_observable,
     rand_rank1_deficit_op,
     rand_state,
+    sum_constraint,
 )
 
 
@@ -711,8 +713,8 @@ def _ref_row(names, target, dims) -> fs.AffineConstraint:
     the target has the blocks' side, its partial trace over the output when it
     is smaller."""
     if target.shape[0] == dims[0] * dims[1]:
-        return fs.encode_sum_constraint(names, target)
-    rows = [fs.encode_partial_trace_constraint(n, dims, target) for n in names]
+        return sum_constraint(names, target)
+    rows = [partial_trace_constraint(n, dims, target) for n in names]
     return fs.AffineConstraint(tuple(r.terms[0] for r in rows), rows[0].rhs)
 
 
@@ -741,9 +743,9 @@ def _weak_problem_with_channel_block(d1, d2) -> fs.FeasibilityProblem:
         blocks += own
         if const is None:
             terms = lam_terms + [(n, -1.0) for n in own]
-            cons.append(fs.encode_sum_constraint(terms, _ref_sum(fixed, side)))
+            cons.append(sum_constraint(terms, _ref_sum(fixed, side)))
         else:
-            cons.append(fs.encode_sum_constraint(own, const - _ref_sum(fixed, side)))
+            cons.append(sum_constraint(own, const - _ref_sum(fixed, side)))
     if chan is None:
         cons.append(_ref_row(["lam"], np.eye(din), (din, dout)))
     cons += [_ref_row([cp._weak_name(i, x)], t, (din, dout))
@@ -1944,28 +1946,27 @@ def test_tampered_weak_witness_is_rejected(case, error):
 
 
 def _encoded_row(blocks, target, din, dout, fixed=None):
-    """``cp._row``'s rule, written through the public encoders."""
+    """``cp._row``'s rule, written through the reference row helpers of conftest."""
     if target.shape[0] == din * dout:
-        return fs.encode_sum_constraint([n for n, _ in blocks],
-                                        target if fixed is None else target - fixed)
-    row = fs.encode_partial_trace_constraint(blocks[0][0], (din, dout), target)
+        return sum_constraint([n for n, _ in blocks], target if fixed is None else target - fixed)
+    row = partial_trace_constraint(blocks[0][0], (din, dout), target)
     op = row.terms[0][1]
     rhs = row.rhs if fixed is None else row.rhs - op.matrix @ herm_coords(fixed)
     return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks), rhs)
 
 
 def _encoded_totals_row(d1, d2, terms):
-    """``weak_problem``'s first row through ``encode_sum_constraint``."""
+    """``weak_problem``'s first row through ``sum_constraint``."""
     din, dout = cp._dims(d1, d2)
     side = din * dout
     fixed = [cp._sum([m for m in cp._parts(d).values() if m is not None and m.shape[0] == side],
                      side) for d in (d1, d2)]
-    return fs.encode_sum_constraint(terms, fixed[0] - fixed[1])
+    return sum_constraint(terms, fixed[0] - fixed[1])
 
 
 @pytest.mark.parametrize("builder", [cp.joint_problem, cp.weak_problem])
 def test_problem_rows_equal_the_encoders_rows_byte_for_byte(builder, monkeypatch):
-    # the builders write each row once, without the encoders' hermitian_part:
+    # the builders write each row once, without the helpers' hermitian_part:
     # their targets are exactly Hermitian, so the rows keep their bytes
     pairs = [(DEV[a], DEV[b]) for a in DEV for b in DEV]
     built = [builder(d1, d2) for d1, d2 in pairs]

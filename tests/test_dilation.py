@@ -3,11 +3,10 @@ import pytest
 
 from qcompat import devices as dv
 from qcompat import dilation as dl
-from qcompat import matkit as mk
 from qcompat.devices import CPMap, Instrument, KrausSet, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PX, PZ, luders_of
 
-from conftest import hermitian_basis, rand_complex, rand_cpmap, rand_herm, rand_state
+from conftest import hermitian_basis, rand_cpmap, rand_herm, rand_state
 
 
 def x_dephasing():
@@ -88,20 +87,6 @@ def test_rn_raises_on_zero_padded_dilation():
     assert np.allclose(padded.heisenberg(PZ), dv.apply_h(lam, PZ), atol=1e-12)
     with pytest.raises(dl.NonMinimalDilationError):
         dl.radon_nikodym_effect(padded, CPMap(2, 2, lam.choi / 2))
-
-
-def test_unitary_freedom_between_minimal_dilations():
-    rng = np.random.default_rng(55)
-    lam = rand_cpmap(rng, 2, 2, n_ops=2, channel=True)
-    dil1 = dl.minimal_stinespring(lam)
-    # an independently presented minimal dilation: rotate the ancilla
-    g = rand_complex(rng, dil1.ancilla_dim)
-    q, _ = np.linalg.qr(g)
-    v2 = mk.kron(np.eye(2), q) @ dil1.v
-    dil2 = dl.StinespringDilation(lam, v2, dil1.ancilla_dim, True)
-    u = dl.ancilla_intertwiner(dil1, dil2)
-    assert np.allclose(u @ u.conj().T, np.eye(dil1.ancilla_dim), atol=1e-8)
-    assert np.linalg.norm(v2 - mk.kron(np.eye(2), u) @ dil1.v) <= 1e-7
 
 
 def test_rn_effect_of_whole_map_is_identity():

@@ -20,11 +20,13 @@ from conftest import (
     below_common_channel,
     hermitian_basis,
     is_psd,
+    partial_trace_constraint,
     rand_complex,
     rand_effect,
     rand_herm,
     rand_kraus,
     rand_psd,
+    sum_constraint,
 )
 
 
@@ -78,7 +80,7 @@ def test_certificate_bound_of_negative_trace():
 def test_certificate_needs_psd_direction_without_fixed_trace():
     # X = diag(-1, 0): every direction lies in the row space, and a non-PSD z
     # gives no bound, whatever its weight; z is not shifted towards the cone
-    c = fs.encode_sum_constraint(["x"], np.diag([-1.0, 0.0]))
+    c = sum_constraint(["x"], np.diag([-1.0, 0.0]))
     layout, frame, x0 = affine_data(fs.FeasibilityProblem((("x", 2),), (c,)))
     for diag, bound in (([-1.0, 0.0], None), ([1.0, 0.0], -1.0)):
         got = fs._certificate_bound(frame.project(herm_coords(np.diag(diag))), layout, x0)
@@ -241,7 +243,7 @@ def test_affine_inconsistency_reported_distinctly():
 
 def pinned_sum_problem(target, trace_x=None):
     """``x + y = target`` on two qubit blocks, optionally with ``tr x`` fixed."""
-    cons = [fs.encode_sum_constraint(("x", "y"), target)]
+    cons = [sum_constraint(("x", "y"), target)]
     if trace_x is not None:
         cons.append(trace_row(trace_x, ("x", 2)))
     return fs.FeasibilityProblem((("x", 2), ("y", 2)), tuple(cons))
@@ -264,7 +266,7 @@ def test_partial_trace_over_a_trivial_slot_bounds_the_support():
     # target of full range bounds nothing
     for dims, target, rank in (((2, 1), np.diag([1.0, 0.0]), 1), ((1, 2), np.eye(1), None),
                                ((2, 2), np.diag([1.0, 0.0]), 2)):
-        row = fs.encode_partial_trace_constraint("j", dims, target=target.T)
+        row = partial_trace_constraint("j", dims, target=target.T)
         problem = fs.FeasibilityProblem((("j", dims[0] * dims[1]),), (row,))
         bounds = fs._support_bounds(problem, fs.DEFAULT_TOL)
         assert (bounds["j"].shape[1] if bounds else None) == rank
@@ -331,8 +333,8 @@ def test_support_bounds_never_cut_off_a_psd_point(seed, dims, ranks, order):
     rows = (
         fs.AffineConstraint((("a", fs.PartialTrace(dims)), ("c", 1.0)),
                             herm_coords(_partial_trace(x["a"], dims) + x["c"])),
-        fs.encode_sum_constraint(["a", "b"], x["a"] + x["b"]),
-        fs.encode_sum_constraint([("b2", 1.0), ("a", -1.0)], x["b2"] - x["a"]),
+        sum_constraint(["a", "b"], x["a"] + x["b"]),
+        sum_constraint([("b2", 1.0), ("a", -1.0)], x["b2"] - x["a"]),
     )
     blocks = (("a", n), ("b", n), ("b2", n), ("c", dk))
     bounds = fs._support_bounds(fs.FeasibilityProblem(blocks, tuple(rows[k] for k in order)),
@@ -359,7 +361,7 @@ def test_an_infeasible_point_is_decided_at_step_0(sides):
     least = min(np.linalg.eigvalsh(t)[0] for t in targets)
     assert least < -fs.DEFAULT_TOL.feas_tol
     blocks = tuple((f"b{i}", d) for i, d in enumerate(sides))
-    rows = tuple(fs.encode_sum_constraint([n], t) for (n, _), t in zip(blocks, targets))
+    rows = tuple(sum_constraint([n], t) for (n, _), t in zip(blocks, targets))
     lines = []
     out = fs.solve(fs.FeasibilityProblem(blocks, rows), trace=lines.append)
     assert out.verdict == "infeasible" and out.iterations == 0
@@ -374,7 +376,7 @@ def test_a_point_within_feas_tol_of_the_cone_takes_the_run():
     u = np.linalg.qr(rand_complex(rng, 2))[0]
     target = u @ np.diag([-1e-8, 0.5]) @ u.conj().T
     lines = []
-    out = fs.solve(fs.FeasibilityProblem((("x", 2),), (fs.encode_sum_constraint(["x"], target),)),
+    out = fs.solve(fs.FeasibilityProblem((("x", 2),), (sum_constraint(["x"], target),)),
                    trace=lines.append)
     assert out.verdict == "feasible"
     assert not any("point" in line for line in lines)
@@ -405,9 +407,9 @@ def coexistence_problem(e1, e2):
     d = e1.shape[0]
     blocks = tuple((name, d) for name in ("g11", "g10", "g01", "g00"))
     cons = (
-        fs.encode_sum_constraint(("g11", "g10"), e1),
-        fs.encode_sum_constraint(("g11", "g01"), e2),
-        fs.encode_sum_constraint(("g11", "g10", "g01", "g00"), np.eye(d)),
+        sum_constraint(("g11", "g10"), e1),
+        sum_constraint(("g11", "g01"), e2),
+        sum_constraint(("g11", "g10", "g01", "g00"), np.eye(d)),
     )
     return fs.FeasibilityProblem(blocks, cons)
 
@@ -482,7 +484,7 @@ def test_sum_constraint_witness_resums():
     from conftest import rand_kraus
 
     lam = choi_from_kraus(rand_kraus(rng, 2, 2, 2, scale=1.0))
-    cons = (fs.encode_sum_constraint(("a", "b"), lam.choi),)
+    cons = (sum_constraint(("a", "b"), lam.choi),)
     out = fs.solve(fs.FeasibilityProblem((("a", 4), ("b", 4)), cons))
     assert out.verdict == "feasible"
     total = out.witness["a"] + out.witness["b"]
@@ -491,7 +493,7 @@ def test_sum_constraint_witness_resums():
 
 def test_partial_trace_constraint_encodes_trace_preservation():
     cons = (
-        fs.encode_partial_trace_constraint("j", (2, 2), target=np.eye(2)),
+        partial_trace_constraint("j", (2, 2), target=np.eye(2)),
     )
     out = fs.solve(fs.FeasibilityProblem((("j", 4),), cons))
     assert out.verdict == "feasible"
@@ -505,7 +507,7 @@ def test_heisenberg_unit_constraint():
     from qcompat.devices import CPMap, apply_h
 
     px = (I2 + SX) / 2
-    cons = (fs.encode_partial_trace_constraint("j", (2, 2), target=px.T),)
+    cons = (partial_trace_constraint("j", (2, 2), target=px.T),)
     out = fs.solve(fs.FeasibilityProblem((("j", 4),), cons))
     assert out.verdict == "feasible"
     m = CPMap(2, 2, out.witness["j"])
@@ -521,7 +523,7 @@ def test_interior_point_found_within_budget():
     assert np.linalg.eigvalsh(x_star)[0] > 0.1
     cons = (
         trace_row(np.trace(x_star).real, ("x", side)),
-        fs.encode_partial_trace_constraint("x", (4, 4), _partial_trace(x_star, (4, 4))),
+        partial_trace_constraint("x", (4, 4), _partial_trace(x_star, (4, 4))),
     )
     out = fs.solve(fs.FeasibilityProblem((("x", side),), cons))
     assert out.verdict == "feasible"
@@ -537,7 +539,7 @@ def test_margin_monotone_under_constraint_addition():
         base = trace_row(-0.4, ("x", side))
         h = rand_herm(rng, 2)
         h += (-0.4 - np.trace(h).real) / 2 * I2
-        extra = fs.encode_partial_trace_constraint("x", (2, 2), h)
+        extra = partial_trace_constraint("x", (2, 2), h)
         p1 = fs.FeasibilityProblem((("x", side),), (base,))
         p2 = fs.FeasibilityProblem((("x", side),), (base, extra))
         m1 = fs.solve(p1).margin
@@ -655,7 +657,7 @@ def test_face_polish_keeps_a_degenerate_pair_whole():
     assert fs._face_rank(np.array([0.0, 0.2, 0.5, 0.9]), 0.5) == 1
     assert fs._face_rank(np.array([1e-17, 2e-8, 0.3, 0.3]), 1e-6) == 2
     half = np.diag([0.0, 0.5, 0.5])
-    row = fs.encode_sum_constraint(("x", "y"), 2 * half)
+    row = sum_constraint(("x", "y"), 2 * half)
     plan = fs._plan(fs.FeasibilityProblem((("x", 3), ("y", 3)), (row,)))
     rng = np.random.default_rng(5)
     for _ in range(4):
@@ -868,7 +870,7 @@ def test_plan_cache_stays_bounded():
     limit = fs._Plan.of.cache_info().maxsize
     for n in range(1, 2 * limit + 2):
         blocks = tuple((f"x{i}", 1) for i in range(n))
-        row = fs.encode_sum_constraint([name for name, _ in blocks], np.eye(1))
+        row = sum_constraint([name for name, _ in blocks], np.eye(1))
         assert fs.solve(fs.FeasibilityProblem(blocks, (row,))).verdict == "feasible"
     info = fs._Plan.of.cache_info()
     assert info.currsize == limit and info.misses == 2 * limit + 1
@@ -961,7 +963,7 @@ def test_near_boundary_qutrit_coexistence_is_decided(seed):
 def test_constraints_blind_to_the_trace_direction():
     # x - y = diag(1, -2) holds for every shift of both blocks by c*I, so
     # the margin is unbounded and a shifted point is the witness
-    c = fs.encode_sum_constraint((("x", 1.0), ("y", -1.0)), np.diag([1.0, -2.0]))
+    c = sum_constraint((("x", 1.0), ("y", -1.0)), np.diag([1.0, -2.0]))
     out = fs.solve(fs.FeasibilityProblem((("x", 2), ("y", 2)), (c,)))
     assert out.verdict == "feasible"
     x, y = out.witness["x"], out.witness["y"]
@@ -1067,10 +1069,10 @@ _LAST_TRACE_LINE = {
      "affine", "infeasible", 0),
     (lambda: fs.FeasibilityProblem((("x", 2),), ()), fs.DEFAULT_TOL, "shift", "feasible", 0),
     (lambda: pinned_sum_problem(np.zeros((2, 2))), fs.DEFAULT_TOL, "shift", "feasible", 0),
-    (lambda: fs.FeasibilityProblem((("x", 2), ("y", 2)), (fs.encode_sum_constraint(
+    (lambda: fs.FeasibilityProblem((("x", 2), ("y", 2)), (sum_constraint(
         (("x", 1.0), ("y", -1.0)), np.diag([1.0, -2.0])),)), fs.DEFAULT_TOL,
      "shift", "feasible", 0),
-    (lambda: fs.FeasibilityProblem((("x", 2),), (fs.encode_sum_constraint(
+    (lambda: fs.FeasibilityProblem((("x", 2),), (sum_constraint(
         ["x"], np.diag([-1.0, 1.0])),)), fs.DEFAULT_TOL, "point", "infeasible", 0),
     (lambda: _coexistence_draw(3), fs.DEFAULT_TOL, "path", "feasible", 3),
     (lambda: _coexistence_draw(6), fs.DEFAULT_TOL, "certificate", "infeasible", 4),
@@ -1110,8 +1112,9 @@ def _sum_problem(side=2, coefficient=1.0, rhs=None):
     (lambda: _sum_problem(side=-1), fs.MatrixShapeError, "positive integer"),
     (lambda: _sum_problem(side=True), fs.MatrixShapeError, "positive integer"),
     (lambda: _sum_problem(side=2.0), fs.MatrixShapeError, "positive integer"),
-    (lambda: fs.encode_sum_constraint(["x"], np.diag([np.nan, 1.0])), ValueError, "NaN or Inf"),
-    (lambda: fs.encode_sum_constraint(["x"], np.diag([np.inf, 1.0])), ValueError, "NaN or Inf"),
+    # the coordinates of diag(nan, 1) and diag(inf, 1)
+    (lambda: _sum_problem(rhs=np.array([np.nan, 1.0, 0.0, 0.0])), ValueError, "NaN or Inf"),
+    (lambda: _sum_problem(rhs=np.array([np.inf, 1.0, 0.0, 0.0])), ValueError, "NaN or Inf"),
     (lambda: _sum_problem(rhs=np.array([1.0, np.inf, 0.0, 0.0])), ValueError, "NaN or Inf"),
     (lambda: _sum_problem(coefficient=np.nan), ValueError, "coefficient"),
     (lambda: _sum_problem(coefficient=np.inf), ValueError, "coefficient"),
@@ -1124,19 +1127,14 @@ def _sum_problem(side=2, coefficient=1.0, rhs=None):
     (lambda: _sum_problem(rhs=herm_coords(I2) + 0.5j), ValueError, "real coordinates"),
     (lambda: fs.PartialTrace((2, 0)), fs.MatrixShapeError, "positive integer"),
     (lambda: fs.PartialTrace((2, 2, 2)), fs.MatrixShapeError, "two slot sides"),
-    (lambda: fs.encode_sum_constraint(["x"], np.ones((2, 3))), fs.MatrixShapeError, "not square"),
-    (lambda: fs.encode_partial_trace_constraint("x", (2, 2), np.ones((2, 3))),
-     fs.MatrixShapeError, "not square"),
-    (lambda: fs.encode_partial_trace_constraint("x", (3, 2), I2), fs.MatrixShapeError,
-     "output side"),
     (lambda: fs.FeasibilityProblem((("x", 2), ("x", 1)), ()), ValueError, "duplicate block"),
     (lambda: _sum_problem(rhs=np.zeros(1)), fs.MatrixShapeError, r"shape \(4, 4\)"),
-    (lambda: fs.FeasibilityProblem((("x", 2),), (fs.encode_partial_trace_constraint(
-        "x", (2, 2), I2),)), fs.MatrixShapeError, r"shape \(4, 16\)"),
+    (lambda: fs.FeasibilityProblem((("x", 2),), (fs.AffineConstraint(
+        (("x", fs.PartialTrace((2, 2))),), herm_coords(I2)),)), fs.MatrixShapeError,
+     r"shape \(4, 16\)"),
 ], ids=["side-0", "side-negative", "side-bool", "side-float", "nan-target", "inf-target",
         "inf-rhs", "nan-coefficient", "inf-coefficient", "nan-matrix-term",
         "complex-coefficient", "2d-rhs", "complex-rhs", "trace-side-0", "trace-three-slots",
-        "sum-target-not-square", "trace-target-not-square", "trace-target-side",
         "duplicate-block", "sum-term-shape", "trace-term-shape"])
 def test_malformed_problems_are_rejected_at_construction(build, error, match):
     with pytest.raises(error, match=match):

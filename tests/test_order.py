@@ -8,12 +8,31 @@ from qcompat import devices as dv
 from qcompat import order as od
 from qcompat.devices import CPMap, KrausSet, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, half_sigma_x, luders_of
-from qcompat.matkit import MatrixShapeError, close
+from qcompat.matkit import DEFAULT_TOL, MatrixShapeError, Tolerances, close, hermitian_part, kron
 
 from conftest import (
     hermitian_basis, rand_complex, rand_cpmap, rand_kraus, rand_rank1_deficit_op,
     rand_state,
 )
+
+
+def rank1_channel_family(phi: CPMap, xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CPMap:
+    """The channel ``rho -> phi(rho) + tr[rho E] xi`` above a rank-1-deficit map:
+    the reference for the rank-1 family oracle.
+
+    ``E = 1 - phi_H(1)`` must have rank at most 1; every channel above
+    ``phi`` has this form, parametrized by the completion state ``xi``,
+    with Choi matrix ``J + (u u*) (x) xi`` for ``E^T = u u*``.
+    A map that is already a channel (rank-0 deficit) gives itself.
+    """
+    u = od._deficit_vector(phi, tol)
+    if u is None:
+        return CPMap(phi.dim_in, phi.dim_out, phi.choi, kind="channel", tol=tol)
+    xi = hermitian_part(np.asarray(xi, dtype=complex))
+    if xi.shape != (phi.dim_out, phi.dim_out):
+        raise MatrixShapeError("completion state must live on the output space")
+    j = phi.choi + kron(np.outer(u, u.conj()), xi)
+    return CPMap(phi.dim_in, phi.dim_out, j, kind="channel", tol=tol)
 
 
 def transposition_pair():
@@ -109,7 +128,7 @@ def test_rank1_family_luders_px_fixes_px():
     phi = luders_of(PX)
     for _ in range(5):
         xi = rand_state(rng, 2)
-        lam = od.rank1_channel_family(phi, xi)
+        lam = rank1_channel_family(phi, xi)
         assert lam.kind == "channel"
         assert np.allclose(dv.apply_s(lam, PX), PX)
         assert od.cp_leq(phi, lam)
@@ -118,22 +137,22 @@ def test_rank1_family_luders_px_fixes_px():
 def test_rank1_family_of_channel_is_itself():
     rng = np.random.default_rng(39)
     lam = rand_cpmap(rng, channel=True)
-    fam = od.rank1_channel_family(lam, rand_state(rng, 2))
+    fam = rank1_channel_family(lam, rand_state(rng, 2))
     assert np.allclose(fam.choi, lam.choi)
 
 
 def test_rank1_family_rejects_rank2_deficit():
     with pytest.raises(od.RankConditionError):
-        od.rank1_channel_family(half_sigma_x(), I2 / 2)
+        rank1_channel_family(half_sigma_x(), I2 / 2)
 
 
 def test_rank1_family_rejects_a_misshaped_state_and_a_rank2_deficit():
     with pytest.raises(MatrixShapeError, match="output space"):
-        od.rank1_channel_family(luders_of(PX), np.eye(3) / 3)
+        rank1_channel_family(luders_of(PX), np.eye(3) / 3)
     # half the identity channel has deficit 1/2, of rank 2
     half = CPMap(2, 2, 0.5 * luders_of(I2).choi)
     with pytest.raises(od.RankConditionError) as info:
-        od.rank1_channel_family(half, I2 / 2)
+        rank1_channel_family(half, I2 / 2)
     assert info.type is od.RankConditionError
 
 
@@ -189,7 +208,7 @@ def test_rank1_families_parallel_deficits_disjoint():
 def test_rank1_families_parallel_deficits_intersect():
     # phi and a shrunk copy of a channel completing it do intersect
     phi1 = luders_of(PX)
-    lam = od.rank1_channel_family(phi1, PMX)  # = x-dephasing channel
+    lam = rank1_channel_family(phi1, PMX)  # = x-dephasing channel
     res = od.rank1_upper_channels_equal(phi1, lam)
     assert res.equal
     assert np.allclose(res.channel.choi, lam.choi, atol=1e-7)
@@ -333,7 +352,7 @@ def test_rank1_families_channel_against_rank1_map(swap):
     # a channel is its own family: it meets phi's family exactly when it sits above phi
     phi = luders_of(PX)
     z_dephasing = CPMap(2, 2, luders_of(PZ).choi + luders_of(PMZ).choi, kind="channel")
-    for lam, meets in ((od.rank1_channel_family(phi, PMX), True), (z_dephasing, False)):
+    for lam, meets in ((rank1_channel_family(phi, PMX), True), (z_dephasing, False)):
         pair = (lam, phi) if swap else (phi, lam)
         res = od.rank1_upper_channels_equal(*pair)
         assert res.equal is meets

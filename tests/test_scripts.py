@@ -1,5 +1,7 @@
-"""Smoke tests: the scripts in ``scripts/`` and the README's code run from a checkout."""
+"""Smoke tests: the scripts in ``scripts/`` and the README's code run from a checkout,
+and ``src/`` holds only code that runs outside the unit tests."""
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -8,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import qcompat
@@ -95,3 +98,40 @@ def test_readme_quick_tour_prints_its_relation():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue() == "weakly_compatible_only\n"
+
+
+def _named(tree) -> set[str]:
+    """Every name a syntax tree uses: identifiers, attributes, imported names,
+    and string constants, such as ``__all__`` entries and names wrapped by string."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_top_level_definition_in_src_is_named_outside_the_unit_tests():
+    # a function or class of the package must be named, outside its own
+    # definition, by the package, the scripts, the release criteria, or the
+    # benchmark tracer, which wraps package functions by name
+    users = [*SCRIPTS.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
+             ROOT / "perfbench" / "tracer.py"]
+    outside = set().union(*(_named(ast.parse(path.read_text())) for path in users))
+    modules = {path.stem: ast.parse(path.read_text()).body
+               for path in sorted((ROOT / "src" / "qcompat").glob("*.py"))}
+    where = defaultdict(set)  # name -> the top-level statements that name it
+    for module, body in modules.items():
+        for i, node in enumerate(body):
+            for name in _named(node):
+                where[name].add((module, i))
+    unused = [f"{module}.{node.name}" for module, body in modules.items()
+              for i, node in enumerate(body)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in outside and not where[node.name] - {(module, i)}]
+    assert not unused, "named by nothing outside the unit tests: " + ", ".join(unused)
