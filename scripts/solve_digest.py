@@ -7,7 +7,9 @@ Classifies every ordered pair of the built-in devices, the cells of
 ``qcompat table1`` among them, with fast paths on and off. Every solve that
 ``compat`` makes prints one line: the pair, the route, the exit, the
 steps, ``repr`` of the margin and of the residual, and the first 16 hex
-digits of a sha256 of the witness bytes. The last line counts the solves and steps and gives the
+digits of a sha256 of the witness bytes. The last line counts the solves and steps, counts
+the solves by exit (``exits=affine:…,path:…``, in the order of
+``feasibility.EXITS``, exits that no solve took left out), and gives the
 sha256 of every line before it.
 
 Two trees that print the same lines solve these problems bit for bit
@@ -38,7 +40,7 @@ def witness_sha(witness) -> str:
 
 def main() -> int:
     devices = builtin_devices()
-    lines, steps = [], 0
+    lines, steps, exits = [], 0, dict.fromkeys(feasibility.EXITS, 0)
     solve = feasibility.solve
     label = ""
 
@@ -46,6 +48,7 @@ def main() -> int:
         nonlocal steps
         out = solve(*args, **kwargs)
         steps += out.iterations
+        exits[out.exit] += 1
         lines.append(f"{label} {out.exit} {out.iterations} {out.margin!r} {out.residual!r} "
                      f"{witness_sha(out.witness)}")
         print(lines[-1])
@@ -60,7 +63,8 @@ def main() -> int:
     finally:
         feasibility.solve = solve
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    print(f"solves={len(lines)} steps={steps} digest={digest}")
+    census = ",".join(f"{name}:{n}" for name, n in exits.items() if n)
+    print(f"solves={len(lines)} steps={steps} exits={census} digest={digest}")
     return 0
 
 

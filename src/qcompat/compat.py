@@ -1,15 +1,18 @@
 """Compatibility of device pairs, decided with re-validated witnesses.
 
 Every device is read as an instrument through the table of parts
-``devices.instrument_parts``, one per outcome: free, or the Choi matrix of
-a map on the device's own output (E^T for an effect E, whose output is
-one-dimensional). Blocks are Choi matrices on side ``din * dout``, with
-``dout`` the quantum output side, else ``din``; a joint block that no
-full-side target reads has side ``din``, and :func:`_measure` lifts it.
-:func:`_row` compares block sums with targets. Two devices are compatible when both are
-parts of one joint instrument (``joint_problem``), and weakly compatible
-when two instruments, one containing each device, have equal totals
-(``weak_problem``, with blocks for the devices' own outcomes only).
+``devices.instrument_parts``, one per outcome: the Choi matrix of a map on
+the device's own output (E^T for an effect E, whose output is
+one-dimensional), or, for the second outcome of an effect or an operation,
+nothing. :func:`_targets` gives that outcome its target too, the rest of
+the unit (1 - E)^T or (1 - F_H(1))^T of side ``din``, so every outcome has
+one. Blocks are Choi matrices on side ``din * dout``, with ``dout`` the
+quantum output side, else ``din``; a joint block whose targets both have
+side ``din`` has side ``din``, and :func:`_measure` lifts it. :func:`_row`
+compares block sums with targets. Two devices are compatible when both
+are parts of one joint instrument (``joint_problem``), and weakly
+compatible when two instruments, one containing each device, have equal
+totals (``weak_problem``, with blocks for the devices' own outcomes only).
 
 ``classify`` returns compatible, weakly_compatible_only,
 strongly_incompatible, or undecided. Each question has the pair's
@@ -18,8 +21,8 @@ builder and whose outcome becomes a verdict in one place. A kind pair
 lists only paths that decide pairs no other path of its row decides.
 Every row whose second device is an effect or an observable starts with
 one commutation rule, :func:`_commuting`: when those effects commute
-with every part of the first device, splitting each part along them is
-a joint instrument. The joint fast paths run first. A quantum
+with every target of the first device, splitting each target along them
+is a joint instrument. The joint fast paths run first. A quantum
 pair without a channel then asks the weak question before the joint
 engine: every compatible pair is weakly compatible, so a certified weak
 "no" proves strong incompatibility on its own, and the joint problem is
@@ -157,21 +160,16 @@ def _kind(device) -> str:
     raise UnsupportedPairError(f"unsupported device type {type(device).__name__}")
 
 
-def _free(parts) -> bool:
-    return any(t is None for t in parts.values())
-
-
-def _joint_parts(d1, d2):
-    """The parts of both devices as the joint question sees them.
-
-    An effect facing an observable is read as its binary observable,
-    with targets E^T and 1 - E^T.
-    """
-    t1, t2 = _parts(d1), _parts(d2)
-    for d, t, other in ((d1, t1, d2), (d2, t2, d1)):
-        if isinstance(d, Effect) and isinstance(other, Observable):
-            t["0"] = np.eye(d.dim) - t["1"]
-    return t1, t2
+def _targets(device) -> dict[str, np.ndarray]:
+    """The device's parts with a target for every outcome: the free outcome "0"
+    of an effect or an operation is the rest of the unit, (1 - E)^T or
+    (1 - F_H(1))^T, of side ``din``."""
+    t = _parts(device)
+    if isinstance(device, Effect):
+        t["0"] = np.eye(device.dim) - t["1"]
+    elif isinstance(device, CPMap) and device.kind == "operation":
+        t["0"] = np.eye(device.dim_in) - device.heisenberg_unit().T
+    return t
 
 
 def _dims(d1, d2) -> tuple[int, int]:
@@ -192,59 +190,37 @@ def _sum(mats, side: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _row(blocks, target: np.ndarray, din: int, dout: int, fixed=None) -> fs.AffineConstraint:
-    """``S = target`` for S the sum of the (name, side) blocks and ``fixed``, when the
-    target has the full side ``din * dout``; else ``Tr_out(S) = target``, where a
-    block of side ``din`` enters as itself, the partial trace of its lift (:func:`_measure`).
+def _row(blocks, target: np.ndarray, din: int, dout: int) -> fs.AffineConstraint:
+    """``S = target`` for S the sum of the (name, side) blocks, when the target has
+    the full side ``din * dout``; else ``Tr_out(S) = target``, where a block of
+    side ``din`` enters as itself, the partial trace of its lift (:func:`_measure`).
 
     Targets come from validated devices, or are their sums and differences,
     so they are exactly Hermitian: the row takes their coordinates once,
     without a ``hermitian_part``.
     """
-    full = target.shape[0] == din * dout
-    op = 1.0 if full else fs.PartialTrace((din, dout))
-    if fixed is None:
-        rhs = herm_coords(target)
-    elif full:
-        rhs = herm_coords(target - fixed)
-    else:
-        rhs = herm_coords(target) - op.matrix @ herm_coords(fixed)
-    return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks), rhs)
-
-
-def _joint_pairs(t1, t2) -> list[tuple[str, str]]:
-    """Outcome pairs in block order.
-
-    A device without a free outcome is the outer index when the other
-    device has one; otherwise device 1 is.
-    """
-    if _free(t1) and not _free(t2):
-        return [(x, y) for y in t2 for x in t1]
-    return [(x, y) for x in t1 for y in t2]
+    op = 1.0 if target.shape[0] == din * dout else fs.PartialTrace((din, dout))
+    return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks),
+                               herm_coords(target))
 
 
 def joint_problem(d1, d2) -> fs.FeasibilityProblem:
     """Both devices as parts of one instrument, one block per outcome pair.
 
-    Each fixed target of device 1, then of device 2, is matched by the
-    sum of its blocks (:func:`_row`); the blocks sum to a channel when
-    both devices have a free outcome. A block whose targets are all free
-    or of side ``din`` is read only through Tr_out and has side ``din``:
-    each PSD h is Tr_out of the PSD kron(h, 1/dout) (:func:`_measure`).
+    Each target of device 1, then of device 2, is matched by the sum of
+    its blocks (:func:`_row`); device 1 is the outer index. The targets of
+    each device sum to a channel, or to the identity under Tr_out, so the
+    blocks do too. A block whose two targets have side ``din`` is read only
+    through Tr_out and has side ``din``: each PSD h is Tr_out of the PSD
+    kron(h, 1/dout) (:func:`_measure`).
     """
-    t1, t2 = _joint_parts(d1, d2)
+    t1, t2 = _targets(d1), _targets(d2)
     din, dout = _dims(d1, d2)
-    pairs = _joint_pairs(t1, t2)
-    blocks = [(f"g{n}", din if all(t is None or t.shape[0] == din for t in (t1[x], t2[y]))
-               else din * dout) for n, (x, y) in enumerate(pairs)]
-    cons = []
-    for i, targets in enumerate((t1, t2)):
-        for x, target in targets.items():
-            if target is not None:
-                own = [b for b, xy in zip(blocks, pairs) if xy[i] == x]
-                cons.append(_row(own, target, din, dout))
-    if _free(t1) and _free(t2):
-        cons.append(_row(blocks, np.eye(din), din, dout))
+    pairs = [(x, y) for x in t1 for y in t2]
+    blocks = [(f"g{n}", din if t1[x].shape[0] == t2[y].shape[0] == din else din * dout)
+              for n, (x, y) in enumerate(pairs)]
+    cons = [_row([b for b, xy in zip(blocks, pairs) if xy[i] == x], target, din, dout)
+            for i, targets in enumerate((t1, t2)) for x, target in targets.items()]
     return fs.FeasibilityProblem(tuple(blocks), tuple(cons))
 
 
@@ -255,27 +231,23 @@ def _weak_name(i: int, x: str) -> str:
 def weak_problem(d1, d2) -> fs.FeasibilityProblem:
     """Two instruments, one containing each device, with one total channel.
 
-    Each instrument has one block per free outcome and per target smaller
-    than the blocks (an effect's, also in a classical pair); targets of the
-    blocks' side are constants. Rows: the two totals agree (``sum own_2 -
-    sum own_1 = sum fixed_1 - sum fixed_2``); device 1's total is trace
-    preserving, when both devices have a free outcome (otherwise a fixed
-    total or the smaller targets imply it); then the smaller targets.
+    Each instrument has one block per target smaller than the blocks (an
+    effect's, an operation's rest of the unit, also in a classical pair);
+    targets of the blocks' side are constants. Rows: the two totals agree
+    (``sum own_2 - sum own_1 = sum fixed_1 - sum fixed_2``), then the
+    smaller targets. Each device's targets sum to a channel, or to the
+    identity under Tr_out, so device 1's total is trace preserving.
     """
     din, dout = _dims(d1, d2)
     side = din * dout
-    parts = (_parts(d1), _parts(d2))
-    own, fixed = [], []
-    for i, t in enumerate(parts):
-        own.append([_weak_name(i, x) for x, m in t.items() if m is None or m.shape[0] != side])
-        fixed.append(_sum([m for m in t.values() if m is not None and m.shape[0] == side], side))
+    targets = (_targets(d1), _targets(d2))
+    own = [[_weak_name(i, x) for x, m in t.items() if m.shape[0] != side]
+           for i, t in enumerate(targets)]
+    fixed = [_sum([m for m in t.values() if m.shape[0] == side], side) for t in targets]
     terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
     cons = [fs.AffineConstraint(terms, herm_coords(fixed[0] - fixed[1]))]
-    if _free(parts[0]) and _free(parts[1]):
-        cons.append(_row([(n, side) for n in own[0]], np.eye(din), din, dout, fixed[0]))
     cons += [_row([(_weak_name(i, x), side)], m, din, dout)
-             for i, t in enumerate(parts) for x, m in t.items()
-             if m is not None and m.shape[0] != side]
+             for i, t in enumerate(targets) for x, m in t.items() if m.shape[0] != side]
     return fs.FeasibilityProblem(tuple((n, side) for n in own[0] + own[1]), tuple(cons))
 
 
@@ -294,7 +266,7 @@ class _Pair:
         self.classical = set(self.kinds) <= {"effect", "observable"}
         self.din, self.dout = _dims(d1, d2)
         self.vtol = self.wtol if self.classical else tol  # for its fast-path witnesses
-        self.t1, self.t2 = _joint_parts(d1, d2)
+        self.t1, self.t2 = _targets(d1), _targets(d2)
 
 
 def _label_sets(device, owner: dict[str, str]) -> list[list[str]]:
@@ -358,25 +330,24 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
     """Two instruments sharing a total channel, each re-validated as one stack.
 
     Device i keeps its own outcomes: each is its block ``blocks[i, x]``,
-    its fixed target when that has the witness's side, or, for the free
-    outcome, what the channel ``lam`` leaves over. Each device is carved
-    out of single branches, which need no second validation.
+    its target when that has the witness's side (:func:`_targets`), or,
+    for the one outcome left, what the channel ``lam`` leaves over. Each
+    device is carved out of single branches, which need no second validation.
     """
     side = p.din * p.dout
     instruments, owners, sums = [], [], []
-    for i, device in enumerate((p.d1, p.d2)):
-        parts = _parts(device)
+    for i, (device, targets) in enumerate(((p.d1, p.t1), (p.d2, p.t2))):
         choi = {}
-        for x, target in parts.items():
+        for x, target in targets.items():
             if (i, x) in blocks:
                 choi[x] = blocks[i, x]
-            elif target is not None and target.shape[0] == side:
+            elif target.shape[0] == side:
                 choi[x] = target
-        free = [x for x in parts if x not in choi]
-        if free:
-            choi[free[0]] = lam - _sum(list(choi.values()), lam.shape[0])
-        owner = {x: x for x in parts}
-        ins, *carved = Instrument.with_sums(tuple(parts), choi, p.din, p.dout,
+        left = [x for x in targets if x not in choi]
+        if left:
+            choi[left[0]] = lam - _sum(list(choi.values()), lam.shape[0])
+        owner = {x: x for x in targets}
+        ins, *carved = Instrument.with_sums(tuple(targets), choi, p.din, p.dout,
                                             _label_sets(device, owner), vtol)
         instruments.append(ins)
         owners.append(owner)
@@ -418,27 +389,20 @@ def _swap_verdict(v: Verdict) -> Verdict:
 
 
 def _commuting(p: _Pair):
-    """Device 2's effects B_y commute with every part of device 1.
+    """Device 2's effects B_y commute with every target of device 1.
 
-    Each fixed target J_x of device 1 must commute with L_y = B_y^T (x) 1
-    on its side, for every y (an effect's free outcome is 1 - F). Block
-    (x, y) is then J_x L_y, and device 1's free outcome gives the side-``din``
-    blocks D^T B_y^T, with D^T = 1 - sum_x Tr_out J_x. The factors commute
-    and are PSD, so every block is PSD; the blocks are linear in B_y, so
-    they sum back to every target.
+    Each target J_x of device 1 must commute with L_y = B_y^T (x) 1 on its
+    side, for every y; an effect's or an operation's outcome "0" is the
+    rest of the unit (:func:`_targets`). Block (x, y) is then J_x L_y. The
+    factors commute and are PSD, so every block is PSD; the blocks are
+    linear in B_y^T, whose sum is 1, so they sum back to every target.
     """
-    fixed = [t for t in p.t1.values() if t is not None]
-    k = fixed[0].shape[0] // p.din  # 1 for targets E^T, dout for Choi matrices
-    given = [t for t in p.t2.values() if t is not None]
-    bt = {y: np.eye(p.din) - _sum(given, p.din) if t is None else t for y, t in p.t2.items()}
-    lifts = {y: b if k == 1 else kron(b, np.eye(k)) for y, b in bt.items()}
-    if not all(close(j @ lift, lift @ j, p.tol) for j in fixed for lift in lifts.values()):
+    lifts = {(k, y): b if k == 1 else kron(b, np.eye(k))
+             for k in {j.shape[0] // p.din for j in p.t1.values()} for y, b in p.t2.items()}
+    factors = {(x, y): (j, lifts[j.shape[0] // p.din, y]) for x, j in p.t1.items() for y in p.t2}
+    if not all(close(j @ lift, lift @ j, p.tol) for j, lift in factors.values()):
         return None
-    if _free(p.t1):
-        dt = np.eye(p.din) - _sum([np.trace(j.reshape(p.din, k, p.din, k), axis1=1, axis2=3)
-                                   for j in fixed], p.din)
-    blocks = {(x, y): hermitian_part(dt @ bt[y] if p.t1[x] is None else p.t1[x] @ lifts[y])
-              for x, y in _joint_pairs(p.t1, p.t2)}
+    blocks = {xy: hermitian_part(j @ lift) for xy, (j, lift) in factors.items()}
     return _joint_verdict(p, blocks, "fast-path: commuting", p.vtol)
 
 
@@ -493,7 +457,7 @@ def _cp_order(p: _Pair):
 
 def _totals_agree(p: _Pair) -> bool:
     side = p.din * p.dout
-    t1, t2 = (_sum(list(_parts(d).values()), side) for d in (p.d1, p.d2))
+    t1, t2 = (_sum(list(t.values()), side) for t in (p.t1, p.t2))
     return close(t1, t2, p.tol)
 
 
@@ -515,7 +479,7 @@ def _totals(p: _Pair):
     if not _totals_agree(p):
         return Verdict("strongly_incompatible", None, differ)
     if agree is not None:
-        return _joint_verdict(p, {(x, "1"): t for x, t in _parts(p.d1).items()}, agree, p.tol)
+        return _joint_verdict(p, {(x, "1"): t for x, t in p.t1.items()}, agree, p.tol)
     return None
 
 
@@ -582,12 +546,12 @@ def _oriented(stage, d1, d2, tol: Tolerances, *args) -> Verdict:
 
 
 def _joint_sdp(p: _Pair, witness: dict) -> Verdict:
-    blocks = {xy: witness[f"g{n}"] for n, xy in enumerate(_joint_pairs(p.t1, p.t2))}
+    blocks = {xy: witness[f"g{n}"] for n, xy in enumerate((x, y) for x in p.t1 for y in p.t2)}
     return _joint_verdict(p, blocks, "sdp", p.wtol)
 
 
 def _weak_sdp(p: _Pair, witness: dict) -> Verdict:
-    blocks = {(i, x): witness[n] for i, d in enumerate((p.d1, p.d2)) for x in _parts(d)
+    blocks = {(i, x): witness[n] for i, t in enumerate((p.t1, p.t2)) for x in t
               if (n := _weak_name(i, x)) in witness}
     return _weak_verdict(p, blocks, None, "sdp", p.wtol)
 

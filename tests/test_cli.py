@@ -387,7 +387,7 @@ def test_witness_carries_the_pointer_and_the_joint_observable(device_file, capsy
 
 
 def test_trace_goes_to_stderr(device_file, capsys):
-    args = ["--no-fast-paths", "classify", device_file, "px", "pz"]
+    args = ["--no-fast-paths", "classify", device_file, "px", "luders_pz"]
     code, out, err = run_cli(["--trace", *args], capsys)
     assert code == 0
     assert "iter=0 " in err and "iter=" not in out

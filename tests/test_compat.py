@@ -656,7 +656,8 @@ def test_undecided_stages_are_read_in_question_order(monkeypatch, joint, weak, r
 
 
 def test_weak_problem_has_only_the_devices_own_blocks():
-    # free outcomes, and every outcome of a classical device; no channel block
+    # the rest of each unit, and every outcome of a classical device: the
+    # targets smaller than the blocks; no channel block
     op = DEV["luders_px"]
     for d1, d2, names in (
         (op, DEV["half_sigma_x"], ["0:0", "1:0"]),
@@ -690,14 +691,15 @@ def _ref_dims(d1, d2) -> tuple[int, int]:
     return din, (quantum[0].dim_out if quantum else din)
 
 
-def _ref_joint_targets(d1, d2):
-    """Reference joint reading: an effect facing an observable is its binary
-    observable, with targets E^T and 1 - E^T."""
-    t1, t2 = _ref_targets(d1), _ref_targets(d2)
-    for d, t, other in ((d1, t1, d2), (d2, t2, d1)):
-        if isinstance(d, Effect) and isinstance(other, Observable):
-            t["0"] = np.eye(d.dim) - d.matrix.T
-    return t1, t2
+def _ref_completed(device) -> dict:
+    """Reference targets with the free outcome completed: the rest of the unit,
+    (1 - E)^T for an effect E and (1 - F_H(1))^T for an operation F."""
+    t = _ref_targets(device)
+    if isinstance(device, Effect):
+        t["0"] = np.eye(device.dim) - device.matrix.T
+    elif isinstance(device, CPMap) and device.kind == "operation":
+        t["0"] = np.eye(device.dim_in) - device.heisenberg_unit().T
+    return t
 
 
 def _ref_free(targets) -> bool:
@@ -768,18 +770,71 @@ def _dense_row(names, target, dims, sides):
     return [(n, c * eye) for n, c in items], herm_coords(t)
 
 
+def _dense_matrix(names, sides, rows):
+    """The dense constraint matrix (columns in block order) and right-hand side of
+    ``rows``, each a list of (block name, term matrix) and the target's coordinates."""
+    widths = [sides[n] ** 2 for n in names]
+    offsets = dict(zip(names, np.cumsum([0] + widths)))
+    a = []
+    for terms, rhs in rows:
+        block_row = np.zeros((len(rhs), sum(widths)))
+        for n, mat in terms:
+            block_row[:, offsets[n] : offsets[n] + sides[n] ** 2] += mat
+        a.append(block_row)
+    return tuple((n, sides[n]) for n in names), np.vstack(a), np.concatenate([rhs for _, rhs in rows])
+
+
 def _dense_problem(builder, d1, d2):
     """The blocks, dense constraint matrix (columns in block order) and
     right-hand side of either question, built row by row from dense term
-    matrices. A joint block whose targets are all free or of side din has
-    side din; every other block has the full side."""
+    matrices. Every outcome has a target (:func:`_ref_completed`), and every
+    target has a row. A joint block whose two targets have side din has side
+    din; every other block has the full side. A weak block stands for a
+    target smaller than the full side."""
     din, dout = _ref_dims(d1, d2)
     side = din * dout
     rows = []
     if builder == "joint":
-        t1, t2 = _ref_joint_targets(d1, d2)
-        pairs = cp._joint_pairs(t1, t2)
+        t1, t2 = _ref_completed(d1), _ref_completed(d2)
+        pairs = [(x, y) for x in t1 for y in t2]
         names = [f"g{n}" for n in range(len(pairs))]
+        sides = {n: din if t1[x].shape[0] == t2[y].shape[0] == din else side
+                 for n, (x, y) in zip(names, pairs)}
+        for i, targets in enumerate((t1, t2)):
+            for x, target in targets.items():
+                own = [n for n, xy in zip(names, pairs) if xy[i] == x]
+                rows.append(_dense_row(own, target, (din, dout), sides))
+    else:
+        parts, own, fixed = (_ref_completed(d1), _ref_completed(d2)), [], []
+        for i, t in enumerate(parts):
+            own.append([cp._weak_name(i, x) for x, m in t.items() if m.shape[0] != side])
+            fixed.append(_ref_sum([m for m in t.values() if m.shape[0] == side], side))
+        names = own[0] + own[1]
+        sides = dict.fromkeys(names, side)
+        terms = [(n, 1.0) for n in own[1]] + [(n, -1.0) for n in own[0]]
+        rows.append(_dense_row(terms, fixed[0] - fixed[1], (din, dout), sides))
+        rows += [_dense_row([cp._weak_name(i, x)], t, (din, dout), sides)
+                 for i in (0, 1) for x, t in parts[i].items() if t.shape[0] != side]
+    return _dense_matrix(names, sides, rows)
+
+
+def _dense_problem_with_free_outcomes(builder, d1, d2):
+    """The earlier encoding, as an oracle for the affine set: the free outcome of
+    an effect or an operation has no target (an effect facing an observable
+    reads as its binary observable), and instead the joint blocks sum to a
+    channel when both devices have a free outcome, and device 1's weak total is
+    trace preserving when both have one. Joint blocks are named ``x&y`` by
+    their outcome pairs, in the order of the two loops."""
+    din, dout = _ref_dims(d1, d2)
+    side = din * dout
+    rows = []
+    if builder == "joint":
+        t1, t2 = _ref_targets(d1), _ref_targets(d2)
+        for d, t, other in ((d1, t1, d2), (d2, t2, d1)):
+            if isinstance(d, Effect) and isinstance(other, Observable):
+                t["0"] = np.eye(d.dim) - d.matrix.T
+        pairs = [(x, y) for x in t1 for y in t2]
+        names = [f"{x}&{y}" for x, y in pairs]
         sides = {n: din if all(t is None or t.shape[0] == din for t in (t1[x], t2[y])) else side
                  for n, (x, y) in zip(names, pairs)}
         for i, targets in enumerate((t1, t2)):
@@ -804,15 +859,26 @@ def _dense_problem(builder, d1, d2):
         rows += [_dense_row([cp._weak_name(i, x)], t, (din, dout), sides)
                  for i in (0, 1) for x, t in parts[i].items()
                  if t is not None and t.shape[0] != side]
-    widths = [sides[n] ** 2 for n in names]
-    offsets = dict(zip(names, np.cumsum([0] + widths)))
-    a = []
-    for terms, rhs in rows:
-        block_row = np.zeros((len(rhs), sum(widths)))
-        for n, mat in terms:
-            block_row[:, offsets[n] : offsets[n] + sides[n] ** 2] += mat
-        a.append(block_row)
-    return tuple((n, sides[n]) for n in names), np.vstack(a), np.concatenate([rhs for _, rhs in rows])
+    return _dense_matrix(names, sides, rows)
+
+
+def _kind_draws(rng, d):
+    """One random device of every kind on side d, in canonical order."""
+    return {
+        "instrument": lambda: rand_instrument(rng, d, d, n_out=3),
+        "channel": lambda: rand_cpmap(rng, d, d, channel=True),
+        "operation": lambda: rand_cpmap(rng, d, d),
+        "effect": lambda: rand_effect(rng, d),
+        "observable": lambda: rand_observable(rng, d, 3),
+    }
+
+
+def _planned(problem):
+    """The plan's constraint matrix, column block by column block in block order
+    (the layout stacks blocks by side), and the right-hand side."""
+    plan = fs._plan(problem)
+    cols = [c for o, d in zip(plan.layout.offsets, plan.layout.sides) for c in range(o, o + d * d)]
+    return plan.a[:, cols], np.concatenate([c.rhs for c in problem.constraints])
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -820,14 +886,7 @@ def test_typed_rows_assemble_to_the_dense_encoding(d):
     # every kind pair in canonical order, both questions: the plan's matrix
     # and the right-hand side equal the dense encoding bit for bit, column
     # block by column block (the layout stacks blocks by side)
-    rng = np.random.default_rng([41, d])
-    kinds = {
-        "instrument": lambda: rand_instrument(rng, d, d, n_out=3),
-        "channel": lambda: rand_cpmap(rng, d, d, channel=True),
-        "operation": lambda: rand_cpmap(rng, d, d),
-        "effect": lambda: rand_effect(rng, d),
-        "observable": lambda: rand_observable(rng, d, 3),
-    }
+    kinds = _kind_draws(np.random.default_rng([41, d]), d)
     order = list(kinds)
     built = 0
     for i, k1 in enumerate(order):
@@ -837,26 +896,64 @@ def test_typed_rows_assemble_to_the_dense_encoding(d):
                 problem = getattr(cp, f"{builder}_problem")(d1, d2)
                 blocks, a, b = _dense_problem(builder, d1, d2)
                 assert problem.blocks == blocks
-                plan = fs._plan(problem)
-                cols = [c for o, d in zip(plan.layout.offsets, plan.layout.sides)
-                        for c in range(o, o + d * d)]
-                assert np.array_equal(plan.a[:, cols], a)
-                assert np.array_equal(np.concatenate([c.rhs for c in problem.constraints]), b)
+                got_a, got_b = _planned(problem)
+                assert np.array_equal(got_a, a)
+                assert np.array_equal(got_b, b)
                 assert not any(isinstance(op, np.ndarray) for c in problem.constraints for _, op in c.terms)
                 built += 1
     assert built == 30
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_completed_targets_keep_the_affine_set_of_the_free_outcome_encoding(d):
+    # every kind pair in canonical order, both questions: the builders' rows
+    # for the rest of each unit span what the identity and trace-preserving
+    # rows of the free-outcome encoding spanned, and the two problems share
+    # a point
+    kinds = _kind_draws(np.random.default_rng([47, d]), d)
+    order = list(kinds)
+    consistent = 0
+    for i, k1 in enumerate(order):
+        for k2 in order[i:]:
+            d1, d2 = kinds[k1](), kinds[k2]()
+            for builder in ("joint", "weak"):
+                problem = getattr(cp, f"{builder}_problem")(d1, d2)
+                blocks, (a, b) = problem.blocks, _planned(problem)
+                old_blocks, old_a, old_b = _dense_problem_with_free_outcomes(builder, d1, d2)
+                if builder == "joint":  # the new names, in the old block order
+                    t1, t2 = _ref_completed(d1), _ref_completed(d2)
+                    names = dict(zip([f"{x}&{y}" for x in t1 for y in t2], (n for n, _ in blocks)))
+                    old_blocks = tuple((names[xy], side) for xy, side in old_blocks)
+                assert sorted(old_blocks) == sorted(blocks)
+                # the old matrix's columns in the new block order
+                offsets = dict(zip((n for n, _ in old_blocks),
+                                   np.cumsum([0] + [side * side for _, side in old_blocks])))
+                cols = [c for n, side in blocks for c in range(offsets[n], offsets[n] + side * side)]
+                old_a = old_a[:, cols]
+                rank = np.linalg.matrix_rank(a)
+                assert np.linalg.matrix_rank(old_a) == rank == np.linalg.matrix_rank(np.vstack([a, old_a]))
+                # each min-norm point meets both problems' rows, or (distinct
+                # totals without a free outcome) neither problem has a point
+                systems = ((a, b), (old_a, old_b))
+                points = [np.linalg.lstsq(m, r, rcond=None)[0] for m, r in systems]
+                meets = {np.linalg.norm(m @ x - r) <= 1e-9 * (1 + np.linalg.norm(r))
+                         for x in points for m, r in systems}
+                assert len(meets) == 1
+                consistent += meets == {True}
+    assert consistent == 24
+
+
 def test_joint_blocks_that_no_full_side_target_reads_have_the_input_side():
-    # built, not solved: a block whose targets are all free or effects' (side
-    # din) has side din, every other one din * dout; the d = 5 joint problems
+    # built, not solved: a block whose targets both have side din (an
+    # effect's, or the rest of a unit) has side din, every other one
+    # din * dout; device 1 is the outer index; the d = 5 joint problems
     # have 1300, 1950 and 1900 coordinates, not 2500, 3750 and 2500
     rng = np.random.default_rng(43)
     op = rand_cpmap(rng, 5, 5)
     coords = []
     for d1, d2, sides in (
         (op, rand_effect(rng, 5), [25, 25, 5, 5]),
-        (op, rand_observable(rng, 5, 3), [25, 5] * 3),
+        (op, rand_observable(rng, 5, 3), [25] * 3 + [5] * 3),
         (op, rand_cpmap(rng, 5, 5), [25, 25, 25, 5]),
         (rand_cpmap(rng, 2, 3), rand_effect(rng, 2), [6, 6, 2, 2]),
         (rand_cpmap(rng, 3, 3, channel=True), rand_effect(rng, 3), [9, 9]),
@@ -1945,22 +2042,21 @@ def test_tampered_weak_witness_is_rejected(case, error):
 # ---------------------------------------------------------------------------
 
 
-def _encoded_row(blocks, target, din, dout, fixed=None):
+def _encoded_row(blocks, target, din, dout):
     """``cp._row``'s rule, written through the reference row helpers of conftest."""
     if target.shape[0] == din * dout:
-        return sum_constraint([n for n, _ in blocks], target if fixed is None else target - fixed)
+        return sum_constraint([n for n, _ in blocks], target)
     row = partial_trace_constraint(blocks[0][0], (din, dout), target)
     op = row.terms[0][1]
-    rhs = row.rhs if fixed is None else row.rhs - op.matrix @ herm_coords(fixed)
-    return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks), rhs)
+    return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks), row.rhs)
 
 
 def _encoded_totals_row(d1, d2, terms):
     """``weak_problem``'s first row through ``sum_constraint``."""
     din, dout = cp._dims(d1, d2)
     side = din * dout
-    fixed = [cp._sum([m for m in cp._parts(d).values() if m is not None and m.shape[0] == side],
-                     side) for d in (d1, d2)]
+    fixed = [cp._sum([m for m in cp._targets(d).values() if m.shape[0] == side], side)
+             for d in (d1, d2)]
     return sum_constraint(terms, fixed[0] - fixed[1])
 
 
@@ -1987,23 +2083,23 @@ def test_problem_rows_equal_the_encoders_rows_byte_for_byte(builder, monkeypatch
 _TABLE1_SOLVES = {
     True: {
         ("luders_px", "half_sigma_x"): [("face", 6)],
-        ("luders_pz", "px"): [("face", 6)],
-        ("luders_biased_z", "px"): [("certificate", 1)],
+        ("luders_pz", "px"): [("path", 0)],
+        ("luders_biased_z", "px"): [("affine", 0)],
     },
     False: {
         ("luders_px", "half_luders_px"): [("path", 0), ("path", 0)],
-        ("luders_px", "half_sigma_x"): [("face", 6), ("certificate", 1)],
-        ("luders_px", "luders_pz"): [("certificate", 1)],
-        ("luders_pz", "pz"): [("path", 0), ("face", 6)],
-        ("luders_pz", "px"): [("face", 6), ("certificate", 1)],
-        ("luders_biased_z", "px"): [("certificate", 1)],
-        ("half_identity", "pz"): [("face", 0)],
-        ("px", "pz"): [("certificate", 1)],
+        ("luders_px", "half_sigma_x"): [("face", 6), ("affine", 0)],
+        ("luders_px", "luders_pz"): [("affine", 0)],
+        ("luders_pz", "pz"): [("path", 0), ("path", 0)],
+        ("luders_pz", "px"): [("path", 0), ("affine", 0)],
+        ("luders_biased_z", "px"): [("affine", 0)],
+        ("half_identity", "pz"): [("path", 0)],
+        ("px", "pz"): [("affine", 0)],
     },
 }
 
 
-@pytest.mark.parametrize("fast_paths, steps", [(True, 13), (False, 23)])
+@pytest.mark.parametrize("fast_paths, steps", [(True, 6), (False, 6)])
 def test_table1_solves_are_pinned(fast_paths, steps, monkeypatch):
     solves = []
     orig = fs.solve

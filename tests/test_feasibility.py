@@ -22,6 +22,7 @@ from conftest import (
     is_psd,
     partial_trace_constraint,
     rand_complex,
+    rand_cpmap,
     rand_effect,
     rand_herm,
     rand_kraus,
@@ -737,14 +738,21 @@ def _first_step(problem, monkeypatch):
     return calls[0]
 
 
+def _pure_pair_problem():
+    """The joint problem of two pure qubit operations: face-reduced, and
+    infeasible after one step."""
+    from qcompat import compat as cp
+
+    rng = np.random.default_rng([77, 2])
+    return cp.joint_problem(rand_cpmap(rng, 2, 2, n_ops=1), rand_cpmap(rng, 2, 2, n_ops=1))
+
+
 def test_the_first_dual_iterate_is_centred(monkeypatch):
     # Z0 = S0^-1 / <e, S0^-1>: positive definite, of unit weight, and
     # Z0 S0 = mu 1 in every block; the spectrum handed to the step is Z0's
-    from qcompat import compat as cp
-
     rng = np.random.default_rng(3)
     whole = coexistence_problem(rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix)
-    reduced = cp.joint_problem(*below_common_channel(np.random.default_rng(101)))
+    reduced = _pure_pair_problem()
     for problem, face in ((whole, False), (reduced, True)):
         assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == face
         z, _, s, spec_z, _, layout, f = _first_step(problem, monkeypatch)
@@ -823,8 +831,6 @@ def test_a_warm_plan_repeats_the_cold_solve_bit_for_bit(monkeypatch):
     # A whole problem takes its SVD once, into the plan; a face-reduced one
     # takes a fresh SVD of its face on every solve. Either way the second
     # solve, from the cached plan, gives the bits of the first.
-    from qcompat import compat as cp
-
     svds = []
     orig = np.linalg.svd
 
@@ -839,8 +845,7 @@ def test_a_warm_plan_repeats_the_cold_solve_bit_for_bit(monkeypatch):
         problems.append((coexistence_problem(rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix), 0))
     e2 = rand_effect(np.random.default_rng(0), 3).matrix
     problems.append((coexistence_problem(np.diag([0.6, 0.3, 0.0]), e2), 1))  # reduced, feasible
-    f1, f2 = below_common_channel(np.random.default_rng(101))
-    problems.append((cp.joint_problem(f1, f2), 1))  # reduced, infeasible after 1
+    problems.append((_pure_pair_problem(), 1))  # reduced, infeasible after 1
     verdicts = set()
     for problem, hit_svds in problems:
         assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == bool(hit_svds)
@@ -1078,7 +1083,7 @@ _LAST_TRACE_LINE = {
     (lambda: _coexistence_draw(6), fs.DEFAULT_TOL, "certificate", "infeasible", 4),
     (lambda: _builtin_problem("weak_problem", "luders_px", "half_sigma_x"), fs.DEFAULT_TOL,
      "face", "feasible", 6),
-    (lambda: _builtin_problem("joint_problem", "half_identity", "biased_z"), fs.DEFAULT_TOL,
+    (lambda: _builtin_problem("weak_problem", "half_identity", "luders_pz"), fs.DEFAULT_TOL,
      "projection", "feasible", 0),
     (lambda: coexistence_problem(*noisy_pair(1 / np.sqrt(2) + 2e-7)), fs.DEFAULT_TOL,
      "stall", "undecided", 12),

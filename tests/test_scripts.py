@@ -58,10 +58,18 @@ def test_solve_digest_prints_one_line_per_solve_and_a_digest():
     proc = run_script("solve_digest.py")
     assert proc.returncode == 0, proc.stderr
     *lines, last = proc.stdout.splitlines()
-    assert last.startswith(f"solves={len(lines)} steps=") and " digest=" in last
-    pair, route, exit_, steps, margin, residual, sha = lines[0].split()
-    assert route in ("fast", "engine") and exit_ in fs.EXITS and int(steps) >= 0
-    assert sum(int(ln.split()[3]) for ln in lines) == int(last.split()[1].split("=")[1])
+    solves, steps, exits, digest = last.split()
+    assert solves == f"solves={len(lines)}" and steps.startswith("steps=")
+    assert exits.startswith("exits=") and digest.startswith("digest=")
+    pair, route, exit_, n, margin, residual, sha = lines[0].split()
+    assert route in ("fast", "engine") and exit_ in fs.EXITS and int(n) >= 0
+    assert sum(int(ln.split()[3]) for ln in lines) == int(steps.removeprefix("steps="))
+    # the exit census counts every solve, once per exit it names, in the order of fs.EXITS
+    census = [item.split(":") for item in exits.removeprefix("exits=").split(",")]
+    assert [name for name, _ in census] == [x for x in fs.EXITS if x in dict(census)]
+    assert {name: int(k) for name, k in census} == {
+        x: k for x in fs.EXITS if (k := sum(ln.split()[2] == x for ln in lines))}
+    assert sum(int(k) for _, k in census) == len(lines)
     # every Table-1 cell is among the pairs, and makes a solve without fast paths
     assert {f"{n1}/{n2} engine" for _, _, n1, n2 in TABLE1_CELLS} <= {
         " ".join(ln.split()[:2]) for ln in lines}
