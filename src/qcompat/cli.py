@@ -320,7 +320,7 @@ def cmd_validate(args) -> int:
 def _type_name(device) -> str:
     if isinstance(device, mm.MeasurementModel):
         return "model"
-    return cp._kind(device)
+    return dv.instrument_parts(device).kind
 
 
 def _load(args, *names, types=object, wrong_type=""):

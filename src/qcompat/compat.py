@@ -1,18 +1,19 @@
 """Compatibility of device pairs, decided with re-validated witnesses.
 
-Every device is read as an instrument through the table of parts
-``devices.instrument_parts``, one per outcome: the Choi matrix of a map on
-the device's own output (E^T for an effect E, whose output is
-one-dimensional), or, for the second outcome of an effect or an operation,
-nothing. :func:`_targets` gives that outcome its target too, the rest of
-the unit (1 - E)^T or (1 - F_H(1))^T of side ``din``, so every outcome has
-one. Blocks are Choi matrices on side ``din * dout``, with ``dout`` the
-quantum output side, else ``din``; a joint block whose targets both have
-side ``din`` has side ``din``, and :func:`_measure` lifts it. :func:`_row`
-compares block sums with targets. Two devices are compatible when both
-are parts of one joint instrument (``joint_problem``), and weakly
-compatible when two instruments, one containing each device, have equal
-totals (``weak_problem``, with blocks for the devices' own outcomes only).
+Every device is read as an instrument through the one table
+``devices.instrument_parts``: its kind, its sides, and a target for every
+outcome, the Choi matrix of a map on the device's own output (E^T for an
+effect E, whose output is one-dimensional), where the free outcome "0" of
+an effect or an operation is the rest of the unit, (1 - E)^T or
+(1 - F_H(1))^T of side ``din``. A pair holds both records; the builders,
+which take devices, read them afresh. Blocks are Choi matrices on side
+``din * dout``, with ``dout`` the quantum output side, else ``din``; a
+joint block whose targets both have side ``din`` has side ``din``, and
+:func:`_measure` lifts it. :func:`_row` compares block sums with targets.
+Two devices are compatible when both are parts of one joint instrument
+(``joint_problem``), and weakly compatible when two instruments, one
+containing each device, have equal totals (``weak_problem``, with blocks
+for the devices' own outcomes only).
 
 ``classify`` returns compatible, weakly_compatible_only,
 strongly_incompatible, or undecided. Each question has the pair's
@@ -29,9 +30,9 @@ engine: every compatible pair is weakly compatible, so a certified weak
 not solved. The engine's weak "yes" is assembled into a witness only
 when the joint engine says no. Classical pairs are always weakly
 compatible, and a pair with a channel that is not compatible is strongly
-incompatible, so both ask only the joint question. A map's kind is the one its validation fixed,
-so every trace-preserving map is a channel here, whatever it was
-declared. Positive verdicts carry a witness that is re-validated before
+incompatible, so both ask only the joint question. A map's kind is the
+one its validation fixed, so every trace-preserving map is a channel
+here, whatever it was declared. Positive verdicts carry a witness that is re-validated before
 it is returned. A flag disables the optional fast paths so the engine
 can be cross-checked against independent oracles; the structural ones,
 which decide channel and instrument pairs and the weak answer of
@@ -51,11 +52,11 @@ from .devices import (
     Instrument,
     Observable,
     PointerMap,
+    UnsupportedPairError,  # noqa: F401  (re-exported: the package and the CLI name it here)
     instrument_parts as _parts,
     kraus_choi,
     kraus_from_choi,  # noqa: F401  (unused here; perfbench/tracer.py wraps compat.kraus_from_choi)
     kraus_lists,
-    sides,
     total_channel,
 )
 from .matkit import (
@@ -75,10 +76,6 @@ from .order import (
     pure_pair_compatible,
     rank1_upper_channels_equal,
 )
-
-
-class UnsupportedPairError(ValueError):
-    """An input is not one of the five device kinds."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,36 +145,12 @@ def witness_tolerances(tol: Tolerances) -> Tolerances:
 _ORDER = ("instrument", "channel", "operation", "effect", "observable")
 
 
-def _kind(device) -> str:
-    if isinstance(device, Effect):
-        return "effect"
-    if isinstance(device, Observable):
-        return "observable"
-    if isinstance(device, Instrument):
-        return "instrument"
-    if isinstance(device, CPMap):
-        return "channel" if device.kind == "channel" else "operation"
-    raise UnsupportedPairError(f"unsupported device type {type(device).__name__}")
-
-
-def _targets(device) -> dict[str, np.ndarray]:
-    """The device's parts with a target for every outcome: the free outcome "0"
-    of an effect or an operation is the rest of the unit, (1 - E)^T or
-    (1 - F_H(1))^T, of side ``din``."""
-    t = _parts(device)
-    if isinstance(device, Effect):
-        t["0"] = np.eye(device.dim) - t["1"]
-    elif isinstance(device, CPMap) and device.kind == "operation":
-        t["0"] = np.eye(device.dim_in) - device.heisenberg_unit().T
-    return t
-
-
-def _dims(d1, d2) -> tuple[int, int]:
-    """Shared input side, and the pair's one output side: the quantum one, else din."""
-    (in1, out1), (in2, out2) = sides(d1), sides(d2)
-    if in1 != in2 or (None not in (out1, out2) and out1 != out2):
+def _dims(r1, r2) -> tuple[int, int]:
+    """Shared input side of two devices' parts, and the pair's one output side: the
+    quantum one, else din."""
+    if r1.din != r2.din or (None not in (r1.dout, r2.dout) and r1.dout != r2.dout):
         raise MatrixShapeError("devices live on different spaces")
-    return in1, out1 or out2 or in1
+    return r1.din, r1.dout or r2.dout or r1.din
 
 
 def _sum(mats, side: int) -> np.ndarray:
@@ -214,8 +187,9 @@ def joint_problem(d1, d2) -> fs.FeasibilityProblem:
     through Tr_out and has side ``din``: each PSD h is Tr_out of the PSD
     kron(h, 1/dout) (:func:`_measure`).
     """
-    t1, t2 = _targets(d1), _targets(d2)
-    din, dout = _dims(d1, d2)
+    r1, r2 = _parts(d1), _parts(d2)
+    din, dout = _dims(r1, r2)
+    t1, t2 = r1.targets, r2.targets
     pairs = [(x, y) for x in t1 for y in t2]
     blocks = [(f"g{n}", din if t1[x].shape[0] == t2[y].shape[0] == din else din * dout)
               for n, (x, y) in enumerate(pairs)]
@@ -238,9 +212,10 @@ def weak_problem(d1, d2) -> fs.FeasibilityProblem:
     smaller targets. Each device's targets sum to a channel, or to the
     identity under Tr_out, so device 1's total is trace preserving.
     """
-    din, dout = _dims(d1, d2)
+    r1, r2 = _parts(d1), _parts(d2)
+    din, dout = _dims(r1, r2)
     side = din * dout
-    targets = (_targets(d1), _targets(d2))
+    targets = (r1.targets, r2.targets)
     own = [[_weak_name(i, x) for x, m in t.items() if m.shape[0] != side]
            for i, t in enumerate(targets)]
     fixed = [_sum([m for m in t.values() if m.shape[0] == side], side) for t in targets]
@@ -262,17 +237,18 @@ class _Pair:
     def __init__(self, d1, d2, tol: Tolerances):
         self.d1, self.d2, self.tol = d1, d2, tol
         self.wtol = witness_tolerances(tol)
-        self.kinds = (_kind(d1), _kind(d2))
+        self.r1, self.r2 = _parts(d1), _parts(d2)
+        self.kinds = (self.r1.kind, self.r2.kind)
         self.classical = set(self.kinds) <= {"effect", "observable"}
-        self.din, self.dout = _dims(d1, d2)
+        self.din, self.dout = _dims(self.r1, self.r2)
         self.vtol = self.wtol if self.classical else tol  # for its fast-path witnesses
-        self.t1, self.t2 = _targets(d1), _targets(d2)
+        self.t1, self.t2 = self.r1.targets, self.r2.targets
 
 
-def _label_sets(device, owner: dict[str, str]) -> list[list[str]]:
-    """For each fixed target of the device, the instrument labels that ``owner`` maps to it."""
-    return [[lab for lab, y in owner.items() if y == x]
-            for x, t in _parts(device).items() if t is not None]
+def _label_sets(parts, owner: dict[str, str]) -> list[list[str]]:
+    """For each fixed target of a device's parts, the instrument labels that ``owner``
+    maps to it."""
+    return [[lab for lab, y in owner.items() if y == x] for x in parts.fixed]
 
 
 def _carve(p: _Pair, owners, sums, wtol: Tolerances):
@@ -285,13 +261,13 @@ def _carve(p: _Pair, owners, sums, wtol: Tolerances):
     partial trace over the output, the unit's transpose.
     """
     carved = []
-    for d, owner, (chois, units) in zip((p.d1, p.d2), owners, sums):
-        fixed = [t for t in _parts(d).values() if t is not None]
+    for r, owner, (chois, units) in zip((p.r1, p.r2), owners, sums):
+        fixed = list(r.fixed.values())
         got = [j if t.shape == j.shape else u.T for t, j, u in zip(fixed, chois, units)]
         if not all(close(t, g, wtol) for t, g in zip(fixed, got)):
-            raise WitnessValidationError(f"{_kind(d)} is not reproduced by the witness")
-        if isinstance(d, (Observable, Instrument)):
-            carved.append((None, PointerMap(owner, codomain=d.outcomes)))
+            raise WitnessValidationError(f"{r.kind} is not reproduced by the witness")
+        if r.kind in ("observable", "instrument"):
+            carved.append((None, PointerMap(owner, codomain=tuple(r.targets))))
         else:
             carved.append((tuple(lab for lab, x in owner.items() if x == "1"), None))
     return carved
@@ -318,7 +294,7 @@ def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verd
         joint = Observable(tuple(labels.values()), dict(zip(labels.values(), effects)), tol=vtol)
     mats = {labels[xy]: _measure(p, m) for xy, m in blocks.items()}
     owners = [{labels[xy]: xy[i] for xy in blocks} for i in (0, 1)]
-    sets = [_label_sets(d, owner) for d, owner in zip((p.d1, p.d2), owners)]
+    sets = [_label_sets(r, owner) for r, owner in zip((p.r1, p.r2), owners)]
     ins, chois, units = Instrument.with_sums(tuple(mats), mats, p.din, p.dout,
                                              sets[0] + sets[1], vtol)
     k = len(sets[0])
@@ -330,14 +306,14 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
     """Two instruments sharing a total channel, each re-validated as one stack.
 
     Device i keeps its own outcomes: each is its block ``blocks[i, x]``,
-    its target when that has the witness's side (:func:`_targets`), or,
+    its target when that has the witness's side, or,
     for the one outcome left, what the channel ``lam`` leaves over. Each
     device is carved out of single branches, which need no second validation.
     """
     side = p.din * p.dout
     instruments, owners, sums = [], [], []
-    for i, (device, targets) in enumerate(((p.d1, p.t1), (p.d2, p.t2))):
-        choi = {}
+    for i, r in enumerate((p.r1, p.r2)):
+        targets, choi = r.targets, {}
         for x, target in targets.items():
             if (i, x) in blocks:
                 choi[x] = blocks[i, x]
@@ -348,7 +324,7 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
             choi[left[0]] = lam - _sum(list(choi.values()), lam.shape[0])
         owner = {x: x for x in targets}
         ins, *carved = Instrument.with_sums(tuple(targets), choi, p.din, p.dout,
-                                            _label_sets(device, owner), vtol)
+                                            _label_sets(r, owner), vtol)
         instruments.append(ins)
         owners.append(owner)
         sums.append(carved)
@@ -366,8 +342,8 @@ def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
     Both instruments measure and then prepare one fixed state (:func:`_measure`),
     so both totals are the contraction channel to that state.
     """
-    blocks = {(i, x): _measure(p, t) for i, d in enumerate((p.d1, p.d2))
-              for x, t in _parts(d).items() if t is not None}
+    blocks = {(i, x): _measure(p, t) for i, r in enumerate((p.r1, p.r2))
+              for x, t in r.fixed.items()}
     return _weak_verdict(p, blocks, _measure(p, np.eye(p.din)), notes, p.tol)
 
 
@@ -393,9 +369,9 @@ def _commuting(p: _Pair):
 
     Each target J_x of device 1 must commute with L_y = B_y^T (x) 1 on its
     side, for every y; an effect's or an operation's outcome "0" is the
-    rest of the unit (:func:`_targets`). Block (x, y) is then J_x L_y. The
-    factors commute and are PSD, so every block is PSD; the blocks are
-    linear in B_y^T, whose sum is 1, so they sum back to every target.
+    rest of the unit. Block (x, y) is then J_x L_y. The factors commute
+    and are PSD, so every block is PSD; the blocks are linear in B_y^T,
+    whose sum is 1, so they sum back to every target.
     """
     lifts = {(k, y): b if k == 1 else kron(b, np.eye(k))
              for k in {j.shape[0] // p.din for j in p.t1.values()} for y, b in p.t2.items()}
@@ -540,9 +516,10 @@ _STRUCTURAL = {_cp_order, _totals, _shared_total, _contraction}
 
 def _oriented(stage, d1, d2, tol: Tolerances, *args) -> Verdict:
     """Run a stage on the pair in canonical order; orient the verdict as given."""
-    swap = _ORDER.index(_kind(d1)) > _ORDER.index(_kind(d2))
-    v = stage(_Pair(d2, d1, tol) if swap else _Pair(d1, d2, tol), *args)
-    return _swap_verdict(v) if swap else v
+    p = _Pair(d1, d2, tol)
+    if _ORDER.index(p.kinds[0]) <= _ORDER.index(p.kinds[1]):
+        return stage(p, *args)
+    return _swap_verdict(stage(_Pair(d2, d1, tol), *args))
 
 
 def _joint_sdp(p: _Pair, witness: dict) -> Verdict:

@@ -8,9 +8,13 @@ Heisenberg unit at the validating tolerance, and a declared channel is
 only asserted. The module also provides
 Kraus/Choi conversion, Schroedinger/Heisenberg application, relabeling,
 and the standard instrument constructions that embed any single device
-into an instrument. ``instrument_parts`` is the one table that reads
-every device as an instrument, an effect E as the map rho -> tr(E rho)
-with Choi matrix E^T, and ``is_part_of`` is one pointer search over it.
+into an instrument.
+
+``instrument_parts`` is the one table that reads a device as an
+instrument (its kind, its sides and a target for every outcome) and the
+only code that tells the five device classes apart for it; anything else
+raises the one UnsupportedPairError. ``is_part_of`` is one pointer search
+over the table, and ``canonical_instrument`` one rule over it.
 
 Validation runs on stacks. There is one Choi validator and one effect
 validator, each taking an (n, d, d) stack: finiteness and Hermiticity
@@ -639,54 +643,81 @@ def relabel(ins: Instrument, f: PointerMap, tol: Tolerances = DEFAULT_TOL) -> In
                                 ins.dim_out, (), tol)[0]
 
 
-def sides(device) -> tuple[int, int | None]:
-    """Input side and quantum output side of a device (None for an effect or
-    observable, whose parts map into a one-dimensional output)."""
-    if isinstance(device, (Effect, Observable)):
-        return device.dim, None
-    if isinstance(device, (CPMap, Instrument)):
-        return device.dim_in, device.dim_out
-    raise TypeError(f"unsupported device type {type(device).__name__}")
+@dataclass(frozen=True, eq=False)
+class Parts:
+    """A device read as an instrument (:func:`instrument_parts`).
+
+    ``kind`` is effect, observable, operation, channel or instrument;
+    ``din`` is the input side and ``dout`` the quantum output side (None
+    for an effect or an observable). ``targets`` maps every outcome to the
+    Choi matrix of a map on the device's own output; ``free`` names the
+    outcome whose target is only the rest of the unit, or is None.
+    """
+
+    kind: str
+    din: int
+    dout: int | None
+    targets: dict[str, np.ndarray]
+    free: str | None = None
+
+    @property
+    def fixed(self) -> dict[str, np.ndarray]:
+        """The targets the device itself fixes: all but the free outcome's."""
+        return {x: t for x, t in self.targets.items() if x != self.free}
 
 
-def instrument_parts(device) -> dict[str, np.ndarray | None]:
-    """The device as an instrument: outcome -> fixed target, None for the free outcome.
+class UnsupportedPairError(TypeError, ValueError):
+    """An input is not one of the five device kinds."""
+
+
+def instrument_parts(device) -> Parts:
+    """The one table that reads a device as an instrument.
 
     Every target is the Choi matrix of a map on the device's own output:
     an effect E is the map rho -> tr(E rho) into a one-dimensional output,
-    whose Choi matrix is E^T. Effects and operations leave outcome "0"
-    free; a channel has the one outcome "1".
+    whose Choi matrix is E^T. An effect's or an operation's part is
+    outcome "1", and its free outcome "0" gets the rest of the unit,
+    (1 - E)^T or (1 - F_H(1))^T, of side ``din``; a channel has the one
+    outcome "1". A map's kind is the one its validation fixed.
+    UnsupportedPairError for anything else.
     """
     if isinstance(device, Effect):
-        return {"1": device.matrix.T, "0": None}
+        e = device.matrix.T
+        return Parts("effect", device.dim, None, {"1": e, "0": np.eye(device.dim) - e}, "0")
     if isinstance(device, Observable):
-        return {x: device.effects[x].matrix.T for x in device.outcomes}
+        return Parts("observable", device.dim, None,
+                     {x: device.effects[x].matrix.T for x in device.outcomes})
     if isinstance(device, Instrument):
-        return {x: device.branches[x].choi for x in device.outcomes}
+        return Parts("instrument", device.dim_in, device.dim_out,
+                     {x: device.branches[x].choi for x in device.outcomes})
     if isinstance(device, CPMap):
-        return {"1": device.choi} if device.kind == "channel" else {"1": device.choi, "0": None}
-    raise TypeError(f"unsupported device type {type(device).__name__}")
+        if device.kind == "channel":
+            return Parts("channel", device.dim_in, device.dim_out, {"1": device.choi})
+        rest = np.eye(device.dim_in) - device.heisenberg_unit().T
+        return Parts("operation", device.dim_in, device.dim_out,
+                     {"1": device.choi, "0": rest}, "0")
+    raise UnsupportedPairError(f"unsupported device type {type(device).__name__}")
 
 
-def _has_pointer(targets: dict, per: dict[str, np.ndarray], tol: Tolerances) -> bool:
-    """DFS over pointer functions from the outcomes of ``per`` onto ``targets``.
+def _has_pointer(parts: Parts, per: dict[str, np.ndarray], tol: Tolerances) -> bool:
+    """DFS over pointer functions from the outcomes of ``per`` onto the device's.
 
-    ``per[x]`` is the matrix contributed by instrument outcome x. A None
-    target is free: it takes any labels and is never checked. The scale
-    comes from the fixed targets. Assignments whose partial sums exceed
-    a fixed target in the PSD order by more than the larger tolerance
-    are pruned: every summand is PSD, so such a sum stays more than
-    eq_tol away from its target.
+    ``per[x]`` is the matrix contributed by instrument outcome x. The
+    free outcome takes any labels and is never checked. The scale comes
+    from the fixed targets. Assignments whose partial sums exceed a fixed
+    target in the PSD order by more than the larger tolerance are pruned:
+    every summand is PSD, so such a sum stays more than eq_tol away from
+    its target.
     """
     src = list(per)
-    fixed = {y: t for y, t in targets.items() if t is not None}
+    fixed = parts.fixed
     scale = 1.0 + max(frob_norm(t) for t in fixed.values())
     floor = -max(tol.eq_tol, tol.psd_tol) * scale
 
     def rec(k: int, sums: dict) -> bool:
         if k == len(src):
             return all(frob_norm(fixed[y] - sums[y]) <= tol.eq_tol * scale for y in fixed)
-        for y in targets:
+        for y in parts.targets:
             if y in fixed:
                 branch = {**sums, y: sums[y] + per[src[k]]}
                 gap = hermitian_part(fixed[y] - branch[y])
@@ -714,19 +745,18 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     more than one target are exhaustive and bounded by
     PART_SEARCH_LIMIT outcomes.
     """
-    din, dout = sides(device)
-    if din != ins.dim_in or dout not in (None, ins.dim_out):
+    parts = instrument_parts(device)
+    if parts.din != ins.dim_in or parts.dout not in (None, ins.dim_out):
         raise MatrixShapeError("device dimensions do not match the instrument")
-    targets = instrument_parts(device)
-    side = next(t for t in targets.values() if t is not None).shape[0]
-    per = {x: ins.branches[x].choi if side == din * ins.dim_out
+    side = next(iter(parts.fixed.values())).shape[0]
+    per = {x: ins.branches[x].choi if side == parts.din * ins.dim_out
            else ins.branches[x].heisenberg_unit().T for x in ins.outcomes}
-    if len(targets) > 1 and len(ins.outcomes) > PART_SEARCH_LIMIT:
+    if len(parts.targets) > 1 and len(ins.outcomes) > PART_SEARCH_LIMIT:
         raise OutcomeBoundError(
             f"outcome set of size {len(ins.outcomes)} exceeds the exhaustive "
             f"search limit {PART_SEARCH_LIMIT}"
         )
-    return _has_pointer(targets, per, tol)
+    return _has_pointer(parts, per, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -747,11 +777,6 @@ def _check_state(rho: np.ndarray, tol: Tolerances) -> np.ndarray:
     return h
 
 
-def state_prep_choi(effect_matrix: np.ndarray, rho0: np.ndarray) -> np.ndarray:
-    """Choi of ``rho -> tr[E rho] rho0``."""
-    return kron(np.asarray(effect_matrix).T, rho0)
-
-
 def _check_distribution(p: dict[str, float], name: str) -> None:
     """ValueError naming ``p`` unless its values sum to 1 within 1e-9 and none
     is below -1e-12."""
@@ -765,42 +790,32 @@ def canonical_instrument(
     probs: dict[str, float] | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Instrument:
-    """Embed a single device into an instrument that has it as a part.
+    """Embed a single device into an instrument that has it as a part: one rule
+    over :func:`instrument_parts`.
 
-    Effects get a binary measure-and-prepare instrument around an anchor
-    state, observables an |Omega|-ary one, operations a binary instrument
-    with a completion branch, and channels a probability-weighted family
-    of copies. The anchor state (default: maximally mixed) parametrizes
-    an uncountable family of valid embeddings.
+    A target of the full side ``din * dout`` is its own branch, and a
+    target of side ``din`` (an effect's, an observable's, the rest of a
+    unit) is measured and an anchor state rho0 prepared, kron(t, rho0).
+    The anchor (default: maximally mixed) lives on the device's quantum
+    output, if it has one, and parametrizes an uncountable family of valid
+    embeddings. Labels follow the table: an effect's or an operation's
+    part is outcome "1" and the rest of its unit "0". A channel given
+    ``probs`` becomes the probability-weighted family of its copies, and an
+    instrument its own canonical instrument.
     """
-    if isinstance(device, (Effect, Observable)):
-        d = device.dim
-        rho0 = _check_state(anchor_state if anchor_state is not None else np.eye(d) / d, tol)
-        if isinstance(device, Effect):
-            effects = {"0": device.matrix, "1": np.eye(d) - device.matrix}
-        else:
-            effects = {x: device.effects[x].matrix for x in device.outcomes}
-        chois = {x: state_prep_choi(e, rho0) for x, e in effects.items()}
-        return Instrument.with_sums(tuple(chois), chois, d, rho0.shape[0], (), tol)[0]
-    if isinstance(device, CPMap) and device.kind == "channel":
-        if probs is None:
-            probs = {"0": 1.0}
+    parts = instrument_parts(device)
+    din, dout, chois = parts.din, parts.dout, parts.targets
+    if parts.kind == "channel" and probs is not None:
         _check_distribution(probs, "probs")
         chois = {x: max(p, 0.0) * device.choi for x, p in probs.items()}
-        return Instrument.with_sums(tuple(probs), chois, device.dim_in, device.dim_out,
-                                    (), tol)[0]
-    if isinstance(device, CPMap):
-        dk = device.dim_out
-        rho0 = _check_state(anchor_state if anchor_state is not None else np.eye(dk) / dk, tol)
-        if rho0.shape[0] != dk:
+    elif any(t.shape[0] == din for t in chois.values()):
+        d = dout or din
+        rho0 = _check_state(anchor_state if anchor_state is not None else np.eye(d) / d, tol)
+        if dout not in (None, rho0.shape[0]):
             raise MatrixShapeError("anchor state must live on the output space")
-        deficit = np.eye(device.dim_in) - device.heisenberg_unit()
-        branches = {
-            "0": device,
-            "1": CPMap(device.dim_in, dk, state_prep_choi(deficit, rho0), tol=tol),
-        }
-        return Instrument(("0", "1"), branches, tol=tol)
-    raise TypeError(f"unsupported device type {type(device).__name__}")
+        dout = rho0.shape[0]
+        chois = {x: kron(t, rho0) if t.shape[0] == din else t for x, t in chois.items()}
+    return Instrument.with_sums(tuple(chois), chois, din, dout, (), tol)[0]
 
 
 def luders(a: Effect, tol: Tolerances = DEFAULT_TOL) -> CPMap:

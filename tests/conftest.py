@@ -12,6 +12,7 @@ from qcompat.matkit import (
     herm_coords,
     hermitian_part,
     is_hermitian,
+    kron,
 )
 
 
@@ -127,6 +128,11 @@ def loose_pointer():
 def frob_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Frobenius inner product tr(a† b)."""
     return complex(np.vdot(a, b))
+
+
+def state_prep_choi(effect_matrix, rho0) -> np.ndarray:
+    """Choi matrix of the measure-and-prepare map ``rho -> tr[E rho] rho0``."""
+    return kron(np.asarray(effect_matrix).T, rho0)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from qcompat import feasibility as fs
 from qcompat import order as od
 from qcompat.devices import CPMap, Effect, Instrument, KrausSet, Observable, choi_from_kraus
 from qcompat.matkit import (
+    MatrixShapeError,
     PositivityError,
     Tolerances,
     close,
@@ -50,6 +51,7 @@ from conftest import (
     rand_observable,
     rand_rank1_deficit_op,
     rand_state,
+    state_prep_choi,
     sum_constraint,
 )
 
@@ -704,6 +706,47 @@ def _ref_completed(device) -> dict:
 
 def _ref_free(targets) -> bool:
     return any(t is None for t in targets.values())
+
+
+def _ref_kind(device) -> str:
+    """Reference kind: a map's is the one its validation fixed."""
+    if isinstance(device, CPMap):
+        return device.kind
+    return {Effect: "effect", Observable: "observable", Instrument: "instrument"}[type(device)]
+
+
+def _same(a: dict, b: dict) -> bool:
+    """Same outcomes in the same order, and the same targets bit for bit."""
+    return list(a) == list(b) and all(
+        a[x].shape == b[x].shape and a[x].dtype == b[x].dtype and a[x].tobytes() == b[x].tobytes()
+        for x in a)
+
+
+def test_instrument_parts_is_the_reference_reading_of_every_device():
+    # the built-in devices, and random draws of all five kinds on sides 1 to 3
+    devices = list(DEV.values())
+    for d in (1, 2, 3):
+        for k in range(3):
+            devices += [draw() for draw in _kind_draws(np.random.default_rng([53, d, k]), d).values()]
+    assert {_ref_kind(d) for d in devices} == set(cp._ORDER)
+    for device in devices:
+        r = dv.instrument_parts(device)
+        ref = _ref_targets(device)
+        assert _same(r.targets, _ref_completed(device))
+        assert _same(r.fixed, {x: t for x, t in ref.items() if t is not None})
+        assert r.free == next((x for x, t in ref.items() if t is None), None)
+        assert r.kind == _ref_kind(device)
+        assert (r.dout is None) == (r.kind in ("effect", "observable"))
+        assert (r.din, r.dout or r.din) == _ref_dims(device, device)
+    # every quantum device here has dout == din, so only the input sides can clash
+    parts = [(device, dv.instrument_parts(device)) for device in devices]
+    for d1, r1 in parts:
+        for d2, r2 in parts:
+            if r1.din == r2.din:
+                assert cp._dims(r1, r2) == _ref_dims(d1, d2)
+            else:
+                with pytest.raises(MatrixShapeError, match="different spaces"):
+                    cp._dims(r1, r2)
 
 
 def _ref_sum(mats, side: int) -> np.ndarray:
@@ -1580,7 +1623,8 @@ def test_unusual_shapes_agree_on_both_routes(kind, din, dout, n_ops, seed, swap)
 
 def test_fast_paths_agree_with_engine_on_every_path():
     sample = _fast_path_sample()
-    covered = {tuple(sorted(map(cp._kind, (d1, d2)), key=cp._ORDER.index)) for _, d1, d2 in sample}
+    covered = {tuple(sorted((dv.instrument_parts(d).kind for d in (d1, d2)), key=cp._ORDER.index))
+               for _, d1, d2 in sample}
     assert covered >= set(cp._JOINT_PATHS) | set(cp._WEAK_PATHS)
     for path, d1, d2 in sample:
         assert path in _both_routes(d1, d2).notes
@@ -1973,7 +2017,7 @@ def _tampered_joint(case):
 def _tampered_weak(case):
     """sharp_x and sharp_z, each measured and then prepared into I/2, with a fault."""
     p = cp._Pair(sharp_observable(PX, PMX), sharp_observable(PZ, PMZ), cp.DEFAULT_TOL)
-    blocks = {(i, x): dv.state_prep_choi(e.matrix, _ETA)
+    blocks = {(i, x): state_prep_choi(e.matrix, _ETA)
               for i, d in enumerate((p.d1, p.d2)) for x, e in d.effects.items()}
     plus, minus = blocks[0, "+"], blocks[0, "-"]
     if case == "negative-branch":
@@ -2053,10 +2097,11 @@ def _encoded_row(blocks, target, din, dout):
 
 def _encoded_totals_row(d1, d2, terms):
     """``weak_problem``'s first row through ``sum_constraint``."""
-    din, dout = cp._dims(d1, d2)
+    parts = (dv.instrument_parts(d1), dv.instrument_parts(d2))
+    din, dout = cp._dims(*parts)
     side = din * dout
-    fixed = [cp._sum([m for m in cp._targets(d).values() if m.shape[0] == side], side)
-             for d in (d1, d2)]
+    fixed = [cp._sum([m for m in r.targets.values() if m.shape[0] == side], side)
+             for r in parts]
     return sum_constraint(terms, fixed[0] - fixed[1])
 
 

@@ -20,6 +20,7 @@ from conftest import (
     rand_instrument,
     rand_observable,
     rand_state,
+    state_prep_choi,
 )
 
 
@@ -108,14 +109,15 @@ def test_empty_and_negative_sides_are_shape_errors(build):
     (lambda: dv.four_effect_decomposition(np.ones((2, 3))), mk.MatrixShapeError, "square"),
     (lambda: dv.trivial_observable({"a": 0.5, "b": 0.6}, 2), ValueError,
      "p must be a probability distribution"),
-    (lambda: dv.sides(object()), TypeError, "unsupported device type object"),
-    (lambda: dv.instrument_parts(object()), TypeError, "unsupported device type object"),
-    (lambda: dv.canonical_instrument(object()), TypeError, "unsupported device type object"),
+    (lambda: dv.instrument_parts(object()), dv.UnsupportedPairError,
+     "unsupported device type object"),
+    (lambda: dv.canonical_instrument(object()), dv.UnsupportedPairError,
+     "unsupported device type object"),
 ], ids=["observable-no-outcomes", "observable-duplicate-labels", "observable-mixed-sides",
         "map-unknown-kind", "map-choi-shape", "instrument-mixed-sides", "instrument-no-outcomes",
         "instrument-duplicate-labels", "instrument-mismatched-labels", "effect-of-unknown",
         "kraus-empty", "pointer-outside-codomain", "four-effects-not-square",
-        "trivial-observable-probs", "sides-type", "instrument-parts-type",
+        "trivial-observable-probs", "instrument-parts-type",
         "canonical-instrument-type"])
 def test_validators_raise_what_their_docstrings_promise(build, error, match):
     with pytest.raises(error, match=match) as info:
@@ -342,10 +344,10 @@ def _derived_instruments(rng, ins):
     yield dv.relabel(ins, f), coarse
     rho0 = np.eye(din) / din
     e = rand_effect(rng, din)
-    yield dv.canonical_instrument(e), {"0": dv.state_prep_choi(e.matrix, rho0),
-                                       "1": dv.state_prep_choi(np.eye(din) - e.matrix, rho0)}
+    yield dv.canonical_instrument(e), {"1": state_prep_choi(e.matrix, rho0),
+                                       "0": state_prep_choi(np.eye(din) - e.matrix, rho0)}
     obs = rand_observable(rng, din, 3)
-    yield dv.canonical_instrument(obs), {x: dv.state_prep_choi(obs.effects[x].matrix, rho0)
+    yield dv.canonical_instrument(obs), {x: state_prep_choi(obs.effects[x].matrix, rho0)
                                          for x in obs.outcomes}
     lam = dv.total_channel(ins)
     probs = {"a": 0.25, "b": 0.75}
@@ -842,7 +844,7 @@ def test_channel_readings_need_no_outcome_bound():
 
 def test_canonical_instrument_effect():
     ins = dv.canonical_instrument(effect(PX), anchor_state=I2 / 2)
-    assert np.allclose(dv.instrument_part_effect(ins, ("0",)).matrix, PX)
+    assert np.allclose(dv.instrument_part_effect(ins, ("1",)).matrix, PX)
     assert dv.is_part_of(effect(PX), ins)
 
 
@@ -856,9 +858,45 @@ def test_canonical_instrument_channel_single_branch():
 
 def test_canonical_instrument_operation_completion_branch():
     ins = dv.canonical_instrument(luders_of(PX), anchor_state=PZ)
-    got = dv.instrument_part_effect(ins, ("1",)).matrix
+    got = dv.instrument_part_effect(ins, ("0",)).matrix
     assert np.allclose(got, I2 - PX)
     assert dv.is_part_of(luders_of(PX), ins)
+
+
+@pytest.mark.parametrize("din, dout", [(2, 2), (2, 3), (2, 1), (1, 2)])
+def test_canonical_instrument_holds_the_device_as_outcome_1(din, dout):
+    # every kind: an effect's, an operation's or a channel's part is outcome
+    # "1" (the rest of the unit "0"), an observable's and an instrument's
+    # outcomes are their own
+    rng = np.random.default_rng([21, din, dout])
+    devices = (rand_effect(rng, din), rand_observable(rng, din, 3), rand_cpmap(rng, din, dout),
+               rand_cpmap(rng, din, dout, channel=True), rand_instrument(rng, din, dout, n_out=3))
+    assert [dv.instrument_parts(d).kind for d in devices] == [
+        "effect", "observable", "operation", "channel", "instrument"]
+    for device in devices:
+        ins = dv.canonical_instrument(device)
+        assert dv.is_part_of(device, ins)
+        if isinstance(device, dv.Effect):
+            assert ins.outcomes == ("1", "0")
+            got = dv.instrument_part_effect(ins, ("1",)).matrix
+            assert np.allclose(got, device.matrix, atol=1e-12)
+            rest = dv.instrument_part_effect(ins, ("0",)).matrix
+            assert np.allclose(rest, np.eye(din) - device.matrix, atol=1e-12)
+        elif isinstance(device, dv.Observable):
+            assert ins.outcomes == device.outcomes
+            for x in device.outcomes:
+                got = dv.instrument_part_effect(ins, (x,)).matrix
+                assert np.allclose(got, device.effects[x].matrix, atol=1e-12)
+        elif isinstance(device, dv.Instrument):
+            assert ins.outcomes == device.outcomes
+            for x in device.outcomes:
+                assert ins.branch_sum((x,)).choi.tobytes() == device.branches[x].choi.tobytes()
+        else:
+            assert ins.outcomes == (("1",) if device.kind == "channel" else ("1", "0"))
+            assert ins.branch_sum(("1",)).choi.tobytes() == device.choi.tobytes()
+            if device.kind == "operation":
+                rest = dv.instrument_part_effect(ins, ("0",)).matrix
+                assert np.allclose(rest, np.eye(din) - device.heisenberg_unit(), atol=1e-12)
 
 
 def test_canonical_instrument_many_anchors():

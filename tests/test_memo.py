@@ -7,7 +7,14 @@ from qcompat.devices import CPMap, Instrument, KrausSet, PointerMap, choi_from_k
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, effect, luders_of, sharp_observable
 from qcompat.matkit import HermiticityError, MatrixShapeError, PositivityError
 
-from conftest import loose_pointer, rand_complex, rand_instrument, rand_observable, rand_state
+from conftest import (
+    loose_pointer,
+    rand_complex,
+    rand_instrument,
+    rand_observable,
+    rand_state,
+    state_prep_choi,
+)
 
 
 def luders_x_instrument():
@@ -213,8 +220,6 @@ def test_shared_model_pair_contraction_instruments():
     eta = rand_state(rng, 2)
     a1 = rand_observable(rng, 2, 2)
     a2 = rand_observable(rng, 2, 3)
-    from qcompat.devices import state_prep_choi
-
     i1 = Instrument(
         a1.outcomes,
         {x: CPMap(2, 2, state_prep_choi(a1.effects[x].matrix, eta)) for x in a1.outcomes},
