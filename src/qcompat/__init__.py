@@ -30,11 +30,10 @@ from .devices import (
     trivial_observable,
 )
 from .compat import (
-    CompatWitness,
     KrausCertificate,
     UnsupportedPairError,
     Verdict,
-    WeakWitness,
+    Witness,
     classify,
     kraus_witness,
     weakly_compatible,
@@ -80,11 +79,10 @@ __all__ = [
     "relabel",
     "total_channel",
     "trivial_observable",
-    "CompatWitness",
     "KrausCertificate",
     "UnsupportedPairError",
     "Verdict",
-    "WeakWitness",
+    "Witness",
     "classify",
     "kraus_witness",
     "weakly_compatible",

@@ -25,11 +25,13 @@ instruments ``{"outcomes": [...], "branches": {label: kraus-or-choi}}``,
 where ``outcomes`` is an array of strings; models take the quintuple
 fields ``dim_v1, dim_v2, eta, unitary, pointer``.
 
-A witness document lists the witness's instruments (one joint instrument,
-or two instruments and their common channel), then, for both kinds by
-one rule, how each device arises from them: ``part_i``, the outcome
-subset of an effect, operation or channel (``null`` otherwise), and
-``pointer_i``, the pointer map of an observable or instrument.
+A witness has one shape for both relations: two instruments with one
+total channel, which are one joint instrument for a compatible pair. Its
+document lists the instruments (the joint instrument once, or both and
+their common channel), then, by one rule, how each device arises from
+them: ``part_i``, the outcome subset of an effect, operation or channel
+(``null`` otherwise), and ``pointer_i``, the pointer map of an
+observable or instrument.
 """
 
 from __future__ import annotations
@@ -263,14 +265,14 @@ def _instrument_doc(ins: dv.Instrument) -> dict:
     }
 
 
-def _witness_doc(w: cp.CompatWitness | cp.WeakWitness | None) -> dict | None:
-    """The witness's instruments, then, by one rule for both kinds, how each
-    device arises from them: its subset ``part_i`` and its pointer map
+def _witness_doc(w: cp.Witness | None) -> dict | None:
+    """The witness's instruments, one joint instrument when its two are one, then how
+    each device arises from them: its subset ``part_i`` and its pointer map
     ``pointer_i``. None when the verdict has no witness."""
     if w is None:
         return None
-    if isinstance(w, cp.CompatWitness):
-        doc = {"kind": "joint-instrument", "instrument": _instrument_doc(w.instrument)}
+    if w.instrument_1 is w.instrument_2:
+        doc = {"kind": "joint-instrument", "instrument": _instrument_doc(w.instrument_1)}
     else:
         doc = {
             "kind": "shared-total-instrument-pair",
@@ -283,11 +285,9 @@ def _witness_doc(w: cp.CompatWitness | cp.WeakWitness | None) -> dict | None:
     for key, pointer in (("pointer_1", w.pointer_1), ("pointer_2", w.pointer_2)):
         if pointer is not None:
             doc[key] = dict(pointer.mapping)
-    observable = getattr(w, "joint_observable", None)
-    if observable is not None:
-        doc["joint_observable"] = {
-            x: fmt_matrix(observable.effects[x].matrix) for x in observable.outcomes
-        }
+    g = w.joint_observable
+    if g is not None:
+        doc["joint_observable"] = {x: fmt_matrix(g.effects[x].matrix) for x in g.outcomes}
     return doc
 
 

@@ -13,7 +13,10 @@ joint block whose targets both have side ``din`` has side ``din``, and
 Two devices are compatible when both are parts of one joint instrument
 (``joint_problem``), and weakly compatible when two instruments, one
 containing each device, have equal totals (``weak_problem``, with blocks
-for the devices' own outcomes only).
+for the devices' own outcomes only). Both relations have one witness
+shape, :class:`Witness`: two instruments with one total channel, device
+i a part of instrument i. A compatible pair's two are the same joint
+instrument, which is how compatibility implies weak compatibility.
 
 ``classify`` returns compatible, weakly_compatible_only,
 strongly_incompatible, or undecided. Each question has the pair's
@@ -32,11 +35,11 @@ when the joint engine says no. Classical pairs are always weakly
 compatible, and a pair with a channel that is not compatible is strongly
 incompatible, so both ask only the joint question. A map's kind is the
 one its validation fixed, so every trace-preserving map is a channel
-here, whatever it was declared. Positive verdicts carry a witness that is re-validated before
-it is returned. A flag disables the optional fast paths so the engine
-can be cross-checked against independent oracles; the structural ones,
-which decide channel and instrument pairs and the weak answer of
-classical pairs outright, still run.
+here, whatever it was declared. Positive verdicts carry a witness that
+is re-validated before it is returned. A flag disables the optional fast
+paths so the engine can be cross-checked against independent oracles;
+the structural ones, which decide channel and instrument pairs and the
+weak answer of classical pairs outright, still run.
 """
 
 from __future__ import annotations
@@ -79,24 +82,15 @@ from .order import (
 
 
 @dataclass(frozen=True, eq=False)
-class CompatWitness:
-    """Joint instrument carrying both devices as parts.
+class Witness:
+    """Two instruments with one total channel, device i a part of instrument i.
 
+    A compatible pair's two instruments are one joint instrument, the
+    same object, and ``common_channel`` is its own validated total.
     Subsets (for effects, operations, channels) or pointer maps (for
-    observables and instruments) record how each device arises.
+    observables and instruments) record how each device arises. A
+    compatible classical pair also carries its joint observable.
     """
-
-    instrument: Instrument
-    part_1: tuple[str, ...] | None = None
-    part_2: tuple[str, ...] | None = None
-    pointer_1: PointerMap | None = None
-    pointer_2: PointerMap | None = None
-    joint_observable: Observable | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class WeakWitness:
-    """Two instruments with one total channel, one device part in each."""
 
     instrument_1: Instrument
     instrument_2: Instrument
@@ -105,12 +99,13 @@ class WeakWitness:
     part_2: tuple[str, ...] | None = None
     pointer_1: PointerMap | None = None
     pointer_2: PointerMap | None = None
+    joint_observable: Observable | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class Verdict:
     relation: str  # compatible | weakly_compatible_only | strongly_incompatible | undecided
-    witness: CompatWitness | WeakWitness | None = None
+    witness: Witness | None = None
     notes: str = ""
 
     def __post_init__(self) -> None:
@@ -232,17 +227,17 @@ def weak_problem(d1, d2) -> fs.FeasibilityProblem:
 
 
 class _Pair:
-    """A device pair in canonical order, as fast paths and assemblers see it."""
+    """A device pair in canonical order with each device's record, as fast paths and
+    assemblers see it."""
 
-    def __init__(self, d1, d2, tol: Tolerances):
-        self.d1, self.d2, self.tol = d1, d2, tol
+    def __init__(self, d1, d2, r1, r2, tol: Tolerances):
+        self.d1, self.d2, self.r1, self.r2, self.tol = d1, d2, r1, r2, tol
         self.wtol = witness_tolerances(tol)
-        self.r1, self.r2 = _parts(d1), _parts(d2)
-        self.kinds = (self.r1.kind, self.r2.kind)
+        self.kinds = (r1.kind, r2.kind)
         self.classical = set(self.kinds) <= {"effect", "observable"}
-        self.din, self.dout = _dims(self.r1, self.r2)
+        self.din, self.dout = _dims(r1, r2)
         self.vtol = self.wtol if self.classical else tol  # for its fast-path witnesses
-        self.t1, self.t2 = self.r1.targets, self.r2.targets
+        self.t1, self.t2 = r1.targets, r2.targets
 
 
 def _label_sets(parts, owner: dict[str, str]) -> list[list[str]]:
@@ -299,7 +294,8 @@ def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verd
                                              sets[0] + sets[1], vtol)
     k = len(sets[0])
     (s1, q1), (s2, q2) = _carve(p, owners, ((chois[:k], units[:k]), (chois[k:], units[k:])), vtol)
-    return Verdict("compatible", CompatWitness(ins, s1, s2, q1, q2, joint), notes)
+    w = Witness(ins, ins, total_channel(ins, vtol), s1, s2, q1, q2, joint)
+    return Verdict("compatible", w, notes)
 
 
 def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> Verdict:
@@ -333,7 +329,7 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
     if not close(lam1.choi, lam2.choi, vtol):
         raise WitnessValidationError("witness instruments do not share their total channel")
     (s1, q1), (s2, q2) = _carve(p, owners, sums, vtol)
-    return Verdict("weakly_compatible_only", WeakWitness(i1, i2, lam1, s1, s2, q1, q2), notes)
+    return Verdict("weakly_compatible_only", Witness(i1, i2, lam1, s1, s2, q1, q2), notes)
 
 
 def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
@@ -349,12 +345,9 @@ def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
 
 def _swap_verdict(v: Verdict) -> Verdict:
     w = v.witness
-    if isinstance(w, CompatWitness):
-        w = CompatWitness(w.instrument, w.part_2, w.part_1, w.pointer_2, w.pointer_1,
-                          w.joint_observable)
-    elif isinstance(w, WeakWitness):
-        w = WeakWitness(w.instrument_2, w.instrument_1, w.common_channel,
-                        w.part_2, w.part_1, w.pointer_2, w.pointer_1)
+    if w is not None:
+        w = Witness(w.instrument_2, w.instrument_1, w.common_channel, w.part_2, w.part_1,
+                    w.pointer_2, w.pointer_1, w.joint_observable)
     return Verdict(v.relation, w, v.notes)
 
 
@@ -384,7 +377,8 @@ def _commuting(p: _Pair):
 
 def _sum_below_identity(p: _Pair):
     """Effects or operations that fit side by side below the identity."""
-    gram = sum(d.matrix if isinstance(d, Effect) else d.heisenberg_unit() for d in (p.d1, p.d2))
+    gram = sum(d.matrix if k == "effect" else d.heisenberg_unit()
+               for d, k in zip((p.d1, p.d2), p.kinds))
     if float(np.linalg.eigvalsh(hermitian_part(gram))[-1]) > 1.0 + p.tol.psd_tol:
         return None
     leftover = hermitian_part(np.eye(p.din) - gram)
@@ -394,8 +388,8 @@ def _sum_below_identity(p: _Pair):
 
 def _projection(p: _Pair):
     # a projection is compatible only with what commutes with it, checked before
-    for d in (p.d1, p.d2):
-        if isinstance(d, Effect) and close(d.matrix @ d.matrix, d.matrix, p.tol):
+    for d, k in zip((p.d1, p.d2), p.kinds):
+        if k == "effect" and close(d.matrix @ d.matrix, d.matrix, p.tol):
             return "fast-path: projection-commutation"
     return None
 
@@ -515,11 +509,12 @@ _STRUCTURAL = {_cp_order, _totals, _shared_total, _contraction}
 
 
 def _oriented(stage, d1, d2, tol: Tolerances, *args) -> Verdict:
-    """Run a stage on the pair in canonical order; orient the verdict as given."""
-    p = _Pair(d1, d2, tol)
-    if _ORDER.index(p.kinds[0]) <= _ORDER.index(p.kinds[1]):
-        return stage(p, *args)
-    return _swap_verdict(stage(_Pair(d2, d1, tol), *args))
+    """Run a stage on the pair in canonical order, each device read once; orient the
+    verdict as given."""
+    r1, r2 = _parts(d1), _parts(d2)
+    if _ORDER.index(r1.kind) <= _ORDER.index(r2.kind):
+        return stage(_Pair(d1, d2, r1, r2, tol), *args)
+    return _swap_verdict(stage(_Pair(d2, d1, r2, r1, tol), *args))
 
 
 def _joint_sdp(p: _Pair, witness: dict) -> Verdict:
@@ -671,8 +666,8 @@ def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate
             "Kraus index subsets exist only for subset-realized parts "
             "(effects, operations, channels)"
         )
-    if isinstance(w, CompatWitness):
-        ops, owners, j1 = _instrument_kraus(w.instrument, w.part_1, tol)
+    if w.instrument_1 is w.instrument_2:
+        ops, owners, j1 = _instrument_kraus(w.instrument_1, w.part_1, tol)
         j2 = tuple(i for i, x in enumerate(owners) if x in w.part_2)
         cert = KrausCertificate("joint", tuple(ops), None, j1, j2)
     else:
@@ -687,30 +682,23 @@ def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate
     return cert
 
 
-def _validate_certificate(cert: KrausCertificate, w, wtol: Tolerances) -> None:
+def _validate_certificate(cert: KrausCertificate, w: Witness, wtol: Tolerances) -> None:
     """Check a certificate against the witness it was exported from.
 
     Every Kraus list is normalized, paired lists share their total
     channel, and the Choi sum over each index subset equals the summed
-    branches of the witness part it stands for. Each list is checked as
-    one (n, dim_out, dim_in) stack.
+    branches of the witness part it stands for, in instrument i for
+    subset i. Each list is checked as one (n, dim_out, dim_in) stack.
     """
-    k_ops = np.array(cert.k_ops)
-    l_ops = None if cert.l_ops is None else np.array(cert.l_ops)
-    if isinstance(w, CompatWitness):
-        sides = ((k_ops, cert.j1, w.instrument, w.part_1),
-                 (k_ops, cert.j2, w.instrument, w.part_2))
-    else:
-        sides = ((k_ops, cert.j1, w.instrument_1, w.part_1),
-                 (l_ops, cert.j2, w.instrument_2, w.part_2))
-    ins = sides[0][2]
-    side = ins.dim_in * ins.dim_out
-    for ops in (k_ops,) if l_ops is None else (k_ops, l_ops):
-        if not close(np.einsum("kai,kaj->ij", ops.conj(), ops), np.eye(ins.dim_in), wtol):
+    lists = [np.array(ops) for ops in (cert.k_ops, cert.l_ops) if ops is not None]
+    din, dout = w.instrument_1.dim_in, w.instrument_1.dim_out
+    for ops in lists:
+        if not close(np.einsum("kai,kaj->ij", ops.conj(), ops), np.eye(din), wtol):
             raise WitnessValidationError("Kraus list is not normalized")
-    if l_ops is not None and not close(kraus_choi(k_ops), kraus_choi(l_ops), wtol):
+    if len(lists) == 2 and not close(kraus_choi(lists[0]), kraus_choi(lists[1]), wtol):
         raise WitnessValidationError("paired Kraus lists have different total channels")
-    for ops, idx, ins, part in sides:
-        want = _sum([ins.branches[x].choi for x in part], side)
+    for ops, idx, ins, part in ((lists[0], cert.j1, w.instrument_1, w.part_1),
+                                (lists[-1], cert.j2, w.instrument_2, w.part_2)):
+        want = _sum([ins.branches[x].choi for x in part], din * dout)
         if not close(want, kraus_choi(ops[list(idx)]), wtol):
             raise WitnessValidationError("Kraus subset does not reproduce its witness part")

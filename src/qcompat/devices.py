@@ -801,11 +801,17 @@ def canonical_instrument(
     embeddings. Labels follow the table: an effect's or an operation's
     part is outcome "1" and the rest of its unit "0". A channel given
     ``probs`` becomes the probability-weighted family of its copies, and an
-    instrument its own canonical instrument.
+    instrument its own canonical instrument. ValueError for ``probs`` given
+    with any other kind, and for ``anchor_state`` given with a channel or an
+    instrument, which measure no target.
     """
     parts = instrument_parts(device)
+    if probs is not None and parts.kind != "channel":
+        raise ValueError(f"probs weight the copies of a channel, not of an {parts.kind}")
+    if anchor_state is not None and parts.kind in ("channel", "instrument"):
+        raise ValueError(f"a {parts.kind} measures no target, so it takes no anchor_state")
     din, dout, chois = parts.din, parts.dout, parts.targets
-    if parts.kind == "channel" and probs is not None:
+    if probs is not None:
         _check_distribution(probs, "probs")
         chois = {x: max(p, 0.0) * device.choi for x, p in probs.items()}
     elif any(t.shape[0] == din for t in chois.values()):

@@ -10,7 +10,9 @@ Choi matrix ``W E^T W*``. Maps dominated by the dilated one in the CP
 order correspond to unique ancilla effects, read off as
 ``E^T = W+ J W+*``; extracting them (and observables, branch by branch)
 is what connects compatibility questions to plain effect coexistence on
-the ancilla.
+the ancilla. A verdict's ancilla account dilates its witness's common
+channel, for either relation, and reads one ancilla effect from each
+instrument's part; a compatible pair's effects must coexist.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import CompatWitness, WeakWitness, classify, witness_tolerances
+from .compat import classify, witness_tolerances
 from .devices import CPMap, Effect, Instrument, Observable, kraus_lists, total_channel
 from .matkit import (
     DEFAULT_TOL,
@@ -178,10 +180,10 @@ class AncillaReport:
 def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_TOL) -> AncillaReport:
     """Re-derive a verdict's content at the ancilla level.
 
-    For a compatible pair: dilate the witness instrument's total channel,
-    extract the two ancilla effects, and confirm they coexist. For a
-    weakly compatible pair: extract both effects from the common channel
-    and report them (their coexistence is not required).
+    Dilate the witness's common channel and extract one ancilla effect
+    from each instrument's part. For a compatible pair, whose two
+    instruments are one, confirm that the effects coexist; for a weakly
+    compatible pair, only report them (their coexistence is not required).
     """
     if verdict.witness is None:
         raise ValueError("verdict carries no witness to verify")
@@ -189,17 +191,11 @@ def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_T
     # the solver residual, so all checks here run at the witness scale
     wtol = witness_tolerances(tol)
     w = verdict.witness
-    if isinstance(w, CompatWitness):
-        lam, ins_1, ins_2 = total_channel(w.instrument, wtol), w.instrument, w.instrument
-    elif isinstance(w, WeakWitness):
-        lam, ins_1, ins_2 = w.common_channel, w.instrument_1, w.instrument_2
-    else:
-        raise TypeError(f"unsupported witness type {type(w).__name__}")
-    dil = minimal_stinespring(lam, wtol)
-    e1 = radon_nikodym_effect(dil, ins_1.branch_sum(w.part_1, wtol), wtol)
-    e2 = radon_nikodym_effect(dil, ins_2.branch_sum(w.part_2, wtol), wtol)
+    dil = minimal_stinespring(w.common_channel, wtol)
+    e1 = radon_nikodym_effect(dil, w.instrument_1.branch_sum(w.part_1, wtol), wtol)
+    e2 = radon_nikodym_effect(dil, w.instrument_2.branch_sum(w.part_2, wtol), wtol)
     relation = None
-    if isinstance(w, CompatWitness):
+    if verdict.relation == "compatible":
         relation = classify(e1, e2, tol=wtol).relation
         if relation != "compatible":
             raise AssertionError("ancilla effects of a compatible pair must coexist")

@@ -59,6 +59,11 @@ from conftest import (
 DEV = builtin_devices()
 
 
+def _pair(d1, d2, tol):
+    """The pair in the given order, as the fast paths and assemblers see it."""
+    return cp._Pair(d1, d2, dv.instrument_parts(d1), dv.instrument_parts(d2), tol)
+
+
 # ---------------------------------------------------------------------------
 # effect-effect
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ DEV = builtin_devices()
 def test_noncommuting_projections_incompatible_but_weak():
     v = cp.classify(effect(PX), effect(PZ))
     assert v.relation == "weakly_compatible_only"
-    assert isinstance(v.witness, cp.WeakWitness)
+    assert v.witness.instrument_1 is not v.witness.instrument_2
     # totals agree and each instrument contains its effect
     assert np.allclose(
         v.witness.common_channel.choi,
@@ -92,8 +97,8 @@ def test_commuting_effects_compatible_with_product_witness():
     v = cp.classify(e1, e2)
     assert v.relation == "compatible"
     assert "commuting" in v.notes
-    assert dv.is_part_of(e1, v.witness.instrument)
-    assert dv.is_part_of(e2, v.witness.instrument)
+    assert dv.is_part_of(e1, v.witness.instrument_1)
+    assert dv.is_part_of(e2, v.witness.instrument_2)
 
 
 def test_noisy_pair_threshold():
@@ -272,8 +277,8 @@ def test_comparable_pair_compatible():
     v = cp.classify(phi, half)
     assert v.relation == "compatible"
     assert "comparable" in v.notes
-    assert dv.is_part_of(phi, v.witness.instrument)
-    assert dv.is_part_of(half, v.witness.instrument)
+    assert dv.is_part_of(phi, v.witness.instrument_1)
+    assert dv.is_part_of(half, v.witness.instrument_2)
 
 
 def test_op_op_sdp_path_agrees_on_named_pairs():
@@ -294,8 +299,8 @@ def test_op_op_sdp_feasible_for_constructed_pair():
     assert out.verdict == "feasible"
     v = cp.classify(op1, op2, fast_paths=False)
     assert v.relation == "compatible"
-    assert dv.is_part_of(op1, v.witness.instrument, cp.witness_tolerances(cp.DEFAULT_TOL))
-    assert dv.is_part_of(op2, v.witness.instrument, cp.witness_tolerances(cp.DEFAULT_TOL))
+    assert dv.is_part_of(op1, v.witness.instrument_1, cp.witness_tolerances(cp.DEFAULT_TOL))
+    assert dv.is_part_of(op2, v.witness.instrument_2, cp.witness_tolerances(cp.DEFAULT_TOL))
 
 
 def test_pure_oracle_matches_sdp_sample():
@@ -337,8 +342,8 @@ def test_pz_vs_luders_pz_compatible_by_commutation():
     v = cp.classify(DEV["luders_pz"], effect(PZ))
     assert v.relation == "compatible"
     assert v.notes == "fast-path: commuting"
-    assert dv.is_part_of(effect(PZ), v.witness.instrument)
-    assert dv.is_part_of(DEV["luders_pz"], v.witness.instrument)
+    assert dv.is_part_of(effect(PZ), v.witness.instrument_2)
+    assert dv.is_part_of(DEV["luders_pz"], v.witness.instrument_1)
 
 
 def test_half_identity_vs_small_operation_sufficient_condition():
@@ -373,7 +378,7 @@ def test_channel_vs_half_of_itself():
 def test_dephasing_channel_vs_half_sigma_x_compatible():
     v = cp.classify(DEV["px_dephasing"], DEV["half_sigma_x"])
     assert v.relation == "compatible"
-    assert dv.is_part_of(DEV["half_sigma_x"], v.witness.instrument)
+    assert dv.is_part_of(DEV["half_sigma_x"], v.witness.instrument_2)
 
 
 def test_channel_channel():
@@ -1016,7 +1021,7 @@ def test_unobserved_engine_branches_are_measured_and_prepared():
     # outcome of the operation are solved at side 2 and lifted to kron(h, 1/2)
     v = cp.classify(DEV["luders_pz"], DEV["pz"], fast_paths=False)
     assert v.relation == "compatible" and v.notes == "sdp"
-    branches = v.witness.instrument.branches
+    branches = v.witness.instrument_1.branches
     for x in ("0&1", "0&0"):
         choi = branches[x].choi
         h = np.einsum("iaja->ij", choi.reshape(2, 2, 2, 2))
@@ -1144,7 +1149,7 @@ def test_parts_of_an_instrument_are_compatible_with_it():
         for part in parts:
             for v in (cp.classify(part, ins), cp.classify(ins, part)):
                 assert v.relation == "compatible"
-                assert isinstance(v.witness, cp.CompatWitness)
+                assert v.witness.instrument_1 is v.witness.instrument_2
 
 
 def test_instrument_strong_exactly_when_its_total_channel_is():
@@ -1213,7 +1218,7 @@ def test_projection_commutation_iff_for_operations():
         assert (v.relation, v.notes) == ("compatible", "fast-path: commuting")
         # the same operation against a non-commuting projection is incompatible
         if np.linalg.norm(p.matrix @ PX - PX @ p.matrix) > 1e-2:
-            assert cp._commuting(cp._Pair(phi, effect(PX), Tolerances())) is None
+            assert cp._commuting(_pair(phi, effect(PX), Tolerances())) is None
             assert cp.classify(phi, effect(PX)).relation != "compatible"
 
 
@@ -1261,7 +1266,7 @@ def test_mixed_dimension_pairs():
     v = cp.classify(op1, op2)
     assert v.relation == "compatible"
     wtol = cp.witness_tolerances(cp.DEFAULT_TOL)
-    assert dv.is_part_of(op1, v.witness.instrument, wtol)
+    assert dv.is_part_of(op1, v.witness.instrument_1, wtol)
     # effect against the same rectangular operation
     e1 = Effect(op1.heisenberg_unit())
     assert cp.classify(op2, e1).relation == "compatible"
@@ -1681,7 +1686,7 @@ def test_commuting_rule_fires_on_a_commuting_range():
     # with a rotated one; a contraction channel's range, the multiples of the
     # identity, commutes with everything
     assert cp.classify(luders_of(PZ), effect(PZ)).notes == "fast-path: commuting"
-    assert cp._commuting(cp._Pair(luders_of(PZ), effect(PX), Tolerances())) is None
+    assert cp._commuting(_pair(luders_of(PZ), effect(PX), Tolerances())) is None
     contraction = dv.contraction_channel(rand_state(np.random.default_rng(43), 2))
     assert cp.classify(contraction, effect(PX)).notes == "fast-path: commuting"
 
@@ -1779,8 +1784,8 @@ def test_commuting_pairs_take_the_commuting_rule_on_every_classical_row(row, din
         assert fast.notes == "fast-path: commuting"
         assert fast.relation == slow.relation == "compatible", slow.notes
         for v in (fast, slow):
-            assert dv.is_part_of(a, v.witness.instrument, loose)
-            assert dv.is_part_of(b, v.witness.instrument, loose)
+            assert dv.is_part_of(a, v.witness.instrument_1, loose)
+            assert dv.is_part_of(b, v.witness.instrument_2, loose)
             if v.witness.part_1 is not None and v.witness.part_2 is not None:
                 cp.kraus_witness(v)
 
@@ -1792,7 +1797,7 @@ def test_luders_x_instrument_and_px_commute():
     for a, b in ((ins, px), (px, ins)):
         v = _both_routes(a, b)
         assert (v.relation, v.notes) == ("compatible", "fast-path: commuting")
-        assert dv.is_part_of(a, v.witness.instrument) and dv.is_part_of(b, v.witness.instrument)
+        assert dv.is_part_of(a, v.witness.instrument_1) and dv.is_part_of(b, v.witness.instrument_2)
 
 
 def test_fast_paths_agree_with_engine_on_table1():
@@ -1844,8 +1849,12 @@ def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
     wl = _benchmark_workloads(monkeypatch)
     calls = [(p.d1, p.d2, fast) for p in wl.fastpath_mix(90210) for fast in (True, False)]
     calls += [(p.d1, p.d2, p.fast_paths) for p in wl.engine_tail(90210, 0)]
-    kinds = {type(cp.classify(d1, d2, fast_paths=fast).witness) for d1, d2, fast in calls}
-    assert {cp.CompatWitness, cp.WeakWitness} <= kinds
+    verdicts = [cp.classify(d1, d2, fast_paths=fast) for d1, d2, fast in calls]
+    # both relations occur, a compatible witness holding one joint instrument
+    # twice and a weak one two instruments
+    shapes = {(v.relation, v.witness.instrument_1 is v.witness.instrument_2)
+              for v in verdicts if v.witness is not None}
+    assert shapes == {("compatible", True), ("weakly_compatible_only", False)}
     assert len(built) > len(calls) // 2
     assert any(len(s) > 1 for _, sets, _, _ in built for s in sets)
     for chois, label_sets, tol, (ins, sums, units) in built:
@@ -1873,6 +1882,46 @@ def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
                 assert unit.tobytes() == want.heisenberg_unit().tobytes()
 
 
+def _sides(w):
+    """Each side of a witness: its instrument's branches as bytes, its part and its pointer."""
+    def side(ins, part, pointer):
+        return ([(x, ins.branches[x].choi.tobytes()) for x in ins.outcomes], part,
+                None if pointer is None else (pointer.mapping, pointer.codomain))
+
+    return [side(w.instrument_1, w.part_1, w.pointer_1),
+            side(w.instrument_2, w.part_2, w.pointer_2)]
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_every_builtin_witness_is_two_instruments_with_one_total(fast):
+    # one witness shape for both relations: a compatible pair's two
+    # instruments are one object, the common channel is both totals, device
+    # i is a part of instrument i, and the reversed call of a pair of two
+    # kinds, which runs in the same canonical order, swaps the witness
+    wtol = cp.witness_tolerances(cp.DEFAULT_TOL)
+    verdicts = {(a, b): cp.classify(DEV[a], DEV[b], fast_paths=fast) for a in DEV for b in DEV}
+    positive = 0
+    for (a, b), v in verdicts.items():
+        w = v.witness
+        assert (w is not None) == (v.relation in ("compatible", "weakly_compatible_only")), (a, b)
+        if w is None:
+            continue
+        positive += 1
+        assert (v.relation == "compatible") == (w.instrument_1 is w.instrument_2), (a, b)
+        for d, ins in ((DEV[a], w.instrument_1), (DEV[b], w.instrument_2)):
+            assert close(w.common_channel.choi, dv.total_channel(ins, wtol).choi, wtol), (a, b)
+            assert dv.is_part_of(d, ins, wtol), (a, b)
+        back = verdicts[b, a]
+        assert back.relation == v.relation, (a, b)
+        if dv.instrument_parts(DEV[a]).kind == dv.instrument_parts(DEV[b]).kind:
+            continue
+        assert back.notes == v.notes
+        assert _sides(back.witness) == _sides(w)[::-1]
+        assert back.witness.common_channel.choi.tobytes() == w.common_channel.choi.tobytes()
+        assert (back.witness.joint_observable is None) == (w.joint_observable is None)
+    assert positive > len(verdicts) // 2
+
+
 def test_commuting_observables_witness_takes_few_eigvalsh_calls(monkeypatch):
     rng = np.random.default_rng(2014)
     u = np.linalg.qr(rand_complex(rng, 2))[0]
@@ -1888,7 +1937,7 @@ def test_commuting_observables_witness_takes_few_eigvalsh_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     v = cp.classify(a, b)
     assert v.relation == "compatible" and v.notes == "fast-path: commuting"
-    assert len(v.witness.instrument.outcomes) == 9
+    assert len(v.witness.instrument_1.outcomes) == 9
     # the witness takes one effect stack of the joint observable and one Choi
     # stack of the instrument and its carved sums (Choi matrices, then their
     # units, whose spectra also bound the carved effects)
@@ -1952,7 +2001,7 @@ def test_witnesses_keep_the_orientation_of_sigma_y(name, fast):
     v = cp.classify(d1, d2, fast_paths=fast)
     assert v.relation == "compatible"
     w, wtol = v.witness, cp.witness_tolerances(cp.DEFAULT_TOL)
-    assert dv.is_part_of(d1, w.instrument, wtol) and dv.is_part_of(d2, w.instrument, wtol)
+    assert dv.is_part_of(d1, w.instrument_1, wtol) and dv.is_part_of(d2, w.instrument_2, wtol)
     if w.joint_observable is None:
         assert name == "op-ef"
         return
@@ -1999,7 +2048,7 @@ def _mixed(a, b, t):
 
 def _tampered_joint(case):
     """The dephasing channel and sharp_x as parts of the Lueders-x instrument, with a fault."""
-    p = cp._Pair(DEV["px_dephasing"], DEV["sharp_x"], cp.DEFAULT_TOL)
+    p = _pair(DEV["px_dephasing"], DEV["sharp_x"], cp.DEFAULT_TOL)
     plus, minus = luders_of(PX).choi, luders_of(PMX).choi
     blocks = {("1", "+"): plus, ("1", "-"): minus}
     if case == "negative-branch":  # P-x's Lueders Choi matrix spans a kernel vector of Px's
@@ -2016,7 +2065,7 @@ def _tampered_joint(case):
 
 def _tampered_weak(case):
     """sharp_x and sharp_z, each measured and then prepared into I/2, with a fault."""
-    p = cp._Pair(sharp_observable(PX, PMX), sharp_observable(PZ, PMZ), cp.DEFAULT_TOL)
+    p = _pair(sharp_observable(PX, PMX), sharp_observable(PZ, PMZ), cp.DEFAULT_TOL)
     blocks = {(i, x): state_prep_choi(e.matrix, _ETA)
               for i, d in enumerate((p.d1, p.d2)) for x, e in d.effects.items()}
     plus, minus = blocks[0, "+"], blocks[0, "-"]
@@ -2054,7 +2103,7 @@ def test_tampered_classical_joint_observable_is_rejected():
     # a carved unit is bounded by its Choi check at the same threshold, so
     # a unit above 1 meets EffectBoundsError only in a classical pair, whose
     # blocks are the effects of the joint observable
-    p = cp._Pair(effect(PZ), effect(I2 / 2), cp.DEFAULT_TOL)
+    p = _pair(effect(PZ), effect(I2 / 2), cp.DEFAULT_TOL)
     blocks = {("1", "1"): PZ / 2, ("1", "0"): PZ / 2, ("0", "1"): PMZ / 2, ("0", "0"): PMZ / 2}
     assert cp._joint_verdict(p, blocks, "hand-built", p.wtol).relation == "compatible"
     blocks["1", "1"] = (1 + 1e-4) * PZ

@@ -950,6 +950,22 @@ def test_canonical_instrument_rejects_bad_probs_and_a_misshaped_anchor():
         dv.canonical_instrument(luders_of(PX), anchor_state=np.eye(3) / 3)
 
 
+def test_canonical_instrument_rejects_inputs_it_cannot_use():
+    # probs weight the copies of a channel only, and an anchor state is
+    # prepared only after a measured target, which a channel and an
+    # instrument do not have
+    rng = np.random.default_rng(23)
+    lam = rand_cpmap(rng, 2, 2, channel=True)
+    cases = [(luders_of(PX), {"probs": {"a": 0.4, "b": 0.6}}, "probs"),
+             (effect(PX), {"probs": {"a": 1.0}}, "probs"),
+             (lam, {"anchor_state": np.eye(7)}, "anchor_state"),
+             (rand_instrument(rng, 2, 2, n_out=2), {"anchor_state": I2 / 2}, "anchor_state")]
+    for device, kwargs, name in cases:
+        with pytest.raises(ValueError, match=name) as info:
+            dv.canonical_instrument(device, **kwargs)
+        assert info.type is ValueError
+
+
 def test_luders_of_identity_is_identity_channel():
     m = dv.luders(effect(I2))
     rng = np.random.default_rng(22)
