@@ -34,6 +34,7 @@ from .compat import (
     UnsupportedPairError,
     Verdict,
     Witness,
+    check_witness,
     classify,
     kraus_witness,
     weakly_compatible,
@@ -83,6 +84,7 @@ __all__ = [
     "UnsupportedPairError",
     "Verdict",
     "Witness",
+    "check_witness",
     "classify",
     "kraus_witness",
     "weakly_compatible",

@@ -15,8 +15,9 @@ Two devices are compatible when both are parts of one joint instrument
 containing each device, have equal totals (``weak_problem``, with blocks
 for the devices' own outcomes only). Both relations have one witness
 shape, :class:`Witness`: two instruments with one total channel, device
-i a part of instrument i. A compatible pair's two are the same joint
-instrument, which is how compatibility implies weak compatibility.
+i a part of instrument i, the rule :func:`check_witness` states once. A
+compatible pair's two are the same joint instrument, which is how
+compatibility implies weak compatibility.
 
 ``classify`` returns compatible, weakly_compatible_only,
 strongly_incompatible, or undecided. Each question has the pair's
@@ -36,10 +37,11 @@ compatible, and a pair with a channel that is not compatible is strongly
 incompatible, so both ask only the joint question. A map's kind is the
 one its validation fixed, so every trace-preserving map is a channel
 here, whatever it was declared. Positive verdicts carry a witness that
-is re-validated before it is returned. A flag disables the optional fast
-paths so the engine can be cross-checked against independent oracles;
-the structural ones, which decide channel and instrument pairs and the
-weak answer of classical pairs outright, still run.
+is re-validated and checked before it is returned. A flag disables the
+optional fast paths so the engine can be cross-checked against
+independent oracles; the structural ones, which decide channel and
+instrument pairs and the weak answer of classical pairs outright, still
+run.
 """
 
 from __future__ import annotations
@@ -240,32 +242,41 @@ class _Pair:
         self.t1, self.t2 = r1.targets, r2.targets
 
 
-def _label_sets(parts, owner: dict[str, str]) -> list[list[str]]:
-    """For each fixed target of a device's parts, the instrument labels that ``owner``
-    maps to it."""
-    return [[lab for lab, y in owner.items() if y == x] for x in parts.fixed]
+def check_witness(d1, d2, witness: Witness, tol: Tolerances) -> None:
+    """Check that device i is a part of instrument i and that both totals are the
+    common channel; else WitnessValidationError naming the device or instrument.
 
-
-def _carve(p: _Pair, owners, sums, wtol: Tolerances):
-    """(subset, pointer) carving each device out of its witness instrument.
-
-    ``owners[i]`` maps each instrument label to an outcome of device i,
-    and ``sums[i]`` holds the validated Choi matrices and units of the
-    branch sums over :func:`_label_sets`. Every fixed target must come
-    back from its sum, as :func:`_row` reads it: the Choi matrix, or its
-    partial trace over the output, the unit's transpose.
+    Instrument i's labels go to device i's outcomes through ``pointer_i``,
+    or, with a subset ``part_i``, to outcome "1" and else to the free
+    outcome. Each fixed target of :func:`devices.instrument_parts` must
+    come back from its labels' branches as :func:`_row` reads them: their
+    summed Choi matrices for a target of the branches' side, else the
+    transpose of their summed units. Only sums and norms are taken.
     """
-    carved = []
-    for r, owner, (chois, units) in zip((p.r1, p.r2), owners, sums):
-        fixed = list(r.fixed.values())
-        got = [j if t.shape == j.shape else u.T for t, j, u in zip(fixed, chois, units)]
-        if not all(close(t, g, wtol) for t, g in zip(fixed, got)):
-            raise WitnessValidationError(f"{r.kind} is not reproduced by the witness")
-        if r.kind in ("observable", "instrument"):
-            carved.append((None, PointerMap(owner, codomain=tuple(r.targets))))
-        else:
-            carved.append((tuple(lab for lab, x in owner.items() if x == "1"), None))
-    return carved
+    w = witness
+    for i, d, ins, part, pointer in ((1, d1, w.instrument_1, w.part_1, w.pointer_1),
+                                     (2, d2, w.instrument_2, w.part_2, w.pointer_2)):
+        r, side = _parts(d), ins.dim_in * ins.dim_out
+        owner = pointer.mapping if pointer is not None else \
+            {x: "1" if x in (part or ()) else r.free for x in ins.outcomes}
+        got = {y: _sum([m.choi if len(t) == side else m.heisenberg_unit().T
+                        for x, m in ins.branches.items() if owner.get(x) == y], len(t))
+               for y, t in r.fixed.items()}
+        if r.din != ins.dim_in or r.dout not in (None, ins.dim_out) or \
+                not all(close(t, got[y], tol) for y, t in r.fixed.items()):
+            raise WitnessValidationError(f"device {i} ({r.kind}) is not a part of instrument {i}")
+        total = _sum([m.choi for m in ins.branches.values()], side)
+        if not close(total, w.common_channel.choi, tol):
+            raise WitnessValidationError(f"instrument {i}'s total is not the common channel")
+
+
+def _carve(r, owner: dict[str, str]):
+    """(subset, pointer) of a device in its witness instrument, whose labels ``owner``
+    maps to the device's outcomes: a pointer map for an observable or an
+    instrument, else the labels of outcome "1"."""
+    if r.kind in ("observable", "instrument"):
+        return None, PointerMap(owner, codomain=tuple(r.targets))
+    return tuple(lab for lab, x in owner.items() if x == "1"), None
 
 
 def _measure(p: _Pair, c: np.ndarray) -> np.ndarray:
@@ -275,8 +286,8 @@ def _measure(p: _Pair, c: np.ndarray) -> np.ndarray:
 
 
 def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verdict:
-    """Joint instrument from one block per outcome pair, re-validated as one stack
-    together with the sums that carve each device out of it.
+    """Joint instrument from one block per outcome pair, re-validated as one stack and
+    then checked against both devices (:func:`check_witness`).
 
     Blocks are Choi matrices on the pair's output, or an effect's G^T of
     side ``din``, which :func:`_measure` lifts. A classical pair's blocks
@@ -288,26 +299,24 @@ def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verd
         effects = Effect.from_stack([m.T for m in blocks.values()], vtol)
         joint = Observable(tuple(labels.values()), dict(zip(labels.values(), effects)), tol=vtol)
     mats = {labels[xy]: _measure(p, m) for xy, m in blocks.items()}
-    owners = [{labels[xy]: xy[i] for xy in blocks} for i in (0, 1)]
-    sets = [_label_sets(r, owner) for r, owner in zip((p.r1, p.r2), owners)]
-    ins, chois, units = Instrument.with_sums(tuple(mats), mats, p.din, p.dout,
-                                             sets[0] + sets[1], vtol)
-    k = len(sets[0])
-    (s1, q1), (s2, q2) = _carve(p, owners, ((chois[:k], units[:k]), (chois[k:], units[k:])), vtol)
+    ins = Instrument.from_stack(tuple(mats), mats, p.din, p.dout, vtol)
+    (s1, q1), (s2, q2) = (_carve(r, {labels[xy]: xy[i] for xy in blocks})
+                          for i, r in enumerate((p.r1, p.r2)))
     w = Witness(ins, ins, total_channel(ins, vtol), s1, s2, q1, q2, joint)
+    check_witness(p.d1, p.d2, w, vtol)
     return Verdict("compatible", w, notes)
 
 
 def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> Verdict:
-    """Two instruments sharing a total channel, each re-validated as one stack.
+    """Two instruments, each re-validated as one stack, then checked against both
+    devices and the first one's total (:func:`check_witness`).
 
     Device i keeps its own outcomes: each is its block ``blocks[i, x]``,
     its target when that has the witness's side, or,
-    for the one outcome left, what the channel ``lam`` leaves over. Each
-    device is carved out of single branches, which need no second validation.
+    for the one outcome left, what the channel ``lam`` leaves over.
     """
     side = p.din * p.dout
-    instruments, owners, sums = [], [], []
+    instruments, carved = [], []
     for i, r in enumerate((p.r1, p.r2)):
         targets, choi = r.targets, {}
         for x, target in targets.items():
@@ -318,18 +327,12 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
         left = [x for x in targets if x not in choi]
         if left:
             choi[left[0]] = lam - _sum(list(choi.values()), lam.shape[0])
-        owner = {x: x for x in targets}
-        ins, *carved = Instrument.with_sums(tuple(targets), choi, p.din, p.dout,
-                                            _label_sets(r, owner), vtol)
-        instruments.append(ins)
-        owners.append(owner)
-        sums.append(carved)
-    i1, i2 = instruments
-    lam1, lam2 = total_channel(i1, vtol), total_channel(i2, vtol)
-    if not close(lam1.choi, lam2.choi, vtol):
-        raise WitnessValidationError("witness instruments do not share their total channel")
-    (s1, q1), (s2, q2) = _carve(p, owners, sums, vtol)
-    return Verdict("weakly_compatible_only", Witness(i1, i2, lam1, s1, s2, q1, q2), notes)
+        instruments.append(Instrument.from_stack(tuple(targets), choi, p.din, p.dout, vtol))
+        carved.append(_carve(r, {x: x for x in targets}))
+    (i1, i2), ((s1, q1), (s2, q2)) = instruments, carved
+    w = Witness(i1, i2, total_channel(i1, vtol), s1, s2, q1, q2)
+    check_witness(p.d1, p.d2, w, vtol)
+    return Verdict("weakly_compatible_only", w, notes)
 
 
 def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
@@ -368,11 +371,15 @@ def _commuting(p: _Pair):
     """
     lifts = {(k, y): b if k == 1 else kron(b, np.eye(k))
              for k in {j.shape[0] // p.din for j in p.t1.values()} for y, b in p.t2.items()}
-    factors = {(x, y): (j, lifts[j.shape[0] // p.din, y]) for x, j in p.t1.items() for y in p.t2}
-    if not all(close(j @ lift, lift @ j, p.tol) for j, lift in factors.values()):
-        return None
-    blocks = {xy: hermitian_part(j @ lift) for xy, (j, lift) in factors.items()}
-    return _joint_verdict(p, blocks, "fast-path: commuting", p.vtol)
+    blocks = {}
+    for x, j in p.t1.items():
+        for y in p.t2:
+            lift = lifts[j.shape[0] // p.din, y]
+            blocks[x, y] = product = j @ lift
+            if not close(product, lift @ j, p.tol):
+                return None
+    return _joint_verdict(p, {xy: hermitian_part(m) for xy, m in blocks.items()},
+                          "fast-path: commuting", p.vtol)
 
 
 def _sum_below_identity(p: _Pair):

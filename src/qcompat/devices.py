@@ -21,10 +21,10 @@ validator, each taking an (n, d, d) stack: finiteness and Hermiticity
 are checked matrix by matrix, positivity with one ``eigvalsh`` per stack,
 and the Heisenberg units of Choi matrices come from one ``einsum`` and
 their spectra from one more ``eigvalsh``. The single-matrix
-constructors call them on a stack of one; ``CPMap.from_stack`` and
-``Effect.from_stack`` validate many matrices at once, and
-``Instrument.with_sums`` validates an instrument's branches, its total
-and its sums over several label sets as one stack.
+constructors call them on a stack of one; the stacked constructors
+``CPMap.from_stack``, ``Effect.from_stack`` and ``Instrument.from_stack``
+validate many matrices at once, the last an instrument's branches and
+its total as one stack, with the branches' units also checked as effects.
 
 Choi convention: for a map ``F`` from states on the input space (side
 ``dim_in``) to states on the output space (side ``dim_out``),
@@ -326,39 +326,29 @@ class Instrument:
             raise MatrixShapeError("all branches must share input/output dimensions")
         # branch Choi matrices are Hermitian, entry for entry, and so is their sum
         total = sum(self.branches[x].choi for x in outcomes)
-        channel = _with_total(total[None], 0, *next(iter(dims)), tol)[1]
+        channel = _with_total(total[None], *next(iter(dims)), tol)[1]
         vars(self).update(outcomes=outcomes, _total=(tol, channel))
 
     @classmethod
-    def with_sums(cls, outcomes, chois: dict, dim_in: int, dim_out: int, label_sets,
-                  tol: Tolerances | None = None):
-        """The instrument whose branch x has the raw Choi matrix ``chois[x]``, with the
-        Choi matrices and the Heisenberg units of its branch sums over ``label_sets``,
-        as :meth:`branch_sum` adds each.
+    def from_stack(cls, outcomes, chois: dict, dim_in: int, dim_out: int,
+                   tol: Tolerances | None = None) -> Instrument:
+        """The instrument whose branch x has the raw Choi matrix ``chois[x]``, validated
+        as one stack.
 
         The total is, as for an instrument of CPMaps, the sum in outcome
-        order of the branches' Hermitian parts. One stack holds the
-        branches, their total and every sum that is not a single branch,
-        and is checked in that order: the branches as maps, the total as
-        a channel, the sums as maps and their units as effects. A single
-        branch is its own sum, validated once.
+        order of the branches' Hermitian parts. The stack of the branches
+        and their total is checked in that order: the branches as maps,
+        the total as a channel, then the branches' units as effects.
         """
         tol = tol or DEFAULT_TOL
         outcomes = _outcome_labels(outcomes, chois)
         j = _square_stack([chois[x] for x in outcomes], "Choi matrix",
                           side_product(dim_in, dim_out))
         h = _hermitian_stack(j, tol, "Choi matrix")
-        sets, sums = _label_sums(dict(zip(outcomes, h)), label_sets)
-        many = [len(labels) != 1 for labels in sets]
-        # the total and the sums of Hermitian parts are Hermitian, entry for entry
-        stack = np.concatenate([h, sum(h)[None], sums[many]])
-        branches, channel, units, unit_evals = _with_total(stack, len(h), dim_in, dim_out, tol)
-        ins = _made(cls, outcomes=outcomes, branches=dict(zip(outcomes, branches)),
-                    _total=(tol, channel))
-        extra = iter(range(len(h) + 1, len(stack)))
-        rows = [next(extra) if m else outcomes.index(labels[0]) for m, labels in zip(many, sets)]
-        _check_effects(unit_evals[rows], tol)
-        return ins, [stack[k] for k in rows], [units[k] for k in rows]
+        # the total of Hermitian parts is Hermitian, entry for entry
+        branches, channel = _with_total(np.concatenate([h, sum(h)[None]]), dim_in, dim_out, tol)
+        return _made(cls, outcomes=outcomes, branches=dict(zip(outcomes, branches)),
+                     _total=(tol, channel))
 
     @property
     def dim_in(self) -> int:
@@ -370,7 +360,7 @@ class Instrument:
 
     def branch_sum(self, labels, tol: Tolerances = DEFAULT_TOL) -> CPMap:
         """Summed map over an outcome subset (the empty sum is null)."""
-        _, sums = _label_sums({x: m.choi for x, m in self.branches.items()}, [labels])
+        sums = _label_sums({x: m.choi for x, m in self.branches.items()}, [labels])
         return CPMap.from_stack(self.dim_in, self.dim_out, sums, tol)[0]
 
 
@@ -396,36 +386,35 @@ def _subset(labels, outcomes) -> list:
     return labels
 
 
-def _label_sums(chois: dict, label_sets):
-    """The label sets as lists, and the (n, side, side) stack of the sums of ``chois``
-    over each, added from zero in label order (the empty sum is null); OutcomeError
-    for a label that ``chois`` lacks or that a set repeats."""
+def _label_sums(chois: dict, label_sets) -> np.ndarray:
+    """The (n, side, side) stack of the sums of ``chois`` over each label set, added
+    from zero in label order (the empty sum is null); OutcomeError for a label that
+    ``chois`` lacks or that a set repeats."""
     sets = [_subset(labels, chois) for labels in label_sets]
     side = next(iter(chois.values())).shape[0]
     sums = np.zeros((len(sets), side, side), dtype=complex)
     for j, labels in zip(sums, sets):
         for x in labels:
             j += chois[x]
-    return sets, sums
+    return sums
 
 
-def _with_total(stack: np.ndarray, n: int, din: int, dout: int, tol: Tolerances):
-    """Check a Hermitian Choi stack of n branches, their total, then further sums,
-    in that order: the branches and sums as maps, the total as a channel, else
-    NormalizationError. Returns the branches, the total, and every unit and its
-    spectrum."""
+def _with_total(stack: np.ndarray, din: int, dout: int, tol: Tolerances):
+    """Check a Hermitian Choi stack of branches and, in its last row, their total: the
+    branches as maps, the total as a channel, else NormalizationError, then the
+    branches' units as effects. Returns the branches and the total."""
     stack.flags.writeable = False
     low, units, unit_evals = _spectra(stack, din, dout)
-    kinds = _kinds(low[:n], unit_evals[:n], tol)
+    kinds = _kinds(low[:-1], unit_evals[:-1], tol)
     try:
-        kinds += _kinds(low[n:n + 1], unit_evals[n:n + 1], tol)
+        kinds += _kinds(low[-1:], unit_evals[-1:], tol)
     except (TraceConditionError, PositivityError) as exc:
         raise NormalizationError(f"branch sum is not a channel: {exc}") from exc
-    if kinds[n] != "channel":
+    if kinds[-1] != "channel":
         raise NormalizationError("branch sum is not a channel: it does not preserve trace")
-    _kinds(low[n + 1:], unit_evals[n + 1:], tol)
-    *branches, channel = _maps(din, dout, stack[:n + 1], units[:n + 1], kinds)
-    return branches, channel, units, unit_evals
+    _check_effects(unit_evals[:-1], tol)
+    *branches, channel = _maps(din, dout, stack, units, kinds)
+    return branches, channel
 
 
 @dataclass(frozen=True, eq=False)
@@ -638,9 +627,9 @@ def relabel(ins: Instrument, f: PointerMap, tol: Tolerances = DEFAULT_TOL) -> In
     f.check_total(ins.outcomes)
     chois = {x: m.choi for x, m in ins.branches.items()}
     # mapping labels that are not outcomes add nothing
-    _, sums = _label_sums(chois, [[x for x in f.preimage(y) if x in chois] for y in f.codomain])
-    return Instrument.with_sums(f.codomain, dict(zip(f.codomain, sums)), ins.dim_in,
-                                ins.dim_out, (), tol)[0]
+    sums = _label_sums(chois, [[x for x in f.preimage(y) if x in chois] for y in f.codomain])
+    return Instrument.from_stack(f.codomain, dict(zip(f.codomain, sums)), ins.dim_in,
+                                 ins.dim_out, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -821,7 +810,7 @@ def canonical_instrument(
             raise MatrixShapeError("anchor state must live on the output space")
         dout = rho0.shape[0]
         chois = {x: kron(t, rho0) if t.shape[0] == din else t for x, t in chois.items()}
-    return Instrument.with_sums(tuple(chois), chois, din, dout, (), tol)[0]
+    return Instrument.from_stack(tuple(chois), chois, din, dout, tol)
 
 
 def luders(a: Effect, tol: Tolerances = DEFAULT_TOL) -> CPMap:

@@ -10,9 +10,10 @@ Choi matrix ``W E^T W*``. Maps dominated by the dilated one in the CP
 order correspond to unique ancilla effects, read off as
 ``E^T = W+ J W+*``; extracting them (and observables, branch by branch)
 is what connects compatibility questions to plain effect coexistence on
-the ancilla. A verdict's ancilla account dilates its witness's common
-channel, for either relation, and reads one ancilla effect from each
-instrument's part; a compatible pair's effects must coexist.
+the ancilla. A verdict's ancilla account first checks its witness against
+the two devices (``compat.check_witness``), then dilates the witness's
+common channel, for either relation, and reads one ancilla effect from
+each instrument's part; a compatible pair's effects must coexist.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import classify, witness_tolerances
+from .compat import check_witness, classify, witness_tolerances
 from .devices import CPMap, Effect, Instrument, Observable, kraus_lists, total_channel
 from .matkit import (
     DEFAULT_TOL,
@@ -180,10 +181,11 @@ class AncillaReport:
 def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_TOL) -> AncillaReport:
     """Re-derive a verdict's content at the ancilla level.
 
-    Dilate the witness's common channel and extract one ancilla effect
-    from each instrument's part. For a compatible pair, whose two
-    instruments are one, confirm that the effects coexist; for a weakly
-    compatible pair, only report them (their coexistence is not required).
+    Check the witness against f1 and f2 (:func:`compat.check_witness`),
+    dilate its common channel and extract one ancilla effect from each
+    instrument's part. For a compatible pair, whose two instruments are
+    one, confirm that the effects coexist; for a weakly compatible pair,
+    only report them (their coexistence is not required).
     """
     if verdict.witness is None:
         raise ValueError("verdict carries no witness to verify")
@@ -191,6 +193,7 @@ def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_T
     # the solver residual, so all checks here run at the witness scale
     wtol = witness_tolerances(tol)
     w = verdict.witness
+    check_witness(f1, f2, w, wtol)
     dil = minimal_stinespring(w.common_channel, wtol)
     e1 = radon_nikodym_effect(dil, w.instrument_1.branch_sum(w.part_1, wtol), wtol)
     e2 = radon_nikodym_effect(dil, w.instrument_2.branch_sum(w.part_2, wtol), wtol)

@@ -136,7 +136,7 @@ def model_instrument(
     f.check_total(m.pointer.outcomes)
     effs = [m.pointer.effect_of(f.preimage(y), tol).matrix for y in f.codomain]
     chois = dict(zip(f.codomain, _model_chois(m, effs)))
-    return Instrument.with_sums(f.codomain, chois, m.dim_in, m.dim_out, (), tol)[0]
+    return Instrument.from_stack(f.codomain, chois, m.dim_in, m.dim_out, tol)
 
 
 def model_is_part_of(m: MeasurementModel, device, tol: Tolerances = DEFAULT_TOL) -> bool:

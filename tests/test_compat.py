@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import types
 from pathlib import Path
@@ -1494,6 +1495,17 @@ def test_ancilla_verification_equal_maps():
     assert np.allclose(report.effect_1.matrix, report.effect_2.matrix, atol=1e-6)
 
 
+def test_ancilla_verification_checks_the_witness_against_its_devices():
+    # the weak witness of px and pz holds neither luders_px nor sharp_z as a
+    # part, though its common channel dilates and both its parts have effects
+    from qcompat import dilation as dl
+
+    v = cp.classify(DEV["px"], DEV["pz"])
+    assert v.relation == "weakly_compatible_only"
+    with pytest.raises(cp.WitnessValidationError, match="device 1"):
+        dl.verify_ancilla_characterization(DEV["luders_px"], DEV["sharp_z"], v)
+
+
 # ---------------------------------------------------------------------------
 # two routes: fast paths on and off give the same relation
 # ---------------------------------------------------------------------------
@@ -1834,18 +1846,17 @@ def _benchmark_workloads(monkeypatch):
 
 
 def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
-    # every witness instrument is validated as one stack with the sums that
-    # carve the devices out of it; rebuilt branch by branch from the same raw
-    # Choi matrices, it must come out bit for bit, and so must the sums
+    # every witness instrument is validated as one stack; rebuilt branch by
+    # branch from the same raw Choi matrices, it must come out bit for bit
     built = []
-    stacked = Instrument.with_sums.__func__
+    stacked = Instrument.from_stack.__func__
 
-    def recorded(cls, outcomes, chois, dim_in, dim_out, label_sets, tol=None):
-        out = stacked(cls, outcomes, chois, dim_in, dim_out, label_sets, tol)
-        built.append((dict(chois), [tuple(s) for s in label_sets], tol, out))
+    def recorded(cls, outcomes, chois, dim_in, dim_out, tol=None):
+        out = stacked(cls, outcomes, chois, dim_in, dim_out, tol)
+        built.append((dict(chois), tol, out))
         return out
 
-    monkeypatch.setattr(Instrument, "with_sums", classmethod(recorded))
+    monkeypatch.setattr(Instrument, "from_stack", classmethod(recorded))
     wl = _benchmark_workloads(monkeypatch)
     calls = [(p.d1, p.d2, fast) for p in wl.fastpath_mix(90210) for fast in (True, False)]
     calls += [(p.d1, p.d2, p.fast_paths) for p in wl.engine_tail(90210, 0)]
@@ -1856,8 +1867,7 @@ def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
               for v in verdicts if v.witness is not None}
     assert shapes == {("compatible", True), ("weakly_compatible_only", False)}
     assert len(built) > len(calls) // 2
-    assert any(len(s) > 1 for _, sets, _, _ in built for s in sets)
-    for chois, label_sets, tol, (ins, sums, units) in built:
+    for chois, tol, ins in built:
         one = Instrument(ins.outcomes, {x: CPMap(ins.dim_in, ins.dim_out, chois[x], tol=tol)
                                         for x in ins.outcomes}, tol=tol)
         pairs = [(one.branches[x], ins.branches[x]) for x in ins.outcomes]
@@ -1866,20 +1876,6 @@ def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
             assert got.kind == want.kind
             assert got.choi.tobytes() == want.choi.tobytes()
             assert got.heisenberg_unit().tobytes() == want.heisenberg_unit().tobytes()
-        assert len(sums) == len(units) == len(label_sets)
-        for labels, choi, unit in zip(label_sets, sums, units):
-            want = one.branch_sum(labels, tol)
-            if len(labels) == 1:
-                # a single branch is its own sum; branch_sum adds it to zero,
-                # which can only turn a -0.0 entry into 0.0
-                branch = ins.branches[labels[0]]
-                assert choi.tobytes() == branch.choi.tobytes()
-                assert unit.tobytes() == branch.heisenberg_unit().tobytes()
-                assert np.array_equal(choi, want.choi)
-                assert np.array_equal(unit, want.heisenberg_unit())
-            else:
-                assert choi.tobytes() == want.choi.tobytes()
-                assert unit.tobytes() == want.heisenberg_unit().tobytes()
 
 
 def _sides(w):
@@ -1907,6 +1903,7 @@ def test_every_builtin_witness_is_two_instruments_with_one_total(fast):
         if w is None:
             continue
         positive += 1
+        cp.check_witness(DEV[a], DEV[b], w, wtol)
         assert (v.relation == "compatible") == (w.instrument_1 is w.instrument_2), (a, b)
         for d, ins in ((DEV[a], w.instrument_1), (DEV[b], w.instrument_2)):
             assert close(w.common_channel.choi, dv.total_channel(ins, wtol).choi, wtol), (a, b)
@@ -1939,18 +1936,19 @@ def test_commuting_observables_witness_takes_few_eigvalsh_calls(monkeypatch):
     assert v.relation == "compatible" and v.notes == "fast-path: commuting"
     assert len(v.witness.instrument_1.outcomes) == 9
     # the witness takes one effect stack of the joint observable and one Choi
-    # stack of the instrument and its carved sums (Choi matrices, then their
-    # units, whose spectra also bound the carved effects)
+    # stack of the instrument and its total (Choi matrices, then their units,
+    # whose spectra also bound the branches as effects)
     assert len(calls) <= 3, calls
 
 
 @pytest.mark.parametrize("name", ["ef-ef", "op-ef"])
 def test_carved_effects_take_no_eigvalsh_of_their_own(name, monkeypatch):
-    # a carved effect is checked from the unit spectra of the witness stack,
-    # not from a stack of its own
+    # a carved effect is compared with its device's target by check_witness,
+    # which takes no spectrum; the witness stack holds the branches and the
+    # total only
     d1, d2, shapes = {
-        "ef-ef": (effect(PZ), effect(I2 / 2), [(4, 2, 2), (7, 4, 4), (7, 2, 2)]),
-        "op-ef": (DEV["luders_pz"], DEV["pz"], [(7, 4, 4), (7, 2, 2)]),
+        "ef-ef": (effect(PZ), effect(I2 / 2), [(4, 2, 2), (5, 4, 4), (5, 2, 2)]),
+        "op-ef": (DEV["luders_pz"], DEV["pz"], [(5, 4, 4), (5, 2, 2)]),
     }[name]
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -1962,8 +1960,9 @@ def test_carved_effects_take_no_eigvalsh_of_their_own(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     v = cp.classify(d1, d2)
     assert v.relation == "compatible" and "fast-path" in v.notes
-    # ef-ef: the joint observable's effects, then the witness stack (Choi
-    # matrices, then units); op-ef: the witness stack alone
+    # ef-ef: the joint observable's effects, then the witness stack of four
+    # branches and the total (Choi matrices, then units); op-ef: the witness
+    # stack alone
     assert calls == shapes
 
 
@@ -2032,6 +2031,67 @@ def test_maps_into_one_dimension_read_like_effects(d):
                 assert cp.classify(other, CPMap(d, 1, e.T), fast_paths=fast).relation == want
                 agreed += 2
     assert agreed == 36
+
+
+# ---------------------------------------------------------------------------
+# check_witness: device i a part of instrument i, both totals the common channel
+# ---------------------------------------------------------------------------
+
+_WTOL = cp.witness_tolerances(cp.DEFAULT_TOL)
+
+
+def _exchanged(d1, d2, w):
+    """The weak witness of sharp_x and sharp_z with the two images of pointer 1 exchanged."""
+    assert w.pointer_1.mapping == {"+": "+", "-": "-"}
+    return d1, d2, dataclasses.replace(w, pointer_1=dv.PointerMap({"+": "-", "-": "+"}))
+
+
+def _moved(d1, d2, w):
+    """The joint instrument with the first branch of part 1 moved along itself by twice
+    the eq_tol scale of device 1's target, built at a tolerance that lets it pass."""
+    x, target = w.part_1[0], dv.instrument_parts(d1).targets["1"]
+    step = 2 * _WTOL.eq_tol * (1 + np.linalg.norm(target))
+    chois = {y: m.choi for y, m in w.instrument_1.branches.items()}
+    chois[x] = chois[x] * (1 + step / np.linalg.norm(chois[x]))
+    loose = Tolerances(eq_tol=1e-3, psd_tol=1e-3, feas_tol=1e-3)
+    ins = Instrument.from_stack(w.instrument_1.outcomes, chois, 2, 2, loose)
+    return d1, d2, dataclasses.replace(w, instrument_1=ins, instrument_2=ins)
+
+
+def _other_total(d1, d2, w):
+    """Instrument 2 replaced by device 2's canonical instrument, which holds device 2
+    as outcome "1" and has another total."""
+    ins = dv.canonical_instrument(d2)
+    assert not close(dv.total_channel(ins).choi, w.common_channel.choi, _WTOL)
+    return d1, d2, dataclasses.replace(w, instrument_2=ins)
+
+
+def _mirrored(d1, d2, w):
+    """Device 1 replaced by its transpose, which the summed units of part 1 miss only
+    in their imaginary sigma_y part."""
+    return _noisy(SY, -0.5), d2, w
+
+
+# case -> (pair, fault, what the message names)
+_WITNESS_FAULTS = {
+    "devices-of-another-pair": ((DEV["luders_px"], DEV["half_luders_px"]),
+                                lambda d1, d2, w: (d1, DEV["luders_pz"], w), "device 2"),
+    "pointer-exchanged": ((DEV["sharp_x"], DEV["sharp_z"]), _exchanged, "device 1"),
+    "branch-moved": ((DEV["luders_px"], DEV["half_luders_px"]), _moved, "device 1"),
+    "different-totals": ((DEV["luders_px"], DEV["half_sigma_x"]), _other_total, "instrument 2"),
+    "effect-transposed": ((_noisy(SY, 0.5), _noisy_observable(SX, 0.5)), _mirrored, "device 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WITNESS_FAULTS))
+def test_check_witness_rejects_a_witness_that_does_not_hold_its_devices(case):
+    # the witness of the pair passes; with the fault it fails, naming the device
+    # or the instrument at fault
+    (d1, d2), fault, named = _WITNESS_FAULTS[case]
+    w = cp.classify(d1, d2).witness
+    cp.check_witness(d1, d2, w, _WTOL)
+    with pytest.raises(cp.WitnessValidationError, match=named):
+        cp.check_witness(*fault(d1, d2, w), _WTOL)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args):
-    """Run a script in a fresh process that imports this qcompat."""
+    """Run a script in a fresh process that imports this qcompat, with every
+    RuntimeWarning an error, as the digest steps run theirs."""
     src = str(Path(qcompat.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(SCRIPTS / name), *args],
         capture_output=True, text=True, check=False, env=dict(os.environ, PYTHONPATH=path),
     )
 
