@@ -33,7 +33,7 @@ def main() -> int:
                       f"effects commute: {report.commute}")
                 print(f"  ancilla effect 1:\n{e1}")
                 print(f"  ancilla effect 2:\n{e2}")
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 print(f"  ancilla account unavailable: {exc}")
         print()
     return 0

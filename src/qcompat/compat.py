@@ -15,7 +15,8 @@ Two devices are compatible when both are parts of one joint instrument
 containing each device, have equal totals (``weak_problem``, with blocks
 for the devices' own outcomes only). Both relations have one witness
 shape, :class:`Witness`: two instruments with one total channel, device
-i a part of instrument i, the rule :func:`check_witness` states once. A
+i a part of instrument i, which :func:`check_witness` checks by
+``devices.holds_part``, the rule ``devices.is_part_of`` searches with. A
 compatible pair's two are the same joint instrument, which is how
 compatibility implies weak compatibility.
 
@@ -58,6 +59,7 @@ from .devices import (
     Observable,
     PointerMap,
     UnsupportedPairError,  # noqa: F401  (re-exported: the package and the CLI name it here)
+    holds_part,
     instrument_parts as _parts,
     kraus_choi,
     kraus_from_choi,  # noqa: F401  (unused here; perfbench/tracer.py wraps compat.kraus_from_choi)
@@ -247,25 +249,20 @@ def check_witness(d1, d2, witness: Witness, tol: Tolerances) -> None:
     common channel; else WitnessValidationError naming the device or instrument.
 
     Instrument i's labels go to device i's outcomes through ``pointer_i``,
-    or, with a subset ``part_i``, to outcome "1" and else to the free
-    outcome. Each fixed target of :func:`devices.instrument_parts` must
-    come back from its labels' branches as :func:`_row` reads them: their
-    summed Choi matrices for a target of the branches' side, else the
-    transpose of their summed units. Only sums and norms are taken.
+    or, with a subset ``part_i``, to outcome "1", and the rest to the free
+    outcome; :func:`devices.holds_part`, the rule ``devices.is_part_of``
+    searches with, compares each fixed target with their branches. Only
+    sums and norms are taken.
     """
     w = witness
     for i, d, ins, part, pointer in ((1, d1, w.instrument_1, w.part_1, w.pointer_1),
                                      (2, d2, w.instrument_2, w.part_2, w.pointer_2)):
-        r, side = _parts(d), ins.dim_in * ins.dim_out
-        owner = pointer.mapping if pointer is not None else \
-            {x: "1" if x in (part or ()) else r.free for x in ins.outcomes}
-        got = {y: _sum([m.choi if len(t) == side else m.heisenberg_unit().T
-                        for x, m in ins.branches.items() if owner.get(x) == y], len(t))
-               for y, t in r.fixed.items()}
+        r = _parts(d)
+        owner = pointer.mapping if pointer is not None else dict.fromkeys(part or (), "1")
         if r.din != ins.dim_in or r.dout not in (None, ins.dim_out) or \
-                not all(close(t, got[y], tol) for y, t in r.fixed.items()):
+                not holds_part(r, ins, owner, tol):
             raise WitnessValidationError(f"device {i} ({r.kind}) is not a part of instrument {i}")
-        total = _sum([m.choi for m in ins.branches.values()], side)
+        total = _sum([m.choi for m in ins.branches.values()], ins.dim_in * ins.dim_out)
         if not close(total, w.common_channel.choi, tol):
             raise WitnessValidationError(f"instrument {i}'s total is not the common channel")
 

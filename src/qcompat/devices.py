@@ -13,8 +13,9 @@ into an instrument.
 ``instrument_parts`` is the one table that reads a device as an
 instrument (its kind, its sides and a target for every outcome) and the
 only code that tells the five device classes apart for it; anything else
-raises the one UnsupportedPairError. ``is_part_of`` is one pointer search
-over the table, and ``canonical_instrument`` one rule over it.
+raises the one UnsupportedPairError. ``holds_part`` states the part-of
+rule once over the table, for ``is_part_of``'s search and for
+``compat.check_witness``, and ``canonical_instrument`` is one rule over it.
 
 Validation runs on stacks. There is one Choi validator and one effect
 validator, each taking an (n, d, d) stack: finiteness and Hermiticity
@@ -24,7 +25,8 @@ their spectra from one more ``eigvalsh``. The single-matrix
 constructors call them on a stack of one; the stacked constructors
 ``CPMap.from_stack``, ``Effect.from_stack`` and ``Instrument.from_stack``
 validate many matrices at once, the last an instrument's branches and
-its total as one stack, with the branches' units also checked as effects.
+its total as one stack. Every map's unit is checked as an effect, so
+both instrument constructors accept the same branches.
 
 Choi convention: for a map ``F`` from states on the input space (side
 ``dim_in``) to states on the output space (side ``dim_out``),
@@ -125,17 +127,14 @@ def _hermitian_stack(a: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
     return h
 
 
-def _check_effects(evals: np.ndarray, tol: Tolerances) -> None:
-    """EffectBoundsError for the first of a stack of ascending spectra outside [0, 1]."""
+def _effect_stack(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The effect check of a stack: Hermitian parts with spectra in [0, 1], from one
+    eigvalsh; else EffectBoundsError for the first matrix outside."""
+    h = _hermitian_stack(m, tol, "effect matrix")
+    evals = np.linalg.eigvalsh(h)
     for lo, hi in zip(evals[:, 0].tolist(), evals[:, -1].tolist()):
         if not (lo >= -tol.psd_tol and hi <= 1.0 + tol.psd_tol):
             raise EffectBoundsError(f"effect eigenvalues [{lo:.3e}, {hi:.3e}] outside [0, 1]")
-
-
-def _effect_stack(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The effect check of a stack: Hermitian parts with spectra in [0, 1], from one eigvalsh."""
-    h = _hermitian_stack(m, tol, "effect matrix")
-    _check_effects(np.linalg.eigvalsh(h), tol)
     return h
 
 
@@ -163,14 +162,17 @@ def _is_unit(evals: list[float], tol: Tolerances) -> bool:
 def _kinds(low: np.ndarray, unit_evals: np.ndarray, tol: Tolerances) -> list[str]:
     """The kind of each map in a stack, from its least Choi eigenvalue and its unit
     spectrum: "channel" when the unit is the identity at ``tol``, else "operation".
-    PositivityError or TraceConditionError for the first map, in stack order, that
-    is not completely positive or increases trace."""
+    PositivityError, TraceConditionError or EffectBoundsError for the first map, in
+    stack order, that is not completely positive, increases trace or has a unit
+    below zero (a Choi matrix within ``psd_tol`` of PSD can)."""
     kinds = []
     for lo, evals in zip(low.tolist(), unit_evals.tolist()):
         if not lo >= -tol.psd_tol:
             raise PositivityError(f"Choi matrix has eigenvalue {lo:.3e} < 0")
         if not evals[-1] <= 1.0 + tol.psd_tol:
             raise TraceConditionError(f"map increases trace: ||F_H(1)|| = {evals[-1]:.6f} > 1")
+        if not evals[0] >= -tol.psd_tol:
+            raise EffectBoundsError(f"map's unit has eigenvalue {evals[0]:.3e} < 0")
         kinds.append("channel" if _is_unit(evals, tol) else "operation")
     return kinds
 
@@ -228,13 +230,7 @@ class Observable:
 
     def __post_init__(self, tol: Tolerances | None) -> None:
         tol = tol or DEFAULT_TOL
-        object.__setattr__(self, "outcomes", tuple(str(x) for x in self.outcomes))
-        if not self.outcomes:
-            raise OutcomeError("observable needs at least one outcome")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise OutcomeError("duplicate outcome labels")
-        if set(self.effects) != set(self.outcomes):
-            raise OutcomeError("effect labels do not match outcome list")
+        object.__setattr__(self, "outcomes", _outcome_labels(self.outcomes, self.effects, "effect"))
         dims = {e.dim for e in self.effects.values()}
         if len(dims) != 1:
             raise MatrixShapeError("all effects must share one dimension")
@@ -320,7 +316,7 @@ class Instrument:
 
     def __post_init__(self, tol: Tolerances | None) -> None:
         tol = tol or DEFAULT_TOL
-        outcomes = _outcome_labels(self.outcomes, self.branches)
+        outcomes = _outcome_labels(self.outcomes, self.branches, "branch")
         dims = {(b.dim_in, b.dim_out) for b in self.branches.values()}
         if len(dims) != 1:
             raise MatrixShapeError("all branches must share input/output dimensions")
@@ -338,10 +334,10 @@ class Instrument:
         The total is, as for an instrument of CPMaps, the sum in outcome
         order of the branches' Hermitian parts. The stack of the branches
         and their total is checked in that order: the branches as maps,
-        the total as a channel, then the branches' units as effects.
+        then the total as a channel.
         """
         tol = tol or DEFAULT_TOL
-        outcomes = _outcome_labels(outcomes, chois)
+        outcomes = _outcome_labels(outcomes, chois, "branch")
         j = _square_stack([chois[x] for x in outcomes], "Choi matrix",
                           side_product(dim_in, dim_out))
         h = _hermitian_stack(j, tol, "Choi matrix")
@@ -364,14 +360,15 @@ class Instrument:
         return CPMap.from_stack(self.dim_in, self.dim_out, sums, tol)[0]
 
 
-def _outcome_labels(outcomes, branches: dict) -> tuple[str, ...]:
+def _outcome_labels(outcomes, members: dict, what: str) -> tuple[str, ...]:
+    """The outcomes as strings; OutcomeError if empty, repeated or not ``members``' labels."""
     outcomes = tuple(str(x) for x in outcomes)
     if not outcomes:
-        raise OutcomeError("instrument needs at least one outcome")
+        raise OutcomeError("a device needs at least one outcome")
     if len(set(outcomes)) != len(outcomes):
         raise OutcomeError("duplicate outcome labels")
-    if set(branches) != set(outcomes):
-        raise OutcomeError("branch labels do not match outcome list")
+    if set(members) != set(outcomes):
+        raise OutcomeError(f"{what} labels do not match outcome list")
     return outcomes
 
 
@@ -401,18 +398,17 @@ def _label_sums(chois: dict, label_sets) -> np.ndarray:
 
 def _with_total(stack: np.ndarray, din: int, dout: int, tol: Tolerances):
     """Check a Hermitian Choi stack of branches and, in its last row, their total: the
-    branches as maps, the total as a channel, else NormalizationError, then the
-    branches' units as effects. Returns the branches and the total."""
+    branches as maps, then the total as a channel, else NormalizationError. Returns
+    the branches and the total."""
     stack.flags.writeable = False
     low, units, unit_evals = _spectra(stack, din, dout)
     kinds = _kinds(low[:-1], unit_evals[:-1], tol)
     try:
         kinds += _kinds(low[-1:], unit_evals[-1:], tol)
-    except (TraceConditionError, PositivityError) as exc:
+    except (TraceConditionError, PositivityError, EffectBoundsError) as exc:
         raise NormalizationError(f"branch sum is not a channel: {exc}") from exc
     if kinds[-1] != "channel":
         raise NormalizationError("branch sum is not a channel: it does not preserve trace")
-    _check_effects(unit_evals[:-1], tol)
     *branches, channel = _maps(din, dout, stack, units, kinds)
     return branches, channel
 
@@ -688,64 +684,62 @@ def instrument_parts(device) -> Parts:
     raise UnsupportedPairError(f"unsupported device type {type(device).__name__}")
 
 
-def _has_pointer(parts: Parts, per: dict[str, np.ndarray], tol: Tolerances) -> bool:
-    """DFS over pointer functions from the outcomes of ``per`` onto the device's.
+def _part_sums(parts: Parts, ins: Instrument, owner: dict) -> dict[str, np.ndarray]:
+    """For each fixed target of a device's :func:`instrument_parts` record, the sum in
+    outcome order of the branches that ``owner`` (instrument label -> device outcome)
+    sends to it: their Choi matrices for a target of the branches' side, else their
+    transposed units. Labels that ``owner`` does not send go to the free outcome."""
+    side = ins.dim_in * ins.dim_out
+    sums = {y: np.zeros_like(t) for y, t in parts.fixed.items()}
+    for x in ins.outcomes:
+        y = owner.get(x)
+        if y in sums:
+            b = ins.branches[x]
+            sums[y] = sums[y] + (b.choi if len(sums[y]) == side else b.heisenberg_unit().T)
+    return sums
 
-    ``per[x]`` is the matrix contributed by instrument outcome x. The
-    free outcome takes any labels and is never checked. The scale comes
-    from the fixed targets. Assignments whose partial sums exceed a fixed
-    target in the PSD order by more than the larger tolerance are pruned:
-    every summand is PSD, so such a sum stays more than eq_tol away from
-    its target.
-    """
-    src = list(per)
-    fixed = parts.fixed
-    scale = 1.0 + max(frob_norm(t) for t in fixed.values())
-    floor = -max(tol.eq_tol, tol.psd_tol) * scale
 
-    def rec(k: int, sums: dict) -> bool:
-        if k == len(src):
-            return all(frob_norm(fixed[y] - sums[y]) <= tol.eq_tol * scale for y in fixed)
-        for y in parts.targets:
-            if y in fixed:
-                branch = {**sums, y: sums[y] + per[src[k]]}
-                gap = hermitian_part(fixed[y] - branch[y])
-                if float(np.linalg.eigvalsh(gap)[0]) < floor:
-                    continue
-            else:
-                branch = sums
-            if rec(k + 1, branch):
-                return True
-        return False
-
-    return rec(0, {y: np.zeros_like(t) for y, t in fixed.items()})
+def holds_part(parts: Parts, ins: Instrument, owner: dict, tol: Tolerances) -> bool:
+    """Whether the device of ``parts`` is a part of ``ins`` through ``owner``: every
+    :func:`_part_sums` sum equals its target by :func:`matkit.close`, target by
+    target. Only sums and norms are taken, no spectrum."""
+    sums = _part_sums(parts, ins, owner)
+    return all(close(t, sums[y], tol) for y, t in parts.fixed.items())
 
 
 def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Decide whether a device arises from an instrument.
 
-    Some pointer function from the instrument's outcomes onto the
-    device's :func:`instrument_parts` must reproduce every fixed target;
-    the free outcome takes the labels left over. A target of the
-    branches' side is compared with summed Choi matrices, a smaller one
-    (an effect's) with their partial traces over the output. A map's
-    kind is the one its validation fixed, not measured again at ``tol``:
-    a channel has one target, the instrument's total. Searches with
-    more than one target are exhaustive and bounded by
-    PART_SEARCH_LIMIT outcomes.
+    A depth-first search over owner maps from the instrument's outcomes
+    onto the device's :func:`instrument_parts` outcomes, whose leaves
+    :func:`holds_part` decides. A map's kind is the one its validation
+    fixed: a channel has one target, the instrument's total. A sum that
+    exceeds its fixed target in the PSD order by more than the larger
+    tolerance, at the largest target's scale, is pruned: every summand
+    is PSD, so it stays away from its target. Searches with more than
+    one target are bounded by PART_SEARCH_LIMIT outcomes.
     """
     parts = instrument_parts(device)
     if parts.din != ins.dim_in or parts.dout not in (None, ins.dim_out):
         raise MatrixShapeError("device dimensions do not match the instrument")
-    side = next(iter(parts.fixed.values())).shape[0]
-    per = {x: ins.branches[x].choi if side == parts.din * ins.dim_out
-           else ins.branches[x].heisenberg_unit().T for x in ins.outcomes}
     if len(parts.targets) > 1 and len(ins.outcomes) > PART_SEARCH_LIMIT:
         raise OutcomeBoundError(
             f"outcome set of size {len(ins.outcomes)} exceeds the exhaustive "
             f"search limit {PART_SEARCH_LIMIT}"
         )
-    return _has_pointer(parts, per, tol)
+    src, fixed = ins.outcomes, parts.fixed
+    floor = -max(tol.eq_tol, tol.psd_tol) * (1.0 + max(frob_norm(t) for t in fixed.values()))
+
+    def rec(owner: dict, y: str | None) -> bool:
+        if y in fixed:
+            gap = hermitian_part(fixed[y] - _part_sums(parts, ins, owner)[y])
+            if float(np.linalg.eigvalsh(gap)[0]) < floor:
+                return False
+        if len(owner) == len(src):
+            return holds_part(parts, ins, owner, tol)
+        return any(rec({**owner, src[len(owner)]: z}, z) for z in parts.targets)
+
+    return rec({}, None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ is what connects compatibility questions to plain effect coexistence on
 the ancilla. A verdict's ancilla account first checks its witness against
 the two devices (``compat.check_witness``), then dilates the witness's
 common channel, for either relation, and reads one ancilla effect from
-each instrument's part; a compatible pair's effects must coexist.
+each instrument's part, which must be a subset of its outcomes; a
+compatible pair's effects must coexist.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_T
 
     Check the witness against f1 and f2 (:func:`compat.check_witness`),
     dilate its common channel and extract one ancilla effect from each
-    instrument's part. For a compatible pair, whose two instruments are
+    instrument's part; ValueError when a part is a pointer map (an
+    observable's or an instrument's), which names no one effect. For a compatible pair, whose two instruments are
     one, confirm that the effects coexist; for a weakly compatible pair,
     only report them (their coexistence is not required).
     """
@@ -194,6 +196,8 @@ def verify_ancilla_characterization(f1, f2, verdict, tol: Tolerances = DEFAULT_T
     wtol = witness_tolerances(tol)
     w = verdict.witness
     check_witness(f1, f2, w, wtol)
+    if w.part_1 is None or w.part_2 is None:
+        raise ValueError("an ancilla effect needs a subset part, not a pointer map")
     dil = minimal_stinespring(w.common_channel, wtol)
     e1 = radon_nikodym_effect(dil, w.instrument_1.branch_sum(w.part_1, wtol), wtol)
     e2 = radon_nikodym_effect(dil, w.instrument_2.branch_sum(w.part_2, wtol), wtol)

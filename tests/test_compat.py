@@ -1506,6 +1506,18 @@ def test_ancilla_verification_checks_the_witness_against_its_devices():
         dl.verify_ancilla_characterization(DEV["luders_px"], DEV["sharp_z"], v)
 
 
+@pytest.mark.parametrize("a, b", [("sharp_x", "sharp_z"), ("luders_x_instrument", "px"),
+                                  ("px_dephasing", "sharp_x")])
+def test_ancilla_verification_needs_subset_parts(a, b):
+    # the witness holds its devices, but a pointer map names no one ancilla effect
+    from qcompat import dilation as dl
+
+    v = cp.classify(DEV[a], DEV[b])
+    cp.check_witness(DEV[a], DEV[b], v.witness, cp.witness_tolerances(cp.DEFAULT_TOL))
+    with pytest.raises(ValueError, match="subset part"):
+        dl.verify_ancilla_characterization(DEV[a], DEV[b], v)
+
+
 # ---------------------------------------------------------------------------
 # two routes: fast paths on and off give the same relation
 # ---------------------------------------------------------------------------
@@ -1905,9 +1917,19 @@ def test_every_builtin_witness_is_two_instruments_with_one_total(fast):
         positive += 1
         cp.check_witness(DEV[a], DEV[b], w, wtol)
         assert (v.relation == "compatible") == (w.instrument_1 is w.instrument_2), (a, b)
-        for d, ins in ((DEV[a], w.instrument_1), (DEV[b], w.instrument_2)):
+        for i, ins in enumerate((w.instrument_1, w.instrument_2)):
             assert close(w.common_channel.choi, dv.total_channel(ins, wtol).choi, wtol), (a, b)
-            assert dv.is_part_of(d, ins, wtol), (a, b)
+            # every built-in device that the witness holds as device i, its own
+            # included, is found by the part-of search
+            for c in DEV.values():
+                pair = [DEV[a], DEV[b]]
+                pair[i] = c
+                try:
+                    cp.check_witness(*pair, w, wtol)
+                except cp.WitnessValidationError:
+                    continue
+                if len(ins.outcomes) <= dv.PART_SEARCH_LIMIT:
+                    assert dv.is_part_of(c, ins, wtol), (a, b, i)
         back = verdicts[b, a]
         assert back.relation == v.relation, (a, b)
         if dv.instrument_parts(DEV[a]).kind == dv.instrument_parts(DEV[b]).kind:
@@ -2092,6 +2114,28 @@ def test_check_witness_rejects_a_witness_that_does_not_hold_its_devices(case):
     cp.check_witness(d1, d2, w, _WTOL)
     with pytest.raises(cp.WitnessValidationError, match=named):
         cp.check_witness(*fault(d1, d2, w), _WTOL)
+
+
+def _small_and_large(delta):
+    """An observable whose two targets differ in norm a thousandfold, moved by delta Z."""
+    return Observable(("a", "b"), {"a": effect((1 - 1e-3) * I2 - delta * SZ),
+                                   "b": effect(1e-3 * I2 + delta * SZ)})
+
+
+@pytest.mark.parametrize("delta, held", [(5e-10, True), (1.5e-9, False), (3e-9, False)])
+def test_is_part_of_and_check_witness_compare_each_target_at_its_own_scale(delta, held):
+    # the small target moves by delta sqrt(2): within eq_tol of its own scale
+    # at 5e-10, beyond it at 1.5e-9, though within eq_tol of the large one's
+    ins = dv.canonical_instrument(_small_and_large(0.0))
+    ident = dv.PointerMap({"a": "a", "b": "b"})
+    w = cp.Witness(ins, ins, dv.total_channel(ins), pointer_1=ident, pointer_2=ident)
+    d = _small_and_large(delta)
+    assert dv.is_part_of(d, ins) is held
+    if held:
+        cp.check_witness(d, _small_and_large(0.0), w, cp.DEFAULT_TOL)
+    else:
+        with pytest.raises(cp.WitnessValidationError, match="device 1"):
+            cp.check_witness(d, _small_and_large(0.0), w, cp.DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,21 @@ def test_stacked_effects_reject_what_one_effect_rejects(case, error):
     assert _raised(lambda: dv.Effect.from_stack(good + [bad])) is error
 
 
+def test_both_instrument_constructors_reject_a_branch_whose_unit_is_not_an_effect():
+    # Choi eigenvalue -8e-6 on both output levels, within psd_tol; the unit's
+    # eigenvalue -1.6e-5 is not
+    from qcompat.compat import witness_tolerances
+
+    wtol = witness_tolerances(mk.DEFAULT_TOL)
+    d = 8e-6 * np.kron(PMX.T, I2)
+    chois = {"+": luders_of(PX).choi - d, "-": luders_of(PMX).choi, "r": d}
+    with pytest.raises(dv.EffectBoundsError):
+        dv.Instrument(tuple(chois), {x: dv.CPMap(2, 2, j, tol=wtol) for x, j in chois.items()},
+                      tol=wtol)
+    with pytest.raises(dv.EffectBoundsError):
+        dv.Instrument.from_stack(tuple(chois), chois, 2, 2, wtol)
+
+
 def test_stacked_instrument_rejects_a_total_that_is_not_a_channel():
     quarter = dv.choi_from_kraus(dv.KrausSet((I2 / 2,))).choi
     ident = dv.choi_from_kraus(dv.KrausSet((I2,))).choi
@@ -709,7 +724,7 @@ def _pointer_assignments(ins, targets, summand, tol):
 
     def rec(k):
         if k == len(src):
-            if all(mk.frob_norm(targets[y] - sums[y]) <= tol.eq_tol * scale for y in labels):
+            if all(mk.close(targets[y], sums[y], tol) for y in labels):
                 yield {src[i]: assignment[i] for i in range(len(src))}
             return
         for y in labels:
