@@ -5,11 +5,11 @@ Every device is read as an instrument through the one table
 outcome, the Choi matrix of a map on the device's own output (E^T for an
 effect E, whose output is one-dimensional), where the free outcome "0" of
 an effect or an operation is the rest of the unit, (1 - E)^T or
-(1 - F_H(1))^T of side ``din``. A pair holds both records; the builders,
-which take devices, read them afresh. Blocks are Choi matrices on side
-``din * dout``, with ``dout`` the quantum output side, else ``din``; a
-joint block whose targets both have side ``din`` has side ``din``, and
-:func:`_measure` lifts it. :func:`_row` compares block sums with targets.
+(1 - F_H(1))^T of side ``din``. A pair holds both records, and its witness
+is checked against them; the builders, which take devices, read them
+afresh. Blocks are Choi matrices on side ``din * dout``, with ``dout`` the
+quantum output side, else ``din``; a joint block whose targets both have
+side ``din`` has side ``din``, and :func:`_measure` lifts it. :func:`_row` compares block sums with targets.
 Two devices are compatible when both are parts of one joint instrument
 (``joint_problem``), and weakly compatible when two instruments, one
 containing each device, have equal totals (``weak_problem``, with blocks
@@ -47,6 +47,7 @@ run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ from .matkit import (
     frob_norm,
     herm_coords,
     hermitian_part,
-    kron,
+    kron_unchecked,
 )
 from .order import (
     RankConditionError,
@@ -122,8 +123,10 @@ class WitnessValidationError(AssertionError):
     """A constructed witness failed its re-validation; internal error."""
 
 
+@functools.lru_cache(maxsize=32)
 def witness_tolerances(tol: Tolerances) -> Tolerances:
-    """Relaxed thresholds for devices assembled from solver output.
+    """Relaxed thresholds for devices assembled from solver output; one frozen
+    instance per ``tol``, cached.
 
     Engine witnesses satisfy constraints to feas_tol, not eq_tol, so
     re-validation anywhere downstream scales with the solver precision.
@@ -242,6 +245,7 @@ class _Pair:
         self.din, self.dout = _dims(r1, r2)
         self.vtol = self.wtol if self.classical else tol  # for its fast-path witnesses
         self.t1, self.t2 = r1.targets, r2.targets
+        self.prepared = np.eye(self.dout) / self.dout  # the state :func:`_measure` prepares
 
 
 def check_witness(d1, d2, witness: Witness, tol: Tolerances) -> None:
@@ -254,17 +258,22 @@ def check_witness(d1, d2, witness: Witness, tol: Tolerances) -> None:
     searches with, compares each fixed target with their branches. Only
     sums and norms are taken.
     """
-    w = witness
-    for i, d, ins, part, pointer in ((1, d1, w.instrument_1, w.part_1, w.pointer_1),
-                                     (2, d2, w.instrument_2, w.part_2, w.pointer_2)):
-        r = _parts(d)
+    _check_parts(_parts(d1), _parts(d2), witness, tol)
+
+
+def _check_parts(r1, r2, w: Witness, tol: Tolerances) -> None:
+    """:func:`check_witness` on the devices' ``instrument_parts`` records. A joint
+    instrument, the same object twice, has its total checked once."""
+    for i, r, ins, part, pointer in ((1, r1, w.instrument_1, w.part_1, w.pointer_1),
+                                     (2, r2, w.instrument_2, w.part_2, w.pointer_2)):
         owner = pointer.mapping if pointer is not None else dict.fromkeys(part or (), "1")
         if r.din != ins.dim_in or r.dout not in (None, ins.dim_out) or \
                 not holds_part(r, ins, owner, tol):
             raise WitnessValidationError(f"device {i} ({r.kind}) is not a part of instrument {i}")
-        total = _sum([m.choi for m in ins.branches.values()], ins.dim_in * ins.dim_out)
-        if not close(total, w.common_channel.choi, tol):
-            raise WitnessValidationError(f"instrument {i}'s total is not the common channel")
+        if i == 1 or ins is not w.instrument_1:
+            total = _sum([m.choi for m in ins.branches.values()], ins.dim_in * ins.dim_out)
+            if not close(total, w.common_channel.choi, tol):
+                raise WitnessValidationError(f"instrument {i}'s total is not the common channel")
 
 
 def _carve(r, owner: dict[str, str]):
@@ -278,13 +287,15 @@ def _carve(r, owner: dict[str, str]):
 
 def _measure(p: _Pair, c: np.ndarray) -> np.ndarray:
     """A block's witness branch: c itself on the pair's output, or an effect's G^T of
-    side ``din`` measured and the maximally mixed state prepared, kron(c, 1/dout)."""
-    return c if c.shape[0] == p.din * p.dout else kron(c, np.eye(p.dout) / p.dout)
+    side ``din`` measured and the maximally mixed state prepared, kron(c, 1/dout).
+    The lift coerces and checks nothing: ``Instrument.from_stack`` checks the
+    whole stack, and numpy casts the real state to complex before it multiplies."""
+    return c if c.shape[0] == p.din * p.dout else kron_unchecked(c, p.prepared)
 
 
 def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verdict:
     """Joint instrument from one block per outcome pair, re-validated as one stack and
-    then checked against both devices (:func:`check_witness`).
+    then checked against both devices' records (:func:`check_witness`).
 
     Blocks are Choi matrices on the pair's output, or an effect's G^T of
     side ``din``, which :func:`_measure` lifts. A classical pair's blocks
@@ -300,7 +311,7 @@ def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verd
     (s1, q1), (s2, q2) = (_carve(r, {labels[xy]: xy[i] for xy in blocks})
                           for i, r in enumerate((p.r1, p.r2)))
     w = Witness(ins, ins, total_channel(ins, vtol), s1, s2, q1, q2, joint)
-    check_witness(p.d1, p.d2, w, vtol)
+    _check_parts(p.r1, p.r2, w, vtol)
     return Verdict("compatible", w, notes)
 
 
@@ -328,7 +339,7 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
         carved.append(_carve(r, {x: x for x in targets}))
     (i1, i2), ((s1, q1), (s2, q2)) = instruments, carved
     w = Witness(i1, i2, total_channel(i1, vtol), s1, s2, q1, q2)
-    check_witness(p.d1, p.d2, w, vtol)
+    _check_parts(p.r1, p.r2, w, vtol)
     return Verdict("weakly_compatible_only", w, notes)
 
 
@@ -366,7 +377,7 @@ def _commuting(p: _Pair):
     and are PSD, so every block is PSD; the blocks are linear in B_y^T,
     whose sum is 1, so they sum back to every target.
     """
-    lifts = {(k, y): b if k == 1 else kron(b, np.eye(k))
+    lifts = {(k, y): b if k == 1 else kron_unchecked(b, np.eye(k))
              for k in {j.shape[0] // p.din for j in p.t1.values()} for y, b in p.t2.items()}
     blocks = {}
     for x, j in p.t1.items():

@@ -689,14 +689,18 @@ def _part_sums(parts: Parts, ins: Instrument, owner: dict) -> dict[str, np.ndarr
     outcome order of the branches that ``owner`` (instrument label -> device outcome)
     sends to it: their Choi matrices for a target of the branches' side, else their
     transposed units. Labels that ``owner`` does not send go to the free outcome."""
-    side = ins.dim_in * ins.dim_out
     sums = {y: np.zeros_like(t) for y, t in parts.fixed.items()}
     for x in ins.outcomes:
         y = owner.get(x)
         if y in sums:
-            b = ins.branches[x]
-            sums[y] = sums[y] + (b.choi if len(sums[y]) == side else b.heisenberg_unit().T)
+            sums[y] = sums[y] + _term(ins, x, len(sums[y]))
     return sums
+
+
+def _term(ins: Instrument, x: str, side: int) -> np.ndarray:
+    """Branch x as a side-``side`` target reads it: its Choi matrix, or its transposed unit."""
+    b = ins.branches[x]
+    return b.choi if side == ins.dim_in * ins.dim_out else b.heisenberg_unit().T
 
 
 def holds_part(parts: Parts, ins: Instrument, owner: dict, tol: Tolerances) -> bool:
@@ -716,8 +720,10 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     fixed: a channel has one target, the instrument's total. A sum that
     exceeds its fixed target in the PSD order by more than the larger
     tolerance, at the largest target's scale, is pruned: every summand
-    is PSD, so it stays away from its target. Searches with more than
-    one target are bounded by PART_SEARCH_LIMIT outcomes.
+    is PSD, so it stays away from its target. Each node adds its one
+    branch to the partial sum it carries, in :func:`_part_sums`' order.
+    Searches with more than one target are bounded by PART_SEARCH_LIMIT
+    outcomes.
     """
     parts = instrument_parts(device)
     if parts.din != ins.dim_in or parts.dout not in (None, ins.dim_out):
@@ -730,16 +736,19 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     src, fixed = ins.outcomes, parts.fixed
     floor = -max(tol.eq_tol, tol.psd_tol) * (1.0 + max(frob_norm(t) for t in fixed.values()))
 
-    def rec(owner: dict, y: str | None) -> bool:
+    def rec(owner: dict, sums: dict, y: str | None) -> bool:
         if y in fixed:
-            gap = hermitian_part(fixed[y] - _part_sums(parts, ins, owner)[y])
+            gap = hermitian_part(fixed[y] - sums[y])
             if float(np.linalg.eigvalsh(gap)[0]) < floor:
                 return False
         if len(owner) == len(src):
             return holds_part(parts, ins, owner, tol)
-        return any(rec({**owner, src[len(owner)]: z}, z) for z in parts.targets)
+        x = src[len(owner)]
+        return any(rec({**owner, x: z},
+                       {**sums, z: sums[z] + _term(ins, x, len(sums[z]))} if z in fixed else sums, z)
+                   for z in parts.targets)
 
-    return rec({}, None)
+    return rec({}, {y: np.zeros_like(t) for y, t in fixed.items()}, None)
 
 
 # ---------------------------------------------------------------------------

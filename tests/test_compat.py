@@ -587,6 +587,26 @@ def test_classify_builds_problems_through_module_names(monkeypatch):
     assert calls == ["weak_problem"]
 
 
+@pytest.mark.parametrize("n1, n2, fast_paths, reads", [
+    ("half_identity", "pz", True, 2),  # a fast path: no problem is built
+    ("luders_px", "half_sigma_x", False, 6),  # the weak and the joint problem
+])
+def test_classify_reads_each_device_once_and_twice_per_problem(monkeypatch, n1, n2,
+                                                                fast_paths, reads):
+    # the pair reads both records once; witness assembly checks the pair's
+    # records, and each builder reads both devices afresh
+    calls = []
+    orig = cp._parts
+
+    def counting(device):
+        calls.append(device)
+        return orig(device)
+
+    monkeypatch.setattr(cp, "_parts", counting)
+    assert cp.classify(DEV[n1], DEV[n2], fast_paths=fast_paths).witness is not None
+    assert len(calls) == reads
+
+
 @pytest.mark.parametrize("n1, n2, relation, asked", [
     # quantum pairs: the weak question first; a compatible pair assembles no
     # weak witness, and only a weakly compatible one does
@@ -2088,6 +2108,14 @@ def _other_total(d1, d2, w):
     return d1, d2, dataclasses.replace(w, instrument_2=ins)
 
 
+def _other_channel(d1, d2, w):
+    """The joint witness with a common channel that is not its instrument's total."""
+    other = dv.total_channel(dv.canonical_instrument(DEV["luders_pz"]))
+    assert w.instrument_1 is w.instrument_2
+    assert not close(dv.total_channel(w.instrument_1).choi, other.choi, _WTOL)
+    return d1, d2, dataclasses.replace(w, common_channel=other)
+
+
 def _mirrored(d1, d2, w):
     """Device 1 replaced by its transpose, which the summed units of part 1 miss only
     in their imaginary sigma_y part."""
@@ -2101,6 +2129,8 @@ _WITNESS_FAULTS = {
     "pointer-exchanged": ((DEV["sharp_x"], DEV["sharp_z"]), _exchanged, "device 1"),
     "branch-moved": ((DEV["luders_px"], DEV["half_luders_px"]), _moved, "device 1"),
     "different-totals": ((DEV["luders_px"], DEV["half_sigma_x"]), _other_total, "instrument 2"),
+    "joint-total-not-common": ((DEV["luders_px"], DEV["half_luders_px"]), _other_channel,
+                               "instrument 1"),
     "effect-transposed": ((_noisy(SY, 0.5), _noisy_observable(SX, 0.5)), _mirrored, "device 1"),
 }
 
@@ -2114,6 +2144,15 @@ def test_check_witness_rejects_a_witness_that_does_not_hold_its_devices(case):
     cp.check_witness(d1, d2, w, _WTOL)
     with pytest.raises(cp.WitnessValidationError, match=named):
         cp.check_witness(*fault(d1, d2, w), _WTOL)
+
+
+def test_witness_tolerances_are_one_instance_per_tolerance_set():
+    wtol = cp.witness_tolerances(cp.DEFAULT_TOL)
+    assert cp.witness_tolerances(Tolerances()) is wtol
+    assert wtol == Tolerances(eq_tol=100.0 * 1e-7, psd_tol=100.0 * 1e-7, feas_tol=100.0 * 1e-7)
+    loose = Tolerances(eq_tol=1e-3, psd_tol=1e-9, feas_tol=1e-6)
+    assert cp.witness_tolerances(loose) == Tolerances(eq_tol=1e-3, psd_tol=100.0 * 1e-6,
+                                                      feas_tol=100.0 * 1e-6)
 
 
 def _small_and_large(delta):
