@@ -5,11 +5,12 @@ Every device is read as an instrument through the one table
 outcome, the Choi matrix of a map on the device's own output (E^T for an
 effect E, whose output is one-dimensional), where the free outcome "0" of
 an effect or an operation is the rest of the unit, (1 - E)^T or
-(1 - F_H(1))^T of side ``din``. A pair holds both records, and its witness
-is checked against them; the builders, which take devices, read them
-afresh. Blocks are Choi matrices on side ``din * dout``, with ``dout`` the
-quantum output side, else ``din``; a joint block whose targets both have
-side ``din`` has side ``din``, and :func:`_measure` lifts it. :func:`_row` compares block sums with targets.
+(1 - F_H(1))^T of side ``din``. A pair holds both records, and its
+witness is checked against them; the builders, which take devices, read
+them afresh. Blocks are Choi matrices on side ``din * dout``, with
+``dout`` the quantum output side, else ``din``; a joint block whose
+targets both have side ``din`` has side ``din``, and :func:`_measure`
+lifts it. :func:`_row` compares block sums with targets.
 Two devices are compatible when both are parts of one joint instrument
 (``joint_problem``), and weakly compatible when two instruments, one
 containing each device, have equal totals (``weak_problem``, with blocks
@@ -65,6 +66,7 @@ from .devices import (
     kraus_choi,
     kraus_from_choi,  # noqa: F401  (unused here; perfbench/tracer.py wraps compat.kraus_from_choi)
     kraus_lists,
+    part_sums,
     total_channel,
 )
 from .matkit import (
@@ -255,8 +257,8 @@ def check_witness(d1, d2, witness: Witness, tol: Tolerances) -> None:
     Instrument i's labels go to device i's outcomes through ``pointer_i``,
     or, with a subset ``part_i``, to outcome "1", and the rest to the free
     outcome; :func:`devices.holds_part`, the rule ``devices.is_part_of``
-    searches with, compares each fixed target with their branches. Only
-    sums and norms are taken.
+    searches with, compares each fixed target with the sum of their branches
+    (:func:`devices.part_sums`). Only sums and norms are taken.
     """
     _check_parts(_parts(d1), _parts(d2), witness, tol)
 
@@ -268,7 +270,7 @@ def _check_parts(r1, r2, w: Witness, tol: Tolerances) -> None:
                                      (2, r2, w.instrument_2, w.part_2, w.pointer_2)):
         owner = pointer.mapping if pointer is not None else dict.fromkeys(part or (), "1")
         if r.din != ins.dim_in or r.dout not in (None, ins.dim_out) or \
-                not holds_part(r, ins, owner, tol):
+                not holds_part(r, part_sums(r, ins, owner), tol):
             raise WitnessValidationError(f"device {i} ({r.kind}) is not a part of instrument {i}")
         if i == 1 or ins is not w.instrument_1:
             total = _sum([m.choi for m in ins.branches.values()], ins.dim_in * ins.dim_out)

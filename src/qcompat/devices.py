@@ -684,7 +684,7 @@ def instrument_parts(device) -> Parts:
     raise UnsupportedPairError(f"unsupported device type {type(device).__name__}")
 
 
-def _part_sums(parts: Parts, ins: Instrument, owner: dict) -> dict[str, np.ndarray]:
+def part_sums(parts: Parts, ins: Instrument, owner: dict) -> dict[str, np.ndarray]:
     """For each fixed target of a device's :func:`instrument_parts` record, the sum in
     outcome order of the branches that ``owner`` (instrument label -> device outcome)
     sends to it: their Choi matrices for a target of the branches' side, else their
@@ -703,11 +703,10 @@ def _term(ins: Instrument, x: str, side: int) -> np.ndarray:
     return b.choi if side == ins.dim_in * ins.dim_out else b.heisenberg_unit().T
 
 
-def holds_part(parts: Parts, ins: Instrument, owner: dict, tol: Tolerances) -> bool:
-    """Whether the device of ``parts`` is a part of ``ins`` through ``owner``: every
-    :func:`_part_sums` sum equals its target by :func:`matkit.close`, target by
-    target. Only sums and norms are taken, no spectrum."""
-    sums = _part_sums(parts, ins, owner)
+def holds_part(parts: Parts, sums: dict, tol: Tolerances) -> bool:
+    """Whether the device of ``parts`` is a part of an instrument through an owner
+    map whose :func:`part_sums` are ``sums``: every sum equals its target by
+    :func:`matkit.close`, target by target. Only norms are taken, no spectrum."""
     return all(close(t, sums[y], tol) for y, t in parts.fixed.items())
 
 
@@ -721,9 +720,9 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     exceeds its fixed target in the PSD order by more than the larger
     tolerance, at the largest target's scale, is pruned: every summand
     is PSD, so it stays away from its target. Each node adds its one
-    branch to the partial sum it carries, in :func:`_part_sums`' order.
-    Searches with more than one target are bounded by PART_SEARCH_LIMIT
-    outcomes.
+    branch to the partial sums it carries, in :func:`part_sums`' order,
+    and a leaf hands them to :func:`holds_part` as they are. Searches
+    with more than one target are bounded by PART_SEARCH_LIMIT outcomes.
     """
     parts = instrument_parts(device)
     if parts.din != ins.dim_in or parts.dout not in (None, ins.dim_out):
@@ -736,19 +735,18 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     src, fixed = ins.outcomes, parts.fixed
     floor = -max(tol.eq_tol, tol.psd_tol) * (1.0 + max(frob_norm(t) for t in fixed.values()))
 
-    def rec(owner: dict, sums: dict, y: str | None) -> bool:
+    def rec(k: int, sums: dict, y: str | None) -> bool:
         if y in fixed:
             gap = hermitian_part(fixed[y] - sums[y])
             if float(np.linalg.eigvalsh(gap)[0]) < floor:
                 return False
-        if len(owner) == len(src):
-            return holds_part(parts, ins, owner, tol)
-        x = src[len(owner)]
-        return any(rec({**owner, x: z},
-                       {**sums, z: sums[z] + _term(ins, x, len(sums[z]))} if z in fixed else sums, z)
-                   for z in parts.targets)
+        if k == len(src):
+            return holds_part(parts, sums, tol)
+        x = src[k]
+        return any(rec(k + 1, {**sums, z: sums[z] + _term(ins, x, len(sums[z]))}
+                       if z in fixed else sums, z) for z in parts.targets)
 
-    return rec({}, {y: np.zeros_like(t) for y, t in fixed.items()}, None)
+    return rec(0, {y: np.zeros_like(t) for y, t in fixed.items()}, None)
 
 
 # ---------------------------------------------------------------------------

@@ -483,10 +483,7 @@ def _intersect_ranges(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
 def _ranges(coords: np.ndarray, m: int, tol: Tolerances) -> list[np.ndarray | None]:
     """Range bases of the side-m targets whose coordinates ``coords`` stacks,
     from one batched eigh: the eigenvectors of eigenvalues beyond psd_tol in
-    modulus, or None for a target of full range. A 1x1 target's one
-    coordinate is its eigenvalue, and takes no eigh."""
-    if m == 1:
-        return [None if abs(x) > tol.psd_tol else np.empty((1, 0), complex) for x in coords[:, 0]]
+    modulus, or None for a target of full range."""
     evals, vecs = np.linalg.eigh(herm_stack_from_coords(coords, m))
     kept = np.abs(evals) > tol.psd_tol
     return [None if k.all() else v[:, k] for k, v in zip(kept, vecs)]

@@ -890,28 +890,11 @@ def test_solver_packs_through_module_names(monkeypatch):
         calls.append(d)
         return orig(x, d)
 
-    problem = one_block_trace_problem(1.0, side=4)
-    fs.solve(problem)  # builds the cached coordinate bases, which pack once per side
     monkeypatch.setattr(fs, "herm_stack_from_coords", counting)
-    out = fs.solve(problem)
+    out = fs.solve(one_block_trace_problem(1.0, side=4))
     assert out.verdict == "feasible"
-    # the run packs its 4x4 blocks; facial reduction reads the 1x1 trace target
-    # from its one coordinate, with no packing
-    assert calls and set(calls) == {4}
-
-
-def test_a_1x1_target_reads_its_range_from_its_coordinate():
-    # the packed eigh, the reference, reads the same bases: None for a full
-    # range, else an empty complex basis
-    coords = np.array([[2.0], [-0.5], [2e-9], [1e-12], [-1e-12], [0.0]])
-    evals, vecs = np.linalg.eigh(fs.herm_stack_from_coords(coords, 1))
-    kept = np.abs(evals) > fs.DEFAULT_TOL.psd_tol
-    want = [None if k.all() else v[:, k] for k, v in zip(kept, vecs)]
-    got = fs._ranges(coords, 1, fs.DEFAULT_TOL)
-    assert [g is None for g in got] == [w is None for w in want] == [True] * 3 + [False] * 3
-    for g, w in zip(got, want):
-        if w is not None:
-            assert g.shape == w.shape == (1, 0) and g.dtype == w.dtype
+    # facial reduction packs the 1x1 trace target once, the run its 4x4 blocks
+    assert calls and set(calls) == {1, 4}
 
 
 @pytest.mark.parametrize("n1, n2", [("luders_px", "half_luders_px"), ("luders_pz", "pz")])
