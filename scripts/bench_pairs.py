@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Compare this checkout with a parent checkout on one benchmark workload.
+
+    python3 scripts/bench_pairs.py PARENT --workload pure-opop --seed 90210 \\
+        --seconds 5 --pairs 10
+
+Runs ``perfbench/run.py --workload W --seed S --seconds T`` in the parent
+checkout and in this one, ``--pairs`` times each, alternating which tree
+runs first (the parent in even pairs, this tree in odd ones). For every
+end-to-end metric of ``BENCHMARK.json`` it prints the parent's median and
+quartiles, this tree's median and its change, and in how many pairs this
+tree did better. A metric reads ``resolved`` when this tree did better in
+at least nine pairs in ten and its median beats the parent's by more than
+the parent's quartile spread.
+
+Make the parent checkout with ``git archive``, outside this tree. The
+benchmark runs one workload at a time; nothing here changes how it runs.
+"""
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def result_metrics(stdout: str) -> dict[str, float]:
+    """The metric values of a ``perfbench/run.py`` run, from its last line."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("the benchmark printed nothing")
+    result = json.loads(lines[-1])
+    return {name: float(m["value"]) for name, m in result["metrics"].items()}
+
+
+def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per (name, unit, better) metric over paired runs: the parent's
+    median [quartiles], this tree's median and relative change, the pairs this
+    tree won, and ``resolved`` when it won at least 9 in 10 and its median beats
+    the parent's by more than the parent's quartile spread."""
+    lines = []
+    for name, unit, better in metrics:
+        old = [run[name] for run in parent]
+        new = [run[name] for run in change]
+        sign = 1.0 if better == "higher" else -1.0
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        q1, mid, q3 = statistics.quantiles(old, n=4, method="inclusive")
+        med = statistics.median(new)
+        rel = (med - mid) / abs(mid) * 100 if mid else math.nan
+        resolved = wins >= 0.9 * len(old) and sign * (med - mid) > q3 - q1
+        lines.append(f"{name:14s} {mid:.6g} [{q1:.6g}, {q3:.6g}] -> {med:.6g} {unit} "
+                     f"({rel:+.1f} %) won {wins}/{len(old)}" + (" resolved" if resolved else ""))
+    return lines
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """One benchmark run in a tree; its metric values."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pairs: the run in {tree} failed:\n{proc.stderr}")
+    return result_metrics(proc.stdout)
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="the parent checkout")
+    ap.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("quartiles need at least 2 pairs")
+    if not (args.parent / "perfbench" / "run.py").is_file():
+        ap.error(f"{args.parent} holds no perfbench/run.py")
+    parent, change = [], []
+    for i in range(args.pairs):
+        order = ((args.parent, parent), (ROOT, change))
+        for tree, runs in order if i % 2 == 0 else order[::-1]:
+            runs.append(run(tree, args.workload, args.seed, args.seconds))
+        print(f"pair {i + 1}/{args.pairs}: parent {json.dumps(parent[-1])} "
+              f"this tree {json.dumps(change[-1])}", file=sys.stderr)
+    metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
+          "parent median [quartiles] -> this tree's median")
+    for line in summary(metrics, parent, change):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,12 +5,13 @@ Every device is read as an instrument through the one table
 outcome, the Choi matrix of a map on the device's own output (E^T for an
 effect E, whose output is one-dimensional), where the free outcome "0" of
 an effect or an operation is the rest of the unit, (1 - E)^T or
-(1 - F_H(1))^T of side ``din``. A pair holds both records, and its
-witness is checked against them; the builders, which take devices, read
-them afresh. Blocks are Choi matrices on side ``din * dout``, with
-``dout`` the quantum output side, else ``din``; a joint block whose
-targets both have side ``din`` has side ``din``, and :func:`_measure`
-lifts it. :func:`_row` compares block sums with targets.
+(1 - F_H(1))^T of side ``din``. A pair holds both records, which its
+witness is checked against and the engine hands the builders (a record
+is its own reading), so ``classify`` reads each device once. Blocks are
+Choi matrices on side ``din * dout``, with ``dout`` the quantum output
+side, else ``din``; a joint block whose targets both have side ``din``
+has side ``din``, and :func:`_measure` lifts it. :func:`_row` compares
+block sums with targets.
 Two devices are compatible when both are parts of one joint instrument
 (``joint_problem``), and weakly compatible when two instruments, one
 containing each device, have equal totals (``weak_problem``, with blocks
@@ -167,6 +168,12 @@ def _sum(mats, side: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _trace_out(din: int, dout: int) -> fs.PartialTrace:
+    """The one trace over the output slot of side-``din * dout`` blocks, per layout."""
+    return fs.PartialTrace((din, dout))
+
+
 def _row(blocks, target: np.ndarray, din: int, dout: int) -> fs.AffineConstraint:
     """``S = target`` for S the sum of the (name, side) blocks, when the target has
     the full side ``din * dout``; else ``Tr_out(S) = target``, where a block of
@@ -176,13 +183,14 @@ def _row(blocks, target: np.ndarray, din: int, dout: int) -> fs.AffineConstraint
     so they are exactly Hermitian: the row takes their coordinates once,
     without a ``hermitian_part``.
     """
-    op = 1.0 if target.shape[0] == din * dout else fs.PartialTrace((din, dout))
+    op = 1.0 if target.shape[0] == din * dout else _trace_out(din, dout)
     return fs.AffineConstraint(tuple((n, 1.0 if d == din else op) for n, d in blocks),
                                herm_coords(target))
 
 
 def joint_problem(d1, d2) -> fs.FeasibilityProblem:
-    """Both devices as parts of one instrument, one block per outcome pair.
+    """Both devices, or their ``instrument_parts`` records, as parts of one
+    instrument, one block per outcome pair.
 
     Each target of device 1, then of device 2, is matched by the sum of
     its blocks (:func:`_row`); device 1 is the outer index. The targets of
@@ -207,7 +215,8 @@ def _weak_name(i: int, x: str) -> str:
 
 
 def weak_problem(d1, d2) -> fs.FeasibilityProblem:
-    """Two instruments, one containing each device, with one total channel.
+    """Two instruments, one containing each device (or record), with one total
+    channel.
 
     Each instrument has one block per target smaller than the blocks (an
     effect's, an operation's rest of the unit, also in a classical pair);
@@ -556,10 +565,10 @@ def _fast(p: _Pair, paths: dict, fast_paths: bool):
 
 
 def _engine(p: _Pair, builder, trace):
-    """The engine on the problem that ``builder`` encodes: its feasible outcome,
-    whose witness the caller assembles, an undecided verdict, or the notes of a
-    certified "no"."""
-    out = fs.solve(builder(p.d1, p.d2), p.tol, trace=trace)
+    """The engine on the problem that ``builder`` encodes from the pair's records:
+    its feasible outcome, whose witness the caller assembles, an undecided
+    verdict, or the notes of a certified "no"."""
+    out = fs.solve(builder(p.r1, p.r2), p.tol, trace=trace)
     if out.verdict == "feasible":
         return out
     if out.verdict == "undecided":

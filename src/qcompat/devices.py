@@ -663,9 +663,11 @@ def instrument_parts(device) -> Parts:
     whose Choi matrix is E^T. An effect's or an operation's part is
     outcome "1", and its free outcome "0" gets the rest of the unit,
     (1 - E)^T or (1 - F_H(1))^T, of side ``din``; a channel has the one
-    outcome "1". A map's kind is the one its validation fixed.
-    UnsupportedPairError for anything else.
+    outcome "1". A map's kind is the one its validation fixed. A record is
+    its own reading. UnsupportedPairError for anything else.
     """
+    if isinstance(device, Parts):
+        return device
     if isinstance(device, Effect):
         e = device.matrix.T
         return Parts("effect", device.dim, None, {"1": e, "0": np.eye(device.dim) - e}, "0")

@@ -31,18 +31,20 @@ Blocks are parametrized by their real degrees of freedom (diagonal plus
 weighted upper triangle), so the constraints form a real linear system.
 Every linear map on blocks (partial traces, face maps, the blocks of the
 Schur complement) gets its coordinate matrix in closed form, Re(T^H L T),
-from the map's vec matrix L and the coordinate bases T. Each step of the
-run decomposes the slack once; that spectrum also gives the cone
+from the map's vec matrix L and the coordinate bases T. Each iterate of
+the run takes one decomposition: the slack and the dual iterate share
+one batched eigh per side group. The slack's spectrum also gives the cone
 projection of the affine point, and the first one, inverted, the first
-dual iterate.
+dual iterate, which a witness at step 0 never builds.
 
 Constraint rows are typed: a term's map is a sum coefficient or the
 trace over a block's second slot, so only the right-hand sides carry
 data, and every row has a closed-form adjoint (c F, or F (x) 1). What the
-blocks and the typed rows fix is planned once per shape: the assembled
-constraint matrix and, for problems that facial reduction leaves whole,
-its affine frame (one SVD). Plans are cached, bounded and read-only, and
-a solve from a cached plan gives the bits of a cold one.
+blocks and the typed rows fix is planned once per shape: the structural
+checks of a problem, the assembled constraint matrix and, for problems
+that facial reduction leaves whole, its affine frame (one SVD). Plans are
+cached, bounded and read-only, and a solve from a cached plan gives the
+bits of a cold one.
 """
 
 from __future__ import annotations
@@ -102,8 +104,15 @@ class AffineConstraint:
     rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        # tuples all the way down: typed terms are a plan's cache key
-        object.__setattr__(self, "terms", tuple((n, op) for n, op in self.terms))
+        # tuples all the way down: typed terms are a plan's cache key. Each
+        # term's type is checked here, on every row, since the key cannot
+        # tell 1 + 0j from 1.0 and cannot hash an array
+        terms = tuple((n, op) for n, op in self.terms)
+        for name, op in terms:
+            if not isinstance(op, (PartialTrace, float, int, np.floating, np.integer)):
+                raise TypeError(f"constraint term for {name!r} is of type "
+                                f"{type(op).__name__}, not a float or a PartialTrace")
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "rhs", np.asarray(self.rhs))
         if self.rhs.ndim != 1:
             raise MatrixShapeError(f"right-hand side must be 1-d, got ndim={self.rhs.ndim}")
@@ -118,11 +127,42 @@ def _term_shape(op, side: int) -> tuple[int, int]:
     return side * side, side * side
 
 
+def _rows(constraints) -> tuple:
+    """The typed (terms, height) rows of constraints; with the blocks, a shape's key."""
+    return tuple((c.terms, c.rhs.shape[0]) for c in constraints)
+
+
+@functools.lru_cache(maxsize=256)
+def _check_shape(blocks: tuple[tuple[str, int], ...], rows) -> None:
+    """Check a problem's shape, once per shape: distinct block names, and terms on
+    known blocks whose maps fit the block and the row height, with finite
+    coefficients. A failure raises, so it is never cached; the terms' types are
+    checked by each :class:`AffineConstraint`."""
+    names = [n for n, _ in blocks]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate block names")
+    sides = dict(blocks)
+    for terms, m in rows:
+        for name, op in terms:
+            if name not in sides:
+                raise ValueError(f"constraint references unknown block {name!r}")
+            shape = _term_shape(op, sides[name])
+            if shape != (m, sides[name] ** 2):
+                raise MatrixShapeError(
+                    f"constraint term for {name!r} has shape {shape}, "
+                    f"expected ({m}, {sides[name] ** 2})"
+                )
+            if not isinstance(op, PartialTrace) and not math.isfinite(op):
+                raise ValueError(f"constraint term for {name!r} has coefficient {op!r}")
+
+
 @dataclass(frozen=True)
 class FeasibilityProblem:
     """Named blocks of positive integer sides, and the affine constraints on
     them; a term's map must be a finite float or a :class:`PartialTrace`, and
-    the right-hand sides finite. ``rhs`` stacks the right-hand sides."""
+    the right-hand sides finite. ``rhs`` stacks the right-hand sides. The
+    checks of the blocks' names and of the terms run once per shape
+    (:func:`_check_shape`); the right-hand sides are checked every time."""
 
     blocks: tuple[tuple[str, int], ...]
     constraints: tuple[AffineConstraint, ...]
@@ -131,26 +171,7 @@ class FeasibilityProblem:
     def __post_init__(self) -> None:
         side_product(*(d for _, d in self.blocks))
         object.__setattr__(self, "blocks", tuple((n, int(d)) for n, d in self.blocks))
-        names = [n for n, _ in self.blocks]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate block names")
-        sides = dict(self.blocks)
-        for c in self.constraints:
-            m = c.rhs.shape[0]
-            for name, op in c.terms:
-                if name not in sides:
-                    raise ValueError(f"constraint references unknown block {name!r}")
-                if not isinstance(op, (PartialTrace, float, int, np.floating, np.integer)):
-                    raise TypeError(f"constraint term for {name!r} is of type "
-                                    f"{type(op).__name__}, not a float or a PartialTrace")
-                shape = _term_shape(op, sides[name])
-                if shape != (m, sides[name] ** 2):
-                    raise MatrixShapeError(
-                        f"constraint term for {name!r} has shape {shape}, "
-                        f"expected ({m}, {sides[name] ** 2})"
-                    )
-                if not isinstance(op, PartialTrace) and not math.isfinite(op):
-                    raise ValueError(f"constraint term for {name!r} has coefficient {op!r}")
+        _check_shape(self.blocks, _rows(self.constraints))
         # one finiteness test for the stacked right-hand sides
         rhs = np.concatenate([np.zeros(0)] + [c.rhs for c in self.constraints])
         if np.count_nonzero(np.isfinite(rhs)) < rhs.size:
@@ -360,21 +381,35 @@ class _Plan:
 
 def _plan(problem: FeasibilityProblem) -> _Plan:
     """The problem's plan, cached per shape."""
-    return _Plan.of(problem.blocks, tuple((c.terms, c.rhs.shape[0]) for c in problem.constraints))
+    return _Plan.of(problem.blocks, _rows(problem.constraints))
 
 
 def _spectra(x: np.ndarray, layout: _Layout) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per side group, the (evals, evecs) of the blocks of a coordinate vector.
+    """Per side group, the (evals, evecs) of the blocks of a coordinate vector."""
+    return _joint_spectra((x,), layout)[0]
+
+
+def _joint_spectra(xs, layout: _Layout) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """For each coordinate vector of ``xs``, per side group, the (evals, evecs) of
+    its blocks.
 
     Blocks of equal side are read from their group's span; each group
-    of side > 1 takes one batched eigendecomposition, and 1x1 blocks are
+    of side > 1 stacks the blocks of every vector, unpacks them in one
+    call and takes one batched eigendecomposition, and 1x1 blocks are
     their own eigenvalue.
     """
-    return [
-        (x[span, None], np.ones((span.stop - span.start, 1, 1))) if d == 1
-        else np.linalg.eigh(herm_stack_from_coords(x[span].reshape(-1, d * d), d))
-        for d, span in layout.groups
-    ]
+    out = [[] for _ in xs]
+    for d, span in layout.groups:
+        if d == 1:
+            for spectra, x in zip(out, xs):
+                spectra.append((x[span, None], np.ones((span.stop - span.start, 1, 1))))
+            continue
+        rows = np.concatenate([x[span] for x in xs]).reshape(-1, d * d)
+        evals, evecs = np.linalg.eigh(herm_stack_from_coords(rows, d))
+        n = len(rows) // len(xs)
+        for k, spectra in enumerate(out):
+            spectra.append((evals[k * n : (k + 1) * n], evecs[k * n : (k + 1) * n]))
+    return out
 
 
 def _clamp(spectra, shift: float, layout: _Layout) -> np.ndarray:
@@ -784,24 +819,29 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
     y[-1] = least - 1.0
     spec_s = [(evals - y[-1], evecs) for evals, evecs in spec_s]
     # the first dual iterate is S^-1 / <e, S^-1>, centred: Z S = mu 1 in
-    # every block; its spectrum is the slack's, inverted (ascending again)
+    # every block, so <Z, S> = nu / <e, S^-1>; its spectrum is the slack's,
+    # inverted (ascending again). A step-0 witness never reads it, so Z is
+    # built only once step 0 has no witness
     spec_z = [(1.0 / evals[:, ::-1], evecs[..., ::-1]) for evals, evecs in spec_s]
     weight = sum(float(evals.sum()) for evals, _ in spec_z)
-    z = _clamp(spec_z, 0.0, layout) / weight
-    spec_z = [(evals / weight, evecs) for evals, evecs in spec_z]
+    z = None
     residual = float("inf")
     done = 0
     point = cone = None
     try:
         for it in range(_MAX_STEPS + 1):
             s = x0 - f.T @ y
-            if it:
-                spec_s = _spectra(s, layout)
+            if it:  # the slack and the dual iterate share one eigh per side group
+                spec_s, spec_z = _joint_spectra((s, z), layout)
             least = min(float(evals[:, 0].min()) for evals, _ in spec_s)
             if not least > 0:
                 raise np.linalg.LinAlgError("the slack left the cone interior")
-            point, gap = x0 - f[:-1].T @ y[:-1], float(z @ s)
+            point = x0 - f[:-1].T @ y[:-1]
             psd = least + y[-1] >= 0  # Y = S + t e: the slack's spectrum shifted by t
+            if z is None and not psd:
+                z = _clamp(spec_z, 0.0, layout) / weight
+                spec_z = [(evals / weight, evecs) for evals, evecs in spec_z]
+            gap = nu / weight if z is None else float(z @ s)
             cone = point if psd else _clamp(spec_s, y[-1], layout)
             residual = frob_norm(a @ cone - b)
             if trace:
@@ -817,8 +857,6 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
                 if margin < -tol.feas_tol:
                     return outcome("certificate", residual, it, bound=margin), None
             if it < _MAX_STEPS:
-                if it:
-                    spec_z = _spectra(z, layout)
                 z, y = _newton_step(z, y, s, spec_z, spec_s, layout, f)
     except np.linalg.LinAlgError:
         pass

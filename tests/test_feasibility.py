@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -693,10 +694,10 @@ def test_layout_is_cached_and_read_only():
 
 
 def test_solve_decomposes_each_slack_once_per_step(monkeypatch):
-    # Batched calls, one per side group: a step costs the slack's eigh,
-    # the certificate's eigvalsh, the dual iterate's eigh and one eigvalsh
-    # for each of the two step lengths. The first slack's eigh is x0's
-    # (which gives the start point and the first dual iterate, so the
+    # Batched calls, one per side group: a step costs one eigh of the
+    # slack and the dual iterate, the certificate's eigvalsh and one
+    # eigvalsh for each of the two step lengths. The first slack's eigh is
+    # x0's (which gives the start point and the first dual iterate, so the
     # first step takes no eigh of its own), and the last iteration adds
     # the slack and the certificate. A second decomposition of the slack
     # (for the cone projection of the affine point) would add one per
@@ -721,6 +722,54 @@ def test_solve_decomposes_each_slack_once_per_step(monkeypatch):
         out = fs.solve(problem)
         assert out.verdict == verdict and out.iterations >= 2
         assert len(calls) <= groups * (5 * out.iterations + 1) + 1
+
+
+def test_each_iterate_takes_one_eigh(monkeypatch):
+    # from step 1 on, the slack and the dual iterate share one batched eigh
+    # per side group: an n-step solve of one group whose targets take no
+    # range eigh (2x2 and surely full) calls eigh once for x0 and once per
+    # step, on S and Z stacked
+    calls = []
+    orig = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    problem = _coexistence_draw(3)
+    assert len(fs._Layout.of(problem.blocks).groups) == 1
+    out = fs.solve(problem)
+    assert (out.exit, out.iterations) == ("path", 3)
+    assert calls == [(4, 2, 2)] + [(8, 2, 2)] * out.iterations
+
+
+def test_a_step0_witness_builds_no_dual_start(monkeypatch):
+    # A strictly feasible problem exits ``path`` at step 0, before the dual
+    # start Z = S^-1 / <e, S^-1> is built (its only ``_clamp``). The trace
+    # line gives that start's <Z, S> in closed form, nu / <e, S^-1>, and
+    # reads as the line computed from Z did (these lines are that one's)
+    calls = []
+    orig = fs._clamp
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(fs, "_clamp", counting)
+    h = rand_psd(np.random.default_rng(5), 3)
+    for problem, line in (
+        (one_block_trace_problem(1.0), "residual=3.331e-16 gap=1.000e+00"),
+        (fs.FeasibilityProblem((("x", 2),), (sum_constraint(["x"], np.diag([0.3, 0.7])),)),
+         "residual=0.000e+00 gap=1.167e+00"),
+        (fs.FeasibilityProblem((("x", 3),), (sum_constraint(["x"], h),)),
+         "residual=0.000e+00 gap=2.385e+00"),
+    ):
+        lines = []
+        out = fs.solve(problem, trace=lines.append)
+        assert (out.exit, out.iterations) == ("path", 0)
+        assert lines == ["iter=0 shift=+0.000e+00 " + line]
+    assert not calls
 
 
 def _first_step(problem, monkeypatch):
@@ -1142,8 +1191,40 @@ def _sum_problem(side=2, coefficient=1.0, rhs=None):
         "complex-coefficient", "2d-rhs", "complex-rhs", "trace-side-0", "trace-three-slots",
         "duplicate-block", "sum-term-shape", "trace-term-shape"])
 def test_malformed_problems_are_rejected_at_construction(build, error, match):
-    with pytest.raises(error, match=match):
-        build()
+    # twice: a failed check is never cached
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            build()
+
+
+@pytest.mark.parametrize("coefficient", [1 + 0j, Fraction(1)], ids=["complex", "fraction"])
+def test_a_checked_shape_still_checks_term_types(coefficient):
+    # both equal 1.0 and hash like it, so a shape memo keyed by value alone
+    # would let them through once a problem with 1.0 was built
+    assert coefficient == 1.0 and hash(coefficient) == hash(1.0)
+    _sum_problem(coefficient=1.0)
+    with pytest.raises(TypeError, match=f"is of type {type(coefficient).__name__}"):
+        _sum_problem(coefficient=coefficient)
+
+
+def test_problem_shapes_are_checked_once(monkeypatch):
+    # the structural checks run once per shape; the right-hand sides are
+    # checked on every construction
+    calls = []
+    orig = fs._term_shape
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(fs, "_term_shape", counting)
+    fs._check_shape.cache_clear()
+    _sum_problem()
+    _sum_problem(rhs=herm_coords(np.diag([0.25, 0.75])))
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        _sum_problem(rhs=np.array([np.nan, 1.0, 0.0, 0.0]))
+    assert len(calls) == 1
 
 
 def test_well_formed_problems_keep_their_data():

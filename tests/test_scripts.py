@@ -5,6 +5,7 @@ import ast
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import re
 import shlex
@@ -77,9 +78,7 @@ def test_solve_digest_prints_one_line_per_solve_and_a_digest():
 
 
 def test_cli_digest_describes_one_invocation_per_command():
-    spec = importlib.util.spec_from_file_location("cli_digest", SCRIPTS / "cli_digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    digest = _load_script("cli_digest")
     argvs = list(digest.invocations())
     # validate, table1 on two routes, three commands per device, two per ordered pair and route
     assert len({tuple(a) for a in argvs}) == len(argvs) == (1 + 2 + 3 * 10 + 2 * 100 * 2) * 2
@@ -98,6 +97,39 @@ def test_cli_digest_describes_one_invocation_per_command():
                      "classify": 0, "witness": 0}
     # the timing on stderr is masked, so a line repeats
     assert digest.line(first["witness"]) == digest.line(first["witness"])
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summarizes_canned_runs():
+    # the summary alone, on canned result lines: no benchmark runs here
+    bp = _load_script("bench_pairs")
+
+    def result(pairs_per_s, tail_ms):
+        return "pairs_per_s  1 1/s\n" + json.dumps({
+            "correct": True, "attempted": 10, "failed": 0,
+            "metrics": {"pairs_per_s": {"value": pairs_per_s, "unit": "1/s"},
+                        "pair_tail_ms": {"value": tail_ms, "unit": "ms"}}})
+
+    parent = [bp.result_metrics(result(*r))
+              for r in ((900, 1.5), (910, 1.52), (920, 1.55), (930, 1.53))]
+    change = [bp.result_metrics(result(*r))
+              for r in ((940, 1.45), (950, 1.53), (945, 1.50), (935, 1.49))]
+    metrics = [("pairs_per_s", "1/s", "higher"), ("pair_tail_ms", "ms", "lower")]
+    assert bp.summary(metrics, parent, change) == [
+        # 4 of 4 won, and the medians 27.5 apart, beyond the quartile spread of 15
+        "pairs_per_s    915 [907.5, 922.5] -> 942.5 1/s (+3.0 %) won 4/4 resolved",
+        # 3 of 4 won: not resolved
+        "pair_tail_ms   1.525 [1.515, 1.535] -> 1.495 ms (-2.0 %) won 3/4",
+    ]
+    # a parent checkout without the benchmark is refused before anything runs
+    proc = run_script("bench_pairs.py", str(ROOT / "tests"), "--workload", "pure-opop")
+    assert proc.returncode == 2 and "holds no perfbench/run.py" in proc.stderr
 
 
 def test_readme_quick_tour_prints_its_relation():
