@@ -31,7 +31,9 @@ document lists the instruments (the joint instrument once, or both and
 their common channel), then, by one rule, how each device arises from
 them: ``part_i``, the outcome subset of an effect, operation or channel
 (``null`` otherwise), and ``pointer_i``, the pointer map of an
-observable or instrument.
+observable or instrument. A compatible pair of effects or observables
+also gets ``joint_observable``: the joint instrument's branch units
+I_H(x, 1), the effects of a joint observable.
 """
 
 from __future__ import annotations
@@ -265,10 +267,12 @@ def _instrument_doc(ins: dv.Instrument) -> dict:
     }
 
 
-def _witness_doc(w: cp.Witness | None) -> dict | None:
+def _witness_doc(w: cp.Witness | None, classical: bool) -> dict | None:
     """The witness's instruments, one joint instrument when its two are one, then how
     each device arises from them: its subset ``part_i`` and its pointer map
-    ``pointer_i``. None when the verdict has no witness."""
+    ``pointer_i``; for a ``classical`` pair's joint instrument, also its branch
+    units, the effects of the joint observable. None when the verdict has no
+    witness."""
     if w is None:
         return None
     if w.instrument_1 is w.instrument_2:
@@ -285,9 +289,10 @@ def _witness_doc(w: cp.Witness | None) -> dict | None:
     for key, pointer in (("pointer_1", w.pointer_1), ("pointer_2", w.pointer_2)):
         if pointer is not None:
             doc[key] = dict(pointer.mapping)
-    g = w.joint_observable
-    if g is not None:
-        doc["joint_observable"] = {x: fmt_matrix(g.effects[x].matrix) for x in g.outcomes}
+    if classical and w.instrument_1 is w.instrument_2:
+        ins = w.instrument_1
+        doc["joint_observable"] = {x: fmt_matrix(ins.branches[x].heisenberg_unit())
+                                   for x in ins.outcomes}
     return doc
 
 
@@ -337,7 +342,7 @@ def _load(args, *names, types=object, wrong_type=""):
 
 
 def _classified(args):
-    """The tolerances, the verdict on the named pair, and the head of its document."""
+    """The tolerances, the named pair, the verdict on it, and the head of its document."""
     tol, d1, d2 = _load(args, args.name1, args.name2)
     start = time.perf_counter()
     verdict = cp.classify(
@@ -346,19 +351,20 @@ def _classified(args):
     elapsed = time.perf_counter() - start
     print(f"classified in {elapsed:.3f}s", file=sys.stderr)
     doc = {"pair": [args.name1, args.name2], "relation": verdict.relation, "notes": verdict.notes}
-    return tol, verdict, doc
+    return tol, (d1, d2), verdict, doc
 
 
 def cmd_classify(args) -> int:
-    _, verdict, doc = _classified(args)
+    _, _, verdict, doc = _classified(args)
     _emit(doc, args)
     return _exit_code([verdict.relation])
 
 
 def cmd_witness(args) -> int:
-    tol, verdict, doc = _classified(args)
+    tol, pair, verdict, doc = _classified(args)
     w = verdict.witness
-    doc["witness"] = _witness_doc(w)
+    classical = {dv.instrument_parts(d).kind for d in pair} <= {"effect", "observable"}
+    doc["witness"] = _witness_doc(w, classical)
     if w is not None and w.part_1 is not None and w.part_2 is not None:
         cert = cp.kraus_witness(verdict, tol)
         doc["kraus_certificate"] = {

@@ -57,9 +57,7 @@ import numpy as np
 from . import feasibility as fs
 from .devices import (
     CPMap,
-    Effect,
     Instrument,
-    Observable,
     PointerMap,
     UnsupportedPairError,  # noqa: F401  (re-exported: the package and the CLI name it here)
     holds_part,
@@ -96,8 +94,7 @@ class Witness:
     A compatible pair's two instruments are one joint instrument, the
     same object, and ``common_channel`` is its own validated total.
     Subsets (for effects, operations, channels) or pointer maps (for
-    observables and instruments) record how each device arises. A
-    compatible classical pair also carries its joint observable.
+    observables and instruments) record how each device arises.
     """
 
     instrument_1: Instrument
@@ -107,7 +104,6 @@ class Witness:
     part_2: tuple[str, ...] | None = None
     pointer_1: PointerMap | None = None
     pointer_2: PointerMap | None = None
-    joint_observable: Observable | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,19 +305,14 @@ def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verd
     then checked against both devices' records (:func:`check_witness`).
 
     Blocks are Choi matrices on the pair's output, or an effect's G^T of
-    side ``din``, which :func:`_measure` lifts. A classical pair's blocks
-    all have side ``din``; their G are the effects of a joint observable.
+    side ``din``, which :func:`_measure` lifts.
     """
     labels = {xy: f"{xy[0]}&{xy[1]}" for xy in blocks}
-    joint = None
-    if p.classical:
-        effects = Effect.from_stack([m.T for m in blocks.values()], vtol)
-        joint = Observable(tuple(labels.values()), dict(zip(labels.values(), effects)), tol=vtol)
     mats = {labels[xy]: _measure(p, m) for xy, m in blocks.items()}
     ins = Instrument.from_stack(tuple(mats), mats, p.din, p.dout, vtol)
     (s1, q1), (s2, q2) = (_carve(r, {labels[xy]: xy[i] for xy in blocks})
                           for i, r in enumerate((p.r1, p.r2)))
-    w = Witness(ins, ins, total_channel(ins, vtol), s1, s2, q1, q2, joint)
+    w = Witness(ins, ins, total_channel(ins, vtol), s1, s2, q1, q2)
     _check_parts(p.r1, p.r2, w, vtol)
     return Verdict("compatible", w, notes)
 
@@ -369,7 +360,7 @@ def _swap_verdict(v: Verdict) -> Verdict:
     w = v.witness
     if w is not None:
         w = Witness(w.instrument_2, w.instrument_1, w.common_channel, w.part_2, w.part_1,
-                    w.pointer_2, w.pointer_1, w.joint_observable)
+                    w.pointer_2, w.pointer_1)
     return Verdict(v.relation, w, v.notes)
 
 

@@ -11,6 +11,13 @@ import qcompat
 from qcompat import cli
 from qcompat import devices as dv
 from qcompat.fixtures import I2, PMX, PMZ, PX, PZ
+from qcompat.matkit import close
+
+
+def _matrix(rows) -> np.ndarray:
+    """A matrix from its JSON rows of [re, im] pairs."""
+    a = np.array(rows, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
 
 
 def jmat(m):
@@ -384,6 +391,33 @@ def test_witness_carries_the_pointer_and_the_joint_observable(device_file, capsy
     assert set(w["joint_observable"]) == set(w["instrument"]["outcomes"])
     assert w["part_1"] is None and w["part_2"] is not None
     assert "pointer_2" not in w
+    # every compatible classical pair's joint observable gives back both devices:
+    # summed over part_i, or over each pointer_i preimage, its effects are device i's
+    example = str(Path(__file__).resolve().parents[1] / "scripts" / "example_devices.json")
+    tol = cli.Tolerances()
+    wtol = cli.cp.witness_tolerances(tol)
+    devices = cli.load_device_file(example, tol)
+    names = [n for n, d in devices.items() if isinstance(d, (dv.Effect, dv.Observable))]
+    checked = 0
+    for pair in ((a, b) for a in names for b in names):
+        code, out, _ = run_cli(["--format", "json", "witness", example, *pair], capsys)
+        doc = json.loads(out)
+        if doc["relation"] != "compatible":
+            continue
+        w, checked = doc["witness"], checked + 1
+        joint = {x: _matrix(m) for x, m in w["joint_observable"].items()}
+        for i, name in enumerate(pair, 1):
+            d = devices[name]
+            if isinstance(d, dv.Effect):
+                wants = [(d.matrix, w[f"part_{i}"])]
+            else:
+                pointer = w[f"pointer_{i}"]
+                wants = [(d.effects[y].matrix, [x for x in pointer if pointer[x] == y])
+                         for y in d.outcomes]
+            for want, labels in wants:
+                got = sum((joint[x] for x in labels), np.zeros_like(want))
+                assert close(got, want, wtol), (pair, i)
+    assert checked == 5, checked
 
 
 def test_trace_goes_to_stderr(device_file, capsys):

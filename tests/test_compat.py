@@ -119,7 +119,7 @@ def test_coexistence_witness_margins():
     e1, e2 = rand_effect(rng, 2), rand_effect(rng, 2)
     v = cp.classify(e1, e2)
     if v.relation == "compatible":
-        g = v.witness.joint_observable
+        g = dv.induced_observable(v.witness.instrument_1, cp.witness_tolerances(cp.DEFAULT_TOL))
         m1 = g.effect_of(v.witness.part_1).matrix
         m2 = g.effect_of(v.witness.part_2).matrix
         assert np.allclose(m1, e1.matrix, atol=1e-5)
@@ -1924,6 +1924,11 @@ def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
             assert got.heisenberg_unit().tobytes() == want.heisenberg_unit().tobytes()
 
 
+def _classical(d1, d2) -> bool:
+    """Whether both devices read as effects or observables."""
+    return {dv.instrument_parts(d).kind for d in (d1, d2)} <= {"effect", "observable"}
+
+
 def _sides(w):
     """Each side of a witness: its instrument's branches as bytes, its part and its pointer."""
     def side(ins, part, pointer):
@@ -1971,7 +1976,12 @@ def test_every_builtin_witness_is_two_instruments_with_one_total(fast):
         assert back.notes == v.notes
         assert _sides(back.witness) == _sides(w)[::-1]
         assert back.witness.common_channel.choi.tobytes() == w.common_channel.choi.tobytes()
-        assert (back.witness.joint_observable is None) == (w.joint_observable is None)
+        if _classical(DEV[a], DEV[b]) and v.relation == "compatible":
+            # both orientations read one joint observable off their joint instrument
+            g, h = (dv.induced_observable(x.witness.instrument_1, wtol) for x in (v, back))
+            assert g.outcomes == h.outcomes, (a, b)
+            for x in g.outcomes:
+                assert g.effects[x].matrix.tobytes() == h.effects[x].matrix.tobytes(), (a, b)
     assert positive > len(verdicts) // 2
 
 
@@ -1991,21 +2001,18 @@ def test_commuting_observables_witness_takes_few_eigvalsh_calls(monkeypatch):
     v = cp.classify(a, b)
     assert v.relation == "compatible" and v.notes == "fast-path: commuting"
     assert len(v.witness.instrument_1.outcomes) == 9
-    # the witness takes one effect stack of the joint observable and one Choi
-    # stack of the instrument and its total (Choi matrices, then their units,
-    # whose spectra also bound the branches as effects)
-    assert len(calls) <= 3, calls
+    # the witness takes one Choi stack of the instrument and its total (Choi
+    # matrices, then their units, whose spectra also bound the branches as
+    # effects)
+    assert len(calls) <= 2, calls
 
 
 @pytest.mark.parametrize("name", ["ef-ef", "op-ef"])
 def test_carved_effects_take_no_eigvalsh_of_their_own(name, monkeypatch):
     # a carved effect is compared with its device's target by check_witness,
     # which takes no spectrum; the witness stack holds the branches and the
-    # total only
-    d1, d2, shapes = {
-        "ef-ef": (effect(PZ), effect(I2 / 2), [(4, 2, 2), (5, 4, 4), (5, 2, 2)]),
-        "op-ef": (DEV["luders_pz"], DEV["pz"], [(5, 4, 4), (5, 2, 2)]),
-    }[name]
+    # total only, whatever the kind pair
+    d1, d2 = {"ef-ef": (effect(PZ), effect(I2 / 2)), "op-ef": (DEV["luders_pz"], DEV["pz"])}[name]
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -2016,10 +2023,8 @@ def test_carved_effects_take_no_eigvalsh_of_their_own(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     v = cp.classify(d1, d2)
     assert v.relation == "compatible" and "fast-path" in v.notes
-    # ef-ef: the joint observable's effects, then the witness stack of four
-    # branches and the total (Choi matrices, then units); op-ef: the witness
-    # stack alone
-    assert calls == shapes
+    # the witness stack of four branches and the total: Choi matrices, then units
+    assert calls == [(5, 4, 4), (5, 2, 2)]
 
 
 def _rank1_observable(rng, d: int) -> Observable:
@@ -2057,10 +2062,10 @@ def test_witnesses_keep_the_orientation_of_sigma_y(name, fast):
     assert v.relation == "compatible"
     w, wtol = v.witness, cp.witness_tolerances(cp.DEFAULT_TOL)
     assert dv.is_part_of(d1, w.instrument_1, wtol) and dv.is_part_of(d2, w.instrument_2, wtol)
-    if w.joint_observable is None:
+    if not _classical(d1, d2):
         assert name == "op-ef"
         return
-    joint = w.joint_observable.effects
+    joint = dv.induced_observable(w.instrument_1, wtol).effects
     for d, part, pointer in ((d1, w.part_1, w.pointer_1), (d2, w.part_2, w.pointer_2)):
         if isinstance(d, Effect):
             wants = [(d.matrix, part)]
@@ -2257,14 +2262,14 @@ def test_tampered_joint_witness_is_rejected(case, error):
 
 
 def test_tampered_classical_joint_observable_is_rejected():
-    # a carved unit is bounded by its Choi check at the same threshold, so
-    # a unit above 1 meets EffectBoundsError only in a classical pair, whose
-    # blocks are the effects of the joint observable
+    # a classical pair's blocks are the transposed effects of its joint
+    # observable; the witness stack's unit check bounds each lifted block's
+    # unit, that effect, by 1 at the same threshold
     p = _pair(effect(PZ), effect(I2 / 2), cp.DEFAULT_TOL)
     blocks = {("1", "1"): PZ / 2, ("1", "0"): PZ / 2, ("0", "1"): PMZ / 2, ("0", "0"): PMZ / 2}
     assert cp._joint_verdict(p, blocks, "hand-built", p.wtol).relation == "compatible"
     blocks["1", "1"] = (1 + 1e-4) * PZ
-    with pytest.raises(dv.EffectBoundsError):
+    with pytest.raises(dv.TraceConditionError):
         cp._joint_verdict(p, blocks, "hand-built", p.wtol)
 
 
