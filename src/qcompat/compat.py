@@ -497,9 +497,9 @@ _JOINT_PATHS = {
     ("effect", "observable"): (_commuting,),
     ("observable", "observable"): (_commuting,),
     ("operation", "operation"): (_comparable, _sum_below_identity, _pure_oracle),
-    ("operation", "effect"): (_commuting, _projection, _sum_below_identity),
+    ("operation", "effect"): (_commuting, _sum_below_identity),
     ("operation", "observable"): (_commuting,),
-    ("channel", "effect"): (_commuting, _projection),
+    ("channel", "effect"): (_commuting,),
     ("channel", "observable"): (_commuting,),
     ("channel", "operation"): (_cp_order,),
     ("channel", "channel"): (_totals,),

@@ -1572,7 +1572,8 @@ def _scaled_kraus(rng, scale):
 
 def _fast_path_sample():
     """(fast path named in the notes, device, device): one pair per fast path of
-    every kind pair, with both outcomes where a path has two."""
+    every kind pair, with both outcomes where a path has two; "sdp" names the
+    engine, which decides a projection paired with an operation or a channel."""
     rng = np.random.default_rng(2012)
     u = np.linalg.qr(rand_complex(rng, 2))[0]
     e, f = Effect(_diag_in(u, [0.3, 0.8])), Effect(_diag_in(u, [0.6, 0.1]))
@@ -1599,10 +1600,10 @@ def _fast_path_sample():
          _observable(_diag_in(u, [0.5, 0.1]), _diag_in(u, [0.5, 0.9]))),
         ("commuting", dv.luders(Effect(_diag_in(u, [1.0, 0.0]))), e),
         ("sum-below-identity", Effect(0.5 * rand_effect(rng, 2).matrix), small),
-        ("projection-commutation", rand_cpmap(rng), effect(PX)),
+        ("sdp", rand_cpmap(rng), effect(PX)),
         ("commuting", f,
          choi_from_kraus(KrausSet((_diag_in(u, [1, 0]), _diag_in(u, [0, 1]))))),
-        ("projection-commutation", lam, effect(PX)),
+        ("sdp", lam, effect(PX)),
         ("commuting", dephased, obs),
         ("commuting", dv.contraction_channel(rand_state(rng, 2)), rand_observable(rng, 2, 3)),
         ("commuting", coin, lam),
@@ -2339,7 +2340,7 @@ def test_problem_rows_equal_the_encoders_rows_byte_for_byte(builder, monkeypatch
 _TABLE1_SOLVES = {
     True: {
         ("luders_px", "half_sigma_x"): [("face", 6)],
-        ("luders_pz", "px"): [("path", 0)],
+        ("luders_pz", "px"): [("path", 0), ("affine", 0)],
         ("luders_biased_z", "px"): [("affine", 0)],
     },
     False: {
