@@ -11,7 +11,9 @@ end-to-end metric of ``BENCHMARK.json`` it prints the parent's median and
 quartiles, this tree's median and its change, and in how many pairs this
 tree did better. A metric reads ``resolved`` when this tree did better in
 at least nine pairs in ten and its median beats the parent's by more than
-the parent's quartile spread.
+the parent's quartile spread, and ``worse`` when this tree's median is worse
+than the parent's by more than the metric's ``bound``, read as a fraction of
+the parent's median: the no-regression rule the benchmark is held to.
 
 Make the parent checkout with ``git archive``, outside this tree. The
 benchmark runs one workload at a time; nothing here changes how it runs.
@@ -38,12 +40,14 @@ def result_metrics(stdout: str) -> dict[str, float]:
 
 
 def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
-    """One line per (name, unit, better) metric over paired runs: the parent's
-    median [quartiles], this tree's median and relative change, the pairs this
-    tree won, and ``resolved`` when it won at least 9 in 10 and its median beats
-    the parent's by more than the parent's quartile spread."""
+    """One line per (name, unit, better, bound) metric over paired runs: the
+    parent's median [quartiles], this tree's median and relative change, the
+    pairs this tree won, ``resolved`` when it won at least 9 in 10 and its median
+    beats the parent's by more than the parent's quartile spread, and ``worse``
+    when its median is worse than the parent's by more than ``bound`` times the
+    parent's median."""
     lines = []
-    for name, unit, better in metrics:
+    for name, unit, better, bound in metrics:
         old = [run[name] for run in parent]
         new = [run[name] for run in change]
         sign = 1.0 if better == "higher" else -1.0
@@ -52,8 +56,10 @@ def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
         med = statistics.median(new)
         rel = (med - mid) / abs(mid) * 100 if mid else math.nan
         resolved = wins >= 0.9 * len(old) and sign * (med - mid) > q3 - q1
+        worse = sign * (mid - med) > bound * abs(mid)
         lines.append(f"{name:14s} {mid:.6g} [{q1:.6g}, {q3:.6g}] -> {med:.6g} {unit} "
-                     f"({rel:+.1f} %) won {wins}/{len(old)}" + (" resolved" if resolved else ""))
+                     f"({rel:+.1f} %) won {wins}/{len(old)}" + (" resolved" if resolved else "")
+                     + (" worse" if worse else ""))
     return lines
 
 
@@ -89,7 +95,7 @@ def main(argv=None) -> int:
             runs.append(run(tree, args.workload, args.seed, args.seconds))
         print(f"pair {i + 1}/{args.pairs}: parent {json.dumps(parent[-1])} "
               f"this tree {json.dumps(change[-1])}", file=sys.stderr)
-    metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           "parent median [quartiles] -> this tree's median")
     for line in summary(metrics, parent, change):
