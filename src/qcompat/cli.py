@@ -267,12 +267,12 @@ def _instrument_doc(ins: dv.Instrument) -> dict:
     }
 
 
-def _witness_doc(w: cp.Witness | None, classical: bool) -> dict | None:
+def _witness_doc(w: cp.Witness | None, pair) -> dict | None:
     """The witness's instruments, one joint instrument when its two are one, then how
-    each device arises from them: its subset ``part_i`` and its pointer map
-    ``pointer_i``; for a ``classical`` pair's joint instrument, also its branch
-    units, the effects of the joint observable. None when the verdict has no
-    witness."""
+    each device of ``pair`` arises from them: its subset ``part_i`` and its pointer
+    map ``pointer_i``; when both devices are effects or observables, also the joint
+    instrument's branch units, the effects of the joint observable. None when the
+    verdict has no witness."""
     if w is None:
         return None
     if w.instrument_1 is w.instrument_2:
@@ -289,7 +289,8 @@ def _witness_doc(w: cp.Witness | None, classical: bool) -> dict | None:
     for key, pointer in (("pointer_1", w.pointer_1), ("pointer_2", w.pointer_2)):
         if pointer is not None:
             doc[key] = dict(pointer.mapping)
-    if classical and w.instrument_1 is w.instrument_2:
+    kinds = {dv.instrument_parts(d).kind for d in pair}
+    if w.instrument_1 is w.instrument_2 and kinds <= {"effect", "observable"}:
         ins = w.instrument_1
         doc["joint_observable"] = {x: fmt_matrix(ins.branches[x].heisenberg_unit())
                                    for x in ins.outcomes}
@@ -363,8 +364,7 @@ def cmd_classify(args) -> int:
 def cmd_witness(args) -> int:
     tol, pair, verdict, doc = _classified(args)
     w = verdict.witness
-    classical = {dv.instrument_parts(d).kind for d in pair} <= {"effect", "observable"}
-    doc["witness"] = _witness_doc(w, classical)
+    doc["witness"] = _witness_doc(w, pair)
     if w is not None and w.part_1 is not None and w.part_2 is not None:
         cert = cp.kraus_witness(verdict, tol)
         doc["kraus_certificate"] = {

@@ -110,30 +110,30 @@ def test_bench_pairs_summarizes_canned_runs():
     # the summary alone, on canned result lines: no benchmark runs here
     bp = _load_script("bench_pairs")
 
-    def result(pairs_per_s, tail_ms, p50_ms, setup_s):
+    def result(pairs_per_s, tail_ms, p50_ms, rss_mb):
         return "pairs_per_s  1 1/s\n" + json.dumps({
             "correct": True, "attempted": 10, "failed": 0,
             "metrics": {"pairs_per_s": {"value": pairs_per_s, "unit": "1/s"},
                         "pair_tail_ms": {"value": tail_ms, "unit": "ms"},
                         "pair_p50_ms": {"value": p50_ms, "unit": "ms"},
-                        "setup_s": {"value": setup_s, "unit": "s"}}})
+                        "peak_rss_mb": {"value": rss_mb, "unit": "MB"}}})
 
     parent = [bp.result_metrics(result(*r)) for r in (
-        (900, 1.5, 1.0, 0.2), (910, 1.52, 1.0, 0.2), (920, 1.55, 1.0, 0.2), (930, 1.53, 1.0, 0.2))]
+        (900, 1.5, 0.5, 40), (910, 1.52, 0.5, 40), (920, 1.55, 0.5, 40), (930, 1.53, 0.5, 40))]
     change = [bp.result_metrics(result(*r)) for r in (
-        (940, 1.45, 1.3, 0.22), (950, 1.53, 1.3, 0.22), (945, 1.50, 1.3, 0.22),
-        (935, 1.49, 1.3, 0.22))]
+        (940, 1.45, 0.65, 41), (950, 1.53, 0.65, 41), (945, 1.50, 0.65, 41),
+        (935, 1.49, 0.65, 41))]
     metrics = [("pairs_per_s", "1/s", "higher", 0.25), ("pair_tail_ms", "ms", "lower", 0.25),
-               ("pair_p50_ms", "ms", "lower", 0.2), ("setup_s", "s", "lower", 0.25)]
+               ("pair_p50_ms", "ms", "lower", 0.2), ("peak_rss_mb", "MB", "lower", 0.05)]
     assert bp.summary(metrics, parent, change) == [
         # 4 of 4 won, and the medians 27.5 apart, beyond the quartile spread of 15
         "pairs_per_s    915 [907.5, 922.5] -> 942.5 1/s (+3.0 %) won 4/4 resolved",
         # 3 of 4 won: not resolved
         "pair_tail_ms   1.525 [1.515, 1.535] -> 1.495 ms (-2.0 %) won 3/4",
-        # 30 % worse, beyond its bound of 20 % of the parent's median
-        "pair_p50_ms    1 [1, 1] -> 1.3 ms (+30.0 %) won 0/4 worse",
-        # 10 % worse, within its bound of 25 %
-        "setup_s        0.2 [0.2, 0.2] -> 0.22 s (+10.0 %) won 0/4",
+        # bounds are fractions of the parent's median: 0.15 ms is 30 %, beyond 20 %
+        "pair_p50_ms    0.5 [0.5, 0.5] -> 0.65 ms (+30.0 %) won 0/4 worse",
+        # and 1 MB is 2.5 %, within 5 %
+        "peak_rss_mb    40 [40, 40] -> 41 MB (+2.5 %) won 0/4",
     ]
     # a parent checkout without the benchmark is refused before anything runs
     proc = run_script("bench_pairs.py", str(ROOT / "tests"), "--workload", "pure-opop")
