@@ -23,25 +23,20 @@ compatible pair's two are the same joint instrument, which is how
 compatibility implies weak compatibility.
 
 ``classify`` returns compatible, weakly_compatible_only,
-strongly_incompatible, or undecided. Each question has the pair's
-analytic fast paths, then the engine, which is handed the question's
-builder and whose outcome becomes a verdict in one place. A kind pair
-lists only paths that decide pairs no other path of its row decides.
-Every row whose second device is an effect or an observable starts with
-one commutation rule, :func:`_commuting`: when those effects commute
-with every target of the first device, splitting each target along them
-is a joint instrument. The joint fast paths run first. A quantum
-pair without a channel then asks the weak question before the joint
-engine: every compatible pair is weakly compatible, so a certified weak
-"no" proves strong incompatibility on its own, and the joint problem is
-not solved. The engine's weak "yes" is assembled into a witness only
-when the joint engine says no. Classical pairs are always weakly
-compatible, and a pair with a channel that is not compatible is strongly
-incompatible, so both ask only the joint question. A map's kind is the
-one its validation fixed, so every trace-preserving map is a channel
-here, whatever it was declared. Positive verdicts carry a witness that
-is re-validated and checked before it is returned. A flag disables the
-optional fast paths so the engine can be cross-checked against
+strongly_incompatible, or undecided. Each of its two questions, joint
+and weak, gets one :class:`Answer`. ``_STEPS`` orders the questions of
+each kind class: the joint fast paths, then, for a quantum pair without
+a channel, the weak question, whose certified "no" decides the pair
+without the joint solve, then the joint engine. ``_RELATIONS`` reads the
+relation from the two answers, an unasked one filled in from the paper's
+three implications (:func:`_implied`). A kind pair lists only fast paths
+that decide pairs no other path of its row decides; every row whose
+second device is an effect or an observable starts with
+:func:`_commuting`, which splits each target of the first device along
+those effects when they commute with it. Every trace-preserving map is
+a channel here, whatever it was declared. Positive verdicts carry a
+witness, re-validated and checked before it is returned. A flag disables
+the optional fast paths so the engine can be cross-checked against
 independent oracles; the structural ones, which decide channel and
 instrument pairs and the weak answer of classical pairs outright, still
 run.
@@ -116,6 +111,22 @@ class Verdict:
         allowed = {"compatible", "weakly_compatible_only", "strongly_incompatible", "undecided"}
         if self.relation not in allowed:
             raise ValueError(f"unknown relation {self.relation!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class Answer:
+    """One question's answer: ``value`` yes, no or undecided, and what decided it.
+
+    ``decided_by`` names a fast path, or ``engine:<exit>``. A yes carries its
+    witness, or the engine's feasible ``outcome``, which :func:`_witness`
+    assembles only when the relation needs it.
+    """
+
+    value: str  # yes | no | undecided
+    decided_by: str
+    witness: Witness | None = None
+    outcome: fs.FeasibilityOutcome | None = None
+    notes: str = ""
 
 
 class WitnessValidationError(AssertionError):
@@ -248,9 +259,10 @@ class _Pair:
         self.d1, self.d2, self.r1, self.r2, self.tol = d1, d2, r1, r2, tol
         self.wtol = witness_tolerances(tol)
         self.kinds = (r1.kind, r2.kind)
-        self.classical = set(self.kinds) <= {"effect", "observable"}
+        self.cls = "classical" if set(self.kinds) <= {"effect", "observable"} else \
+            "channel" if "channel" in self.kinds else "quantum"
         self.din, self.dout = _dims(r1, r2)
-        self.vtol = self.wtol if self.classical else tol  # for its fast-path witnesses
+        self.vtol = self.wtol if self.cls == "classical" else tol  # for its fast-path witnesses
         self.t1, self.t2 = r1.targets, r2.targets
         self.prepared = np.eye(self.dout) / self.dout  # the state :func:`_measure` prepares
 
@@ -328,12 +340,9 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
     side = p.din * p.dout
     instruments, carved = [], []
     for i, r in enumerate((p.r1, p.r2)):
-        targets, choi = r.targets, {}
-        for x, target in targets.items():
-            if (i, x) in blocks:
-                choi[x] = blocks[i, x]
-            elif target.shape[0] == side:
-                choi[x] = target
+        targets = r.targets
+        choi = {x: blocks.get((i, x), t) for x, t in targets.items()
+                if (i, x) in blocks or t.shape[0] == side}
         left = [x for x in targets if x not in choi]
         if left:
             choi[left[0]] = lam - _sum(list(choi.values()), lam.shape[0])
@@ -345,7 +354,7 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
     return Verdict("weakly_compatible_only", w, notes)
 
 
-def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
+def _contraction(p: _Pair) -> Answer:
     """Classical devices are always weakly compatible.
 
     Both instruments measure and then prepare one fixed state (:func:`_measure`),
@@ -353,7 +362,8 @@ def _contraction(p: _Pair, notes: str = "always weakly compatible") -> Verdict:
     """
     blocks = {(i, x): _measure(p, t) for i, r in enumerate((p.r1, p.r2))
               for x, t in r.fixed.items()}
-    return _weak_verdict(p, blocks, _measure(p, np.eye(p.din)), notes, p.tol)
+    return _yes("contraction", _weak_verdict(p, blocks, _measure(p, np.eye(p.din)),
+                                             "always weakly compatible", p.tol))
 
 
 def _swap_verdict(v: Verdict) -> Verdict:
@@ -365,9 +375,17 @@ def _swap_verdict(v: Verdict) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# fast paths: each returns a verdict, the notes of a "no" to its question,
-# or None
+# fast paths: each returns an answer to its question, or None
 # ---------------------------------------------------------------------------
+
+
+def _yes(path: str, v: Verdict) -> Answer:
+    """A fast path's yes, with the witness its assembler checked."""
+    return Answer("yes", path, v.witness, notes=v.notes)
+
+
+def _no(path: str, notes: str = "") -> Answer:
+    return Answer("no", path, notes=notes or f"fast-path: {path}")
 
 
 def _commuting(p: _Pair):
@@ -388,8 +406,8 @@ def _commuting(p: _Pair):
             blocks[x, y] = product = j @ lift
             if not close(product, lift @ j, p.tol):
                 return None
-    return _joint_verdict(p, {xy: hermitian_part(m) for xy, m in blocks.items()},
-                          "fast-path: commuting", p.vtol)
+    return _yes("commuting", _joint_verdict(p, {xy: hermitian_part(m) for xy, m in blocks.items()},
+                                            "fast-path: commuting", p.vtol))
 
 
 def _sum_below_identity(p: _Pair):
@@ -400,14 +418,15 @@ def _sum_below_identity(p: _Pair):
         return None
     leftover = hermitian_part(np.eye(p.din) - gram)
     blocks = {("1", "0"): p.t1["1"], ("0", "1"): p.t2["1"], ("0", "0"): leftover.T}
-    return _joint_verdict(p, blocks, "fast-path: sum-below-identity", p.vtol)
+    return _yes("sum-below-identity",
+                _joint_verdict(p, blocks, "fast-path: sum-below-identity", p.vtol))
 
 
 def _projection(p: _Pair):
     # a projection is compatible only with what commutes with it, checked before
     for d, k in zip((p.d1, p.d2), p.kinds):
         if k == "effect" and close(d.matrix @ d.matrix, d.matrix, p.tol):
-            return "fast-path: projection-commutation"
+            return _no("projection-commutation")
     return None
 
 
@@ -418,7 +437,7 @@ def _comparable(p: _Pair):
             leftover = hermitian_part(np.eye(p.din) - hi.heisenberg_unit())
             blocks = {("1", "1"): lo.choi, split: hermitian_part(hi.choi - lo.choi),
                       ("0", "0"): leftover.T}
-            return _joint_verdict(p, blocks, "fast-path: comparable", p.tol)
+            return _yes("comparable", _joint_verdict(p, blocks, "fast-path: comparable", p.tol))
     return None
 
 
@@ -430,16 +449,16 @@ def _pure_oracle(p: _Pair):
         raise WitnessValidationError(
             "pure oracle claims compatibility outside its construction cases"
         )
-    return "fast-path: pure-oracle"
+    return _no("pure-oracle")
 
 
 def _cp_order(p: _Pair):
     """Channel vs operation: compatible exactly when the operation sits below."""
     lam, f = p.d1, p.d2
     if not cp_leq(f, lam, p.tol):
-        return Verdict("strongly_incompatible", None, "fast-path: cp-order")
+        return _no("cp-order")
     blocks = {("1", "1"): f.choi, ("1", "0"): hermitian_part(lam.choi - f.choi)}
-    return _joint_verdict(p, blocks, "fast-path: cp-order", p.tol)
+    return _yes("cp-order", _joint_verdict(p, blocks, "fast-path: cp-order", p.tol))
 
 
 def _totals_agree(p: _Pair) -> bool:
@@ -448,33 +467,28 @@ def _totals_agree(p: _Pair) -> bool:
     return close(t1, t2, p.tol)
 
 
-# kind pair -> (notes when the totals agree, notes when they differ)
-_TOTAL_NOTES = {
-    ("channel", "channel"): ("fast-path: equal-channels", "fast-path: distinct-channels"),
-    ("instrument", "channel"): ("fast-path: total-channel", "fast-path: total-channel"),
-    ("instrument", "instrument"): (None, "fast-path: distinct-totals"),
+# kind pair -> (path name when the totals agree, path name when they differ)
+_TOTAL_PATHS = {
+    ("channel", "channel"): ("equal-channels", "distinct-channels"),
+    ("instrument", "channel"): ("total-channel", "total-channel"),
 }
 
 
-def _totals(p: _Pair):
-    """Devices without free outcome: distinct totals rule out even weak compatibility.
-
-    Against a channel, agreeing totals make the first device itself the
-    joint instrument.
-    """
-    agree, differ = _TOTAL_NOTES[p.kinds]
+def _totals(p: _Pair) -> Answer:
+    """A device without free outcome against a channel: compatible exactly when the
+    totals agree, and then the first device is itself the joint instrument."""
+    agree, differ = _TOTAL_PATHS[p.kinds]
     if not _totals_agree(p):
-        return Verdict("strongly_incompatible", None, differ)
-    if agree is not None:
-        return _joint_verdict(p, {(x, "1"): t for x, t in p.t1.items()}, agree, p.tol)
-    return None
+        return _no(differ)
+    return _yes(agree, _joint_verdict(p, {(x, "1"): t for x, t in p.t1.items()},
+                                      f"fast-path: {agree}", p.tol))
 
 
 def _shared_total(p: _Pair):
     """Devices without free outcome share a total channel exactly when the totals agree."""
     if not _totals_agree(p):
-        return "fast-path: distinct-totals"
-    return _weak_verdict(p, {}, None, "fast-path: shared-total", p.tol)
+        return _no("distinct-totals")
+    return _yes("shared-total", _weak_verdict(p, {}, None, "fast-path: shared-total", p.tol))
 
 
 def _rank1_family(p: _Pair):
@@ -486,8 +500,9 @@ def _rank1_family(p: _Pair):
     if overlap.equal is None:
         return None
     if overlap.equal:
-        return _weak_verdict(p, {}, overlap.channel.choi, "fast-path: rank1-family", p.tol)
-    return f"fast-path: rank1-family ({overlap.reason})"
+        return _yes("rank1-family", _weak_verdict(p, {}, overlap.channel.choi,
+                                                  "fast-path: rank1-family", p.tol))
+    return _no("rank1-family", f"fast-path: rank1-family ({overlap.reason})")
 
 
 # Fast paths per canonical kind pair, in the order they run. Structural
@@ -506,7 +521,6 @@ _JOINT_PATHS = {
     ("instrument", "effect"): (_commuting,),
     ("instrument", "observable"): (_commuting,),
     ("instrument", "channel"): (_totals,),
-    ("instrument", "instrument"): (_totals,),
 }
 _WEAK_PATHS = {
     ("effect", "effect"): (_contraction,),
@@ -545,76 +559,108 @@ def _weak_sdp(p: _Pair, witness: dict) -> Verdict:
     return _weak_verdict(p, blocks, None, "sdp", p.wtol)
 
 
-def _fast(p: _Pair, paths: dict, fast_paths: bool):
-    """A question's fast paths in order: the first verdict or notes of a "no", else None."""
-    for path in paths.get(p.kinds, ()):
-        if fast_paths or path in _STRUCTURAL:
-            decision = path(p)
-            if decision is not None:
-                return decision
-    return None
+# question -> its fast paths per canonical kind pair, the module name of its
+# builder (looked up at call time, where perfbench/tracer.py wraps it), and
+# the assembler of an engine witness
+_QUESTIONS = {"joint": (_JOINT_PATHS, "joint_problem", _joint_sdp),
+              "weak": (_WEAK_PATHS, "weak_problem", _weak_sdp)}
 
 
-def _engine(p: _Pair, builder, trace):
-    """The engine on the problem that ``builder`` encodes from the pair's records:
-    its feasible outcome, whose witness the caller assembles, an undecided
-    verdict, or the notes of a certified "no"."""
-    out = fs.solve(builder(p.r1, p.r2), p.tol, trace=trace)
-    if out.verdict == "feasible":
-        return out
-    if out.verdict == "undecided":
-        return Verdict("undecided", None, f"sdp undecided margin={out.margin:.3e}")
-    return f"sdp margin={out.margin:.3e}"
+def _fast(p: _Pair, question: str, fast_paths: bool, trace) -> Answer | None:
+    """A question's fast paths in order: the first answer, else None."""
+    paths = _QUESTIONS[question][0].get(p.kinds, ())
+    return next(filter(None, (path(p) for path in paths
+                              if fast_paths or path in _STRUCTURAL)), None)
+
+
+# the engine's verdict -> the answer's value and notes, formatted with the margin
+_ENGINE_ANSWERS = {"feasible": ("yes", "sdp"), "infeasible": ("no", "sdp margin={:.3e}"),
+                   "undecided": ("undecided", "sdp undecided margin={:.3e}")}
+
+
+def _engine(p: _Pair, question: str, fast_paths: bool, trace) -> Answer:
+    """The engine on the problem that the question's builder encodes from the pair's
+    records; a feasible outcome is assembled later, by :func:`_witness`."""
+    out = fs.solve(globals()[_QUESTIONS[question][1]](p.r1, p.r2), p.tol, trace=trace)
+    value, notes = _ENGINE_ANSWERS[out.verdict]
+    return Answer(value, f"engine:{out.exit}", outcome=out if value == "yes" else None,
+                  notes=notes.format(out.margin))
+
+
+def _witness(p: _Pair, question: str, answer: Answer | None) -> Witness | None:
+    """The answer's witness. An engine's is assembled here, when a relation needs it,
+    and the unasked weak answer of a classical pair has the contraction's."""
+    if answer is None:
+        return _contraction(p).witness
+    if answer.outcome is None:
+        return answer.witness
+    return _QUESTIONS[question][2](p, answer.outcome.witness).witness
+
+
+# Each kind class's questions, in order: the joint fast paths, then, for a
+# quantum pair without a channel, the weak question (a weak "no" decides the
+# pair without the joint solve), then the joint engine. A step is skipped
+# once its question has an answer.
+_STEPS = {
+    "classical": (("joint", _fast), ("joint", _engine)),
+    "channel": (("joint", _fast), ("joint", _engine)),
+    "quantum": (("joint", _fast), ("weak", _fast), ("weak", _engine), ("joint", _engine)),
+}
+
+
+def _implied(p: _Pair, joint: Answer | None, weak: Answer | None) -> tuple:
+    """The (joint, weak) values, an unasked one (None) filled in by the paper's three
+    implications: a compatible pair is weakly compatible, so a weak "no" is a
+    joint "no"; a classical pair is weakly compatible; and a pair with a
+    channel is weakly compatible only when it is compatible."""
+    j, w = joint and joint.value, weak and weak.value
+    if w is None:
+        w = "yes" if j == "yes" or p.cls == "classical" else j if p.cls == "channel" else None
+    return j or ("no" if w == "no" else None), w
+
+
+# (joint, weak) values, read after :func:`_implied` -> the relation, the question
+# whose answer carries its witness, and its notes: the joint answer's, or
+# those of every answer asked, joint first
+_RELATIONS = {
+    ("yes", "yes"): ("compatible", "joint", "{joint}"),
+    ("no", "yes"): ("weakly_compatible_only", "weak", "{asked}"),
+    ("no", "no"): ("strongly_incompatible", None, "{asked}"),
+    ("no", "undecided"): ("undecided", None, "not compatible; weak undecided; {joint}"),
+    ("undecided", "yes"): ("undecided", None, "{joint}"),
+    ("undecided", "undecided"): ("undecided", None, "{joint}"),
+}
 
 
 def _decide(p: _Pair, fast_paths: bool, trace) -> Verdict:
-    joint = _fast(p, _JOINT_PATHS, fast_paths)
-    if isinstance(joint, Verdict):
-        return joint
-    weak = None
-    if not p.classical and "channel" not in p.kinds:
-        # every compatible pair is weakly compatible, so a "no" here decides the pair
-        weak = _fast(p, _WEAK_PATHS, fast_paths) or _engine(p, weak_problem, trace)
-        if isinstance(weak, str):
-            return Verdict("strongly_incompatible", None, "; ".join(filter(None, (joint, weak))))
-    if joint is None:
-        joint = _engine(p, joint_problem, trace)
-        if isinstance(joint, fs.FeasibilityOutcome):
-            return _joint_sdp(p, joint.witness)
-        if isinstance(joint, Verdict):  # undecided
-            return joint
-    if p.classical:
-        return _contraction(p, joint)
-    if "channel" in p.kinds:
-        # the common channel of a weak witness would have to be this channel
-        return Verdict("strongly_incompatible", None, joint)
-    if isinstance(weak, fs.FeasibilityOutcome):
-        weak = _weak_sdp(p, weak.witness)
-    if weak.relation == "undecided":
-        return Verdict("undecided", None, f"not compatible; weak undecided; {joint}")
-    return Verdict(weak.relation, weak.witness, f"{joint}; {weak.notes}")
+    answers = {"joint": None, "weak": None}
+    for question, ask in _STEPS[p.cls]:
+        answers[question] = answers[question] or ask(p, question, fast_paths, trace)
+        row = _RELATIONS.get(_implied(p, **answers))
+        if row is not None:
+            break  # the joint engine answers last, and that decides every pair
+    relation, carrier, notes = row
+    asked = "; ".join(a.notes for a in answers.values() if a is not None)
+    joint = answers["joint"] and answers["joint"].notes
+    return Verdict(relation, carrier and _witness(p, carrier, answers[carrier]),
+                   notes.format(joint=joint, asked=asked))
 
 
 def _decide_weak(p: _Pair, fast_paths: bool, trace) -> Verdict:
-    v = _fast(p, _WEAK_PATHS, fast_paths) or _engine(p, weak_problem, trace)
-    if isinstance(v, fs.FeasibilityOutcome):
-        return _weak_sdp(p, v.witness)
-    return v if isinstance(v, Verdict) else Verdict("strongly_incompatible", None, v)
+    # the weak answer alone: the joint question is not asked, and reads as "no"
+    a = _fast(p, "weak", fast_paths, trace) or _engine(p, "weak", fast_paths, trace)
+    return Verdict(_RELATIONS["no", a.value][0], _witness(p, "weak", a), a.notes)
 
 
 def classify(d1, d2, tol: Tolerances = DEFAULT_TOL, fast_paths: bool = True,
              trace=None) -> Verdict:
     """Three-way classification of any pair of devices.
 
-    Returns compatible, weakly_compatible_only, strongly_incompatible,
-    or undecided. Pairs of classical devices are always weakly
-    compatible, and a pair with a channel that is not compatible is
-    strongly incompatible; both ask only the joint question. Other pairs
-    ask it by its fast paths, then the weak question, then the joint
-    engine. Every compatible pair is weakly compatible, so a weak "no"
-    (an analytic one or a certified infeasible problem) decides the pair
-    as strongly incompatible without the joint solve. The witness
-    orientation matches the argument order.
+    Returns compatible, weakly_compatible_only, strongly_incompatible, or
+    undecided. Classical pairs and pairs with a channel ask only the joint
+    question; other pairs ask the weak question before the joint engine, and
+    a weak "no" decides the pair as strongly incompatible without the joint
+    solve. The witness orientation matches the argument order.
     """
     return _oriented(_decide, d1, d2, tol, fast_paths, trace)
 
