@@ -35,11 +35,10 @@ second device is an effect or an observable starts with
 :func:`_commuting`, which splits each target of the first device along
 those effects when they commute with it. Every trace-preserving map is
 a channel here, whatever it was declared. Positive verdicts carry a
-witness, re-validated and checked before it is returned. A flag disables
-the optional fast paths so the engine can be cross-checked against
-independent oracles; the structural ones, which decide channel and
-instrument pairs and the weak answer of classical pairs outright, still
-run.
+witness, re-validated and checked before it is returned. A flag turns
+the fast paths off, so that the engine, which then decides every
+question, can be cross-checked against them and against independent
+oracles; the implications hold on both routes, since they are theorems.
 """
 
 from __future__ import annotations
@@ -505,8 +504,8 @@ def _rank1_family(p: _Pair):
     return _no("rank1-family", f"fast-path: rank1-family ({overlap.reason})")
 
 
-# Fast paths per canonical kind pair, in the order they run. Structural
-# ones decide their pairs outright and run even with fast paths off.
+# Fast paths per canonical kind pair, in the order they run; with fast paths
+# off, none runs, and the engine answers every question asked.
 _JOINT_PATHS = {
     ("effect", "effect"): (_commuting, _sum_below_identity, _projection),
     ("effect", "observable"): (_commuting,),
@@ -531,7 +530,6 @@ _WEAK_PATHS = {
     ("instrument", "channel"): (_shared_total,),
     ("instrument", "instrument"): (_shared_total,),
 }
-_STRUCTURAL = {_cp_order, _totals, _shared_total, _contraction}
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +566,8 @@ _QUESTIONS = {"joint": (_JOINT_PATHS, "joint_problem", _joint_sdp),
 
 def _fast(p: _Pair, question: str, fast_paths: bool, trace) -> Answer | None:
     """A question's fast paths in order: the first answer, else None."""
-    paths = _QUESTIONS[question][0].get(p.kinds, ())
-    return next(filter(None, (path(p) for path in paths
-                              if fast_paths or path in _STRUCTURAL)), None)
+    paths = _QUESTIONS[question][0].get(p.kinds, ()) if fast_paths else ()
+    return next(filter(None, (path(p) for path in paths)), None)
 
 
 # the engine's verdict -> the answer's value and notes, formatted with the margin
