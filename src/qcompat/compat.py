@@ -30,15 +30,12 @@ a channel, the weak question, whose certified "no" decides the pair
 without the joint solve, then the joint engine. ``_RELATIONS`` reads the
 relation from the two answers, an unasked one filled in from the paper's
 three implications (:func:`_implied`). A kind pair lists only fast paths
-that decide pairs no other path of its row decides; every row whose
-second device is an effect or an observable starts with
-:func:`_commuting`, which splits each target of the first device along
-those effects when they commute with it. Every trace-preserving map is
-a channel here, whatever it was declared. Positive verdicts carry a
-witness, re-validated and checked before it is returned. A flag turns
-the fast paths off, so that the engine, which then decides every
-question, can be cross-checked against them and against independent
-oracles; the implications hold on both routes, since they are theorems.
+that decide pairs no other path of its row decides. Every
+trace-preserving map is a channel here, whatever it was declared.
+Positive verdicts carry a witness, re-validated and checked before it is
+returned. Without fast paths the engine decides every question, so that
+it can be cross-checked against them and against independent oracles;
+the implications hold on both routes, since they are theorems.
 """
 
 from __future__ import annotations
@@ -62,23 +59,10 @@ from .devices import (
     part_sums,
     total_channel,
 )
-from .matkit import (
-    DEFAULT_TOL,
-    MatrixShapeError,
-    Tolerances,
-    close,
-    frob_norm,
-    herm_coords,
-    hermitian_part,
-    kron_unchecked,
-)
-from .order import (
-    RankConditionError,
-    cp_leq,
-    is_pure,
-    pure_pair_compatible,
-    rank1_upper_channels_equal,
-)
+from .matkit import (DEFAULT_TOL, MatrixShapeError, Tolerances, close, frob_norm, herm_coords,
+                     hermitian_part, kron_unchecked)
+from .order import (RankConditionError, cp_leq, is_pure, pure_pair_compatible,
+                    rank1_upper_channels_equal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +98,9 @@ class Verdict:
 
 @dataclass(frozen=True, eq=False)
 class Answer:
-    """One question's answer: ``value`` yes, no or undecided, and what decided it.
-
-    ``decided_by`` names a fast path, or ``engine:<exit>``. A yes carries its
-    witness, or the engine's feasible ``outcome``, which :func:`_witness`
-    assembles only when the relation needs it.
-    """
+    """One question's answer, yes, no or undecided, and what decided it: a fast
+    path's name, or ``engine:<exit>``. A yes carries its witness, or the engine's
+    feasible outcome, which :func:`_witness` assembles when a relation needs it."""
 
     value: str  # yes | no | undecided
     decided_by: str
@@ -141,11 +122,8 @@ def witness_tolerances(tol: Tolerances) -> Tolerances:
     re-validation anywhere downstream scales with the solver precision.
     """
     c = 100.0
-    return Tolerances(
-        eq_tol=max(tol.eq_tol, c * tol.feas_tol),
-        psd_tol=max(tol.psd_tol, c * tol.feas_tol),
-        feas_tol=c * tol.feas_tol,
-    )
+    return Tolerances(eq_tol=max(tol.eq_tol, c * tol.feas_tol),
+                      psd_tol=max(tol.psd_tol, c * tol.feas_tol), feas_tol=c * tol.feas_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +244,20 @@ class _Pair:
         self.prepared = np.eye(self.dout) / self.dout  # the state :func:`_measure` prepares
 
 
-def check_witness(d1, d2, witness: Witness, tol: Tolerances) -> None:
-    """Check that device i is a part of instrument i and that both totals are the
-    common channel; else WitnessValidationError naming the device or instrument.
+def check_witness(d1, d2, w: Witness, tol: Tolerances) -> None:
+    """Check that device i, or its ``instrument_parts`` record, is a part of
+    instrument i and that both totals are the common channel; else
+    WitnessValidationError naming the device or instrument.
 
     Instrument i's labels go to device i's outcomes through ``pointer_i``,
     or, with a subset ``part_i``, to outcome "1", and the rest to the free
     outcome; :func:`devices.holds_part`, the rule ``devices.is_part_of``
     searches with, compares each fixed target with the sum of their branches
-    (:func:`devices.part_sums`). Only sums and norms are taken.
+    (:func:`devices.part_sums`). Only sums and norms are taken. A joint
+    instrument, the same object twice, has its total checked once.
     """
-    _check_parts(_parts(d1), _parts(d2), witness, tol)
-
-
-def _check_parts(r1, r2, w: Witness, tol: Tolerances) -> None:
-    """:func:`check_witness` on the devices' ``instrument_parts`` records. A joint
-    instrument, the same object twice, has its total checked once."""
-    for i, r, ins, part, pointer in ((1, r1, w.instrument_1, w.part_1, w.pointer_1),
-                                     (2, r2, w.instrument_2, w.part_2, w.pointer_2)):
+    for i, r, ins, part, pointer in ((1, _parts(d1), w.instrument_1, w.part_1, w.pointer_1),
+                                     (2, _parts(d2), w.instrument_2, w.part_2, w.pointer_2)):
         owner = pointer.mapping if pointer is not None else dict.fromkeys(part or (), "1")
         if r.din != ins.dim_in or r.dout not in (None, ins.dim_out) or \
                 not holds_part(r, part_sums(r, ins, owner), tol):
@@ -324,7 +298,7 @@ def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verd
     (s1, q1), (s2, q2) = (_carve(r, {labels[xy]: xy[i] for xy in blocks})
                           for i, r in enumerate((p.r1, p.r2)))
     w = Witness(ins, ins, total_channel(ins, vtol), s1, s2, q1, q2)
-    _check_parts(p.r1, p.r2, w, vtol)
+    check_witness(p.r1, p.r2, w, vtol)
     return Verdict("compatible", w, notes)
 
 
@@ -339,17 +313,16 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
     side = p.din * p.dout
     instruments, carved = [], []
     for i, r in enumerate((p.r1, p.r2)):
-        targets = r.targets
-        choi = {x: blocks.get((i, x), t) for x, t in targets.items()
+        choi = {x: blocks.get((i, x), t) for x, t in r.targets.items()
                 if (i, x) in blocks or t.shape[0] == side}
-        left = [x for x in targets if x not in choi]
+        left = [x for x in r.targets if x not in choi]
         if left:
             choi[left[0]] = lam - _sum(list(choi.values()), lam.shape[0])
-        instruments.append(Instrument.from_stack(tuple(targets), choi, p.din, p.dout, vtol))
-        carved.append(_carve(r, {x: x for x in targets}))
+        instruments.append(Instrument.from_stack(tuple(r.targets), choi, p.din, p.dout, vtol))
+        carved.append(_carve(r, {x: x for x in r.targets}))
     (i1, i2), ((s1, q1), (s2, q2)) = instruments, carved
     w = Witness(i1, i2, total_channel(i1, vtol), s1, s2, q1, q2)
-    _check_parts(p.r1, p.r2, w, vtol)
+    check_witness(p.r1, p.r2, w, vtol)
     return Verdict("weakly_compatible_only", w, notes)
 
 
@@ -445,9 +418,8 @@ def _pure_oracle(p: _Pair):
         return None
     # comparability and the sum condition were just excluded
     if pure_pair_compatible(p.d1, p.d2, p.tol):
-        raise WitnessValidationError(
-            "pure oracle claims compatibility outside its construction cases"
-        )
+        raise WitnessValidationError("pure oracle claims compatibility outside its "
+                                     "construction cases")
     return _no("pure-oracle")
 
 
@@ -467,10 +439,8 @@ def _totals_agree(p: _Pair) -> bool:
 
 
 # kind pair -> (path name when the totals agree, path name when they differ)
-_TOTAL_PATHS = {
-    ("channel", "channel"): ("equal-channels", "distinct-channels"),
-    ("instrument", "channel"): ("total-channel", "total-channel"),
-}
+_TOTAL_PATHS = {("channel", "channel"): ("equal-channels", "distinct-channels"),
+                ("instrument", "channel"): ("total-channel", "total-channel")}
 
 
 def _totals(p: _Pair) -> Answer:
@@ -546,42 +516,24 @@ def _oriented(stage, d1, d2, tol: Tolerances, *args) -> Verdict:
     return _swap_verdict(stage(_Pair(d2, d1, r2, r1, tol), *args))
 
 
-def _joint_sdp(p: _Pair, witness: dict) -> Verdict:
-    blocks = {xy: witness[f"g{n}"] for n, xy in enumerate((x, y) for x in p.t1 for y in p.t2)}
-    return _joint_verdict(p, blocks, "sdp", p.wtol)
-
-
-def _weak_sdp(p: _Pair, witness: dict) -> Verdict:
-    blocks = {(i, x): witness[n] for i, t in enumerate((p.t1, p.t2)) for x in t
-              if (n := _weak_name(i, x)) in witness}
-    return _weak_verdict(p, blocks, None, "sdp", p.wtol)
-
-
-# question -> its fast paths per canonical kind pair, the module name of its
-# builder (looked up at call time, where perfbench/tracer.py wraps it), and
-# the assembler of an engine witness
-_QUESTIONS = {"joint": (_JOINT_PATHS, "joint_problem", _joint_sdp),
-              "weak": (_WEAK_PATHS, "weak_problem", _weak_sdp)}
-
-
 def _fast(p: _Pair, question: str, fast_paths: bool, trace) -> Answer | None:
-    """A question's fast paths in order: the first answer, else None."""
-    paths = _QUESTIONS[question][0].get(p.kinds, ()) if fast_paths else ()
-    return next(filter(None, (path(p) for path in paths)), None)
-
-
-# the engine's verdict -> the answer's value and notes, formatted with the margin
-_ENGINE_ANSWERS = {"feasible": ("yes", "sdp"), "infeasible": ("no", "sdp margin={:.3e}"),
-                   "undecided": ("undecided", "sdp undecided margin={:.3e}")}
+    """A question's fast paths in order, when they are on: the first answer, else None."""
+    paths = (_JOINT_PATHS if question == "joint" else _WEAK_PATHS).get(p.kinds, ())
+    return next(filter(None, (path(p) for path in paths if fast_paths)), None)
 
 
 def _engine(p: _Pair, question: str, fast_paths: bool, trace) -> Answer:
     """The engine on the problem that the question's builder encodes from the pair's
-    records; a feasible outcome is assembled later, by :func:`_witness`."""
-    out = fs.solve(globals()[_QUESTIONS[question][1]](p.r1, p.r2), p.tol, trace=trace)
-    value, notes = _ENGINE_ANSWERS[out.verdict]
-    return Answer(value, f"engine:{out.exit}", outcome=out if value == "yes" else None,
-                  notes=notes.format(out.margin))
+    records; a feasible outcome is assembled later, by :func:`_witness`. The
+    builder is looked up by its module name, where perfbench/tracer.py wraps it."""
+    builder = joint_problem if question == "joint" else weak_problem
+    out = fs.solve(builder(p.r1, p.r2), p.tol, trace=trace)
+    by = f"engine:{out.exit}"
+    if out.verdict == "feasible":
+        return Answer("yes", by, outcome=out, notes="sdp")
+    if out.verdict == "undecided":
+        return Answer("undecided", by, notes=f"sdp undecided margin={out.margin:.3e}")
+    return Answer("no", by, notes=f"sdp margin={out.margin:.3e}")
 
 
 def _witness(p: _Pair, question: str, answer: Answer | None) -> Witness | None:
@@ -591,18 +543,20 @@ def _witness(p: _Pair, question: str, answer: Answer | None) -> Witness | None:
         return _contraction(p).witness
     if answer.outcome is None:
         return answer.witness
-    return _QUESTIONS[question][2](p, answer.outcome.witness).witness
+    x = answer.outcome.witness
+    if question == "joint":
+        blocks = {xy: x[f"g{n}"] for n, xy in enumerate((a, b) for a in p.t1 for b in p.t2)}
+        return _joint_verdict(p, blocks, "sdp", p.wtol).witness
+    blocks = {(i, y): x[n] for i, t in enumerate((p.t1, p.t2)) for y in t
+              if (n := _weak_name(i, y)) in x}
+    return _weak_verdict(p, blocks, None, "sdp", p.wtol).witness
 
 
-# Each kind class's questions, in order: the joint fast paths, then, for a
-# quantum pair without a channel, the weak question (a weak "no" decides the
-# pair without the joint solve), then the joint engine. A step is skipped
-# once its question has an answer.
-_STEPS = {
-    "classical": (("joint", _fast), ("joint", _engine)),
-    "channel": (("joint", _fast), ("joint", _engine)),
-    "quantum": (("joint", _fast), ("weak", _fast), ("weak", _engine), ("joint", _engine)),
-}
+# each kind class's questions in order, each by its fast paths or the engine; a
+# step is skipped once its question has an answer
+_STEPS = {"classical": (("joint", _fast), ("joint", _engine)),
+          "channel": (("joint", _fast), ("joint", _engine)),
+          "quantum": (("joint", _fast), ("weak", _fast), ("weak", _engine), ("joint", _engine))}
 
 
 def _implied(p: _Pair, joint: Answer | None, weak: Answer | None) -> tuple:
@@ -616,9 +570,8 @@ def _implied(p: _Pair, joint: Answer | None, weak: Answer | None) -> tuple:
     return j or ("no" if w == "no" else None), w
 
 
-# (joint, weak) values, read after :func:`_implied` -> the relation, the question
-# whose answer carries its witness, and its notes: the joint answer's, or
-# those of every answer asked, joint first
+# (joint, weak) values after :func:`_implied` -> the relation, the question whose
+# answer carries its witness, and its notes, from the joint answer's or all asked
 _RELATIONS = {
     ("yes", "yes"): ("compatible", "joint", "{joint}"),
     ("no", "yes"): ("weakly_compatible_only", "weak", "{asked}"),
@@ -722,10 +675,8 @@ def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate
         raise ValueError("verdict carries no witness")
     w = v.witness
     if w.part_1 is None or w.part_2 is None:
-        raise ValueError(
-            "Kraus index subsets exist only for subset-realized parts "
-            "(effects, operations, channels)"
-        )
+        raise ValueError("Kraus index subsets exist only for subset-realized parts "
+                         "(effects, operations, channels)")
     if w.instrument_1 is w.instrument_2:
         ops, owners, j1 = _instrument_kraus(w.instrument_1, w.part_1, tol)
         j2 = tuple(i for i, x in enumerate(owners) if x in w.part_2)
@@ -734,9 +685,8 @@ def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate
         k_ops, _, j1 = _instrument_kraus(w.instrument_1, w.part_1, tol)
         l_ops, _, j2 = _instrument_kraus(w.instrument_2, w.part_2, tol)
         n = max(len(k_ops), len(l_ops), 1)
-        shape = (w.instrument_1.dim_out, w.instrument_1.dim_in)
-        k_ops = tuple(k_ops + [np.zeros(shape, dtype=complex)] * (n - len(k_ops)))
-        l_ops = tuple(l_ops + [np.zeros(shape, dtype=complex)] * (n - len(l_ops)))
+        zero = np.zeros((w.instrument_1.dim_out, w.instrument_1.dim_in), dtype=complex)
+        k_ops, l_ops = (tuple(ops + [zero] * (n - len(ops))) for ops in (k_ops, l_ops))
         cert = KrausCertificate("paired", k_ops, l_ops, j1, j2)
     _validate_certificate(cert, w, wtol)
     return cert
