@@ -17,14 +17,19 @@ the parent's median: the no-regression rule the benchmark is held to.
 
 Make the parent checkout with ``git archive``, outside this tree. The
 benchmark runs one workload at a time; nothing here changes how it runs.
+Both trees run with one fresh temporary directory as ``PYTHONPYCACHEPREFIX``,
+so neither reads byte code left in its own ``__pycache__``: each compiles its
+sources on its first run and reads them back from there on later ones.
 """
 
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,12 +68,13 @@ def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
     return lines
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One benchmark run in a tree; its metric values."""
+def run(tree: Path, workload: str, seed: int, seconds: float, pycache: str) -> dict[str, float]:
+    """One benchmark run in a tree, with byte code under ``pycache``; its metric values."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache),
     )
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: the run in {tree} failed:\n{proc.stderr}")
@@ -89,12 +95,13 @@ def main(argv=None) -> int:
     if not (args.parent / "perfbench" / "run.py").is_file():
         ap.error(f"{args.parent} holds no perfbench/run.py")
     parent, change = [], []
-    for i in range(args.pairs):
-        order = ((args.parent, parent), (ROOT, change))
-        for tree, runs in order if i % 2 == 0 else order[::-1]:
-            runs.append(run(tree, args.workload, args.seed, args.seconds))
-        print(f"pair {i + 1}/{args.pairs}: parent {json.dumps(parent[-1])} "
-              f"this tree {json.dumps(change[-1])}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-pycache-") as pycache:
+        for i in range(args.pairs):
+            order = ((args.parent, parent), (ROOT, change))
+            for tree, runs in order if i % 2 == 0 else order[::-1]:
+                runs.append(run(tree, args.workload, args.seed, args.seconds, pycache))
+            print(f"pair {i + 1}/{args.pairs}: parent {json.dumps(parent[-1])} "
+                  f"this tree {json.dumps(change[-1])}", file=sys.stderr)
     metrics = [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           "parent median [quartiles] -> this tree's median")

@@ -500,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-psd", type=float, default=1e-9, help="eigenvalue floor")
     parser.add_argument("--tol-feas", type=float, default=1e-7, help="feasibility residual")
     parser.add_argument("--no-fast-paths", action="store_true",
-                        help="disable the optional analytic fast paths, so the feasibility "
-                             "engine decides; the structural paths of channel and instrument "
-                             "pairs, and the weak answer of classical pairs, still run")
+                        help="disable the analytic fast paths, so the feasibility engine "
+                             "decides every question asked; the implications between the two "
+                             "relations still fill an unasked one")
     parser.add_argument("--trace", action="store_true", help="solver trace on stderr")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -111,6 +111,46 @@ def below_common_channel(rng):
     return choi_from_kraus(KrausSet((k1,))), choi_from_kraus(KrausSet((k2,)))
 
 
+def haar_unitary(rng, d):
+    """A Haar-random d x d unitary: the QR of a Ginibre matrix, phases fixed."""
+    q, r = np.linalg.qr(rand_complex(rng, d))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugate(device, u):
+    """An effect, an observable or a map with input and output conjugated by the
+    unitary u: E -> u E u^*, and Phi -> u Phi(u^* . u) u^*, whose Choi matrix
+    (input slot first) is (conj(u) x u) C (conj(u) x u)^*."""
+    if isinstance(device, Effect):
+        return Effect(hermitian_part(u @ device.matrix @ u.conj().T))
+    if isinstance(device, Observable):
+        return Observable(device.outcomes,
+                          {x: conjugate(e, u) for x, e in device.effects.items()})
+    w = np.kron(u.conj(), u)
+    return CPMap(device.dim_in, device.dim_out, hermitian_part(w @ device.choi @ w.conj().T))
+
+
+def noisy_fourier_pair(d, lam, mu):
+    """Z^lam and X^mu: the sharp observables of the computational and the Fourier
+    basis in dimension d, each effect P mixed with white noise, t P + (1 - t) 1/d."""
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+
+    def noisy(basis, t):
+        labels = tuple(str(x) for x in range(d))
+        return Observable(labels, {x: Effect(t * np.outer(v, v.conj()) + (1 - t) * np.eye(d) / d)
+                                   for x, v in zip(labels, basis.T)})
+
+    return noisy(np.eye(d), lam), noisy(fourier, mu)
+
+
+def fourier_jointly_measurable(d, lam, mu) -> bool:
+    """The closed-form oracle for :func:`noisy_fourier_pair` (Carmeli, Heinosaari &
+    Toigo, PRA 85, 012109 (2012)): Z^lam and X^mu are jointly measurable iff
+    lam + mu <= 1 or lam^2 + mu^2 + (2 (d - 2) / d)(1 - lam)(1 - mu) <= 1. At
+    d = 2 it is the unbiased Busch criterion, lam^2 + mu^2 <= 1."""
+    return lam + mu <= 1 or lam ** 2 + mu ** 2 + 2 * (d - 2) / d * (1 - lam) * (1 - mu) <= 1
+
+
 def loose_pointer():
     """A two-outcome observable valid at psd_tol 1e-6 with an effect eigenvalue
     of 1 + 5e-7, and that tolerance."""

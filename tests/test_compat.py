@@ -42,6 +42,10 @@ from qcompat.fixtures import (
 
 from conftest import (
     below_common_channel,
+    conjugate,
+    fourier_jointly_measurable,
+    haar_unitary,
+    noisy_fourier_pair,
     partial_trace_constraint,
     rand_complex,
     rand_cpmap,
@@ -175,6 +179,36 @@ def test_qubit_pairs_agree_with_the_closed_form_coexistence_oracle(e, f, observa
         d1, d2 = effect(e1), effect(e2)
     want = "compatible" if lhs <= rhs else "weakly_compatible_only"
     assert _both_routes(d1, d2).relation == want
+
+
+def _fourier_boundary(d, theta):
+    """The point of the jointly measurable (lam, mu) set on the ray at angle theta
+    where the ray leaves it; the set is convex and holds the origin."""
+    lo, hi = 0.0, 2.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        inside = fourier_jointly_measurable(d, mid * np.cos(theta), mid * np.sin(theta))
+        lo, hi = (mid, hi) if inside else (lo, mid)
+    return lo * np.cos(theta), lo * np.sin(theta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([3, 4]), theta=st.floats(0.45, np.pi / 2 - 0.45),
+       log_distance=st.floats(-5, -1), outside=st.booleans(), seed=st.integers(0, 2**16))
+@example(d=2, theta=np.pi / 4, log_distance=-3, outside=True, seed=0)  # the Busch circle
+def test_noisy_fourier_pairs_agree_with_the_closed_form_oracle(d, theta, log_distance, outside,
+                                                                seed):
+    # a noisy computational and Fourier pair a relative 1e-5 to 1e-1 inside or
+    # outside the boundary of the oracle's set, both turned by one Haar unitary:
+    # the relation is the oracle's, or undecided; the pair is classical, so it
+    # is weakly compatible when it is not compatible
+    scale = 1 + (1 if outside else -1) * 10.0 ** log_distance
+    lam, mu = (scale * t for t in _fourier_boundary(d, theta))
+    u = haar_unitary(np.random.default_rng([61, seed]), d)
+    z, x = (conjugate(obs, u) for obs in noisy_fourier_pair(d, lam, mu))
+    want = "compatible" if fourier_jointly_measurable(d, lam, mu) else "weakly_compatible_only"
+    assert want == ("weakly_compatible_only" if outside else "compatible")
+    assert cp.classify(z, x).relation in (want, "undecided")
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +730,39 @@ def test_undecided_stages_are_read_in_question_order(monkeypatch, joint, weak, r
     monkeypatch.setattr(fs, "solve", scripted)
     v = cp.classify(DEV["luders_px"], DEV["half_sigma_x"], fast_paths=False)
     assert (v.relation, v.witness, v.notes) == (relation, None, notes)
+
+
+@pytest.mark.parametrize("cls, joint, weak, relation", [
+    ("quantum", None, "no", "strongly_incompatible"),  # a weak "no" is a joint "no"
+    ("quantum", "yes", None, "compatible"),  # a compatible pair is weakly compatible
+    ("quantum", "no", None, None),  # the weak question is still open
+    ("quantum", None, "yes", None),  # and here the joint one
+    ("quantum", "no", "undecided", "undecided"),
+    ("classical", None, None, None),
+    ("classical", "no", None, "weakly_compatible_only"),  # classical pairs are weakly compatible
+    ("classical", "undecided", None, "undecided"),
+    ("channel", None, None, None),
+    ("channel", "no", None, "strongly_incompatible"),  # weakly compatible only if compatible
+    ("channel", "yes", None, "compatible"),
+    ("channel", "undecided", None, "undecided"),
+])
+def test_the_relation_table_fills_unasked_answers_from_the_implications(cls, joint, weak,
+                                                                        relation):
+    answers = [v and cp.Answer(v, "scripted") for v in (joint, weak)]
+    row = cp._RELATIONS.get(cp._implied(types.SimpleNamespace(cls=cls), *answers))
+    assert (row and row[0]) == relation
+
+
+def test_answers_name_what_decided_them():
+    p = _pair(effect(PZ), effect(I2 / 2), Tolerances())
+    fast = cp._fast(p, "joint", True, None)
+    assert (fast.value, fast.decided_by, fast.notes) == ("yes", "commuting", "fast-path: commuting")
+    assert cp._fast(p, "joint", False, None) is None
+    engine = cp._engine(p, "joint", False, None)
+    assert engine.value == "yes" and engine.decided_by.removeprefix("engine:") in fs.EXITS
+    # the engine's witness is assembled only when a relation reads it
+    assert engine.witness is None and engine.outcome.verdict == "feasible"
+    assert cp._witness(p, "joint", engine).instrument_1 is not None
 
 
 def test_weak_problem_has_only_the_devices_own_blocks():
@@ -1695,6 +1762,33 @@ def test_fast_paths_agree_with_engine_on_every_path():
         assert path in _both_routes(d1, d2).notes
 
 
+_ROUTE_FREE_KINDS = ["ef-ef", "ef-obs", "obs-obs", "ch-ef", "ch-obs", "ch-op"]
+
+
+def _route_free_pair(kinds, d, rng):
+    make = {"ef": lambda: rand_effect(rng, d),
+            "obs": lambda: rand_observable(rng, d, int(rng.integers(2, 4))),
+            "ch": lambda: rand_cpmap(rng, d, d, n_ops=2, channel=True),
+            "op": lambda: rand_cpmap(rng, d, d, n_ops=2)}
+    return tuple(make[k]() for k in kinds.split("-"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.sampled_from(_ROUTE_FREE_KINDS), d=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**16))
+def test_the_engine_agrees_with_the_implications_the_table_applies_on_both_routes(kinds, d,
+                                                                                   seed):
+    # classify fills an unasked answer on both routes: a classical pair is
+    # weakly compatible, and a pair with a channel is weakly compatible exactly
+    # when it is compatible; the engine, asked both questions, must agree
+    d1, d2 = _route_free_pair(kinds, d, np.random.default_rng([77, seed]))
+    weak = fs.solve(cp.weak_problem(d1, d2)).verdict
+    if kinds.startswith("ch"):
+        assert fs.solve(cp.joint_problem(d1, d2)).verdict == weak
+    else:
+        assert weak == "feasible"
+
+
 def _coin(p, delta=0.0 * I2) -> Observable:
     """The trivial observable (p, 1 - p), its effects moved by +delta and -delta."""
     return _observable(p * I2 + delta, (1 - p) * I2 - delta)
@@ -1868,6 +1962,31 @@ def test_fast_paths_agree_with_engine_on_table1():
 def test_fast_paths_agree_with_engine_on_qutrit_tail():
     for d1, d2 in _qutrit_tail():
         _both_routes(d1, d2)
+
+
+_STRENGTH = {"strongly_incompatible": 0, "weakly_compatible_only": 1, "compatible": 2}
+
+
+def test_qutrit_tail_relations_are_covariant_and_never_fall_under_parts():
+    # relations the definitions force, decided by the engine alone: turning
+    # both devices by one unitary keeps the relation; a part of the operation
+    # (t Phi) or a post-processed effect (x E + y (1 - E)) relates at least as
+    # strongly; undecided is allowed on either side
+    rng = np.random.default_rng(2012)
+    for i, (d1, d2) in enumerate(_qutrit_tail()):
+        relation = cp.classify(d1, d2, fast_paths=False).relation
+        u = haar_unitary(rng, 3)
+        turned = cp.classify(conjugate(d1, u), conjugate(d2, u), fast_paths=False).relation
+        assert turned == relation or "undecided" in (turned, relation), i
+        if not isinstance(d1, CPMap):  # the six op-ef pairs come first
+            continue
+        e = d2.matrix
+        for a, b in ((CPMap(3, 3, 0.9 * d1.choi), d2), (CPMap(3, 3, 0.7 * d1.choi), d2),
+                     (d1, Effect(0.9 * e + 0.05 * (np.eye(3) - e))),
+                     (d1, Effect(0.8 * e + 0.1 * (np.eye(3) - e)))):
+            smaller = cp.classify(a, b, fast_paths=False).relation
+            assert "undecided" in (smaller, relation) or \
+                _STRENGTH[smaller] >= _STRENGTH[relation], i
 
 
 @pytest.mark.parametrize("name", ["fastpath-mix", "pure-opop", "engine-tail"])

@@ -140,6 +140,31 @@ def test_bench_pairs_summarizes_canned_runs():
     assert proc.returncode == 2 and "holds no perfbench/run.py" in proc.stderr
 
 
+def test_bench_pairs_gives_both_trees_one_fresh_pycache_prefix(tmp_path, monkeypatch):
+    # neither tree may read byte code left in its own __pycache__: every run, in
+    # either tree, gets one temporary PYTHONPYCACHEPREFIX outside both trees,
+    # which is gone afterwards; the runs are canned, so no benchmark runs here
+    bp = _load_script("bench_pairs")
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = []
+
+    def canned(argv, cwd, env, **kwargs):
+        runs.append((Path(cwd), env["PYTHONPYCACHEPREFIX"]))
+        metrics = {name: {"value": float(len(runs)), "unit": ""} for name in names}
+        return subprocess.CompletedProcess(argv, 0, json.dumps({"metrics": metrics}), "")
+
+    monkeypatch.setattr(bp.subprocess, "run", canned)
+    assert bp.main([str(parent), "--workload", "pure-opop", "--pairs", "2"]) == 0
+    # the parent runs first in even pairs, this tree in odd ones
+    assert [tree for tree, _ in runs] == [parent, bp.ROOT, bp.ROOT, parent]
+    (prefix,) = {Path(p).resolve() for _, p in runs}
+    assert not prefix.exists()
+    assert not any(prefix.is_relative_to(tree.resolve()) for tree in (parent, ROOT))
+
+
 def test_readme_quick_tour_prints_its_relation():
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"## Quick tour \(library\)\n\n```python\n(.*?)```", readme, re.S)
