@@ -18,8 +18,9 @@ the parent's median: the no-regression rule the benchmark is held to.
 Make the parent checkout with ``git archive``, outside this tree. The
 benchmark runs one workload at a time; nothing here changes how it runs.
 Both trees run with one fresh temporary directory as ``PYTHONPYCACHEPREFIX``,
-so neither reads byte code left in its own ``__pycache__``: each compiles its
-sources on its first run and reads them back from there on later ones.
+so neither reads byte code left in its own ``__pycache__``. Both compile
+alike: with ``PYTHONDONTWRITEBYTECODE`` set, every run compiles its sources;
+without it, each tree's first run writes there the byte code later runs read.
 """
 
 import argparse
