@@ -59,10 +59,23 @@ from .devices import (
     part_sums,
     total_channel,
 )
-from .matkit import (DEFAULT_TOL, MatrixShapeError, Tolerances, close, frob_norm, herm_coords,
-                     hermitian_part, kron_unchecked)
-from .order import (RankConditionError, cp_leq, is_pure, pure_pair_compatible,
-                    rank1_upper_channels_equal)
+from .matkit import (
+    DEFAULT_TOL,
+    MatrixShapeError,
+    Tolerances,
+    close,
+    frob_norm,
+    herm_coords,
+    hermitian_part,
+    kron_unchecked,
+)
+from .order import (
+    RankConditionError,
+    cp_leq,
+    is_pure,
+    pure_pair_compatible,
+    rank1_upper_channels_equal,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +135,11 @@ def witness_tolerances(tol: Tolerances) -> Tolerances:
     re-validation anywhere downstream scales with the solver precision.
     """
     c = 100.0
-    return Tolerances(eq_tol=max(tol.eq_tol, c * tol.feas_tol),
-                      psd_tol=max(tol.psd_tol, c * tol.feas_tol), feas_tol=c * tol.feas_tol)
+    return Tolerances(
+        eq_tol=max(tol.eq_tol, c * tol.feas_tol),
+        psd_tol=max(tol.psd_tol, c * tol.feas_tol),
+        feas_tol=c * tol.feas_tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +260,7 @@ class _Pair:
         self.prepared = np.eye(self.dout) / self.dout  # the state :func:`_measure` prepares
 
 
-def check_witness(d1, d2, w: Witness, tol: Tolerances) -> None:
+def check_witness(d1, d2, witness: Witness, tol: Tolerances) -> None:
     """Check that device i, or its ``instrument_parts`` record, is a part of
     instrument i and that both totals are the common channel; else
     WitnessValidationError naming the device or instrument.
@@ -256,15 +272,16 @@ def check_witness(d1, d2, w: Witness, tol: Tolerances) -> None:
     (:func:`devices.part_sums`). Only sums and norms are taken. A joint
     instrument, the same object twice, has its total checked once.
     """
-    for i, r, ins, part, pointer in ((1, _parts(d1), w.instrument_1, w.part_1, w.pointer_1),
-                                     (2, _parts(d2), w.instrument_2, w.part_2, w.pointer_2)):
+    for i, r, ins, part, pointer in (
+            (1, _parts(d1), witness.instrument_1, witness.part_1, witness.pointer_1),
+            (2, _parts(d2), witness.instrument_2, witness.part_2, witness.pointer_2)):
         owner = pointer.mapping if pointer is not None else dict.fromkeys(part or (), "1")
         if r.din != ins.dim_in or r.dout not in (None, ins.dim_out) or \
                 not holds_part(r, part_sums(r, ins, owner), tol):
             raise WitnessValidationError(f"device {i} ({r.kind}) is not a part of instrument {i}")
-        if i == 1 or ins is not w.instrument_1:
+        if i == 1 or ins is not witness.instrument_1:
             total = _sum([m.choi for m in ins.branches.values()], ins.dim_in * ins.dim_out)
-            if not close(total, w.common_channel.choi, tol):
+            if not close(total, witness.common_channel.choi, tol):
                 raise WitnessValidationError(f"instrument {i}'s total is not the common channel")
 
 
@@ -285,7 +302,7 @@ def _measure(p: _Pair, c: np.ndarray) -> np.ndarray:
     return c if c.shape[0] == p.din * p.dout else kron_unchecked(c, p.prepared)
 
 
-def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verdict:
+def _joint_witness(p: _Pair, blocks: dict, vtol: Tolerances) -> Witness:
     """Joint instrument from one block per outcome pair, re-validated as one stack and
     then checked against both devices' records (:func:`check_witness`).
 
@@ -299,10 +316,10 @@ def _joint_verdict(p: _Pair, blocks: dict, notes: str, vtol: Tolerances) -> Verd
                           for i, r in enumerate((p.r1, p.r2)))
     w = Witness(ins, ins, total_channel(ins, vtol), s1, s2, q1, q2)
     check_witness(p.r1, p.r2, w, vtol)
-    return Verdict("compatible", w, notes)
+    return w
 
 
-def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> Verdict:
+def _weak_witness(p: _Pair, blocks: dict, lam, vtol: Tolerances) -> Witness:
     """Two instruments, each re-validated as one stack, then checked against both
     devices and the first one's total (:func:`check_witness`).
 
@@ -313,17 +330,21 @@ def _weak_verdict(p: _Pair, blocks: dict, lam, notes: str, vtol: Tolerances) -> 
     side = p.din * p.dout
     instruments, carved = [], []
     for i, r in enumerate((p.r1, p.r2)):
-        choi = {x: blocks.get((i, x), t) for x, t in r.targets.items()
-                if (i, x) in blocks or t.shape[0] == side}
-        left = [x for x in r.targets if x not in choi]
+        targets, choi = r.targets, {}
+        for x, target in targets.items():
+            if (i, x) in blocks:
+                choi[x] = blocks[i, x]
+            elif target.shape[0] == side:
+                choi[x] = target
+        left = [x for x in targets if x not in choi]
         if left:
             choi[left[0]] = lam - _sum(list(choi.values()), lam.shape[0])
-        instruments.append(Instrument.from_stack(tuple(r.targets), choi, p.din, p.dout, vtol))
-        carved.append(_carve(r, {x: x for x in r.targets}))
+        instruments.append(Instrument.from_stack(tuple(targets), choi, p.din, p.dout, vtol))
+        carved.append(_carve(r, {x: x for x in targets}))
     (i1, i2), ((s1, q1), (s2, q2)) = instruments, carved
     w = Witness(i1, i2, total_channel(i1, vtol), s1, s2, q1, q2)
     check_witness(p.r1, p.r2, w, vtol)
-    return Verdict("weakly_compatible_only", w, notes)
+    return w
 
 
 def _contraction(p: _Pair) -> Answer:
@@ -334,8 +355,8 @@ def _contraction(p: _Pair) -> Answer:
     """
     blocks = {(i, x): _measure(p, t) for i, r in enumerate((p.r1, p.r2))
               for x, t in r.fixed.items()}
-    return _yes("contraction", _weak_verdict(p, blocks, _measure(p, np.eye(p.din)),
-                                             "always weakly compatible", p.tol))
+    return _yes("contraction", _weak_witness(p, blocks, _measure(p, np.eye(p.din)), p.tol),
+                "always weakly compatible")
 
 
 def _swap_verdict(v: Verdict) -> Verdict:
@@ -351,9 +372,8 @@ def _swap_verdict(v: Verdict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _yes(path: str, v: Verdict) -> Answer:
-    """A fast path's yes, with the witness its assembler checked."""
-    return Answer("yes", path, v.witness, notes=v.notes)
+def _yes(path: str, witness: Witness, notes: str = "") -> Answer:
+    return Answer("yes", path, witness, notes=notes or f"fast-path: {path}")
 
 
 def _no(path: str, notes: str = "") -> Answer:
@@ -378,8 +398,8 @@ def _commuting(p: _Pair):
             blocks[x, y] = product = j @ lift
             if not close(product, lift @ j, p.tol):
                 return None
-    return _yes("commuting", _joint_verdict(p, {xy: hermitian_part(m) for xy, m in blocks.items()},
-                                            "fast-path: commuting", p.vtol))
+    return _yes("commuting",
+                _joint_witness(p, {xy: hermitian_part(m) for xy, m in blocks.items()}, p.vtol))
 
 
 def _sum_below_identity(p: _Pair):
@@ -390,8 +410,7 @@ def _sum_below_identity(p: _Pair):
         return None
     leftover = hermitian_part(np.eye(p.din) - gram)
     blocks = {("1", "0"): p.t1["1"], ("0", "1"): p.t2["1"], ("0", "0"): leftover.T}
-    return _yes("sum-below-identity",
-                _joint_verdict(p, blocks, "fast-path: sum-below-identity", p.vtol))
+    return _yes("sum-below-identity", _joint_witness(p, blocks, p.vtol))
 
 
 def _projection(p: _Pair):
@@ -409,7 +428,7 @@ def _comparable(p: _Pair):
             leftover = hermitian_part(np.eye(p.din) - hi.heisenberg_unit())
             blocks = {("1", "1"): lo.choi, split: hermitian_part(hi.choi - lo.choi),
                       ("0", "0"): leftover.T}
-            return _yes("comparable", _joint_verdict(p, blocks, "fast-path: comparable", p.tol))
+            return _yes("comparable", _joint_witness(p, blocks, p.tol))
     return None
 
 
@@ -418,8 +437,9 @@ def _pure_oracle(p: _Pair):
         return None
     # comparability and the sum condition were just excluded
     if pure_pair_compatible(p.d1, p.d2, p.tol):
-        raise WitnessValidationError("pure oracle claims compatibility outside its "
-                                     "construction cases")
+        raise WitnessValidationError(
+            "pure oracle claims compatibility outside its construction cases"
+        )
     return _no("pure-oracle")
 
 
@@ -429,7 +449,7 @@ def _cp_order(p: _Pair):
     if not cp_leq(f, lam, p.tol):
         return _no("cp-order")
     blocks = {("1", "1"): f.choi, ("1", "0"): hermitian_part(lam.choi - f.choi)}
-    return _yes("cp-order", _joint_verdict(p, blocks, "fast-path: cp-order", p.tol))
+    return _yes("cp-order", _joint_witness(p, blocks, p.tol))
 
 
 def _totals_agree(p: _Pair) -> bool:
@@ -449,15 +469,14 @@ def _totals(p: _Pair) -> Answer:
     agree, differ = _TOTAL_PATHS[p.kinds]
     if not _totals_agree(p):
         return _no(differ)
-    return _yes(agree, _joint_verdict(p, {(x, "1"): t for x, t in p.t1.items()},
-                                      f"fast-path: {agree}", p.tol))
+    return _yes(agree, _joint_witness(p, {(x, "1"): t for x, t in p.t1.items()}, p.tol))
 
 
 def _shared_total(p: _Pair):
     """Devices without free outcome share a total channel exactly when the totals agree."""
     if not _totals_agree(p):
         return _no("distinct-totals")
-    return _yes("shared-total", _weak_verdict(p, {}, None, "fast-path: shared-total", p.tol))
+    return _yes("shared-total", _weak_witness(p, {}, None, p.tol))
 
 
 def _rank1_family(p: _Pair):
@@ -469,8 +488,7 @@ def _rank1_family(p: _Pair):
     if overlap.equal is None:
         return None
     if overlap.equal:
-        return _yes("rank1-family", _weak_verdict(p, {}, overlap.channel.choi,
-                                                  "fast-path: rank1-family", p.tol))
+        return _yes("rank1-family", _weak_witness(p, {}, overlap.channel.choi, p.tol))
     return _no("rank1-family", f"fast-path: rank1-family ({overlap.reason})")
 
 
@@ -516,13 +534,17 @@ def _oriented(stage, d1, d2, tol: Tolerances, *args) -> Verdict:
     return _swap_verdict(stage(_Pair(d2, d1, r2, r1, tol), *args))
 
 
-def _fast(p: _Pair, question: str, fast_paths: bool, trace) -> Answer | None:
+def _fast(p: _Pair, question: str, fast_paths: bool) -> Answer | None:
     """A question's fast paths in order, when they are on: the first answer, else None."""
-    paths = (_JOINT_PATHS if question == "joint" else _WEAK_PATHS).get(p.kinds, ())
-    return next(filter(None, (path(p) for path in paths if fast_paths)), None)
+    if fast_paths:
+        for path in (_JOINT_PATHS if question == "joint" else _WEAK_PATHS).get(p.kinds, ()):
+            answer = path(p)
+            if answer is not None:
+                return answer
+    return None
 
 
-def _engine(p: _Pair, question: str, fast_paths: bool, trace) -> Answer:
+def _engine(p: _Pair, question: str, trace) -> Answer:
     """The engine on the problem that the question's builder encodes from the pair's
     records; a feasible outcome is assembled later, by :func:`_witness`. The
     builder is looked up by its module name, where perfbench/tracer.py wraps it."""
@@ -546,27 +568,29 @@ def _witness(p: _Pair, question: str, answer: Answer | None) -> Witness | None:
     x = answer.outcome.witness
     if question == "joint":
         blocks = {xy: x[f"g{n}"] for n, xy in enumerate((a, b) for a in p.t1 for b in p.t2)}
-        return _joint_verdict(p, blocks, "sdp", p.wtol).witness
+        return _joint_witness(p, blocks, p.wtol)
     blocks = {(i, y): x[n] for i, t in enumerate((p.t1, p.t2)) for y in t
               if (n := _weak_name(i, y)) in x}
-    return _weak_verdict(p, blocks, None, "sdp", p.wtol).witness
+    return _weak_witness(p, blocks, None, p.wtol)
 
 
-# each kind class's questions in order, each by its fast paths or the engine; a
-# step is skipped once its question has an answer
-_STEPS = {"classical": (("joint", _fast), ("joint", _engine)),
-          "channel": (("joint", _fast), ("joint", _engine)),
-          "quantum": (("joint", _fast), ("weak", _fast), ("weak", _engine), ("joint", _engine))}
+# The steps in order, each a question and whether the engine answers it (else its
+# fast paths); a step is skipped once its question has an answer. Only a quantum
+# pair without a channel asks the weak question, before the joint engine.
+_STEPS = {False: (("joint", False), ("joint", True)),
+          True: (("joint", False), ("weak", False), ("weak", True), ("joint", True))}
 
 
 def _implied(p: _Pair, joint: Answer | None, weak: Answer | None) -> tuple:
-    """The (joint, weak) values, an unasked one (None) filled in by the paper's three
-    implications: a compatible pair is weakly compatible, so a weak "no" is a
-    joint "no"; a classical pair is weakly compatible; and a pair with a
-    channel is weakly compatible only when it is compatible."""
+    """The (joint, weak) values, an unasked or undecided weak one filled in by the
+    paper's three implications: a compatible pair is weakly compatible, so a
+    weak "no" is a joint "no"; a classical pair is weakly compatible; and a
+    pair with a channel is weakly compatible only when it is compatible."""
     j, w = joint and joint.value, weak and weak.value
-    if w is None:
-        w = "yes" if j == "yes" or p.cls == "classical" else j if p.cls == "channel" else None
+    if j == "yes" or (w is None and p.cls == "classical"):
+        w = "yes"
+    elif w is None and p.cls == "channel":
+        w = j
     return j or ("no" if w == "no" else None), w
 
 
@@ -584,11 +608,12 @@ _RELATIONS = {
 
 def _decide(p: _Pair, fast_paths: bool, trace) -> Verdict:
     answers = {"joint": None, "weak": None}
-    for question, ask in _STEPS[p.cls]:
-        answers[question] = answers[question] or ask(p, question, fast_paths, trace)
+    for question, engine in _STEPS[p.cls == "quantum"]:
+        answers[question] = answers[question] or (
+            _engine(p, question, trace) if engine else _fast(p, question, fast_paths))
         row = _RELATIONS.get(_implied(p, **answers))
         if row is not None:
-            break  # the joint engine answers last, and that decides every pair
+            break  # every pair has a row once the joint engine, the last step, answers
     relation, carrier, notes = row
     asked = "; ".join(a.notes for a in answers.values() if a is not None)
     joint = answers["joint"] and answers["joint"].notes
@@ -598,7 +623,7 @@ def _decide(p: _Pair, fast_paths: bool, trace) -> Verdict:
 
 def _decide_weak(p: _Pair, fast_paths: bool, trace) -> Verdict:
     # the weak answer alone: the joint question is not asked, and reads as "no"
-    a = _fast(p, "weak", fast_paths, trace) or _engine(p, "weak", fast_paths, trace)
+    a = _fast(p, "weak", fast_paths) or _engine(p, "weak", trace)
     return Verdict(_RELATIONS["no", a.value][0], _witness(p, "weak", a), a.notes)
 
 
@@ -675,8 +700,10 @@ def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate
         raise ValueError("verdict carries no witness")
     w = v.witness
     if w.part_1 is None or w.part_2 is None:
-        raise ValueError("Kraus index subsets exist only for subset-realized parts "
-                         "(effects, operations, channels)")
+        raise ValueError(
+            "Kraus index subsets exist only for subset-realized parts "
+            "(effects, operations, channels)"
+        )
     if w.instrument_1 is w.instrument_2:
         ops, owners, j1 = _instrument_kraus(w.instrument_1, w.part_1, tol)
         j2 = tuple(i for i, x in enumerate(owners) if x in w.part_2)
@@ -685,8 +712,9 @@ def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate
         k_ops, _, j1 = _instrument_kraus(w.instrument_1, w.part_1, tol)
         l_ops, _, j2 = _instrument_kraus(w.instrument_2, w.part_2, tol)
         n = max(len(k_ops), len(l_ops), 1)
-        zero = np.zeros((w.instrument_1.dim_out, w.instrument_1.dim_in), dtype=complex)
-        k_ops, l_ops = (tuple(ops + [zero] * (n - len(ops))) for ops in (k_ops, l_ops))
+        shape = (w.instrument_1.dim_out, w.instrument_1.dim_in)
+        k_ops = tuple(k_ops + [np.zeros(shape, dtype=complex)] * (n - len(k_ops)))
+        l_ops = tuple(l_ops + [np.zeros(shape, dtype=complex)] * (n - len(l_ops)))
         cert = KrausCertificate("paired", k_ops, l_ops, j1, j2)
     _validate_certificate(cert, w, wtol)
     return cert

@@ -604,7 +604,7 @@ def test_a_trace_preserving_map_is_classified_as_the_channel_it_is():
 def _record_questions(monkeypatch) -> list[str]:
     """Record, in order, each problem built and each weak witness assembled."""
     calls = []
-    for name in ("joint_problem", "weak_problem", "_weak_verdict"):
+    for name in ("joint_problem", "weak_problem", "_weak_witness"):
         def counting(*args, name=name, orig=getattr(cp, name)):
             calls.append(name)
             return orig(*args)
@@ -662,12 +662,12 @@ def test_classify_reads_each_device_once(monkeypatch, n1, n2, fast_paths):
     ("luders_px", "half_luders_px", "compatible", ["weak_problem", "joint_problem"]),
     ("luders_pz", "pz", "compatible", ["weak_problem", "joint_problem"]),
     ("luders_px", "half_sigma_x", "weakly_compatible_only",
-     ["weak_problem", "joint_problem", "_weak_verdict"]),
+     ["weak_problem", "joint_problem", "_weak_witness"]),
     ("luders_pz", "px", "weakly_compatible_only",
-     ["weak_problem", "joint_problem", "_weak_verdict"]),
+     ["weak_problem", "joint_problem", "_weak_witness"]),
     ("luders_biased_z", "px", "strongly_incompatible", ["weak_problem"]),
     # classical and channel pairs: only the joint question
-    ("px", "pz", "weakly_compatible_only", ["joint_problem", "_weak_verdict"]),
+    ("px", "pz", "weakly_compatible_only", ["joint_problem", "_weak_witness"]),
     ("half_identity", "pz", "compatible", ["joint_problem"]),
     ("px_dephasing", "pz", "strongly_incompatible", ["joint_problem"]),
     ("px_dephasing", "px", "compatible", ["joint_problem"]),
@@ -713,9 +713,12 @@ def test_a_certified_weak_no_leaves_the_joint_problem_infeasible(kind):
      "not compatible; weak undecided; sdp margin=-1.000e-01"),
     ("undecided", "undecided", "undecided", "sdp undecided margin=-1.000e-09"),
     ("undecided", "feasible", "undecided", "sdp undecided margin=-1.000e-09"),
+    ("feasible", "undecided", "compatible", "sdp"),
 ])
 def test_undecided_stages_are_read_in_question_order(monkeypatch, joint, weak, relation, notes):
-    # a certified weak "no" decides the pair even when the joint engine is undecided
+    # a certified weak "no" decides the pair even when the joint engine is undecided,
+    # and a feasible joint problem even when the weak engine is undecided; the pair
+    # is compatible, so a "feasible" stage is the engine's own
     solve = fs.solve
 
     def scripted(problem, tol=fs.DEFAULT_TOL, trace=None):
@@ -728,13 +731,15 @@ def test_undecided_stages_are_read_in_question_order(monkeypatch, joint, weak, r
         )
 
     monkeypatch.setattr(fs, "solve", scripted)
-    v = cp.classify(DEV["luders_px"], DEV["half_sigma_x"], fast_paths=False)
-    assert (v.relation, v.witness, v.notes) == (relation, None, notes)
+    v = cp.classify(DEV["luders_px"], DEV["half_luders_px"], fast_paths=False)
+    assert (v.relation, v.witness is not None, v.notes) == (relation, relation == "compatible",
+                                                            notes)
 
 
 @pytest.mark.parametrize("cls, joint, weak, relation", [
     ("quantum", None, "no", "strongly_incompatible"),  # a weak "no" is a joint "no"
     ("quantum", "yes", None, "compatible"),  # a compatible pair is weakly compatible
+    ("quantum", "yes", "undecided", "compatible"),  # also when the weak engine is undecided
     ("quantum", "no", None, None),  # the weak question is still open
     ("quantum", None, "yes", None),  # and here the joint one
     ("quantum", "no", "undecided", "undecided"),
@@ -755,10 +760,10 @@ def test_the_relation_table_fills_unasked_answers_from_the_implications(cls, joi
 
 def test_answers_name_what_decided_them():
     p = _pair(effect(PZ), effect(I2 / 2), Tolerances())
-    fast = cp._fast(p, "joint", True, None)
+    fast = cp._fast(p, "joint", True)
     assert (fast.value, fast.decided_by, fast.notes) == ("yes", "commuting", "fast-path: commuting")
-    assert cp._fast(p, "joint", False, None) is None
-    engine = cp._engine(p, "joint", False, None)
+    assert cp._fast(p, "joint", False) is None
+    engine = cp._engine(p, "joint", None)
     assert engine.value == "yes" and engine.decided_by.removeprefix("engine:") in fs.EXITS
     # the engine's witness is assembled only when a relation reads it
     assert engine.witness is None and engine.outcome.verdict == "feasible"
@@ -2375,11 +2380,11 @@ def _tampered_weak(case):
 def test_tampered_joint_witness_is_rejected(case, error):
     p, blocks = _tampered_joint(case)
     if error is None:
-        v = cp._joint_verdict(p, blocks, "hand-built", p.wtol)
-        assert v.relation == "compatible" and v.witness.pointer_2.preimage("+") == ("1&+",)
+        w = cp._joint_witness(p, blocks, p.wtol)
+        assert w.instrument_1 is w.instrument_2 and w.pointer_2.preimage("+") == ("1&+",)
         return
     with pytest.raises(error):
-        cp._joint_verdict(p, blocks, "hand-built", p.wtol)
+        cp._joint_witness(p, blocks, p.wtol)
 
 
 def test_tampered_classical_joint_observable_is_rejected():
@@ -2388,10 +2393,11 @@ def test_tampered_classical_joint_observable_is_rejected():
     # unit, that effect, by 1 at the same threshold
     p = _pair(effect(PZ), effect(I2 / 2), cp.DEFAULT_TOL)
     blocks = {("1", "1"): PZ / 2, ("1", "0"): PZ / 2, ("0", "1"): PMZ / 2, ("0", "0"): PMZ / 2}
-    assert cp._joint_verdict(p, blocks, "hand-built", p.wtol).relation == "compatible"
+    w = cp._joint_witness(p, blocks, p.wtol)
+    assert w.instrument_1 is w.instrument_2
     blocks["1", "1"] = (1 + 1e-4) * PZ
     with pytest.raises(dv.TraceConditionError):
-        cp._joint_verdict(p, blocks, "hand-built", p.wtol)
+        cp._joint_witness(p, blocks, p.wtol)
 
 
 @pytest.mark.parametrize("case, error", [
@@ -2405,12 +2411,12 @@ def test_tampered_classical_joint_observable_is_rejected():
 def test_tampered_weak_witness_is_rejected(case, error):
     p, blocks = _tampered_weak(case)
     if error is None:
-        v = cp._weak_verdict(p, blocks, None, "hand-built", p.wtol)
-        assert v.relation == "weakly_compatible_only"
-        assert v.witness.pointer_1.preimage("+") == ("+",)
+        w = cp._weak_witness(p, blocks, None, p.wtol)
+        assert w.instrument_1 is not w.instrument_2
+        assert w.pointer_1.preimage("+") == ("+",)
         return
     with pytest.raises(error):
-        cp._weak_verdict(p, blocks, None, "hand-built", p.wtol)
+        cp._weak_witness(p, blocks, None, p.wtol)
 
 
 # ---------------------------------------------------------------------------
