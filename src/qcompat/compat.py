@@ -24,14 +24,15 @@ compatibility implies weak compatibility.
 
 ``classify`` returns compatible, weakly_compatible_only,
 strongly_incompatible, or undecided. Each of its two questions, joint
-and weak, gets one :class:`Answer`. ``_STEPS`` orders the questions of
-each kind class: the joint fast paths, then, for a quantum pair without
-a channel, the weak question, whose certified "no" decides the pair
-without the joint solve, then the joint engine. ``_RELATIONS`` reads the
-relation from the two answers, an unasked one filled in from the paper's
-three implications (:func:`_implied`). A kind pair lists only fast paths
-that decide pairs no other path of its row decides. Every
-trace-preserving map is a channel here, whatever it was declared.
+and weak, gets one :class:`Answer`. ``_STEPS`` orders the questions: the
+joint fast paths, then, for a quantum pair without a channel, the weak
+question, whose certified "no" decides the pair without the joint solve,
+then the joint engine. ``_RELATIONS`` reads the relation from the two
+answers, once the paper's three implications (:func:`_implied`) have
+filled in an unasked one and the weak one of a compatible pair. A kind
+pair lists only fast paths that decide pairs no other path of its row
+decides. Every trace-preserving map is a channel here, whatever it was
+declared.
 Positive verdicts carry a witness, re-validated and checked before it is
 returned. Without fast paths the engine decides every question, so that
 it can be cross-checked against them and against independent oracles;
