@@ -690,11 +690,14 @@ def _instrument_kraus(ins: Instrument, subset, tol: Tolerances):
 def kraus_witness(v: Verdict, tol: Tolerances = DEFAULT_TOL) -> KrausCertificate:
     """Export a verdict witness as Kraus operators with index subsets.
 
-    The certificate is re-validated at ``witness_tolerances(tol)``: subset
-    sums reproduce the devices' actions, the full sums are normalized,
-    and paired lists share their total channel. Only Choi eigenvalues at
-    or below ``tol.psd_tol`` are dropped; dropping at the looser scale
-    would miss the parts by as much as the validator forbids.
+    The certificate is re-validated at ``witness_tolerances(tol)``
+    (:func:`_validate_certificate`): each index subset's Choi sum equals the
+    summed branches of its witness part, the full sums are normalized, and
+    paired lists share their total channel. The parts are bound to the
+    devices by :func:`check_witness` when the witness is assembled, not
+    here. Only Choi eigenvalues at or below ``tol.psd_tol`` are dropped;
+    dropping at the looser scale would miss the parts by as much as the
+    validator forbids.
     """
     wtol = witness_tolerances(tol)
     if v.witness is None:

@@ -40,11 +40,13 @@ dual iterate, which a witness at step 0 never builds.
 Constraint rows are typed: a term's map is a sum coefficient or the
 trace over a block's second slot, so only the right-hand sides carry
 data, and every row has a closed-form adjoint (c F, or F (x) 1). What the
-blocks and the typed rows fix is planned once per shape: the structural
-checks of a problem, the assembled constraint matrix and, for problems
-that facial reduction leaves whole, its affine frame (one SVD). Plans are
-cached, bounded and read-only, and a solve from a cached plan gives the
-bits of a cold one.
+blocks and the typed rows fix is planned once per shape: the constraint
+matrix, whose assembly checks the problem's structure, and, for problems
+that facial reduction leaves whole, its affine frame (one SVD). A problem
+takes its plan when it is built and carries it to ``solve``, so one that is
+never solved still pays its shape's assembly once. Plans are cached,
+bounded and read-only, and a solve from a cached plan gives the bits of a
+cold one.
 """
 
 from __future__ import annotations
@@ -127,51 +129,26 @@ def _term_shape(op, side: int) -> tuple[int, int]:
     return side * side, side * side
 
 
-def _rows(constraints) -> tuple:
-    """The typed (terms, height) rows of constraints; with the blocks, a shape's key."""
-    return tuple((c.terms, c.rhs.shape[0]) for c in constraints)
-
-
-@functools.lru_cache(maxsize=256)
-def _check_shape(blocks: tuple[tuple[str, int], ...], rows) -> None:
-    """Check a problem's shape, once per shape: distinct block names, and terms on
-    known blocks whose maps fit the block and the row height, with finite
-    coefficients. A failure raises, so it is never cached; the terms' types are
-    checked by each :class:`AffineConstraint`."""
-    names = [n for n, _ in blocks]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate block names")
-    sides = dict(blocks)
-    for terms, m in rows:
-        for name, op in terms:
-            if name not in sides:
-                raise ValueError(f"constraint references unknown block {name!r}")
-            shape = _term_shape(op, sides[name])
-            if shape != (m, sides[name] ** 2):
-                raise MatrixShapeError(
-                    f"constraint term for {name!r} has shape {shape}, "
-                    f"expected ({m}, {sides[name] ** 2})"
-                )
-            if not isinstance(op, PartialTrace) and not math.isfinite(op):
-                raise ValueError(f"constraint term for {name!r} has coefficient {op!r}")
-
-
 @dataclass(frozen=True)
 class FeasibilityProblem:
     """Named blocks of positive integer sides, and the affine constraints on
     them; a term's map must be a finite float or a :class:`PartialTrace`, and
-    the right-hand sides finite. ``rhs`` stacks the right-hand sides. The
-    checks of the blocks' names and of the terms run once per shape
-    (:func:`_check_shape`); the right-hand sides are checked every time."""
+    the right-hand sides finite. ``rhs`` stacks the right-hand sides, and
+    ``plan`` is the shape's :class:`_Plan`, whose assembly checks the blocks'
+    names and the terms once per shape; the right-hand sides are checked every
+    time."""
 
     blocks: tuple[tuple[str, int], ...]
     constraints: tuple[AffineConstraint, ...]
     rhs: np.ndarray = field(init=False, repr=False, compare=False)
+    plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         side_product(*(d for _, d in self.blocks))
         object.__setattr__(self, "blocks", tuple((n, int(d)) for n, d in self.blocks))
-        _check_shape(self.blocks, _rows(self.constraints))
+        # the typed (terms, height) rows and the blocks are the shape's key
+        rows = tuple((c.terms, c.rhs.shape[0]) for c in self.constraints)
+        object.__setattr__(self, "plan", _Plan.of(self.blocks, rows))
         # one finiteness test for the stacked right-hand sides
         rhs = np.concatenate([np.zeros(0)] + [c.rhs for c in self.constraints])
         if np.count_nonzero(np.isfinite(rhs)) < rhs.size:
@@ -253,9 +230,12 @@ class _Layout:
     @staticmethod
     @functools.lru_cache(maxsize=256)
     def of(blocks: tuple[tuple[str, int], ...]) -> "_Layout":
-        """Layout of (name, side) blocks, stacked by ascending side and in the given
-        order within a side; cached. ``names``, ``sides`` and ``offsets`` keep that order."""
+        """Layout of (name, side) blocks of distinct names, stacked by ascending side
+        and in the given order within a side; cached. ``names``, ``sides`` and
+        ``offsets`` keep that order."""
         names = tuple(n for n, _ in blocks)
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate block names")
         sides = tuple(d for _, d in blocks)
         offsets, total, groups = [0] * len(sides), 0, []
         for d in sorted(set(sides)):
@@ -300,19 +280,31 @@ def _face_map(layout: _Layout, bases) -> tuple[np.ndarray, _Layout]:
 
 
 def _assemble(rows, layout: _Layout) -> np.ndarray:
-    """Read-only constraint matrix of rows given as (terms, height)."""
+    """Read-only constraint matrix of rows given as (terms, height), checked
+    term by term: on a known block, a map that fits the block's side and the
+    row's height, and a finite coefficient. The terms' types are checked by
+    each :class:`AffineConstraint`."""
     col_of = dict(zip(layout.names, zip(layout.offsets, layout.sides)))
     parts = []
     for terms, m in rows:
         block_row = np.zeros((m, layout.total))
         for name, op in terms:
+            if name not in col_of:
+                raise ValueError(f"constraint references unknown block {name!r}")
             o, d = col_of[name]
+            shape = _term_shape(op, d)
+            if shape != (m, d * d):
+                raise MatrixShapeError(
+                    f"constraint term for {name!r} has shape {shape}, expected ({m}, {d * d})"
+                )
             cols = block_row[:, o : o + d * d]
             if isinstance(op, PartialTrace):
                 cols += op.matrix
-            else:  # c times the identity
+            elif math.isfinite(op):  # c times the identity
                 diag = np.arange(d * d)
                 cols[diag, diag] += op
+            else:
+                raise ValueError(f"constraint term for {name!r} has coefficient {op!r}")
         parts.append(block_row)
     a = np.vstack(parts) if parts else np.zeros((0, layout.total))
     a.flags.writeable = False
@@ -370,18 +362,15 @@ class _Plan:
     @staticmethod
     @functools.lru_cache(maxsize=32)
     def of(blocks: tuple[tuple[str, int], ...], rows) -> "_Plan":
-        """Plan of blocks and typed (terms, height) rows; cached."""
+        """Plan of blocks and typed (terms, height) rows, checked as it is
+        assembled; cached, so a shape is checked once and a failed one never
+        enters the cache."""
         layout = _Layout.of(blocks)
         return _Plan(layout, _assemble(rows, layout))
 
     @functools.cached_property
     def frame(self) -> _Frame:
         return _Frame.of(self.a, self.layout)
-
-
-def _plan(problem: FeasibilityProblem) -> _Plan:
-    """The problem's plan, cached per shape."""
-    return _Plan.of(problem.blocks, _rows(problem.constraints))
 
 
 def _spectra(x: np.ndarray, layout: _Layout) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -744,7 +733,7 @@ def solve(
     the problem undecided at its own exit. ``iterations`` counts the
     steps of both runs. The solve is deterministic.
     """
-    plan = _plan(problem)
+    plan = problem.plan
     b = problem.rhs
     bounds = _support_bounds(problem, tol)
     bases = [bounds.get(n) for n in plan.layout.names]

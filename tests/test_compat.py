@@ -1032,7 +1032,7 @@ def _kind_draws(rng, d):
 def _planned(problem):
     """The plan's constraint matrix, column block by column block in block order
     (the layout stacks blocks by side), and the right-hand side."""
-    plan = fs._plan(problem)
+    plan = problem.plan
     cols = [c for o, d in zip(plan.layout.offsets, plan.layout.sides) for c in range(o, o + d * d)]
     return plan.a[:, cols], np.concatenate([c.rhs for c in problem.constraints])
 
@@ -1972,14 +1972,30 @@ def test_fast_paths_agree_with_engine_on_qutrit_tail():
 _STRENGTH = {"strongly_incompatible": 0, "weakly_compatible_only": 1, "compatible": 2}
 
 
+def _mixed_pair(p, q, t):
+    """The pair t p + (1 - t) q of two pairs of one kind pair: op-ef pairs mix
+    their Choi matrices and effects, observable pairs outcome by outcome."""
+    def mix(a, b):
+        if isinstance(a, CPMap):
+            return CPMap(a.dim_in, a.dim_out, t * a.choi + (1 - t) * b.choi)
+        if isinstance(a, Effect):
+            return Effect(t * a.matrix + (1 - t) * b.matrix)
+        return Observable(a.outcomes, {x: mix(a.effects[x], b.effects[x]) for x in a.outcomes})
+
+    return mix(p[0], q[0]), mix(p[1], q[1])
+
+
 def test_qutrit_tail_relations_are_covariant_and_never_fall_under_parts():
     # relations the definitions force, decided by the engine alone: turning
     # both devices by one unitary keeps the relation; a part of the operation
     # (t Phi) or a post-processed effect (x E + y (1 - E)) relates at least as
     # strongly; undecided is allowed on either side
     rng = np.random.default_rng(2012)
-    for i, (d1, d2) in enumerate(_qutrit_tail()):
+    tail = _qutrit_tail()
+    relations = []
+    for i, (d1, d2) in enumerate(tail):
         relation = cp.classify(d1, d2, fast_paths=False).relation
+        relations.append(relation)
         u = haar_unitary(rng, 3)
         turned = cp.classify(conjugate(d1, u), conjugate(d2, u), fast_paths=False).relation
         assert turned == relation or "undecided" in (turned, relation), i
@@ -1992,6 +2008,15 @@ def test_qutrit_tail_relations_are_covariant_and_never_fall_under_parts():
             smaller = cp.classify(a, b, fast_paths=False).relation
             assert "undecided" in (smaller, relation) or \
                 _STRENGTH[smaller] >= _STRENGTH[relation], i
+    # mixing consecutive pairs of one kind pair, with one weight t, relates at
+    # least as strongly as the weaker of the two: their witnesses' instruments,
+    # mixed over the disjoint union of their outcomes, share the mixed total
+    for i in (0, 1, 2, 3, 4, 6, 7, 8, 9, 10):  # op-ef pairs, then observable pairs
+        mixed = cp.classify(*_mixed_pair(tail[i], tail[i + 1], rng.uniform(0.2, 0.8)),
+                            fast_paths=False).relation
+        pair = relations[i : i + 2]
+        assert "undecided" in [mixed, *pair] or \
+            _STRENGTH[mixed] >= min(_STRENGTH[r] for r in pair), i
 
 
 @pytest.mark.parametrize("name", ["fastpath-mix", "pure-opop", "engine-tail"])

@@ -63,7 +63,7 @@ def test_negative_trace_infeasible():
 
 def affine_data(problem):
     """Layout, affine frame and affine base point, as the solver builds them."""
-    plan = fs._plan(problem)
+    plan = problem.plan
     b = np.concatenate([c.rhs for c in problem.constraints])
     return plan.layout, plan.frame, plan.frame.x0(b)
 
@@ -150,7 +150,7 @@ def typed_problem_around(rng, sides, n_rows, fixed_trace, deficit=None):
 def face_data(problem):
     """Layout, affine frame and affine base point on the face that facial
     reduction reads from the rows, as the solver builds them."""
-    plan = fs._plan(problem)
+    plan = problem.plan
     bounds = fs._support_bounds(problem, fs.DEFAULT_TOL)
     embed, layout = fs._face_map(plan.layout, [bounds.get(n) for n in plan.layout.names])
     frame = fs._Frame.of(plan.a @ embed, layout)
@@ -660,7 +660,7 @@ def test_face_polish_keeps_a_degenerate_pair_whole():
     assert fs._face_rank(np.array([1e-17, 2e-8, 0.3, 0.3]), 1e-6) == 2
     half = np.diag([0.0, 0.5, 0.5])
     row = sum_constraint(("x", "y"), 2 * half)
-    plan = fs._plan(fs.FeasibilityProblem((("x", 3), ("y", 3)), (row,)))
+    plan = fs.FeasibilityProblem((("x", 3), ("y", 3)), (row,)).plan
     rng = np.random.default_rng(5)
     for _ in range(4):
         noise = np.zeros(18)
@@ -888,25 +888,34 @@ def test_a_warm_plan_repeats_the_cold_solve_bit_for_bit(monkeypatch):
         return orig(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    problems = []
-    for seed in (3, 6):  # whole: feasible after 3 steps, infeasible after 4
+
+    def whole(seed):
         rng = np.random.default_rng(seed)
-        problems.append((coexistence_problem(rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix), 0))
+        return coexistence_problem(rand_effect(rng, 2).matrix, rand_effect(rng, 2).matrix)
+
     e2 = rand_effect(np.random.default_rng(0), 3).matrix
-    problems.append((coexistence_problem(np.diag([0.6, 0.3, 0.0]), e2), 1))  # reduced, feasible
-    problems.append((_pure_pair_problem(), 1))  # reduced, infeasible after 1
+    builds = [
+        (lambda: whole(3), 0),  # whole, feasible after 3 steps
+        (lambda: whole(6), 0),  # whole, infeasible after 4
+        (lambda: coexistence_problem(np.diag([0.6, 0.3, 0.0]), e2), 1),  # reduced, feasible
+        (_pure_pair_problem, 1),  # reduced, infeasible after 1
+    ]
     verdicts = set()
-    for problem, hit_svds in problems:
-        assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == bool(hit_svds)
+    for build, hit_svds in builds:
+        # a problem keeps the plan it was built with, so a cold solve needs a
+        # problem built after the cache is cleared; its twin finds the plan
         fs._Plan.of.cache_clear()
+        problem = build()
+        assert bool(fs._support_bounds(problem, fs.DEFAULT_TOL)) == bool(hit_svds)
         cold = fs.solve(problem)
+        twin = build()
+        assert fs._Plan.of.cache_info().hits == 1 and twin.plan is problem.plan
         svds.clear()
-        warm = fs.solve(problem)
+        warm = fs.solve(twin)
         assert len(svds) == hit_svds
-        assert fs._Plan.of.cache_info().hits == 1
         assert _outcome_bits(warm) == _outcome_bits(cold)
         assert cold.iterations >= 1
-        plan = fs._plan(problem)
+        plan = problem.plan
         cached = [plan.a]
         if not hit_svds:
             frame = plan.frame
@@ -1218,7 +1227,7 @@ def test_problem_shapes_are_checked_once(monkeypatch):
         return orig(*args)
 
     monkeypatch.setattr(fs, "_term_shape", counting)
-    fs._check_shape.cache_clear()
+    fs._Plan.of.cache_clear()
     _sum_problem()
     _sum_problem(rhs=herm_coords(np.diag([0.25, 0.75])))
     assert len(calls) == 1

@@ -99,6 +99,16 @@ def test_cli_digest_describes_one_invocation_per_command():
     assert digest.line(first["witness"]) == digest.line(first["witness"])
 
 
+def test_src_size_totals_its_module_rows():
+    proc = run_script("src_size.py")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["module", "lines", "statements", "isinstance"]
+    modules = sorted(p.stem for p in (ROOT / "src" / "qcompat").glob("*.py"))
+    assert [row[0] for row in rows] == modules and total[0] == "total"
+    assert [int(n) for n in total[1:]] == [sum(int(row[k]) for row in rows) for k in (1, 2, 3)]
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
