@@ -17,10 +17,12 @@ the parent's median: the no-regression rule the benchmark is held to.
 
 Make the parent checkout with ``git archive``, outside this tree. The
 benchmark runs one workload at a time; nothing here changes how it runs.
-Both trees run with one fresh temporary directory as ``PYTHONPYCACHEPREFIX``,
-so neither reads byte code left in its own ``__pycache__``. Both compile
-alike: with ``PYTHONDONTWRITEBYTECODE`` set, every run compiles its sources;
-without it, each tree's first run writes there the byte code later runs read.
+Both trees compile alike: every run has ``PYTHONDONTWRITEBYTECODE=1`` and no
+``PYTHONPYCACHEPREFIX``, so it compiles the tree's own sources and reads the
+installed byte code of numpy and the standard library, as a plain run of
+``perfbench/run.py`` does. A tree that holds a ``__pycache__`` under ``src/``
+or ``perfbench/`` is refused, by name: its runs would read that byte code and
+start faster for no code reason. Delete it first.
 """
 
 import argparse
@@ -30,7 +32,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,13 +70,19 @@ def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
     return lines
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, pycache: str) -> dict[str, float]:
-    """One benchmark run in a tree, with byte code under ``pycache``; its metric values."""
+def stale_byte_code(tree: Path) -> list[Path]:
+    """The ``__pycache__`` directories under a tree's ``src/`` and ``perfbench/``."""
+    return sorted(p for top in ("src", "perfbench") for p in (tree / top).rglob("__pycache__"))
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """One benchmark run in a tree, writing no byte code; its metric values."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True, check=False,
-        env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache),
+        env=dict(env, PYTHONDONTWRITEBYTECODE="1"),
     )
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: the run in {tree} failed:\n{proc.stderr}")
@@ -95,14 +102,18 @@ def main(argv=None) -> int:
         ap.error("quartiles need at least 2 pairs")
     if not (args.parent / "perfbench" / "run.py").is_file():
         ap.error(f"{args.parent} holds no perfbench/run.py")
+    for tree in (args.parent, ROOT):
+        stale = stale_byte_code(tree)
+        if stale:
+            ap.error(f"{stale[0]} holds byte code that only its own tree's runs would "
+                     "read; delete it")
     parent, change = [], []
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-pycache-") as pycache:
-        for i in range(args.pairs):
-            order = ((args.parent, parent), (ROOT, change))
-            for tree, runs in order if i % 2 == 0 else order[::-1]:
-                runs.append(run(tree, args.workload, args.seed, args.seconds, pycache))
-            print(f"pair {i + 1}/{args.pairs}: parent {json.dumps(parent[-1])} "
-                  f"this tree {json.dumps(change[-1])}", file=sys.stderr)
+    for i in range(args.pairs):
+        order = ((args.parent, parent), (ROOT, change))
+        for tree, runs in order if i % 2 == 0 else order[::-1]:
+            runs.append(run(tree, args.workload, args.seed, args.seconds))
+        print(f"pair {i + 1}/{args.pairs}: parent {json.dumps(parent[-1])} "
+              f"this tree {json.dumps(change[-1])}", file=sys.stderr)
     metrics = [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           "parent median [quartiles] -> this tree's median")

@@ -256,7 +256,9 @@ class _Pair:
         self.cls = "classical" if set(self.kinds) <= {"effect", "observable"} else \
             "channel" if "channel" in self.kinds else "quantum"
         self.din, self.dout = _dims(r1, r2)
-        self.vtol = self.wtol if self.cls == "classical" else tol  # for its fast-path witnesses
+        # its fast-path witnesses' scale: a witness total inherits an observable's
+        # normalization, which the observable's eq_tol admits
+        self.vtol = self.wtol if self.cls == "classical" or "observable" in self.kinds else tol
         self.t1, self.t2 = r1.targets, r2.targets
         self.prepared = np.eye(self.dout) / self.dout  # the state :func:`_measure` prepares
 
@@ -356,7 +358,7 @@ def _contraction(p: _Pair) -> Answer:
     """
     blocks = {(i, x): _measure(p, t) for i, r in enumerate((p.r1, p.r2))
               for x, t in r.fixed.items()}
-    return _yes("contraction", _weak_witness(p, blocks, _measure(p, np.eye(p.din)), p.tol),
+    return _yes("contraction", _weak_witness(p, blocks, _measure(p, np.eye(p.din)), p.vtol),
                 "always weakly compatible")
 
 

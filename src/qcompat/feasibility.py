@@ -373,26 +373,16 @@ class _Plan:
         return _Frame.of(self.a, self.layout)
 
 
-def _spectra(x: np.ndarray, layout: _Layout) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per side group, the (evals, evecs) of the blocks of a coordinate vector."""
-    return _joint_spectra((x,), layout)[0]
-
-
 def _joint_spectra(xs, layout: _Layout) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """For each coordinate vector of ``xs``, per side group, the (evals, evecs) of
     its blocks.
 
-    Blocks of equal side are read from their group's span; each group
-    of side > 1 stacks the blocks of every vector, unpacks them in one
-    call and takes one batched eigendecomposition, and 1x1 blocks are
-    their own eigenvalue.
+    Blocks of equal side are read from their group's span; each group,
+    1x1 blocks included, stacks the blocks of every vector, unpacks them in
+    one call and takes one batched eigendecomposition.
     """
     out = [[] for _ in xs]
     for d, span in layout.groups:
-        if d == 1:
-            for spectra, x in zip(out, xs):
-                spectra.append((x[span, None], np.ones((span.stop - span.start, 1, 1))))
-            continue
         rows = np.concatenate([x[span] for x in xs]).reshape(-1, d * d)
         evals, evecs = np.linalg.eigh(herm_stack_from_coords(rows, d))
         n = len(rows) // len(xs)
@@ -410,9 +400,9 @@ def _clamp(spectra, shift: float, layout: _Layout) -> np.ndarray:
     out = np.empty(layout.total)
     for (d, span), (evals, evecs) in zip(layout.groups, spectra):
         clamped = np.maximum(evals + shift, 0.0)
-        out[span] = (clamped if d == 1 else herm_stack_coords(
+        out[span] = herm_stack_coords(
             (evecs * clamped[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-        )).ravel()
+        ).ravel()
     return out
 
 
@@ -420,8 +410,7 @@ def _min_eig(v: np.ndarray, layout: _Layout) -> float:
     """Least eigenvalue over all blocks of a coordinate vector."""
     mu = float("inf")
     for d, span in layout.groups:
-        rows = v[span].reshape(-1, d * d)
-        evals = rows if d == 1 else np.linalg.eigvalsh(herm_stack_from_coords(rows, d))
+        evals = np.linalg.eigvalsh(herm_stack_from_coords(v[span].reshape(-1, d * d), d))
         mu = min(mu, float(evals.min()))
     return mu
 
@@ -609,15 +598,12 @@ def _step_lengths(halves, dz: np.ndarray, ds: np.ndarray, layout: _Layout):
     ``halves`` holds, per side group, Z^(-1/2) stacked over S^(-1/2). The
     largest step keeping X + a dX PD is -1 over the least eigenvalue of
     X^(-1/2) dX X^(-1/2), when that is negative; both directions of a
-    group take one batched eigenvalue call.
+    group, 1x1 blocks included, take one batched eigenvalue call.
     """
     lo_z = lo_s = 0.0
     for (d, span), h in zip(layout.groups, halves):
         rows = np.concatenate([dz[span], ds[span]]).reshape(-1, d * d)
-        if d == 1:  # 1x1 blocks are their own eigenvalue
-            least = (h[:, 0] * rows * h[:, 0])[:, 0]
-        else:
-            least = np.linalg.eigvalsh(h @ herm_stack_from_coords(rows, d) @ h)[:, 0]
+        least = np.linalg.eigvalsh(h @ herm_stack_from_coords(rows, d) @ h)[:, 0]
         lo_z = min(lo_z, float(least[: len(least) // 2].min()))
         lo_s = min(lo_s, float(least[len(least) // 2 :].min()))
     return tuple(1.0 if lo >= -0.95 else -0.95 / lo for lo in (lo_z, lo_s))
@@ -736,10 +722,7 @@ def solve(
     plan = problem.plan
     b = problem.rhs
     bounds = _support_bounds(problem, tol)
-    bases = [bounds.get(n) for n in plan.layout.names]
-    out, last = _run(plan, b, bases, tol, trace)
-    # read even when the projection met feas_tol: only the face holds a point on it
-    face = None if last is None else _read_face(*last, bases)
+    out, face = _run(plan, b, [bounds.get(n) for n in plan.layout.names], tol, trace)
     if face is None:
         return out
     second, _ = _run(plan, b, face, tol, None)
@@ -754,8 +737,8 @@ def solve(
 def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
     """The path of ``solve`` on the face of the support ``bases``, one per
     block of the plan as for ``_face_map``: its outcome, and after a
-    ``projection`` or ``stall`` the ``_read_face`` arguments of its last
-    affine point: the point, its face cutoff and its layout (else None)."""
+    ``projection`` or ``stall`` the face that ``_read_face`` reads from its
+    last affine point at the cutoff cbrt(mu) (else None)."""
     full, a = plan.layout, plan.a
     embed, layout = None, full
     if any(u is not None for u in bases):
@@ -792,7 +775,7 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
 
     # the first slack S = x0 - t e has the eigenvectors of x0 and its
     # eigenvalues shifted by -t: one decomposition serves both
-    spec_s = _spectra(x0, layout)
+    spec_s = _joint_spectra((x0,), layout)[0]
     least = min(float(evals[:, 0].min()) for evals, _ in spec_s)
     if len(f) == 1 and least < -tol.feas_tol:
         # the affine set is the point x0, whose margin is its least eigenvalue
@@ -849,5 +832,7 @@ def _run(plan: _Plan, b: np.ndarray, bases, tol: Tolerances, trace):
                 z, y = _newton_step(z, y, s, spec_z, spec_s, layout, f)
     except np.linalg.LinAlgError:
         pass
-    last = None if point is None else (point, float(np.cbrt(gap / nu)), layout)
-    return outcome("projection" if residual <= tol.feas_tol else "stall", residual, done, cone), last
+    # read even when the projection met feas_tol: only the face holds a point on it
+    face = None if point is None else _read_face(point, float(np.cbrt(gap / nu)), layout, bases)
+    exit = "projection" if residual <= tol.feas_tol else "stall"
+    return outcome(exit, residual, done, cone), face

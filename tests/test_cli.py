@@ -304,6 +304,25 @@ def test_classify_json_format(device_file, capsys):
     assert doc["relation"] == "weakly_compatible_only"
 
 
+def test_classify_an_admitted_observable_against_an_effect(tmp_path, capsys):
+    # the observable's sum has top eigenvalue 1 + 1.5e-9, admitted at eq_tol; its
+    # witness against px is checked at the witness scale, so classify gives a
+    # relation rather than exit 2 on a NormalizationError
+    eps = 1.5e-9
+    devices = [
+        {"name": "px", "type": "effect", "dims": {"in": 2}, "payload": {"matrix": jmat(PX)}},
+        {"name": "tilted", "type": "observable", "dims": {"in": 2},
+         "payload": {"outcomes": ["a", "b"],
+                     "effects": {"a": jmat(np.diag([0.9, 0.1])),
+                                 "b": jmat(np.diag([0.1 + eps, 0.9 + eps]))}}},
+    ]
+    path = _write(tmp_path, devices)
+    for pair in (["px", "tilted"], ["tilted", "px"]):
+        code, out, err = run_cli(["classify", path, *pair], capsys)
+        assert code == 0, err
+        assert "weakly_compatible_only" in out
+
+
 def test_classify_unknown_name(device_file, capsys):
     code, _, err = run_cli(["classify", device_file, "px", "nope"], capsys)
     assert code == 2

@@ -1530,6 +1530,19 @@ def test_kraus_witness_requires_witness():
         cp.kraus_witness(v)
 
 
+def test_kraus_witness_refuses_a_pointer_part():
+    # an observable's part is a pointer map, which names no index subset
+    v = cp.classify(DEV["sharp_z"], DEV["pz"])
+    assert v.witness.part_1 is None and v.witness.pointer_1 is not None
+    with pytest.raises(ValueError, match="subset-realized parts"):
+        cp.kraus_witness(v)
+
+
+def test_verdict_refuses_an_unknown_relation():
+    with pytest.raises(ValueError, match="unknown relation 'maybe'"):
+        cp.Verdict("maybe", None, "")
+
+
 # ---------------------------------------------------------------------------
 # ancilla-level verification
 # ---------------------------------------------------------------------------
@@ -1623,6 +1636,14 @@ def test_ancilla_verification_needs_subset_parts(a, b):
     cp.check_witness(DEV[a], DEV[b], v.witness, cp.witness_tolerances(cp.DEFAULT_TOL))
     with pytest.raises(ValueError, match="subset part"):
         dl.verify_ancilla_characterization(DEV[a], DEV[b], v)
+
+
+def test_ancilla_verification_needs_a_witness():
+    from qcompat import dilation as dl
+
+    v = cp.Verdict("strongly_incompatible", None, "")
+    with pytest.raises(ValueError, match="no witness to verify"):
+        dl.verify_ancilla_characterization(DEV["luders_px"], DEV["luders_pz"], v)
 
 
 # ---------------------------------------------------------------------------
@@ -1720,6 +1741,36 @@ def _both_routes(d1, d2) -> cp.Verdict:
     slow = cp.classify(d1, d2, fast_paths=False)
     assert fast.relation == slow.relation != "undecided", (fast.notes, slow.notes)
     return fast
+
+
+def _overnormalized_observable():
+    """An observable that ``Observable`` admits at DEFAULT_TOL, its sum's top
+    eigenvalue 1 + 1.5e-9 above 1 + psd_tol: the sum misses the identity by
+    2.1e-9 in Frobenius norm, inside eq_tol (1 + ||sum||_F) = 2.4e-9."""
+    return _observable(np.diag([0.9, 0.1]), np.diag([0.1 + 1.5e-9, 0.9 + 1.5e-9]))
+
+
+def _measure_prepare(state):
+    """The z-basis measurement that prepares ``state`` after either outcome."""
+    return Instrument(("0", "1"), {str(k): CPMap(2, 2, np.kron(np.diag(np.eye(2)[k]), state))
+                                   for k in range(2)})
+
+
+@pytest.mark.parametrize("name", [*DEV, "contraction", "measure-prepare"])
+def test_an_admitted_observable_gets_one_relation_on_both_routes_and_orders(name):
+    # a witness total inherits the observable's normalization, so witnesses of a
+    # pair with an observable are checked at the witness scale; at the pair's own
+    # tolerances, classify raised NormalizationError against px, sharp_x,
+    # luders_pz and the two devices that prepare diag(0.25, 0.75)
+    obs = _overnormalized_observable()
+    total = sum(e.matrix for e in obs.effects.values())
+    assert np.linalg.eigvalsh(total)[-1] > 1.0 + cp.DEFAULT_TOL.psd_tol
+    state = np.diag([0.25, 0.75])
+    other = {"contraction": lambda: dv.contraction_channel(state),
+             "measure-prepare": lambda: _measure_prepare(state)}.get(name, lambda: DEV[name])()
+    relations = {cp.classify(*pair, fast_paths=fast).relation
+                 for pair in ((obs, other), (other, obs)) for fast in (True, False)}
+    assert len(relations) == 1 and relations != {"undecided"}, relations
 
 
 def _shaped_pair(kind, din, dout, n_ops, seed):

@@ -5,6 +5,7 @@ from qcompat import devices as dv
 from qcompat import dilation as dl
 from qcompat.devices import CPMap, Instrument, KrausSet, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PX, PZ, luders_of
+from qcompat.matkit import MatrixShapeError
 
 from conftest import hermitian_basis, rand_cpmap, rand_herm, rand_state
 
@@ -181,3 +182,14 @@ def test_rn_observable_total_mismatch():
     ins = Instrument(("0",), {"0": other})
     with pytest.raises(dl.TotalMismatchError):
         dl.rn_observable(dil, ins)
+
+
+def test_ancilla_maps_refuse_the_wrong_sides():
+    # a 2-dimensional ancilla takes no qutrit effect, and a qubit dilation no
+    # map into a qutrit
+    dil = dl.minimal_stinespring(x_dephasing())
+    assert dil.ancilla_dim == 2
+    with pytest.raises(MatrixShapeError, match="effect must live on the ancilla"):
+        dl.map_from_ancilla_effect(dil, np.eye(3))
+    with pytest.raises(MatrixShapeError, match="map dimensions do not match the dilation"):
+        dl.radon_nikodym_effect(dil, CPMap(2, 3, np.zeros((6, 6))))

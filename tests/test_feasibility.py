@@ -574,7 +574,7 @@ def test_project_cone_matches_blockwise_reference():
     x = rng.standard_normal(layout.total)
     # the two 1x1 blocks lie below and above 0
     x[[layout.offsets[1], layout.offsets[3]]] = (-0.5, 0.1)
-    got = fs._clamp(fs._spectra(x, layout), 0.0, layout)
+    got = fs._clamp(fs._joint_spectra((x,), layout)[0], 0.0, layout)
     expected = np.empty_like(x)
     for o, d in zip(layout.offsets, sides):
         evals, evecs = np.linalg.eigh(herm_from_coords(x[o : o + d * d], d))
@@ -583,6 +583,38 @@ def test_project_cone_matches_blockwise_reference():
     assert np.array_equal(got, expected)
     gathered = np.concatenate([np.arange(layout.total)[span] for _, span in layout.groups])
     assert sorted(gathered) == list(range(layout.total))
+    # the least eigenvalue and the step lengths, block by block: the other
+    # blocks are lifted by 100 e, or take no step
+    def pd(d):  # real when 1x1
+        a = rand_complex(rng, d, d)
+        return np.real_if_close(a @ a.conj().T + 0.1 * np.eye(d))
+
+    def inv_half(m):
+        evals, evecs = np.linalg.eigh(m)
+        return (evecs / np.sqrt(evals)) @ evecs.conj().T
+
+    zs, ss = [pd(d) for d in sides], [pd(d) for d in sides]
+    halves = [np.array([inv_half(m) for ms in (zs, ss) for m, dk in zip(ms, sides) if dk == d])
+              for d, _ in layout.groups]
+    dz, ds = 5 * rng.standard_normal(layout.total), 5 * rng.standard_normal(layout.total)
+    steps = set()
+    for o, d, z, s in zip(layout.offsets, sides, zs, ss):
+        block = slice(o, o + d * d)
+        lifted = x + 100.0 * layout.identity
+        lifted[block] = x[block]
+        least = np.linalg.eigvalsh(herm_from_coords(x[block], d))[0]
+        assert abs(fs._min_eig(lifted, layout) - least) <= 1e-12
+        alone = [np.zeros(layout.total), np.zeros(layout.total)]
+        expected = []
+        for v, out, m in zip((dz, ds), alone, (z, s)):
+            out[block] = v[block]
+            h = inv_half(m)
+            lo = min(0.0, np.linalg.eigvalsh(h @ herm_from_coords(v[block], d) @ h)[0])
+            expected.append(1.0 if lo >= -0.95 else -0.95 / lo)
+        got = fs._step_lengths(halves, *alone, layout)
+        assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+        steps.update(got)
+    assert len(steps) > 2  # steps below 1, the 1x1 blocks' included
 
 
 def probed_coord_matrix(linear, d):
@@ -640,8 +672,8 @@ def test_shifted_spectrum_projection_matches_project_cone(shift):
     rng = np.random.default_rng(29)
     x = rng.standard_normal(layout.total)
     x[[layout.offsets[1], layout.offsets[3]]] = (-0.5, 0.1)
-    got = fs._clamp(fs._spectra(x, layout), shift, layout)
-    expected = fs._clamp(fs._spectra(x + shift * layout.identity, layout), 0.0, layout)
+    got = fs._clamp(fs._joint_spectra((x,), layout)[0], shift, layout)
+    expected = fs._clamp(fs._joint_spectra((x + shift * layout.identity,), layout)[0], 0.0, layout)
     assert np.abs(got - expected).max() <= 1e-13
 
 
@@ -829,7 +861,8 @@ def _climb(point, null, layout, steps):
     best = -np.inf
     for k in range(steps):
         least = np.inf
-        for (d, span), (evals, evecs) in zip(layout.groups, fs._spectra(point, layout)):
+        spectra = fs._joint_spectra((point,), layout)[0]
+        for (d, span), (evals, evecs) in zip(layout.groups, spectra):
             i = int(np.argmin(evals[:, 0]))
             if evals[i, 0] < least:
                 least, o, d_min, v = evals[i, 0], span.start + i * d * d, d, evecs[i, :, 0]

@@ -148,6 +148,11 @@ def test_herm_eig_rejects_non_hermitian():
         mk.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_close_and_is_hermitian_are_false_on_mismatched_shapes():
+    assert not mk.close(np.eye(2), np.eye(3))
+    assert not mk.is_hermitian(np.ones((2, 3)))
+
+
 def test_hermitian_basis_qubit_is_normalized_paulis():
     basis = hermitian_basis(2)
     expected = [I2, SX, SY, SZ]

@@ -31,6 +31,14 @@ def test_swap_model_reads_pointer_statistics():
         assert p_plus == pytest.approx(float(np.trace(rho @ PZ).real), abs=1e-10)
 
 
+def test_swap_model_and_poststate_refuse_the_wrong_sides():
+    with pytest.raises(MatrixShapeError, match="pointer dimension must match the probe"):
+        mm.swap_model(np.eye(3) / 3, sharp_observable(PZ, PMZ))
+    model = mm.swap_model(I2 / 2, sharp_observable(PZ, PMZ))
+    with pytest.raises(MatrixShapeError, match="state must live on the model input space"):
+        mm.model_poststate(model, np.eye(3) / 3, ("+",))
+
+
 def test_swap_model_induced_observable_is_pointer():
     rng = np.random.default_rng(101)
     eta = rand_state(rng, 2)

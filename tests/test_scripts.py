@@ -14,6 +14,8 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 import qcompat
 from qcompat import feasibility as fs
 from qcompat.fixtures import TABLE1_CELLS
@@ -103,10 +105,33 @@ def test_src_size_totals_its_module_rows():
     proc = run_script("src_size.py")
     assert proc.returncode == 0, proc.stderr
     header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
-    assert header == ["module", "lines", "statements", "isinstance"]
+    assert header == ["module", "lines", "statements", "isinstance", "branches"]
     modules = sorted(p.stem for p in (ROOT / "src" / "qcompat").glob("*.py"))
     assert [row[0] for row in rows] == modules and total[0] == "total"
-    assert [int(n) for n in total[1:]] == [sum(int(row[k]) for row in rows) for k in (1, 2, 3)]
+    assert [int(n) for n in total[1:]] == [sum(int(row[k]) for row in rows) for k in (1, 2, 3, 4)]
+
+
+def test_src_size_counts_one_branch_per_decision_path():
+    sz = _load_script("src_size")
+    source = (
+        "def f(xs, a, b, c):\n"
+        "    if a:\n"               # 1
+        "        pass\n"
+        "    elif b and c or a:\n"  # 1, plus 1 for the or and 1 for the and
+        "        pass\n"
+        "    for x in xs:\n"        # 1
+        "        while x:\n"        # 1
+        "            x = x - 1 if x > 0 else 0\n"  # 1
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError:\n"  # 1
+        "        pass\n"
+        "    except TypeError:\n"   # 1
+        "        pass\n"
+        "    return [y for x in xs if x if a for y in x]\n"  # 2 fors and 2 ifs
+    )
+    assert sz.module_size(source)[3] == 13
+    assert sz.module_size("x = [1, 2]\ny = x and x\n")[3] == 1
 
 
 def _load_script(name):
@@ -150,10 +175,10 @@ def test_bench_pairs_summarizes_canned_runs():
     assert proc.returncode == 2 and "holds no perfbench/run.py" in proc.stderr
 
 
-def test_bench_pairs_gives_both_trees_one_fresh_pycache_prefix(tmp_path, monkeypatch):
-    # neither tree may read byte code left in its own __pycache__: every run, in
-    # either tree, gets one temporary PYTHONPYCACHEPREFIX outside both trees,
-    # which is gone afterwards; the runs are canned, so no benchmark runs here
+def test_bench_pairs_runs_both_trees_without_byte_code_of_their_own(tmp_path, monkeypatch):
+    # both trees start as a plain perfbench run does: they write no byte code,
+    # and no PYTHONPYCACHEPREFIX hides the installed byte code of numpy and the
+    # standard library; the runs are canned, so no benchmark runs here
     bp = _load_script("bench_pairs")
     parent = tmp_path / "parent"
     (parent / "perfbench").mkdir(parents=True)
@@ -162,17 +187,33 @@ def test_bench_pairs_gives_both_trees_one_fresh_pycache_prefix(tmp_path, monkeyp
     runs = []
 
     def canned(argv, cwd, env, **kwargs):
-        runs.append((Path(cwd), env["PYTHONPYCACHEPREFIX"]))
+        runs.append((Path(cwd), env.get("PYTHONDONTWRITEBYTECODE"), "PYTHONPYCACHEPREFIX" in env))
         metrics = {name: {"value": float(len(runs)), "unit": ""} for name in names}
         return subprocess.CompletedProcess(argv, 0, json.dumps({"metrics": metrics}), "")
 
     monkeypatch.setattr(bp.subprocess, "run", canned)
+    monkeypatch.setattr(bp, "stale_byte_code", lambda tree: [])
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
     assert bp.main([str(parent), "--workload", "pure-opop", "--pairs", "2"]) == 0
     # the parent runs first in even pairs, this tree in odd ones
-    assert [tree for tree, _ in runs] == [parent, bp.ROOT, bp.ROOT, parent]
-    (prefix,) = {Path(p).resolve() for _, p in runs}
-    assert not prefix.exists()
-    assert not any(prefix.is_relative_to(tree.resolve()) for tree in (parent, ROOT))
+    assert [tree for tree, _, _ in runs] == [parent, bp.ROOT, bp.ROOT, parent]
+    assert {(flag, prefixed) for _, flag, prefixed in runs} == {("1", False)}
+
+
+@pytest.mark.parametrize("top", ["src", "perfbench"])
+def test_bench_pairs_refuses_a_tree_with_byte_code_by_name(tmp_path, top, capsys):
+    # a tree's own __pycache__ would make its runs start faster for no code
+    # reason, so it is named and nothing runs
+    bp = _load_script("bench_pairs")
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    stale = parent / top / "pkg" / "__pycache__"
+    stale.mkdir(parents=True)
+    assert bp.stale_byte_code(parent) == [stale]
+    with pytest.raises(SystemExit) as exc:
+        bp.main([str(parent), "--workload", "pure-opop", "--pairs", "2"])
+    assert exc.value.code == 2 and f"{stale} holds byte code" in capsys.readouterr().err
 
 
 def test_readme_quick_tour_prints_its_relation():
