@@ -231,25 +231,19 @@ def _matrix_row(v) -> bool:
 
 
 def _emit_text(doc, prefix: str = "") -> None:
-    if isinstance(doc, dict):
-        for k in doc:
-            v = doc[k]
-            if _flat(v):
-                print(f"{prefix}{k}: {json.dumps(v)}")
-            elif isinstance(v, (dict, list)):
-                print(f"{prefix}{k}:")
-                _emit_text(v, prefix + "  ")
-            else:
-                print(f"{prefix}{k}: {v}")
-    elif isinstance(doc, list):
-        for v in doc:
-            if _flat(v) or _matrix_row(v):
-                print(f"{prefix}- {json.dumps(v)}")
-            elif isinstance(v, (dict, list)):  # an object, or a matrix in a list of matrices
-                print(f"{prefix}-")
-                _emit_text(v, prefix + "  ")
-            else:
-                print(f"{prefix}- {v}")
+    """An object as ``key: value`` lines, a list as ``- value`` lines: a flat list
+    inline, and in a list a matrix row too; a nested object or list below,
+    indented (in a list of matrices, a matrix); a scalar as it is."""
+    in_list = isinstance(doc, list)
+    for k, v in enumerate(doc) if in_list else doc.items():
+        head = f"{prefix}-" if in_list else f"{prefix}{k}:"
+        if _flat(v) or (in_list and _matrix_row(v)):
+            print(f"{head} {json.dumps(v)}")
+        elif isinstance(v, (dict, list)):
+            print(head)
+            _emit_text(v, prefix + "  ")
+        else:
+            print(f"{head} {v}")
 
 
 def _emit(doc, args, text=_emit_text) -> None:
@@ -442,12 +436,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-ROW_ORDER = (
-    "compatible",
-    "incompatible but weakly compatible",
-    "strongly incompatible",
-)
 COL_ORDER = ("op-op", "op-ef", "ef-ef")
+# the table's rows in order, each with the relation it marks
 _RELATION_OF_ROW = {
     "compatible": "compatible",
     "incompatible but weakly compatible": "weakly_compatible_only",
@@ -457,7 +447,7 @@ _RELATION_OF_ROW = {
 
 def _table_text(doc) -> None:
     """The text format of ``table1``: the table, then one line per cell."""
-    width = max(len(r) for r in ROW_ORDER) + 2
+    width = max(map(len, _RELATION_OF_ROW)) + 2
     print("Relations between qubit device pairs")
     print(" " * width + "  ".join(f"{c:^5}" for c in COL_ORDER))
     for row, marks in doc["table"].items():
@@ -471,7 +461,7 @@ def cmd_table1(args) -> int:
     tol = _tolerances(args)
     devices = builtin_devices()
     trace = _trace_fn(args)
-    doc = {"table": {row: dict.fromkeys(COL_ORDER, "") for row in ROW_ORDER}, "cells": []}
+    doc = {"table": {row: dict.fromkeys(COL_ORDER, "") for row in _RELATION_OF_ROW}, "cells": []}
     for col, row, n1, n2 in TABLE1_CELLS:
         verdict = cp.classify(
             devices[n1], devices[n2], tol=tol, fast_paths=not args.no_fast_paths, trace=trace,

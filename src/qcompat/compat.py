@@ -74,7 +74,6 @@ from .order import (
     RankConditionError,
     cp_leq,
     is_pure,
-    pure_pair_compatible,
     rank1_upper_channels_equal,
 )
 
@@ -113,13 +112,12 @@ class Verdict:
 @dataclass(frozen=True, eq=False)
 class Answer:
     """One question's answer, yes, no or undecided, and what decided it: a fast
-    path's name, or ``engine:<exit>``. A yes carries its witness, or the engine's
-    feasible outcome, which :func:`_witness` assembles when a relation needs it."""
+    path's name, or ``engine:<exit>``. A yes carries its witness's blocks, which
+    :func:`_witness` assembles when a relation reads them."""
 
     value: str  # yes | no | undecided
     decided_by: str
-    witness: Witness | None = None
-    outcome: fs.FeasibilityOutcome | None = None
+    blocks: dict | None = None
     notes: str = ""
 
 
@@ -322,28 +320,18 @@ def _joint_witness(p: _Pair, blocks: dict, vtol: Tolerances) -> Witness:
     return w
 
 
-def _weak_witness(p: _Pair, blocks: dict, lam, vtol: Tolerances) -> Witness:
+def _weak_witness(p: _Pair, blocks: dict, vtol: Tolerances) -> Witness:
     """Two instruments, each re-validated as one stack, then checked against both
     devices and the first one's total (:func:`check_witness`).
 
-    Device i keeps its own outcomes: each is its block ``blocks[i, x]``,
-    its target when that has the witness's side, or,
-    for the one outcome left, what the channel ``lam`` leaves over.
+    Device i keeps its own outcomes: each is its block ``blocks[i, x]``, or its
+    target when that has the witness's side.
     """
-    side = p.din * p.dout
     instruments, carved = [], []
     for i, r in enumerate((p.r1, p.r2)):
-        targets, choi = r.targets, {}
-        for x, target in targets.items():
-            if (i, x) in blocks:
-                choi[x] = blocks[i, x]
-            elif target.shape[0] == side:
-                choi[x] = target
-        left = [x for x in targets if x not in choi]
-        if left:
-            choi[left[0]] = lam - _sum(list(choi.values()), lam.shape[0])
-        instruments.append(Instrument.from_stack(tuple(targets), choi, p.din, p.dout, vtol))
-        carved.append(_carve(r, {x: x for x in targets}))
+        choi = {x: blocks.get((i, x), t) for x, t in r.targets.items()}
+        instruments.append(Instrument.from_stack(tuple(r.targets), choi, p.din, p.dout, vtol))
+        carved.append(_carve(r, {x: x for x in r.targets}))
     (i1, i2), ((s1, q1), (s2, q2)) = instruments, carved
     w = Witness(i1, i2, total_channel(i1, vtol), s1, s2, q1, q2)
     check_witness(p.r1, p.r2, w, vtol)
@@ -354,12 +342,15 @@ def _contraction(p: _Pair) -> Answer:
     """Classical devices are always weakly compatible.
 
     Both instruments measure and then prepare one fixed state (:func:`_measure`),
-    so both totals are the contraction channel to that state.
+    so both totals are the contraction channel to that state; an effect's free
+    outcome "0" is what that channel leaves over after its outcome "1".
     """
+    lam = _measure(p, np.eye(p.din))
     blocks = {(i, x): _measure(p, t) for i, r in enumerate((p.r1, p.r2))
               for x, t in r.fixed.items()}
-    return _yes("contraction", _weak_witness(p, blocks, _measure(p, np.eye(p.din)), p.vtol),
-                "always weakly compatible")
+    blocks.update({(i, "0"): lam - blocks[i, "1"] for i, r in enumerate((p.r1, p.r2))
+                   if r.free is not None})
+    return _yes("contraction", blocks, "always weakly compatible")
 
 
 def _swap_verdict(v: Verdict) -> Verdict:
@@ -375,8 +366,8 @@ def _swap_verdict(v: Verdict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _yes(path: str, witness: Witness, notes: str = "") -> Answer:
-    return Answer("yes", path, witness, notes=notes or f"fast-path: {path}")
+def _yes(path: str, blocks: dict, notes: str = "") -> Answer:
+    return Answer("yes", path, blocks, notes or f"fast-path: {path}")
 
 
 def _no(path: str, notes: str = "") -> Answer:
@@ -401,8 +392,7 @@ def _commuting(p: _Pair):
             blocks[x, y] = product = j @ lift
             if not close(product, lift @ j, p.tol):
                 return None
-    return _yes("commuting",
-                _joint_witness(p, {xy: hermitian_part(m) for xy, m in blocks.items()}, p.vtol))
+    return _yes("commuting", {xy: hermitian_part(m) for xy, m in blocks.items()})
 
 
 def _sum_below_identity(p: _Pair):
@@ -413,13 +403,13 @@ def _sum_below_identity(p: _Pair):
         return None
     leftover = hermitian_part(np.eye(p.din) - gram)
     blocks = {("1", "0"): p.t1["1"], ("0", "1"): p.t2["1"], ("0", "0"): leftover.T}
-    return _yes("sum-below-identity", _joint_witness(p, blocks, p.vtol))
+    return _yes("sum-below-identity", blocks)
 
 
 def _projection(p: _Pair):
     # a projection is compatible only with what commutes with it, checked before
-    for d, k in zip((p.d1, p.d2), p.kinds):
-        if k == "effect" and close(d.matrix @ d.matrix, d.matrix, p.tol):
+    for d in (p.d1, p.d2):
+        if close(d.matrix @ d.matrix, d.matrix, p.tol):
             return _no("projection-commutation")
     return None
 
@@ -431,18 +421,15 @@ def _comparable(p: _Pair):
             leftover = hermitian_part(np.eye(p.din) - hi.heisenberg_unit())
             blocks = {("1", "1"): lo.choi, split: hermitian_part(hi.choi - lo.choi),
                       ("0", "0"): leftover.T}
-            return _yes("comparable", _joint_witness(p, blocks, p.tol))
+            return _yes("comparable", blocks)
     return None
 
 
 def _pure_oracle(p: _Pair):
+    # pure operations are compatible exactly when they are comparable or their
+    # units sum below the identity, which the paths before this one just excluded
     if not (is_pure(p.d1, p.tol) and is_pure(p.d2, p.tol)):
         return None
-    # comparability and the sum condition were just excluded
-    if pure_pair_compatible(p.d1, p.d2, p.tol):
-        raise WitnessValidationError(
-            "pure oracle claims compatibility outside its construction cases"
-        )
     return _no("pure-oracle")
 
 
@@ -452,7 +439,7 @@ def _cp_order(p: _Pair):
     if not cp_leq(f, lam, p.tol):
         return _no("cp-order")
     blocks = {("1", "1"): f.choi, ("1", "0"): hermitian_part(lam.choi - f.choi)}
-    return _yes("cp-order", _joint_witness(p, blocks, p.tol))
+    return _yes("cp-order", blocks)
 
 
 def _totals_agree(p: _Pair) -> bool:
@@ -472,14 +459,14 @@ def _totals(p: _Pair) -> Answer:
     agree, differ = _TOTAL_PATHS[p.kinds]
     if not _totals_agree(p):
         return _no(differ)
-    return _yes(agree, _joint_witness(p, {(x, "1"): t for x, t in p.t1.items()}, p.tol))
+    return _yes(agree, {(x, "1"): t for x, t in p.t1.items()})
 
 
 def _shared_total(p: _Pair):
     """Devices without free outcome share a total channel exactly when the totals agree."""
     if not _totals_agree(p):
         return _no("distinct-totals")
-    return _yes("shared-total", _weak_witness(p, {}, None, p.tol))
+    return _yes("shared-total", {})
 
 
 def _rank1_family(p: _Pair):
@@ -491,7 +478,10 @@ def _rank1_family(p: _Pair):
     if overlap.equal is None:
         return None
     if overlap.equal:
-        return _yes("rank1-family", _weak_witness(p, {}, overlap.channel.choi, p.tol))
+        # each operation's free outcome "0" is what the common channel leaves over
+        lam = overlap.channel.choi
+        return _yes("rank1-family", {(i, "0"): lam - r.targets["1"]
+                                     for i, r in enumerate((p.r1, p.r2))})
     return _no("rank1-family", f"fast-path: rank1-family ({overlap.reason})")
 
 
@@ -553,28 +543,30 @@ def _engine(p: _Pair, question: str, trace) -> Answer:
     builder is looked up by its module name, where perfbench/tracer.py wraps it."""
     builder = joint_problem if question == "joint" else weak_problem
     out = fs.solve(builder(p.r1, p.r2), p.tol, trace=trace)
-    by = f"engine:{out.exit}"
+    by, x = f"engine:{out.exit}", out.witness
     if out.verdict == "feasible":
-        return Answer("yes", by, outcome=out, notes="sdp")
+        if question == "joint":
+            blocks = {xy: x[f"g{n}"] for n, xy in enumerate((a, b) for a in p.t1 for b in p.t2)}
+        else:
+            blocks = {(i, y): x[n] for i, t in enumerate((p.t1, p.t2)) for y in t
+                      if (n := _weak_name(i, y)) in x}
+        return Answer("yes", by, blocks, "sdp")
     if out.verdict == "undecided":
         return Answer("undecided", by, notes=f"sdp undecided margin={out.margin:.3e}")
     return Answer("no", by, notes=f"sdp margin={out.margin:.3e}")
 
 
 def _witness(p: _Pair, question: str, answer: Answer | None) -> Witness | None:
-    """The answer's witness. An engine's is assembled here, when a relation needs it,
-    and the unasked weak answer of a classical pair has the contraction's."""
-    if answer is None:
-        return _contraction(p).witness
-    if answer.outcome is None:
-        return answer.witness
-    x = answer.outcome.witness
-    if question == "joint":
-        blocks = {xy: x[f"g{n}"] for n, xy in enumerate((a, b) for a in p.t1 for b in p.t2)}
-        return _joint_witness(p, blocks, p.wtol)
-    blocks = {(i, y): x[n] for i, t in enumerate((p.t1, p.t2)) for y in t
-              if (n := _weak_name(i, y)) in x}
-    return _weak_witness(p, blocks, None, p.wtol)
+    """The one assembly of a witness, from a yes answer's blocks, when a relation
+    reads it; the unasked weak answer of a classical pair is the contraction's.
+    An engine's blocks meet the rows to feas_tol, so they are checked at
+    ``p.wtol``, and a fast path's at ``p.vtol``."""
+    answer = answer or _contraction(p)
+    if answer.blocks is None:
+        return None
+    tol = p.wtol if answer.decided_by.startswith("engine:") else p.vtol
+    assemble = _joint_witness if question == "joint" else _weak_witness
+    return assemble(p, answer.blocks, tol)
 
 
 # The steps in order, each a question and whether the engine answers it (else its

@@ -23,9 +23,8 @@ are checked matrix by matrix, positivity with one ``eigvalsh`` per stack,
 and the Heisenberg units of Choi matrices come from one ``einsum`` and
 their spectra from one more ``eigvalsh``. The single-matrix
 constructors call them on a stack of one; the stacked constructors
-``CPMap.from_stack``, ``Effect.from_stack`` and ``Instrument.from_stack``
-validate many matrices at once, the last an instrument's branches and
-its total as one stack. Every map's unit is checked as an effect, so
+``CPMap.from_stack`` and ``Instrument.from_stack`` validate many matrices
+at once, the second an instrument's branches and its total as one stack. Every map's unit is checked as an effect, so
 both instrument constructors accept the same branches.
 
 Choi convention: for a map ``F`` from states on the input space (side
@@ -51,6 +50,7 @@ from .matkit import (
     PositivityError,
     Tolerances,
     as_matrix,
+    bound_text,
     close,
     frob_norm,
     hermitian_part,
@@ -98,13 +98,11 @@ def _made(cls, **fields):
     return obj
 
 
-def _square_stack(mats, what: str, side: int | None = None) -> np.ndarray:
-    """The matrices as one C-ordered complex (n, side, side) array, with side > 0."""
+def _square_stack(mats, what: str, side: int) -> np.ndarray:
+    """The matrices as one C-ordered complex (n, side, side) array."""
     a = np.ascontiguousarray(mats, dtype=complex)
-    if (a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]
-            or side not in (None, a.shape[1])):
-        d = "d" if side is None else side
-        raise MatrixShapeError(f"{what} stack of shape {a.shape} is not (n, {d}, {d})")
+    if a.shape[1:] != (side, side):
+        raise MatrixShapeError(f"{what} stack of shape {a.shape} is not (n, {side}, {side})")
     return a
 
 
@@ -134,7 +132,8 @@ def _effect_stack(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     evals = np.linalg.eigvalsh(h)
     for lo, hi in zip(evals[:, 0].tolist(), evals[:, -1].tolist()):
         if not (lo >= -tol.psd_tol and hi <= 1.0 + tol.psd_tol):
-            raise EffectBoundsError(f"effect eigenvalues [{lo:.3e}, {hi:.3e}] outside [0, 1]")
+            raise EffectBoundsError(
+                f"effect eigenvalues [{bound_text(lo)}, {bound_text(hi)}] outside [0, 1]")
     return h
 
 
@@ -170,7 +169,8 @@ def _kinds(low: np.ndarray, unit_evals: np.ndarray, tol: Tolerances) -> list[str
         if not lo >= -tol.psd_tol:
             raise PositivityError(f"Choi matrix has eigenvalue {lo:.3e} < 0")
         if not evals[-1] <= 1.0 + tol.psd_tol:
-            raise TraceConditionError(f"map increases trace: ||F_H(1)|| = {evals[-1]:.6f} > 1")
+            raise TraceConditionError(
+                f"map increases trace: ||F_H(1)|| = {bound_text(evals[-1])} > 1")
         if not evals[0] >= -tol.psd_tol:
             raise EffectBoundsError(f"map's unit has eigenvalue {evals[0]:.3e} < 0")
         kinds.append("channel" if _is_unit(evals, tol) else "operation")
@@ -209,12 +209,6 @@ class Effect:
             raise MatrixShapeError("effect matrix must be square and not empty")
         vars(self)["matrix"] = _effect_stack(m[None], tol or DEFAULT_TOL)[0]
 
-    @classmethod
-    def from_stack(cls, mats, tol: Tolerances | None = None) -> list[Effect]:
-        """The effects of a (n, d, d) stack, validated as one stack."""
-        h = _effect_stack(_square_stack(mats, "effect matrix"), tol or DEFAULT_TOL)
-        return [_made(cls, matrix=m) for m in h]
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -244,11 +238,8 @@ class Observable:
 
     def effect_of(self, labels, tol: Tolerances | None = None) -> Effect:
         """Summed effect over an outcome subset, validated at ``tol``."""
-        labels = _subset(labels, self.effects)
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in labels:
-            m = m + self.effects[x].matrix
-        return Effect(m, tol)
+        return Effect(_label_sums({x: e.matrix for x, e in self.effects.items()}, [labels])[0],
+                      tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,7 +470,7 @@ def _check_trace_condition(grams: np.ndarray, tol: Tolerances) -> None:
     """Raise TraceConditionError unless every sum K^*K (one matrix, or a stack) is <= 1."""
     top = float(np.linalg.eigvalsh(hermitian_part(grams))[..., -1].max())
     if top > 1.0 + tol.psd_tol:
-        raise TraceConditionError(f"sum K^*K has eigenvalue {top:.6f} > 1")
+        raise TraceConditionError(f"sum K^*K has eigenvalue {bound_text(top)} > 1")
 
 
 def kraus_choi(ops) -> np.ndarray:

@@ -29,6 +29,7 @@ from .matkit import (
     DEFAULT_TOL,
     MatrixShapeError,
     Tolerances,
+    bound_text,
     close,
     frob_norm,
     hermitian_part,
@@ -147,7 +148,8 @@ def radon_nikodym_effect(
     gate = 10 * tol.feas_tol
     if evals[0] < -gate or evals[-1] > 1.0 + gate:
         raise NotDominatedError(
-            f"extracted operator has spectrum [{evals[0]:.3e}, {evals[-1]:.3e}] outside [0, 1]"
+            f"extracted operator has spectrum [{bound_text(evals[0])}, {bound_text(evals[-1])}]"
+            " outside [0, 1]"
         )
     clipped = np.clip(evals, 0.0, 1.0)
     return Effect((vecs * clipped) @ vecs.conj().T, tol=tol)

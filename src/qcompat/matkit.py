@@ -70,6 +70,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def bound_text(x: float) -> str:
+    """A value checked against the bounds 0 and 1, in ``.3e``, but one above 1 as its
+    excess, ``1 + 5.000e-09``, so that no rejected value reads as inside [0, 1]."""
+    return f"1 + {x - 1.0:.3e}" if x > 1.0 else f"{x:.3e}"
+
+
 def frob_norm(a: np.ndarray) -> float:
     """Frobenius norm, with ``np.linalg.norm``'s arithmetic and without its dispatch."""
     x = np.asarray(a).ravel(order="K")

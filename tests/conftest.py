@@ -1,4 +1,12 @@
-"""Shared random-object generators for the test suite."""
+"""Shared random-object generators for the test suite.
+
+The basic draws wrap the benchmark's own generators in perfbench/workloads.py,
+so that the tests and the benchmark sample one distribution.
+"""
+
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 
@@ -16,19 +24,25 @@ from qcompat.matkit import (
 )
 
 
-def rand_complex(rng, n, m=None):
-    m = n if m is None else m
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def _load_benchmark_workloads() -> types.ModuleType:
+    """perfbench/workloads.py, executed once from its source, so that no byte code is
+    written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    wl = types.ModuleType("perfbench_workloads")
+    sys.modules[wl.__name__] = wl  # its dataclass looks itself up there
+    exec(compile(path.read_text(), str(path), "exec"), wl.__dict__)
+    return wl
+
+
+benchmark_workloads = _load_benchmark_workloads()
+rand_complex = benchmark_workloads.rand_complex
+rand_psd = benchmark_workloads.rand_psd
+haar_unitary = benchmark_workloads.haar_unitary
 
 
 def rand_herm(rng, n):
     a = rand_complex(rng, n)
     return (a + a.conj().T) / 2
-
-
-def rand_psd(rng, n):
-    a = rand_complex(rng, n)
-    return a @ a.conj().T
 
 
 def rand_state(rng, n):
@@ -37,18 +51,12 @@ def rand_state(rng, n):
 
 
 def rand_effect(rng, n):
-    h = rand_psd(rng, n)
-    top = np.linalg.eigvalsh(h)[-1]
-    return Effect(h / (top * (1.0 + rng.uniform(0.05, 1.0))))
+    return Effect(benchmark_workloads.rand_effect_matrix(rng, n))
 
 
 def rand_kraus(rng, din, dout, n_ops, scale=1.0):
     """Kraus set with sum K^*K = scale^2 * I (a channel at scale 1)."""
-    ops = [rand_complex(rng, dout, din) for _ in range(n_ops)]
-    gram = sum(k.conj().T @ k for k in ops)
-    evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-    inv_root = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    return KrausSet(tuple(scale * k @ inv_root for k in ops))
+    return KrausSet(tuple(benchmark_workloads.rand_kraus_ops(rng, din, dout, n_ops, scale)))
 
 
 def rand_cpmap(rng, din=2, dout=2, n_ops=2, channel=False):
@@ -57,16 +65,9 @@ def rand_cpmap(rng, din=2, dout=2, n_ops=2, channel=False):
 
 
 def rand_observable(rng, dim, n_out):
-    """Observable from normalized random PSD pieces."""
-    pieces = [rand_psd(rng, dim) for _ in range(n_out)]
-    total = sum(pieces)
-    evals, evecs = np.linalg.eigh((total + total.conj().T) / 2)
-    inv_root = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    labels = tuple(str(i) for i in range(n_out))
-    effects = {
-        lab: Effect(inv_root @ p @ inv_root) for lab, p in zip(labels, pieces)
-    }
-    return Observable(labels, effects)
+    """Observable from normalized random PSD pieces, labelled "0", "1", ..."""
+    wl = benchmark_workloads
+    return wl.observable(wl.rand_observable_matrices(rng, dim, n_out))
 
 
 def rand_instrument(rng, din=2, dout=2, n_out=2, ops_per_branch=1):
@@ -109,12 +110,6 @@ def below_common_channel(rng):
     v = 1.0 / np.sqrt(1.0 + abs(ratio) ** 2)
     k2 = -np.conj(v) * r1 + np.conj(ratio * v) * k1
     return choi_from_kraus(KrausSet((k1,))), choi_from_kraus(KrausSet((k2,)))
-
-
-def haar_unitary(rng, d):
-    """A Haar-random d x d unitary: the QR of a Ginibre matrix, phases fixed."""
-    q, r = np.linalg.qr(rand_complex(rng, d))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def conjugate(device, u):

@@ -116,6 +116,19 @@ def test_validate_rejects_bad_effect(tmp_path, capsys):
     assert "outside [0, 1]" in err
 
 
+def test_validate_prints_an_eigenvalue_just_above_one_as_its_excess(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "devices": [{
+            "name": "bad", "type": "effect", "dims": {"in": 2},
+            "payload": {"matrix": jmat(np.diag([1 + 5e-9, 0.2]))},
+        }]
+    }))
+    code, _, err = run_cli(["validate", str(bad)], capsys)
+    assert code == 2
+    assert "effect eigenvalues [2.000e-01, 1 + 5.000e-09] outside [0, 1]" in err
+
+
 def _write(tmp_path, devices) -> str:
     path = tmp_path / "devices.json"
     path.write_text(json.dumps({"devices": devices}))

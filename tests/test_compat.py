@@ -1,5 +1,5 @@
+import ast
 import dataclasses
-import sys
 import types
 from pathlib import Path
 
@@ -42,6 +42,7 @@ from qcompat.fixtures import (
 
 from conftest import (
     below_common_channel,
+    benchmark_workloads,
     conjugate,
     fourier_jointly_measurable,
     haar_unitary,
@@ -765,9 +766,54 @@ def test_answers_name_what_decided_them():
     assert cp._fast(p, "joint", False) is None
     engine = cp._engine(p, "joint", None)
     assert engine.value == "yes" and engine.decided_by.removeprefix("engine:") in fs.EXITS
-    # the engine's witness is assembled only when a relation reads it
-    assert engine.witness is None and engine.outcome.verdict == "feasible"
-    assert cp._witness(p, "joint", engine).instrument_1 is not None
+    # both yes answers carry one block per outcome pair, which only _witness
+    # assembles, at the scale of what decided them
+    assert not hasattr(engine, "witness") and not hasattr(engine, "outcome")
+    for answer in (fast, engine):
+        assert list(answer.blocks) == [(x, y) for x in p.t1 for y in p.t2]
+        assert cp._witness(p, "joint", answer).instrument_1 is not None
+    no = cp._fast(_pair(effect(PX), effect(PZ), Tolerances()), "joint", True)
+    assert (no.value, no.decided_by, no.blocks) == ("no", "projection-commutation", None)
+
+
+def test_witness_is_the_one_function_that_assembles_witnesses():
+    # every witness comes from a yes answer's blocks, in one place
+    callers = set()
+    for path in sorted(Path(cp.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(fn)}
+                if names & {"_joint_witness", "_weak_witness"}:
+                    callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"compat._witness"}
+
+
+def test_a_fast_yes_builds_no_instrument_until_its_witness_is_read(monkeypatch):
+    built = []
+    stacked = Instrument.from_stack.__func__
+
+    def recorded(cls, *args):
+        built.append(stacked(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(Instrument, "from_stack", classmethod(recorded))
+    monkeypatch.setattr(Instrument, "__post_init__", lambda *args: built.append(args))
+    devices = list(DEV.values()) + list(below_common_channel(np.random.default_rng(100)))
+    kind = {id(d): cp._ORDER.index(dv.instrument_parts(d).kind) for d in devices}
+    yes = []
+    for d1, d2 in ((d1, d2) for d1 in devices for d2 in devices if kind[id(d1)] <= kind[id(d2)]):
+        p = _pair(d1, d2, cp.DEFAULT_TOL)
+        for question in ("joint", "weak"):
+            answer = cp._fast(p, question, True)
+            if answer is not None and answer.value == "yes":
+                yes.append((p, question, answer))
+    assert built == []
+    assert {a.decided_by for _, _, a in yes} == {
+        "commuting", "sum-below-identity", "comparable", "cp-order", "equal-channels",
+        "total-channel", "contraction", "shared-total", "rank1-family"}
+    for p, question, answer in yes:
+        w = cp._witness(p, question, answer)
+        assert w.instrument_1 is built[-1 if question == "joint" else -2]
 
 
 def test_weak_problem_has_only_the_devices_own_blocks():
@@ -2071,26 +2117,12 @@ def test_qutrit_tail_relations_are_covariant_and_never_fall_under_parts():
 
 
 @pytest.mark.parametrize("name", ["fastpath-mix", "pure-opop", "engine-tail"])
-def test_fast_paths_agree_with_engine_on_benchmark_workloads(name, monkeypatch):
+def test_fast_paths_agree_with_engine_on_benchmark_workloads(name):
     # one round of each benchmark workload at the seed its figures are quoted
-    # for; perfbench/workloads.py runs from its source, so nothing is written
-    # next to it
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    wl = types.ModuleType("perfbench_workloads")
-    monkeypatch.setitem(sys.modules, wl.__name__, wl)  # its dataclass looks itself up there
-    exec(compile(path.read_text(), str(path), "exec"), wl.__dict__)
-    for pair in wl.WORKLOADS[name](90210):
+    # for, from the workloads module that conftest runs from its source
+    for pair in benchmark_workloads.WORKLOADS[name](90210):
         relation = _both_routes(pair.d1, pair.d2).relation
         assert pair.expected is None or relation in pair.expected, pair.pid
-
-
-def _benchmark_workloads(monkeypatch):
-    """perfbench/workloads.py, executed from its source so that nothing is written next to it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    wl = types.ModuleType("perfbench_workloads")
-    monkeypatch.setitem(sys.modules, wl.__name__, wl)  # its dataclass looks itself up there
-    exec(compile(path.read_text(), str(path), "exec"), wl.__dict__)
-    return wl
 
 
 def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
@@ -2105,7 +2137,7 @@ def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
         return out
 
     monkeypatch.setattr(Instrument, "from_stack", classmethod(recorded))
-    wl = _benchmark_workloads(monkeypatch)
+    wl = benchmark_workloads
     calls = [(p.d1, p.d2, fast) for p in wl.fastpath_mix(90210) for fast in (True, False)]
     calls += [(p.d1, p.d2, p.fast_paths) for p in wl.engine_tail(90210, 0)]
     verdicts = [cp.classify(d1, d2, fast_paths=fast) for d1, d2, fast in calls]
@@ -2487,12 +2519,12 @@ def test_tampered_classical_joint_observable_is_rejected():
 def test_tampered_weak_witness_is_rejected(case, error):
     p, blocks = _tampered_weak(case)
     if error is None:
-        w = cp._weak_witness(p, blocks, None, p.wtol)
+        w = cp._weak_witness(p, blocks, p.wtol)
         assert w.instrument_1 is not w.instrument_2
         assert w.pointer_1.preimage("+") == ("+",)
         return
     with pytest.raises(error):
-        cp._weak_witness(p, blocks, None, p.wtol)
+        cp._weak_witness(p, blocks, p.wtol)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from qcompat import devices as dv
 from qcompat import dilation as dl
 from qcompat.devices import CPMap, Instrument, KrausSet, choi_from_kraus
 from qcompat.fixtures import I2, PMX, PX, PZ, luders_of
-from qcompat.matkit import MatrixShapeError
+from qcompat.matkit import MatrixShapeError, Tolerances
 
 from conftest import hermitian_basis, rand_cpmap, rand_herm, rand_state
 
@@ -182,6 +182,33 @@ def test_rn_observable_total_mismatch():
     ins = Instrument(("0",), {"0": other})
     with pytest.raises(dl.TotalMismatchError):
         dl.rn_observable(dil, ins)
+
+
+def _pure_dilation_and_kernel():
+    """The one-Kraus dilation of diag(1, 0.6), its Choi matrix J and a kernel vector v
+    of J, read at psd_tol 1e-3."""
+    j = choi_from_kraus([np.diag([1.0, 0.6])])
+    v = np.linalg.eigh(j.choi)[1][:, 0]
+    return dl.minimal_stinespring(j), j.choi, v, Tolerances(psd_tol=1e-3)
+
+
+def test_radon_nikodym_refuses_a_map_outside_the_dilation_range():
+    # 0.5 J + 5e-4 vv* sits below J at psd_tol 1e-3, but no ancilla effect
+    # reaches the kernel of J
+    dil, j, v, tol = _pure_dilation_and_kernel()
+    f = CPMap(2, 2, 0.5 * j + 5e-4 * np.outer(v, v.conj()), tol=tol)
+    with pytest.raises(dl.NotDominatedError, match=r"reproduces the map \(residual 5.000e-04\)"):
+        dl.radon_nikodym_effect(dil, f, tol)
+
+
+def test_radon_nikodym_refuses_an_effect_above_one_and_prints_its_excess():
+    # (1 + 1e-4) J sits below J at psd_tol 1e-3; its effect 1 + 1e-4 is above
+    # the spectrum gate 1 + 10 feas_tol, and to four digits would read as 1
+    dil, j, _, tol = _pure_dilation_and_kernel()
+    with pytest.raises(dl.NotDominatedError) as info:
+        dl.radon_nikodym_effect(dil, CPMap(2, 2, (1 + 1e-4) * j, tol=tol), tol)
+    assert str(info.value) == \
+        "extracted operator has spectrum [1 + 1.000e-04, 1 + 1.000e-04] outside [0, 1]"
 
 
 def test_ancilla_maps_refuse_the_wrong_sides():
