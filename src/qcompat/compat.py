@@ -33,10 +33,13 @@ filled in an unasked one and the weak one of a compatible pair. A kind
 pair lists only fast paths that decide pairs no other path of its row
 decides. Every trace-preserving map is a channel here, whatever it was
 declared.
-Positive verdicts carry a witness, re-validated and checked before it is
-returned. Without fast paths the engine decides every question, so that
-it can be cross-checked against them and against independent oracles;
-the implications hold on both routes, since they are theorems.
+A yes answer, from a fast path or the engine, carries only its witness's
+blocks; :func:`_witness` is the one function that assembles them into a
+:class:`Witness`, re-validated and checked, and only for the answer the
+relation reads, so every positive verdict carries a witness. Without fast
+paths the engine decides every question, so that it can be cross-checked
+against them and against independent oracles; the implications hold on
+both routes, since they are theorems.
 """
 
 from __future__ import annotations
@@ -539,12 +542,14 @@ def _fast(p: _Pair, question: str, fast_paths: bool) -> Answer | None:
 
 def _engine(p: _Pair, question: str, trace) -> Answer:
     """The engine on the problem that the question's builder encodes from the pair's
-    records; a feasible outcome is assembled later, by :func:`_witness`. The
-    builder is looked up by its module name, where perfbench/tracer.py wraps it."""
+    records. A feasible outcome's blocks, keyed as a fast path keys them, are
+    assembled later, by :func:`_witness`. The builder is looked up by its module
+    name, where perfbench/tracer.py wraps it."""
     builder = joint_problem if question == "joint" else weak_problem
     out = fs.solve(builder(p.r1, p.r2), p.tol, trace=trace)
-    by, x = f"engine:{out.exit}", out.witness
+    by = f"engine:{out.exit}"
     if out.verdict == "feasible":
+        x = out.witness
         if question == "joint":
             blocks = {xy: x[f"g{n}"] for n, xy in enumerate((a, b) for a in p.t1 for b in p.t2)}
         else:

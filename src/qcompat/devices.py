@@ -24,8 +24,9 @@ and the Heisenberg units of Choi matrices come from one ``einsum`` and
 their spectra from one more ``eigvalsh``. The single-matrix
 constructors call them on a stack of one; the stacked constructors
 ``CPMap.from_stack`` and ``Instrument.from_stack`` validate many matrices
-at once, the second an instrument's branches and its total as one stack. Every map's unit is checked as an effect, so
-both instrument constructors accept the same branches.
+at once, the second an instrument's branches and its total as one stack.
+Every map's unit is checked as an effect, so both instrument constructors
+accept the same branches.
 
 Choi convention: for a map ``F`` from states on the input space (side
 ``dim_in``) to states on the output space (side ``dim_out``),
