@@ -248,7 +248,7 @@ def weak_problem(d1, d2) -> fs.FeasibilityProblem:
 
 class _Pair:
     """A device pair in canonical order with each device's record, as fast paths and
-    assemblers see it."""
+    :func:`_witness` see it."""
 
     def __init__(self, d1, d2, r1, r2, tol: Tolerances):
         self.d1, self.d2, self.r1, self.r2, self.tol = d1, d2, r1, r2, tol
@@ -304,41 +304,6 @@ def _measure(p: _Pair, c: np.ndarray) -> np.ndarray:
     The lift coerces and checks nothing: ``Instrument.from_stack`` checks the
     whole stack, and numpy casts the real state to complex before it multiplies."""
     return c if c.shape[0] == p.din * p.dout else kron_unchecked(c, p.prepared)
-
-
-def _joint_witness(p: _Pair, blocks: dict, vtol: Tolerances) -> Witness:
-    """Joint instrument from one block per outcome pair, re-validated as one stack and
-    then checked against both devices' records (:func:`check_witness`).
-
-    Blocks are Choi matrices on the pair's output, or an effect's G^T of
-    side ``din``, which :func:`_measure` lifts.
-    """
-    labels = {xy: f"{xy[0]}&{xy[1]}" for xy in blocks}
-    mats = {labels[xy]: _measure(p, m) for xy, m in blocks.items()}
-    ins = Instrument.from_stack(tuple(mats), mats, p.din, p.dout, vtol)
-    (s1, q1), (s2, q2) = (_carve(r, {labels[xy]: xy[i] for xy in blocks})
-                          for i, r in enumerate((p.r1, p.r2)))
-    w = Witness(ins, ins, total_channel(ins, vtol), s1, s2, q1, q2)
-    check_witness(p.r1, p.r2, w, vtol)
-    return w
-
-
-def _weak_witness(p: _Pair, blocks: dict, vtol: Tolerances) -> Witness:
-    """Two instruments, each re-validated as one stack, then checked against both
-    devices and the first one's total (:func:`check_witness`).
-
-    Device i keeps its own outcomes: each is its block ``blocks[i, x]``, or its
-    target when that has the witness's side.
-    """
-    instruments, carved = [], []
-    for i, r in enumerate((p.r1, p.r2)):
-        choi = {x: blocks.get((i, x), t) for x, t in r.targets.items()}
-        instruments.append(Instrument.from_stack(tuple(r.targets), choi, p.din, p.dout, vtol))
-        carved.append(_carve(r, {x: x for x in r.targets}))
-    (i1, i2), ((s1, q1), (s2, q2)) = instruments, carved
-    w = Witness(i1, i2, total_channel(i1, vtol), s1, s2, q1, q2)
-    check_witness(p.r1, p.r2, w, vtol)
-    return w
 
 
 def _contraction(p: _Pair) -> Answer:
@@ -402,9 +367,9 @@ def _sum_below_identity(p: _Pair):
     """Effects or operations that fit side by side below the identity."""
     gram = sum(d.matrix if k == "effect" else d.heisenberg_unit()
                for d, k in zip((p.d1, p.d2), p.kinds))
-    if float(np.linalg.eigvalsh(hermitian_part(gram))[-1]) > 1.0 + p.tol.psd_tol:
+    if float(np.linalg.eigvalsh(gram)[-1]) > 1.0 + p.tol.psd_tol:
         return None
-    leftover = hermitian_part(np.eye(p.din) - gram)
+    leftover = np.eye(p.din) - gram
     blocks = {("1", "0"): p.t1["1"], ("0", "1"): p.t2["1"], ("0", "0"): leftover.T}
     return _yes("sum-below-identity", blocks)
 
@@ -421,8 +386,8 @@ def _comparable(p: _Pair):
     """Comparable operations: the smaller one, the difference, a completion."""
     for lo, hi, split in ((p.d1, p.d2, ("0", "1")), (p.d2, p.d1, ("1", "0"))):
         if cp_leq(lo, hi, p.tol):
-            leftover = hermitian_part(np.eye(p.din) - hi.heisenberg_unit())
-            blocks = {("1", "1"): lo.choi, split: hermitian_part(hi.choi - lo.choi),
+            leftover = np.eye(p.din) - hi.heisenberg_unit()
+            blocks = {("1", "1"): lo.choi, split: hi.choi - lo.choi,
                       ("0", "0"): leftover.T}
             return _yes("comparable", blocks)
     return None
@@ -441,7 +406,7 @@ def _cp_order(p: _Pair):
     lam, f = p.d1, p.d2
     if not cp_leq(f, lam, p.tol):
         return _no("cp-order")
-    blocks = {("1", "1"): f.choi, ("1", "0"): hermitian_part(lam.choi - f.choi)}
+    blocks = {("1", "1"): f.choi, ("1", "0"): lam.choi - f.choi}
     return _yes("cp-order", blocks)
 
 
@@ -564,14 +529,36 @@ def _engine(p: _Pair, question: str, trace) -> Answer:
 def _witness(p: _Pair, question: str, answer: Answer | None) -> Witness | None:
     """The one assembly of a witness, from a yes answer's blocks, when a relation
     reads it; the unasked weak answer of a classical pair is the contraction's.
-    An engine's blocks meet the rows to feas_tol, so they are checked at
-    ``p.wtol``, and a fast path's at ``p.vtol``."""
+
+    The blocks become one Choi stack per distinct instrument and one owner
+    map per device. A joint answer has one stack, labelled ``x&y`` and
+    lifted by :func:`_measure`, whose labels go to outcome x of device 1
+    and y of device 2; it is both instruments. A weak answer has one stack
+    per device, on the device's own outcomes: each is its block
+    ``blocks[i, x]``, or its target when that has the witness's side. Each
+    stack is validated as one ``Instrument.from_stack``, the first one's
+    total is the common channel, and :func:`check_witness` binds the
+    devices to them. An engine's blocks meet the rows to feas_tol, so they
+    are checked at ``p.wtol``, and a fast path's at ``p.vtol``.
+    """
     answer = answer or _contraction(p)
     if answer.blocks is None:
         return None
+    blocks = answer.blocks
     tol = p.wtol if answer.decided_by.startswith("engine:") else p.vtol
-    assemble = _joint_witness if question == "joint" else _weak_witness
-    return assemble(p, answer.blocks, tol)
+    if question == "joint":
+        labels = [f"{x}&{y}" for x, y in blocks]
+        stacks = [{lab: _measure(p, m) for lab, m in zip(labels, blocks.values())}]
+        owners = [dict(zip(labels, outcomes)) for outcomes in zip(*blocks)]
+    else:
+        stacks = [{x: blocks.get((i, x), t) for x, t in r.targets.items()}
+                  for i, r in enumerate((p.r1, p.r2))]
+        owners = [dict(zip(p.t1, p.t1)), dict(zip(p.t2, p.t2))]
+    built = [Instrument.from_stack(stack, p.din, p.dout, tol) for stack in stacks]
+    (s1, q1), (s2, q2) = map(_carve, (p.r1, p.r2), owners)
+    w = Witness(built[0], built[-1], total_channel(built[0], tol), s1, s2, q1, q2)
+    check_witness(p.r1, p.r2, w, tol)
+    return w
 
 
 # The steps in order, each a question and whether the engine answers it (else its

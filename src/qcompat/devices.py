@@ -28,6 +28,13 @@ at once, the second an instrument's branches and its total as one stack.
 Every map's unit is checked as an effect, so both instrument constructors
 accept the same branches.
 
+Every matrix that validation hands out is exactly Hermitian, entry for
+entry: ``Effect.matrix``, ``CPMap.choi``, ``heisenberg_unit()``, the
+branches of both instrument constructors and every ``instrument_parts``
+target. Their sums and differences are too, so the package takes no
+``hermitian_part`` of them; a product, an ``einsum`` or outside input
+still needs one.
+
 Choi convention: for a map ``F`` from states on the input space (side
 ``dim_in``) to states on the output space (side ``dim_out``),
 
@@ -318,10 +325,10 @@ class Instrument:
         vars(self).update(outcomes=outcomes, _total=(tol, channel))
 
     @classmethod
-    def from_stack(cls, outcomes, chois: dict, dim_in: int, dim_out: int,
+    def from_stack(cls, chois: dict, dim_in: int, dim_out: int,
                    tol: Tolerances | None = None) -> Instrument:
         """The instrument whose branch x has the raw Choi matrix ``chois[x]``, validated
-        as one stack.
+        as one stack; its outcomes are the keys of ``chois``, in order.
 
         The total is, as for an instrument of CPMaps, the sum in outcome
         order of the branches' Hermitian parts. The stack of the branches
@@ -329,9 +336,8 @@ class Instrument:
         then the total as a channel.
         """
         tol = tol or DEFAULT_TOL
-        outcomes = _outcome_labels(outcomes, chois, "branch")
-        j = _square_stack([chois[x] for x in outcomes], "Choi matrix",
-                          side_product(dim_in, dim_out))
+        outcomes = _outcome_labels(chois, chois, "branch")
+        j = _square_stack(list(chois.values()), "Choi matrix", side_product(dim_in, dim_out))
         h = _hermitian_stack(j, tol, "Choi matrix")
         # the total of Hermitian parts is Hermitian, entry for entry
         branches, channel = _with_total(np.concatenate([h, sum(h)[None]]), dim_in, dim_out, tol)
@@ -444,11 +450,8 @@ class PointerMap:
     codomain: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        images = []
-        for v in self.mapping.values():
-            if v not in images:
-                images.append(v)
-        cod = tuple(self.codomain) if self.codomain else tuple(images)
+        images = tuple(dict.fromkeys(self.mapping.values()))
+        cod = tuple(self.codomain) if self.codomain else images
         if not set(images) <= set(cod):
             raise OutcomeError("mapping image is not contained in the codomain")
         object.__setattr__(self, "codomain", cod)
@@ -616,8 +619,7 @@ def relabel(ins: Instrument, f: PointerMap, tol: Tolerances = DEFAULT_TOL) -> In
     chois = {x: m.choi for x, m in ins.branches.items()}
     # mapping labels that are not outcomes add nothing
     sums = _label_sums(chois, [[x for x in f.preimage(y) if x in chois] for y in f.codomain])
-    return Instrument.from_stack(f.codomain, dict(zip(f.codomain, sums)), ins.dim_in,
-                                 ins.dim_out, tol)
+    return Instrument.from_stack(dict(zip(f.codomain, sums)), ins.dim_in, ins.dim_out, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -731,7 +733,7 @@ def is_part_of(device, ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
 
     def rec(k: int, sums: dict, y: str | None) -> bool:
         if y in fixed:
-            gap = hermitian_part(fixed[y] - sums[y])
+            gap = fixed[y] - sums[y]
             if float(np.linalg.eigvalsh(gap)[0]) < floor:
                 return False
         if k == len(src):
@@ -805,7 +807,7 @@ def canonical_instrument(
             raise MatrixShapeError("anchor state must live on the output space")
         dout = rho0.shape[0]
         chois = {x: kron(t, rho0) if t.shape[0] == din else t for x, t in chois.items()}
-    return Instrument.from_stack(tuple(chois), chois, din, dout, tol)
+    return Instrument.from_stack(chois, din, dout, tol)
 
 
 def luders(a: Effect, tol: Tolerances = DEFAULT_TOL) -> CPMap:

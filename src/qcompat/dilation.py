@@ -97,7 +97,7 @@ def minimal_stinespring(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> StinespringD
     if not close(m.choi, w @ w.conj().T, tol):
         raise AssertionError("dilation does not reproduce the map")
     v_norm_sq = float(np.linalg.norm(v, ord=2) ** 2)
-    hu_norm = float(np.linalg.eigvalsh(hermitian_part(m.heisenberg_unit()))[-1])
+    hu_norm = float(np.linalg.eigvalsh(m.heisenberg_unit())[-1])
     if abs(v_norm_sq - hu_norm) > 1e-8 * (1.0 + hu_norm):
         raise AssertionError("dilation norm identity failed")
     return dil

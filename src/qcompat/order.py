@@ -39,8 +39,7 @@ def _same_dims(a: CPMap, b: CPMap) -> None:
 def cp_leq(a: CPMap, b: CPMap, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether b - a is itself an operation (completely positive)."""
     _same_dims(a, b)
-    diff = hermitian_part(b.choi - a.choi)
-    return bool(np.linalg.eigvalsh(diff)[0] >= -tol.psd_tol)
+    return bool(np.linalg.eigvalsh(b.choi - a.choi)[0] >= -tol.psd_tol)
 
 
 def comparable(a: CPMap, b: CPMap, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -49,7 +48,7 @@ def comparable(a: CPMap, b: CPMap, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def choi_rank(m: CPMap, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of Choi eigenvalues above psd_tol * trace (scale-aware rank)."""
-    evals = np.linalg.eigvalsh(hermitian_part(m.choi))
+    evals = np.linalg.eigvalsh(m.choi)
     thr = tol.psd_tol * max(float(np.trace(m.choi).real), 0.0)
     return int(np.sum(evals > thr))
 
@@ -72,13 +71,13 @@ def pure_pair_compatible(a: CPMap, b: CPMap, tol: Tolerances = DEFAULT_TOL) -> b
     if comparable(a, b, tol):
         return True
     gram = a.heisenberg_unit() + b.heisenberg_unit()
-    top = float(np.linalg.eigvalsh(hermitian_part(gram))[-1])
+    top = float(np.linalg.eigvalsh(gram)[-1])
     return top <= 1.0 + tol.psd_tol
 
 
 def trace_deficit(m: CPMap) -> np.ndarray:
     """The effect 1 - F_H(1) measuring how far the map is from a channel."""
-    return hermitian_part(np.eye(m.dim_in) - m.heisenberg_unit())
+    return np.eye(m.dim_in) - m.heisenberg_unit()
 
 
 def _deficit_vector(phi: CPMap, tol: Tolerances) -> np.ndarray | None:

@@ -603,14 +603,20 @@ def test_a_trace_preserving_map_is_classified_as_the_channel_it_is():
 
 
 def _record_questions(monkeypatch) -> list[str]:
-    """Record, in order, each problem built and each weak witness assembled."""
+    """Record, in order, each problem built and each witness assembled, by question."""
     calls = []
-    for name in ("joint_problem", "weak_problem", "_weak_witness"):
+    for name in ("joint_problem", "weak_problem"):
         def counting(*args, name=name, orig=getattr(cp, name)):
             calls.append(name)
             return orig(*args)
 
         monkeypatch.setattr(cp, name, counting)
+
+    def assembling(p, question, answer, orig=cp._witness):
+        calls.append(f"{question} witness")
+        return orig(p, question, answer)
+
+    monkeypatch.setattr(cp, "_witness", assembling)
     return calls
 
 
@@ -658,20 +664,22 @@ def test_classify_reads_each_device_once(monkeypatch, n1, n2, fast_paths):
 
 
 @pytest.mark.parametrize("n1, n2, relation, asked", [
-    # quantum pairs: the weak question first; a compatible pair assembles no
-    # weak witness, and only a weakly compatible one does
-    ("luders_px", "half_luders_px", "compatible", ["weak_problem", "joint_problem"]),
-    ("luders_pz", "pz", "compatible", ["weak_problem", "joint_problem"]),
+    # quantum pairs: the weak question first; a compatible pair assembles only
+    # its joint witness, a weakly compatible one only its weak witness, and a
+    # strongly incompatible one none
+    ("luders_px", "half_luders_px", "compatible",
+     ["weak_problem", "joint_problem", "joint witness"]),
+    ("luders_pz", "pz", "compatible", ["weak_problem", "joint_problem", "joint witness"]),
     ("luders_px", "half_sigma_x", "weakly_compatible_only",
-     ["weak_problem", "joint_problem", "_weak_witness"]),
+     ["weak_problem", "joint_problem", "weak witness"]),
     ("luders_pz", "px", "weakly_compatible_only",
-     ["weak_problem", "joint_problem", "_weak_witness"]),
+     ["weak_problem", "joint_problem", "weak witness"]),
     ("luders_biased_z", "px", "strongly_incompatible", ["weak_problem"]),
     # classical and channel pairs: only the joint question
-    ("px", "pz", "weakly_compatible_only", ["joint_problem", "_weak_witness"]),
-    ("half_identity", "pz", "compatible", ["joint_problem"]),
+    ("px", "pz", "weakly_compatible_only", ["joint_problem", "weak witness"]),
+    ("half_identity", "pz", "compatible", ["joint_problem", "joint witness"]),
     ("px_dephasing", "pz", "strongly_incompatible", ["joint_problem"]),
-    ("px_dephasing", "px", "compatible", ["joint_problem"]),
+    ("px_dephasing", "px", "compatible", ["joint_problem", "joint witness"]),
 ])
 def test_classify_asks_its_questions_in_order(monkeypatch, n1, n2, relation, asked):
     calls = _record_questions(monkeypatch)
@@ -777,15 +785,16 @@ def test_answers_name_what_decided_them():
 
 
 def test_witness_is_the_one_function_that_assembles_witnesses():
-    # every witness comes from a yes answer's blocks, in one place
-    callers = set()
-    for path in sorted(Path(cp.__file__).parent.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, ast.FunctionDef):
-                names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(fn)}
-                if names & {"_joint_witness", "_weak_witness"}:
-                    callers.add(f"{path.stem}.{fn.name}")
-    assert callers == {"compat._witness"}
+    # every witness comes from a yes answer's blocks, in one place: no other
+    # function body in compat names Instrument (annotations are not read)
+    builders = set()
+    for fn in ast.walk(ast.parse(Path(cp.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     for stmt in fn.body for n in ast.walk(stmt)}
+            if "Instrument" in names:
+                builders.add(fn.name)
+    assert builders == {"_witness"}
 
 
 def test_a_fast_yes_builds_no_instrument_until_its_witness_is_read(monkeypatch):
@@ -2131,8 +2140,8 @@ def test_witness_instruments_match_the_per_matrix_constructors(monkeypatch):
     built = []
     stacked = Instrument.from_stack.__func__
 
-    def recorded(cls, outcomes, chois, dim_in, dim_out, tol=None):
-        out = stacked(cls, outcomes, chois, dim_in, dim_out, tol)
+    def recorded(cls, chois, dim_in, dim_out, tol=None):
+        out = stacked(cls, chois, dim_in, dim_out, tol)
         built.append((dict(chois), tol, out))
         return out
 
@@ -2349,7 +2358,7 @@ def _moved(d1, d2, w):
     chois = {y: m.choi for y, m in w.instrument_1.branches.items()}
     chois[x] = chois[x] * (1 + step / np.linalg.norm(chois[x]))
     loose = Tolerances(eq_tol=1e-3, psd_tol=1e-3, feas_tol=1e-3)
-    ins = Instrument.from_stack(w.instrument_1.outcomes, chois, 2, 2, loose)
+    ins = Instrument.from_stack(chois, 2, 2, loose)
     return d1, d2, dataclasses.replace(w, instrument_1=ins, instrument_2=ins)
 
 
@@ -2478,6 +2487,11 @@ def _tampered_weak(case):
     return p, blocks
 
 
+def _engine_witness(p, question, blocks):
+    """The witness :func:`compat._witness` assembles from an engine's yes with these blocks."""
+    return cp._witness(p, question, cp.Answer("yes", "engine:path", blocks))
+
+
 @pytest.mark.parametrize("case, error", [
     (None, None),
     ("negative-branch", PositivityError),
@@ -2488,11 +2502,11 @@ def _tampered_weak(case):
 def test_tampered_joint_witness_is_rejected(case, error):
     p, blocks = _tampered_joint(case)
     if error is None:
-        w = cp._joint_witness(p, blocks, p.wtol)
+        w = _engine_witness(p, "joint", blocks)
         assert w.instrument_1 is w.instrument_2 and w.pointer_2.preimage("+") == ("1&+",)
         return
     with pytest.raises(error):
-        cp._joint_witness(p, blocks, p.wtol)
+        _engine_witness(p, "joint", blocks)
 
 
 def test_tampered_classical_joint_observable_is_rejected():
@@ -2501,11 +2515,11 @@ def test_tampered_classical_joint_observable_is_rejected():
     # unit, that effect, by 1 at the same threshold
     p = _pair(effect(PZ), effect(I2 / 2), cp.DEFAULT_TOL)
     blocks = {("1", "1"): PZ / 2, ("1", "0"): PZ / 2, ("0", "1"): PMZ / 2, ("0", "0"): PMZ / 2}
-    w = cp._joint_witness(p, blocks, p.wtol)
+    w = _engine_witness(p, "joint", blocks)
     assert w.instrument_1 is w.instrument_2
     blocks["1", "1"] = (1 + 1e-4) * PZ
     with pytest.raises(dv.TraceConditionError):
-        cp._joint_witness(p, blocks, p.wtol)
+        _engine_witness(p, "joint", blocks)
 
 
 @pytest.mark.parametrize("case, error", [
@@ -2519,12 +2533,12 @@ def test_tampered_classical_joint_observable_is_rejected():
 def test_tampered_weak_witness_is_rejected(case, error):
     p, blocks = _tampered_weak(case)
     if error is None:
-        w = cp._weak_witness(p, blocks, p.wtol)
+        w = _engine_witness(p, "weak", blocks)
         assert w.instrument_1 is not w.instrument_2
         assert w.pointer_1.preimage("+") == ("+",)
         return
     with pytest.raises(error):
-        cp._weak_witness(p, blocks, p.wtol)
+        _engine_witness(p, "weak", blocks)
 
 
 # ---------------------------------------------------------------------------

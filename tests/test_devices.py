@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from qcompat import devices as dv
 from qcompat import matkit as mk
 from qcompat import memo as mm
-from qcompat.fixtures import I2, PMX, PMZ, PX, PZ, SX, SY, SZ, effect, luders_of, sharp_observable
+from qcompat.fixtures import (
+    I2, PMX, PMZ, PX, PZ, SX, SY, SZ, builtin_devices, effect, luders_of, sharp_observable,
+)
 
 from conftest import (
     hermitian_basis,
@@ -90,7 +92,7 @@ def test_a_repeated_label_is_rejected_not_counted_twice():
     lambda: dv.CPMap(2.0, 2, np.eye(4)),
     lambda: dv.CPMap.from_stack(1, 0, np.zeros((1, 0, 0))),
     lambda: dv.CPMap.from_stack(-1, -4, np.eye(4)[None]),
-    lambda: dv.Instrument.from_stack(("a",), {"a": np.eye(4)}, -1, -4),
+    lambda: dv.Instrument.from_stack({"a": np.eye(4)}, -1, -4),
     lambda: dv.KrausSet((np.zeros((0, 0)),)),
 ], ids=["effect-0", "map-side-0", "map-negative-sides", "map-float-side",
         "map-stack-side-0", "map-stack-negative-sides", "instrument-negative-sides",
@@ -184,7 +186,7 @@ def test_a_map_is_a_channel_exactly_when_it_preserves_trace():
             branch = "channel" if len(chois) == 1 else "operation"
             maps = {x: dv.CPMap(2, 2, c) for x, c in chois.items()}
             for ins in (dv.Instrument(tuple(chois), maps),
-                        dv.Instrument.from_stack(tuple(chois), chois, 2, 2)):
+                        dv.Instrument.from_stack(chois, 2, 2)):
                 assert [ins.branches[x].kind for x in ins.outcomes] == [branch] * len(chois)
                 assert dv.total_channel(ins).kind == "channel"
                 assert ins.branch_sum(ins.outcomes).kind == "channel"
@@ -270,7 +272,7 @@ def test_stacked_maps_reject_what_one_map_rejects(case, error):
     assert _raised(lambda: dv.CPMap(2, 2, bad)) is error
     assert _raised(lambda: dv.CPMap.from_stack(2, 2, good + [bad])) is error
     chois = dict(zip(labels, good + [bad]))
-    assert _raised(lambda: dv.Instrument.from_stack(labels, chois, 2, 2)) is error
+    assert _raised(lambda: dv.Instrument.from_stack(chois, 2, 2)) is error
 
 
 @pytest.mark.parametrize("case, error", [
@@ -299,7 +301,7 @@ def test_both_instrument_constructors_reject_a_branch_whose_unit_is_not_an_effec
         dv.Instrument(tuple(chois), {x: dv.CPMap(2, 2, j, tol=wtol) for x, j in chois.items()},
                       tol=wtol)
     with pytest.raises(dv.EffectBoundsError):
-        dv.Instrument.from_stack(tuple(chois), chois, 2, 2, wtol)
+        dv.Instrument.from_stack(chois, 2, 2, wtol)
 
 
 def test_stacked_instrument_rejects_a_total_that_is_not_a_channel():
@@ -309,7 +311,7 @@ def test_stacked_instrument_rejects_a_total_that_is_not_a_channel():
         labels = tuple(str(i) for i in range(len(chois)))
         maps = {x: dv.CPMap(2, 2, j) for x, j in zip(labels, chois)}
         assert _raised(lambda: dv.Instrument(labels, maps)) is dv.NormalizationError
-        assert _raised(lambda: dv.Instrument.from_stack(labels, dict(zip(labels, chois)), 2, 2)) \
+        assert _raised(lambda: dv.Instrument.from_stack(dict(zip(labels, chois)), 2, 2)) \
             is dv.NormalizationError
 
 
@@ -321,7 +323,7 @@ def test_stacked_constructors_match_one_by_one_bit_for_bit():
         raw = {x: ins.branches[x].choi + 1e-13 * rand_complex(rng, din * dout)
                for x in ins.outcomes}
         one = dv.Instrument(ins.outcomes, {x: dv.CPMap(din, dout, j) for x, j in raw.items()})
-        stacked = dv.Instrument.from_stack(ins.outcomes, raw, din, dout)
+        stacked = dv.Instrument.from_stack(raw, din, dout)
         maps = dv.CPMap.from_stack(din, dout, list(raw.values()))
         for x, m in zip(ins.outcomes, maps):
             want = one.branches[x]
@@ -388,6 +390,42 @@ def _assert_built_branch_by_branch(got, chois):
         assert (g.dim_in, g.dim_out, g.kind) == (w.dim_in, w.dim_out, w.kind)
         assert g.choi.tobytes() == w.choi.tobytes()
         assert g.heisenberg_unit().tobytes() == w.heisenberg_unit().tobytes()
+
+
+def _validated_matrices(device) -> list:
+    """What validation hands out for a device: its effects, or its maps' Choi
+    matrices and units (an instrument's branches and its total), and then every
+    :func:`devices.instrument_parts` target."""
+    if isinstance(device, dv.Effect):
+        mats = [device.matrix]
+    elif isinstance(device, dv.Observable):
+        mats = [e.matrix for e in device.effects.values()]
+    else:
+        maps = [device] if isinstance(device, dv.CPMap) else \
+            [*device.branches.values(), dv.total_channel(device)]
+        mats = [m for f in maps for m in (f.choi, f.heisenberg_unit())]
+    return mats + list(dv.instrument_parts(device).targets.values())
+
+
+def test_validated_matrices_are_exactly_hermitian():
+    # the invariant that lets sums and differences of validated matrices skip
+    # hermitian_part: every matrix validation hands out is Hermitian entry for
+    # entry, also when its raw input was Hermitian only within eq_tol
+    rng = np.random.default_rng(16)
+    builtin = list(builtin_devices().values())
+    devices = builtin + [dv.canonical_instrument(d) for d in builtin]
+    for d in (2, 3, 2, 3, 2, 3):
+        ins = rand_instrument(rng, d, d, n_out=3, ops_per_branch=2)
+        devices += [rand_effect(rng, d), rand_observable(rng, d, 3), rand_cpmap(rng, d, d),
+                    rand_cpmap(rng, d, d, channel=True), rand_cpmap(rng, d, 5 - d), ins]
+        devices += [got for got, _ in _derived_instruments(rng, ins)]
+        raw = {x: ins.branches[x].choi + 1e-13 * rand_complex(rng, d * d) for x in ins.outcomes}
+        devices += [dv.Instrument(ins.outcomes, {x: dv.CPMap(d, d, j) for x, j in raw.items()}),
+                    dv.Instrument.from_stack(raw, d, d)]
+    mats = [m for device in devices for m in _validated_matrices(device)]
+    assert len(mats) > 700
+    for m in mats:
+        assert np.array_equal(m, m.conj().T)
 
 
 # ---------------------------------------------------------------------------
